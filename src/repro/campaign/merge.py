@@ -134,9 +134,8 @@ class ShardWriter:
         # Harness spans the (single-run) master persisted for this run.
         # Experiment-scope spans carry no run id and stay in the staging
         # store; only run-attributed traces travel through the merge.
-        traces = []
-        for node_id in store.node_ids():
-            traces.extend(store.read_run_traces(node_id, run_id))
+        by_node = store.read_run_stream(run_id, "traces.jsonl")
+        traces = [rec for node_id in sorted(by_node) for rec in by_node[node_id]]
         with self.conn:  # one transaction: the campaign's commit point
             for table in RUN_TABLES + EXTENSION_RUN_TABLES:
                 self.conn.execute(f"DELETE FROM {table} WHERE RunID = ?", (run_id,))

@@ -12,19 +12,20 @@ implemented: a full adjacency snapshot with link-quality attributes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = ["measure_hop_counts", "snapshot_topology", "compare_snapshots"]
 
 
-def measure_hop_counts(topology, node_names: List[str]) -> Dict[str, Optional[int]]:
+def measure_hop_counts(topology, node_names: List[str]) -> Dict[str, Any]:
     """Hop counts between all ordered pairs of *node_names*.
 
-    Keys are ``"src->dst"`` strings (storage friendly); unreachable pairs
-    map to ``None``.
+    Returns ``{"names": [...], "hops": [[...]]}``: names ascending, and
+    ``hops[i][j]`` the hop count from ``names[i]`` to ``names[j]`` (0 on
+    the diagonal, ``None`` when unreachable).
     """
-    matrix = topology.hop_count_matrix(node_names)
-    return {f"{a}->{b}": hops for (a, b), hops in sorted(matrix.items())}
+    names = sorted(node_names)
+    return {"names": names, "hops": topology.hop_rows(names)}
 
 
 def snapshot_topology(topology) -> Dict[str, Any]:

@@ -311,6 +311,11 @@ class FabricCoordinator:
         return self
 
     def stop(self) -> None:
+        # Handler threads outlive the listener on connections workers
+        # already hold: stopped mid-campaign they must refuse further work,
+        # as a dead process would, so the fleet re-resolves to a successor.
+        if self.scheduler is not None and not self.scheduler.finished:
+            self._mark_deposed("stopped")
         self._renew_stop.set()
         if self._renew_thread is not None:
             self._renew_thread.join(timeout=5.0)

@@ -324,8 +324,10 @@ class FabricWorker:
             reconnect_budget=self.reconnect_budget,
             label=self.worker_id,
         ) as channel:
-            while not self._dead.wait(period):
-                if lost.is_set():
+            # Sleep on the lease's own event so the end of the batch wakes
+            # the renewer at once instead of a period later.
+            while not lost.wait(period):
+                if self._dead.is_set():
                     return
                 try:
                     renewed = channel.call(

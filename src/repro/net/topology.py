@@ -371,6 +371,22 @@ class Topology:
         dist = self._dist_rows[src_id][dst_id]
         return None if dist < 0 else dist
 
+    def hop_rows(self, names: List[str]) -> List[List[Optional[int]]]:
+        """Hop counts as rows: ``rows[i][j]`` is ``hop_count(names[i],
+        names[j])``, read straight off the BFS distance rows."""
+        ids = self.intern_ids()
+        cols = [ids.get(name, -1) for name in names]
+        rows: List[List[Optional[int]]] = []
+        for src_id in cols:
+            if src_id >= 0:
+                self._route_row(src_id)
+            dist = self._dist_rows.get(src_id)  # None for an unknown name
+            rows.append([
+                dist[dst_id] if dist and dst_id >= 0 and dist[dst_id] >= 0 else None
+                for dst_id in cols
+            ])
+        return rows
+
     def hop_count_matrix(self, names: Optional[Iterable[str]] = None) -> Dict[Tuple[str, str], Optional[int]]:
         """All-pairs hop counts for the given nodes (default: all).
 

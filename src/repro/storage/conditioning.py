@@ -131,10 +131,21 @@ def _condition_records(
     records: List[Dict[str, Any]], offsets: Dict[str, float], run_id: int
 ) -> List[Dict[str, Any]]:
     """Condition one flat record list (compat shim over the stream path)."""
-    out, already_sorted = _condition_stream(records, offsets, run_id)
-    if not already_sorted:
-        out.sort(key=_sort_key)
-    return out
+    return _merge_streams([_condition_stream(records, offsets, run_id)])
+
+
+def _condition_packed(
+    store: Level2Store, run_id: int, stream: str, offsets: Dict[str, float]
+) -> List[Dict[str, Any]]:
+    """Condition one packed run stream, scanned once and consumed node by
+    node (ascending id, the tie order of :func:`_sort_key`): raw records
+    are dropped as their conditioned copies appear, so peak memory stays
+    at one run's records."""
+    by_node = store.read_run_stream(run_id, stream)
+    return _merge_streams([
+        _condition_stream(by_node.pop(node_id), offsets, run_id)
+        for node_id in sorted(by_node)
+    ])
 
 
 def condition_run(store: Level2Store, run_id: int) -> ConditionedRun:
@@ -147,27 +158,18 @@ def condition_run(store: Level2Store, run_id: int) -> ConditionedRun:
     offsets = {node: float(m["offset"]) for node, m in sync.items()}
     offsets[MASTER_NODE_ID] = 0.0
 
-    event_streams: List[Tuple[List[Dict[str, Any]], bool]] = []
-    packet_streams: List[Tuple[List[Dict[str, Any]], bool]] = []
-    extra: Dict[str, Dict[str, Any]] = {}
-    for node_id in store.node_ids():
-        event_streams.append(
-            _condition_stream(store.read_run_events(node_id, run_id), offsets, run_id)
-        )
-        packet_streams.append(
-            _condition_stream(store.read_run_packets(node_id, run_id), offsets, run_id)
-        )
-        node_extra = store.read_extra_measurements(node_id, run_id)
-        if node_extra:
-            extra[node_id] = node_extra
     return ConditionedRun(
         run_id=run_id,
         start_time=float(info["start_time"]),
         treatment=info.get("treatment", {}),
         offsets=offsets,
-        events=_merge_streams(event_streams),
-        packets=_merge_streams(packet_streams),
-        extra_measurements=extra,
+        events=_condition_packed(store, run_id, "events.jsonl", offsets),
+        packets=_condition_packed(store, run_id, "packets.jsonl", offsets),
+        extra_measurements={
+            node_id: extra
+            for node_id, extra in store.read_run_extra_measurements(run_id).items()
+            if extra
+        },
     )
 
 
@@ -189,9 +191,8 @@ def condition_scope(store: Level2Store) -> ConditionedExperiment:
     campaign merge also uses this to avoid conditioning the scope store's
     runs it is about to discard.
     """
-    node_logs = {
-        node_id: store.read_node_log(node_id) for node_id in store.node_ids()
-    }
+    logs = store.read_node_logs()
+    node_logs = {node_id: logs.get(node_id, "") for node_id in store.node_ids()}
     return ConditionedExperiment(
         description_xml=store.read_description(),
         runs=[],

@@ -17,85 +17,133 @@ Layout::
         topology_before.json
         topology_after.json
         timesync/run_<id>.json    # per-run offset measurements
+        runinfo/run_<id>.json     # per-run start time and treatment
         measurements/<name>.json  # experiment-scope measurements
-      nodes/<node>/
-        log.txt
-        experiment_events.jsonl
-        runs/<run id>/
-          events.jsonl
-          packets.jsonl
-          traces.jsonl            # harness span records -> L3 RunTraces
-          extra/<plugin>.json     # plugins' separate storage location
+        fault_leases.jsonl        # reconciled-leak log -> L3 FaultLeases
+        traces.jsonl              # experiment-scope span records
+      runs/<run id>/
+        events.jsonl              # every node's events, one frame each
+        packets.jsonl
+        traces.jsonl              # harness span records -> L3 RunTraces
+        extra/<node>/<plugin>.json  # plugins' separate storage location
+      nodes/
+        logs.jsonl                # one frame per node log (last one wins)
+        experiment_events.jsonl   # experiment-scope events of every node
       eefiles/<name>              # executables/artefacts (EEFiles table)
       leases/<node>.jsonl         # fault leases (repro.faults.leases)
-      master/fault_leases.jsonl   # reconciled-leak log -> L3 FaultLeases
-      master/traces.jsonl         # experiment-scope span records
       metrics.json                # metrics registry snapshot (repro metrics)
-      quarantine/...              # salvage mode's bad-record sidecar
+      quarantine/runs/<run id>/<stream>   # salvage mode's bad-frame sidecar
 
 Everything is JSON-on-disk: human-inspectable, diff-able, and exactly what
-the conditioning stage consumes.
+the conditioning stage consumes.  A run costs a constant handful of files
+whatever the node count: "associated to the node it originates from" lives
+in each frame, not in a directory per node.
 
-Run streams (``events.jsonl`` / ``packets.jsonl``) are **CRC-framed**:
-each line is ``<json>\\t<crc32 as 8 hex digits>``.  ``json.dumps`` escapes
-control characters, so the tab delimiter can never occur inside the JSON
-text; unframed (legacy) lines still parse.  The frame is what lets salvage
-mode (DESIGN.md §11) tell an intact record from a truncated or bit-flipped
-one: readers either hard-fail on the first corrupt record (the default —
-corruption must never pass silently) or, with ``salvage=True``, quarantine
-the bad lines into the ``quarantine/`` sidecar and keep conditioning the
-intact rest.
+The files under ``runs/`` and ``nodes/`` are **packed and CRC-framed**:
+each line is ``<node>\t<json>\t<crc32 as 8 hex digits>``, the CRC taken
+over ``<node>\t<json>`` (``json.dumps`` escapes control characters, so a
+tab never occurs inside the JSON text).  An empty batch writes a *marker*
+frame (empty JSON part): the node took part and had nothing to report.
+The frame is what lets salvage mode (DESIGN.md §11) tell an intact record
+from a truncated or bit-flipped one: readers hard-fail on the first corrupt
+frame (the default — corruption must never pass silently) or, with
+``salvage=True``, quarantine the bad lines into the ``quarantine/`` sidecar
+and keep conditioning the intact rest.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import shutil
 import zlib
 from pathlib import Path
-from typing import Any, Dict, IO, Iterator, List, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import StorageError
 
 __all__ = ["Level2Store", "RunWriter"]
 
-_CRC_SUFFIX = re.compile(r"^[0-9a-f]{8}$")
+_CRC_SUFFIX = re.compile(rb"^[0-9a-f]{8}$")
+#: Same text as ``json.dumps(rec, sort_keys=True)`` without building an
+#: encoder per record.
+_encode_record = json.JSONEncoder(sort_keys=True).encode
+
+#: A bad line: ``(line number, node prefix, reason, raw text)``.
+_BadLine = Tuple[int, str, str, str]
 
 
-def _crc(text: str) -> str:
-    return f"{zlib.crc32(text.encode('utf-8')) & 0xFFFFFFFF:08x}"
+def _frame(node_id: str, json_text: str) -> bytes:
+    """One framed line (without the newline); ``""`` makes a marker."""
+    head = f"{node_id}\t{json_text}".encode("utf-8")
+    return b"%b\t%08x" % (head, zlib.crc32(head))
 
 
-def _frame_line(json_text: str) -> str:
-    """Append the CRC32 frame to one serialized record."""
-    return f"{json_text}\t{_crc(json_text)}"
+def _frames(node_id: str, values: List[Any]) -> List[bytes]:
+    """One framed line per value; a lone marker when there are none."""
+    return [_frame(node_id, _encode_record(v)) for v in values] or [_frame(node_id, "")]
 
 
-def _parse_record_line(line: str) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
-    """Parse one run-stream line; returns ``(record, None)`` or
-    ``(None, reason)`` with reason in {crc_mismatch, truncated, bad_json}."""
-    if "\t" in line:
-        body, suffix = line.rsplit("\t", 1)
-        if _CRC_SUFFIX.match(suffix):
-            if _crc(body) != suffix:
-                return None, "crc_mismatch"
-            try:
-                return json.loads(body), None
-            except ValueError:
-                return None, "bad_json"
-        # A framed line whose frame itself was cut off mid-write: the
-        # tab is present but the suffix is not 8 hex digits.
-        return None, "truncated"
+def _iter_frames(path: Path) -> Iterator[Tuple[int, bytes, bytes, bytes, Optional[str]]]:
+    """Yield ``(lineno, line, node, json_text, reason)`` per non-blank line;
+    *reason* is ``None`` for a whole frame whose CRC holds, else ``truncated``
+    (not shaped like a frame) or ``crc_mismatch``.  A missing file is empty."""
     try:
-        return json.loads(line), None
-    except ValueError:
-        return None, "truncated"
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip(b"\r\n")
+            if not line:
+                continue
+            head, _, suffix = line.rpartition(b"\t")
+            node, tab, body = head.partition(b"\t")
+            if not tab or not _CRC_SUFFIX.match(suffix):
+                reason: Optional[str] = "truncated"
+            else:
+                reason = None if zlib.crc32(head) == int(suffix, 16) else "crc_mismatch"
+            yield lineno, line, node, body, reason
+
+
+def _scan_frames(path: Path) -> Tuple[Dict[str, List[Any]], List[_BadLine]]:
+    """Parse a packed file into ``({node: [values]}, bad lines)``; every
+    node with an intact frame gets a key, marker frames included."""
+    groups: Dict[str, List[Any]] = {}
+    bad: List[_BadLine] = []
+    for lineno, line, node, body, reason in _iter_frames(path):
+        if reason is None:
+            try:
+                values = groups.setdefault(node.decode("utf-8"), [])
+                if body:
+                    values.append(json.loads(body))
+                continue
+            except ValueError:  # includes UnicodeDecodeError
+                reason = "bad_json"
+        bad.append((lineno, node.decode("utf-8", "replace"), reason,
+                    line.decode("utf-8", "backslashreplace")))
+    return groups, bad
+
+
+def _open_append(path: Path) -> BinaryIO:
+    try:
+        return open(path, "ab")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "ab")
+
+
+def _append_frames(path: Path, node_id: str, values: List[Any]) -> None:
+    with _open_append(path) as fh:
+        fh.write(b"\n".join(_frames(node_id, values)) + b"\n")
 
 
 def _write_json(path: Path, data: Any) -> None:
+    # json.dumps takes the C encoder; json.dump(fh) would iterate the
+    # pure-Python one chunk by chunk for the same text.
+    text = json.dumps(data, indent=None, separators=(",", ":"), sort_keys=True)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=None, separators=(",", ":"), sort_keys=True)
+    path.write_text(text, encoding="utf-8")
 
 
 def _read_json(path: Path) -> Any:
@@ -103,12 +151,14 @@ def _read_json(path: Path) -> Any:
         return json.load(fh)
 
 
-def _append_jsonl(path: Path, records: List[Dict[str, Any]], framed: bool = False) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        for rec in records:
-            text = json.dumps(rec, sort_keys=True)
-            fh.write((_frame_line(text) if framed else text) + "\n")
+def _read_json_dir(directory: Path) -> Dict[str, Any]:
+    """``{file stem: content}`` of a directory's ``*.json`` files."""
+    return {path.stem: _read_json(path) for path in sorted(directory.glob("*.json"))}
+
+
+def _append_jsonl(path: Path, records: List[Dict[str, Any]]) -> None:
+    with _open_append(path) as fh:
+        fh.write("".join(_encode_record(rec) + "\n" for rec in records).encode("utf-8"))
 
 
 def _read_jsonl(path: Path, drop_corrupt_tail: bool = False) -> List[Dict[str, Any]]:
@@ -134,17 +184,16 @@ def _read_jsonl(path: Path, drop_corrupt_tail: bool = False) -> List[Dict[str, A
 class RunWriter:
     """Buffered ingest for one run's collection phase.
 
-    The master collects a run's events and packets node by node; writing
-    each batch through :meth:`Level2Store.write_run_data` pays a file
-    open/close per call.  A ``RunWriter`` instead keeps one append handle
-    per ``(node, stream)`` open for the duration of the run's collection
-    and writes serialized records in batches, so per-record cost is one
-    ``json.dumps`` plus an amortized buffered write.
+    The master collects a run's events and packets node by node.  A
+    ``RunWriter`` keeps one append handle per *stream* (at most three,
+    whatever the node count) open for the duration of the collection and
+    writes framed records in batches, so per-record cost is one JSON
+    encode plus an amortized buffered write.
 
     Use as a context manager (or call :meth:`close`); records are only
-    guaranteed on disk after the writer is closed or flushed.  Appending
-    an empty batch still creates the stream file, preserving the
-    enumeration semantics of :meth:`Level2Store.write_run_data`.
+    guaranteed on disk after the writer is closed.  Appending
+    an empty batch writes a marker frame, so the node still shows up in
+    :meth:`Level2Store.node_ids`.
     """
 
     #: Buffered lines per stream before an actual file write.
@@ -155,35 +204,28 @@ class RunWriter:
         self.store = store
         self.run_id = int(run_id)
         self._flush_records = flush_records or self.FLUSH_RECORDS
-        self._handles: Dict[Tuple[str, str], IO[str]] = {}
-        self._buffers: Dict[Tuple[str, str], List[str]] = {}
+        self._handles: Dict[str, BinaryIO] = {}
+        self._buffers: Dict[str, List[bytes]] = {}
         self._closed = False
         #: Total records accepted (handy for ingest benchmarks).
         self.records_written = 0
 
     # ------------------------------------------------------------------
-    def _stream(self, node_id: str, stream: str) -> Tuple[str, str]:
+    def _open(self, stream: str) -> List[bytes]:
         if self._closed:
             raise StorageError(f"RunWriter for run {self.run_id} is closed")
-        key = (node_id, stream)
-        if key not in self._handles:
-            path = (
-                self.store._node_dir(node_id) / "runs" / str(self.run_id) / stream
-            )
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._handles[key] = open(path, "a", encoding="utf-8")
-            self._buffers[key] = []
-            self.store._invalidate_enumeration()
-        return key
+        self._handles[stream] = _open_append(self.store._run_dir(self.run_id) / stream)
+        self._buffers[stream] = buffer = []
+        return buffer
 
     def append(self, node_id: str, stream: str, records: List[Dict[str, Any]]) -> None:
-        key = self._stream(node_id, stream)
-        buffer = self._buffers[key]
-        for rec in records:
-            buffer.append(_frame_line(json.dumps(rec, sort_keys=True)))
+        buffer = self._buffers.get(stream)
+        if buffer is None:
+            buffer = self._open(stream)
+        buffer.extend(_frames(node_id, records))
         self.records_written += len(records)
         if len(buffer) >= self._flush_records:
-            self._flush_stream(key)
+            self._flush_stream(stream)
 
     def add_events(self, node_id: str, records: List[Dict[str, Any]]) -> None:
         self.append(node_id, "events.jsonl", records)
@@ -200,24 +242,18 @@ class RunWriter:
         self.append(node_id, "traces.jsonl", records)
 
     # ------------------------------------------------------------------
-    def _flush_stream(self, key: Tuple[str, str]) -> None:
-        buffer = self._buffers[key]
+    def _flush_stream(self, stream: str) -> None:
+        buffer = self._buffers[stream]
         if buffer:
-            self._handles[key].write("\n".join(buffer) + "\n")
+            self._handles[stream].write(b"\n".join(buffer) + b"\n")
             buffer.clear()
-
-    def flush(self) -> None:
-        """Write out every buffered record (handles stay open)."""
-        for key in self._handles:
-            self._flush_stream(key)
-            self._handles[key].flush()
 
     def close(self) -> None:
         if self._closed:
             return
         try:
-            for key, fh in self._handles.items():
-                self._flush_stream(key)
+            for stream, fh in self._handles.items():
+                self._flush_stream(stream)
                 fh.close()
         finally:
             self._handles.clear()
@@ -235,32 +271,26 @@ class Level2Store:
     """One execution's intermediate storage rooted at a directory.
 
     With ``salvage=True`` the run-stream readers quarantine corrupt
-    records (truncated tails, CRC mismatches) instead of raising: the bad
+    frames (truncated tails, CRC mismatches) instead of raising: the bad
     raw lines are copied under ``quarantine/`` at their original relative
     path, a per-(run, node, stream) salvage record counts what was kept
-    and dropped, and conditioning continues over the intact records.  The
-    default (``salvage=False``) hard-fails on the first corrupt record —
-    partial data must never flow into level 3 unannounced.
+    and dropped, and conditioning continues over the intact records.  A
+    bad line is attributed to the node its prefix names when that node
+    has intact frames in the same stream, else to ``"*"``.  The default
+    (``salvage=False``) hard-fails on the first corrupt frame — partial
+    data must never flow into level 3 unannounced.
     """
 
     def __init__(self, root, salvage: bool = False) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        if any(p.is_dir() for p in (self.root / "nodes").glob("*")):
+            raise StorageError(f"{self.root} uses the retired per-node layout "
+                               "(nodes/<node>/runs/<run>/); only packed runs/<run>/ is read")
         self.salvage = bool(salvage)
-        # Enumeration caches (node_ids / run_ids): every write path that
-        # can add or remove nodes or runs goes through this instance and
-        # calls _invalidate_enumeration, so a cached listing is never
-        # stale for the writer that produced it.  Conditioning and merge
-        # construct fresh stores, so cross-process staleness cannot occur.
-        self._node_ids_cache: Optional[List[str]] = None
-        self._run_ids_cache: Optional[List[int]] = None
         #: ``{(run, node, stream): salvage record}`` from this instance's
         #: salvage-mode reads (also mirrored to quarantine/ on disk).
         self._salvage: Dict[Tuple[int, str, str], Dict[str, Any]] = {}
-
-    def _invalidate_enumeration(self) -> None:
-        self._node_ids_cache = None
-        self._run_ids_cache = None
 
     # ------------------------------------------------------------------
     # Level-1 artefacts
@@ -321,35 +351,43 @@ class Level2Store:
         _write_json(self.root / "master" / "measurements" / f"{name}.json", content)
 
     def experiment_measurements(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        directory = self.root / "master" / "measurements"
-        if directory.exists():
-            for path in sorted(directory.glob("*.json")):
-                out[path.stem] = _read_json(path)
-        return out
+        return _read_json_dir(self.root / "master" / "measurements")
 
     # ------------------------------------------------------------------
-    # Per-node data
+    # Per-node data (experiment scope)
     # ------------------------------------------------------------------
-    def _node_dir(self, node_id: str) -> Path:
-        return self.root / "nodes" / node_id
+    def _read_node_frames(self, name: str) -> Dict[str, List[Any]]:
+        path = self.root / "nodes" / name
+        groups, bad = _scan_frames(path)
+        if bad:
+            raise StorageError(
+                f"corrupt frame in {path} (line {bad[0][0]}: {bad[0][2]})"
+            )
+        return groups
 
     def write_node_log(self, node_id: str, log_text: str) -> None:
-        path = self._node_dir(node_id) / "log.txt"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(log_text, encoding="utf-8")
-        self._invalidate_enumeration()
+        _append_frames(self.root / "nodes" / "logs.jsonl", node_id, [log_text])
+
+    def read_node_logs(self) -> Dict[str, str]:
+        """``{node: log text}`` for every node that stored a log; a node's
+        latest frame wins (a resumed experiment collects logs again)."""
+        frames = self._read_node_frames("logs.jsonl")
+        return {node: texts[-1] for node, texts in frames.items() if texts}
 
     def read_node_log(self, node_id: str) -> str:
-        path = self._node_dir(node_id) / "log.txt"
-        return path.read_text(encoding="utf-8") if path.exists() else ""
+        return self.read_node_logs().get(node_id, "")
 
     def write_node_experiment_events(self, node_id: str, events: List[Dict[str, Any]]) -> None:
-        _append_jsonl(self._node_dir(node_id) / "experiment_events.jsonl", events)
-        self._invalidate_enumeration()
+        _append_frames(self.root / "nodes" / "experiment_events.jsonl", node_id, events)
 
     def read_node_experiment_events(self, node_id: str) -> List[Dict[str, Any]]:
-        return _read_jsonl(self._node_dir(node_id) / "experiment_events.jsonl")
+        return self._read_node_frames("experiment_events.jsonl").get(node_id, [])
+
+    # ------------------------------------------------------------------
+    # Per-run data
+    # ------------------------------------------------------------------
+    def _run_dir(self, run_id: int) -> Path:
+        return self.root / "runs" / str(run_id)
 
     def write_run_data(
         self,
@@ -358,10 +396,9 @@ class Level2Store:
         events: List[Dict[str, Any]],
         packets: List[Dict[str, Any]],
     ) -> None:
-        run_dir = self._node_dir(node_id) / "runs" / str(run_id)
-        _append_jsonl(run_dir / "events.jsonl", events, framed=True)
-        _append_jsonl(run_dir / "packets.jsonl", packets, framed=True)
-        self._invalidate_enumeration()
+        with self.run_writer(run_id) as writer:
+            writer.add_events(node_id, events)
+            writer.add_packets(node_id, packets)
 
     def run_writer(self, run_id: int, flush_records: Optional[int] = None) -> RunWriter:
         """Open a buffered :class:`RunWriter` for *run_id*'s collection."""
@@ -371,92 +408,70 @@ class Level2Store:
         self, node_id: str, run_id: int, plugin: str, content: Any
     ) -> None:
         """Plugins' 'separate storage location on the node' (Sec. IV-B5)."""
-        _write_json(
-            self._node_dir(node_id) / "runs" / str(run_id) / "extra" / f"{plugin}.json",
-            content,
-        )
-        self._invalidate_enumeration()
+        _write_json(self._run_dir(run_id) / "extra" / node_id / f"{plugin}.json", content)
+
+    def read_run_stream(self, run_id: int, stream: str) -> Dict[str, List[Dict[str, Any]]]:
+        """One packed run stream as ``{node: records in file order}``,
+        honouring the store's salvage mode.  Every call scans the file and
+        returns a fresh dict the store keeps no reference to, so a consumer
+        that pops node after node never holds a run's records twice."""
+        path = self._run_dir(run_id) / stream
+        groups, bad = _scan_frames(path)
+        if bad and not self.salvage:
+            raise StorageError(
+                f"corrupt record in {path} (line {bad[0][0]}: {bad[0][2]}); "
+                "re-run conditioning with --salvage to quarantine it"
+            )
+        if bad:
+            self._quarantine(int(run_id), stream, groups, bad)
+        return groups
 
     def read_run_events(self, node_id: str, run_id: int) -> List[Dict[str, Any]]:
-        return self._read_stream(node_id, run_id, "events.jsonl")
+        return self.read_run_stream(run_id, "events.jsonl").get(node_id, [])
 
     def read_run_packets(self, node_id: str, run_id: int) -> List[Dict[str, Any]]:
-        return self._read_stream(node_id, run_id, "packets.jsonl")
+        return self.read_run_stream(run_id, "packets.jsonl").get(node_id, [])
 
     def read_run_traces(self, node_id: str, run_id: int) -> List[Dict[str, Any]]:
         """Span records one node (usually the master) persisted for a run."""
-        return self._read_stream(node_id, run_id, "traces.jsonl")
-
-    def _read_stream(self, node_id: str, run_id: int, stream: str) -> List[Dict[str, Any]]:
-        """Read one run stream, honouring the store's salvage mode."""
-        path = self._node_dir(node_id) / "runs" / str(run_id) / stream
-        records, bad = self._scan_stream(path)
-        if not bad:
-            return records
-        if not self.salvage:
-            raise StorageError(
-                f"corrupt record in {path} (line {bad[0][0]}: {bad[0][1]}); "
-                "re-run conditioning with --salvage to quarantine it"
-            )
-        self._quarantine(path, run_id, node_id, stream, len(records), bad)
-        return records
-
-    def _scan_stream(self, path: Path) -> Tuple[List[Dict[str, Any]], List[Tuple[int, str, str]]]:
-        """Parse a run stream into ``(records, [(lineno, reason, raw)...])``."""
-        if not path.exists():
-            return [], []
-        records: List[Dict[str, Any]] = []
-        bad: List[Tuple[int, str, str]] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                record, reason = _parse_record_line(line)
-                if reason is None:
-                    records.append(record)
-                else:
-                    bad.append((lineno, reason, line))
-        return records, bad
+        return self.read_run_stream(run_id, "traces.jsonl").get(node_id, [])
 
     def _quarantine(
-        self,
-        path: Path,
-        run_id: int,
-        node_id: str,
-        stream: str,
-        kept: int,
-        bad: List[Tuple[int, str, str]],
+        self, run_id: int, stream: str, groups: Dict[str, List[Any]], bad: List[_BadLine]
     ) -> None:
         """Record one stream's corrupt lines in the quarantine sidecar."""
-        rel = path.relative_to(self.root)
-        sidecar = self.root / "quarantine" / rel
-        key = (int(run_id), node_id, stream)
-        if key not in self._salvage:
-            # First salvage read of this stream by this instance: (re)write
-            # the sidecar so repeated reads don't duplicate its lines.
-            sidecar.parent.mkdir(parents=True, exist_ok=True)
-            with open(sidecar, "w", encoding="utf-8") as fh:
-                for lineno, reason, line in bad:
-                    fh.write(json.dumps({"line": lineno, "reason": reason, "raw": line},
-                                        sort_keys=True) + "\n")
-        reasons = sorted({reason for _, reason, _ in bad})
-        self._salvage[key] = {
-            "run_id": int(run_id),
-            "node": node_id,
-            "stream": stream,
-            "kept": kept,
-            "dropped": len(bad),
-            "reason": ",".join(reasons),
-        }
+        # A prefix is only trusted when intact frames of this stream name
+        # the same node; a damaged prefix must not invent one.
+        bad = [(lineno, prefix if prefix in groups else "*", reason, line)
+               for lineno, prefix, reason, line in bad]
+        # Rewritten whole on every read, so re-reading never duplicates lines.
+        sidecar = self.root / "quarantine" / "runs" / str(run_id) / stream
+        sidecar.unlink(missing_ok=True)
+        _append_jsonl(sidecar, [
+            {"line": lineno, "node": node_id, "reason": reason, "raw": line}
+            for lineno, node_id, reason, line in bad])
+        by_node: Dict[str, List[str]] = {}
+        for _, node_id, reason, _ in bad:
+            by_node.setdefault(node_id, []).append(reason)
+        for node_id, reasons in by_node.items():
+            self._salvage[(run_id, node_id, stream)] = {
+                "run_id": run_id,
+                "node": node_id,
+                "stream": stream,
+                "kept": len(groups.get(node_id, ())),
+                "dropped": len(reasons),
+                "reason": ",".join(sorted(set(reasons))),
+            }
 
     def read_extra_measurements(self, node_id: str, run_id: int) -> Dict[str, Any]:
-        directory = self._node_dir(node_id) / "runs" / str(run_id) / "extra"
-        out: Dict[str, Any] = {}
-        if directory.exists():
-            for path in sorted(directory.glob("*.json")):
-                out[path.stem] = _read_json(path)
-        return out
+        return _read_json_dir(self._run_dir(run_id) / "extra" / node_id)
+
+    def read_run_extra_measurements(self, run_id: int) -> Dict[str, Dict[str, Any]]:
+        """``{node: {plugin: content}}`` for one run, nodes ascending."""
+        return {
+            directory.name: _read_json_dir(directory)
+            for directory in sorted((self._run_dir(run_id) / "extra").glob("*"))
+        }
 
     # ------------------------------------------------------------------
     # Fault leases (reconciled-leak log; feeds the L3 FaultLeases table)
@@ -511,17 +526,15 @@ class Level2Store:
     def salvage_probe(self, run_id: int) -> Dict[str, int]:
         """Non-mutating corruption estimate for one run.
 
-        Scans every node's run streams without quarantining anything —
-        the campaign resume path uses this to decide whether a journaled
-        run lost too much data and must be re-executed.
+        Scans the run's event and packet streams without quarantining
+        anything — the campaign resume path uses this to decide whether a
+        journaled run lost too much data and must be re-executed.
         """
         kept = dropped = 0
-        for node_id in self.node_ids():
-            for stream in ("events.jsonl", "packets.jsonl"):
-                path = self._node_dir(node_id) / "runs" / str(run_id) / stream
-                records, bad = self._scan_stream(path)
-                kept += len(records)
-                dropped += len(bad)
+        for stream in ("events.jsonl", "packets.jsonl"):
+            groups, bad = _scan_frames(self._run_dir(run_id) / stream)
+            kept += sum(len(records) for records in groups.values())
+            dropped += len(bad)
         return {"kept": kept, "dropped": dropped}
 
     def write_salvage_report(self) -> Optional[Path]:
@@ -574,31 +587,19 @@ class Level2Store:
     # Enumeration (drives conditioning)
     # ------------------------------------------------------------------
     def node_ids(self) -> List[str]:
-        if self._node_ids_cache is None:
-            directory = self.root / "nodes"
-            if not directory.exists():
-                return []
-            self._node_ids_cache = sorted(
-                p.name for p in directory.iterdir() if p.is_dir()
-            )
-        return list(self._node_ids_cache)
+        """Every node named by an intact frame (markers included) or an
+        extra-measurement directory, ascending."""
+        packed = [*self.root.glob("nodes/*.jsonl"), *self.root.glob("runs/*/*.jsonl")]
+        framed = {node for path in packed
+                  for _, _, node, _, reason in _iter_frames(path) if reason is None}
+        nodes = {node.decode("utf-8", "replace") for node in framed}
+        nodes.update(p.name for p in self.root.glob("runs/*/extra/*"))
+        return sorted(nodes)
 
     def run_ids(self) -> List[int]:
-        if self._run_ids_cache is None:
-            ids = set()
-            for node_id in self.node_ids():
-                runs_dir = self._node_dir(node_id) / "runs"
-                if runs_dir.exists():
-                    for p in runs_dir.iterdir():
-                        if p.is_dir() and p.name.isdigit():
-                            ids.add(int(p.name))
-            self._run_ids_cache = sorted(ids)
-        return list(self._run_ids_cache)
+        return sorted(int(p.name) for p in self.root.glob("runs/*") if p.name.isdigit())
 
     def iter_run_node_pairs(self) -> Iterator[Tuple[int, str]]:
-        # Both listings are computed once for the whole product — the
-        # naive nested form re-walked the node tree for every run id,
-        # an O(nodes x runs) stat storm on large stores.
         node_ids = self.node_ids()
         for run_id in self.run_ids():
             for node_id in node_ids:
@@ -621,23 +622,12 @@ class Level2Store:
     def purge_run(self, run_id: int) -> None:
         """Delete one run's partial data everywhere (resume of an aborted
         run starts from a clean slate)."""
-        import shutil
-
-        for node_id in self.node_ids():
-            run_dir = self._node_dir(node_id) / "runs" / str(run_id)
-            if run_dir.exists():
-                shutil.rmtree(run_dir)
-            quarantined = (
-                self.root / "quarantine" / "nodes" / node_id / "runs" / str(run_id)
-            )
-            if quarantined.exists():
-                shutil.rmtree(quarantined)
+        shutil.rmtree(self._run_dir(run_id), ignore_errors=True)
+        shutil.rmtree(self.root / "quarantine" / "runs" / str(run_id), ignore_errors=True)
         for path in (
             self.root / "master" / "timesync" / f"run_{run_id}.json",
             self.root / "master" / "runinfo" / f"run_{run_id}.json",
         ):
-            if path.exists():
-                path.unlink()
+            path.unlink(missing_ok=True)
         for key in [k for k in self._salvage if k[0] == run_id]:
             del self._salvage[key]
-        self._invalidate_enumeration()

@@ -527,12 +527,10 @@ def store_level3(source, db_path) -> Path:
             insert_salvage_info(conn, source.salvage_records())
             # Harness spans: per-run streams first (run id ascending, node
             # ascending, file order within), then experiment-scope spans.
-            node_ids = source.node_ids()
             for run_id in source.run_ids():
-                for node_id in node_ids:
-                    insert_run_traces(
-                        conn, source.read_run_traces(node_id, run_id)
-                    )
+                traces = source.read_run_stream(run_id, "traces.jsonl")
+                for node_id in sorted(traces):
+                    insert_run_traces(conn, traces[node_id])
             insert_run_traces(conn, source.read_experiment_traces())
         else:
             insert_salvage_info(conn, scope.salvage_records)

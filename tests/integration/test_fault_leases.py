@@ -216,7 +216,7 @@ def test_campaign_resume_requeues_salvage_lossy_run(
     victim = min(staged)
     events = (
         tmp_path / "campaign" / staged[victim]["store"]
-        / "nodes" / SU_NODE / "runs" / str(victim) / "events.jsonl"
+        / "runs" / str(victim) / "events.jsonl"
     )
     # Tear the file's tail the way a crashed writer would.
     data = events.read_bytes()

@@ -97,7 +97,16 @@ def test_prepare_resume_purges_partial_runs(store):
 def test_measure_hop_counts_keys_and_values():
     topo = grid_topology(2, 2)
     out = measure_hop_counts(topo, ["n0", "n3"])
-    assert out == {"n0->n3": 2, "n3->n0": 2}
+    assert out == {"names": ["n0", "n3"], "hops": [[0, 2], [2, 0]]}
+    # Names come back sorted; unknown or unreachable nodes read None.
+    topo.graph.add_node("island")
+    topo.invalidate_cache()
+    out = measure_hop_counts(topo, ["n3", "island", "n0"])
+    assert out["names"] == ["island", "n0", "n3"]
+    assert out["hops"] == [[0, None, None], [None, 0, 2], [None, 2, 0]]
+    for i, a in enumerate(out["names"]):
+        for j, b in enumerate(out["names"]):
+            assert out["hops"][i][j] == topo.hop_count(a, b)
 
 
 def test_snapshot_and_compare_stable():

@@ -1,12 +1,13 @@
 """Unit tests for CRC-framed run streams and salvage-mode conditioning."""
 
 import json
+import zlib
 
 import pytest
 
 from repro.core.errors import StorageError
 from repro.storage.conditioning import condition_experiment
-from repro.storage.level2 import Level2Store, _crc, _frame_line
+from repro.storage.level2 import Level2Store, _frame
 from repro.storage.level3 import ExperimentDatabase, store_level3
 
 DESC_XML = """<experiment name="salv" seed="1" comment="c">
@@ -33,7 +34,7 @@ def _fill(root, salvage=False, events=5):
 
 
 def _events_path(root):
-    return root / "nodes" / "h1" / "runs" / "0" / "events.jsonl"
+    return root / "runs" / "0" / "events.jsonl"
 
 
 def _corrupt_crc(path):
@@ -49,18 +50,27 @@ def _corrupt_crc(path):
 # ----------------------------------------------------------------------
 def test_run_streams_are_crc_framed(tmp_path):
     _fill(tmp_path / "l2")
-    for line in _events_path(tmp_path / "l2").read_text(encoding="utf-8").splitlines():
-        body, suffix = line.rsplit("\t", 1)
-        assert suffix == _crc(body)
+    lines = _events_path(tmp_path / "l2").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        # <node>\t<json>\t<crc32>, the CRC covering node and json.
+        node, body, suffix = line.split("\t")
+        assert node == "h1"
+        assert json.loads(body)["node"] == "h1"
+        head = node + "\t" + body
+        assert suffix == f"{zlib.crc32(head.encode('utf-8')):08x}"
 
 
 def test_framed_roundtrip_and_legacy_lines(tmp_path):
     store = _fill(tmp_path / "l2")
-    # A pre-framing store wrote bare JSON lines; both parse together.
+    events = store.read_run_events("h1", 0)
+    assert events == [_event(i) for i in range(5)]
+    # A pre-framing store wrote bare JSON lines; there is no reader for
+    # them any more — an unframed line is a torn frame.
     with open(_events_path(tmp_path / "l2"), "a", encoding="utf-8") as fh:
         fh.write(json.dumps(_event(5)) + "\n")
-    events = store.read_run_events("h1", 0)
-    assert [e["name"] for e in events] == [f"ev{i}" for i in range(6)]
+    with pytest.raises(StorageError, match="truncated"):
+        store.read_run_events("h1", 0)
 
 
 # ----------------------------------------------------------------------
@@ -93,11 +103,12 @@ def test_salvage_quarantines_crc_mismatch(tmp_path):
     records = store.salvage_records()
     assert records == [{"run_id": 0, "node": "h1", "stream": "events.jsonl",
                         "kept": 4, "dropped": 1, "reason": "crc_mismatch"}]
-    sidecar = tmp_path / "l2" / "quarantine" / "nodes" / "h1" / "runs" / "0" / "events.jsonl"
+    sidecar = tmp_path / "l2" / "quarantine" / "runs" / "0" / "events.jsonl"
     quarantined = [json.loads(ln) for ln in
                    sidecar.read_text(encoding="utf-8").splitlines()]
     assert len(quarantined) == 1
     assert quarantined[0]["reason"] == "crc_mismatch"
+    assert quarantined[0]["node"] == "h1"
     assert '"local_time": 9.0' in quarantined[0]["raw"]
 
 
@@ -105,7 +116,7 @@ def test_salvage_classifies_bad_json(tmp_path):
     store = _fill(tmp_path / "l2", salvage=True)
     path = _events_path(tmp_path / "l2")
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(_frame_line("{not json at all") + "\n")  # CRC itself is valid
+        fh.write(_frame("h1", "{not json at all").decode() + "\n")  # CRC itself is valid
     store.read_run_events("h1", 0)
     assert store.salvage_records()[0]["reason"] == "bad_json"
 
@@ -142,7 +153,7 @@ def test_purge_run_clears_quarantine(tmp_path):
     assert store.salvage_records()
     store.purge_run(0)
     assert store.salvage_records() == []
-    assert not (tmp_path / "l2" / "quarantine" / "nodes" / "h1" / "runs" / "0").exists()
+    assert not (tmp_path / "l2" / "quarantine" / "runs" / "0").exists()
 
 
 # ----------------------------------------------------------------------

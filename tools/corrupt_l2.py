@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Controlled level-2 corruption for salvage-mode drills.
 
-Damages one run stream of a level-2 store the way real failures do —
-a crash-truncated tail or a bit flip that breaks the line's CRC frame —
-so CI and operators can exercise ``repro condition --salvage`` against a
-store that is corrupt in a known, assertable way.  Run it on a *copy* of
-the store: the damage is deliberate and permanent.
+Damages one frame of a packed level-2 run stream the way real failures do
+— a crash-torn write or a bit flip that breaks the frame's CRC — so CI and
+operators can exercise ``repro condition --salvage`` against a store that
+is corrupt in a known, assertable way.  Run it on a *copy* of the store:
+the damage is deliberate and permanent.
 
 Usage::
 
-    python tools/corrupt_l2.py STORE --node NODE --run RUN \
-        [--stream events.jsonl] (--truncate-bytes K | --flip-byte)
+    python tools/corrupt_l2.py STORE --run RUN --node NODE \
+        [--stream events.jsonl] [--index -1] (--truncate-bytes K | --flip-byte)
 
-``--truncate-bytes K`` cuts the last K bytes off the stream file
-(simulating a torn final write); ``--flip-byte`` changes one character
-inside the last record's JSON body while leaving its CRC suffix alone
+The target is the ``--index``-th frame (default: the last) that ``--node``
+wrote into ``runs/RUN/STREAM``.  ``--truncate-bytes K`` ends the file K
+bytes short of that frame's end (a torn write: the frame is cut and
+whatever followed it is gone); ``--flip-byte`` changes one character
+inside the frame's JSON part while leaving its CRC suffix alone
 (simulating silent media corruption -> crc_mismatch).
 """
 
@@ -28,61 +30,74 @@ from pathlib import Path
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("store", type=Path, help="level-2 store root (a copy!)")
-    parser.add_argument("--node", required=True, help="node id owning the stream")
     parser.add_argument("--run", type=int, required=True, help="run id")
     parser.add_argument("--stream", default="events.jsonl",
-                        choices=("events.jsonl", "packets.jsonl"))
+                        choices=("events.jsonl", "packets.jsonl", "traces.jsonl"))
+    parser.add_argument("--node", required=True, help="node id that wrote the frame")
+    parser.add_argument("--index", type=int, default=-1,
+                        help="which of the node's frames (default: the last)")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--truncate-bytes", type=int, metavar="K",
-                      help="cut the last K bytes off the stream file")
+                      help="end the file K bytes short of the frame's end")
     mode.add_argument("--flip-byte", action="store_true",
-                      help="corrupt one character of the last record's JSON "
-                           "body (keeps the CRC suffix -> crc_mismatch)")
+                      help="corrupt one character of the frame's JSON part "
+                           "(keeps the CRC suffix -> crc_mismatch)")
     return parser
 
 
-def truncate(path: Path, nbytes: int) -> None:
-    size = path.stat().st_size
-    if nbytes <= 0 or nbytes >= size:
-        raise SystemExit(f"--truncate-bytes must be in (0, {size})")
+def locate(lines, node: str, index: int) -> int:
+    """Position in *lines* of the node's *index*-th frame."""
+    prefix = node.encode("utf-8") + b"\t"
+    own = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    try:
+        return own[index]
+    except IndexError:
+        raise SystemExit(f"node {node} has {len(own)} frame(s); no index {index}")
+
+
+def truncate(path: Path, lines, target: int, nbytes: int) -> None:
+    frame = lines[target].rstrip(b"\n")
+    if not 0 < nbytes < len(frame):
+        raise SystemExit(f"--truncate-bytes must be in (0, {len(frame)})")
+    end = sum(len(line) for line in lines[:target]) + len(frame) - nbytes
     with open(path, "r+b") as fh:
-        fh.truncate(size - nbytes)
-    print(f"truncated {nbytes} byte(s) off {path} ({size} -> {size - nbytes})")
+        fh.truncate(end)
+    print(f"tore frame {target + 1} of {path} {nbytes} byte(s) short "
+          f"({sum(map(len, lines))} -> {end} bytes)")
 
 
-def flip_byte(path: Path) -> None:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise SystemExit(f"{path} is empty; nothing to corrupt")
-    last = lines[-1]
-    if "\t" not in last:
-        raise SystemExit(f"last line of {path} is not CRC-framed")
-    body, suffix = last.rsplit("\t", 1)
-    # Flip a character in the middle of the JSON body; swapping a digit
+def flip_byte(path: Path, lines, target: int) -> None:
+    node, body, suffix = lines[target].split(b"\t")
+    if not body:
+        raise SystemExit(f"frame {target + 1} of {path} is a marker; nothing to flip")
+    # Flip a character in the middle of the JSON part; swapping a digit
     # keeps the text valid JSON so only the CRC check can catch it.
-    pos = len(body) // 2
-    for offset in range(len(body)):
-        i = (pos + offset) % len(body)
-        if body[i].isdigit():
-            flipped = body[:i] + str((int(body[i]) + 1) % 10) + body[i + 1:]
+    text = body.decode("utf-8")
+    pos = len(text) // 2
+    for offset in range(len(text)):
+        i = (pos + offset) % len(text)
+        if text[i].isdigit():
+            flipped = text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:]
             break
     else:
         i = pos
-        flipped = body[:i] + ("x" if body[i] != "x" else "y") + body[i + 1:]
-    lines[-1] = f"{flipped}\t{suffix}"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"flipped one byte in the last record of {path}")
+        flipped = text[:i] + ("x" if text[i] != "x" else "y") + text[i + 1:]
+    lines[target] = b"\t".join((node, flipped.encode("utf-8"), suffix))
+    path.write_bytes(b"".join(lines))
+    print(f"flipped one byte in frame {target + 1} of {path}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    path = args.store / "nodes" / args.node / "runs" / str(args.run) / args.stream
+    path = args.store / "runs" / str(args.run) / args.stream
     if not path.exists():
         raise SystemExit(f"no such stream: {path}")
+    lines = path.read_bytes().splitlines(keepends=True)
+    target = locate(lines, args.node, args.index)
     if args.truncate_bytes is not None:
-        truncate(path, args.truncate_bytes)
+        truncate(path, lines, target, args.truncate_bytes)
     else:
-        flip_byte(path)
+        flip_byte(path, lines, target)
     return 0
 
 
