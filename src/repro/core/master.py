@@ -43,7 +43,7 @@ from repro.core.plugins import PluginManager
 from repro.faults.manipulations import EnvContext, EnvironmentController
 from repro.obs.trace import Tracer
 from repro.obs.metrics import get_registry
-from repro.storage.level2 import Level2Store
+from repro.storage.level2 import Level2Store, encode_block
 
 __all__ = ["ExperiMaster", "ExperimentResult", "MASTER_NODE_ID", "execute_spec_run"]
 
@@ -372,13 +372,16 @@ class ExperiMaster:
         self.store.write_topology("after", self._topology_measurement(node_ids))
         for name, content in self.plugins.experiment_exit(self).items():
             self.store.write_experiment_measurement(name, content)
+        logs: Dict[str, str] = {}
+        event_blocks: Dict[str, str] = {}
         for node_id in node_ids:
             yield from self.channel.call(node_id, "experiment_exit")
             data = yield from self.channel.call(node_id, "collect_experiment")
-            self.store.write_node_log(node_id, data.get("log", ""))
-            self.store.write_node_experiment_events(node_id, data.get("events", []))
+            logs[node_id] = data["log"]
+            event_blocks[node_id] = data["events"]
         self.emit_master("experiment_exit", params=(desc.name,))
-        self.store.write_node_experiment_events(MASTER_NODE_ID, self._exp_events)
+        event_blocks[MASTER_NODE_ID] = encode_block(self._exp_events)
+        self.store.write_node_collections(logs, event_blocks)
         exit_span.end()
         self.store.append_experiment_traces(self.tracer.drain(None))
         journal.record_experiment_complete()
@@ -706,14 +709,16 @@ class ExperiMaster:
             yield from self.channel.call(node_id, "run_exit", run.run_id)
         # One buffered writer covers the whole collection: file handles
         # stay open across nodes and batches are flushed together instead
-        # of paying an open/append/close per (node, stream) call.
+        # of paying an open/append/close per (node, stream) call.  The
+        # nodes encoded their records; the writer frames the lines verbatim.
         with self.store.run_writer(run.run_id) as writer:
             for node_id in node_ids:
-                data = yield from self.channel.call(node_id, "collect_run", run.run_id)
-                writer.add_events(node_id, data.get("events", []))
-                writer.add_packets(
-                    node_id, data.get("packets", []) if collect_packets else []
+                data = yield from self.channel.call(
+                    node_id, "collect_run", run.run_id, collect_packets
                 )
+                writer.add_block(node_id, "events.jsonl", data["events"])
+                # "" without packets: the marker frame keeps node_ids() whole.
+                writer.add_block(node_id, "packets.jsonl", data["packets"])
             self.emit_master("run_exit", params=(run.run_id,), run_id=run.run_id)
             # pop, not get: a long serial series must not accumulate every
             # run's event records in memory after they are on disk.

@@ -28,6 +28,7 @@ from repro.core.rpc import RpcServer
 from repro.faults.controller import FAULT_KINDS, FaultController
 from repro.faults.injectors import DropExperimentFilter
 from repro.net.traffic import TRAFFIC_PORT, TrafficFlow
+from repro.storage.level2 import encode_block
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.rpc import ControlChannel
@@ -224,9 +225,7 @@ class NodeManager:
         self.log_line(f"run_exit: {rid}")
         self._stop_traffic_flows()
         self.faults.stop_all()
-        self._run_packets.setdefault(rid, []).extend(
-            self._packet_wire(rec) for rec in self.node.capture.drain()
-        )
+        self._run_packets.setdefault(rid, []).extend(self.node.capture.drain())
 
     def reset_environment(self):
         """Drop leftover state: filters, flows, caches (Sec. IV-C1)."""
@@ -396,25 +395,33 @@ class NodeManager:
     # ------------------------------------------------------------------
     # Collection (feeds storage level 2)
     # ------------------------------------------------------------------
-    def collect_run(self, run_id: int):
+    def collect_run(self, run_id: int, packets: bool = True):
+        """One run's records as level-2 blocks (:func:`encode_block`).
+
+        This is the one place a record is encoded; the master frames the
+        lines as they arrive.  Encoding on demand from the kept records
+        makes a retried call return the same block, and the capture is
+        only made wire-safe when the master asks for *packets*.
+        """
         rid = int(run_id)
+        captured = self._run_packets.get(rid, []) if packets else []
         return {
             "node_id": self.node.name,
             "run_id": rid,
-            "events": self._run_events.get(rid, []),
-            "packets": self._run_packets.get(rid, []),
+            "events": encode_block(self._run_events.get(rid, [])),
+            "packets": encode_block(map(self._packet_wire, captured)),
         }
 
     def collect_experiment(self):
         return {
             "node_id": self.node.name,
-            "events": self._exp_events,
+            "events": encode_block(self._exp_events),
             "log": "\n".join(self._log),
         }
 
     @staticmethod
     def _packet_wire(rec: Dict[str, Any]) -> Dict[str, Any]:
-        """Make a capture record XML-RPC/DB safe: the payload becomes its
+        """Make a capture record JSON/DB safe: the payload becomes its
         textual representation (the 'raw packet data' blob of Table I)."""
         wire = dict(rec)
         wire["payload"] = repr(wire.get("payload"))

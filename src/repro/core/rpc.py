@@ -13,6 +13,17 @@ Fidelity choices:
   (``xmlrpc.client.dumps``/``loads``) — arguments must survive the actual
   wire format, so accidentally passing an unserializable object fails here
   exactly as it would against a real node.
+* Measurements are the one payload encoded *before* the codec: a node
+  returns a run's events and packets from ``collect_run`` /
+  ``collect_experiment`` as level-2 record blocks
+  (:func:`repro.storage.level2.encode_block` — one JSON line per record,
+  pure ASCII) carried as a plain ``<string>``, and the master frames the
+  lines verbatim, as the paper's master collects node files unchanged
+  (Sec. IV-F).  A record JSON cannot encode fails at the node and arrives
+  as fault 500 like any failing method; values XML-RPC used to reject or
+  normalise but JSON carries (ints >= 2**31, carriage returns, control
+  characters) now survive collection.  Events forwarded live by
+  :meth:`ControlChannel.cast_to_master` stay structs.
 * The channel is *separate and reliable* (platform requirement IV-A1): it
   does not touch the emulated medium, never loses messages, and only adds
   a small symmetric latency (plus optional jitter, which is what makes the
@@ -260,24 +271,25 @@ class ControlChannel:
         #: Master's span tracer (set by ExperiMaster); ``None`` = no spans.
         self.tracer = None
         # Declare the RPC metric families up front so every export carries
-        # them (HELP/TYPE) even for executions with zero retries/timeouts.
+        # them (HELP/TYPE) even for executions with zero retries/timeouts,
+        # and keep the handles: call() must not take the registry lock.
         registry = get_registry()
-        registry.counter(
+        self._m_calls = registry.counter(
             "repro_rpc_calls_total",
             "Completed synchronous RPC calls",
             labels=("method",),
         )
-        registry.counter(
+        self._m_timeouts = registry.counter(
             "repro_rpc_timeouts_total",
             "RPC attempts that missed their deadline",
             labels=("method",),
         )
-        registry.counter(
+        self._m_retries = registry.counter(
             "repro_rpc_retries_total",
             "RPC retries after a timeout or transport fault",
             labels=("method",),
         )
-        registry.histogram(
+        self._m_seconds = registry.histogram(
             "repro_rpc_call_seconds",
             "RPC turnaround in experiment (simulation) seconds",
             labels=("method",),
@@ -440,7 +452,6 @@ class ControlChannel:
             attempts = self.retry.max_attempts
         request_xml = dump_request(method, args)
 
-        registry = get_registry()
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
         wall_start = tracer.clock() if tracing else 0.0
@@ -459,18 +470,10 @@ class ControlChannel:
                     # The in-flight request is abandoned: a late response
                     # triggers the orphaned event, which nobody awaits.
                     self.timed_out_calls += 1
-                    registry.counter(
-                        "repro_rpc_timeouts_total",
-                        "RPC attempts that missed their deadline",
-                        labels=("method",),
-                    ).inc(method=method)
+                    self._m_timeouts.inc(method=method)
                     if attempt < attempts:
                         self.retried_calls += 1
-                        registry.counter(
-                            "repro_rpc_retries_total",
-                            "RPC retries after a timeout or transport fault",
-                            labels=("method",),
-                        ).inc(method=method)
+                        self._m_retries.inc(method=method)
                         yield self.sim.timeout(self.retry.delay(attempt))
                         continue
                     if tracing:
@@ -495,11 +498,7 @@ class ControlChannel:
                     # Transport-level refusal: the remote never executed,
                     # so retrying is safe regardless of idempotence.
                     self.retried_calls += 1
-                    registry.counter(
-                        "repro_rpc_retries_total",
-                        "RPC retries after a timeout or transport fault",
-                        labels=("method",),
-                    ).inc(method=method)
+                    self._m_retries.inc(method=method)
                     yield self.sim.timeout(self.retry.delay(attempt))
                     continue
                 if tracing:
@@ -511,16 +510,8 @@ class ControlChannel:
                     )
                 raise RpcFault(fault.faultCode, fault.faultString) from None
             self.completed_calls += 1
-            registry.counter(
-                "repro_rpc_calls_total",
-                "Completed synchronous RPC calls",
-                labels=("method",),
-            ).inc(method=method)
-            registry.histogram(
-                "repro_rpc_call_seconds",
-                "RPC turnaround in experiment (simulation) seconds",
-                labels=("method",),
-            ).observe(self.sim.now - sim_start, method=method)
+            self._m_calls.inc(method=method)
+            self._m_seconds.observe(self.sim.now - sim_start, method=method)
             if tracing and attempt > 1:
                 # Only degraded-but-recovered calls get a span: every call
                 # would be noise, but a retried one is a diagnosis lead.

@@ -44,6 +44,12 @@ each line is ``<node>\t<json>\t<crc32 as 8 hex digits>``, the CRC taken
 over ``<node>\t<json>`` (``json.dumps`` escapes control characters, so a
 tab never occurs inside the JSON text).  An empty batch writes a *marker*
 frame (empty JSON part): the node took part and had nothing to report.
+A record's JSON text is produced exactly once, by :func:`encode_block` on
+the node that measured it (``NodeManager.collect_run``); the block crosses
+the control channel as one string and :meth:`RunWriter.add_block` frames
+its lines verbatim — the master never parses or re-encodes a collected
+record (conditioning is the first and only parser).  Master-side records
+take :meth:`RunWriter.append`; both paths end in the one ``_frame``.
 The frame is what lets salvage mode (DESIGN.md §11) tell an intact record
 from a truncated or bit-flipped one: readers hard-fail on the first corrupt
 frame (the default — corruption must never pass silently) or, with
@@ -58,11 +64,11 @@ import re
 import shutil
 import zlib
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.errors import StorageError
 
-__all__ = ["Level2Store", "RunWriter"]
+__all__ = ["Level2Store", "RunWriter", "encode_block"]
 
 _CRC_SUFFIX = re.compile(rb"^[0-9a-f]{8}$")
 #: Same text as ``json.dumps(rec, sort_keys=True)`` without building an
@@ -82,6 +88,21 @@ def _frame(node_id: str, json_text: str) -> bytes:
 def _frames(node_id: str, values: List[Any]) -> List[bytes]:
     """One framed line per value; a lone marker when there are none."""
     return [_frame(node_id, _encode_record(v)) for v in values] or [_frame(node_id, "")]
+
+
+def encode_block(records: Iterable[Any]) -> str:
+    """The level-2 text of *records*, one line each (``""`` for none).
+
+    This is what a node ships: pure ASCII (``ensure_ascii`` escapes every
+    control and non-ASCII character), so no transport's text normalisation
+    can alter it and the writers frame each line as it arrived.
+    """
+    return "\n".join(map(_encode_record, records))
+
+
+def _block_frames(node_id: str, block: str) -> List[bytes]:
+    """One framed line per block line; ``""`` splits into the lone marker."""
+    return [_frame(node_id, line) for line in block.split("\n")]
 
 
 def _iter_frames(path: Path) -> Iterator[Tuple[int, bytes, bytes, bytes, Optional[str]]]:
@@ -133,9 +154,9 @@ def _open_append(path: Path) -> BinaryIO:
         return open(path, "ab")
 
 
-def _append_frames(path: Path, node_id: str, values: List[Any]) -> None:
+def _append_lines(path: Path, frames: List[bytes]) -> None:
     with _open_append(path) as fh:
-        fh.write(b"\n".join(_frames(node_id, values)) + b"\n")
+        fh.write(b"\n".join(frames) + b"\n")
 
 
 def _write_json(path: Path, data: Any) -> None:
@@ -188,7 +209,8 @@ class RunWriter:
     ``RunWriter`` keeps one append handle per *stream* (at most three,
     whatever the node count) open for the duration of the collection and
     writes framed records in batches, so per-record cost is one JSON
-    encode plus an amortized buffered write.
+    encode (none for a block a node already encoded) plus an amortized
+    buffered write.
 
     Use as a context manager (or call :meth:`close`); records are only
     guaranteed on disk after the writer is closed.  Appending
@@ -224,6 +246,18 @@ class RunWriter:
             buffer = self._open(stream)
         buffer.extend(_frames(node_id, records))
         self.records_written += len(records)
+        if len(buffer) >= self._flush_records:
+            self._flush_stream(stream)
+
+    def add_block(self, node_id: str, stream: str, block: str) -> None:
+        """Frame a block a node encoded (:func:`encode_block`) line by line,
+        verbatim: the bytes :meth:`append` writes for the same records."""
+        buffer = self._buffers.get(stream)
+        if buffer is None:
+            buffer = self._open(stream)
+        frames = _block_frames(node_id, block)
+        buffer.extend(frames)
+        self.records_written += len(frames) if block else 0
         if len(buffer) >= self._flush_records:
             self._flush_stream(stream)
 
@@ -366,7 +400,7 @@ class Level2Store:
         return groups
 
     def write_node_log(self, node_id: str, log_text: str) -> None:
-        _append_frames(self.root / "nodes" / "logs.jsonl", node_id, [log_text])
+        self.write_node_collections({node_id: log_text}, {})
 
     def read_node_logs(self) -> Dict[str, str]:
         """``{node: log text}`` for every node that stored a log; a node's
@@ -378,7 +412,18 @@ class Level2Store:
         return self.read_node_logs().get(node_id, "")
 
     def write_node_experiment_events(self, node_id: str, events: List[Dict[str, Any]]) -> None:
-        _append_frames(self.root / "nodes" / "experiment_events.jsonl", node_id, events)
+        self.write_node_collections({}, {node_id: encode_block(events)})
+
+    def write_node_collections(self, logs: Dict[str, str], event_blocks: Dict[str, str]) -> None:
+        """The experiment-exit collection, ``{node: log text}`` and ``{node:
+        experiment-events block}`` in collection order: one append per file."""
+        nodes = self.root / "nodes"
+        if logs:
+            _append_lines(nodes / "logs.jsonl", [
+                _frame(node, _encode_record(text)) for node, text in logs.items()])
+        if event_blocks:
+            _append_lines(nodes / "experiment_events.jsonl", [
+                f for node, block in event_blocks.items() for f in _block_frames(node, block)])
 
     def read_node_experiment_events(self, node_id: str) -> List[Dict[str, Any]]:
         return self._read_node_frames("experiment_events.jsonl").get(node_id, [])

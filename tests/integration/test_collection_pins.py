@@ -1,0 +1,60 @@
+"""Pinned level-2 bytes and level-3 digests of two small experiments.
+
+The literals were recorded on the commit *before* run measurements started
+crossing the control channel as node-encoded record blocks (PR 14, parent
+208534b), with the struct-per-record collection path.  Whatever carries a
+record from a node to level 2 must keep every byte of the run streams and
+of the ``nodes/`` files, and with them the level-3 Table-I digest.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from repro import run_experiment, store_level3
+from repro.campaign import database_digest
+from repro.platforms.simulated import PlatformConfig
+from repro.sd.processlib import build_registry_description, build_two_party_description
+
+
+def _mdns():
+    return build_two_party_description(
+        name="pin-mdns", seed=2014, replications=2, env_count=2), None
+
+
+def _registry():
+    desc = build_registry_description(
+        name="pin-registry", seed=2014, replications=2, env_count=1, broker_count=1,
+        churn=True, churn_interval_levels=(1.5,), population=True,
+        population_levels=(50,), hold_time=4.0)
+    return desc, PlatformConfig(protocol="registry", topology="full", base_loss=0.0)
+
+
+def _sha(root, pattern, keep=lambda path: True):
+    digest = hashlib.sha256()
+    for path in sorted(Path(root).glob(pattern)):
+        if keep(path):
+            digest.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("build, run_streams, node_files, l3_digest", [
+    (_mdns,
+     "eb96cb827c7db9406ee84e5c282f3399e3ff7aa95bc1cf32d9e78e2906db9a7e",
+     "67dc9a7afe3279aaf046568da287cb1d36abd4e37fbbc930c9146f3e878b5948",
+     "419cc7f3ea4ef4e43f7ab25ad17b0df2300d5332727f9f62248d3fff53bac6a5"),
+    (_registry,
+     "9c0c1a1cceba9433fb5c1577555194eca683a989828015a7f0eba8b54b02eb11",
+     "a307869f69ead36cb750219c667527d344628aecfa7e6497b4969e4c80e4c970",
+     "1d598ab0190c6b3842cbd6e7cdf71e1259278d040b0c5e085bd740bd2e1820be"),
+], ids=["two-party-mdns", "registry"])
+def test_level2_bytes_and_level3_digest_equal_the_parent_commit(
+        tmp_path, build, run_streams, node_files, l3_digest):
+    desc, config = build()
+    result = run_experiment(desc, store_root=tmp_path / "l2", config=config)
+    root = tmp_path / "l2"
+    # traces.jsonl carries host-clock span times and is not pinned.
+    assert _sha(root, "runs/*/*.jsonl", lambda p: p.name != "traces.jsonl") == run_streams
+    assert _sha(root, "nodes/*.jsonl") == node_files
+    assert database_digest(store_level3(result.store, tmp_path / "l3.db")) == l3_digest

@@ -1,9 +1,16 @@
 """Unit tests for the NodeManager control-plane component."""
 
+import json
+
 import pytest
 
 from repro.core.nodemanager import NodeManager
 from repro.core.rpc import ControlChannel
+
+
+def _records(block):
+    """A level-2 block (one JSON line per record, "" for none) parsed back."""
+    return [json.loads(line) for line in block.split("\n")] if block else []
 
 
 @pytest.fixture
@@ -35,7 +42,7 @@ def test_emit_records_locally_and_forwards(managed):
     sim.run(until=0.1)
     names = [r["name"] for r in received]
     assert names == ["run_init", "custom"]
-    local = nm_a.collect_run(3)["events"]
+    local = _records(nm_a.collect_run(3)["events"])
     assert [e["name"] for e in local] == ["run_init", "custom"]
     assert local[1]["params"] == ["p"]
     assert local[1]["run_id"] == 3
@@ -45,7 +52,7 @@ def test_experiment_scope_events(managed):
     sim, _ch, nm_a, _nm_b, _rx = managed
     nm_a.experiment_init("exp")
     data = nm_a.collect_experiment()
-    assert [e["name"] for e in data["events"]] == ["experiment_init"]
+    assert [e["name"] for e in _records(data["events"])] == ["experiment_init"]
     assert "experiment_init: exp" in data["log"]
 
 
@@ -76,7 +83,7 @@ def test_run_exit_seals_packets(managed):
     nm_a.node.send_datagram("x", nm_b.node.address, 9)
     sim.run(until=0.5)
     nm_a.run_exit(0)
-    packets = nm_a.collect_run(0)["packets"]
+    packets = _records(nm_a.collect_run(0)["packets"])
     assert len(packets) == 1
     assert packets[0]["direction"] == "tx"
     assert isinstance(packets[0]["payload"], str)  # wire-safe blob
@@ -94,7 +101,7 @@ def test_event_flag_handler(managed):
     sim, _ch, nm_a, _nm_b, _rx = managed
     nm_a.run_init(0)
     nm_a.execute_action("event_flag", {"value": "ready", "params": [1]})
-    events = nm_a.collect_run(0)["events"]
+    events = _records(nm_a.collect_run(0)["events"])
     assert events[-1]["name"] == "ready" and events[-1]["params"] == [1]
 
 
@@ -102,7 +109,7 @@ def test_generic_action_records_params(managed):
     _sim, _ch, nm_a, _nm_b, _rx = managed
     nm_a.run_init(0)
     nm_a.execute_action("generic", {"b": 2, "a": 1})
-    events = nm_a.collect_run(0)["events"]
+    events = _records(nm_a.collect_run(0)["events"])
     assert events[-1]["name"] == "generic_executed"
     assert events[-1]["params"] == ["a=1", "b=2"]
 
@@ -176,7 +183,7 @@ def test_set_address_emits_event(managed):
     nm_a.run_init(0)
     nm_a.set_address("10.1.0.99")
     assert nm_a.node.address == "10.1.0.99"
-    events = nm_a.collect_run(0)["events"]
+    events = _records(nm_a.collect_run(0)["events"])
     assert events[-1]["name"] == "address_changed"
     assert events[-1]["params"] == ["10.1.0.1", "10.1.0.99"]
 
@@ -186,6 +193,6 @@ def test_experiment_init_clears_prior_state(managed):
     nm_a.run_init(0)
     nm_a.emit("leftover")
     nm_a.experiment_init("fresh")
-    assert nm_a.collect_run(0)["events"] == []
+    assert nm_a.collect_run(0)["events"] == ""
     assert nm_a.current_run is None
     assert nm_a.node.tagger.next_tag == 0

@@ -1,5 +1,7 @@
 """Unit tests for environment manipulations (pair selection, controller)."""
 
+import json
+
 import pytest
 
 from repro.core.nodemanager import NodeManager
@@ -137,8 +139,8 @@ def test_generic_fans_out_to_acting_nodes(env_setup):
     sim, ctrl, ctx, managers, events = env_setup
     _drive(sim, ctrl.execute("generic", {"command": "sync"}, ctx))
     for name in ("n0", "n8"):
-        evs = managers[name].collect_run(0)["events"]
-        assert any(e["name"] == "generic_executed" for e in evs)
+        block = managers[name].collect_run(0)["events"]
+        assert any(json.loads(line)["name"] == "generic_executed" for line in block.split("\n"))
     assert events[-1][0] == "env_generic_executed"
 
 
