@@ -42,20 +42,20 @@ physically lives:
 ``campaign_complete``
     all runs staged; only merging can remain.
 
-Every append is flushed and fsynced: a crash never loses an acknowledged
-run, it only re-executes work in flight — and because runs are
-deterministic, re-execution converges to byte-identical data.
+The file is a :class:`repro.durable.DurableLog` and every append is
+synced: a crash never loses an acknowledged run, it only re-executes work
+in flight — and because runs are deterministic, re-execution converges to
+byte-identical data.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import RecoveryError
 from repro.core.recovery import check_start_compatibility
+from repro.durable import DurableLog
 
 __all__ = ["CampaignJournal"]
 
@@ -68,16 +68,13 @@ class CampaignJournal:
     def __init__(self, campaign_dir) -> None:
         self.root = Path(campaign_dir)
         self.path = self.root / JOURNAL_NAME
+        self._log = DurableLog(self.path)
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
     def _append(self, record: Dict[str, Any]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._log.append([record])
 
     def record_start(
         self,
@@ -196,15 +193,10 @@ class CampaignJournal:
     # Reading
     # ------------------------------------------------------------------
     def entries(self) -> List[Dict[str, Any]]:
-        if not self.path.exists():
-            return []
-        out = []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
-        return out
+        return list(self._log.replay())
+
+    def _latest(self, kind: str) -> Dict[int, Dict[str, Any]]:
+        return {e["run_id"]: e for e in self.entries() if e["type"] == kind}
 
     def started(self) -> bool:
         return any(e["type"] == "campaign_start" for e in self.entries())
@@ -228,11 +220,7 @@ class CampaignJournal:
         a shard commit across a crash), its newest staging location is
         authoritative and older copies are ignored by the merge.
         """
-        out: Dict[int, Dict[str, Any]] = {}
-        for e in self.entries():
-            if e["type"] == "run_complete":
-                out[e["run_id"]] = e
-        return out
+        return self._latest("run_complete")
 
     def failure_reasons(self) -> Dict[int, Dict[str, Any]]:
         """``{run_id: latest run_failed entry}`` — abort-reason source.
@@ -241,19 +229,11 @@ class CampaignJournal:
         failure is exactly what ``AbortReason`` documents); callers
         intersect with :meth:`completed` as needed.
         """
-        out: Dict[int, Dict[str, Any]] = {}
-        for e in self.entries():
-            if e["type"] == "run_failed":
-                out[e["run_id"]] = e
-        return out
+        return self._latest("run_failed")
 
     def salvage_requeued(self) -> Dict[int, Dict[str, Any]]:
         """``{run_id: latest run_salvage_requeued entry}`` (diagnostic)."""
-        out: Dict[int, Dict[str, Any]] = {}
-        for e in self.entries():
-            if e["type"] == "run_salvage_requeued":
-                out[e["run_id"]] = e
-        return out
+        return self._latest("run_salvage_requeued")
 
     def quarantined_nodes(self) -> List[str]:
         return sorted(

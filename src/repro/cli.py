@@ -868,8 +868,7 @@ def _cmd_inspect(args) -> int:
 
 def _inspect_directory_leases(directory: Path) -> None:
     """Lease view over a level-2 store or campaign directory."""
-    import json
-
+    from repro.durable import DurableLog
     from repro.faults.leases import FaultLeaseStore, iter_lease_files
 
     active_total = 0
@@ -883,15 +882,7 @@ def _inspect_directory_leases(directory: Path) -> None:
 
     reconciled = []
     for log in sorted(directory.rglob("fault_leases.jsonl")):
-        with open(log, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    reconciled.append(json.loads(line))
-                except ValueError:
-                    continue
+        reconciled.extend(DurableLog(log).replay())
     for rec in reconciled:
         print(f"reconciled lease: {rec.get('lease_id')}  "
               f"kind={rec.get('kind')}  run={rec.get('run_id')}  "

@@ -145,11 +145,7 @@ class Journal:
 
     def abort_reasons(self) -> Dict[int, Dict[str, Any]]:
         """``{run_id: latest run_aborted entry}`` for post-mortems."""
-        out: Dict[int, Dict[str, Any]] = {}
-        for e in self.entries():
-            if e["type"] == "run_aborted":
-                out[e["run_id"]] = e
-        return out
+        return {e["run_id"]: e for e in self.entries() if e["type"] == "run_aborted"}
 
     def fault_leases_reconciled(self) -> List[Dict[str, Any]]:
         """Flat list of the lease summaries every sweep entry recorded."""

@@ -1,0 +1,238 @@
+"""One durable log: how a record becomes durable and how a crashed file
+is read back (DESIGN.md §18).  Every recovery ledger of the tree is a
+:class:`DurableLog`, and the packed level-2 streams share its line frame::
+
+    <key>\\t<json>\\t<crc32 as 8 hex digits>\\n
+
+The CRC covers ``<key>\\t<json>``; ``json.dumps`` escapes control
+characters, so neither a tab nor a newline occurs inside the JSON text.
+Level 2 puts the originating node in ``<key>``; a log leaves it empty, so
+every log line starts with a tab and a line without one was never written
+by this module (a pre-framing JSONL file is refused, not guessed at).
+
+The crash rule, stated once: a crash can damage only what the last
+``write()`` put down, i.e. the *final* line.  A final line that is not an
+intact frame is a **torn tail** — never acknowledged, dropped by
+:meth:`DurableLog.replay`, cut off by the next :meth:`DurableLog.append`
+(so a new record can never glue onto a fragment), and counted in
+``durable_torn_tails_total{log=<file name>}``.  A bad frame anywhere else
+is **corruption** and raises: skipping it would silently drop a record
+that was acknowledged.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import zlib
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
+
+from repro.core.errors import StorageError
+from repro.obs.metrics import get_registry
+
+try:  # POSIX advisory locking; the fabric targets Linux hosts.
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX fallback
+    fcntl = None
+
+__all__ = [
+    "DurableLog",
+    "encode_record",
+    "frame",
+    "iter_frames",
+    "locked",
+    "replace_file",
+    "sync_file",
+]
+
+_CRC_SUFFIX = re.compile(rb"^[0-9a-f]{8}$")
+#: Same text as ``json.dumps(rec, sort_keys=True)`` without building an
+#: encoder per record.
+encode_record = json.JSONEncoder(sort_keys=True).encode
+
+#: Bytes the tail repair reads first; doubled until they hold a whole line.
+_TAIL_SPAN = 4096
+
+
+def frame(key: str, json_text: str) -> bytes:
+    """One framed line (without the newline)."""
+    head = f"{key}\t{json_text}".encode("utf-8")
+    return b"%b\t%08x" % (head, zlib.crc32(head))
+
+
+def _scan(lines: Iterable[bytes]) -> Iterator[Tuple[int, bytes, bytes, bytes, Optional[str]]]:
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip(b"\r\n")
+        if not line:
+            continue
+        head, _, suffix = line.rpartition(b"\t")
+        key, tab, body = head.partition(b"\t")
+        if not tab or not _CRC_SUFFIX.match(suffix):
+            reason: Optional[str] = "truncated"
+        else:
+            reason = None if zlib.crc32(head) == int(suffix, 16) else "crc_mismatch"
+        yield lineno, line, key, body, reason
+
+
+def iter_frames(path) -> Iterator[Tuple[int, bytes, bytes, bytes, Optional[str]]]:
+    """Yield ``(lineno, line, key, json_text, reason)`` per non-blank line;
+    *reason* is ``None`` for a whole frame whose CRC holds, else ``truncated``
+    (not shaped like a frame) or ``crc_mismatch``.  A missing file is empty."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        yield from _scan(fh)
+
+
+def _open_rw(path: Path, flags: int = 0) -> int:
+    flags |= os.O_RDWR | os.O_CREAT
+    try:
+        return os.open(path, flags, 0o644)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return os.open(path, flags, 0o644)
+
+
+class DurableLog:
+    """An append-only file of framed JSON records, one per line."""
+
+    def __init__(self, path) -> None:
+        self.path = Path(path)
+
+    def append(self, records: Iterable[Dict[str, Any]], sync: bool = True) -> None:
+        """Append *records* with a single ``write()``; with *sync* they are
+        on stable storage when this returns.  Appenders exclude each other
+        by an ``flock`` on the file, so cutting a torn tail cannot race a
+        rival's write."""
+        data = b"".join(frame("", encode_record(rec)) + b"\n" for rec in records)
+        if not data:
+            return
+        fd = _open_rw(self.path, os.O_APPEND)
+        try:
+            if fcntl is not None:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            data = self._repair_tail(fd) + data
+            if os.write(fd, data) != len(data):
+                raise StorageError(f"short write to {self.path}; the record is not durable")
+            if sync:
+                os.fsync(fd)
+        finally:
+            os.close(fd)  # releases the flock
+
+    def replay(self) -> Iterator[Dict[str, Any]]:
+        """Yield the intact prefix; a bad final frame is a torn tail
+        (dropped, counted), a bad frame before it raises."""
+        torn: Optional[Tuple[int, str]] = None
+        for lineno, line, _key, body, reason in iter_frames(self.path):
+            if torn is not None:
+                raise StorageError(
+                    f"corrupt record in {self.path} (line {torn[0]}: {torn[1]}); "
+                    "only the final line of a log may be torn"
+                )
+            if reason is None:
+                try:
+                    record = json.loads(body)
+                except ValueError:
+                    reason = "bad_json"
+                else:
+                    yield record
+                    continue
+            self._require_framed(line)
+            torn = (lineno, reason)
+        if torn is not None:
+            self._count_torn_tail()
+
+    def _require_framed(self, bad_line: bytes) -> None:
+        """A damaged log line still has its leading tab; one without any
+        was written by something else."""
+        if b"\t" not in bad_line:
+            raise StorageError(
+                f"{self.path} is not a framed log (unframed line {bad_line[:40]!r}); "
+                "pre-framing JSONL ledgers are not read"
+            )
+
+    def _count_torn_tail(self) -> None:
+        get_registry().counter(
+            "durable_torn_tails_total",
+            "Torn final lines dropped by a log replay or cut by an append",
+            labels=("log",),
+        ).inc(log=self.path.name)
+
+    def _repair_tail(self, fd: int) -> bytes:
+        """Make the file end where a new line may start: cut a torn final
+        line, or return the newline an unterminated intact one lacks."""
+        size = os.fstat(fd).st_size
+        span = _TAIL_SPAN
+        while True:
+            start = max(0, size - span)
+            tail = os.pread(fd, size - start, start)
+            last = tail[:-1] if tail.endswith(b"\n") else tail
+            cut = last.rfind(b"\n")
+            if cut >= 0 or start == 0:
+                break
+            span *= 2
+        for _lineno, line, _key, _body, reason in _scan([last[cut + 1 :]]):
+            if reason is not None:
+                self._require_framed(line)
+                self._count_torn_tail()
+                os.ftruncate(fd, start + cut + 1)
+                return b""
+        return b"" if tail.endswith(b"\n") or not tail else b"\n"
+
+
+@contextmanager
+def locked(path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on *path* (created on demand) for the
+    scope: mutual exclusion between processes sharing a directory."""
+    fd = _open_rw(Path(path))
+    try:
+        if fcntl is not None:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # releases the flock
+
+
+def _sync_dir(directory: Path) -> None:
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without directory fds
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover
+        pass
+    finally:
+        os.close(fd)
+
+
+def sync_file(path) -> None:
+    """Flush a finished file and its directory entry to stable storage."""
+    path = Path(path)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    _sync_dir(path.parent)
+
+
+def replace_file(path, text: str, sync: bool = True) -> None:
+    """Atomically replace *path* with *text*: a reader sees the old file
+    or the new one, never a partial write.  With *sync* the new content is
+    on stable storage before the rename and the rename itself after it."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if sync:
+            fh.flush()
+            os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    if sync:
+        _sync_dir(path.parent)

@@ -49,6 +49,7 @@ from repro.core.params import SpecialParams
 from repro.core.plan import generate_plan
 from repro.core.rpc import RpcServer
 from repro.core.xmlio import description_to_xml
+from repro.durable import replace_file
 from repro.fabric.dispatch import LeaseDispatcher
 from repro.fabric.election import ElectionLedger, LeadershipLost
 from repro.fabric.leases import LeaseStore
@@ -368,9 +369,8 @@ class FabricCoordinator:
         rejected).  A caller *behind* us is stale (it must re-register
         and learn the current epoch); a caller *ahead* of us means a
         rival claimed a higher epoch — we are the stale one and stop
-        leading on the spot.  ``epoch < 0`` marks a legacy caller and is
-        accepted for wire compatibility."""
-        if epoch < 0 or epoch == self.epoch:
+        leading on the spot."""
+        if epoch == self.epoch:
             return False
         if epoch > self.epoch:
             self._mark_deposed("deposed")
@@ -414,7 +414,7 @@ class FabricCoordinator:
         with self._lock:
             return self.dispatcher.beat(worker_id)
 
-    def _rpc_lease(self, worker_id: str, want: int, epoch: int = -1) -> str:
+    def _rpc_lease(self, worker_id: str, want: int, epoch: int) -> str:
         with self._lock:
             if self._deposed_reason is not None:
                 return json.dumps(
@@ -469,7 +469,7 @@ class FabricCoordinator:
                 },
             )
 
-    def _rpc_renew(self, worker_id: str, lease_id: str, epoch: int = -1) -> bool:
+    def _rpc_renew(self, worker_id: str, lease_id: str, epoch: int) -> bool:
         with self._lock:
             if self._deposed_reason is not None or self._epoch_gate(epoch):
                 return False
@@ -483,7 +483,7 @@ class FabricCoordinator:
         ok: bool,
         payload_json: str,
         error: str,
-        epoch: int = -1,
+        epoch: int,
     ) -> str:
         with self._lock:
             if self._deposed_reason is not None:
@@ -626,12 +626,7 @@ class FabricCoordinator:
         with self._scope_lock:
             if self.scope_path.exists():
                 return
-            tmp = self.scope_path.with_suffix(".json.tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(scope_json)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.scope_path)
+            replace_file(self.scope_path, scope_json)
 
     # ------------------------------------------------------------------
     # Completion

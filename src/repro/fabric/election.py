@@ -7,8 +7,8 @@ piece — a durable **leadership lease** over the campaign directory, so
 any number of ``repro fabric serve --standby`` processes can tail the
 journal and take over the moment the leader's heartbeat lapses.
 
-The ledger is an append-only JSONL file (``election.jsonl``) fsynced per
-append like the campaign journal, with three record shapes:
+The ledger is a :class:`repro.durable.DurableLog` (``election.jsonl``)
+synced per append like the campaign journal, with three record shapes:
 
 ``claim``    a coordinator took leadership: monotonically increasing
              **fencing epoch**, leader id, serving endpoint, expiry.
@@ -45,18 +45,13 @@ a live leader to ask.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import CampaignError
-
-try:  # POSIX advisory locking; the fabric targets Linux hosts.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback (tests only)
-    fcntl = None
+from repro.durable import DurableLog, locked, replace_file
 
 __all__ = [
     "ElectionLedger",
@@ -118,73 +113,36 @@ class ElectionLedger:
         self.root = Path(campaign_dir)
         self.path = self.root / ELECTION_NAME
         self.lock_path = self.root / LOCK_NAME
+        self._log = DurableLog(self.path)
         self.ttl = float(ttl)
         self.clock = clock
 
-    # ------------------------------------------------------------------
-    # Locking + persistence
-    # ------------------------------------------------------------------
-    class _Locked:
-        """``with ledger._locked():`` — flock-scoped mutual exclusion."""
-
-        def __init__(self, ledger: "ElectionLedger") -> None:
-            self.ledger = ledger
-            self._fh = None
-
-        def __enter__(self):
-            self.ledger.root.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.ledger.lock_path, "a+")
-            if fcntl is not None:
-                fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
-            return self
-
-        def __exit__(self, *exc) -> None:
-            if self._fh is not None:
-                if fcntl is not None:
-                    fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
-                self._fh.close()
-                self._fh = None
-
-    def _locked(self) -> "ElectionLedger._Locked":
-        return ElectionLedger._Locked(self)
-
     def _append(self, record: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._log.append([record])
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     def current(self) -> Optional[LeaderRecord]:
         """Replay the ledger; the highest-epoch claim wins."""
-        if not self.path.exists():
-            return None
         record: Optional[LeaderRecord] = None
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                op = rec["op"]
-                if op == "claim":
-                    record = LeaderRecord(
-                        epoch=int(rec["epoch"]),
-                        leader_id=rec["leader_id"],
-                        endpoint=rec["endpoint"],
-                        claimed_at=rec["claimed_at"],
-                        expires_at=rec["expires_at"],
-                    )
-                elif record is None or int(rec["epoch"]) != record.epoch:
-                    continue  # stale writer's renew/release: fenced out
-                elif op == "renew":
-                    record.expires_at = rec["expires_at"]
-                    record.renewals += 1
-                elif op == "release":
-                    record.released = rec["reason"]
+        for rec in self._log.replay():
+            op = rec["op"]
+            if op == "claim":
+                record = LeaderRecord(
+                    epoch=int(rec["epoch"]),
+                    leader_id=rec["leader_id"],
+                    endpoint=rec["endpoint"],
+                    claimed_at=rec["claimed_at"],
+                    expires_at=rec["expires_at"],
+                )
+            elif record is None or int(rec["epoch"]) != record.epoch:
+                continue  # stale writer's renew/release: fenced out
+            elif op == "renew":
+                record.expires_at = rec["expires_at"]
+                record.renewals += 1
+            elif op == "release":
+                record.released = rec["reason"]
         return record
 
     def leader(self, now: Optional[float] = None) -> Optional[LeaderRecord]:
@@ -215,7 +173,7 @@ class ElectionLedger:
         epoch over a live lease: the operator-restart path, where whoever
         runs ``--resume`` asserts the old leader is gone.
         """
-        with self._locked():
+        with locked(self.lock_path):
             now = self.clock()
             record = self.current()
             if record is not None and record.live(now) and not force:
@@ -235,7 +193,7 @@ class ElectionLedger:
 
     def renew(self, epoch: int) -> bool:
         """Heartbeat the lease at *epoch*; ``False`` means deposed."""
-        with self._locked():
+        with locked(self.lock_path):
             record = self.current()
             if record is None or record.epoch != epoch or record.released:
                 return False
@@ -250,7 +208,7 @@ class ElectionLedger:
 
     def release(self, epoch: int, reason: str) -> bool:
         """Voluntarily give leadership up (handoff, completion)."""
-        with self._locked():
+        with locked(self.lock_path):
             record = self.current()
             if record is None or record.epoch != epoch or record.released:
                 return False
@@ -266,7 +224,7 @@ class ElectionLedger:
         Raises :class:`LeadershipLost` instead of running *fn* when a
         higher epoch exists or the lease was released.
         """
-        with self._locked():
+        with locked(self.lock_path):
             record = self.current()
             if record is None or record.epoch != epoch or record.released:
                 held = "released" if record and record.released else "superseded"
@@ -288,9 +246,8 @@ class ElectionLedger:
         """Announce a live standby (atomic replace; no fsync — beacons
         are advisory roster entries, not recovery state)."""
         self.standby_root.mkdir(parents=True, exist_ok=True)
-        path = self.standby_root / f"{_slug(standby_id)}.json"
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(
+        replace_file(
+            self.standby_root / f"{_slug(standby_id)}.json",
             json.dumps(
                 {
                     "standby_id": standby_id,
@@ -299,9 +256,8 @@ class ElectionLedger:
                 },
                 sort_keys=True,
             ),
-            encoding="utf-8",
+            sync=False,
         )
-        os.replace(tmp, path)
 
     def retire_beacon(self, standby_id: str) -> None:
         try:

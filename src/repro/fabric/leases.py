@@ -1,9 +1,9 @@
 """Fsynced batch leases: the fabric's exactly-once re-dispatch ledger.
 
 A lease is the coordinator's durable promise that one worker owns one
-batch of runs for a bounded time.  The ledger is an append-only JSONL
-file at ``<campaign dir>/leases.jsonl``, fsynced per append like the
-campaign journal, holding four record shapes:
+batch of runs for a bounded time.  The ledger is a
+:class:`repro.durable.DurableLog` at ``<campaign dir>/leases.jsonl``,
+synced per append like the campaign journal, holding five record shapes:
 
 ``grant``    lease id, worker, run ids, expiry — written *before* the
              batch leaves the coordinator, so a crash can never forget
@@ -39,14 +39,13 @@ of description and run id).
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import CampaignError
+from repro.durable import DurableLog
 
 __all__ = ["Lease", "LeaseStore"]
 
@@ -93,6 +92,7 @@ class LeaseStore:
             raise CampaignError(f"lease ttl must be > 0, got {ttl}")
         self.root = Path(campaign_dir)
         self.path = self.root / LEASES_NAME
+        self._log = DurableLog(self.path)
         self.ttl = float(ttl)
         self.clock = clock
         #: The writing coordinator's fencing epoch, stamped on appends.
@@ -107,11 +107,7 @@ class LeaseStore:
     # ------------------------------------------------------------------
     def _append(self, record: dict) -> None:
         record.setdefault("epoch", self.epoch)
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._log.append([record])
 
     def fence(self) -> None:
         """Durably mark this store's epoch as the ledger's floor.
@@ -137,44 +133,35 @@ class LeaseStore:
         self._leases.clear()
         self._seq = 0
         self.fenced_records = 0
-        if not self.path.exists():
-            return 0
         max_epoch = 0
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                op = rec["op"]
-                rec_epoch = int(rec.get("epoch", 0))
-                if rec_epoch < max_epoch:
-                    self.fenced_records += 1
-                    continue
-                max_epoch = rec_epoch
-                if op == "grant":
-                    lease = Lease(
-                        lease_id=rec["lease_id"],
-                        worker_id=rec["worker_id"],
-                        run_ids=tuple(rec["run_ids"]),
-                        granted_at=rec["granted_at"],
-                        expires_at=rec["expires_at"],
-                    )
-                    self._leases[lease.lease_id] = lease
-                    self._seq = max(self._seq, int(rec["lease_id"][1:]))
-                elif op == "renew":
-                    lease = self._leases.get(rec["lease_id"])
-                    if lease is not None:
-                        lease.expires_at = rec["expires_at"]
-                        lease.renewals += 1
-                elif op == "ack":
-                    lease = self._leases.get(rec["lease_id"])
-                    if lease is not None:
-                        lease.acked.add(rec["run_id"])
-                elif op == "close":
-                    lease = self._leases.get(rec["lease_id"])
-                    if lease is not None:
-                        lease.closed = rec["reason"]
+        for rec in self._log.replay():
+            op = rec["op"]
+            rec_epoch = int(rec.get("epoch", 0))
+            if rec_epoch < max_epoch:
+                self.fenced_records += 1
+                continue
+            max_epoch = rec_epoch
+            if op == "grant":
+                lease = Lease(
+                    lease_id=rec["lease_id"],
+                    worker_id=rec["worker_id"],
+                    run_ids=tuple(rec["run_ids"]),
+                    granted_at=rec["granted_at"],
+                    expires_at=rec["expires_at"],
+                )
+                self._leases[lease.lease_id] = lease
+                self._seq = max(self._seq, int(rec["lease_id"][1:]))
+                continue
+            lease = self._leases.get(rec.get("lease_id"))
+            if lease is None:
+                continue
+            if op == "renew":
+                lease.expires_at = rec["expires_at"]
+                lease.renewals += 1
+            elif op == "ack":
+                lease.acked.add(rec["run_id"])
+            elif op == "close":
+                lease.closed = rec["reason"]
         if max_epoch > self.epoch:
             self.epoch = max_epoch
         return len(self.active())

@@ -10,9 +10,11 @@ run — the dfuntest failure mode of a harness that does not own its own
 clean-up.
 
 A **fault lease** closes that hole.  Starting a fault first appends an
-``acquire`` record to a small per-node JSONL file (flushed and fsynced,
-so it survives any crash that happens after the filter is live);
-reverting the fault appends the matching ``release``.  A lease that has
+``acquire`` record to a small per-node :class:`repro.durable.DurableLog`
+(synced, so it survives any crash that happens after the filter is live);
+reverting the fault appends the matching ``release``.  An ``acquire``
+torn by a crash mid-append is dropped on replay — the append precedes the
+filter install, so that fault never went live.  A lease that has
 an ``acquire`` but no ``release`` is *active*; any active lease found at
 a safe point (NodeManager startup, ``run_init``) was necessarily leaked
 by a crashed or watchdog-aborted run and is force-reverted by the
@@ -26,7 +28,7 @@ expiry — a lease still on disk at a safe point is leaked by definition,
 because every orderly path (auto-stop, ``stop_all`` at run exit,
 explicit stop) releases it.
 
-File format (``<root>/<node>.jsonl``, append-only between sweeps)::
+Records (``<root>/<node>.jsonl``, append-only between sweeps)::
 
     {"op": "acquire", "lease": {"lease_id": ..., "node": ..., ...}}
     {"op": "release", "lease_id": ..., "released_at": ...}
@@ -38,11 +40,10 @@ lease file stays bounded by the number of concurrently active faults.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.durable import DurableLog, replace_file
 from repro.obs.metrics import get_registry
 
 __all__ = ["FaultLeaseStore", "make_lease", "iter_lease_files"]
@@ -83,8 +84,8 @@ class FaultLeaseStore:
         #: lease that never releases) is visible without reading files.
         self._live: Dict[str, int] = {}
 
-    def _path(self, node: str) -> Path:
-        return self.root / f"{node}.jsonl"
+    def _log(self, node: str) -> DurableLog:
+        return DurableLog(self.root / f"{node}.jsonl")
 
     def _track(self, node: str, delta: Optional[int]) -> None:
         """Adjust the live count (``None`` resets after a reconcile)."""
@@ -99,52 +100,24 @@ class FaultLeaseStore:
         ).set(self._live[node], node=node)
 
     # ------------------------------------------------------------------
-    # Writing (both appends are the crash-safety points: flush + fsync)
+    # Writing (both appends are the crash-safety points: synced)
     # ------------------------------------------------------------------
-    def _append(self, node: str, record: Dict[str, Any]) -> None:
-        with open(self._path(node), "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
     def acquire(self, lease: Dict[str, Any]) -> None:
-        self._append(lease["node"], {"op": "acquire", "lease": lease})
+        self._log(lease["node"]).append([{"op": "acquire", "lease": lease}])
         self._track(lease["node"], +1)
 
     def release(self, node: str, lease_id: str, released_at: float) -> None:
-        self._append(
-            node,
-            {"op": "release", "lease_id": lease_id, "released_at": released_at},
-        )
+        self._log(node).append(
+            [{"op": "release", "lease_id": lease_id, "released_at": released_at}])
         self._track(node, -1)
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _read(self, node: str) -> List[Dict[str, Any]]:
-        path = self._path(node)
-        if not path.exists():
-            return []
-        records = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except ValueError:
-                    # A crash mid-append leaves at most one truncated
-                    # trailing line; the acquire it belonged to never
-                    # installed its filter (append happens first), so
-                    # dropping it is safe.
-                    continue
-        return records
-
     def active(self, node: str) -> List[Dict[str, Any]]:
         """Leases with an ``acquire`` but no ``release``, in acquire order."""
         leases: Dict[str, Dict[str, Any]] = {}
-        for rec in self._read(node):
+        for rec in self._log(node).replay():
             if rec.get("op") == "acquire":
                 lease = rec.get("lease") or {}
                 if lease.get("lease_id"):
@@ -168,28 +141,11 @@ class FaultLeaseStore:
         sweep reconciles again, idempotently — or the new, empty one.
         """
         leaked = self.active(node)
-        path = self._path(node)
+        path = self._log(node).path
         if path.exists():
-            tmp = path.with_suffix(".jsonl.tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            self._fsync_dir()
+            replace_file(path, "")
         self._track(node, None)
         return leaked
-
-    def _fsync_dir(self) -> None:
-        try:
-            dir_fd = os.open(str(self.root), os.O_RDONLY)
-        except OSError:  # pragma: no cover - e.g. Windows
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError:  # pragma: no cover
-            pass
-        finally:
-            os.close(dir_fd)
 
 
 def iter_lease_files(directory) -> Iterator[Tuple[Path, str]]:

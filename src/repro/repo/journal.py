@@ -1,8 +1,8 @@
 """Write-behind ingest journal: crash-safe warehouse ingestion.
 
 The warehouse's ingest queue acknowledges packages *before* their rows
-hit a shard (write-behind).  The journal is what makes that safe: an
-append-only, fsynced JSONL file at ``<root>/journal/ingest.jsonl`` whose
+hit a shard (write-behind).  The journal is what makes that safe: a
+:class:`repro.durable.DurableLog` at ``<root>/journal/ingest.jsonl`` whose
 entries bracket every ingest attempt.
 
 ``ingest_begin``
@@ -23,17 +23,17 @@ sources that never reached the catalogue are re-ingested.  Because the
 catalogue dedups by content digest, replay is idempotent — a killed
 ingest resumes with no duplicate and no missing ExpIDs.
 
-Appends are batched: one ``append_many`` call is one write + flush +
-fsync regardless of batch size, which is where the write-behind queue's
+Appends are batched: one ``append_many`` call is one write + fsync
+regardless of batch size, which is where the write-behind queue's
 throughput over per-package commits comes from.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, List
+
+from repro.durable import DurableLog
 
 __all__ = ["IngestJournal", "JOURNAL_FILE"]
 
@@ -46,6 +46,7 @@ class IngestJournal:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.path = self.root / JOURNAL_FILE
+        self._log = DurableLog(self.path)
         self._next_ticket = self._scan_next_ticket()
 
     # ------------------------------------------------------------------
@@ -59,7 +60,7 @@ class IngestJournal:
     def append_many(
         self, records: Iterable[Dict[str, Any]], fsync: bool = True
     ) -> None:
-        """Append a batch of entries with a single flush (+ fsync).
+        """Append a batch of entries with a single write (+ fsync).
 
         ``fsync=False`` is for ticket-*closing* records (done/skip):
         losing one to a power cut only means recovery re-examines a
@@ -67,16 +68,7 @@ class IngestJournal:
         again ("confirmed") — strictly idempotent.  ``begin`` records
         must stay fsynced: they are what recovery replays from.
         """
-        records = list(records)
-        if not records:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            if fsync:
-                os.fsync(fh.fileno())
+        self._log.append(records, sync=fsync)
 
     def begin_record(self, ticket: int, source, key) -> Dict[str, Any]:
         return {
@@ -102,21 +94,8 @@ class IngestJournal:
     # Reading
     # ------------------------------------------------------------------
     def entries(self) -> List[Dict[str, Any]]:
-        """Every parseable journal entry, in file order.  A torn final
-        line (the crash wrote half a record) is ignored, not an error."""
-        if not self.path.exists():
-            return []
-        out: List[Dict[str, Any]] = []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append(json.loads(line))
-                except ValueError:
-                    continue
-        return out
+        """Every journal entry, in file order."""
+        return list(self._log.replay())
 
     def incomplete(self) -> List[Dict[str, Any]]:
         """``ingest_begin`` entries whose ticket never completed."""

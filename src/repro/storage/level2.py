@@ -40,16 +40,17 @@ whatever the node count: "associated to the node it originates from" lives
 in each frame, not in a directory per node.
 
 The files under ``runs/`` and ``nodes/`` are **packed and CRC-framed**:
-each line is ``<node>\t<json>\t<crc32 as 8 hex digits>``, the CRC taken
-over ``<node>\t<json>`` (``json.dumps`` escapes control characters, so a
-tab never occurs inside the JSON text).  An empty batch writes a *marker*
+each line is ``<node>\t<json>\t<crc32 as 8 hex digits>``, the frame of
+:mod:`repro.durable` (whose :class:`~repro.durable.DurableLog` keeps
+``journal.jsonl`` and ``master/*.jsonl``).  An empty batch writes a *marker*
 frame (empty JSON part): the node took part and had nothing to report.
 A record's JSON text is produced exactly once, by :func:`encode_block` on
 the node that measured it (``NodeManager.collect_run``); the block crosses
 the control channel as one string and :meth:`RunWriter.add_block` frames
 its lines verbatim — the master never parses or re-encodes a collected
 record (conditioning is the first and only parser).  Master-side records
-take :meth:`RunWriter.append`; both paths end in the one ``_frame``.
+take :meth:`RunWriter.append`; both paths end in the one
+:func:`repro.durable.frame`.
 The frame is what lets salvage mode (DESIGN.md §11) tell an intact record
 from a truncated or bit-flipped one: readers hard-fail on the first corrupt
 frame (the default — corruption must never pass silently) or, with
@@ -60,34 +61,22 @@ and keep conditioning the intact rest.
 from __future__ import annotations
 
 import json
-import re
 import shutil
-import zlib
 from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.errors import StorageError
+from repro.durable import DurableLog, encode_record, frame, iter_frames
 
 __all__ = ["Level2Store", "RunWriter", "encode_block"]
-
-_CRC_SUFFIX = re.compile(rb"^[0-9a-f]{8}$")
-#: Same text as ``json.dumps(rec, sort_keys=True)`` without building an
-#: encoder per record.
-_encode_record = json.JSONEncoder(sort_keys=True).encode
 
 #: A bad line: ``(line number, node prefix, reason, raw text)``.
 _BadLine = Tuple[int, str, str, str]
 
 
-def _frame(node_id: str, json_text: str) -> bytes:
-    """One framed line (without the newline); ``""`` makes a marker."""
-    head = f"{node_id}\t{json_text}".encode("utf-8")
-    return b"%b\t%08x" % (head, zlib.crc32(head))
-
-
 def _frames(node_id: str, values: List[Any]) -> List[bytes]:
     """One framed line per value; a lone marker when there are none."""
-    return [_frame(node_id, _encode_record(v)) for v in values] or [_frame(node_id, "")]
+    return [frame(node_id, encode_record(v)) for v in values] or [frame(node_id, "")]
 
 
 def encode_block(records: Iterable[Any]) -> str:
@@ -97,34 +86,12 @@ def encode_block(records: Iterable[Any]) -> str:
     control and non-ASCII character), so no transport's text normalisation
     can alter it and the writers frame each line as it arrived.
     """
-    return "\n".join(map(_encode_record, records))
+    return "\n".join(map(encode_record, records))
 
 
 def _block_frames(node_id: str, block: str) -> List[bytes]:
     """One framed line per block line; ``""`` splits into the lone marker."""
-    return [_frame(node_id, line) for line in block.split("\n")]
-
-
-def _iter_frames(path: Path) -> Iterator[Tuple[int, bytes, bytes, bytes, Optional[str]]]:
-    """Yield ``(lineno, line, node, json_text, reason)`` per non-blank line;
-    *reason* is ``None`` for a whole frame whose CRC holds, else ``truncated``
-    (not shaped like a frame) or ``crc_mismatch``.  A missing file is empty."""
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        return
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip(b"\r\n")
-            if not line:
-                continue
-            head, _, suffix = line.rpartition(b"\t")
-            node, tab, body = head.partition(b"\t")
-            if not tab or not _CRC_SUFFIX.match(suffix):
-                reason: Optional[str] = "truncated"
-            else:
-                reason = None if zlib.crc32(head) == int(suffix, 16) else "crc_mismatch"
-            yield lineno, line, node, body, reason
+    return [frame(node_id, line) for line in block.split("\n")]
 
 
 def _scan_frames(path: Path) -> Tuple[Dict[str, List[Any]], List[_BadLine]]:
@@ -132,7 +99,7 @@ def _scan_frames(path: Path) -> Tuple[Dict[str, List[Any]], List[_BadLine]]:
     node with an intact frame gets a key, marker frames included."""
     groups: Dict[str, List[Any]] = {}
     bad: List[_BadLine] = []
-    for lineno, line, node, body, reason in _iter_frames(path):
+    for lineno, line, node, body, reason in iter_frames(path):
         if reason is None:
             try:
                 values = groups.setdefault(node.decode("utf-8"), [])
@@ -175,31 +142,6 @@ def _read_json(path: Path) -> Any:
 def _read_json_dir(directory: Path) -> Dict[str, Any]:
     """``{file stem: content}`` of a directory's ``*.json`` files."""
     return {path.stem: _read_json(path) for path in sorted(directory.glob("*.json"))}
-
-
-def _append_jsonl(path: Path, records: List[Dict[str, Any]]) -> None:
-    with _open_append(path) as fh:
-        fh.write("".join(_encode_record(rec) + "\n" for rec in records).encode("utf-8"))
-
-
-def _read_jsonl(path: Path, drop_corrupt_tail: bool = False) -> List[Dict[str, Any]]:
-    if not path.exists():
-        return []
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh]
-    lines = [line for line in lines if line]
-    for i, line in enumerate(lines):
-        try:
-            out.append(json.loads(line))
-        except ValueError:
-            # A crash mid-append can truncate at most the final line;
-            # journal readers drop it (the entry it belonged to was never
-            # acknowledged).  Corruption anywhere else is a real error.
-            if drop_corrupt_tail and i == len(lines) - 1:
-                break
-            raise StorageError(f"corrupt JSONL record in {path} (line {i + 1})")
-    return out
 
 
 class RunWriter:
@@ -352,13 +294,11 @@ class Level2Store:
         return self.root / "journal.jsonl"
 
     def append_journal(self, record: Dict[str, Any]) -> None:
-        _append_jsonl(self.journal_path, [record])
+        # Unsynced: the run data this journal vouches for is not fsynced either.
+        DurableLog(self.journal_path).append([record], sync=False)
 
     def read_journal(self) -> List[Dict[str, Any]]:
-        # A crash can truncate at most the journal's final append; the
-        # entry it belonged to was never acknowledged, so dropping it is
-        # exactly the resume semantics we want.
-        return _read_jsonl(self.journal_path, drop_corrupt_tail=True)
+        return list(DurableLog(self.journal_path).replay())
 
     # ------------------------------------------------------------------
     # Master-side measurements
@@ -420,7 +360,7 @@ class Level2Store:
         nodes = self.root / "nodes"
         if logs:
             _append_lines(nodes / "logs.jsonl", [
-                _frame(node, _encode_record(text)) for node, text in logs.items()])
+                frame(node, encode_record(text)) for node, text in logs.items()])
         if event_blocks:
             _append_lines(nodes / "experiment_events.jsonl", [
                 f for node, block in event_blocks.items() for f in _block_frames(node, block)])
@@ -491,10 +431,10 @@ class Level2Store:
                for lineno, prefix, reason, line in bad]
         # Rewritten whole on every read, so re-reading never duplicates lines.
         sidecar = self.root / "quarantine" / "runs" / str(run_id) / stream
-        sidecar.unlink(missing_ok=True)
-        _append_jsonl(sidecar, [
-            {"line": lineno, "node": node_id, "reason": reason, "raw": line}
-            for lineno, node_id, reason, line in bad])
+        sidecar.parent.mkdir(parents=True, exist_ok=True)
+        sidecar.write_text("".join(
+            encode_record({"line": lineno, "node": node_id, "reason": reason, "raw": line}) + "\n"
+            for lineno, node_id, reason, line in bad), encoding="utf-8")
         by_node: Dict[str, List[str]] = {}
         for _, node_id, reason, _ in bad:
             by_node.setdefault(node_id, []).append(reason)
@@ -527,11 +467,10 @@ class Level2Store:
 
     def append_reconciled_leases(self, records: List[Dict[str, Any]]) -> None:
         """Persist leases a reconciliation sweep force-reverted."""
-        if records:
-            _append_jsonl(self.fault_lease_log_path, records)
+        DurableLog(self.fault_lease_log_path).append(records, sync=False)
 
     def read_reconciled_leases(self) -> List[Dict[str, Any]]:
-        return _read_jsonl(self.fault_lease_log_path, drop_corrupt_tail=True)
+        return list(DurableLog(self.fault_lease_log_path).replay())
 
     # ------------------------------------------------------------------
     # Harness observability (spans outside any run; metrics snapshot)
@@ -542,11 +481,10 @@ class Level2Store:
 
     def append_experiment_traces(self, records: List[Dict[str, Any]]) -> None:
         """Experiment-scope spans (``experiment_init``, collection, ...)."""
-        if records:
-            _append_jsonl(self.experiment_trace_path, records)
+        DurableLog(self.experiment_trace_path).append(records, sync=False)
 
     def read_experiment_traces(self) -> List[Dict[str, Any]]:
-        return _read_jsonl(self.experiment_trace_path, drop_corrupt_tail=True)
+        return list(DurableLog(self.experiment_trace_path).replay())
 
     @property
     def metrics_path(self) -> Path:
@@ -636,7 +574,7 @@ class Level2Store:
         extra-measurement directory, ascending."""
         packed = [*self.root.glob("nodes/*.jsonl"), *self.root.glob("runs/*/*.jsonl")]
         framed = {node for path in packed
-                  for _, _, node, _, reason in _iter_frames(path) if reason is None}
+                  for _, _, node, _, reason in iter_frames(path) if reason is None}
         nodes = {node.decode("utf-8", "replace") for node in framed}
         nodes.update(p.name for p in self.root.glob("runs/*/extra/*"))
         return sorted(nodes)

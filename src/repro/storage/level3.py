@@ -32,7 +32,6 @@ to a fault-free execution's.
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -40,6 +39,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.description import EE_VERSION
 from repro.core.errors import StorageError
+from repro.durable import sync_file as fsync_database  # the fast write path's one sync point
 from repro.storage.conditioning import (
     ConditionedExperiment,
     condition_scope,
@@ -259,27 +259,6 @@ def open_fast_connection(path, fresh: bool = True) -> sqlite3.Connection:
         conn.execute("PRAGMA synchronous=OFF")
     conn.execute("PRAGMA cache_size=-16384")  # 16 MiB page cache
     return conn
-
-
-def fsync_database(path) -> None:
-    """Flush a finished database (and its directory entry) to stable
-    storage — the single sync point of the fast write path."""
-    path = Path(path)
-    fd = os.open(str(path), os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    try:
-        dir_fd = os.open(str(path.parent), os.O_RDONLY)
-    except OSError:  # platform without directory fds (e.g. Windows)
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
 
 
 def read_stamped_digest(db_path) -> Optional[str]:

@@ -29,6 +29,7 @@ import pytest
 from repro.campaign import CampaignJournal, database_digest, run_campaign
 from repro.core.errors import CampaignError
 from repro.core.heartbeat import HeartbeatConfig
+from repro.durable import DurableLog
 from repro.fabric import (
     FabricCoordinator,
     FabricWorker,
@@ -234,9 +235,8 @@ def test_graceful_handoff_re_leases_zero_runs(local_reference, tmp_path):
     # no lease ever expired or was revoked across the transfer.
     assert [e for e in journal.entries() if e["type"] == "lease_expired"] == []
     closes = [
-        json.loads(line)
-        for line in (campaign_dir / "leases.jsonl").read_text().splitlines()
-        if json.loads(line).get("op") == "close"
+        rec for rec in DurableLog(campaign_dir / "leases.jsonl").replay()
+        if rec.get("op") == "close"
     ]
     assert {c["reason"] for c in closes} == {"complete"}
     completions = [

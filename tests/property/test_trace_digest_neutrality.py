@@ -5,13 +5,15 @@ with tracing on, off, or any worker count, the level-3 Table-I digest and
 the complete RNG schedule (the end state of every named stream the
 platform drew from) must be byte-identical.  Span persistence may only
 add rows to the ``RunTraces`` extension table, which the digest excludes
-by design.
+by design.  The same holds for the durable log's torn-tail counter.
 """
 
 import sqlite3
 
 from repro.campaign import database_digest, run_campaign
 from repro.core.master import ExperiMaster
+from repro.durable import frame
+from repro.obs.metrics import get_registry
 from repro.obs.trace import TRACE_ENV_VAR
 from repro.platforms.simulated import SimulatedPlatform
 from repro.sd.processlib import build_two_party_description
@@ -66,6 +68,20 @@ def test_digest_and_rng_schedule_identical_tracing_on_off(tmp_path, monkeypatch)
     # Tracing is not silently dead — it wrote spans, outside the digest.
     assert _run_trace_rows(db_on) > 0
     assert _run_trace_rows(db_off) == 0
+
+
+def test_torn_tail_counter_moves_no_digest_and_no_rng_state(tmp_path, monkeypatch):
+    """A crash tore the very first journal append; executing over that
+    store drops and cuts the fragment (counted twice) and nothing else."""
+    digest_clean, rng_clean, _ = _execute(tmp_path / "clean", monkeypatch, "1")
+    torn = Level2Store(tmp_path / "torn" / "l2")
+    torn.journal_path.write_bytes(frame("", '{"type": "experiment_start"}')[:-5])
+    counter = get_registry().counter("durable_torn_tails_total", labels=("log",))
+    before = counter.value(log="journal.jsonl")
+    digest_torn, rng_torn, _ = _execute(tmp_path / "torn", monkeypatch, "1")
+    assert counter.value(log="journal.jsonl") >= before + 2
+    assert digest_torn == digest_clean
+    assert rng_torn == rng_clean
 
 
 def test_campaign_digest_identical_for_tracing_and_jobs(tmp_path, monkeypatch):

@@ -91,7 +91,9 @@ def test_append_tolerates_blank_lines(tmp_path):
 
 
 def test_entries_are_plain_jsonl(tmp_path):
+    """One record per line, plain JSON inside the durable-log frame."""
     journal = CampaignJournal(tmp_path)
     _started(journal, _desc())
     lines = journal.path.read_text(encoding="utf-8").splitlines()
-    assert all(json.loads(line)["type"] for line in lines if line)
+    assert len(lines) == 1
+    assert all(json.loads(line.split("\t")[1])["type"] for line in lines)

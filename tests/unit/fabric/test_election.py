@@ -1,11 +1,11 @@
 """Unit tests for the epoch-fenced leadership lease (DESIGN.md §16)."""
 
-import json
 import threading
 
 import pytest
 
 from repro.core.errors import CampaignError
+from repro.durable import DurableLog
 from repro.fabric.election import ElectionLedger, LeadershipLost
 
 
@@ -106,8 +106,7 @@ def test_stale_writer_records_are_fenced_at_replay(ledger, tmp_path):
     ledger.campaign("c2", "b:2", force=True)
     # Simulate the deposed c1 appending a renew for its old epoch by hand
     # (it could only do this by bypassing the flock — a torn write).
-    with open(ledger.path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"op": "renew", "epoch": 1, "expires_at": 9e9}) + "\n")
+    DurableLog(ledger.path).append([{"op": "renew", "epoch": 1, "expires_at": 9e9}])
     record = ledger.current()
     assert (record.epoch, record.leader_id) == (2, "c2")
 

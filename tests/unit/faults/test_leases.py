@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.durable import frame
 from repro.faults.controller import FaultController
 from repro.faults.leases import FaultLeaseStore, iter_lease_files, make_lease
 
@@ -78,8 +79,8 @@ def test_truncated_tail_is_tolerated(tmp_path):
     store = FaultLeaseStore(tmp_path / "leases")
     store.acquire(_lease(fault_id=1))
     path = tmp_path / "leases" / "n1.jsonl"
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write('{"op": "acquire", "lease": {"lease_id": "n1/0/2", "trunc')
+    with open(path, "ab") as fh:
+        fh.write(frame("", '{"op": "acquire", "lease": {"lease_id": "n1/0/2"}}')[:-14])
     # The torn append never installed its filter (lease-first ordering),
     # so dropping the unparseable line is safe.
     assert [ls["lease_id"] for ls in store.active("n1")] == ["n1/0/1"]
@@ -217,5 +218,5 @@ def test_lease_file_is_valid_jsonl(leased):
     ctrl.start("msg_loss", {"probability": 0.5})
     ctrl.stop_all()
     lines = (store.root / f"{a.name}.jsonl").read_text(encoding="utf-8").splitlines()
-    ops = [json.loads(line)["op"] for line in lines]
+    ops = [json.loads(line.split("\t")[1])["op"] for line in lines]
     assert ops == ["acquire", "release"]

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.durable import frame
 from repro.repo.journal import IngestJournal
 from repro.repo.fingerprint import ExperimentKey
 
@@ -51,8 +52,8 @@ def test_torn_final_line_is_ignored(tmp_path):
     journal = IngestJournal(tmp_path)
     t0 = journal.next_ticket()
     journal.append_many([journal.begin_record(t0, "a.db", _key())])
-    with open(journal.path, "a", encoding="utf-8") as fh:
-        fh.write('{"type": "ingest_do')  # the crash wrote half a record
+    with open(journal.path, "ab") as fh:
+        fh.write(frame("", '{"type": "ingest_done"}')[:-12])  # the crash wrote half a record
     reopened = IngestJournal(tmp_path)
     assert len(reopened.entries()) == 1
     assert [r["ticket"] for r in reopened.incomplete()] == [t0]
@@ -71,7 +72,7 @@ def test_records_are_plain_json(tmp_path):
     journal = IngestJournal(tmp_path)
     t = journal.next_ticket()
     journal.append_many([journal.begin_record(t, "x.db", _key("dx"))])
-    line = journal.path.read_text(encoding="utf-8").strip()
-    record = json.loads(line)
+    _key_field, text, _crc = journal.path.read_text(encoding="utf-8").strip("\n").split("\t")
+    record = json.loads(text)
     assert record["digest"] == "dx"
     assert record["source"] == "x.db"

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.errors import StorageError
 from repro.storage.conditioning import condition_experiment
-from repro.storage.level2 import Level2Store, _frame
+from repro.durable import frame
+from repro.storage.level2 import Level2Store
 from repro.storage.level3 import ExperimentDatabase, store_level3
 
 DESC_XML = """<experiment name="salv" seed="1" comment="c">
@@ -116,7 +117,7 @@ def test_salvage_classifies_bad_json(tmp_path):
     store = _fill(tmp_path / "l2", salvage=True)
     path = _events_path(tmp_path / "l2")
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(_frame("h1", "{not json at all").decode() + "\n")  # CRC itself is valid
+        fh.write(frame("h1", "{not json at all").decode() + "\n")  # CRC itself is valid
     store.read_run_events("h1", 0)
     assert store.salvage_records()[0]["reason"] == "bad_json"
 
@@ -195,8 +196,8 @@ def test_journal_tolerates_torn_tail(tmp_path):
     store = Level2Store(tmp_path / "l2")
     store.append_journal({"type": "experiment_start", "seed": 1})
     store.append_journal({"type": "run_complete", "run_id": 0})
-    with open(store.journal_path, "a", encoding="utf-8") as fh:
-        fh.write('{"type": "run_complete", "run_id": 1')  # torn append
+    with open(store.journal_path, "ab") as fh:
+        fh.write(frame("", '{"type": "run_complete", "run_id": 1}')[:-12])  # torn append
     entries = store.read_journal()
     assert [e["type"] for e in entries] == ["experiment_start", "run_complete"]
 

@@ -96,26 +96,11 @@ def fleet_status(address):
 
 def holds_pending_lease(ledger_path, worker_id):
     """True while *worker_id* has an active lease with unacked runs."""
-    if not ledger_path.exists():
-        return False
-    pending, owner = {}, {}
-    for line in ledger_path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        if rec["op"] == "epoch":
-            continue
-        lease_id = rec["lease_id"]
-        if rec["op"] == "grant":
-            pending[lease_id] = set(rec["run_ids"])
-            owner[lease_id] = rec["worker_id"]
-        elif rec["op"] == "ack":
-            pending.get(lease_id, set()).discard(rec["run_id"])
-        elif rec["op"] == "close":
-            pending.pop(lease_id, None)
-    return any(
-        owner.get(lease_id) == worker_id and runs for lease_id, runs in pending.items()
-    )
+    from repro.fabric.leases import LeaseStore
+
+    store = LeaseStore(ledger_path.parent)
+    store.restore()  # a fold over durable.DurableLog.replay
+    return any(lease.pending for lease in store.for_worker(worker_id))
 
 
 def write_description(path, replications, seed):
