@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Crash recovery and the level-4 repository.
+"""Crash recovery and the level-4 warehouse.
 
 Demonstrates two framework features around the experiment *series*:
 
 1. **Recovery** (Sec. VII): an execution is aborted after a few runs
    (simulating a master crash), then resumed from the journal; the run
    series completes without re-executing finished runs.
-2. **Level-4 repository** (Sec. IV-F — the paper's unrealized fourth
-   storage level): two experiments with different seeds are imported into
-   one repository and compared.
+2. **Level-4 warehouse** (Sec. IV-F — the paper's unrealized fourth
+   storage level): two experiments with different seeds are ingested into
+   one :class:`repro.repo.Warehouse` and compared.
 
 Run:  python examples/resume_and_repository.py
 """
@@ -19,8 +19,8 @@ from pathlib import Path
 from repro import ExperiMaster, Level2Store, store_level3
 from repro.core.errors import ExecutionError
 from repro.platforms.simulated import SimulatedPlatform
+from repro.repo import Warehouse
 from repro.sd.processlib import build_two_party_description
-from repro.storage.level4 import ExperimentRepository
 
 
 def execute(desc, root, resume=False, abort_after=None):
@@ -55,7 +55,7 @@ def main() -> None:
     db_a = store_level3(result.store, workdir / "exp-seed99.db")
 
     # ------------------------------------------------------------------
-    # 2. A second experiment, then the level-4 repository.
+    # 2. A second experiment, then the level-4 warehouse.
     # ------------------------------------------------------------------
     desc_b = build_two_party_description(
         name="recovery-demo-seed7", seed=7, replications=5, env_count=2,
@@ -63,19 +63,19 @@ def main() -> None:
     result_b = execute(desc_b, workdir / "series-b")
     db_b = store_level3(result_b.store, workdir / "exp-seed7.db")
 
-    with ExperimentRepository(workdir / "repository.db") as repo:
-        id_a = repo.import_experiment(db_a)
-        id_b = repo.import_experiment(db_b)
-        print(f"\nrepository: {workdir / 'repository.db'}")
-        for exp in repo.experiments():
+    with Warehouse(workdir / "warehouse") as warehouse:
+        id_a = warehouse.ingest(db_a).exp_id
+        id_b = warehouse.ingest(db_b).exp_id
+        print(f"\nwarehouse: {workdir / 'warehouse'}")
+        for exp in warehouse.experiments():
             print(f"  #{exp['ExpID']}: {exp['Name']} "
-                  f"({len(repo.run_ids(exp['ExpID']))} runs)")
-        counts = repo.compare_event_counts("sd_service_add")
+                  f"({len(warehouse.run_ids(exp['ExpID']))} runs)")
+        counts = {row["name"]: row["n"] for row in warehouse.trend("sd_service_add")}
         print(f"cross-experiment comparison, sd_service_add events: {counts}")
-        # Per-experiment discovery times straight from the repository.
+        # Per-experiment discovery times straight from the warehouse.
         for exp_id, name in ((id_a, desc.name), (id_b, desc_b.name)):
-            adds = repo.events(exp_id, event_type="sd_service_add")
-            searches = repo.events(exp_id, event_type="sd_start_search")
+            adds = warehouse.events(exp_id, event_type="sd_service_add")
+            searches = warehouse.events(exp_id, event_type="sd_start_search")
             start = {e["run_id"]: e["common_time"] for e in searches}
             t_rs = sorted(
                 e["common_time"] - start[e["run_id"]]

@@ -7,6 +7,9 @@ This package opens the "many concurrent runs" workload:
 
 * :mod:`repro.campaign.scheduler` — partitions the plan into run tickets
   with priority/retry policies and capacity constraints;
+* :mod:`repro.campaign.session` — what happens when a campaign opens,
+  a run settles and the campaign seals: the one policy the local pool
+  and the fleet fabric (:mod:`repro.fabric`) both drive;
 * :mod:`repro.campaign.engine` — executes tickets on a worker pool
   (threads or processes), each run inside its *own* fresh platform and
   kernel, so every run's data is a pure function of (description, run)
@@ -21,15 +24,11 @@ This package opens the "many concurrent runs" workload:
   in-flight, throughput, ETA, per-worker status) for the CLI.
 """
 
-from repro.campaign.engine import (
-    CampaignEngine,
-    CampaignResult,
-    merge_campaign,
-    run_campaign,
-)
+from repro.campaign.engine import CampaignEngine, run_campaign
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.merge import ShardWriter, database_digest, merge_shards
 from repro.campaign.scheduler import CampaignScheduler, RunTicket
+from repro.campaign.session import CampaignResult, CampaignSession, merge_campaign
 from repro.campaign.telemetry import CampaignTelemetry
 
 __all__ = [
@@ -37,6 +36,7 @@ __all__ = [
     "CampaignJournal",
     "CampaignResult",
     "CampaignScheduler",
+    "CampaignSession",
     "CampaignTelemetry",
     "RunTicket",
     "ShardWriter",

@@ -14,7 +14,8 @@ Three policies live here:
   ``min(jobs, max_parallel)`` where ``max_parallel`` comes from the
   description's special parameters (Sec. IV-E): a description whose
   platform cannot host many isolated instances declares its own bound,
-  and the engine never exceeds it regardless of ``--jobs``.
+  and neither a local pool (``effective_jobs``) nor a fleet's lease
+  grants (``capacity_left``) exceed it.
 * **Retry** — a failed run is requeued (at the front of its priority
   class) until its attempt budget is exhausted, then reported failed.
 * **Quarantine** — failures attributable to one platform node (the
@@ -137,6 +138,14 @@ class CampaignScheduler:
         if self.max_parallel > 0:
             jobs = min(jobs, self.max_parallel)
         return max(1, min(jobs, max(1, len(self._queue) + len(self.in_flight))))
+
+    @property
+    def capacity_left(self) -> Optional[int]:
+        """Runs that may still start under the description's
+        ``max_parallel`` bound; ``None`` when it declares none."""
+        if self.max_parallel <= 0:
+            return None
+        return max(0, self.max_parallel - len(self.in_flight))
 
     @property
     def pending(self) -> int:

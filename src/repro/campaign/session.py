@@ -1,0 +1,391 @@
+"""One campaign session: open, settle and seal, written once.
+
+A campaign is driven by one of two transports — the local worker pool
+(:mod:`repro.campaign.engine`) or the leased fleet
+(:mod:`repro.fabric.coordinator`).  They differ in how a ticket reaches a
+worker and how its result comes back.  What the campaign *does about it*
+is one policy (DESIGN.md §8), and it lives here, behind the five
+transitions both transports perform: :meth:`~CampaignSession.open`,
+:meth:`~CampaignSession.dispatch`, :meth:`~CampaignSession.settle_ok`,
+:meth:`~CampaignSession.settle_failed` and :meth:`~CampaignSession.seal`.
+
+The session is the only journal writer for run state.  Dispatch and the
+two settles are not thread-safe: the local engine calls them from its one
+dispatch thread, the coordinator under its dispatch lock.  Seal runs once
+the scheduler is finished — nothing dispatches or settles any more — and
+needs no lock.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Any, Dict, List, Optional
+
+from repro.campaign.journal import CampaignJournal
+from repro.campaign.merge import (
+    SCOPE_NAME,
+    apply_abort_reasons,
+    load_scope_payload,
+    merge_shards,
+)
+from repro.campaign.scheduler import CampaignScheduler, RunTicket
+from repro.campaign.telemetry import CampaignTelemetry
+from repro.core.description import ExperimentDescription
+from repro.core.errors import CampaignError, RecoveryError, extract_node_id
+from repro.core.params import SpecialParams
+from repro.core.plan import TreatmentPlan, generate_plan
+from repro.faults.control import select_control_faults
+from repro.obs.metrics import get_registry
+from repro.storage.level2 import Level2Store
+
+__all__ = ["CampaignResult", "CampaignSession", "merge_campaign"]
+
+
+@dataclass
+class CampaignResult:
+    """What :meth:`CampaignSession.seal` returns."""
+
+    description: ExperimentDescription
+    plan: TreatmentPlan
+    campaign_dir: Path
+    executed_runs: List[int] = field(default_factory=list)
+    skipped_runs: List[int] = field(default_factory=list)
+    failed_runs: Dict[int, str] = field(default_factory=dict)
+    timed_out_runs: List[int] = field(default_factory=list)
+    #: Wall-clock duration of this session, seconds.
+    duration: float = 0.0
+    jobs: int = 1
+    pool: str = "thread"
+    db_path: Optional[Path] = None
+    telemetry: Optional[Dict[str, Any]] = None
+
+    def summary(self) -> Dict[str, Any]:
+        return {
+            "experiment": self.description.name,
+            "total_runs": len(self.plan),
+            "executed": len(self.executed_runs),
+            "skipped": len(self.skipped_runs),
+            "failed": len(self.failed_runs),
+            "timed_out": len(self.timed_out_runs),
+            "duration": self.duration,
+            "jobs": self.jobs,
+            "pool": self.pool,
+        }
+
+
+class CampaignSession:
+    """One execution session of one campaign directory.
+
+    Parameters
+    ----------
+    description:
+        The abstract experiment description.
+    campaign_dir:
+        Root directory holding the journal, staging stores and shards.
+    jobs:
+        Requested local worker count; the scheduler caps it by the
+        description's ``max_parallel`` special parameter when declared.
+    max_attempts:
+        Attempt budget per run (1 = no retries).
+    resume:
+        Resume an aborted campaign found in *campaign_dir*.
+    custom_treatments:
+        Optional explicit treatment sequence (Sec. IV-C1).
+    control_faults:
+        Chaos plan for the control plane (see
+        :mod:`repro.faults.control`); entries are filtered per attempt
+        and session before reaching a worker's platform config.
+    quarantine_after:
+        Node-attributed failures before a node is quarantined
+        (0 disables).
+    salvage_requeue_loss:
+        When resuming, probe each journaled run's staged level-2 data for
+        corruption and re-queue runs whose dropped-record fraction
+        exceeds this threshold (e.g. ``0.0`` re-queues on any loss,
+        ``0.1`` tolerates up to 10%).  ``None`` (default) trusts the
+        journal without probing.
+    progress:
+        Optional sink for telemetry progress lines (e.g. ``print``).
+    """
+
+    def __init__(
+        self,
+        description: ExperimentDescription,
+        campaign_dir,
+        jobs: int = 1,
+        max_attempts: int = 2,
+        resume: bool = False,
+        custom_treatments: Optional[List[Dict[str, Any]]] = None,
+        control_faults: Optional[List[Dict[str, Any]]] = None,
+        quarantine_after: int = 3,
+        salvage_requeue_loss: Optional[float] = None,
+        progress=None,
+    ) -> None:
+        self.description = description
+        self.campaign_dir = Path(campaign_dir)
+        self.jobs = jobs
+        self.max_attempts = max_attempts
+        self.resume = resume
+        self.custom_treatments = custom_treatments
+        self.control_faults = list(control_faults or [])
+        self.quarantine_after = quarantine_after
+        self.salvage_requeue_loss = salvage_requeue_loss
+        self.progress = progress
+        self.journal = CampaignJournal(self.campaign_dir)
+        self.plan: Optional[TreatmentPlan] = None
+        self.scheduler: Optional[CampaignScheduler] = None
+        self.telemetry: Optional[CampaignTelemetry] = None
+        #: This session's index in the journal (0 = the fresh start).
+        self.index = 0
+        #: Runs earlier sessions staged: ``{run_id: run_complete entry}``.
+        self.staged: Dict[int, Dict[str, Any]] = {}
+        self.timed_out: List[int] = []
+        #: ``campaign_complete`` is journaled (by this session's seal).
+        self.sealed = False
+        self._opened_at = 0.0
+
+    # ------------------------------------------------------------------
+    def open(self) -> "CampaignSession":
+        """Plan → journal fresh/resume check (with the salvage re-queue
+        filter) → ``campaign_start`` entry → scheduler, capped by the
+        description's ``max_parallel`` (Sec. IV-E) → telemetry."""
+        self._opened_at = time.monotonic()
+        desc = self.description
+        self.plan = generate_plan(
+            desc.factors,
+            desc.seed,
+            custom_treatments=self.custom_treatments,
+        )
+        plan_fp = self.plan.fingerprint()
+        if self.resume:
+            self.staged = self._filter_salvage_requeue(
+                self.journal.prepare_resume(desc, len(self.plan), plan_fp),
+            )
+        elif self.journal.started():
+            raise RecoveryError(
+                "campaign directory already holds a journal; pass "
+                "resume=True or use a fresh directory",
+            )
+        self.index = self.journal.record_start(
+            desc.fingerprint(),
+            desc.seed,
+            len(self.plan),
+            plan_fp,
+        )
+        self.scheduler = CampaignScheduler(
+            self.plan,
+            completed=self.staged,
+            jobs=self.jobs,
+            max_parallel=SpecialParams(desc.special_params).get("max_parallel"),
+            max_attempts=self.max_attempts,
+            quarantine_after=self.quarantine_after,
+        )
+        self.telemetry = CampaignTelemetry(total_runs=len(self.plan), emit=self.progress)
+        self.telemetry.campaign_started(skipped=len(self.staged))
+        return self
+
+    def _filter_salvage_requeue(
+        self,
+        staged: Dict[int, Dict[str, Any]],
+    ) -> Dict[int, Dict[str, Any]]:
+        """Drop journaled runs whose staged data lost too much to salvage.
+
+        A dropped run goes back through the scheduler exactly like a run
+        that never completed; re-execution is deterministic, so the
+        re-staged copy is byte-identical to what the lost records would
+        have conditioned into.
+        """
+        threshold = self.salvage_requeue_loss
+        if threshold is None:
+            return staged
+        kept_map: Dict[int, Dict[str, Any]] = {}
+        for run_id, entry in sorted(staged.items()):
+            probe = Level2Store(self.campaign_dir / entry["store"]).salvage_probe(
+                run_id,
+            )
+            total = probe["kept"] + probe["dropped"]
+            if probe["dropped"] and total and probe["dropped"] / total > threshold:
+                self.journal.record_run_salvage_requeued(
+                    run_id,
+                    probe["kept"],
+                    probe["dropped"],
+                )
+            else:
+                kept_map[run_id] = entry
+        return kept_map
+
+    # ------------------------------------------------------------------
+    def dispatch(self, ticket: RunTicket, worker: str) -> List[Dict[str, Any]]:
+        """Journal one ticket's hand-over to *worker*.
+
+        Returns the chaos entries surviving the attempt/session filter: a
+        retry past an entry's ``max_attempt`` (or a resume past its
+        ``sessions``) runs clean.
+        """
+        self.journal.record_run_start(ticket.run_id, worker)
+        self.telemetry.run_started(ticket.run_id, worker)
+        return select_control_faults(
+            self.control_faults,
+            attempt=ticket.attempts,
+            session=self.index,
+        )
+
+    def settle_ok(
+        self,
+        run_id: int,
+        worker: str,
+        store: Optional[str],
+        shard: str,
+        duration: float = 0.0,
+        timed_out: bool = False,
+        rpc_retries: int = 0,
+        rpc_timeouts: int = 0,
+        phases: Optional[Dict[str, float]] = None,
+        epoch: Optional[int] = None,
+    ) -> None:
+        """Settle one run: ``run_complete`` entry → scheduler → telemetry.
+
+        The caller's shard transaction is the commit point and has
+        landed; the entry (*store* / *shard* / *epoch*, see
+        :meth:`CampaignJournal.record_run_complete`) is the durable
+        pointer to it.
+        """
+        self.journal.record_run_complete(run_id, worker, store, shard, epoch=epoch)
+        self.scheduler.mark_done(run_id)
+        self.telemetry.run_completed(run_id, worker, duration)
+        self.telemetry.rpc_stats(rpc_retries, rpc_timeouts)
+        self.telemetry.run_phases(phases or {})
+        if timed_out:
+            self.timed_out.append(run_id)
+
+    def settle_failed(self, run_id: int, worker: str, error: str, attempt: int) -> bool:
+        """Settle one failed attempt; True when the run was re-queued.
+
+        A failure implicating a quarantined node is terminal, any other
+        is re-queued until the attempt budget runs out; a node crossing
+        ``quarantine_after`` failures is quarantined from then on.
+        """
+        node_id = extract_node_id(error)
+        terminal = node_id is not None and node_id in self.scheduler.quarantined_nodes
+        requeued = self.scheduler.mark_failed(run_id, error, terminal=terminal)
+        get_registry().counter(
+            "repro_campaign_worker_errors_total",
+            "Exceptions crossing the campaign worker boundary",
+        ).inc()
+        self.journal.record_run_failed(run_id, error, attempt)
+        self.telemetry.run_failed(run_id, worker, error, requeued)
+        if node_id is not None and self.scheduler.record_node_failure(node_id):
+            failures = self.scheduler.node_failures[node_id]
+            self.journal.record_node_quarantined(node_id, failures)
+            self.telemetry.node_quarantined(node_id, failures)
+        return requeued
+
+    # ------------------------------------------------------------------
+    def seal(self, db_path=None, jobs: int = 1, pool: str = "thread") -> CampaignResult:
+        """Close a settled campaign: metrics snapshot, the failed-runs
+        error, ``campaign_complete`` exactly once, the merge into
+        *db_path* when given.
+
+        *jobs* and *pool* only label the result (how many workers of
+        which kind the transport used).  Raises :class:`CampaignError` —
+        leaving a resumable journal — when runs exhausted their attempt
+        budgets.
+        """
+        result = CampaignResult(
+            description=self.description,
+            plan=self.plan,
+            campaign_dir=self.campaign_dir,
+            executed_runs=sorted(self.scheduler.done),
+            skipped_runs=sorted(self.staged),
+            failed_runs=dict(self.scheduler.failed),
+            timed_out_runs=sorted(self.timed_out),
+            duration=time.monotonic() - self._opened_at,
+            jobs=jobs,
+            pool=pool,
+            telemetry=self.telemetry.summary(),
+        )
+        self.write_metrics()
+        if result.failed_runs:
+            failed = ", ".join(str(r) for r in sorted(result.failed_runs))
+            raise CampaignError(
+                f"{len(result.failed_runs)} run(s) failed after "
+                f"{self.max_attempts} attempt(s): {failed}; fix the cause and "
+                "resume the campaign",
+            )
+        if not self.sealed:
+            self.journal.record_complete()
+            self.sealed = True
+        if db_path is not None:
+            self.telemetry.merge_started(len(self.staged) + len(self.scheduler.done))
+            result.db_path = merge_campaign(self.campaign_dir, db_path)
+            result.duration = time.monotonic() - self._opened_at
+        return result
+
+    def write_metrics(self) -> None:
+        """Replace ``metrics.json`` with this process's registry state
+        (what ``repro metrics <campaign dir>`` renders).  Seal calls it; a
+        transport whose loop can abort short of seal calls it on that
+        path.  Best-effort on purpose: observability must never fail a
+        campaign whose runs are already safely journaled."""
+        snapshot = get_registry().snapshot()
+        if not snapshot:
+            return
+        try:
+            with open(self.campaign_dir / "metrics.json", "w", encoding="utf-8") as fh:
+                json.dump(snapshot, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError:  # pragma: no cover - diagnostics only
+            pass
+
+
+# ----------------------------------------------------------------------
+# Merging a sealed campaign
+# ----------------------------------------------------------------------
+def merge_campaign(campaign_dir, db_path) -> Path:
+    """Merge an already fully staged campaign into *db_path*.
+
+    Useful when the campaign itself completed (journal says
+    ``campaign_complete``) but the merge never ran or its output was
+    deleted — merging is repeatable at any time from the shards alone.
+    """
+    campaign_dir = Path(campaign_dir)
+    journal = CampaignJournal(campaign_dir)
+    if not journal.finished():
+        raise CampaignError(
+            "campaign is not complete; execute (or resume) it before merging",
+        )
+    sources = journal.completed()
+    if not sources:
+        raise CampaignError("journal holds no completed runs")
+    run_sources = {run_id: campaign_dir / entry["shard"] for run_id, entry in sources.items()}
+    merged = merge_shards(db_path, _resolve_scope(campaign_dir, sources), run_sources)
+    # Earlier attempts' failures go into the merged RunInfos rows.  Only
+    # runs that *did* complete are annotated — a run present in the
+    # database with a non-NULL ``AbortReason`` is a retry survivor, not a
+    # missing run.
+    reasons = {
+        run_id: entry["error"]
+        for run_id, entry in journal.failure_reasons().items()
+        if run_id in sources
+    }
+    apply_abort_reasons(merged, reasons)
+    return merged
+
+
+def _resolve_scope(campaign_dir: Path, sources: Dict[int, Dict[str, Any]]):
+    """Locate the experiment-scope payload for a merge.
+
+    The scope run is the plan's first (minimum run id) — the one run
+    every campaign has.  A local entry points at its staging store; a
+    fleet entry (``store: null``) means the scope was shipped from the
+    worker that executed the scope run and persisted as ``scope.json``
+    at the campaign root.  Both forms condition to identical scope rows,
+    so local and fleet campaigns merge byte-identically.
+    """
+    entry = sources[min(sources)]
+    if entry.get("store") is not None:
+        return Level2Store(campaign_dir / entry["store"])
+    return load_scope_payload(campaign_dir / SCOPE_NAME)

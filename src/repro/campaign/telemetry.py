@@ -1,7 +1,7 @@
 """Live campaign progress: counts, throughput, ETA, per-worker status.
 
-The engine reports lifecycle transitions here from its dispatch loop (one
-thread — no locking subtleties for consumers); the telemetry object
+The campaign session reports lifecycle transitions here (one caller at a
+time — no locking subtleties for consumers); the telemetry object
 aggregates them and renders one-line progress updates for the CLI.  Pure
 observation: nothing in this module influences scheduling, journaling or
 merging, and a campaign runs identically with telemetry disabled.
@@ -83,7 +83,7 @@ class CampaignTelemetry:
     )
 
     # ------------------------------------------------------------------
-    # Lifecycle callbacks (called by the engine's dispatch loop)
+    # Lifecycle callbacks (called by the campaign session)
     # ------------------------------------------------------------------
     def campaign_started(self, skipped: int = 0) -> None:
         self.started_at = self.clock()
@@ -166,7 +166,7 @@ class CampaignTelemetry:
         )
 
     # ------------------------------------------------------------------
-    # Fleet lifecycle (called by the fabric coordinator, DESIGN.md §15)
+    # Fleet lifecycle (called by the lease dispatcher, DESIGN.md §15)
     # ------------------------------------------------------------------
     def worker_registered(self, worker_id: str, capacity: int) -> None:
         self.fleet_events["registered"] += 1

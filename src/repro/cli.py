@@ -30,10 +30,6 @@ workflows:
     catalogue, ``query`` the materialized read models, ``diff`` two
     experiments, and ``regression-check`` a fresh package against a
     warehouse baseline (non-zero exit on drift).
-``repro import <repository.db> <experiment.db> [...]``
-    Deprecated alias kept for existing scripts: imports into the
-    single-file level-4 repository.  New tooling should use
-    ``repro repo ingest``.
 
 Usage: ``python -m repro <command> ...`` (or the ``repro`` console script
 if installed with entry points).
@@ -133,17 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--realtime", type=float, default=None, metavar="FACTOR",
                         help="pace runs against the wall clock at this speed "
                              "factor")
-    p_camp.add_argument("--fleet", default=None, metavar="HOST:PORT",
-                        help="serve this campaign to a worker fleet bound at "
-                             "HOST:PORT instead of executing in a local pool "
-                             "(shorthand for `repro fabric serve --bind ...`)")
-    p_camp.add_argument("--lease-ttl", type=float, default=30.0, metavar="SECS",
-                        dest="lease_ttl",
-                        help="with --fleet: seconds a leased batch stays owned "
-                             "without renewal (default 30)")
-    p_camp.add_argument("--batch-size", type=int, default=4, metavar="N",
-                        dest="batch_size",
-                        help="with --fleet: maximum runs per lease (default 4)")
     p_camp.add_argument("--quiet", action="store_true")
 
     p_fab = sub.add_parser(
@@ -326,14 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "database's SalvageInfo table and in "
                              "<store>/quarantine/salvage_report.json")
 
-    p_imp = sub.add_parser(
-        "import",
-        help="import level-3 DBs into a single-file repository "
-             "(deprecated: use `repro repo ingest`)",
-    )
-    p_imp.add_argument("repository", type=Path)
-    p_imp.add_argument("databases", type=Path, nargs="+")
-
     p_repo = sub.add_parser(
         "repo", help="the sharded L4 analytics warehouse"
     )
@@ -508,24 +485,6 @@ def _cmd_campaign(args) -> int:
     if args.chaos_json is not None:
         control_faults = json.loads(args.chaos_json.read_text(encoding="utf-8"))
 
-    if args.fleet is not None:
-        return _serve_fleet(
-            desc,
-            campaign_dir,
-            db_path,
-            bind=args.fleet,
-            batch_size=args.batch_size,
-            lease_ttl=args.lease_ttl,
-            max_attempts=1 + args.max_retries,
-            resume=args.resume,
-            control_faults=control_faults,
-            config=PlatformConfig(
-                protocol=args.protocol, topology=args.topology
-            ),
-            realtime_factor=args.realtime,
-            quiet=args.quiet,
-        )
-
     engine = CampaignEngine(
         desc,
         campaign_dir,
@@ -542,126 +501,27 @@ def _cmd_campaign(args) -> int:
     )
     result = engine.execute(db_path=db_path)
     if not args.quiet:
-        s = result.summary()
-        print(
-            f"campaign {s['experiment']!r}: {s['executed']} executed, "
-            f"{s['skipped']} resumed, {s['timed_out']} timed out "
-            f"({s['jobs']} {result.pool} workers, {s['duration']:.1f}s)"
-        )
-        phases = (result.telemetry or {}).get("phases") or {}
-        for phase, stats in phases.items():
-            print(f"  {phase:<12} p50={stats['p50'] * 1000.0:.1f}ms  "
-                  f"p95={stats['p95'] * 1000.0:.1f}ms  (n={stats['count']})")
-        print(f"campaign directory: {campaign_dir}")
-        print(f"level-3 database: {result.db_path}")
+        _print_campaign_result(result)
     return 0
 
 
-def _serve_fleet(
-    desc,
-    campaign_dir: Path,
-    db_path: Path,
-    *,
-    bind: str,
-    batch_size: int,
-    lease_ttl: float,
-    max_attempts: int,
-    resume: bool,
-    control_faults,
-    config,
-    realtime_factor,
-    quiet: bool,
-    timeout=None,
-    linger: float = 2.0,
-    standby: bool = False,
-    leader_id=None,
-    election_ttl: float = 10.0,
-) -> int:
-    """Shared body of ``repro fabric serve`` and ``repro campaign --fleet``."""
-    import os as _os
-    import time as _time
-
-    from repro.fabric import FabricCoordinator, LeadershipLost, StandbyCoordinator
-    from repro.fabric.wire import parse_address
-
-    host, port = parse_address(bind)
-    if standby:
-        watcher = StandbyCoordinator(
-            desc,
-            campaign_dir,
-            standby_id=leader_id or f"standby-{_os.getpid()}",
-            host=host,
-            port=port,
-            election_ttl=election_ttl,
-            db_path=db_path,
-            on_event=None if quiet else print,
-            batch_size=batch_size,
-            lease_ttl=lease_ttl,
-            max_attempts=max_attempts,
-            config=config,
-            realtime_factor=realtime_factor,
-            control_faults=control_faults,
-            progress=None if quiet else print,
-        )
-        print(f"fabric standby {watcher.standby_id} watching {campaign_dir} "
-              f"(election TTL {election_ttl:g}s)")
-        try:
-            result = watcher.run(timeout=timeout)
-        except LeadershipLost as lost:
-            print(f"standby lost leadership: {lost}")
-            return 0 if lost.reason in ("handoff", "complete") else 3
-        if result is None:
-            return 0
-        _time.sleep(max(0.0, linger))
-    else:
-        coordinator = FabricCoordinator(
-            desc,
-            campaign_dir,
-            host=host,
-            port=port,
-            batch_size=batch_size,
-            lease_ttl=lease_ttl,
-            max_attempts=max_attempts,
-            resume=resume,
-            config=config,
-            realtime_factor=realtime_factor,
-            control_faults=control_faults,
-            leader_id=leader_id,
-            election_ttl=election_ttl,
-            progress=None if quiet else print,
-        )
-        try:
-            with coordinator:
-                print(f"fabric coordinator serving at {coordinator.address} "
-                      f"({len(coordinator.plan)} runs, batch {batch_size}, "
-                      f"lease TTL {lease_ttl:g}s, epoch {coordinator.epoch})")
-                result = coordinator.run_until_complete(
-                    db_path=db_path, timeout=timeout,
-                )
-                # Let polling workers observe done=True and exit cleanly
-                # before the listener disappears.
-                _time.sleep(max(0.0, linger))
-        except LeadershipLost as lost:
-            # A handoff is a clean exit (the successor finishes the
-            # campaign); a deposition means this process must not keep
-            # writing and the operator should look at the successor.
-            print(f"coordinator stopped leading: {lost}")
-            return 0 if lost.reason == "handoff" else 3
-    if not quiet:
-        s = result.summary()
-        print(
-            f"campaign {s['experiment']!r}: {s['executed']} executed, "
-            f"{s['skipped']} resumed, {s['timed_out']} timed out "
-            f"({s['jobs']} fleet workers, {s['duration']:.1f}s)"
-        )
-        fleet = (result.telemetry or {}).get("fleet") or {}
-        if fleet:
-            print("  fleet: " + ", ".join(
-                f"{k}={v}" for k, v in sorted(fleet.items())
-            ))
-        print(f"campaign directory: {campaign_dir}")
-        print(f"level-3 database: {result.db_path}")
-    return 0
+def _print_campaign_result(result) -> None:
+    """The closing lines of ``repro campaign`` and ``repro fabric serve``."""
+    s = result.summary()
+    print(
+        f"campaign {s['experiment']!r}: {s['executed']} executed, "
+        f"{s['skipped']} resumed, {s['timed_out']} timed out "
+        f"({s['jobs']} {s['pool']} workers, {s['duration']:.1f}s)"
+    )
+    telemetry = result.telemetry or {}
+    for phase, stats in (telemetry.get("phases") or {}).items():
+        print(f"  {phase:<12} p50={stats['p50'] * 1000.0:.1f}ms  "
+              f"p95={stats['p95'] * 1000.0:.1f}ms  (n={stats['count']})")
+    if s["pool"] == "fleet":
+        fleet = sorted(telemetry.get("fleet", {}).items())
+        print("  fleet: " + ", ".join(f"{k}={v}" for k, v in fleet))
+    print(f"campaign directory: {result.campaign_dir}")
+    print(f"level-3 database: {result.db_path}")
 
 
 def _cmd_fabric(args) -> int:
@@ -676,7 +536,11 @@ def _cmd_fabric(args) -> int:
 
 def _fabric_serve(args) -> int:
     import json
+    import os
+    import time
 
+    from repro.fabric import FabricCoordinator, LeadershipLost, StandbyCoordinator
+    from repro.fabric.wire import parse_address
     from repro.platforms.simulated import PlatformConfig
 
     desc = _load_description(args.description)
@@ -686,25 +550,62 @@ def _fabric_serve(args) -> int:
     control_faults = None
     if args.chaos_json is not None:
         control_faults = json.loads(args.chaos_json.read_text(encoding="utf-8"))
-    return _serve_fleet(
-        desc,
-        campaign_dir,
-        db_path,
-        bind=args.bind,
+    host, port = parse_address(args.bind)
+    shared = dict(
+        host=host,
+        port=port,
         batch_size=args.batch_size,
         lease_ttl=args.lease_ttl,
         max_attempts=1 + args.max_retries,
-        resume=args.resume,
-        control_faults=control_faults,
         config=PlatformConfig(protocol=args.protocol, topology=args.topology),
         realtime_factor=args.realtime,
-        quiet=args.quiet,
-        timeout=args.timeout,
-        linger=args.linger,
-        standby=args.standby,
-        leader_id=args.leader_id,
+        control_faults=control_faults,
         election_ttl=args.election_ttl,
+        progress=None if args.quiet else print,
     )
+    if args.standby:
+        watcher = StandbyCoordinator(
+            desc,
+            campaign_dir,
+            standby_id=args.leader_id or f"standby-{os.getpid()}",
+            db_path=db_path,
+            on_event=None if args.quiet else print,
+            **shared,
+        )
+        print(f"fabric standby {watcher.standby_id} watching {campaign_dir} "
+              f"(election TTL {args.election_ttl:g}s)")
+        try:
+            result = watcher.run(timeout=args.timeout)
+        except LeadershipLost as lost:
+            print(f"standby lost leadership: {lost}")
+            return 0 if lost.reason in ("handoff", "complete") else 3
+        if result is None:
+            return 0
+        time.sleep(max(0.0, args.linger))
+    else:
+        coordinator = FabricCoordinator(
+            desc, campaign_dir, resume=args.resume, leader_id=args.leader_id, **shared
+        )
+        try:
+            with coordinator:
+                print(f"fabric coordinator serving at {coordinator.address} "
+                      f"({len(coordinator.session.plan)} runs, batch {args.batch_size}, "
+                      f"lease TTL {args.lease_ttl:g}s, epoch {coordinator.epoch})")
+                result = coordinator.run_until_complete(
+                    db_path=db_path, timeout=args.timeout,
+                )
+                # Let polling workers observe done=True and exit cleanly
+                # before the listener disappears.
+                time.sleep(max(0.0, args.linger))
+        except LeadershipLost as lost:
+            # A handoff is a clean exit (the successor finishes the
+            # campaign); a deposition means this process must not keep
+            # writing and the operator should look at the successor.
+            print(f"coordinator stopped leading: {lost}")
+            return 0 if lost.reason == "handoff" else 3
+    if not args.quiet:
+        _print_campaign_result(result)
+    return 0
 
 
 def _fabric_worker(args) -> int:
@@ -980,20 +881,6 @@ def _cmd_condition(args) -> int:
     return 0
 
 
-def _cmd_import(args) -> int:
-    from repro.storage.level4 import ExperimentRepository
-
-    print("warning: `repro import` is deprecated; use `repro repo ingest` "
-          "(sharded warehouse with dedup and crash-safe ingestion)",
-          file=sys.stderr)
-    with ExperimentRepository(args.repository) as repo:
-        for db in args.databases:
-            exp_id = repo.import_experiment(db)
-            print(f"imported {db} as experiment #{exp_id}")
-        print(f"repository now holds {len(repo.experiments())} experiment(s)")
-    return 0
-
-
 def _cmd_repo(args) -> int:
     handlers = {
         "ingest": _repo_ingest,
@@ -1202,7 +1089,8 @@ def _cmd_metrics(args) -> int:
         source = source / "metrics.json"
     if not source.exists():
         print(f"error: no metrics snapshot at {source} "
-              "(produced by `repro run` / `repro campaign`)", file=sys.stderr)
+              "(produced by `repro run`, `repro campaign` and "
+              "`repro fabric serve`)", file=sys.stderr)
         return 1
     snapshot = json.loads(source.read_text(encoding="utf-8"))
     if args.fmt == "json":
@@ -1229,7 +1117,6 @@ _COMMANDS = {
     "timeline": _cmd_timeline,
     "report": _cmd_report,
     "condition": _cmd_condition,
-    "import": _cmd_import,
     "repo": _cmd_repo,
     "trace": _cmd_trace,
     "metrics": _cmd_metrics,

@@ -770,6 +770,37 @@ def _json_safe(value: Any) -> Any:
 # ----------------------------------------------------------------------
 # Spec execution: the one-run worker entry point
 # ----------------------------------------------------------------------
+def build_run_spec(
+    campaign_dir,
+    description_xml: str,
+    run_id: int,
+    worker: str,
+    custom_treatments: Optional[List[Dict[str, Any]]] = None,
+    config=None,
+    realtime_factor: Optional[float] = None,
+    control_faults: Optional[List[Dict[str, Any]]] = None,
+) -> Dict[str, Any]:
+    """The spec :func:`execute_spec_run` consumes, for one run on *worker*.
+
+    *worker* (a local pool's slot label, a fleet worker's id) names the
+    staging subtree and the shard, so no two workers share an output
+    file; the fault-lease root is keyed by run id alone, so a retry on
+    any worker finds what the previous attempt leaked.
+    """
+    return {
+        "campaign_dir": str(campaign_dir),
+        "description_xml": description_xml,
+        "custom_treatments": custom_treatments,
+        "config": config,
+        "realtime_factor": realtime_factor,
+        "run_id": run_id,
+        "store": f"staging/{worker}/run_{run_id:06d}",
+        "shard": f"shards/{worker}.db",
+        "lease_root": f"leases/run_{run_id:06d}",
+        "control_faults": control_faults or [],
+    }
+
+
 def execute_spec_run(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one campaign run from a plain picklable *spec*.
 
@@ -780,11 +811,11 @@ def execute_spec_run(spec: Dict[str, Any]) -> Dict[str, Any]:
     ``spec["campaign_dir"]``, and the returned dict only carries pointers
     and statistics back to the caller.
 
-    Spec keys: ``campaign_dir``, ``description_xml``,
-    ``custom_treatments``, ``config``, ``realtime_factor``, ``run_id``,
-    ``store`` / ``shard`` / ``lease_root`` (paths relative to the
-    campaign dir) and optional ``control_faults`` (already filtered to
-    this attempt and session).
+    Spec keys (see :func:`build_run_spec`): ``campaign_dir``,
+    ``description_xml``, ``custom_treatments``, ``config``,
+    ``realtime_factor``, ``run_id``, ``store`` / ``shard`` /
+    ``lease_root`` (paths relative to the campaign dir) and optional
+    ``control_faults`` (already filtered to this attempt and session).
 
     Determinism contract: the run's staged data is a pure function of
     (description, run id) — which host executes the spec, how often, and

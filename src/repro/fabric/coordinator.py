@@ -16,15 +16,17 @@ surface to a fleet of pull-based workers:
 ``status``     JSON snapshot for ``repro fabric status`` and the CI
                chaos drill.
 
-Crash safety is inherited, not invented: every run commit follows the
-local engine's ordering (scope payload → shard transaction → journal
-entry → scheduler), the lease ledger restores in-flight ownership after
-a coordinator restart, and the journal's resume protocol re-queues
-exactly the runs whose commits never landed.  Because runs are pure
-functions of (description, run id), the merged database of a restarted,
-re-leased, partially re-executed fleet campaign is byte-identical to a
-single ``--jobs`` local campaign — the invariant pinned by
-``tests/integration/test_fleet_fabric.py``.
+Crash safety is inherited, not invented: the coordinator is the fleet
+transport of a :class:`~repro.campaign.session.CampaignSession` — the
+same open / settle / seal policy the local pool drives — so every run
+commit is scope payload → shard transaction → the session's
+``settle_ok`` (journal entry → scheduler), the lease ledger restores
+in-flight ownership after a coordinator restart, and the journal's
+resume protocol re-queues exactly the runs whose commits never landed.
+Because runs are pure functions of (description, run id), the merged
+database of a restarted, re-leased, partially re-executed fleet campaign
+is byte-identical to a single ``--jobs`` local campaign — the invariant
+pinned by ``tests/integration/test_fleet_fabric.py``.
 """
 
 from __future__ import annotations
@@ -37,16 +39,11 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.campaign.engine import CampaignResult, merge_campaign
-from repro.campaign.journal import CampaignJournal
 from repro.campaign.merge import SCOPE_NAME
-from repro.campaign.scheduler import CampaignScheduler
-from repro.campaign.telemetry import CampaignTelemetry
+from repro.campaign.session import CampaignResult, CampaignSession
 from repro.core.description import ExperimentDescription
-from repro.core.errors import CampaignError, RecoveryError
+from repro.core.errors import CampaignError
 from repro.core.heartbeat import HeartbeatConfig
-from repro.core.params import SpecialParams
-from repro.core.plan import generate_plan
 from repro.core.rpc import RpcServer
 from repro.core.xmlio import description_to_xml
 from repro.durable import replace_file
@@ -56,9 +53,8 @@ from repro.fabric.leases import LeaseStore
 from repro.fabric.registry import WorkerRegistry
 from repro.fabric.shipping import CoordinatorShard
 from repro.fabric.wire import FleetServer
-from repro.faults.control import select_control_faults
 
-__all__ = ["FabricCoordinator", "serve_campaign"]
+__all__ = ["FabricCoordinator"]
 
 
 def _worker_slug(worker_id: str) -> str:
@@ -91,11 +87,16 @@ def config_to_wire(config) -> Optional[Dict[str, Any]]:
     return data
 
 
+def _no_lease(**why) -> str:
+    """The ``lease`` reply that grants nothing, and why."""
+    return json.dumps({"lease_id": None, "runs": [], "done": False, "draining": False, **why})
+
+
 class FabricCoordinator:
     """Owns one campaign's distributed execution.
 
-    Parameters mirror :class:`repro.campaign.engine.CampaignEngine` where
-    they mean the same thing; fabric-specific knobs:
+    Campaign parameters are those of
+    :class:`repro.campaign.session.CampaignSession`; fabric-specific knobs:
 
     host, port:
         Bind address for the fleet server (``port=0`` = ephemeral).
@@ -148,23 +149,25 @@ class FabricCoordinator:
         self.port = port
         self.batch_size = batch_size
         self.lease_ttl = float(lease_ttl)
-        self.max_attempts = max_attempts
-        self.resume = resume
-        self.custom_treatments = custom_treatments
-        self.config = config
         self.config_wire = config_to_wire(config)
         self.realtime_factor = realtime_factor
-        self.control_faults = list(control_faults or [])
-        self.quarantine_after = quarantine_after
         self.heartbeat = heartbeat or HeartbeatConfig()
-        self.progress = progress
         self.clock = clock
 
         self.leader_id = leader_id or f"coord-{os.getpid()}"
         self.election_ttl = float(election_ttl)
         self.takeover = resume if takeover is None else bool(takeover)
 
-        self.journal = CampaignJournal(self.campaign_dir)
+        self.session = CampaignSession(
+            description,
+            campaign_dir,
+            max_attempts=max_attempts,
+            resume=resume,
+            custom_treatments=custom_treatments,
+            control_faults=control_faults,
+            quarantine_after=quarantine_after,
+            progress=progress,
+        )
         self.election = ElectionLedger(
             self.campaign_dir,
             ttl=self.election_ttl,
@@ -174,14 +177,7 @@ class FabricCoordinator:
         self._lock = threading.RLock()
         self._server: Optional[FleetServer] = None
         self._scope_lock = threading.Lock()
-        self.session = 0
-        self.scheduler: Optional[CampaignScheduler] = None
         self.dispatcher: Optional[LeaseDispatcher] = None
-        self.telemetry: Optional[CampaignTelemetry] = None
-        self._staged: Dict[int, Dict[str, Any]] = {}
-        self._timed_out: List[int] = []
-        self._started_at = 0.0
-        self._completed_recorded = False
         self._handoff_draining = False
         self._deposed_reason: Optional[str] = None
         self._renew_stop = threading.Event()
@@ -210,15 +206,6 @@ class FabricCoordinator:
         socket and raises :class:`LeadershipLost` without having touched
         the journal.
         """
-        self._started_at = time.monotonic()
-        desc = self.description
-        self.plan = generate_plan(
-            desc.factors,
-            desc.seed,
-            custom_treatments=self.custom_treatments,
-        )
-        plan_fp = self.plan.fingerprint()
-
         rpc = RpcServer("fabric-coordinator")
         rpc.register_function(self._rpc_register, "register")
         rpc.register_function(self._rpc_heartbeat, "heartbeat")
@@ -248,36 +235,10 @@ class FabricCoordinator:
             )
         self.epoch = epoch
 
-        if self.resume:
-            self._staged = self.journal.prepare_resume(desc, len(self.plan), plan_fp)
-        else:
-            if self.journal.started():
-                raise RecoveryError(
-                    "campaign directory already holds a journal; pass "
-                    "resume=True or use a fresh directory",
-                )
-            self._staged = {}
-        self.session = self.journal.record_start(
-            desc.fingerprint(),
-            desc.seed,
-            len(self.plan),
-            plan_fp,
-        )
-        self.scheduler = CampaignScheduler(
-            self.plan,
-            completed=self._staged,
-            jobs=1,  # fleet capacity is the workers', not the coordinator's
-            max_parallel=0,
-            max_attempts=self.max_attempts,
-            quarantine_after=self.quarantine_after,
-        )
-        self.telemetry = CampaignTelemetry(
-            total_runs=len(self.plan),
-            emit=self.progress,
-        )
-        self.telemetry.campaign_started(skipped=len(self._staged))
+        session = self.session.open()
+        self.telemetry = session.telemetry
         self.dispatcher = LeaseDispatcher(
-            self.scheduler,
+            session,
             LeaseStore(
                 self.campaign_dir,
                 ttl=self.lease_ttl,
@@ -285,12 +246,10 @@ class FabricCoordinator:
                 epoch=self.epoch,
             ),
             WorkerRegistry(self.heartbeat, clock=self.clock),
-            self.journal,
-            telemetry=self.telemetry,
             batch_size=self.batch_size,
             clock=self.clock,
         )
-        if self.resume:
+        if session.resume:
             self.dispatcher.restore()
             # Restore may have learned a higher epoch from the ledger,
             # but ours is the freshly claimed maximum by construction.
@@ -298,8 +257,8 @@ class FabricCoordinator:
         # Fence the lease ledger at our epoch immediately: anything a
         # deposed predecessor appends from here on replays as stale.
         self.dispatcher.leases.fence()
-        self.description_xml = description_to_xml(desc)
-        self._scope_run = min((run.run_id for run in self.plan), default=0)
+        self.description_xml = description_to_xml(self.description)
+        self._scope_run = min((run.run_id for run in session.plan), default=0)
 
         self._renew_stop.clear()
         self._renew_thread = threading.Thread(
@@ -315,7 +274,7 @@ class FabricCoordinator:
         # Handler threads outlive the listener on connections workers
         # already hold: stopped mid-campaign they must refuse further work,
         # as a dead process would, so the fleet re-resolves to a successor.
-        if self.scheduler is not None and not self.scheduler.finished:
+        if self.session.scheduler is not None and not self.session.scheduler.finished:
             self._mark_deposed("stopped")
         self._renew_stop.set()
         if self._renew_thread is not None:
@@ -388,17 +347,17 @@ class FabricCoordinator:
             # experiment scope — unless a previous session already staged
             # the scope run locally (its store serves the merge) or a
             # fleet shipment already persisted scope.json.
-            staged_scope = self._staged.get(self._scope_run)
+            staged_scope = self.session.staged.get(self._scope_run)
             need_scope = not self.scope_path.exists() and not (
                 staged_scope is not None and staged_scope.get("store") is not None
             )
             return json.dumps(
                 {
-                    "session": self.session,
+                    "session": self.session.index,
                     "fingerprint": self.description.fingerprint(),
-                    "total_runs": len(self.plan),
+                    "total_runs": len(self.session.plan),
                     "description_xml": self.description_xml,
-                    "custom_treatments": self.custom_treatments,
+                    "custom_treatments": self.session.custom_treatments,
                     "config": self.config_wire,
                     "realtime_factor": self.realtime_factor,
                     "scope_run": self._scope_run if need_scope else None,
@@ -417,16 +376,9 @@ class FabricCoordinator:
     def _rpc_lease(self, worker_id: str, want: int, epoch: int) -> str:
         with self._lock:
             if self._deposed_reason is not None:
-                return json.dumps(
-                    {"lease_id": None, "runs": [], "done": False,
-                     "draining": False, "not_leader": True},
-                )
+                return _no_lease(not_leader=True)
             if self._epoch_gate(epoch):
-                return json.dumps(
-                    {"lease_id": None, "runs": [], "done": False,
-                     "draining": False, "stale_epoch": True,
-                     "epoch": self.epoch},
-                )
+                return _no_lease(stale_epoch=True, epoch=self.epoch)
             self.dispatcher.sweep()
             if self._handoff_draining:
                 # Leadership is being handed off: in-flight batches drain,
@@ -436,29 +388,18 @@ class FabricCoordinator:
             else:
                 lease, batch = self.dispatcher.grant(worker_id, want)
             if lease is None:
-                return json.dumps(
-                    {
-                        "lease_id": None,
-                        "runs": [],
-                        "done": self.scheduler.finished,
-                        "draining": worker_id in self.dispatcher.registry.draining,
-                    },
+                return _no_lease(
+                    done=self.session.scheduler.finished,
+                    draining=worker_id in self.dispatcher.registry.draining,
                 )
-            runs = []
-            for ticket in batch:
-                self.journal.record_run_start(ticket.run_id, worker_id)
-                self.telemetry.run_started(ticket.run_id, worker_id)
-                runs.append(
-                    {
-                        "run_id": ticket.run_id,
-                        "attempt": ticket.attempts,
-                        "control_faults": select_control_faults(
-                            self.control_faults,
-                            attempt=ticket.attempts,
-                            session=self.session,
-                        ),
-                    },
-                )
+            runs = [
+                {
+                    "run_id": ticket.run_id,
+                    "attempt": ticket.attempts,
+                    "control_faults": self.session.dispatch(ticket, worker_id),
+                }
+                for ticket in batch
+            ]
             return json.dumps(
                 {
                     "lease_id": lease.lease_id,
@@ -501,56 +442,49 @@ class FabricCoordinator:
                 )
                 return json.dumps({"status": status})
             payload = json.loads(payload_json)
+            stats = payload.get("stats") or {}
 
             def commit() -> None:
                 self._persist_scope(payload.get("scope"))
                 shard_rel = f"shards/fleet_{_worker_slug(worker_id)}.db"
                 with CoordinatorShard(self.campaign_dir / shard_rel) as shard:
                     shard.ingest(run_id, payload["tables"])
-                self.journal.record_run_complete(
+                self.session.settle_ok(
                     run_id,
                     worker_id,
                     None,
                     shard_rel,
+                    duration=float(payload.get("duration", 0.0)),
+                    timed_out=bool(payload.get("timed_out")),
+                    rpc_retries=stats.get("rpc_retries", 0),
+                    rpc_timeouts=stats.get("rpc_timeouts", 0),
+                    phases=payload.get("phases"),
                     epoch=self.epoch,
                 )
 
-            def fenced_commit() -> None:
+            try:
                 # The durable write runs under the election flock with the
                 # epoch re-validated inside: a leader deposed mid-ack (a
                 # partition healed, a rival claimed) cannot commit.
-                self.election.fenced(self.epoch, commit)
-
-            try:
                 status = self.dispatcher.ack_completed(
                     worker_id,
                     lease_id,
                     run_id,
-                    fenced_commit,
-                    duration=float(payload.get("duration", 0.0)),
+                    lambda: self.election.fenced(self.epoch, commit),
                 )
             except LeadershipLost:
                 self._mark_deposed("deposed")
                 return json.dumps({"status": "not_leader"})
-            if status == "committed":
-                if payload.get("timed_out"):
-                    self._timed_out.append(run_id)
-                stats = payload.get("stats") or {}
-                self.telemetry.rpc_stats(
-                    stats.get("rpc_retries", 0),
-                    stats.get("rpc_timeouts", 0),
-                )
-                self.telemetry.run_phases(payload.get("phases") or {})
             return json.dumps({"status": status})
 
     def _rpc_status(self) -> str:
         with self._lock:
             status = self.dispatcher.status()
-            status["session"] = self.session
-            status["total_runs"] = len(self.plan)
-            status["staged"] = len(self.scheduler.done) + len(self._staged)
-            status["finished"] = self.scheduler.finished
-            status["failed_runs"] = sorted(self.scheduler.failed)
+            status["session"] = self.session.index
+            status["total_runs"] = len(self.session.plan)
+            status["staged"] = len(self.session.scheduler.done) + len(self.session.staged)
+            status["finished"] = self.session.scheduler.finished
+            status["failed_runs"] = sorted(self.session.scheduler.failed)
             status["election"] = self.election.summary()
             status["epoch"] = self.epoch
             status["leader_id"] = self.leader_id
@@ -637,7 +571,7 @@ class FabricCoordinator:
             # lease closes are the successor's to write now.
             self._check_leadership()
             self.dispatcher.sweep()
-            return self.scheduler.finished
+            return self.session.scheduler.finished
 
     def run_until_complete(
         self,
@@ -666,46 +600,17 @@ class FabricCoordinator:
     def finalize(self, db_path=None) -> CampaignResult:
         """Seal a settled campaign: journal ``campaign_complete``, merge."""
         with self._lock:
-            if not self.scheduler.finished:
+            if not self.session.scheduler.finished:
                 raise CampaignError("campaign still has unsettled runs")
-            result = CampaignResult(
-                description=self.description,
-                plan=self.plan,
-                campaign_dir=self.campaign_dir,
-                executed_runs=sorted(self.scheduler.done),
-                skipped_runs=sorted(self._staged),
-                failed_runs=dict(self.scheduler.failed),
-                timed_out_runs=sorted(self._timed_out),
-                duration=time.monotonic() - self._started_at,
-                jobs=len(self.dispatcher.registry.workers()) or 1,
-                pool="fleet",
-                telemetry=self.telemetry.summary(),
-            )
-            if result.failed_runs:
-                failed = ", ".join(str(r) for r in sorted(result.failed_runs))
-                raise CampaignError(
-                    f"{len(result.failed_runs)} run(s) failed after "
-                    f"{self.max_attempts} attempt(s): {failed}; fix the cause "
-                    "and resume the campaign",
-                )
-            if not self._completed_recorded and not self.journal.finished():
-                self.journal.record_complete()
-                self._completed_recorded = True
-            # Leadership is no longer needed: release so watching
-            # standbys exit instead of waiting out the TTL.
-            self._renew_stop.set()
-            self.election.release(self.epoch, "complete")
-        if db_path is not None:
-            self.telemetry.merge_started(
-                len(self._staged) + len(self.scheduler.done),
-            )
-            result.db_path = merge_campaign(self.campaign_dir, db_path)
-            result.duration = time.monotonic() - self._started_at
-        return result
-
-
-def serve_campaign(description, campaign_dir, db_path=None, **kwargs):
-    """One-call convenience mirroring :func:`run_campaign` for fleets."""
-    coordinator = FabricCoordinator(description, campaign_dir, **kwargs)
-    with coordinator:
-        return coordinator.run_until_complete(db_path=db_path)
+            workers = len(self.dispatcher.registry.workers())
+        # Outside the dispatch lock: polling workers must get their
+        # ``done`` while the merge runs, not after it.
+        try:
+            return self.session.seal(db_path, jobs=workers or 1, pool="fleet")
+        finally:
+            # ``campaign_complete`` ends the need for a leader, whatever
+            # becomes of the merge: release so watching standbys exit
+            # instead of waiting out the TTL.
+            if self.session.sealed:
+                self._renew_stop.set()
+                self.election.release(self.epoch, "complete")

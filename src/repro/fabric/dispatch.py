@@ -1,9 +1,12 @@
 """The lease dispatcher: queue-based load leveling over the run queue.
 
-Sits between the campaign scheduler (the persistent run queue) and the
-fleet: workers *pull* batches, the dispatcher grants each pull as a
-durable lease, and every state change funnels through one object so the
-coordinator can serialize it under a single lock.
+Sits between the campaign session (whose scheduler is the persistent run
+queue) and the fleet: workers *pull* batches, the dispatcher grants each
+pull as a durable lease, and every state change funnels through one
+object so the coordinator can serialize it under a single lock.  What a
+settled run means for the campaign — journal, retry ladder, telemetry —
+is the session's (:mod:`repro.campaign.session`); the dispatcher decides
+only *whether* an ack settles anything.
 
 The guarantees, and where each lives:
 
@@ -30,11 +33,9 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.campaign.journal import CampaignJournal
-from repro.campaign.scheduler import CampaignScheduler, RunTicket
-from repro.campaign.telemetry import CampaignTelemetry
-from repro.core.errors import extract_node_id
-from repro.core.heartbeat import DEAD, QUARANTINED
+from repro.campaign.scheduler import RunTicket
+from repro.campaign.session import CampaignSession
+from repro.core.heartbeat import QUARANTINED
 from repro.fabric.leases import Lease, LeaseStore
 from repro.fabric.registry import WorkerRegistry
 
@@ -51,23 +52,29 @@ class LeaseDispatcher:
 
     def __init__(
         self,
-        scheduler: CampaignScheduler,
+        session: CampaignSession,
         leases: LeaseStore,
         registry: WorkerRegistry,
-        journal: CampaignJournal,
-        telemetry: Optional[CampaignTelemetry] = None,
         batch_size: int = 4,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        self.scheduler = scheduler
+        self.session = session
         self.leases = leases
         self.registry = registry
-        self.journal = journal
-        self.telemetry = telemetry
         self.batch_size = max(1, int(batch_size))
         self.clock = clock
         #: lease id → {run_id: ticket} for in-flight (unacked) runs.
         self._tickets: Dict[str, Dict[int, RunTicket]] = {}
+
+    @property
+    def scheduler(self):
+        """The session's scheduler: the run queue leases are cut from."""
+        return self.session.scheduler
+
+    @property
+    def journal(self):
+        """The session's journal (worker and lease events land there too)."""
+        return self.session.journal
 
     # ------------------------------------------------------------------
     # Membership
@@ -77,15 +84,14 @@ class LeaseDispatcher:
         fresh = self.registry.register(worker_id, capacity)
         if fresh:
             self.journal.record_worker_registered(worker_id, capacity)
-            if self.telemetry is not None:
-                self.telemetry.worker_registered(worker_id, capacity)
+            self.session.telemetry.worker_registered(worker_id, capacity)
         return fresh
 
     def beat(self, worker_id: str) -> str:
         """One worker heartbeat; returns the worker's (new) state."""
         moved = self.registry.beat(worker_id)
-        if moved is not None and self.telemetry is not None:
-            self.telemetry.worker_state(worker_id, moved[0], moved[1])
+        if moved is not None:
+            self.session.telemetry.worker_state(worker_id, moved[0], moved[1])
         return self.registry.state(worker_id)
 
     # ------------------------------------------------------------------
@@ -95,7 +101,8 @@ class LeaseDispatcher:
         """Lease up to *want* runs to *worker_id* (pull model).
 
         Returns ``(None, [])`` when the worker may not receive work
-        (draining, dead, quarantined) or the queue is empty.
+        (draining, dead, quarantined), the queue is empty, or the
+        description's ``max_parallel`` runs are already in flight.
         """
         if not self.registry.known(worker_id):
             self.register(worker_id)
@@ -103,13 +110,15 @@ class LeaseDispatcher:
         if not self.registry.leasable(worker_id):
             return None, []
         size = max(1, min(int(want) if want else self.batch_size, self.batch_size))
+        capacity = self.scheduler.capacity_left
+        if capacity is not None:
+            size = min(size, capacity)
         batch = self.scheduler.next_batch(size)
         if not batch:
             return None, []
         lease = self.leases.grant(worker_id, [t.run_id for t in batch])
         self._tickets[lease.lease_id] = {t.run_id: t for t in batch}
-        if self.telemetry is not None:
-            self.telemetry.lease_granted(worker_id, lease.lease_id, len(batch))
+        self.session.telemetry.lease_granted(worker_id, lease.lease_id, len(batch))
         return lease, batch
 
     def renew(self, worker_id: str, lease_id: str) -> bool:
@@ -130,15 +139,15 @@ class LeaseDispatcher:
         lease_id: str,
         run_id: int,
         commit: Callable[[], None],
-        duration: float = 0.0,
     ) -> str:
         """Settle one successfully executed run.
 
         *commit* is the coordinator's durable-commit callback (scope
-        persist + shard ingest + journal entry) and runs only when this
-        ack is the run's first — the idempotency point for duplicate
-        acks, late acks of re-leased runs, and client retries of a
-        response that was lost in flight.
+        persist + shard ingest) and **must end in the session's**
+        ``settle_ok`` — that is what takes the run out of flight.  It runs
+        only when this ack is the run's first — the idempotency point for
+        duplicate acks, late acks of re-leased runs, and client retries
+        of a response that was lost in flight.
 
         Returns ``"committed"`` or ``"duplicate"``.
         """
@@ -150,12 +159,9 @@ class LeaseDispatcher:
             self.leases.ack(lease_id, run_id)
             return "duplicate"
         commit()
-        self.scheduler.mark_done(run_id)
+        assert run_id in self.scheduler.done, "commit must end in session.settle_ok"
         self.leases.ack(lease_id, run_id)
-        tickets = self._tickets.get(lease_id, {})
-        tickets.pop(run_id, None)
-        if self.telemetry is not None:
-            self.telemetry.run_completed(run_id, worker_id, duration)
+        self._tickets.get(lease_id, {}).pop(run_id, None)
         return "committed"
 
     def ack_failed(self, worker_id: str, lease_id: str, run_id: int, error: str) -> str:
@@ -173,33 +179,15 @@ class LeaseDispatcher:
             # late failure report must not charge the fresh attempt.
             self.leases.ack(lease_id, run_id)
             return "duplicate"
-        node_id = extract_node_id(error)
-        terminal = (node_id is not None and node_id in self.scheduler.quarantined_nodes)
-        requeued = self.scheduler.mark_failed(run_id, error, terminal=terminal)
-        self.journal.record_run_failed(
+        ticket = self._tickets.get(lease_id, {}).pop(run_id, None)
+        requeued = self.session.settle_failed(
             run_id,
+            worker_id,
             error,
-            self._attempts(lease_id, run_id),
+            ticket.attempts if ticket is not None else 1,
         )
         self.leases.ack(lease_id, run_id)
-        self._tickets.get(lease_id, {}).pop(run_id, None)
-        if self.telemetry is not None:
-            self.telemetry.run_failed(run_id, worker_id, error, requeued)
-        if node_id is not None and self.scheduler.record_node_failure(node_id):
-            self.journal.record_node_quarantined(
-                node_id,
-                self.scheduler.node_failures[node_id],
-            )
-            if self.telemetry is not None:
-                self.telemetry.node_quarantined(
-                    node_id,
-                    self.scheduler.node_failures[node_id],
-                )
         return "requeued" if requeued else "failed"
-
-    def _attempts(self, lease_id: str, run_id: int) -> int:
-        ticket = self._tickets.get(lease_id, {}).get(run_id)
-        return ticket.attempts if ticket is not None else 1
 
     def _settled(self, run_id: int) -> bool:
         """A run is settled if this session committed it (``done``) or a
@@ -235,15 +223,12 @@ class LeaseDispatcher:
         now = self.clock() if now is None else now
         out: Dict[str, List[str]] = {"expired": [], "quarantined": []}
         for worker_id, old, new in self.registry.sweep(now):
-            if self.telemetry is not None:
-                self.telemetry.worker_state(worker_id, old, new)
+            self.session.telemetry.worker_state(worker_id, old, new)
+            # A worker gone ``dead`` keeps its leases until their TTL — it may
+            # be partitioned, not gone — but is granted nothing new.
             if new == QUARANTINED:
                 out["quarantined"].append(worker_id)
                 self._quarantine_leases(worker_id, "liveness flapping")
-            elif new == DEAD:
-                # Leases stay granted until their TTL — the worker may be
-                # partitioned, not gone — but nothing new is granted.
-                pass
         for lease in self.leases.expired(now):
             requeued = self._reclaim(lease, "expired")
             if not requeued and not lease.pending:
@@ -254,12 +239,7 @@ class LeaseDispatcher:
                 lease.worker_id,
                 requeued,
             )
-            if self.telemetry is not None:
-                self.telemetry.lease_expired(
-                    lease.lease_id,
-                    lease.worker_id,
-                    len(requeued),
-                )
+            self.session.telemetry.lease_expired(lease.lease_id, lease.worker_id, len(requeued))
         return out
 
     def _quarantine_leases(self, worker_id: str, reason: str) -> List[int]:
@@ -267,8 +247,7 @@ class LeaseDispatcher:
         for lease in self.leases.for_worker(worker_id):
             requeued.extend(self._reclaim(lease, "revoked"))
         self.journal.record_worker_quarantined(worker_id, reason)
-        if self.telemetry is not None:
-            self.telemetry.worker_quarantined(worker_id, reason)
+        self.session.telemetry.worker_quarantined(worker_id, reason)
         return requeued
 
     def quarantine_worker(self, worker_id: str, reason: str) -> List[int]:

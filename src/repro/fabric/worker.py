@@ -435,21 +435,21 @@ class FabricWorker:
 
     # ------------------------------------------------------------------
     def _build_spec(self, run_id: int, entry: Dict[str, Any]) -> Dict[str, Any]:
+        from repro.core.master import build_run_spec
+
         bundle = self._campaign
         if not bundle:
             raise CampaignError("worker is not registered")
-        return {
-            "campaign_dir": str(self.workdir),
-            "description_xml": bundle["description_xml"],
-            "custom_treatments": bundle.get("custom_treatments"),
-            "config": _config_from_wire(bundle.get("config")),
-            "realtime_factor": bundle.get("realtime_factor"),
-            "run_id": run_id,
-            "store": f"staging/{self.worker_id}/run_{run_id:06d}",
-            "shard": f"shards/{self.worker_id}.db",
-            "lease_root": f"leases/run_{run_id:06d}",
-            "control_faults": entry.get("control_faults") or [],
-        }
+        return build_run_spec(
+            self.workdir,
+            bundle["description_xml"],
+            run_id,
+            self.worker_id,
+            custom_treatments=bundle.get("custom_treatments"),
+            config=_config_from_wire(bundle.get("config")),
+            realtime_factor=bundle.get("realtime_factor"),
+            control_faults=entry.get("control_faults"),
+        )
 
     def _run_spec(self, spec: Dict[str, Any]) -> Dict[str, Any]:
         if self._execute is not None:

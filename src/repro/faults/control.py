@@ -100,7 +100,7 @@ def select_control_faults(
 ) -> List[Dict[str, Any]]:
     """Filter a chaos plan by campaign attempt and session.
 
-    The campaign engine calls this per dispatched ticket so that a
+    The campaign session calls this per dispatched ticket so that a
     retried run (``attempt`` beyond an entry's ``max_attempt``) or a
     resumed campaign (``session`` not in an entry's ``sessions``)
     executes fault-free — which is what lets the chaos integration test

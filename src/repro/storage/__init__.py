@@ -12,11 +12,10 @@
    measurements.
 4. **Level 4** — the multi-experiment repository.  The paper leaves
    this level unrealized ("To date, ExCovery does not realize this
-   level"); we implement it twice over: the single-file compatibility
-   tier in :mod:`repro.storage.level4`, and the sharded analytics
-   warehouse in :mod:`repro.repo` (catalogue + per-partition shards,
-   crash-safe write-behind ingestion, materialized read models —
-   DESIGN.md §13).  Both dedup by the same Table-I content digest.
+   level"); we implement it as the sharded analytics warehouse in
+   :mod:`repro.repo` (catalogue + per-partition shards, crash-safe
+   write-behind ingestion, materialized read models, dedup by Table-I
+   content digest — DESIGN.md §13).
 """
 
 from repro.storage.conditioning import (
@@ -26,11 +25,9 @@ from repro.storage.conditioning import (
 )
 from repro.storage.level2 import Level2Store, RunWriter
 from repro.storage.level3 import TABLE_SCHEMAS, ExperimentDatabase, store_level3
-from repro.storage.level4 import ExperimentRepository
 
 __all__ = [
     "ExperimentDatabase",
-    "ExperimentRepository",
     "Level2Store",
     "RunWriter",
     "TABLE_SCHEMAS",

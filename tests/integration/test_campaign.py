@@ -72,6 +72,8 @@ def test_kill_and_resume_converges(serial_reference, tmp_path):
     staged_before = set(journal.completed())
     assert 0 < len(staged_before) < len(journal.entries())
     assert not journal.finished()
+    # Seal was never reached, yet the aborted session left its snapshot.
+    assert (tmp_path / "campaign" / "metrics.json").exists()
 
     # Resuming without resume=True must refuse (a journal exists).
     with pytest.raises(RecoveryError, match="resume"):
@@ -171,3 +173,4 @@ def test_cli_campaign_subcommand(tmp_path, capsys):
     )
     assert rc == 0
     assert database_digest(tmp_path / "cli.db") == database_digest(tmp_path / "cli2.db")
+

@@ -12,10 +12,16 @@ channel and assert that
   attempt's failure in ``RunInfos.AbortReason`` — while the surviving
   measurement data digests equal to a fault-free reference,
 * a node failing repeatedly is quarantined instead of burning the whole
-  campaign's retry budget.
+  campaign's retry budget,
+* both of the above hold identically whether the campaign is dispatched
+  by the local pool or by the fleet coordinator — the policy is one
+  :class:`~repro.campaign.session.CampaignSession` either way.
 """
 
 import json
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -35,10 +41,14 @@ from repro.core.errors import (
 from repro.core.master import ExperiMaster
 from repro.core.recovery import Journal
 from repro.core.xmlio import description_to_xml
+from repro.fabric import FabricCoordinator, FabricWorker
 from repro.platforms.simulated import PlatformConfig, SimulatedPlatform
 from repro.sd.processlib import build_two_party_description
 from repro.storage.level2 import Level2Store
 from repro.storage.level3 import ExperimentDatabase, store_level3
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+from check_prom import check_prometheus_text  # noqa: E402
 
 SM_NODE = "t9-100"  # actor node hosting the SM role
 SU_NODE = "t9-101"
@@ -54,6 +64,38 @@ def _desc(seed=77, replications=3, **kwargs):
 def _fresh_master(store, **kwargs):
     desc = _desc()
     return ExperiMaster(SimulatedPlatform(desc), desc, store, **kwargs)
+
+
+def _run_local(desc, campaign_dir, db_path=None, workers=2, **kwargs):
+    return run_campaign(desc, campaign_dir, db_path=db_path, jobs=workers, pool="thread", **kwargs)
+
+
+def _run_fleet(desc, campaign_dir, db_path=None, workers=2, **kwargs):
+    """The same campaign, leased to loopback fleet workers."""
+    coordinator = FabricCoordinator(desc, campaign_dir, port=0, lease_ttl=10.0, **kwargs)
+    threads = []
+    try:
+        with coordinator:
+            for i in range(workers):
+                worker = FabricWorker(
+                    coordinator.address,
+                    f"w{i}",
+                    Path(campaign_dir).parent / f"fleet-w{i}",
+                    capacity=1,
+                    poll_interval=0.05,
+                )
+                threads.append(threading.Thread(target=worker.run_forever, daemon=True))
+                threads[-1].start()
+            return coordinator.run_until_complete(db_path=db_path, timeout=240.0)
+    finally:
+        # Settled is settled, failed runs or not: the workers were told
+        # "done" and leave on their own.
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+
+
+DISPATCHERS = {"local": _run_local, "fleet": _run_fleet}
 
 
 @pytest.fixture(scope="module")
@@ -138,13 +180,14 @@ def test_phase_deadline_watchdog_aborts_run(tmp_path):
 # ----------------------------------------------------------------------
 # Campaign: re-queue after a node crash, abort reasons, digest equality
 # ----------------------------------------------------------------------
-def test_campaign_requeues_crashed_run_and_digest_matches(fault_free_reference, tmp_path):
-    result = run_campaign(
+@pytest.mark.parametrize("dispatcher", sorted(DISPATCHERS))
+def test_campaign_requeues_crashed_run_and_digest_matches(
+    dispatcher, fault_free_reference, tmp_path, capsys
+):
+    result = DISPATCHERS[dispatcher](
         _desc(replications=4),
         tmp_path / "campaign",
         db_path=tmp_path / "chaos.db",
-        jobs=2,
-        pool="thread",
         max_attempts=2,
         control_faults=[
             {"node": SM_NODE, "action": "hang", "run_id": 2, "max_attempt": 1},
@@ -162,11 +205,19 @@ def test_campaign_requeues_crashed_run_and_digest_matches(fault_free_reference, 
         assert "RpcTimeout" in reasons[2] and SM_NODE in reasons[2]
 
     journal = CampaignJournal(tmp_path / "campaign")
-    assert set(journal.failure_reasons()) == {2}
+    assert {r: e["attempt"] for r, e in journal.failure_reasons().items()} == {2: 1}
+    assert journal.quarantined_nodes() == []
     # Masking the annotation, the surviving data is identical to the
     # fault-free campaign's.
     digest = database_digest(tmp_path / "chaos.db", ignore_columns=("AbortReason",))
     assert digest == fault_free_reference["campaign"]
+
+    # Sealing left the metrics snapshot `repro metrics` renders, with the
+    # failed attempt counted at the worker boundary.
+    assert cli_main(["metrics", str(tmp_path / "campaign"), "--format", "prometheus"]) == 0
+    text = capsys.readouterr().out
+    assert check_prometheus_text(text) == []
+    assert "repro_campaign_worker_errors_total" in text
 
 
 def test_campaign_in_run_retry_recovers_dropped_reply(tmp_path):
@@ -187,24 +238,27 @@ def test_campaign_in_run_retry_recovers_dropped_reply(tmp_path):
     assert result.telemetry["rpc_timeouts"] >= 1
 
 
-def test_campaign_quarantines_repeatedly_failing_node(tmp_path):
-    with pytest.raises(CampaignError, match="failed"):
-        run_campaign(
+@pytest.mark.parametrize("dispatcher", sorted(DISPATCHERS))
+def test_campaign_quarantines_repeatedly_failing_node(dispatcher, tmp_path):
+    with pytest.raises(CampaignError, match=r"3 run\(s\) failed after 3 attempt\(s\): 0, 1, 2"):
+        DISPATCHERS[dispatcher](
             _desc(replications=3),
             tmp_path / "campaign",
-            jobs=1,
-            pool="thread",
+            workers=1,
             max_attempts=3,
             quarantine_after=2,
             control_faults=[{"node": SM_NODE, "action": "hang"}],
         )
     journal = CampaignJournal(tmp_path / "campaign")
     assert journal.quarantined_nodes() == [SM_NODE]
-    # Once quarantined, later runs fail terminally on their first attempt
-    # instead of exhausting the retry budget: strictly fewer run_failed
-    # entries than 3 runs x 3 attempts.
+    # Run 0 burns its whole budget quarantining the node; once quarantined,
+    # later runs fail terminally on their first attempt: 5 run_failed
+    # entries instead of 3 runs x 3 attempts.
+    reasons = journal.failure_reasons()
+    assert {r: e["attempt"] for r, e in reasons.items()} == {0: 3, 1: 1, 2: 1}
+    assert all("RpcTimeout" in e["error"] and SM_NODE in e["error"] for e in reasons.values())
     failed_entries = [e for e in journal.entries() if e["type"] == "run_failed"]
-    assert len(failed_entries) < 9
+    assert len(failed_entries) == 5
 
 
 def test_campaign_crash_plus_session_faults_resume_to_reference(fault_free_reference, tmp_path):

@@ -138,7 +138,7 @@ def test_kill_worker_and_coordinator_restart_converges(local_reference, tmp_path
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
             with coordinator._lock:
-                settled = len(coordinator.scheduler.done)
+                settled = len(coordinator.session.scheduler.done)
             if settled >= 1 and bad_worker._dead.is_set():
                 break
             time.sleep(0.05)
@@ -240,3 +240,52 @@ def test_quarantine_rpc_re_leases_in_flight_batch_exactly_once(tmp_path):
     # The re-executed batch committed through the healthy worker only.
     completed = journal.completed()
     assert {completed[r]["worker"] for r in (0, 1)} == {"w-ok"}
+
+
+@pytest.mark.parametrize("max_parallel, expected_peak", [(1, 1), (0, 2)])
+def test_fleet_honours_the_descriptions_max_parallel(max_parallel, expected_peak, tmp_path):
+    """A description-declared concurrency bound (Sec. IV-E) holds for the
+    fleet as it does for a local pool: two idle one-run workers, yet never
+    more than ``max_parallel`` runs in flight; undeclared, both work."""
+    from repro.core.master import execute_spec_run
+
+    lock = threading.Lock()
+    live = peak = 0
+
+    def counting_execute(spec):
+        nonlocal live, peak
+        with lock:
+            live += 1
+            peak = max(peak, live)
+        try:
+            time.sleep(0.3)  # hold the slot across several lease polls
+            return execute_spec_run(spec)
+        finally:
+            with lock:
+                live -= 1
+
+    desc = build_two_party_description(
+        name="fleet-cap",
+        seed=31,
+        replications=4,
+        env_count=1,
+        special_params={"max_parallel": max_parallel},
+    )
+    coordinator = FabricCoordinator(desc, tmp_path / "campaign", port=0, lease_ttl=10.0)
+    with coordinator:
+        workers = [
+            _spawn_worker(
+                coordinator.address,
+                tmp_path / f"w{i}",
+                f"w{i}",
+                execute=counting_execute,
+                capacity=1,
+            )
+            for i in range(2)
+        ]
+        result = coordinator.run_until_complete(timeout=240.0)
+        for _, thread in workers:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+    assert result.executed_runs == [0, 1, 2, 3]
+    assert peak == expected_peak

@@ -116,7 +116,7 @@ def _wait_for_settled(coordinator, minimum, budget=120.0):
     deadline = time.monotonic() + budget
     while time.monotonic() < deadline:
         with coordinator._lock:
-            settled = len(coordinator.scheduler.done)
+            settled = len(coordinator.session.scheduler.done)
         if settled >= minimum:
             return settled
         time.sleep(0.05)

@@ -1,15 +1,12 @@
 """Unit tests for the lease dispatcher: grants, dedup, reclaim, restore."""
 
-import pytest
-
-from repro.campaign.journal import CampaignJournal
 from repro.campaign.scheduler import CampaignScheduler
-from repro.core.factors import Factor, FactorList, Level, ReplicationFactor, Usage
+from repro.campaign.session import CampaignSession
 from repro.core.heartbeat import ALIVE, DEAD, HeartbeatConfig, QUARANTINED
-from repro.core.plan import generate_plan
 from repro.fabric.dispatch import LeaseDispatcher
 from repro.fabric.leases import LeaseStore
 from repro.fabric.registry import WorkerRegistry
+from repro.sd.processlib import build_two_party_description
 
 
 class FakeClock:
@@ -23,29 +20,44 @@ class FakeClock:
         self.now += seconds
 
 
-def _plan(replications=6):
-    factors = FactorList(
-        [Factor(id="f", type="int", usage=Usage.CONSTANT, levels=[Level(1)])],
-        ReplicationFactor(id="rep", count=replications),
+def _session(tmp_path, replications=6, max_attempts=2, resume=False, staged=(), max_parallel=0):
+    """An opened session; *staged* runs count as a previous session's
+    journaled commits (what a resume learns from the journal)."""
+    desc = build_two_party_description(
+        name="dispatch",
+        seed=42,
+        replications=replications,
+        env_count=1,
+        special_params={"max_parallel": max_parallel},
     )
-    return generate_plan(factors, 42)
+    session = CampaignSession(desc, tmp_path, max_attempts=max_attempts, resume=resume).open()
+    if staged:
+        session.scheduler = CampaignScheduler(
+            session.plan, completed=staged, max_attempts=max_attempts
+        )
+    return session
 
 
-def _dispatcher(tmp_path, clock, replications=6, ttl=30.0, max_attempts=2):
-    plan = _plan(replications)
-    journal = CampaignJournal(tmp_path)
-    journal.record_start("fp", 42, len(plan), plan.fingerprint())
-    scheduler = CampaignScheduler(plan, jobs=1, max_parallel=0, max_attempts=max_attempts)
+def _dispatcher(tmp_path, clock, replications=6, ttl=30.0, max_attempts=2, session=None):
     heartbeat = HeartbeatConfig(interval=1.0, suspect_after=2, dead_after=4, quarantine_after=2)
-    dispatcher = LeaseDispatcher(
-        scheduler,
+    return LeaseDispatcher(
+        session or _session(tmp_path, replications, max_attempts),
         LeaseStore(tmp_path, ttl=ttl, clock=clock),
         WorkerRegistry(heartbeat, clock=clock),
-        journal,
         batch_size=2,
         clock=clock,
     )
-    return dispatcher
+
+
+def _commit(dispatcher, run_id, log=None):
+    """The coordinator's commit callback, minus scope and shard ingest."""
+
+    def commit():
+        if log is not None:
+            log.append(run_id)
+        dispatcher.session.settle_ok(run_id, "w", None, "shards/w.db")
+
+    return commit
 
 
 def test_grant_auto_registers_and_respects_batch_size(tmp_path):
@@ -56,6 +68,19 @@ def test_grant_auto_registers_and_respects_batch_size(tmp_path):
     assert [t.run_id for t in batch] == [0, 1]  # capped at batch_size
     assert lease.run_ids == (0, 1)
     assert dispatcher.journal.registered_workers() == ["w1"]
+
+
+def test_grant_trims_the_batch_to_the_descriptions_max_parallel(tmp_path):
+    clock = FakeClock()
+    dispatcher = _dispatcher(tmp_path, clock, session=_session(tmp_path, max_parallel=3))
+    lease, batch = dispatcher.grant("w1", 2)
+    assert [t.run_id for t in batch] == [0, 1]
+    _, batch = dispatcher.grant("w2", 2)
+    assert [t.run_id for t in batch] == [2]  # one slot left of three
+    assert dispatcher.grant("w3", 2) == (None, [])
+    dispatcher.ack_completed("w1", lease.lease_id, 0, _commit(dispatcher, 0))
+    _, batch = dispatcher.grant("w3", 2)
+    assert [t.run_id for t in batch] == [3]  # the settled run's slot, no more
 
 
 def test_draining_and_dead_workers_get_nothing(tmp_path):
@@ -78,11 +103,11 @@ def test_duplicate_ack_never_commits_twice(tmp_path):
     lease, _ = dispatcher.grant("w1", 1)
     commits = []
     assert (
-        dispatcher.ack_completed("w1", lease.lease_id, 0, lambda: commits.append(0))
+        dispatcher.ack_completed("w1", lease.lease_id, 0, _commit(dispatcher, 0, commits))
         == "committed"
     )
     assert (
-        dispatcher.ack_completed("w1", lease.lease_id, 0, lambda: commits.append(0))
+        dispatcher.ack_completed("w1", lease.lease_id, 0, _commit(dispatcher, 0, commits))
         == "duplicate"
     )
     assert commits == [0]
@@ -93,7 +118,7 @@ def test_expired_lease_requeues_pending_runs_exactly_once(tmp_path):
     clock = FakeClock()
     dispatcher = _dispatcher(tmp_path, clock, ttl=10.0)
     lease, _ = dispatcher.grant("w1", 2)
-    dispatcher.ack_completed("w1", lease.lease_id, 0, lambda: None)
+    dispatcher.ack_completed("w1", lease.lease_id, 0, _commit(dispatcher, 0))
     clock.advance(11.0)
     swept = dispatcher.sweep()
     assert swept["expired"] == [lease.lease_id]
@@ -112,14 +137,16 @@ def test_late_ack_of_expired_lease_wins_over_release(tmp_path):
     clock.advance(11.0)
     dispatcher.sweep()  # run 0 released back to the queue
     committed = []
-    status = dispatcher.ack_completed("w1", lease.lease_id, 0, lambda: committed.append(0))
+    status = dispatcher.ack_completed("w1", lease.lease_id, 0, _commit(dispatcher, 0, committed))
     assert status == "committed"  # first ack wins, even after expiry
     assert committed == [0]
     # The stale queue entry must never dispatch again.
     lease2, batch2 = dispatcher.grant("w2", 2)
     assert 0 not in [t.run_id for t in batch2]
     for ticket in batch2:
-        dispatcher.ack_completed("w2", lease2.lease_id, ticket.run_id, lambda: None)
+        dispatcher.ack_completed(
+            "w2", lease2.lease_id, ticket.run_id, _commit(dispatcher, ticket.run_id)
+        )
 
 
 def test_late_failure_after_release_charges_nothing(tmp_path):
@@ -184,17 +211,14 @@ def test_restore_reclaims_pending_runs_and_grace_renews(tmp_path):
     clock = FakeClock()
     dispatcher = _dispatcher(tmp_path, clock, ttl=10.0)
     lease, _ = dispatcher.grant("w1", 2)
-    dispatcher.ack_completed("w1", lease.lease_id, 0, lambda: None)
+    dispatcher.ack_completed("w1", lease.lease_id, 0, _commit(dispatcher, 0))
 
-    # Coordinator restart: fresh scheduler (run 0 staged), fresh dispatcher.
+    # Coordinator restart: fresh session (run 0 staged), fresh dispatcher.
     clock.advance(9.0)
-    plan = _plan(6)
-    scheduler = CampaignScheduler(plan, completed=[0], jobs=1, max_parallel=0)
     restored = LeaseDispatcher(
-        scheduler,
+        _session(tmp_path, resume=True, staged=[0]),
         LeaseStore(tmp_path, ttl=10.0, clock=clock),
         WorkerRegistry(HeartbeatConfig(), clock=clock),
-        dispatcher.journal,
         batch_size=2,
         clock=clock,
     )
@@ -205,7 +229,7 @@ def test_restore_reclaims_pending_runs_and_grace_renews(tmp_path):
     # ... the grace renewal pushed the expiry a fresh TTL out ...
     assert restored.sweep()["expired"] == []
     # ... and the original worker's ack still lands as the first ack.
-    assert restored.ack_completed("w1", lease.lease_id, 1, lambda: None) == "committed"
+    assert restored.ack_completed("w1", lease.lease_id, 1, _commit(restored, 1)) == "committed"
 
 
 def test_replayed_ack_of_staged_run_deduplicates(tmp_path):
@@ -214,30 +238,19 @@ def test_replayed_ack_of_staged_run_deduplicates(tmp_path):
     the crash: the new session must answer ``duplicate`` — not commit
     again, and not corrupt the scheduler's pending accounting."""
     clock = FakeClock()
-    plan = _plan(4)
-    journal = CampaignJournal(tmp_path)
-    journal.record_start("fp", 42, len(plan), plan.fingerprint())
+    _session(tmp_path, replications=4)
     # Session 1 granted L000001 for runs (0, 1) and committed run 0.
     old = LeaseStore(tmp_path, ttl=30.0, clock=clock)
     old_lease = old.grant("w1", [0, 1])
     # Session 2: run 0 arrives staged (journal replay), not via `done`.
-    scheduler = CampaignScheduler(plan, completed=[0], jobs=1, max_parallel=0)
-    heartbeat = HeartbeatConfig(
-        interval=1.0, suspect_after=2, dead_after=4, quarantine_after=2,
-    )
-    dispatcher = LeaseDispatcher(
-        scheduler,
-        LeaseStore(tmp_path, ttl=30.0, clock=clock),
-        WorkerRegistry(heartbeat, clock=clock),
-        journal,
-        batch_size=2,
-        clock=clock,
-    )
+    session = _session(tmp_path, replications=4, resume=True, staged=[0])
+    scheduler = session.scheduler
+    dispatcher = _dispatcher(tmp_path, clock, session=session)
     dispatcher.restore()
     pending_before = scheduler.pending
     commits = []
     status = dispatcher.ack_completed(
-        "w1", old_lease.lease_id, 0, lambda: commits.append(0),
+        "w1", old_lease.lease_id, 0, _commit(dispatcher, 0, commits),
     )
     assert status == "duplicate"
     assert commits == []
@@ -246,7 +259,7 @@ def test_replayed_ack_of_staged_run_deduplicates(tmp_path):
     # Run 1 is still honorably in flight under the restored lease.
     assert 1 in scheduler.in_flight
     assert (
-        dispatcher.ack_completed("w1", old_lease.lease_id, 1, lambda: commits.append(1))
+        dispatcher.ack_completed("w1", old_lease.lease_id, 1, _commit(dispatcher, 1, commits))
         == "committed"
     )
     assert commits == [1]

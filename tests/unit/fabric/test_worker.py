@@ -4,6 +4,9 @@ stopped coordinator."""
 import json
 import time
 
+import pytest
+
+from repro.core.errors import CampaignError
 from repro.core.rpc import RpcServer
 from repro.fabric import FabricCoordinator, FleetChannel
 from repro.fabric.wire import FleetServer
@@ -76,9 +79,32 @@ def test_coordinator_stopped_mid_campaign_refuses_old_connections(tmp_path):
     with FleetChannel(coordinator.address, reconnect_budget=0.5) as channel:
         channel.call("register", "w0", 1)
         with coordinator._lock:
-            for run in coordinator.plan:
-                coordinator.scheduler.mark_done(run.run_id)
-        assert coordinator.scheduler.finished
+            for run in coordinator.session.plan:
+                coordinator.session.scheduler.mark_done(run.run_id)
+        assert coordinator.session.scheduler.finished
         coordinator.stop()
         assert coordinator.deposed is None
         assert json.loads(channel.call("lease", "w0", 1, 1))["done"] is True
+
+
+def test_finalize_releases_leadership_once_complete_even_if_the_merge_fails(tmp_path):
+    """``campaign_complete`` is what ends the need for a leader: a merge
+    that raises afterwards must not leave standbys waiting out the TTL,
+    while a seal refused for failed runs keeps the lease."""
+    desc = build_two_party_description(name="seal", seed=1, replications=1, env_count=1)
+    coordinator = FabricCoordinator(desc, tmp_path / "merge", port=0)
+    with coordinator:
+        # Settled in the scheduler but never journaled: the merge finds
+        # no completed run to read.
+        coordinator.session.scheduler.mark_done(0)
+        with pytest.raises(CampaignError, match="no completed runs"):
+            coordinator.finalize(db_path=tmp_path / "out.db")
+        assert coordinator.election.current().released == "complete"
+
+    coordinator = FabricCoordinator(desc, tmp_path / "failed", port=0, max_attempts=1)
+    with coordinator:
+        ticket = coordinator.session.scheduler.next_ticket()
+        coordinator.session.settle_failed(ticket.run_id, "w0", "boom", ticket.attempts)
+        with pytest.raises(CampaignError, match=r"run\(s\) failed after"):
+            coordinator.finalize()
+        assert coordinator.election.current().released is None

@@ -1,4 +1,4 @@
-"""CLI surface of the L4 warehouse (`repro repo`) and the legacy alias."""
+"""CLI surface of the L4 warehouse (`repro repo`)."""
 
 import sqlite3
 
@@ -87,20 +87,3 @@ def test_repo_regression_check_pass_and_drift(make_level3, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[DRIFT]" in captured.out
     assert "FAILED" in captured.err
-
-
-def test_import_alias_is_deprecated_but_compatible(
-    make_level3, tmp_path, capsys
-):
-    repo = tmp_path / "legacy.db"
-    db = make_level3("alpha")
-    assert main(["import", str(repo), str(db)]) == 0
-    captured = capsys.readouterr()
-    assert "repository now holds 1 experiment(s)" in captured.out
-    assert "deprecated" in captured.err
-    # The alias inherits import_experiment's dedup: importing the same
-    # package twice resolves to the same experiment.
-    assert main(["import", str(repo), str(db)]) == 0
-    out = capsys.readouterr().out
-    assert "imported" in out and "as experiment #1" in out
-    assert "repository now holds 1 experiment(s)" in out

@@ -1,4 +1,4 @@
-"""Unit tests for the level-3 database (Table I) and the level-4 repository."""
+"""Unit tests for the level-3 database (Table I) and its digest stamp."""
 
 
 import pytest
@@ -13,7 +13,6 @@ from repro.storage.level3 import (
     read_stamped_digest,
     store_level3,
 )
-from repro.storage.level4 import ExperimentRepository
 
 DESC_XML = """<experiment name="t3" seed="1" comment="c">
   <platform>
@@ -195,137 +194,6 @@ def test_store_level3_streams_runs_lazily(filled_store, tmp_path, monkeypatch):
 def test_open_missing_database(tmp_path):
     with pytest.raises(StorageError):
         ExperimentDatabase(tmp_path / "missing.db")
-
-
-# ----------------------------------------------------------------------
-# Level 4
-# ----------------------------------------------------------------------
-def test_repository_import_and_catalogue(filled_store, tmp_path):
-    db_path = store_level3(filled_store, tmp_path / "x.db")
-    with ExperimentRepository(tmp_path / "repo.db") as repo:
-        exp_id = repo.import_experiment(db_path)
-        assert exp_id == 1
-        exps = repo.experiments()
-        assert exps[0]["Name"] == "t3"
-        assert repo.experiment_id_by_name("t3") == 1
-
-
-def test_repository_events_scoped_by_experiment(filled_store, tmp_path):
-    db_path = store_level3(filled_store, tmp_path / "x.db")
-    with ExperimentRepository(tmp_path / "repo.db") as repo:
-        e1 = repo.import_experiment(db_path)
-        e2 = repo.import_experiment(db_path, force=True)  # forced second copy
-        assert repo.run_ids(e1) == [0]
-        assert len(repo.events(e1)) == 1
-        assert len(repo.events(e2)) == 1
-        assert repo.events(e1, event_type="ev")[0]["params"] == ["p"]
-        assert repo.events(e1, event_type="nope") == []
-
-
-def test_repository_cross_experiment_comparison(filled_store, tmp_path):
-    db_path = store_level3(filled_store, tmp_path / "x.db")
-    with ExperimentRepository(tmp_path / "repo.db") as repo:
-        repo.import_experiment(db_path)
-        counts = repo.compare_event_counts("ev")
-        assert counts == {"t3": 1}
-
-
-def test_repository_dimensional_views(filled_store, tmp_path):
-    db_path = store_level3(filled_store, tmp_path / "x.db")
-    with ExperimentRepository(tmp_path / "repo.db") as repo:
-        repo.import_experiment(db_path)
-        repo.create_dimensional_views()
-        dims = [r[0] for r in repo.conn.execute(
-            "SELECT name FROM sqlite_master WHERE type='view' ORDER BY name"
-        )]
-        assert dims == [
-            "DimEventType", "DimExperiment", "DimNode", "DimRun", "FactEvents"
-        ]
-        facts = repo.conn.execute("SELECT COUNT(*) FROM FactEvents").fetchone()[0]
-        assert facts == 1
-        # Views track later imports without re-creation.
-        repo.import_experiment(db_path, force=True)
-        facts = repo.conn.execute("SELECT COUNT(*) FROM FactEvents").fetchone()[0]
-        assert facts == 2
-
-
-def test_repository_fact_aggregation(filled_store, tmp_path):
-    db_path = store_level3(filled_store, tmp_path / "x.db")
-    with ExperimentRepository(tmp_path / "repo.db") as repo:
-        repo.import_experiment(db_path)
-        by_type = repo.fact_event_counts("EventType")
-        assert by_type == [{"key": "ev", "events": 1}]
-        by_exp = repo.fact_event_counts("ExpID")
-        assert by_exp[0]["events"] == 1
-        with pytest.raises(StorageError):
-            repo.fact_event_counts("Robert'); DROP TABLE Events;--")
-
-
-def test_repository_unknown_name(tmp_path):
-    with ExperimentRepository(tmp_path / "repo.db") as repo:
-        with pytest.raises(StorageError):
-            repo.experiment_id_by_name("ghost")
-
-
-def test_repository_persists_across_reopen(filled_store, tmp_path):
-    db_path = store_level3(filled_store, tmp_path / "x.db")
-    repo = ExperimentRepository(tmp_path / "repo.db")
-    repo.import_experiment(db_path)
-    repo.close()
-    with ExperimentRepository(tmp_path / "repo.db") as again:
-        assert len(again.experiments()) == 1
-
-
-def test_repository_import_dedups_by_content_digest(filled_store, tmp_path):
-    db_path = store_level3(filled_store, tmp_path / "x.db")
-    with ExperimentRepository(tmp_path / "repo.db") as repo:
-        first = repo.import_experiment(db_path)
-        # Same Table-I content: the import is an idempotent no-op.
-        assert repo.import_experiment(db_path) == first
-        assert len(repo.experiments()) == 1
-        assert repo.experiments()[0]["ContentDigest"]
-        # An explicit force creates the historic duplicate.
-        forced = repo.import_experiment(db_path, force=True)
-        assert forced != first
-        assert len(repo.experiments()) == 2
-
-
-def test_repository_import_streams_in_batches(filled_store, tmp_path,
-                                              monkeypatch):
-    db_path = store_level3(filled_store, tmp_path / "x.db")
-    monkeypatch.setattr(ExperimentRepository, "IMPORT_BATCH_ROWS", 1)
-    with ExperimentRepository(tmp_path / "repo.db") as repo:
-        exp_id = repo.import_experiment(db_path)
-        with ExperimentDatabase(db_path) as src:
-            assert len(repo.events(exp_id)) == src.row_counts()["Events"]
-            assert repo.run_ids(exp_id) == src.run_ids()
-
-
-def test_repository_digest_column_added_to_existing_repo(filled_store,
-                                                         tmp_path):
-    import sqlite3
-
-    repo_path = tmp_path / "old-repo.db"
-    with sqlite3.connect(repo_path) as conn:
-        conn.executescript(
-            """
-            CREATE TABLE Experiments (
-                ExpID INTEGER PRIMARY KEY AUTOINCREMENT,
-                Name TEXT NOT NULL,
-                Comment TEXT NOT NULL DEFAULT '',
-                EEVersion TEXT NOT NULL DEFAULT '',
-                ExpXML TEXT NOT NULL DEFAULT '',
-                SourcePath TEXT NOT NULL DEFAULT ''
-            );
-            INSERT INTO Experiments (Name) VALUES ('legacy');
-            """
-        )
-        conn.commit()
-    db_path = store_level3(filled_store, tmp_path / "x.db")
-    with ExperimentRepository(repo_path) as repo:
-        repo.import_experiment(db_path)
-        names = [e["Name"] for e in repo.experiments()]
-        assert "legacy" in names and "t3" in names
 
 
 # ----------------------------------------------------------------------

@@ -84,16 +84,17 @@ def test_run_inspect_timeline_condition_import(desc_xml, tmp_path, capsys):
     assert main(["timeline", str(db), "--run", "99"]) == 1
 
     # Condition the same level-2 store into a second database: identical
-    # content, so importing both dedups onto one catalogued experiment.
+    # content, so importing both into the level-4 warehouse dedups onto
+    # one catalogued experiment.
     db2 = tmp_path / "exp2.db"
     assert main(["condition", str(store), str(db2)]) == 0
     assert db2.exists()
 
-    repo = tmp_path / "repo.db"
-    assert main(["import", str(repo), str(db), str(db2)]) == 0
+    warehouse = tmp_path / "wh"
+    assert main(["repo", "ingest", str(warehouse), str(db), str(db2)]) == 0
     out = capsys.readouterr().out
-    assert out.count("as experiment #1") == 2
-    assert "repository now holds 1 experiment(s)" in out
+    assert out.count("ingested ") == 1 and "duplicate of experiment" in out
+    assert "warehouse holds 1 experiment(s)" in out
 
 
 def test_run_resume_flow(desc_xml, tmp_path, capsys):
