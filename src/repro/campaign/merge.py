@@ -22,37 +22,37 @@ same order :func:`repro.storage.level3.store_level3` produces.
 
 from __future__ import annotations
 
-import hashlib
 import sqlite3
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.core.errors import StorageError
+from repro.obs.metrics import count_suppressed_error
 from repro.storage.conditioning import (
     ConditionedExperiment,
     condition_run,
     condition_scope,
+    decode_scope,
 )
 from repro.storage.level2 import Level2Store
 from repro.storage.level3 import (
     EXTENSION_RUN_TABLES,
-    EXTENSION_TABLES,
     RUN_TABLES,
-    TABLE_SCHEMAS,
+    RunShard,
     _addr_to_node_map,
     create_schema,
+    database_digest,
     fsync_database,
     insert_experiment_scope,
     insert_fault_leases,
+    insert_rows,
     insert_run,
     insert_run_traces,
     insert_salvage_info,
     open_fast_connection,
+    read_run_rows,
     stamp_table1_digest,
 )
-
-#: Column lookup across Table I and the integrity side tables.
-_ALL_SCHEMAS: Dict[str, list] = {**TABLE_SCHEMAS, **EXTENSION_TABLES}
 
 __all__ = [
     "ShardWriter",
@@ -84,40 +84,15 @@ def load_scope_payload(path) -> ConditionedExperiment:
             f"experiment scope payload missing: {path}; the fleet campaign "
             "never shipped its scope run",
         )
-    import json as _json
-
-    data = _json.loads(path.read_text(encoding="utf-8"))
-    return ConditionedExperiment(
-        description_xml=data["description_xml"],
-        runs=[],
-        node_logs=data["node_logs"],
-        experiment_measurements=data["experiment_measurements"],
-        eefiles=data["eefiles"],
-        plan=data["plan"],
-    )
+    return decode_scope(path.read_text(encoding="utf-8"))
 
 
-class ShardWriter:
+class ShardWriter(RunShard):
     """One worker's append-only level-3 shard.
 
-    ``stage_run`` is idempotent: it deletes any rows a previous (crashed
-    or retried) attempt left for the run before inserting, all inside one
-    transaction — a shard therefore never holds duplicate or partial run
-    data, no matter how the attempt ended.
+    ``stage_run`` is idempotent: it replaces whatever a previous (crashed
+    or retried) attempt left for the run (:meth:`RunShard.replacing_run`).
     """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists()
-        # fresh=False tuning: per-write syncs off, but the rollback
-        # journal stays on — stage_run's transaction is this shard's
-        # crash-recovery commit point and must remain atomic.
-        self.conn = open_fast_connection(self.path, fresh=False)
-        self.conn.isolation_level = ""  # back to implicit transactions
-        if fresh:
-            create_schema(self.conn)
-            self.conn.commit()
 
     def stage_run(self, store: Level2Store, run_id: int) -> None:
         """Condition *run_id* from its staging store and commit it here.
@@ -136,30 +111,11 @@ class ShardWriter:
         # store; only run-attributed traces travel through the merge.
         by_node = store.read_run_stream(run_id, "traces.jsonl")
         traces = [rec for node_id in sorted(by_node) for rec in by_node[node_id]]
-        with self.conn:  # one transaction: the campaign's commit point
-            for table in RUN_TABLES + EXTENSION_RUN_TABLES:
-                self.conn.execute(f"DELETE FROM {table} WHERE RunID = ?", (run_id,))
-            insert_run(self.conn, run, src_map)
-            insert_fault_leases(self.conn, leases)
-            insert_salvage_info(self.conn, salvaged)
-            insert_run_traces(self.conn, traces)
-
-    def run_ids(self) -> list:
-        return [
-            r[0]
-            for r in self.conn.execute(
-                "SELECT DISTINCT RunID FROM RunInfos ORDER BY RunID",
-            )
-        ]
-
-    def close(self) -> None:
-        self.conn.close()
-
-    def __enter__(self) -> "ShardWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        with self.replacing_run(run_id) as conn:  # the campaign's commit point
+            insert_run(conn, run, src_map)
+            insert_fault_leases(conn, leases)
+            insert_salvage_info(conn, salvaged)
+            insert_run_traces(conn, traces)
 
 
 def merge_shards(
@@ -214,21 +170,7 @@ def merge_shards(
                 if not shard_path.exists():
                     raise StorageError(f"shard database missing: {shard_path}")
                 conn = shards[shard_path] = sqlite3.connect(str(shard_path))
-            copied = 0
-            for table in RUN_TABLES:
-                columns = ", ".join(TABLE_SCHEMAS[table])
-                rows = conn.execute(
-                    f"SELECT {columns} FROM {table} WHERE RunID = ? ORDER BY rowid",
-                    (run_id,),
-                ).fetchall()
-                if rows:
-                    placeholders = ", ".join("?" for _ in TABLE_SCHEMAS[table])
-                    out.executemany(
-                        f"INSERT INTO {table} ({columns}) VALUES ({placeholders})",
-                        rows,
-                    )
-                    copied += len(rows)
-            if copied == 0:
+            if not insert_rows(out, read_run_rows(conn, run_id, RUN_TABLES)):
                 raise StorageError(
                     f"run {run_id} has no rows in shard {shard_path}; "
                     "journal and shard diverged",
@@ -236,18 +178,7 @@ def merge_shards(
             # Integrity side tables: copied per run like the run tables,
             # but excluded from the divergence check above — a run with
             # neither leaked leases nor salvage loss legitimately has none.
-            for table in EXTENSION_RUN_TABLES:
-                columns = ", ".join(EXTENSION_TABLES[table])
-                rows = conn.execute(
-                    f"SELECT {columns} FROM {table} WHERE RunID = ? ORDER BY rowid",
-                    (run_id,),
-                ).fetchall()
-                if rows:
-                    placeholders = ", ".join("?" for _ in EXTENSION_TABLES[table])
-                    out.executemany(
-                        f"INSERT INTO {table} ({columns}) VALUES ({placeholders})",
-                        rows,
-                    )
+            insert_rows(out, read_run_rows(conn, run_id, EXTENSION_RUN_TABLES))
         out.execute("COMMIT")
     finally:
         for conn in shards.values():
@@ -264,7 +195,9 @@ def shard_has_run(shard_path, run_id: int) -> bool:
     The fleet resume check: a coordinator-side shard is the only copy of a
     shipped run, so a journal ``run_complete`` entry with ``store: null``
     is only trusted when the shard transaction it points at really
-    committed.  Returns False for missing or unreadable shards.
+    committed.  Returns False for missing or unreadable shards — the
+    run is then re-queued — counting an unreadable one in
+    ``repro_suppressed_errors_total{site="shard_probe"}``.
     """
     shard_path = Path(shard_path)
     if not shard_path.exists():
@@ -279,6 +212,7 @@ def shard_has_run(shard_path, run_id: int) -> bool:
         finally:
             conn.close()
     except sqlite3.Error:
+        count_suppressed_error("shard_probe")
         return False
     return row is not None
 
@@ -313,53 +247,3 @@ def apply_abort_reasons(db_path, reasons: Mapping[int, str]) -> int:
         stamp_table1_digest(db_path)
     fsync_database(db_path)
     return updated
-
-
-def database_digest(
-    db_path,
-    ignore_columns: Iterable[str] = (),
-    tables: Optional[Iterable[str]] = None,
-) -> str:
-    """Content hash of a level-3 database for equivalence checks.
-
-    Hashes every table's rows *in stored order* (row order is part of the
-    merge's determinism contract).  ``ignore_columns`` masks columns that
-    are legitimately execution-specific — e.g. wall-clock timestamps an
-    analysis pipeline may add — before hashing.
-
-    The default table set is Table I only (:data:`TABLE_SCHEMAS`): the
-    integrity side tables record *what went wrong and was repaired*, which
-    is execution-specific by nature, so they must not perturb equivalence
-    checks between a recovered execution and a clean one.  Pass ``tables``
-    explicitly (e.g. ``("FaultLeases",)``) to digest them too.
-
-    Rows are serialized inside SQLite (``quote()`` per column, one string
-    per row) and hashed in large chunks, so the digest runs at C speed
-    and releases the GIL while hashing — hot on every import/ingest
-    dedup path.  Only digest *equality* is contractual; the literal hex
-    value may change between framework versions.
-    """
-    ignored = set(ignore_columns)
-    digest = hashlib.sha256()
-    conn = sqlite3.connect(str(db_path))
-    try:
-        for table in (tables if tables is not None else TABLE_SCHEMAS):
-            keep = [c for c in _ALL_SCHEMAS[table] if c not in ignored]
-            digest.update(f"--{table}({','.join(keep)})--".encode())
-            if not keep:
-                continue
-            row_expr = " || '|' || ".join(f"quote({c})" for c in keep)
-            # Concatenate rows into ~4096-row chunks inside SQLite:
-            # Python touches one string per chunk, memory stays bounded.
-            cursor = conn.execute(
-                f"SELECT group_concat(s, char(10)) FROM "
-                f"(SELECT {row_expr} AS s, rowid AS rid FROM {table}) "
-                f"GROUP BY rid / 4096 ORDER BY rid / 4096",
-            )
-            for (chunk,) in cursor:
-                if chunk is not None:
-                    digest.update(chunk.encode())
-                    digest.update(b"\n")
-    finally:
-        conn.close()
-    return digest.hexdigest()

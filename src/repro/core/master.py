@@ -42,7 +42,7 @@ from repro.core.validation import validate_description
 from repro.core.plugins import PluginManager
 from repro.faults.manipulations import EnvContext, EnvironmentController
 from repro.obs.trace import Tracer
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import count_suppressed_error, get_registry
 from repro.storage.level2 import Level2Store, encode_block
 
 __all__ = ["ExperiMaster", "ExperimentResult", "MASTER_NODE_ID", "execute_spec_run"]
@@ -281,11 +281,7 @@ class ExperiMaster:
             self.tracer.record_error(
                 "journal_write", journal_exc, site="run_aborted", run_id=run_id
             )
-            get_registry().counter(
-                "repro_suppressed_errors_total",
-                "Exceptions swallowed at continue-anyway boundaries",
-                labels=("site",),
-            ).inc(site="journal_run_aborted")
+            count_suppressed_error("journal_run_aborted")
 
     # ------------------------------------------------------------------
     # Main experiment process
@@ -484,11 +480,7 @@ class ExperiMaster:
             self.tracer.record_error(
                 "journal_write", exc, site="fault_leases_reconciled"
             )
-            get_registry().counter(
-                "repro_suppressed_errors_total",
-                "Exceptions swallowed at continue-anyway boundaries",
-                labels=("site",),
-            ).inc(site="journal_leases_reconciled")
+            count_suppressed_error("journal_leases_reconciled")
 
     def _topology_measurement(self, node_ids: List[str]) -> Dict[str, Any]:
         topology = self.platform.topology

@@ -26,19 +26,11 @@ from __future__ import annotations
 import base64
 import json
 import sqlite3
-from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.core.errors import StorageError
-from repro.storage.conditioning import ConditionedExperiment
-from repro.storage.level3 import (
-    EXTENSION_RUN_TABLES,
-    EXTENSION_TABLES,
-    RUN_TABLES,
-    TABLE_SCHEMAS,
-    create_schema,
-    open_fast_connection,
-)
+from repro.storage.conditioning import decode_scope, encode_scope
+from repro.storage.level3 import ALL_RUN_TABLES, RunShard, insert_rows, read_run_rows
 
 __all__ = [
     "encode_payload",
@@ -49,15 +41,11 @@ __all__ = [
     "CoordinatorShard",
 ]
 
-#: Run-data tables shipped per run, in schema order.
-SHIPPED_TABLES = RUN_TABLES + EXTENSION_RUN_TABLES
-_COLUMNS = {**TABLE_SCHEMAS, **EXTENSION_TABLES}
 
-
-def _encode_value(value: Any) -> Any:
+def _tag_bytes(value: Any) -> Any:
     if isinstance(value, bytes):
         return {"__bytes__": base64.b64encode(value).decode("ascii")}
-    return value
+    raise TypeError(f"unshippable value of type {type(value).__name__}")
 
 
 def _decode_value(value: Any) -> Any:
@@ -67,124 +55,50 @@ def _decode_value(value: Any) -> Any:
 
 
 def encode_payload(payload: Dict[str, Any]) -> str:
-    """Serialize a shipping payload (tables / scope / result) to JSON."""
+    """Serialize a shipping payload (tables / scope / result) to JSON,
+    tagging BLOB cells on the way."""
     return json.dumps(payload, sort_keys=True, default=_tag_bytes)
-
-
-def _tag_bytes(value: Any) -> Any:
-    if isinstance(value, bytes):
-        return {"__bytes__": base64.b64encode(value).decode("ascii")}
-    raise TypeError(f"unshippable value of type {type(value).__name__}")
 
 
 def decode_payload(text: str) -> Dict[str, Any]:
     return json.loads(text)
 
 
-def extract_run_rows(shard_path, run_id: int) -> Dict[str, List[list]]:
+def extract_run_rows(shard_path, run_id: int) -> Dict[str, List[tuple]]:
     """Read one run's rows from a worker shard, per table, in rowid order.
 
-    Returns ``{table: [row, ...]}`` with JSON-safe cell values; tables the
-    run has no rows in are omitted.
+    Returns ``{table: [row, ...]}`` with cells as SQLite holds them
+    (:func:`encode_payload` makes them JSON-safe); tables the run has no
+    rows in are omitted.
     """
     conn = sqlite3.connect(str(shard_path))
     try:
-        tables: Dict[str, List[list]] = {}
-        for table in SHIPPED_TABLES:
-            columns = ", ".join(_COLUMNS[table])
-            rows = conn.execute(
-                f"SELECT {columns} FROM {table} WHERE RunID = ? ORDER BY rowid",
-                (run_id,),
-            ).fetchall()
-            if rows:
-                tables[table] = [[_encode_value(cell) for cell in row] for row in rows]
-        return tables
+        return dict(read_run_rows(conn, run_id))
     finally:
         conn.close()
 
 
-def encode_scope(scope: ConditionedExperiment) -> str:
-    """Serialize the experiment-scope payload (no run data) for shipping."""
-    return json.dumps(
-        {
-            "description_xml": scope.description_xml,
-            "node_logs": scope.node_logs,
-            "experiment_measurements": scope.experiment_measurements,
-            "eefiles": scope.eefiles,
-            "plan": scope.plan,
-        },
-        sort_keys=True,
-    )
-
-
-def decode_scope(text: str) -> ConditionedExperiment:
-    data = json.loads(text)
-    return ConditionedExperiment(
-        description_xml=data["description_xml"],
-        runs=[],
-        node_logs=data["node_logs"],
-        experiment_measurements=data["experiment_measurements"],
-        eefiles=data["eefiles"],
-        plan=data["plan"],
-    )
-
-
-class CoordinatorShard:
+class CoordinatorShard(RunShard):
     """The coordinator-side level-3 shard one worker's runs land in.
 
     Same schema and same crash contract as
-    :class:`repro.campaign.merge.ShardWriter`: :meth:`ingest` deletes any
-    rows a previous shipment left for the run and inserts the new ones in
-    a single transaction — the fabric's commit point.  A run either fully
-    exists in the shard or not at all, which is exactly what
+    :class:`repro.campaign.merge.ShardWriter`: :meth:`ingest` replaces
+    whatever a previous shipment left for the run in a single transaction
+    (:meth:`RunShard.replacing_run`) — the fabric's commit point.  A run
+    either fully exists in the shard or not at all, which is exactly what
     :func:`repro.campaign.merge.shard_has_run` probes on resume.
     """
 
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists()
-        self.conn = open_fast_connection(self.path, fresh=False)
-        self.conn.isolation_level = ""
-        if fresh:
-            create_schema(self.conn)
-            self.conn.commit()
-
     def ingest(self, run_id: int, tables: Dict[str, List[list]]) -> int:
         """Commit one shipped run; returns the number of rows written."""
-        unknown = set(tables) - set(SHIPPED_TABLES)
+        unknown = set(tables) - set(ALL_RUN_TABLES)
         if unknown:
             raise StorageError(f"shipment for run {run_id} names unknown tables {sorted(unknown)}")
         if not tables.get("RunInfos"):
             raise StorageError(f"shipment for run {run_id} carries no RunInfos rows")
-        written = 0
-        with self.conn:
-            for table in SHIPPED_TABLES:
-                self.conn.execute(f"DELETE FROM {table} WHERE RunID = ?", (run_id,))
-            for table in SHIPPED_TABLES:
-                rows = tables.get(table)
-                if not rows:
-                    continue
-                columns = ", ".join(_COLUMNS[table])
-                placeholders = ", ".join("?" for _ in _COLUMNS[table])
-                self.conn.executemany(
-                    f"INSERT INTO {table} ({columns}) VALUES ({placeholders})",
-                    [[_decode_value(cell) for cell in row] for row in rows],
-                )
-                written += len(rows)
-        return written
-
-    def run_ids(self) -> List[int]:
-        return [
-            r[0]
-            for r in self.conn.execute("SELECT DISTINCT RunID FROM RunInfos ORDER BY RunID")
-        ]
-
-    def close(self) -> None:
-        self.conn.close()
-
-    def __enter__(self) -> "CoordinatorShard":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        decoded = {
+            table: [[_decode_value(cell) for cell in row] for row in rows]
+            for table, rows in tables.items()
+        }
+        with self.replacing_run(run_id) as conn:
+            return insert_rows(conn, decoded.items())

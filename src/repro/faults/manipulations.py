@@ -153,13 +153,9 @@ class EnvironmentController:
             self.tracer.record_error(
                 "env_cleanup", exc, node=node_id, call=call, site="env_cleanup"
             )
-        from repro.obs.metrics import get_registry
+        from repro.obs.metrics import count_suppressed_error
 
-        get_registry().counter(
-            "repro_suppressed_errors_total",
-            "Exceptions swallowed at continue-anyway boundaries",
-            labels=("site",),
-        ).inc(site="env_cleanup")
+        count_suppressed_error("env_cleanup")
 
     # ------------------------------------------------------------------
     def execute(self, name: str, params: Dict[str, Any], ctx: EnvContext):

@@ -35,6 +35,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
+    "count_suppressed_error",
     "diff_snapshots",
     "get_registry",
     "render_prometheus",
@@ -399,3 +400,13 @@ def set_registry(registry: Optional[MetricsRegistry]) -> None:
     global _registry
     with _registry_lock:
         _registry = registry
+
+
+def count_suppressed_error(site: str) -> None:
+    """Count one exception swallowed at the continue-anyway boundary *site*
+    (``repro_suppressed_errors_total{site}``, DESIGN.md §12 audit)."""
+    get_registry().counter(
+        "repro_suppressed_errors_total",
+        "Exceptions swallowed at continue-anyway boundaries",
+        labels=("site",),
+    ).inc(site=site)

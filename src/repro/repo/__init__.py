@@ -6,8 +6,8 @@ unrealized.  This package is that level at scale:
 
 * :mod:`repro.repo.catalog` — the catalogue database routing
   experiments to per-(name, factor-fingerprint) partition shards;
-* :mod:`repro.repo.shard` — shard storage: attach-copy ingestion and
-  level-3-shaped readers;
+* :mod:`repro.repo.shard` — shard storage: attach-copy ingestion (a
+  slice is read back by the level-3 reader itself);
 * :mod:`repro.repo.journal` — the fsynced ingest journal making
   write-behind ingestion crash-safe;
 * :mod:`repro.repo.views` — materialized cross-experiment read models;
@@ -26,7 +26,6 @@ from repro.repo.fingerprint import (
 )
 from repro.repo.journal import IngestJournal
 from repro.repo.queue import WriteBehindIngester
-from repro.repo.shard import ShardExperimentView
 from repro.repo.warehouse import IngestResult, Warehouse
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "ExperimentKey",
     "IngestJournal",
     "IngestResult",
-    "ShardExperimentView",
     "Warehouse",
     "WriteBehindIngester",
     "content_fingerprint",

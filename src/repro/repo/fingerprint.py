@@ -9,7 +9,7 @@ Two orthogonal fingerprints drive the repository (DESIGN.md §13):
   or a level does.  Experiments that explore the same factor space share
   a shard and are therefore directly comparable with one query.
 * the **content digest** — the Table-I digest
-  (:func:`repro.campaign.merge.database_digest`), the same hash every
+  (:func:`repro.storage.level3.database_digest`), the same hash every
   equivalence check in the code base pins.  It dedups re-ingests of the
   same package and anchors ``repro repo regression-check``.
 """
@@ -21,9 +21,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
-from repro.campaign.merge import database_digest
 from repro.core.errors import StorageError
-from repro.storage.level3 import ExperimentDatabase, read_stamped_digest
+from repro.storage.level3 import ExperimentDatabase, database_digest, read_stamped_digest
 
 __all__ = [
     "ExperimentKey",

@@ -1,4 +1,4 @@
-"""Per-partition shard databases: storage and readers.
+"""Per-partition shard databases: storage.
 
 A shard holds the Table-I data of every experiment in one partition,
 each table widened with an ``ExpID`` discriminator column.  Ingest is an
@@ -8,40 +8,37 @@ memory.  Sources are attached in groups and copied inside a single
 shard transaction per group, which is the batched half of the
 write-behind ingest's throughput win.
 
-Readers return records shaped *exactly* like
-:class:`repro.storage.level3.ExperimentDatabase`'s — same keys, same
-ordering clauses — so every warehouse query is byte-equal to the same
-query against the source package (pinned by property test).
+A shard slice is read back by the level-3 reader itself
+(:meth:`repro.storage.level3.ExperimentDatabase.over_shard`), so every
+warehouse query is the same query the source package answers; the copy's
+fidelity — rows, order, tie-breaks — is pinned by property test.
 """
 
 from __future__ import annotations
 
-import json
 import sqlite3
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.core.errors import StorageError
+from repro.obs.metrics import count_suppressed_error
+from repro.storage.level3 import TABLE_SCHEMAS
 
 __all__ = [
     "SHARD_COPY_COLUMNS",
-    "ShardExperimentView",
     "copy_batch_into_shard",
     "delete_experiment_rows",
     "open_shard",
 ]
 
 #: Shard table -> the source level-3 columns copied verbatim (ExpID is
-#: prepended on insert).  ``RunInfos.AbortReason`` is included so the
-#: warehouse keeps the retry annotations of campaign-merged packages.
+#: prepended on insert): Table I minus ``ExperimentInfo``, which the
+#: catalogue holds, and minus the surrogate ``ExperimentMeasurements.ID``.
+#: ``RunInfos.AbortReason`` rides along, so the warehouse keeps the retry
+#: annotations of campaign-merged packages.
 SHARD_COPY_COLUMNS: Dict[str, List[str]] = {
-    "Logs": ["NodeID", "Log"],
-    "EEFiles": ["ID", "File"],
-    "ExperimentMeasurements": ["NodeID", "Name", "Content"],
-    "RunInfos": ["RunID", "NodeID", "StartTime", "TimeDiff", "AbortReason"],
-    "ExtraRunMeasurements": ["RunID", "NodeID", "Name", "Content"],
-    "Events": ["RunID", "NodeID", "CommonTime", "EventType", "Parameter"],
-    "Packets": ["RunID", "NodeID", "CommonTime", "SrcNodeID", "Data"],
+    table: [c for c in columns if (table, c) != ("ExperimentMeasurements", "ID")]
+    for table, columns in TABLE_SCHEMAS.items()
+    if table != "ExperimentInfo"
 }
 
 _SHARD_DDL = """
@@ -144,7 +141,9 @@ def copy_batch_into_shard(
                 try:
                     conn.execute(f"DETACH DATABASE {alias}")
                 except sqlite3.Error:
-                    pass
+                    # The copy's outcome stands either way; a source left
+                    # attached fails the next group's ATTACH loudly.
+                    count_suppressed_error("shard_detach")
 
 
 def _copy_one(conn: sqlite3.Connection, alias: str, exp_id: int) -> None:
@@ -176,131 +175,3 @@ def delete_experiment_rows(conn: sqlite3.Connection, exp_id: int) -> None:
     except BaseException:
         conn.execute("ROLLBACK")
         raise
-
-
-class ShardExperimentView:
-    """Read one experiment out of a shard with the
-    :class:`~repro.storage.level3.ExperimentDatabase` record shapes."""
-
-    def __init__(self, conn: sqlite3.Connection, exp_id: int) -> None:
-        self.conn = conn
-        self.exp_id = exp_id
-
-    def run_ids(self) -> List[int]:
-        return [
-            r[0]
-            for r in self.conn.execute(
-                "SELECT DISTINCT RunID FROM RunInfos WHERE ExpID = ? "
-                "ORDER BY RunID",
-                (self.exp_id,),
-            )
-        ]
-
-    def node_ids(self) -> List[str]:
-        return [
-            r[0]
-            for r in self.conn.execute(
-                "SELECT DISTINCT NodeID FROM RunInfos WHERE ExpID = ? "
-                "ORDER BY NodeID",
-                (self.exp_id,),
-            )
-        ]
-
-    def events(
-        self,
-        run_id: Optional[int] = None,
-        event_type: Optional[str] = None,
-        node_id: Optional[str] = None,
-    ) -> List[Dict[str, Any]]:
-        query = (
-            "SELECT RunID, NodeID, CommonTime, EventType, Parameter "
-            "FROM Events WHERE ExpID = ?"
-        )
-        args: List[Any] = [self.exp_id]
-        if run_id is not None:
-            query += " AND RunID = ?"
-            args.append(run_id)
-        if event_type is not None:
-            query += " AND EventType = ?"
-            args.append(event_type)
-        if node_id is not None:
-            query += " AND NodeID = ?"
-            args.append(node_id)
-        query += " ORDER BY CommonTime, NodeID, rowid"
-        return [
-            {
-                "run_id": row["RunID"],
-                "node": row["NodeID"],
-                "common_time": row["CommonTime"],
-                "name": row["EventType"],
-                "params": json.loads(row["Parameter"]),
-            }
-            for row in self.conn.execute(query, args)
-        ]
-
-    def sd_events(self) -> List[Dict[str, Any]]:
-        """Only the discovery-relevant event types, for the
-        responsiveness read model — one C-level filter pass instead of
-        materializing the full event log into Python."""
-        return [
-            {
-                "run_id": row["RunID"],
-                "node": row["NodeID"],
-                "common_time": row["CommonTime"],
-                "name": row["EventType"],
-                "params": json.loads(row["Parameter"]),
-            }
-            for row in self.conn.execute(
-                "SELECT RunID, NodeID, CommonTime, EventType, Parameter "
-                "FROM Events WHERE ExpID = ? AND EventType IN "
-                "('sd_start_search', 'sd_start_publish', 'sd_service_add') "
-                "ORDER BY CommonTime, NodeID, rowid",
-                (self.exp_id,),
-            )
-        ]
-
-    def packets(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
-        query = (
-            "SELECT RunID, NodeID, CommonTime, SrcNodeID, Data "
-            "FROM Packets WHERE ExpID = ?"
-        )
-        args: List[Any] = [self.exp_id]
-        if run_id is not None:
-            query += " AND RunID = ?"
-            args.append(run_id)
-        query += " ORDER BY CommonTime, NodeID, rowid"
-        out = []
-        for row in self.conn.execute(query, args):
-            rec = json.loads(row["Data"])
-            rec["src_node"] = row["SrcNodeID"]
-            out.append(rec)
-        return out
-
-    def run_infos(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
-        query = (
-            "SELECT RunID, NodeID, StartTime, TimeDiff "
-            "FROM RunInfos WHERE ExpID = ?"
-        )
-        args: List[Any] = [self.exp_id]
-        if run_id is not None:
-            query += " AND RunID = ?"
-            args.append(run_id)
-        query += " ORDER BY RunID, NodeID, rowid"
-        return [dict(row) for row in self.conn.execute(query, args)]
-
-    def plan(self) -> List[Dict[str, Any]]:
-        row = self.conn.execute(
-            "SELECT File FROM EEFiles WHERE ExpID = ? AND ID = 'plan.json'",
-            (self.exp_id,),
-        ).fetchone()
-        if row is None:
-            raise StorageError(f"no plan.json for experiment #{self.exp_id}")
-        return json.loads(row[0])
-
-    def row_counts(self) -> Dict[str, int]:
-        return {
-            table: self.conn.execute(
-                f"SELECT COUNT(*) FROM {table} WHERE ExpID = ?", (self.exp_id,)
-            ).fetchone()[0]
-            for table in SHARD_COPY_COLUMNS
-        }

@@ -9,13 +9,11 @@ idempotent), and the refresh runs inside the ingest's catalogue
 transaction: a ``done`` experiment always has its read models.
 
 The aggregation itself leans on the shard's C-level ``GROUP BY`` for the
-counting models; only the responsiveness model runs Python, and only
-over the discovery-relevant event subset, reusing the exact extraction
-(:func:`repro.sd.metrics.extract_run_discovery`,
-:func:`repro.sd.metrics.summarize_runs`,
-:func:`repro.analysis.responsiveness.treatment_key`) the per-experiment
-analysis uses — so the surface matches a direct L3 analysis number for
-number.
+counting models; only the responsiveness model runs Python, and it *is*
+the per-experiment analysis
+(:func:`repro.analysis.responsiveness.outcomes_by_treatment`) pointed at
+the shard slice — one filtered pass over ``Events`` per ExpID — so the
+surface matches a direct L3 analysis by construction.
 """
 
 from __future__ import annotations
@@ -23,11 +21,10 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.responsiveness import treatment_key
+from repro.analysis.responsiveness import outcomes_by_treatment
 from repro.core.errors import StorageError
-from repro.sd.metrics import extract_run_discovery, summarize_runs
-
-from repro.repo.shard import ShardExperimentView
+from repro.sd.metrics import summarize_runs
+from repro.storage.level3 import ExperimentDatabase
 
 __all__ = [
     "refresh_experiment_views",
@@ -46,7 +43,6 @@ _FAULT_EVENT = re.compile(r"^fault_(?P<kind>.+)_(?P<phase>[a-z]+)$")
 # ----------------------------------------------------------------------
 def refresh_experiment_views(catalog_conn, shard_conn, exp_id: int) -> None:
     """Recompute every read model for one ExpID."""
-    view = ShardExperimentView(shard_conn, exp_id)
     for table in (
         "MvExperimentStats",
         "MvEventCounts",
@@ -58,7 +54,9 @@ def refresh_experiment_views(catalog_conn, shard_conn, exp_id: int) -> None:
     type_counts = _refresh_event_counts(catalog_conn, shard_conn, exp_id)
     _refresh_stats(catalog_conn, shard_conn, exp_id, type_counts)
     _refresh_fault_breakdown(catalog_conn, exp_id, type_counts)
-    _refresh_responsiveness(catalog_conn, view, exp_id)
+    _refresh_responsiveness(
+        catalog_conn, ExperimentDatabase.over_shard(shard_conn, exp_id), exp_id
+    )
 
 
 def _refresh_stats(
@@ -113,86 +111,35 @@ def _refresh_fault_breakdown(
     )
 
 
-def responsiveness_surface_rows(view: ShardExperimentView) -> List[Dict[str, Any]]:
-    """One experiment's responsiveness surface: per-treatment discovery
-    summaries, computed with the standard extraction over the shard's
-    discovery-relevant events.  Shared by the read-model refresh and by
-    ``regression-check`` (which runs it over a scratch shard built from
-    the fresh package, so both sides go through identical code)."""
+_SURFACE_FIELDS = ("runs", "complete", "t_r_min", "t_r_median", "t_r_p95", "t_r_max", "t_r_mean")
+
+
+def responsiveness_surface_rows(db: ExperimentDatabase) -> List[Dict[str, Any]]:
+    """One experiment's responsiveness surface: the per-treatment
+    discovery summaries of the standard analysis, as read-model columns.
+    A package without a plan files every run under the ``"{}"``
+    treatment.  Shared by the read-model refresh (over a shard slice) and
+    by ``regression-check`` (over the fresh package)."""
     try:
-        plan = {entry["run_id"]: entry for entry in view.plan()}
-        have_plan = True
+        plan = db.plan()
     except StorageError:
-        plan, have_plan = {}, False
-    by_run: Dict[int, List[Dict[str, Any]]] = {}
-    for event in view.sd_events():
-        by_run.setdefault(event["run_id"], []).append(event)
-
-    # Group run IDs by treatment exactly as
-    # ``responsiveness_by_treatment`` does: planless runs are skipped
-    # when a plan exists, and a package without any plan collapses into
-    # a single "{}" treatment group.
-    groups: Dict[str, List[int]] = {}
-    for run_id in view.run_ids():
-        entry = plan.get(run_id)
-        if entry is None and have_plan:
-            continue
-        key = treatment_key(entry["treatment"]) if entry is not None else "{}"
-        groups.setdefault(key, []).append(run_id)
-
+        plan = [{"run_id": run_id, "treatment": {}} for run_id in db.run_ids()]
     rows = []
-    for key in sorted(groups):
-        outcomes = []
-        for run_id in groups[key]:
-            events = by_run.get(run_id, [])
-            sus = sorted(
-                {e["node"] for e in events if e["name"] == "sd_start_search"}
-            )
-            sms = sorted(
-                {e["node"] for e in events if e["name"] == "sd_start_publish"}
-            )
-            for su in sus:
-                outcomes.append(
-                    extract_run_discovery(events, run_id, su, sms)
-                )
+    for key, _treatment, _run_ids, outcomes in outcomes_by_treatment(db, plan):
         summary = summarize_runs(outcomes)
-        rows.append(
-            {
-                "treatment": key,
-                "runs": summary["runs"],
-                "complete": summary["complete"],
-                "t_r_min": summary["t_r_min"],
-                "t_r_median": summary["t_r_median"],
-                "t_r_p95": summary["t_r_p95"],
-                "t_r_max": summary["t_r_max"],
-                "t_r_mean": summary["t_r_mean"],
-            }
-        )
+        rows.append({"treatment": key, **{f: summary[f] for f in _SURFACE_FIELDS}})
     return rows
 
 
-def _refresh_responsiveness(
-    catalog_conn, view: ShardExperimentView, exp_id: int
-) -> None:
-    rows = [
-        (
-            exp_id,
-            r["treatment"],
-            r["runs"],
-            r["complete"],
-            r["t_r_min"],
-            r["t_r_median"],
-            r["t_r_p95"],
-            r["t_r_max"],
-            r["t_r_mean"],
-        )
-        for r in responsiveness_surface_rows(view)
-    ]
+def _refresh_responsiveness(catalog_conn, db: ExperimentDatabase, exp_id: int) -> None:
     catalog_conn.executemany(
         "INSERT INTO MvResponsiveness (ExpID, TreatmentKey, Runs, Complete, "
         "TRMin, TRMedian, TRP95, TRMax, TRMean) "
         "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-        rows,
+        (
+            (exp_id, r["treatment"], *(r[f] for f in _SURFACE_FIELDS))
+            for r in responsiveness_surface_rows(db)
+        ),
     )
 
 

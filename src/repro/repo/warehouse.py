@@ -36,17 +36,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import StorageError
 from repro.obs.metrics import get_registry
+from repro.storage.level3 import ExperimentDatabase
 
 from repro.repo.cache import AggregateCache
 from repro.repo.catalog import Catalog
 from repro.repo.fingerprint import ExperimentKey, fingerprint_package
 from repro.repo.journal import IngestJournal
-from repro.repo.shard import (
-    ShardExperimentView,
-    copy_batch_into_shard,
-    delete_experiment_rows,
-    open_shard,
-)
+from repro.repo.shard import copy_batch_into_shard, delete_experiment_rows, open_shard
 from repro.repo.views import (
     query_event_counts,
     query_fault_breakdown,
@@ -321,11 +317,12 @@ class Warehouse:
         self.catalog.experiment(exp_id)  # existence check
         return exp_id
 
-    def view(self, ref) -> ShardExperimentView:
-        """Row-level read access to one experiment's shard slice."""
+    def view(self, ref) -> ExperimentDatabase:
+        """Row-level read access to one experiment's shard slice, through
+        the level-3 reader."""
         exp_id = self.resolve(ref)
         row = self.catalog.experiment(exp_id)
-        return ShardExperimentView(self._shard(row["PartitionID"]), exp_id)
+        return ExperimentDatabase.over_shard(self._shard(row["PartitionID"]), exp_id)
 
     def events(self, ref, **filters) -> List[Dict[str, Any]]:
         return self.view(ref).events(**filters)
@@ -477,50 +474,24 @@ class Warehouse:
     def _aggregate_checks(
         self, fresh_db_path, base_id: int, tolerance: float
     ) -> List[Dict[str, Any]]:
-        """Aggregate-level drift: run the identical surface computation
-        over a scratch in-memory shard built from the fresh package."""
-        scratch = sqlite3.connect(":memory:")
-        scratch.row_factory = sqlite3.Row
-        try:
-            from repro.repo.shard import _SHARD_DDL  # scratch shard schema
+        """Aggregate-level drift: the surface computation the read model
+        ran at ingest, run over the fresh package itself."""
+        with ExperimentDatabase(fresh_db_path) as fresh:
+            fresh_rows = {r["treatment"]: r for r in responsiveness_surface_rows(fresh)}
+            fresh_counts = fresh.row_counts()
+            fresh_runs = len(fresh.run_ids())
 
-            scratch.executescript(_SHARD_DDL)
-            copy_batch_into_shard(scratch, [(1, fresh_db_path)])
-            fresh_view = ShardExperimentView(scratch, 1)
-            fresh_rows = {
-                r["treatment"]: r for r in responsiveness_surface_rows(fresh_view)
-            }
-            fresh_counts = fresh_view.row_counts()
-            fresh_runs = len(fresh_view.run_ids())
-        finally:
-            scratch.close()
-
-        checks: List[Dict[str, Any]] = []
         base_stats = self.stats(base_id)
-        checks.append(
-            {
-                "check": "run_count",
-                "ok": fresh_runs == base_stats["Runs"],
-                "fresh": fresh_runs,
-                "baseline": base_stats["Runs"],
-            }
-        )
-        checks.append(
-            {
-                "check": "event_count",
-                "ok": fresh_counts["Events"] == base_stats["Events"],
-                "fresh": fresh_counts["Events"],
-                "baseline": base_stats["Events"],
-            }
-        )
-        checks.append(
-            {
-                "check": "packet_count",
-                "ok": fresh_counts["Packets"] == base_stats["Packets"],
-                "fresh": fresh_counts["Packets"],
-                "baseline": base_stats["Packets"],
-            }
-        )
+        checks: List[Dict[str, Any]] = []
+        for check, field, value in (
+            ("run_count", "Runs", fresh_runs),
+            ("event_count", "Events", fresh_counts["Events"]),
+            ("packet_count", "Packets", fresh_counts["Packets"]),
+        ):
+            baseline = base_stats[field]
+            checks.append(
+                {"check": check, "ok": value == baseline, "fresh": value, "baseline": baseline}
+            )
 
         base_rows = {
             r["treatment"]: r for r in self.responsiveness_surface(base_id)

@@ -27,6 +27,7 @@ salvage records end up in the level-3 ``SalvageInfo`` table.
 from __future__ import annotations
 
 import heapq
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Tuple
 
@@ -39,6 +40,8 @@ __all__ = [
     "condition_experiment",
     "condition_scope",
     "iter_conditioned_runs",
+    "encode_scope",
+    "decode_scope",
 ]
 
 MASTER_NODE_ID = "master"
@@ -72,6 +75,33 @@ class ConditionedExperiment:
     #: were conditioned (non-empty only for a ``salvage=True`` store that
     #: actually hit corruption).
     salvage_records: List[Dict[str, Any]] = field(default_factory=list)
+
+
+def encode_scope(scope: ConditionedExperiment) -> str:
+    """Serialize the experiment-scope payload (no run data): the form a
+    fleet worker ships and the coordinator persists as ``scope.json``."""
+    return json.dumps(
+        {
+            "description_xml": scope.description_xml,
+            "node_logs": scope.node_logs,
+            "experiment_measurements": scope.experiment_measurements,
+            "eefiles": scope.eefiles,
+            "plan": scope.plan,
+        },
+        sort_keys=True,
+    )
+
+
+def decode_scope(text: str) -> ConditionedExperiment:
+    data = json.loads(text)
+    return ConditionedExperiment(
+        description_xml=data["description_xml"],
+        runs=[],
+        node_logs=data["node_logs"],
+        experiment_measurements=data["experiment_measurements"],
+        eefiles=data["eefiles"],
+        plan=data["plan"],
+    )
 
 
 def _sort_key(rec: Dict[str, Any]) -> Tuple[float, str, int]:

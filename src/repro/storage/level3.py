@@ -31,11 +31,23 @@ to a fault-free execution's.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sqlite3
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.description import EE_VERSION
 from repro.core.errors import StorageError
@@ -52,8 +64,10 @@ __all__ = [
     "EXTENSION_TABLES",
     "RUN_TABLES",
     "EXTENSION_RUN_TABLES",
+    "ALL_RUN_TABLES",
     "CHECKSUM_TABLE",
     "TABLE1_DIGEST_KEY",
+    "database_digest",
     "read_stamped_digest",
     "stamp_table1_digest",
     "create_schema",
@@ -65,6 +79,9 @@ __all__ = [
     "insert_run_traces",
     "insert_salvage_info",
     "store_level3",
+    "read_run_rows",
+    "insert_rows",
+    "RunShard",
     "ExperimentDatabase",
 ]
 
@@ -155,6 +172,9 @@ EXTENSION_TABLES: Dict[str, List[str]] = {
 #: Extension tables keyed by run id (campaign merge reorders these too).
 EXTENSION_RUN_TABLES = ("FaultLeases", "SalvageInfo", "RunTraces")
 
+#: Column lookup across Table I and the integrity side tables.
+_ALL_SCHEMAS: Dict[str, List[str]] = {**TABLE_SCHEMAS, **EXTENSION_TABLES}
+
 #: Side table carrying checksums *of* the package.  Deliberately outside
 #: both :data:`TABLE_SCHEMAS` and :data:`EXTENSION_TABLES`: it stores the
 #: Table-I digest and therefore must never feed it, and the campaign
@@ -162,7 +182,7 @@ EXTENSION_RUN_TABLES = ("FaultLeases", "SalvageInfo", "RunTraces")
 CHECKSUM_TABLE = "PackageChecksums"
 
 #: ``PackageChecksums.Name`` of the Table-I content digest
-#: (:func:`repro.campaign.merge.database_digest` with default arguments).
+#: (:func:`database_digest` with default arguments).
 TABLE1_DIGEST_KEY = "table1_sha256"
 
 _CHECKSUM_DDL = (
@@ -286,6 +306,56 @@ def read_stamped_digest(db_path) -> Optional[str]:
     return row[0] if row else None
 
 
+def database_digest(
+    db_path,
+    ignore_columns: Iterable[str] = (),
+    tables: Optional[Iterable[str]] = None,
+) -> str:
+    """Content hash of a level-3 database for equivalence checks.
+
+    Hashes every table's rows *in stored order* (row order is part of the
+    merge's determinism contract).  ``ignore_columns`` masks columns that
+    are legitimately execution-specific — e.g. wall-clock timestamps an
+    analysis pipeline may add — before hashing.
+
+    The default table set is Table I only (:data:`TABLE_SCHEMAS`): the
+    integrity side tables record *what went wrong and was repaired*, which
+    is execution-specific by nature, so they must not perturb equivalence
+    checks between a recovered execution and a clean one.  Pass ``tables``
+    explicitly (e.g. ``("FaultLeases",)``) to digest them too.
+
+    Rows are serialized inside SQLite (``quote()`` per column, one string
+    per row) and hashed in large chunks, so the digest runs at C speed
+    and releases the GIL while hashing — hot on every import/ingest
+    dedup path.  Only digest *equality* is contractual; the literal hex
+    value may change between framework versions.
+    """
+    ignored = set(ignore_columns)
+    digest = hashlib.sha256()
+    conn = sqlite3.connect(str(db_path))
+    try:
+        for table in (tables if tables is not None else TABLE_SCHEMAS):
+            keep = [c for c in _ALL_SCHEMAS[table] if c not in ignored]
+            digest.update(f"--{table}({','.join(keep)})--".encode())
+            if not keep:
+                continue
+            row_expr = " || '|' || ".join(f"quote({c})" for c in keep)
+            # Concatenate rows into ~4096-row chunks inside SQLite:
+            # Python touches one string per chunk, memory stays bounded.
+            cursor = conn.execute(
+                f"SELECT group_concat(s, char(10)) FROM "
+                f"(SELECT {row_expr} AS s, rowid AS rid FROM {table}) "
+                f"GROUP BY rid / 4096 ORDER BY rid / 4096",
+            )
+            for (chunk,) in cursor:
+                if chunk is not None:
+                    digest.update(chunk.encode())
+                    digest.update(b"\n")
+    finally:
+        conn.close()
+    return digest.hexdigest()
+
+
 def stamp_table1_digest(db_path) -> str:
     """Compute the package's Table-I digest and stamp it into
     :data:`CHECKSUM_TABLE`, returning the digest.
@@ -296,9 +366,6 @@ def stamp_table1_digest(db_path) -> str:
     The digest covers :data:`TABLE_SCHEMAS` only, never the checksum
     table itself — stamping cannot perturb the value it records.
     """
-    # Deferred import: merge imports this module at load time.
-    from repro.campaign.merge import database_digest
-
     value = database_digest(db_path)
     conn = sqlite3.connect(str(db_path))
     try:
@@ -314,31 +381,28 @@ def stamp_table1_digest(db_path) -> str:
     return value
 
 
+def _insert(conn: sqlite3.Connection, table: str, rows: Iterable[Sequence[Any]]) -> int:
+    """The one ``INSERT``: full-width *rows* (the table's schema order) in
+    the order given; returns the number written."""
+    columns = _ALL_SCHEMAS[table]
+    return conn.executemany(
+        f"INSERT INTO {table} ({', '.join(columns)}) VALUES ({', '.join('?' * len(columns))})",
+        rows,
+    ).rowcount
+
+
 def insert_experiment_scope(conn: sqlite3.Connection, data: ConditionedExperiment) -> None:
     """Insert the experiment-scope tables (everything but the run data)."""
     name, comment = _name_comment(data.description_xml)
-    conn.execute(
-        "INSERT INTO ExperimentInfo (ExpXML, EEVersion, Name, Comment) "
-        "VALUES (?, ?, ?, ?)",
-        (data.description_xml, EE_VERSION, name, comment),
-    )
-    conn.executemany(
-        "INSERT INTO Logs (NodeID, Log) VALUES (?, ?)",
-        sorted(data.node_logs.items()),
-    )
-    conn.executemany(
-        "INSERT INTO EEFiles (ID, File) VALUES (?, ?)",
-        sorted(data.eefiles.items()),
-    )
-    conn.execute(
-        "INSERT INTO EEFiles (ID, File) VALUES (?, ?)",
-        ("plan.json", json.dumps(data.plan, sort_keys=True)),
-    )
-    conn.executemany(
-        "INSERT INTO ExperimentMeasurements (NodeID, Name, Content) "
-        "VALUES (?, ?, ?)",
+    _insert(conn, "ExperimentInfo", [(data.description_xml, EE_VERSION, name, comment)])
+    _insert(conn, "Logs", sorted(data.node_logs.items()))
+    _insert(conn, "EEFiles", sorted(data.eefiles.items()))
+    _insert(conn, "EEFiles", [("plan.json", json.dumps(data.plan, sort_keys=True))])
+    _insert(
+        conn,
+        "ExperimentMeasurements",
         (
-            ("master", mname, json.dumps(content, sort_keys=True))
+            (None, "master", mname, json.dumps(content, sort_keys=True))  # ID: autoincrement
             for mname, content in sorted(data.experiment_measurements.items())
         ),
     )
@@ -346,26 +410,26 @@ def insert_experiment_scope(conn: sqlite3.Connection, data: ConditionedExperimen
 
 def insert_run(conn: sqlite3.Connection, run, src_map: Dict[str, str]) -> None:
     """Insert one :class:`ConditionedRun`'s rows into the run tables."""
-    conn.executemany(
-        "INSERT INTO RunInfos (RunID, NodeID, StartTime, TimeDiff) "
-        "VALUES (?, ?, ?, ?)",
+    _insert(
+        conn,
+        "RunInfos",
         (
-            (run.run_id, node_id, run.start_time, offset)
+            (run.run_id, node_id, run.start_time, offset, None)  # no AbortReason yet
             for node_id, offset in sorted(run.offsets.items())
         ),
     )
-    conn.executemany(
-        "INSERT INTO ExtraRunMeasurements "
-        "(RunID, NodeID, Name, Content) VALUES (?, ?, ?, ?)",
+    _insert(
+        conn,
+        "ExtraRunMeasurements",
         (
             (run.run_id, node_id, pname, json.dumps(content, sort_keys=True))
             for node_id, plugins in sorted(run.extra_measurements.items())
             for pname, content in sorted(plugins.items())
         ),
     )
-    conn.executemany(
-        "INSERT INTO Events (RunID, NodeID, CommonTime, EventType, Parameter) "
-        "VALUES (?, ?, ?, ?, ?)",
+    _insert(
+        conn,
+        "Events",
         (
             (
                 rec.get("run_id"),
@@ -377,9 +441,9 @@ def insert_run(conn: sqlite3.Connection, run, src_map: Dict[str, str]) -> None:
             for rec in run.events
         ),
     )
-    conn.executemany(
-        "INSERT INTO Packets (RunID, NodeID, CommonTime, SrcNodeID, Data) "
-        "VALUES (?, ?, ?, ?, ?)",
+    _insert(
+        conn,
+        "Packets",
         (
             (
                 rec.get("run_id"),
@@ -396,10 +460,9 @@ def insert_run(conn: sqlite3.Connection, run, src_map: Dict[str, str]) -> None:
 def insert_fault_leases(conn: sqlite3.Connection, records: List[Dict[str, Any]]) -> None:
     """Insert reconciled-lease records (level-2 ``master/fault_leases.jsonl``)
     into the FaultLeases side table."""
-    conn.executemany(
-        "INSERT INTO FaultLeases "
-        "(RunID, NodeID, Kind, LeaseID, Event, AcquiredAt, ExpiresAt, ReconciledAt) "
-        "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+    _insert(
+        conn,
+        "FaultLeases",
         (
             (
                 rec.get("run_id"),
@@ -418,10 +481,9 @@ def insert_fault_leases(conn: sqlite3.Connection, records: List[Dict[str, Any]])
 
 def insert_salvage_info(conn: sqlite3.Connection, records: List[Dict[str, Any]]) -> None:
     """Insert per-(run, node, stream) salvage records into SalvageInfo."""
-    conn.executemany(
-        "INSERT INTO SalvageInfo "
-        "(RunID, NodeID, Stream, RecordsKept, RecordsDropped, Reason) "
-        "VALUES (?, ?, ?, ?, ?, ?)",
+    _insert(
+        conn,
+        "SalvageInfo",
         (
             (
                 rec.get("run_id"),
@@ -441,10 +503,9 @@ def insert_run_traces(conn: sqlite3.Connection, records: List[Dict[str, Any]]) -
     the RunTraces side table.  Like the other extension tables this never
     feeds the Table-I digest — the span payload carries wall-clock
     timings, which are execution-specific by nature."""
-    conn.executemany(
-        "INSERT INTO RunTraces "
-        "(RunID, NodeID, SpanID, ParentID, Name, StartTime, EndTime, Status, Attrs) "
-        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+    _insert(
+        conn,
+        "RunTraces",
         (
             (
                 rec.get("run_id"),
@@ -531,8 +592,109 @@ def _name_comment(description_xml: str) -> Tuple[str, str]:
         return "unnamed", ""
 
 
+# ----------------------------------------------------------------------
+# Per-run row copy: campaign shards, fleet shipping, the merge
+# ----------------------------------------------------------------------
+#: Every table keyed by run id — one run's complete level-3 footprint.
+ALL_RUN_TABLES = RUN_TABLES + EXTENSION_RUN_TABLES
+
+
+def read_run_rows(
+    conn: sqlite3.Connection, run_id: int, tables: Iterable[str] = ALL_RUN_TABLES
+) -> Iterator[Tuple[str, List[tuple]]]:
+    """``(table, rows)`` for each of *tables* run *run_id* has rows in,
+    full-width and in rowid order — the conditioned (common time, node,
+    seq) order every writer inserts in, which is data: the merge and the
+    digest read it.  Lazy: one table's rows are held at a time."""
+    for table in tables:
+        rows = conn.execute(
+            f"SELECT {', '.join(_ALL_SCHEMAS[table])} FROM {table} "
+            "WHERE RunID = ? ORDER BY rowid",
+            (run_id,),
+        ).fetchall()
+        if rows:
+            yield table, rows
+
+
+def insert_rows(
+    conn: sqlite3.Connection, tables: Iterable[Tuple[str, Sequence[Sequence[Any]]]]
+) -> int:
+    """Insert ``(table, rows)`` pairs — the :func:`read_run_rows` shape —
+    in the order given; returns the number of rows written."""
+    return sum(_insert(conn, table, rows) for table, rows in tables)
+
+
+def _distinct_run_ids(conn: sqlite3.Connection, where: str = "", args=()) -> List[int]:
+    return [
+        r[0]
+        for r in conn.execute(
+            f"SELECT DISTINCT RunID FROM RunInfos{where} ORDER BY RunID", args
+        )
+    ]
+
+
+class RunShard:
+    """A level-3 database written one run per transaction — a campaign
+    worker's shard (:class:`repro.campaign.merge.ShardWriter`) or the fleet
+    coordinator's (:class:`repro.fabric.shipping.CoordinatorShard`).  Same
+    Table I schema, run tables only; a run either fully exists in the
+    shard or not at all."""
+
+    def __init__(self, path) -> None:
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fresh = not self.path.exists()
+        # fresh=False tuning: per-write syncs off, but the rollback
+        # journal stays on — replacing_run's transaction is this shard's
+        # crash-recovery commit point and must remain atomic.
+        self.conn = open_fast_connection(self.path, fresh=False)
+        self.conn.isolation_level = ""  # back to implicit transactions
+        if fresh:
+            create_schema(self.conn)
+            self.conn.commit()
+
+    @contextmanager
+    def replacing_run(self, run_id: int) -> Iterator[sqlite3.Connection]:
+        """One transaction in which whatever the body inserts *replaces*
+        *run_id*: rows a previous (crashed, retried or re-shipped) attempt
+        left are deleted first, so a shard never holds duplicate or
+        partial run data, no matter how the attempt ended."""
+        with self.conn:
+            for table in ALL_RUN_TABLES:
+                self.conn.execute(f"DELETE FROM {table} WHERE RunID = ?", (run_id,))
+            yield self.conn
+
+    def run_ids(self) -> List[int]:
+        return _distinct_run_ids(self.conn)
+
+    def close(self) -> None:
+        self.conn.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+# ----------------------------------------------------------------------
+# The reader
+# ----------------------------------------------------------------------
+#: Events and packets on the common time base; ties broken by node,
+#: then by insertion (= conditioned) order.
+_TIME_ORDER = " ORDER BY CommonTime, NodeID, rowid"
+
+
 class ExperimentDatabase:
-    """Read access to a level-3 package."""
+    """Read access to a level-3 package — or, built with
+    :meth:`over_shard`, to one experiment's slice of a warehouse shard.
+
+    This class alone maps Table-I rows to records and fixes the ``ORDER
+    BY`` tie-breaks; a shard slice differs only in the row scope
+    (``ExpID = ?``) that :meth:`_where` puts in front of every filter.
+    A shard has no ``ExperimentInfo`` (the catalogue keeps it) and no
+    integrity side tables: those readers return nothing there.
+    """
 
     def __init__(self, db_path) -> None:
         self.db_path = Path(db_path)
@@ -540,15 +702,63 @@ class ExperimentDatabase:
             raise StorageError(f"no database at {self.db_path}")
         self.conn = sqlite3.connect(str(self.db_path))
         self.conn.row_factory = sqlite3.Row
+        self._exp_id: Optional[int] = None
+
+    @classmethod
+    def over_shard(cls, conn: sqlite3.Connection, exp_id: int) -> "ExperimentDatabase":
+        """Reader over experiment *exp_id*'s rows of a warehouse shard.
+        *conn* (yielding :class:`sqlite3.Row`, as ``open_shard`` connections
+        do) is borrowed: :meth:`close` leaves it open for its owner."""
+        db = cls.__new__(cls)
+        db.db_path = None
+        db.conn = conn
+        db._exp_id = exp_id
+        return db
 
     def close(self) -> None:
-        self.conn.close()
+        if self._exp_id is None:
+            self.conn.close()
 
     def __enter__(self) -> "ExperimentDatabase":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _where(self, **filters: Any) -> Tuple[str, List[Any]]:
+        """The ``WHERE`` text (empty when nothing restricts) and arguments
+        of a query: the row scope first, then one ``Column = ?`` per
+        filter that is not ``None`` — ``Column IN (...)`` for a tuple."""
+        clauses: List[str] = []
+        args: List[Any] = []
+        if self._exp_id is not None:
+            filters = {"ExpID": self._exp_id, **filters}
+        for column, value in filters.items():
+            if value is None:
+                continue
+            if isinstance(value, tuple):
+                clauses.append(f"{column} IN ({', '.join('?' * len(value))})")
+                args.extend(value)
+            else:
+                clauses.append(f"{column} = ?")
+                args.append(value)
+        return (" WHERE " + " AND ".join(clauses) if clauses else ""), args
+
+    def _chunks(
+        self, query: str, args: List[Any], chunk_size: int
+    ) -> Iterator[List[sqlite3.Row]]:
+        """The rows of *query*, *chunk_size* at a time through a dedicated
+        cursor, so the result set is never materialized."""
+        cursor = self.conn.cursor()
+        try:
+            cursor.execute(query, args)
+            while True:
+                rows = cursor.fetchmany(chunk_size)
+                if not rows:
+                    return
+                yield rows
+        finally:
+            cursor.close()
 
     # ------------------------------------------------------------------
     # Schema introspection (the Table I reproduction)
@@ -565,8 +775,11 @@ class ExperimentDatabase:
         return out
 
     def row_counts(self) -> Dict[str, int]:
+        where, args = self._where()
         return {
-            table: self.conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            table: self.conn.execute(
+                f"SELECT COUNT(*) FROM {table}{where}", args
+            ).fetchone()[0]
             for table in self.schema()
         }
 
@@ -582,59 +795,35 @@ class ExperimentDatabase:
         return dict(row)
 
     def run_ids(self) -> List[int]:
-        return [
-            r[0]
-            for r in self.conn.execute(
-                "SELECT DISTINCT RunID FROM RunInfos ORDER BY RunID"
-            )
-        ]
+        return _distinct_run_ids(self.conn, *self._where())
 
     def node_ids(self) -> List[str]:
+        where, args = self._where()
         return [
             r[0]
             for r in self.conn.execute(
-                "SELECT DISTINCT NodeID FROM RunInfos ORDER BY NodeID"
+                f"SELECT DISTINCT NodeID FROM RunInfos{where} ORDER BY NodeID", args
             )
         ]
 
     def events(
         self,
         run_id: Optional[int] = None,
-        event_type: Optional[str] = None,
+        event_type: Union[None, str, Tuple[str, ...]] = None,
         node_id: Optional[str] = None,
     ) -> List[Dict[str, Any]]:
-        """Event records (with parsed params), ordered by common time."""
-        query = (
-            "SELECT RunID, NodeID, CommonTime, EventType, Parameter FROM Events"
-        )
-        clauses, args = [], []
-        if run_id is not None:
-            clauses.append("RunID = ?")
-            args.append(run_id)
-        if event_type is not None:
-            clauses.append("EventType = ?")
-            args.append(event_type)
-        if node_id is not None:
-            clauses.append("NodeID = ?")
-            args.append(node_id)
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY CommonTime, NodeID, rowid"
-        return [
-            {
-                "run_id": row["RunID"],
-                "node": row["NodeID"],
-                "common_time": row["CommonTime"],
-                "name": row["EventType"],
-                "params": json.loads(row["Parameter"]),
-            }
-            for row in self.conn.execute(query, args)
-        ]
+        """Event records (with parsed params), ordered by common time.
+
+        *event_type* is one type or a tuple of types — the filter runs
+        inside SQLite, so reading three discovery types out of a large
+        event log never surfaces the rest into Python.
+        """
+        return list(self.iter_events(run_id, event_type, node_id))
 
     def iter_events(
         self,
         run_id: Optional[int] = None,
-        event_type: Optional[str] = None,
+        event_type: Union[None, str, Tuple[str, ...]] = None,
         node_id: Optional[str] = None,
         chunk_size: int = 4096,
     ) -> Iterator[Dict[str, Any]]:
@@ -644,39 +833,20 @@ class ExperimentDatabase:
         through a dedicated cursor in ``chunk_size`` batches — analysis
         over multi-gigabyte packages runs in constant memory.
         """
+        where, args = self._where(RunID=run_id, EventType=event_type, NodeID=node_id)
         query = (
-            "SELECT RunID, NodeID, CommonTime, EventType, Parameter FROM Events"
+            "SELECT RunID, NodeID, CommonTime, EventType, Parameter "
+            f"FROM Events{where}{_TIME_ORDER}"
         )
-        clauses, args = [], []
-        if run_id is not None:
-            clauses.append("RunID = ?")
-            args.append(run_id)
-        if event_type is not None:
-            clauses.append("EventType = ?")
-            args.append(event_type)
-        if node_id is not None:
-            clauses.append("NodeID = ?")
-            args.append(node_id)
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY CommonTime, NodeID, rowid"
-        cursor = self.conn.cursor()
-        try:
-            cursor.execute(query, args)
-            while True:
-                rows = cursor.fetchmany(chunk_size)
-                if not rows:
-                    return
-                for row in rows:
-                    yield {
-                        "run_id": row["RunID"],
-                        "node": row["NodeID"],
-                        "common_time": row["CommonTime"],
-                        "name": row["EventType"],
-                        "params": json.loads(row["Parameter"]),
-                    }
-        finally:
-            cursor.close()
+        for rows in self._chunks(query, args, chunk_size):
+            for row in rows:
+                yield {
+                    "run_id": row["RunID"],
+                    "node": row["NodeID"],
+                    "common_time": row["CommonTime"],
+                    "name": row["EventType"],
+                    "params": json.loads(row["Parameter"]),
+                }
 
     def packets(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
         return list(self.iter_packets(run_id=run_id))
@@ -685,34 +855,27 @@ class ExperimentDatabase:
         self, run_id: Optional[int] = None, chunk_size: int = 4096
     ) -> Iterator[Dict[str, Any]]:
         """Stream packet records (see :meth:`iter_events`)."""
-        query = "SELECT RunID, NodeID, CommonTime, SrcNodeID, Data FROM Packets"
-        args: List[Any] = []
-        if run_id is not None:
-            query += " WHERE RunID = ?"
-            args.append(run_id)
-        query += " ORDER BY CommonTime, NodeID, rowid"
-        cursor = self.conn.cursor()
-        try:
-            cursor.execute(query, args)
-            while True:
-                rows = cursor.fetchmany(chunk_size)
-                if not rows:
-                    return
-                for row in rows:
-                    rec = json.loads(row["Data"])
-                    rec["src_node"] = row["SrcNodeID"]
-                    yield rec
-        finally:
-            cursor.close()
+        where, args = self._where(RunID=run_id)
+        query = (
+            "SELECT RunID, NodeID, CommonTime, SrcNodeID, Data "
+            f"FROM Packets{where}{_TIME_ORDER}"
+        )
+        for rows in self._chunks(query, args, chunk_size):
+            for row in rows:
+                rec = json.loads(row["Data"])
+                rec["src_node"] = row["SrcNodeID"]
+                yield rec
 
     def run_infos(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
-        query = "SELECT RunID, NodeID, StartTime, TimeDiff FROM RunInfos"
-        args: List[Any] = []
-        if run_id is not None:
-            query += " WHERE RunID = ?"
-            args.append(run_id)
-        query += " ORDER BY RunID, NodeID, rowid"
-        return [dict(row) for row in self.conn.execute(query, args)]
+        where, args = self._where(RunID=run_id)
+        return [
+            dict(row)
+            for row in self.conn.execute(
+                "SELECT RunID, NodeID, StartTime, TimeDiff "
+                f"FROM RunInfos{where} ORDER BY RunID, NodeID, rowid",
+                args,
+            )
+        ]
 
     def abort_reasons(self) -> Dict[int, str]:
         """``{run_id: reason}`` for runs whose earlier attempt aborted.
@@ -720,19 +883,23 @@ class ExperimentDatabase:
         Empty for fault-free executions; also empty (not an error) when
         reading a pre-AbortReason database.
         """
+        where, args = self._where()
         try:
             rows = self.conn.execute(
-                "SELECT DISTINCT RunID, AbortReason FROM RunInfos "
-                "WHERE AbortReason IS NOT NULL ORDER BY RunID"
+                f"SELECT DISTINCT RunID, AbortReason FROM RunInfos{where} ORDER BY RunID",
+                args,
             ).fetchall()
         except sqlite3.OperationalError:  # old schema without the column
             return {}
-        return {row["RunID"]: row["AbortReason"] for row in rows}
+        return {
+            row["RunID"]: row["AbortReason"]
+            for row in rows
+            if row["AbortReason"] is not None
+        }
 
     def plan(self) -> List[Dict[str, Any]]:
-        row = self.conn.execute(
-            "SELECT File FROM EEFiles WHERE ID = 'plan.json'"
-        ).fetchone()
+        where, args = self._where(ID="plan.json")
+        row = self.conn.execute(f"SELECT File FROM EEFiles{where}", args).fetchone()
         if row is None:
             raise StorageError("no plan.json in EEFiles")
         return json.loads(row[0])
@@ -758,21 +925,17 @@ class ExperimentDatabase:
         former per-run query loop was N+1 and dominated analysis time on
         large campaign databases.
         """
-        query = (
-            "SELECT RunID, CommonTime, EventType FROM Events "
-            "WHERE EventType IN (?, ?)"
-        )
-        args: List[Any] = [start_type, end_type]
-        if node_id is not None:
-            query += " AND NodeID = ?"
-            args.append(node_id)
+        where, args = self._where(EventType=(start_type, end_type), NodeID=node_id)
+        query = f"SELECT RunID, CommonTime, EventType FROM Events{where}"
         if per_run:
             # Restrict to runs the RunInfos table knows, as the per-run
             # loop over run_ids() did.
-            query += " AND RunID IN (SELECT DISTINCT RunID FROM RunInfos)"
+            known, known_args = self._where()
+            query += f" AND RunID IN (SELECT DISTINCT RunID FROM RunInfos{known})"
             query += " ORDER BY RunID, CommonTime, NodeID"
+            args += known_args
         else:
-            query += " ORDER BY CommonTime, NodeID, rowid"
+            query += _TIME_ORDER
 
         out: List[Dict[str, Any]] = []
         current: Any = object()  # sentinel != any run id
@@ -805,62 +968,41 @@ class ExperimentDatabase:
         close_group(current if per_run else None)
         return out
 
-    def fault_leases(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
-        """Reconciled fault-lease rows (empty for fault-free executions and,
-        not an error, for pre-extension databases)."""
-        query = (
-            "SELECT RunID, NodeID, Kind, LeaseID, Event, "
-            "AcquiredAt, ExpiresAt, ReconciledAt FROM FaultLeases"
-        )
-        args: List[Any] = []
-        if run_id is not None:
-            query += " WHERE RunID = ?"
-            args.append(run_id)
-        query += " ORDER BY RunID, NodeID, LeaseID"
+    def _side_rows(self, table: str, order_by: str, run_id: Optional[int]) -> List[sqlite3.Row]:
+        """Rows of one integrity side table — empty, not an error, for a
+        database written before the table existed (and for shard slices,
+        which carry Table I only)."""
+        where, args = self._where(RunID=run_id)
         try:
-            rows = self.conn.execute(query, args).fetchall()
-        except sqlite3.OperationalError:  # old schema without the table
+            return self.conn.execute(
+                f"SELECT {', '.join(EXTENSION_TABLES[table])} FROM {table}"
+                f"{where} ORDER BY {order_by}",
+                args,
+            ).fetchall()
+        except sqlite3.OperationalError:
             return []
-        return [dict(row) for row in rows]
+
+    def fault_leases(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
+        """Reconciled fault-lease rows (empty for fault-free executions)."""
+        return [
+            dict(row)
+            for row in self._side_rows("FaultLeases", "RunID, NodeID, LeaseID", run_id)
+        ]
 
     def salvage_info(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
         """Salvage-conditioning rows (empty unless the package was built
         with ``--salvage`` over a corrupt store)."""
-        query = (
-            "SELECT RunID, NodeID, Stream, RecordsKept, RecordsDropped, Reason "
-            "FROM SalvageInfo"
-        )
-        args: List[Any] = []
-        if run_id is not None:
-            query += " WHERE RunID = ?"
-            args.append(run_id)
-        query += " ORDER BY RunID, NodeID, Stream"
-        try:
-            rows = self.conn.execute(query, args).fetchall()
-        except sqlite3.OperationalError:  # old schema without the table
-            return []
-        return [dict(row) for row in rows]
+        return [
+            dict(row)
+            for row in self._side_rows("SalvageInfo", "RunID, NodeID, Stream", run_id)
+        ]
 
     def run_traces(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
         """Harness span records, as the tracer drained them.
 
         ``run_id=None`` returns every row including experiment-scope
-        spans (``RunID IS NULL``).  Empty — not an error — for databases
-        built before the table existed or with tracing disabled.
+        spans (``RunID IS NULL``).  Empty with tracing disabled.
         """
-        query = (
-            "SELECT RunID, NodeID, SpanID, ParentID, Name, "
-            "StartTime, EndTime, Status, Attrs FROM RunTraces"
-        )
-        args: List[Any] = []
-        if run_id is not None:
-            query += " WHERE RunID = ?"
-            args.append(run_id)
-        query += " ORDER BY RunID, StartTime, SpanID"
-        try:
-            rows = self.conn.execute(query, args).fetchall()
-        except sqlite3.OperationalError:  # old schema without the table
-            return []
         return [
             {
                 "run_id": row["RunID"],
@@ -873,14 +1015,14 @@ class ExperimentDatabase:
                 "status": row["Status"],
                 "attrs": json.loads(row["Attrs"]) if row["Attrs"] else {},
             }
-            for row in rows
+            for row in self._side_rows("RunTraces", "RunID, StartTime, SpanID", run_id)
         ]
 
     def extra_measurements(self, run_id: int) -> Dict[str, Dict[str, Any]]:
+        where, args = self._where(RunID=run_id)
         out: Dict[str, Dict[str, Any]] = {}
         for row in self.conn.execute(
-            "SELECT NodeID, Name, Content FROM ExtraRunMeasurements WHERE RunID = ?",
-            (run_id,),
+            f"SELECT NodeID, Name, Content FROM ExtraRunMeasurements{where}", args
         ):
             out.setdefault(row["NodeID"], {})[row["Name"]] = json.loads(row["Content"])
         return out

@@ -49,7 +49,7 @@ def test_warehouse_view_byte_equal_to_level3(tmp_path_factory, shape):
             assert view.events() == level3.events()
             sd_types = {"sd_start_search", "sd_start_publish",
                         "sd_service_add"}
-            assert view.sd_events() == [
+            assert view.events(event_type=tuple(sd_types)) == [
                 e for e in level3.events() if e["name"] in sd_types
             ]
             assert view.packets() == level3.packets()

@@ -5,8 +5,9 @@ import sqlite3
 import pytest
 
 from repro import ExperiMaster, Level2Store, store_level3
-from repro.campaign.merge import ShardWriter, database_digest, merge_shards
+from repro.campaign.merge import ShardWriter, database_digest, merge_shards, shard_has_run
 from repro.core.errors import StorageError
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.platforms.simulated import SimulatedPlatform
 from repro.sd.processlib import build_two_party_description
 from repro.storage.level3 import RUN_TABLES
@@ -93,3 +94,22 @@ def test_database_digest_ignore_columns(executed_store, tmp_path):
     assert database_digest(db) == base  # stable
     assert database_digest(db, ignore_columns=("StartTime",)) != base
     assert database_digest(db, tables=("RunInfos",)) != base
+
+
+def test_probing_an_unreadable_shard_is_false_and_counted(executed_store, tmp_path):
+    shard = tmp_path / "w0.db"
+    with ShardWriter(shard) as writer:
+        writer.stage_run(executed_store, 0)
+    garbage = tmp_path / "garbage.db"
+    garbage.write_bytes(b"this is not a sqlite database, it only sits where one should" * 20)
+    registry = MetricsRegistry()
+    set_registry(registry)
+    try:
+        assert shard_has_run(shard, 0) and not shard_has_run(shard, 1)
+        assert not shard_has_run(tmp_path / "absent.db", 0)
+        suppressed = registry.counter("repro_suppressed_errors_total", labels=("site",))
+        assert suppressed.value(site="shard_probe") == 0  # none of those is an error
+        assert shard_has_run(garbage, 0) is False
+        assert suppressed.value(site="shard_probe") == 1
+    finally:
+        set_registry(None)

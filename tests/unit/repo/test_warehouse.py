@@ -131,6 +131,52 @@ def test_shard_view_matches_level3_reader(warehouse, make_level3):
         assert view.plan() == level3.plan()
 
 
+def test_closing_a_view_leaves_the_shard_connection_to_the_warehouse(
+    warehouse, make_level3
+):
+    db = make_level3("alpha", n_runs=3)
+    exp_id = warehouse.ingest(db).exp_id
+    with warehouse.view(exp_id) as view:
+        assert view.run_ids() == [0, 1, 2]
+    # The reader borrowed the warehouse's shard connection: still open.
+    assert warehouse.run_ids(exp_id) == [0, 1, 2]
+    assert len(warehouse.events(exp_id, event_type="sd_service_add")) == 3
+    # A slice carries Table I only; the side-table readers say "nothing".
+    assert view.run_traces() == [] and view.fault_leases() == []
+    assert view.abort_reasons() == {}
+
+
+def test_failed_detach_is_counted_not_raised(warehouse, make_level3):
+    from repro.obs.metrics import MetricsRegistry, set_registry
+    from repro.repo.shard import copy_batch_into_shard
+
+    db = make_level3("alpha")
+    key = fingerprint_package(db)
+    pid, _ = warehouse.catalog.get_or_create_partition(
+        key.name, key.factor_fingerprint)
+    shard = warehouse._shard(pid)
+
+    class DetachFails:
+        def execute(self, sql, *args):
+            if sql.startswith("DETACH"):
+                raise sqlite3.OperationalError("database src0 is locked")
+            return shard.execute(sql, *args)
+
+    registry = MetricsRegistry()
+    set_registry(registry)
+    try:
+        copy_batch_into_shard(DetachFails(), [(7, db)])
+        suppressed = registry.counter(
+            "repro_suppressed_errors_total", labels=("site",))
+        assert suppressed.value(site="shard_detach") == 1
+    finally:
+        set_registry(None)
+        shard.execute("DETACH DATABASE src0")
+    with ExperimentDatabase(db) as level3:
+        copied = ExperimentDatabase.over_shard(shard, 7)
+        assert copied.events() == level3.events()  # the copy itself stood
+
+
 def test_resolve_by_id_and_name(warehouse, make_level3):
     exp_id = warehouse.ingest(make_level3("alpha")).exp_id
     assert warehouse.resolve(exp_id) == exp_id
