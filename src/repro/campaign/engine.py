@@ -5,9 +5,10 @@ Execution model
 Every run executes inside its **own fresh platform and simulation
 kernel**, driven by a single-run :class:`~repro.core.master.ExperiMaster`
 (``only_runs={run_id}``) — the full ``experiment_init → run →
-experiment_exit`` lifecycle of Fig. 3, but over exactly one run.  That
-per-run isolation (the Dfuntest prerequisite for safe concurrency) is
-what makes parallelism *free* of determinism cost: a run's data is a pure
+experiment_exit`` lifecycle of Fig. 3, but over exactly one run; only the
+immutable testbed frame (:mod:`repro.platforms.frame`: mesh, routes, its
+measurement) is built once per worker process and shared.  That isolation
+is what makes parallelism *free* of determinism cost: a run's data is a pure
 function of (description, run id), so worker count, dispatch order and
 completion order cannot influence a single byte of the merged database.
 
@@ -50,7 +51,7 @@ from repro.core.master import build_run_spec, execute_spec_run
 # resolves ``engine.generate_plan`` and benchmarks/e2e is frozen (ROADMAP 5).
 from repro.core.plan import generate_plan  # noqa: F401
 from repro.core.xmlio import description_to_xml
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import count_suppressed_error, get_registry
 from repro.obs.trace import Tracer
 
 __all__ = ["CampaignEngine", "run_campaign"]
@@ -287,8 +288,8 @@ class CampaignEngine:
             with open(self.session.campaign_dir / "traces.jsonl", "a", encoding="utf-8") as fh:
                 for rec in records:
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        except OSError:  # pragma: no cover - diagnostics only
-            pass
+        except OSError:
+            count_suppressed_error("campaign_traces_write")
 
 
 def run_campaign(description, campaign_dir, db_path=None, **kwargs) -> CampaignResult:

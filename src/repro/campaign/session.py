@@ -38,7 +38,7 @@ from repro.core.errors import CampaignError, RecoveryError, extract_node_id
 from repro.core.params import SpecialParams
 from repro.core.plan import TreatmentPlan, generate_plan
 from repro.faults.control import select_control_faults
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import count_suppressed_error, get_registry
 from repro.storage.level2 import Level2Store
 
 __all__ = ["CampaignResult", "CampaignSession", "merge_campaign"]
@@ -337,8 +337,8 @@ class CampaignSession:
             with open(self.campaign_dir / "metrics.json", "w", encoding="utf-8") as fh:
                 json.dump(snapshot, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-        except OSError:  # pragma: no cover - diagnostics only
-            pass
+        except OSError:
+            count_suppressed_error("campaign_metrics_write")
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,6 @@ from repro.core.plan import Run, TreatmentPlan, generate_plan
 from repro.core.recovery import Journal
 from repro.core.runner import ProcessInterpreter, ProcessScope, RunBinding
 from repro.core.timesync import measure_offsets
-from repro.core.topomeasure import measure_hop_counts, snapshot_topology
 from repro.core.validation import validate_description
 from repro.core.plugins import PluginManager
 from repro.faults.manipulations import EnvContext, EnvironmentController
@@ -331,7 +330,7 @@ class ExperiMaster:
         self.emit_master("experiment_init", params=(desc.name,))
         for node_id in node_ids:
             yield from self.channel.call(node_id, "experiment_init", desc.name)
-        self.store.write_topology("before", self._topology_measurement(node_ids))
+        self.store.write_topology("before", self.platform.topology_measurement())
         self.plugins.experiment_init(self)
         self._start_heartbeat(node_ids)
         init_span.end()
@@ -365,7 +364,7 @@ class ExperiMaster:
         exit_span = self.tracer.start_span("experiment_collect", nodes=len(node_ids))
         if self.monitor is not None:
             self.monitor.stop()
-        self.store.write_topology("after", self._topology_measurement(node_ids))
+        self.store.write_topology("after", self.platform.topology_measurement())
         for name, content in self.plugins.experiment_exit(self).items():
             self.store.write_experiment_measurement(name, content)
         logs: Dict[str, str] = {}
@@ -481,14 +480,6 @@ class ExperiMaster:
                 "journal_write", exc, site="fault_leases_reconciled"
             )
             count_suppressed_error("journal_leases_reconciled")
-
-    def _topology_measurement(self, node_ids: List[str]) -> Dict[str, Any]:
-        topology = self.platform.topology
-        names = [self.platform.topology_name(nid) for nid in node_ids]
-        return {
-            "hop_counts": measure_hop_counts(topology, names),
-            "snapshot": snapshot_topology(topology),
-        }
 
     # ------------------------------------------------------------------
     # One run

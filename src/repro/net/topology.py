@@ -98,7 +98,6 @@ class Topology:
         self._adj_ids: Optional[List[List[int]]] = None
         self._csr: Optional[Tuple] = None
         self._sp_graph = None
-        self._bfs_scratch = None
         self._route_rows: Dict[int, List[int]] = {}
         self._dist_rows: Dict[int, List[int]] = {}
         self._sorted_neighbors: Dict[str, List[str]] = {}
@@ -164,14 +163,16 @@ class Topology:
     # ------------------------------------------------------------------
     def intern_ids(self) -> Dict[str, int]:
         """Name → dense int id, in graph node insertion order."""
-        if self._ids is None:
+        ids = self._ids
+        if ids is None:
             names = list(self.graph.nodes)
-            self._names = names
-            self._ids = {name: i for i, name in enumerate(names)}
-            ids = self._ids
+            ids = {name: i for i, name in enumerate(names)}
             adj = self.graph.adj
+            self._names = names
             self._adj_ids = [[ids[w] for w in adj[v]] for v in names]
-        return self._ids
+            # Published last: a thread that sees the ids sees the rest too.
+            self._ids = ids
+        return ids
 
     def node_name(self, node_id: int) -> str:
         """Inverse of :meth:`intern_ids`."""
@@ -226,8 +227,9 @@ class Topology:
                 row, dist = self._route_row_numpy(src_id)
             else:
                 row, dist = self._route_row_python(src_id)
-            self._route_rows[src_id] = row
+            # Distances first: readers test the route row, then read both.
             self._dist_rows[src_id] = dist
+            self._route_rows[src_id] = row
         return row
 
     def _route_row_python(self, src_id: int) -> Tuple[List[int], List[int]]:
@@ -277,11 +279,9 @@ class Topology:
         row = _np.full(n, -1, dtype=_np.int32)
         dist = _np.full(n, -1, dtype=_np.int32)
         dist[src_id] = 0
-        # Scratch for the first-occurrence trick; never cleared, because a
-        # level only ever reads positions it just wrote.
-        pos = self._bfs_scratch
-        if pos is None or len(pos) != n:
-            pos = self._bfs_scratch = _np.empty(n, dtype=_np.int64)
+        # Scratch for the first-occurrence trick, per call (threads share a
+        # topology); never cleared: a level only reads positions it just wrote.
+        pos = _np.empty(n, dtype=_np.int64)
         # Level 1: src's neighbours forward to themselves.
         frontier = indices[indptr[src_id]:indptr[src_id + 1]]
         frontier = frontier[dist[frontier] < 0]  # guards self-loops
@@ -401,6 +401,17 @@ class Topology:
             if a != b
         }
 
+    def freeze(self) -> "Topology":
+        """Build every route/distance row, then refuse structural change and
+        :meth:`invalidate_cache`: runs and threads only read it (DESIGN.md §8)."""
+        for src_id in self.intern_ids().values():
+            self._route_row(src_id)
+        nx.freeze(self.graph)
+        for name, value in list(vars(self.graph).items()):
+            if value is nx.classes.function.frozen:
+                setattr(self.graph, name, _refuse_mutation)
+        return self
+
     def invalidate_cache(self) -> None:
         """Forget every derived structure after mutating the graph.
 
@@ -409,13 +420,14 @@ class Topology:
         all derive from the graph and must never go stale independently.
         ``version`` is bumped so medium-local caches rebuild too.
         """
+        if nx.is_frozen(self.graph):
+            _refuse_mutation()
         self._paths_cache = None
         self._ids = None
         self._names = None
         self._adj_ids = None
         self._csr = None
         self._sp_graph = None
-        self._bfs_scratch = None
         self._route_rows.clear()
         self._dist_rows.clear()
         self._sorted_neighbors.clear()
@@ -427,6 +439,10 @@ class Topology:
             f"<Topology {self.graph.number_of_nodes()} nodes, "
             f"{self.graph.number_of_edges()} links>"
         )
+
+
+def _refuse_mutation(*_args, **_kwargs):
+    raise nx.NetworkXError("frozen, shared between runs: copy it first: Topology(t.graph.copy())")
 
 
 def _apply_defaults(graph: nx.Graph, base_loss: float, base_delay: float) -> nx.Graph:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.errors import PlatformError
+from repro.platforms.frame import TestbedFrame, measure_frame
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.nodemanager import NodeManager
@@ -71,6 +72,8 @@ class Platform:
     rngs: "RngRegistry"
     topology: "Topology"
     node_managers: Dict[str, "NodeManager"]
+    #: The topology's last measurement (:mod:`repro.platforms.frame`).
+    frame: Optional[TestbedFrame] = None
     #: When set, :meth:`ExperiMaster.execute` synchronizes the kernel to
     #: the wall clock at this speed factor.
     realtime_factor: Optional[float] = None
@@ -110,6 +113,15 @@ class Platform:
     def topology_name(self, node_id: str) -> str:
         """Topology graph name of a platform node (identity by default)."""
         return node_id
+
+    def topology_measurement(self) -> str:
+        """Level-2 text of the Sec. IV-B4 measurement between this platform's
+        nodes; taken anew only when ``topology.version`` moved since the last."""
+        frame = self.frame
+        if frame is None or frame.version != self.topology.version:
+            names = [self.topology_name(nid) for nid in self.node_managers]
+            frame = self.frame = measure_frame(self.topology, names)
+        return frame.measurement_json
 
     # ------------------------------------------------------------------
     # Per-run hooks (called by the master)

@@ -3,8 +3,9 @@
 Builds, from an experiment description, everything the execution needs:
 
 * the simulation kernel,
-* a mesh :class:`~repro.net.topology.Topology` whose node names are the
-  platform node ids of the description's platform spec (Fig. 8),
+* a mesh :class:`~repro.net.topology.Topology` over the platform node ids
+  of the description (Fig. 8): the process's shared, frozen testbed frame
+  (:mod:`repro.platforms.frame`) — everything below it is built per platform,
 * the shared :class:`~repro.net.medium.WirelessMedium`,
 * one :class:`~repro.net.node.NetNode` per platform node, with a skewed
   local clock drawn from the platform seed,
@@ -34,14 +35,9 @@ from repro.net.clock import random_clock
 from repro.net.medium import CongestionModel, WirelessMedium
 from repro.net.node import NetNode
 from repro.net.packet import reset_uid_counter
-from repro.net.topology import (
-    Topology,
-    full_mesh_topology,
-    grid_topology,
-    line_topology,
-    random_geometric_topology,
-)
+from repro.net.topology import Topology
 from repro.platforms.base import Platform
+from repro.platforms.frame import frame_for
 from repro.sd.agent import install_sd_agent
 from repro.sd.hybrid import HybridAgent
 from repro.sd.mdns import MdnsAgent
@@ -141,7 +137,18 @@ class SimulatedPlatform(Platform):
         node_ids = [n.node_id for n in description.platform.nodes]
         if not node_ids:
             raise PlatformError("description has an empty platform spec")
-        self.topology = self._build_topology(node_ids)
+        spec = self.config.topology
+        if isinstance(spec, Topology):  # the caller's object, used as given
+            missing = [nid for nid in node_ids if nid not in spec.graph]
+            if missing:
+                raise PlatformError(f"custom topology misses platform nodes {missing}")
+            self.topology = spec
+        else:
+            seed = derive_seed(description.seed, "topology")
+            self.frame = frame_for(
+                node_ids, spec, self.config.mesh_radius, self.config.base_loss, seed
+            )
+            self.topology = self.frame.topology
         self.medium = WirelessMedium(
             self.sim,
             self.topology,
@@ -211,55 +218,6 @@ class SimulatedPlatform(Platform):
                     ) from None
             addrs.append(node.address)
         return addrs
-
-    # ------------------------------------------------------------------
-    def _build_topology(self, node_ids: List[str]) -> Topology:
-        spec = self.config.topology
-        if isinstance(spec, Topology):
-            missing = [nid for nid in node_ids if nid not in spec.graph]
-            if missing:
-                raise PlatformError(
-                    f"custom topology misses platform nodes {missing}"
-                )
-            return spec
-        n = len(node_ids)
-        if spec == "grid":
-            import math
-
-            cols = max(1, int(math.ceil(math.sqrt(n))))
-            rows = int(math.ceil(n / cols))
-            topo = grid_topology(rows, cols, base_loss=self.config.base_loss)
-            built = topo
-        elif spec == "line":
-            built = line_topology(n, base_loss=self.config.base_loss)
-        elif spec == "full":
-            built = full_mesh_topology(n, base_loss=self.config.base_loss)
-        elif spec == "mesh":
-            built = random_geometric_topology(
-                n,
-                radius=self.config.mesh_radius,
-                seed=derive_seed(self.description.seed, "topology"),
-                base_loss=self.config.base_loss,
-            )
-        else:
-            raise PlatformError(f"unknown topology spec {spec!r}")
-        # Relabel generated names onto the platform node ids: sorted
-        # generated names map to sorted platform ids, deterministically.
-        import networkx as nx
-
-        generated = sorted(built.graph.nodes, key=lambda s: int(s.lstrip("n")))
-        extra = built.graph.number_of_nodes() - n
-        if extra:
-            built.graph.remove_nodes_from(generated[n:])
-            generated = generated[:n]
-        mapping = dict(zip(generated, sorted(node_ids)))
-        graph = nx.relabel_nodes(built.graph, mapping)
-        if not nx.is_connected(graph):
-            raise PlatformError(
-                "topology became disconnected after sizing; pick another "
-                "shape or radius"
-            )
-        return Topology(graph)
 
     # ------------------------------------------------------------------
     # Per-run determinism hooks

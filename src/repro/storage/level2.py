@@ -68,7 +68,7 @@ from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tupl
 from repro.core.errors import StorageError
 from repro.durable import DurableLog, encode_record, frame, iter_frames
 
-__all__ = ["Level2Store", "RunWriter", "encode_block"]
+__all__ = ["Level2Store", "RunWriter", "encode_block", "encode_json"]
 
 #: A bad line: ``(line number, node prefix, reason, raw text)``.
 _BadLine = Tuple[int, str, str, str]
@@ -126,12 +126,20 @@ def _append_lines(path: Path, frames: List[bytes]) -> None:
         fh.write(b"\n".join(frames) + b"\n")
 
 
-def _write_json(path: Path, data: Any) -> None:
+def encode_json(data: Any) -> str:
+    """The level-2 text of a whole-file JSON document."""
     # json.dumps takes the C encoder; json.dump(fh) would iterate the
     # pure-Python one chunk by chunk for the same text.
-    text = json.dumps(data, indent=None, separators=(",", ":"), sort_keys=True)
+    return json.dumps(data, indent=None, separators=(",", ":"), sort_keys=True)
+
+
+def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
+
+
+def _write_json(path: Path, data: Any) -> None:
+    _write_text(path, encode_json(data))
 
 
 def _read_json(path: Path) -> Any:
@@ -303,10 +311,12 @@ class Level2Store:
     # ------------------------------------------------------------------
     # Master-side measurements
     # ------------------------------------------------------------------
-    def write_topology(self, phase: str, snapshot: Dict[str, Any]) -> None:
+    def write_topology(self, phase: str, snapshot: Any) -> None:
+        """*snapshot*: the measurement, or its :func:`encode_json` text."""
         if phase not in ("before", "after"):
             raise StorageError(f"topology phase must be before/after, got {phase!r}")
-        _write_json(self.root / "master" / f"topology_{phase}.json", snapshot)
+        text = snapshot if isinstance(snapshot, str) else encode_json(snapshot)
+        _write_text(self.root / "master" / f"topology_{phase}.json", text)
 
     def read_topology(self, phase: str) -> Optional[Dict[str, Any]]:
         path = self.root / "master" / f"topology_{phase}.json"

@@ -5,6 +5,11 @@ crossing the control channel as node-encoded record blocks (PR 14, parent
 208534b), with the struct-per-record collection path.  Whatever carries a
 record from a node to level 2 must keep every byte of the run streams and
 of the ``nodes/`` files, and with them the level-3 Table-I digest.
+
+``topology_before`` was recorded on the commit before the topology
+measurement started to be encoded once per testbed frame (PR 20, parent
+a5057d2); ``master/topology_after.json`` holds the same bytes, nothing
+having changed the mesh.
 """
 
 import hashlib
@@ -39,22 +44,27 @@ def _sha(root, pattern, keep=lambda path: True):
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("build, run_streams, node_files, l3_digest", [
+@pytest.mark.parametrize("build, run_streams, node_files, l3_digest, topology_before", [
     (_mdns,
      "eb96cb827c7db9406ee84e5c282f3399e3ff7aa95bc1cf32d9e78e2906db9a7e",
      "67dc9a7afe3279aaf046568da287cb1d36abd4e37fbbc930c9146f3e878b5948",
-     "419cc7f3ea4ef4e43f7ab25ad17b0df2300d5332727f9f62248d3fff53bac6a5"),
+     "419cc7f3ea4ef4e43f7ab25ad17b0df2300d5332727f9f62248d3fff53bac6a5",
+     "fbddc3364de0e31fbf87ada6733cc63fd43e349041f6166a7bb558297be8ebcf"),
     (_registry,
      "9c0c1a1cceba9433fb5c1577555194eca683a989828015a7f0eba8b54b02eb11",
      "a307869f69ead36cb750219c667527d344628aecfa7e6497b4969e4c80e4c970",
-     "1d598ab0190c6b3842cbd6e7cdf71e1259278d040b0c5e085bd740bd2e1820be"),
+     "1d598ab0190c6b3842cbd6e7cdf71e1259278d040b0c5e085bd740bd2e1820be",
+     "3b7cde0641cc867097a119f88cd0e77f3795f048d6840d8714e5a1c4eab75bda"),
 ], ids=["two-party-mdns", "registry"])
 def test_level2_bytes_and_level3_digest_equal_the_parent_commit(
-        tmp_path, build, run_streams, node_files, l3_digest):
+        tmp_path, build, run_streams, node_files, l3_digest, topology_before):
     desc, config = build()
     result = run_experiment(desc, store_root=tmp_path / "l2", config=config)
     root = tmp_path / "l2"
     # traces.jsonl carries host-clock span times and is not pinned.
     assert _sha(root, "runs/*/*.jsonl", lambda p: p.name != "traces.jsonl") == run_streams
     assert _sha(root, "nodes/*.jsonl") == node_files
+    before = (root / "master" / "topology_before.json").read_bytes()
+    assert hashlib.sha256(before).hexdigest() == topology_before
+    assert (root / "master" / "topology_after.json").read_bytes() == before
     assert database_digest(store_level3(result.store, tmp_path / "l3.db")) == l3_digest

@@ -5,7 +5,8 @@ with tracing on, off, or any worker count, the level-3 Table-I digest and
 the complete RNG schedule (the end state of every named stream the
 platform drew from) must be byte-identical.  Span persistence may only
 add rows to the ``RunTraces`` extension table, which the digest excludes
-by design.  The same holds for the durable log's torn-tail counter.
+by design.  The same holds for the durable log's torn-tail counter and
+the testbed-frame counter.
 """
 
 import sqlite3
@@ -15,6 +16,7 @@ from repro.core.master import ExperiMaster
 from repro.durable import frame
 from repro.obs.metrics import get_registry
 from repro.obs.trace import TRACE_ENV_VAR
+from repro.platforms import frame as frame_module
 from repro.platforms.simulated import SimulatedPlatform
 from repro.sd.processlib import build_two_party_description
 from repro.storage.level2 import Level2Store
@@ -82,6 +84,24 @@ def test_torn_tail_counter_moves_no_digest_and_no_rng_state(tmp_path, monkeypatc
     assert counter.value(log="journal.jsonl") >= before + 2
     assert digest_torn == digest_clean
     assert rng_torn == rng_clean
+
+
+def test_frame_counter_moves_no_digest_and_no_rng_state(tmp_path, monkeypatch):
+    """Built or reused, the testbed frame is invisible in the data."""
+    counter = get_registry().counter("repro_testbed_frames_total", labels=("outcome",))
+
+    def moved(since=(0, 0)):
+        built, reused = counter.value(outcome="built"), counter.value(outcome="reused")
+        return built - since[0], reused - since[1]
+
+    monkeypatch.setattr(frame_module, "_memo", None)
+    start = moved()
+    digest_built, rng_built, _ = _execute(tmp_path / "built", monkeypatch, "1")
+    assert moved(start) == (1, 0)
+    digest_reused, rng_reused, _ = _execute(tmp_path / "reused", monkeypatch, "1")
+    assert moved(start) == (1, 1)
+    assert digest_reused == digest_built
+    assert rng_reused == rng_built
 
 
 def test_campaign_digest_identical_for_tracing_and_jobs(tmp_path, monkeypatch):

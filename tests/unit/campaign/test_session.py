@@ -5,11 +5,14 @@ import shutil
 
 import pytest
 
+from repro.campaign.engine import CampaignEngine
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.session import CampaignSession
 from repro.core.errors import CampaignError, RecoveryError, node_token
 from repro.core.master import build_run_spec, execute_spec_run
 from repro.core.xmlio import description_to_xml
+from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.trace import Tracer
 from repro.sd.processlib import build_two_party_description
 
 NODE = "t9-100"
@@ -174,3 +177,33 @@ def test_seal_journals_completion_exactly_once(tmp_path):
     assert (result.jobs, result.pool, result.db_path) == (2, "fleet", None)
     assert result.telemetry["completed"] == 2
     assert (tmp_path / "metrics.json").exists()
+
+
+# ----------------------------------------------------------------------
+# best-effort observability files
+# ----------------------------------------------------------------------
+@pytest.fixture
+def suppressed():
+    registry = MetricsRegistry()
+    set_registry(registry)
+    try:
+        yield registry.counter("repro_suppressed_errors_total", labels=("site",))
+    finally:
+        set_registry(None)
+
+
+def test_an_unwritable_metrics_file_is_counted_not_raised(tmp_path, suppressed):
+    session = _open(tmp_path)
+    (tmp_path / "metrics.json").mkdir()  # open(..., "w") on a directory fails
+    session.write_metrics()
+    assert suppressed.value(site="campaign_metrics_write") == 1
+
+
+def test_an_unwritable_traces_file_is_counted_not_raised(tmp_path, suppressed):
+    engine = CampaignEngine(_desc(), tmp_path)
+    (tmp_path / "traces.jsonl").mkdir(parents=True)
+    tracer = Tracer(enabled=True)
+    tracer.span("dispatch").end()
+    engine._write_traces(tracer)
+    assert suppressed.value(site="campaign_traces_write") == 1
+    assert tracer.pending() == 0  # drained: a retry would not duplicate them

@@ -1,7 +1,12 @@
 """Unit tests for mesh topology builders and queries."""
 
+import sys
+import threading
+
+import networkx as nx
 import pytest
 
+from repro.net import topology as topology_module
 from repro.net.topology import (
     Topology,
     from_edges,
@@ -186,3 +191,59 @@ def test_invalidate_cache_clears_route_rows():
     topo.invalidate_cache()
     assert not topo._route_rows and not topo._dist_rows
     assert topo.version == version + 1
+
+
+@pytest.mark.parametrize("backend", ["scipy", "numpy"])
+def test_cold_topology_shared_by_threads_reads_whole_rows(backend, monkeypatch):
+    # A thread pool campaign hands one prebuilt Topology to every worker:
+    # the first queries race.  intern_ids() used to publish the ids before
+    # the adjacency they index (TypeError on _adj_ids None in most trials),
+    # and the numpy BFS shared one scratch buffer between its callers.
+    if backend == "numpy":
+        monkeypatch.setattr(topology_module, "_sp_bfs", None)
+    names = [f"n{i}" for i in range(120)]
+    expect = random_geometric_topology(120, 0.2, seed=3).hop_rows(names)
+    errors, results = [], []
+
+    def worker(topo, barrier):
+        try:
+            barrier.wait(timeout=10)
+            results.append(topo.hop_rows(names))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _trial in range(20):
+            topo = random_geometric_topology(120, 0.2, seed=3)
+            barrier = threading.Barrier(4)
+            threads = [threading.Thread(target=worker, args=(topo, barrier)) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(results) == 80 and all(rows == expect for rows in results)
+
+
+def test_frozen_topology_is_warm_and_refuses_change():
+    topo = grid_topology(3, 3)
+    assert topo.freeze() is topo
+    assert sorted(topo._route_rows) == sorted(topo._dist_rows) == list(range(9))
+    for mutate in (
+        lambda: topo.graph.add_edge("n0", "n8"),
+        lambda: topo.graph.remove_node("n4"),
+        topo.invalidate_cache,
+    ):
+        with pytest.raises(nx.NetworkXError, match="copy it first"):
+            mutate()
+    assert topo.version == 0 and topo.hop_count("n0", "n8") == 4
+    # The copy the message asks for is free to change.
+    copy = Topology(topo.graph.copy())
+    copy.graph.add_edge("n0", "n8")
+    copy.invalidate_cache()
+    assert copy.hop_count("n0", "n8") == 1 and topo.hop_count("n0", "n8") == 4

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import StorageError
-from repro.storage.level2 import Level2Store
+from repro.storage.level2 import Level2Store, encode_json
 
 
 @pytest.fixture
@@ -40,6 +40,12 @@ def test_topology_phases(store):
     assert store.read_topology("after") is None
     with pytest.raises(StorageError):
         store.write_topology("middle", {})
+    # A measurement that is already level-2 text is written as it is.
+    store.write_topology("after", encode_json({"nodes": ["a"]}))
+    master = store.root / "master"
+    assert (master / "topology_after.json").read_bytes() == (
+        master / "topology_before.json"
+    ).read_bytes()
 
 
 def test_timesync_roundtrip(store):
