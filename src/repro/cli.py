@@ -52,39 +52,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute an experiment description")
-    p_run.add_argument("description", type=Path, help="experiment XML file")
+    # Declared once, inherited by every subcommand that executes a
+    # description (run, campaign, fabric serve) ...
+    execution = argparse.ArgumentParser(add_help=False)
+    execution.add_argument("description", type=Path, help="experiment XML file")
+    execution.add_argument("--protocol", choices=("mdns", "slp", "hybrid", "registry"),
+                           default="mdns", help="SD protocol agents (default mdns)")
+    execution.add_argument("--topology", default="mesh",
+                           choices=("mesh", "grid", "line", "full"),
+                           help="emulated mesh shape (default mesh)")
+    execution.add_argument("--realtime", type=float, default=None, metavar="FACTOR",
+                           help="pace runs against the wall clock at this speed "
+                                "factor")
+    execution.add_argument("--rpc-timeout", type=float, default=None, metavar="SECS",
+                           help="per-call control-channel deadline (overrides the "
+                                "description's rpc_timeout; 0 disables)")
+    execution.add_argument("--run-deadline", type=float, default=None, metavar="SECS",
+                           help="watchdog budget applied to each run phase "
+                                "(preparation, execution, clean-up); 0 disables")
+    execution.add_argument("--quiet", action="store_true")
+
+    # ... and by every owner of a campaign directory (campaign, fabric serve).
+    campaign_dir = argparse.ArgumentParser(add_help=False)
+    campaign_dir.add_argument("--dir", type=Path, default=None, dest="campaign_dir",
+                              help="campaign directory: journal, staging stores and "
+                                   "shards (default: ./<name>.campaign)")
+    campaign_dir.add_argument("--db", type=Path, default=None,
+                              help="merged level-3 SQLite database "
+                                   "(default: <campaign dir>/<name>.db)")
+    campaign_dir.add_argument("--resume", action="store_true",
+                              help="resume an aborted campaign found in --dir")
+    campaign_dir.add_argument("--max-retries", "--retries", type=int, default=1,
+                              dest="max_retries", metavar="N",
+                              help="extra attempts per failed run (default 1); a run "
+                                   "failing on a dead node is re-queued this often "
+                                   "before the campaign reports it failed")
+    campaign_dir.add_argument("--chaos-json", type=Path, default=None, metavar="FILE",
+                              help="JSON list of control-plane fault entries to "
+                                   "inject (see repro.faults.control) — CI gauntlet "
+                                   "and resilience testing")
+
+    p_run = sub.add_parser(
+        "run", help="execute an experiment description", parents=[execution]
+    )
     p_run.add_argument("--store", type=Path, default=None,
                        help="level-2 store directory (default: ./<name>.l2)")
     p_run.add_argument("--db", type=Path, default=None,
                        help="also write the level-3 SQLite package here")
     p_run.add_argument("--resume", action="store_true",
                        help="resume an aborted execution in --store")
-    p_run.add_argument("--protocol", choices=("mdns", "slp", "hybrid", "registry"),
-                       default="mdns", help="SD protocol agents (default mdns)")
-    p_run.add_argument("--topology", default="mesh",
-                       choices=("mesh", "grid", "line", "full"),
-                       help="emulated mesh shape (default mesh)")
-    p_run.add_argument("--realtime", type=float, default=None, metavar="FACTOR",
-                       help="pace against the wall clock at this speed factor")
-    p_run.add_argument("--rpc-timeout", type=float, default=None, metavar="SECS",
-                       help="per-call control-channel deadline (overrides the "
-                            "description's rpc_timeout; 0 disables)")
-    p_run.add_argument("--run-deadline", type=float, default=None, metavar="SECS",
-                       help="watchdog budget applied to each run phase "
-                            "(preparation, execution, clean-up); 0 disables")
-    p_run.add_argument("--quiet", action="store_true")
 
     p_camp = sub.add_parser(
-        "campaign", help="execute an experiment's runs in parallel"
+        "campaign",
+        help="execute an experiment's runs in parallel",
+        parents=[execution, campaign_dir],
     )
-    p_camp.add_argument("description", type=Path, help="experiment XML file")
-    p_camp.add_argument("--dir", type=Path, default=None, dest="campaign_dir",
-                        help="campaign directory: journal, staging stores and "
-                             "shards (default: ./<name>.campaign)")
-    p_camp.add_argument("--db", type=Path, default=None,
-                        help="merged level-3 SQLite database "
-                             "(default: <campaign dir>/<name>.db)")
     p_camp.add_argument("--jobs", "-j", type=int, default=2,
                         help="worker count; capped by the description's "
                              "max_parallel special parameter (default 2)")
@@ -92,26 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="auto",
                         help="worker pool kind (auto: processes for pure DES "
                              "on multi-core hosts, threads otherwise)")
-    p_camp.add_argument("--resume", action="store_true",
-                        help="resume an aborted campaign found in --dir")
     p_camp.add_argument("--merge-only", action="store_true",
                         help="only merge an already completed campaign's "
                              "shards into --db")
-    p_camp.add_argument("--max-retries", "--retries", type=int, default=1,
-                        dest="max_retries", metavar="N",
-                        help="extra attempts per failed run (default 1); a run "
-                             "failing on a dead node is re-queued this often "
-                             "before the campaign reports it failed")
-    p_camp.add_argument("--rpc-timeout", type=float, default=None, metavar="SECS",
-                        help="per-call control-channel deadline (overrides the "
-                             "description's rpc_timeout; 0 disables)")
-    p_camp.add_argument("--run-deadline", type=float, default=None, metavar="SECS",
-                        help="watchdog budget applied to each run phase; "
-                             "0 disables")
-    p_camp.add_argument("--chaos-json", type=Path, default=None, metavar="FILE",
-                        help="JSON list of control-plane fault entries to "
-                             "inject (see repro.faults.control) — CI gauntlet "
-                             "and resilience testing")
     p_camp.add_argument("--abort-after", type=int, default=None, metavar="N",
                         help="simulate a campaign crash after N completed runs "
                              "(testing --resume)")
@@ -121,15 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "level-2 data and re-execute runs whose dropped-"
                              "record fraction exceeds FRACTION (0 re-queues on "
                              "any loss)")
-    p_camp.add_argument("--protocol", choices=("mdns", "slp", "hybrid", "registry"),
-                        default="mdns", help="SD protocol agents (default mdns)")
-    p_camp.add_argument("--topology", default="mesh",
-                        choices=("mesh", "grid", "line", "full"),
-                        help="emulated mesh shape (default mesh)")
-    p_camp.add_argument("--realtime", type=float, default=None, metavar="FACTOR",
-                        help="pace runs against the wall clock at this speed "
-                             "factor")
-    p_camp.add_argument("--quiet", action="store_true")
 
     p_fab = sub.add_parser(
         "fabric",
@@ -139,48 +135,19 @@ def build_parser() -> argparse.ArgumentParser:
     fab_sub = p_fab.add_subparsers(dest="fabric_command", required=True)
 
     f_serve = fab_sub.add_parser(
-        "serve", help="coordinate a campaign for a fleet of workers"
+        "serve",
+        help="coordinate a campaign for a fleet of workers",
+        parents=[execution, campaign_dir],
     )
-    f_serve.add_argument("description", type=Path, help="experiment XML file")
     f_serve.add_argument("--bind", default="127.0.0.1:0", metavar="HOST:PORT",
                          help="listen address (port 0 picks an ephemeral "
                               "port, printed at startup; default 127.0.0.1:0)")
-    f_serve.add_argument("--dir", type=Path, default=None, dest="campaign_dir",
-                         help="campaign directory (default ./<name>.campaign)")
-    f_serve.add_argument("--db", type=Path, default=None,
-                         help="merged level-3 SQLite database "
-                              "(default: <campaign dir>/<name>.db)")
-    f_serve.add_argument("--resume", action="store_true",
-                         help="resume an aborted fleet campaign from its "
-                              "journal (workers re-register automatically)")
     f_serve.add_argument("--batch-size", type=int, default=4, metavar="N",
                          help="maximum runs per lease (default 4)")
     f_serve.add_argument("--lease-ttl", type=float, default=30.0,
                          metavar="SECS", dest="lease_ttl",
                          help="seconds a leased batch stays owned without a "
                               "renewal before it is re-leased (default 30)")
-    f_serve.add_argument("--max-retries", "--retries", type=int, default=1,
-                         dest="max_retries", metavar="N",
-                         help="extra attempts per failed run (default 1)")
-    f_serve.add_argument("--chaos-json", type=Path, default=None,
-                         metavar="FILE",
-                         help="JSON list of control-plane fault entries")
-    f_serve.add_argument("--protocol", choices=("mdns", "slp", "hybrid", "registry"),
-                         default="mdns",
-                         help="SD protocol agents (default mdns)")
-    f_serve.add_argument("--topology", default="mesh",
-                         choices=("mesh", "grid", "line", "full"),
-                         help="emulated mesh shape (default mesh)")
-    f_serve.add_argument("--realtime", type=float, default=None,
-                         metavar="FACTOR",
-                         help="pace runs against the wall clock at this "
-                              "speed factor")
-    f_serve.add_argument("--rpc-timeout", type=float, default=None,
-                         metavar="SECS",
-                         help="per-call control-channel deadline")
-    f_serve.add_argument("--run-deadline", type=float, default=None,
-                         metavar="SECS",
-                         help="watchdog budget applied to each run phase")
     f_serve.add_argument("--timeout", type=float, default=None, metavar="SECS",
                          help="abort if the campaign is not complete within "
                               "this wall-clock budget")
@@ -201,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seconds the leadership lease stays held "
                               "without a renewal — the failover detection "
                               "horizon for standbys (default 10)")
-    f_serve.add_argument("--quiet", action="store_true")
 
     f_worker = fab_sub.add_parser(
         "worker", help="execute leased runs for a serving coordinator"
@@ -422,9 +388,9 @@ def _apply_resilience_flags(desc, args) -> None:
     keeps resumed runs byte-identical to uninterrupted ones.
     """
     overrides = {}
-    if getattr(args, "rpc_timeout", None) is not None:
+    if args.rpc_timeout is not None:
         overrides["rpc_timeout"] = args.rpc_timeout
-    if getattr(args, "run_deadline", None) is not None:
+    if args.run_deadline is not None:
         overrides["prep_deadline"] = args.run_deadline
         overrides["exec_deadline"] = args.run_deadline
         overrides["cleanup_deadline"] = args.run_deadline

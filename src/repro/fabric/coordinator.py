@@ -56,6 +56,11 @@ from repro.fabric.wire import FleetServer
 
 __all__ = ["FabricCoordinator"]
 
+#: Longest :meth:`FabricCoordinator.run_until_complete` sleeps between two
+#: ``finished()`` checks when nothing wakes it: the cadence of the TTL /
+#: liveness ``sweep()`` and of the settle-timeout check.
+SWEEP_PERIOD = 0.2
+
 
 def _worker_slug(worker_id: str) -> str:
     """Filesystem-safe shard name for a worker id."""
@@ -175,6 +180,9 @@ class FabricCoordinator:
         )
         self.epoch = 0
         self._lock = threading.RLock()
+        #: Over the dispatch lock: notified when an ack settles a run and
+        #: when leadership is lost, the two things completion waits for.
+        self._progress = threading.Condition(self._lock)
         self._server: Optional[FleetServer] = None
         self._scope_lock = threading.Lock()
         self.dispatcher: Optional[LeaseDispatcher] = None
@@ -296,6 +304,8 @@ class FabricCoordinator:
     def _mark_deposed(self, reason: str) -> None:
         self._deposed_reason = self._deposed_reason or reason
         self._renew_stop.set()
+        with self._progress:
+            self._progress.notify_all()
 
     def _renew_leadership_loop(self) -> None:
         """Heartbeat the leadership lease at ~TTL/3; a refused renewal
@@ -440,6 +450,7 @@ class FabricCoordinator:
                     run_id,
                     error or "worker reported failure",
                 )
+                self._progress.notify_all()
                 return json.dumps({"status": status})
             payload = json.loads(payload_json)
             stats = payload.get("stats") or {}
@@ -475,6 +486,7 @@ class FabricCoordinator:
             except LeadershipLost:
                 self._mark_deposed("deposed")
                 return json.dumps({"status": "not_leader"})
+            self._progress.notify_all()
             return json.dumps({"status": status})
 
     def _rpc_status(self) -> str:
@@ -576,10 +588,13 @@ class FabricCoordinator:
     def run_until_complete(
         self,
         db_path=None,
-        poll: float = 0.2,
         timeout: Optional[float] = None,
     ) -> CampaignResult:
         """Block until every run settled; journal completion and merge.
+
+        Completion is a wake-up, not a poll: the wait ends with the ack
+        that settles the last run (or the loss of leadership), and only
+        the TTL / liveness sweep keeps the :data:`SWEEP_PERIOD` cadence.
 
         Raises :class:`CampaignError` (resumable state, like the local
         engine) when runs exhausted their attempt budgets or *timeout*
@@ -588,13 +603,14 @@ class FabricCoordinator:
         successor finishes the campaign).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        while not self.finished():
-            if deadline is not None and time.monotonic() > deadline:
-                raise CampaignError(
-                    f"fleet campaign did not settle within {timeout}s; "
-                    "resume after fixing the fleet",
-                )
-            time.sleep(poll)
+        with self._progress:
+            while not self.finished():
+                if deadline is not None and time.monotonic() > deadline:
+                    raise CampaignError(
+                        f"fleet campaign did not settle within {timeout}s; "
+                        "resume after fixing the fleet",
+                    )
+                self._progress.wait(SWEEP_PERIOD)
         return self.finalize(db_path=db_path)
 
     def finalize(self, db_path=None) -> CampaignResult:

@@ -52,6 +52,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import CampaignError
 from repro.durable import DurableLog, locked, replace_file
+from repro.obs.metrics import count_suppressed_error
 
 __all__ = [
     "ElectionLedger",
@@ -261,9 +262,10 @@ class ElectionLedger:
 
     def retire_beacon(self, standby_id: str) -> None:
         try:
-            (self.standby_root / f"{_slug(standby_id)}.json").unlink()
+            (self.standby_root / f"{_slug(standby_id)}.json").unlink(missing_ok=True)
         except OSError:
-            pass
+            # Advisory: a beacon left behind ages out of the roster.
+            count_suppressed_error("election_beacon_retire")
 
     def standby_roster(self, fresh_within: Optional[float] = None) -> List[dict]:
         """Standbys whose beacon is fresher than *fresh_within* seconds
@@ -277,6 +279,7 @@ class ElectionLedger:
             try:
                 rec = json.loads(path.read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError):
+                count_suppressed_error("election_beacon_read")
                 continue
             if now - float(rec.get("beat_at", 0.0)) <= horizon:
                 roster.append(rec)

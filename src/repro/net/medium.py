@@ -45,11 +45,12 @@ the common path is allocation-free and every per-packet lookup is O(1):
   through ``Packet.forwarded``), so the per-hop ``packet.copy()`` is gone
   and deliveries are scheduled as bound method + args, no closure.
 
-``repro.net.reference.ReferenceMedium`` preserves the historical
-implementation; property tests pin both to byte-identical Table-I digests
-and :class:`MediumStats` at paper scale.  The RNG draw order (per-carry
-uniform jitter, then loss attempts, neighbours in sorted-name order) is
-part of that contract — do not reorder draws.
+The historical implementation is kept with the tests as an oracle
+(``tests/oracles/net_reference.py``); property tests pin both to
+byte-identical Table-I digests and :class:`MediumStats` at paper scale.
+The RNG draw order (per-carry uniform jitter, then loss attempts,
+neighbours in sorted-name order) is part of that contract — do not
+reorder draws.
 """
 
 from __future__ import annotations

@@ -20,20 +20,23 @@ come straight from shortest path lengths of this graph.
 
 Route tables
 ------------
-The simulator fast path (DESIGN.md §14) never touches nx path lists on the
-packet hot loop.  Node names are interned to dense int ids (graph node
-insertion order) and next hops come from lazily built per-source BFS rows:
-``_route_row(src_id)[dst_id]`` is the int id of the neighbour *src*
-forwards to, ``-1`` if unreachable (or ``dst == src``).  The FIFO BFS
-propagates the first hop over ``graph.adj`` in insertion order, which is
-exactly the discovery order ``nx.all_pairs_shortest_path`` uses, so the
-chosen hop is identical to the historical ``shortest_path(src, dst)[1]``
-(pinned by ``tests/unit/net/test_topology.py`` and the medium-equivalence
-property tests).  ``shortest_path`` itself stays nx-backed for callers
-that need full paths and for the frozen reference medium.
+Routing never builds nx path lists (DESIGN.md §14).  Node names are
+interned to dense int ids (graph node insertion order) and next hops come
+from lazily built per-source BFS rows: ``_route_row(src_id)[dst_id]`` is
+the int id of the neighbour *src* forwards to, ``-1`` if unreachable (or
+``dst == src``).  The FIFO BFS propagates the first hop over ``graph.adj``
+in insertion order, which is exactly the discovery order
+``nx.all_pairs_shortest_path`` uses, so the chosen hop is the second node
+of the nx shortest path (pinned by ``tests/unit/net/test_topology.py`` and,
+against a medium that really asks nx, by
+``tests/property/test_sim_fastpath_equivalence.py``).
 
-Every cache (nx paths, id interning, route/distance rows, sorted
-neighbours, edge parameters) invalidates together through
+Two builders make a row and ``import scipy`` succeeding is the whole
+selection: scipy's C BFS where it is installed, the sequential pure-Python
+BFS otherwise — which is also the oracle the scipy rows are tested against.
+
+Every cache (id interning, route/distance rows, sorted neighbours, edge
+parameters) invalidates together through
 :meth:`Topology.invalidate_cache`, which also bumps :attr:`Topology.version`
 so medium-local caches keyed on the topology can notice mutations.
 """
@@ -45,16 +48,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
-try:  # numpy is a declared dependency, but the route tables degrade
-    import numpy as _np  # gracefully to the pure-Python BFS without it.
-except ImportError:  # pragma: no cover
-    _np = None
-
 try:  # scipy is optional; its C BFS is the fastest route-row builder.
+    import numpy as _np  # only the CSR arrays handed to scipy need it
     from scipy.sparse import csr_matrix as _sp_csr_matrix
     from scipy.sparse.csgraph import breadth_first_order as _sp_bfs
 except ImportError:  # pragma: no cover
-    _sp_csr_matrix = None
     _sp_bfs = None
 
 __all__ = [
@@ -92,11 +90,9 @@ class Topology:
         #: Bumped by :meth:`invalidate_cache`; consumers (the wireless
         #: medium) key their own derived caches on this counter.
         self.version = 0
-        self._paths_cache: Optional[Dict[str, Dict[str, List[str]]]] = None
         self._ids: Optional[Dict[str, int]] = None
         self._names: Optional[List[str]] = None
         self._adj_ids: Optional[List[List[int]]] = None
-        self._csr: Optional[Tuple] = None
         self._sp_graph = None
         self._route_rows: Dict[int, List[int]] = {}
         self._dist_rows: Dict[int, List[int]] = {}
@@ -140,24 +136,6 @@ class Topology:
     def has_edge(self, a: str, b: str) -> bool:
         return self.graph.has_edge(a, b)
 
-    def _paths(self) -> Dict[str, Dict[str, List[str]]]:
-        if self._paths_cache is None:
-            self._paths_cache = {
-                src: paths
-                for src, paths in nx.all_pairs_shortest_path(self.graph)
-            }
-        return self._paths_cache
-
-    def shortest_path(self, src: str, dst: str) -> List[str]:
-        """Node sequence from *src* to *dst* inclusive.
-
-        Raises ``KeyError`` if unreachable (partitioned mesh).
-        """
-        try:
-            return self._paths()[src][dst]
-        except KeyError:
-            raise KeyError(f"no path {src} -> {dst}") from None
-
     # ------------------------------------------------------------------
     # Interned ids and route tables (the packet hot path)
     # ------------------------------------------------------------------
@@ -179,32 +157,24 @@ class Topology:
         self.intern_ids()
         return self._names[node_id]
 
-    def _adjacency_csr(self):
-        """Interned adjacency flattened to CSR arrays for the numpy BFS."""
-        if self._csr is None:
+    def _scipy_graph(self):
+        """The interned adjacency as a scipy CSR matrix.
+
+        Rows stay in graph insertion order — scipy's BFS iterates rows as
+        stored, which is what keeps its predecessor tree identical to the
+        sequential BFS.
+        """
+        if self._sp_graph is None:
             self.intern_ids()
             adj = self._adj_ids
-            counts = [len(a) for a in adj]
-            indptr = _np.zeros(len(adj) + 1, dtype=_np.int32)
-            _np.cumsum(counts, out=indptr[1:])
+            n = len(adj)
+            indptr = _np.zeros(n + 1, dtype=_np.int32)
+            _np.cumsum([len(a) for a in adj], out=indptr[1:])
             indices = _np.fromiter(
                 (w for a in adj for w in a),
                 dtype=_np.int32,
                 count=int(indptr[-1]),
             )
-            self._csr = (indptr, indices)
-        return self._csr
-
-    def _scipy_graph(self):
-        """The interned adjacency as a scipy CSR matrix.
-
-        Built straight from the CSR arrays so row order stays graph
-        insertion order — scipy's BFS iterates rows as stored, which is
-        what keeps its predecessor tree identical to the sequential BFS.
-        """
-        if self._sp_graph is None:
-            indptr, indices = self._adjacency_csr()
-            n = len(indptr) - 1
             data = _np.ones(len(indices), dtype=_np.float64)
             self._sp_graph = _sp_csr_matrix((data, indices, indptr), shape=(n, n))
         return self._sp_graph
@@ -215,16 +185,14 @@ class Topology:
         One FIFO BFS over the interned adjacency; first-discovery hop
         assignment replicates ``nx.all_pairs_shortest_path`` exactly (see
         module docstring).  Also materializes the distance row consumed by
-        :meth:`hop_count`.  Vectorized level-synchronous numpy BFS when
-        numpy is importable, pure-Python deque BFS otherwise; both produce
-        identical rows (pinned by ``tests/unit/net/test_topology.py``).
+        :meth:`hop_count`.  scipy's C BFS when scipy is importable, the
+        pure-Python deque BFS otherwise; both produce identical rows
+        (pinned by ``tests/unit/net/test_topology.py``).
         """
         row = self._route_rows.get(src_id)
         if row is None:
             if _sp_bfs is not None:
                 row, dist = self._route_row_scipy(src_id)
-            elif _np is not None:
-                row, dist = self._route_row_numpy(src_id)
             else:
                 row, dist = self._route_row_python(src_id)
             # Distances first: readers test the route row, then read both.
@@ -260,60 +228,6 @@ class Topology:
                         row[w] = hop_v
                         push(w)
         return row, dist
-
-    def _route_row_numpy(self, src_id: int) -> Tuple[List[int], List[int]]:
-        """Level-synchronous vectorized BFS, first-discovery order intact.
-
-        Per level, candidates are the frontier's neighbours concatenated
-        in frontier (= FIFO queue) order, so the *first occurrence* of an
-        undiscovered node among the candidates is exactly the discovery
-        the sequential BFS makes.  First occurrences are found without
-        sorting: assigning candidate positions through a scratch array in
-        *reversed* order leaves each node's first position behind
-        (duplicate fancy-index assignments resolve last-write-wins), and
-        filtering on ``pos[cand] == arange`` keeps exactly those entries —
-        already in discovery order.
-        """
-        indptr, indices = self._adjacency_csr()
-        n = len(indptr) - 1
-        row = _np.full(n, -1, dtype=_np.int32)
-        dist = _np.full(n, -1, dtype=_np.int32)
-        dist[src_id] = 0
-        # Scratch for the first-occurrence trick, per call (threads share a
-        # topology); never cleared: a level only reads positions it just wrote.
-        pos = _np.empty(n, dtype=_np.int64)
-        # Level 1: src's neighbours forward to themselves.
-        frontier = indices[indptr[src_id]:indptr[src_id + 1]]
-        frontier = frontier[dist[frontier] < 0]  # guards self-loops
-        row[frontier] = frontier
-        dist[frontier] = 1
-        level = 1
-        while frontier.size:
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            # Gather the frontier's adjacency rows into one candidate
-            # array (classic CSR multi-row gather).
-            ends = _np.cumsum(counts)
-            gather = _np.repeat(starts - ends + counts, counts)
-            gather += _np.arange(total, dtype=_np.int32)
-            cand = indices[gather]
-            hops = _np.repeat(row[frontier], counts)
-            fresh = dist[cand] < 0
-            cand = cand[fresh]
-            hops = hops[fresh]
-            if cand.size == 0:
-                break
-            order = _np.arange(cand.size, dtype=_np.int64)
-            pos[cand[::-1]] = order[::-1]
-            first = pos[cand] == order
-            frontier = cand[first]
-            level += 1
-            row[frontier] = hops[first]
-            dist[frontier] = level
-        return row.tolist(), dist.tolist()
 
     def _route_row_scipy(self, src_id: int) -> Tuple[List[int], List[int]]:
         """C BFS via ``scipy.sparse.csgraph``, first-discovery order intact.
@@ -387,20 +301,6 @@ class Topology:
             ])
         return rows
 
-    def hop_count_matrix(self, names: Optional[Iterable[str]] = None) -> Dict[Tuple[str, str], Optional[int]]:
-        """All-pairs hop counts for the given nodes (default: all).
-
-        This is exactly the topology measurement ExCovery takes before and
-        after an experiment.
-        """
-        names = sorted(names) if names is not None else self.node_names
-        return {
-            (a, b): self.hop_count(a, b)
-            for a in names
-            for b in names
-            if a != b
-        }
-
     def freeze(self) -> "Topology":
         """Build every route/distance row, then refuse structural change and
         :meth:`invalidate_cache`: runs and threads only read it (DESIGN.md §8)."""
@@ -415,18 +315,16 @@ class Topology:
     def invalidate_cache(self) -> None:
         """Forget every derived structure after mutating the graph.
 
-        Shortest paths, interned ids, route/distance rows, sorted
-        neighbour lists and edge parameters are one coherent unit — they
-        all derive from the graph and must never go stale independently.
+        Interned ids, route/distance rows, sorted neighbour lists and
+        edge parameters are one coherent unit — they all derive from the
+        graph and must never go stale independently.
         ``version`` is bumped so medium-local caches rebuild too.
         """
         if nx.is_frozen(self.graph):
             _refuse_mutation()
-        self._paths_cache = None
         self._ids = None
         self._names = None
         self._adj_ids = None
-        self._csr = None
         self._sp_graph = None
         self._route_rows.clear()
         self._dist_rows.clear()

@@ -33,6 +33,10 @@ TRAFFIC_PORT = 9
 #: can separate load from the experiment process.
 TRAFFIC_FLOW_LABEL = "generated-load"
 
+#: Uniform randomization of each inter-packet gap (fraction of the nominal
+#: interval), breaking phase lock between flows.
+GAP_JITTER = 0.1
+
 
 class TrafficFlow:
     """One unidirectional CBR stream ``src -> dst``.
@@ -43,9 +47,6 @@ class TrafficFlow:
         Application-level data rate in kilobits per second.
     packet_size:
         Bytes per datagram; the send interval follows from rate and size.
-    jitter_frac:
-        Uniform randomization of each inter-packet gap (fraction of the
-        nominal interval), breaking phase lock between flows.
     dst_port:
         Destination port; default :data:`TRAFFIC_PORT` (dropped unheard).
         The population manipulation points flows at a *bound* service
@@ -64,7 +65,6 @@ class TrafficFlow:
         rate_kbps: float,
         rng: random.Random,
         packet_size: int = 512,
-        jitter_frac: float = 0.1,
         dst_port: int = TRAFFIC_PORT,
         payload_base: Optional[Dict[str, object]] = None,
     ) -> None:
@@ -75,7 +75,6 @@ class TrafficFlow:
         self.dst = dst
         self.rate_kbps = float(rate_kbps)
         self.packet_size = int(packet_size)
-        self.jitter_frac = float(jitter_frac)
         self.dst_port = int(dst_port)
         self.payload_base = dict(payload_base or {})
         self.rng = rng
@@ -100,9 +99,7 @@ class TrafficFlow:
     def _run(self):
         seq = 0
         while True:
-            gap = self.interval * (
-                1.0 + self.rng.uniform(-self.jitter_frac, self.jitter_frac)
-            )
+            gap = self.interval * (1.0 + self.rng.uniform(-GAP_JITTER, GAP_JITTER))
             yield self.sim.timeout(max(gap, 1e-6))
             payload = dict(self.payload_base)
             payload["seq"] = seq

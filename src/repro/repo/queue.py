@@ -40,25 +40,24 @@ __all__ = ["WriteBehindIngester"]
 
 _SENTINEL = object()
 
+#: Threads fingerprinting submitted packages ahead of the drain thread.
+PREP_WORKERS = 4
+
+#: Seconds the drain thread gives stragglers to join a batch it is filling.
+BATCH_WINDOW = 0.02
+
 
 class WriteBehindIngester:
     """Asynchronous front door to :class:`Warehouse` ingestion."""
 
-    def __init__(
-        self,
-        warehouse: Warehouse,
-        batch_size: int = 16,
-        prep_workers: int = 4,
-        batch_window: float = 0.02,
-    ) -> None:
+    def __init__(self, warehouse: Warehouse, batch_size: int = 16) -> None:
         if batch_size < 1:
             raise StorageError("batch_size must be >= 1")
         self.warehouse = warehouse
         self.batch_size = batch_size
-        self.batch_window = batch_window
         self._queue: "queue.Queue[Any]" = queue.Queue()
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, prep_workers),
+            max_workers=PREP_WORKERS,
             thread_name_prefix="repo-fingerprint",
         )
         self._lock = threading.Lock()
@@ -153,7 +152,7 @@ class WriteBehindIngester:
                 try:
                     nxt = self._queue.get(
                         block=len(batch) < self.batch_size,
-                        timeout=self.batch_window,
+                        timeout=BATCH_WINDOW,
                     )
                 except queue.Empty:
                     break

@@ -69,7 +69,7 @@ class IngestResult:
 class Warehouse:
     """One warehouse directory: ``catalog.db``, ``shards/``, ``journal/``."""
 
-    def __init__(self, root, tracer=None, auto_recover: bool = True) -> None:
+    def __init__(self, root, tracer=None) -> None:
         self.root = Path(root)
         self.tracer = tracer
         self.catalog = Catalog(self.root)
@@ -77,9 +77,7 @@ class Warehouse:
         self.cache = AggregateCache()
         self._shards: Dict[int, sqlite3.Connection] = {}
         self._lock = threading.RLock()
-        self.last_recovery: Dict[str, List[Any]] = {}
-        if auto_recover:
-            self.last_recovery = self.recover()
+        self.last_recovery: Dict[str, List[Any]] = self.recover()
 
     def close(self) -> None:
         with self._lock:

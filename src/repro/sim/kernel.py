@@ -10,9 +10,9 @@ by the ``localhost`` platform.
 The pending set is a bucketed event wheel (:mod:`repro.sim.wheel`) rather
 than a single ``heapq``: near-future events live in O(1) time buckets, far
 ones in an overflow heap, and the wheel re-anchors and re-tunes itself as
-the schedule skews.  ``repro.sim.reference.ReferenceSimulator`` preserves
-the original single-heap kernel as the equivalence oracle; property tests
-pin both kernels to identical execution orders.
+the schedule skews.  The original single-heap kernel is kept with the
+tests as the equivalence oracle (``tests/oracles/sim_reference.py``);
+property tests pin both kernels to identical execution orders.
 
 Determinism contract
 --------------------

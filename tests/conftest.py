@@ -7,6 +7,7 @@ import pytest
 from repro.net.medium import WirelessMedium
 from repro.net.node import NetNode
 from repro.net.topology import grid_topology, line_topology
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -44,6 +45,17 @@ def pair_net(sim, rngs):
     medium.attach(a)
     medium.attach(b)
     return sim, medium, a, b
+
+
+@pytest.fixture
+def suppressed():
+    """``repro_suppressed_errors_total`` of a fresh process registry."""
+    registry = MetricsRegistry()
+    set_registry(registry)
+    try:
+        yield registry.counter("repro_suppressed_errors_total", labels=("site",))
+    finally:
+        set_registry(None)
 
 
 def drive(sim, until=10.0):

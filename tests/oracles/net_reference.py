@@ -1,4 +1,4 @@
-"""Frozen pre-optimization data plane (equivalence + benchmark oracle).
+"""Frozen pre-optimization data plane (equivalence oracle).
 
 :class:`ReferenceMedium` is :class:`~repro.net.medium.WirelessMedium`
 exactly as it shipped before the fast-path rewrite: an O(n) address scan,
@@ -12,10 +12,9 @@ Table-I digests and :class:`~repro.net.medium.MediumStats` counters
 :class:`ReferenceInterface` and :class:`ReferenceNetNode` freeze the rest
 of the pre-optimization data plane: the always-run filter chain, the
 closure per delayed accept, and the copy-then-check TTL handling with a
-``dataclasses.replace`` copy per forwarded hop.  The scale benchmark
-(``benchmarks/bench_scale.py``) builds its reference flavour from these
-so the measured speedup is against the code as it shipped, not against a
-reference medium grafted onto the already-optimized node stack.
+``dataclasses.replace`` copy per forwarded hop, so the comparison is
+against the code as it shipped, not against a reference medium grafted
+onto the already-optimized node stack.
 
 Do not optimize this module — it is the oracle the fast path is measured
 against.  It shares :class:`CongestionModel` and :class:`MediumStats`
@@ -28,7 +27,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Deque, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+
+import networkx as nx
 
 from repro.net.interface import Direction, Interface
 from repro.net.medium import CongestionModel, MediumStats
@@ -65,6 +66,8 @@ class ReferenceMedium:
         self._nodes: Dict[str, "NetNode"] = {}
         self._load_window: Deque[Tuple[float, int]] = deque()
         self._load_bytes = 0
+        self._paths: Dict[str, Dict[str, List[str]]] = {}
+        self._paths_version = topology.version
         self.stats = MediumStats()
 
     # ------------------------------------------------------------------
@@ -156,10 +159,16 @@ class ReferenceMedium:
         # equivalence tests also pin the BFS route precompute against nx.
         if src == dst:
             return None
-        try:
-            return self.topology.shortest_path(src, dst)[1]
-        except KeyError:
-            return None
+        if self._paths_version != self.topology.version:
+            self._paths.clear()
+            self._paths_version = self.topology.version
+        paths = self._paths.get(src)
+        if paths is None:
+            # One source of ``nx.all_pairs_shortest_path``, built on demand.
+            paths = nx.single_source_shortest_path(self.topology.graph, src)
+            self._paths[src] = paths
+        path = paths.get(dst)
+        return None if path is None else path[1]
 
     def _carry(
         self,

@@ -77,9 +77,7 @@ class ReferenceSimulator:
 
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
         if when < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past: {when} < now {self._now}"
-            )
+            raise SimulationError(f"cannot schedule in the past: {when} < now {self._now}")
         self._push(when, fn, args)
 
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> None:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.kernel import SimulationError, Simulator
-from repro.sim.reference import ReferenceSimulator
+from tests.oracles.sim_reference import ReferenceSimulator
 
 # Delay pool mixing sub-bucket, near-window and overflow times, plus
 # exact duplicates to force same-instant ties.

@@ -11,7 +11,6 @@ from repro.campaign.session import CampaignSession
 from repro.core.errors import CampaignError, RecoveryError, node_token
 from repro.core.master import build_run_spec, execute_spec_run
 from repro.core.xmlio import description_to_xml
-from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import Tracer
 from repro.sd.processlib import build_two_party_description
 
@@ -182,16 +181,6 @@ def test_seal_journals_completion_exactly_once(tmp_path):
 # ----------------------------------------------------------------------
 # best-effort observability files
 # ----------------------------------------------------------------------
-@pytest.fixture
-def suppressed():
-    registry = MetricsRegistry()
-    set_registry(registry)
-    try:
-        yield registry.counter("repro_suppressed_errors_total", labels=("site",))
-    finally:
-        set_registry(None)
-
-
 def test_an_unwritable_metrics_file_is_counted_not_raised(tmp_path, suppressed):
     session = _open(tmp_path)
     (tmp_path / "metrics.json").mkdir()  # open(..., "w") on a directory fails

@@ -1,0 +1,82 @@
+"""Unit tests for the coordinator's completion wait: a wake-up, not a poll."""
+
+import json
+import threading
+import time
+
+import pytest
+
+from repro.fabric import coordinator as coordinator_module
+from repro.fabric.coordinator import FabricCoordinator
+from repro.fabric.election import LeadershipLost
+from repro.sd.processlib import build_two_party_description
+
+#: Without a wake-up the waiter would sit this long: far beyond every bound
+#: asserted below, so a poll cannot pass by landing on a lucky tick.
+LONG_PERIOD = 5.0
+
+
+@pytest.fixture
+def coordinator(tmp_path, monkeypatch):
+    monkeypatch.setattr(coordinator_module, "SWEEP_PERIOD", LONG_PERIOD)
+    desc = build_two_party_description(name="wakeup", seed=7, replications=2, env_count=1)
+    with FabricCoordinator(desc, tmp_path, batch_size=2) as coord:
+        yield coord
+
+
+def _wait_in_background(coord):
+    """Run ``run_until_complete`` on a thread; ``finalize`` only records
+    when it was reached (sealing and merging are not what is timed)."""
+    outcome = {}
+    coord.finalize = lambda db_path=None: outcome.setdefault("finalized_at", time.monotonic())
+
+    def target():
+        try:
+            coord.run_until_complete()
+        except Exception as exc:  # handed to the asserting thread
+            outcome["error"] = exc
+        outcome["returned_at"] = time.monotonic()
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    time.sleep(0.1)  # let it reach the wait
+    assert thread.is_alive()
+    return thread, outcome
+
+
+def _ack(coord, lease_id, run_id):
+    """One fake worker's successful shipment of *run_id*."""
+    payload = {"tables": {"RunInfos": [[run_id, "t9-100", 0.0, 0.0, None]]}, "duration": 0.01}
+    reply = coord._rpc_ack("w0", lease_id, run_id, True, json.dumps(payload), "", coord.epoch)
+    return json.loads(reply)["status"]
+
+
+def test_run_until_complete_returns_with_the_last_ack(coordinator):
+    coordinator._rpc_register("w0", 2)
+    lease = json.loads(coordinator._rpc_lease("w0", 2, coordinator.epoch))
+    assert [run["run_id"] for run in lease["runs"]] == [0, 1]
+    thread, outcome = _wait_in_background(coordinator)
+
+    assert _ack(coordinator, lease["lease_id"], 0) == "committed"
+    time.sleep(0.05)
+    assert thread.is_alive() and not outcome  # one run still out: woken, not done
+    assert _ack(coordinator, lease["lease_id"], 1) == "committed"
+    acked_at = time.monotonic()
+
+    thread.join(timeout=LONG_PERIOD / 2)
+    assert not thread.is_alive()
+    assert "error" not in outcome
+    assert outcome["finalized_at"] - acked_at < 0.02
+
+
+def test_a_coordinator_deposed_mid_wait_raises_without_waiting_out_the_period(coordinator):
+    thread, outcome = _wait_in_background(coordinator)
+    deposed_at = time.monotonic()
+    coordinator._mark_deposed("deposed")
+
+    thread.join(timeout=LONG_PERIOD / 2)
+    assert not thread.is_alive()
+    assert isinstance(outcome["error"], LeadershipLost)
+    assert outcome["error"].reason == "deposed"
+    assert "finalized_at" not in outcome
+    assert outcome["returned_at"] - deposed_at < 0.02

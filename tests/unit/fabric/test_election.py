@@ -149,6 +149,21 @@ def test_standby_roster_and_summary(ledger, clock):
     assert ledger.standby_roster() == []
 
 
+def test_a_half_written_beacon_is_skipped_and_counted(ledger, suppressed):
+    ledger.beacon("s1", "b:2")
+    (ledger.standby_root / "s2.json").write_text('{"standby_id": "s2", "beat', encoding="utf-8")
+    assert [s["standby_id"] for s in ledger.standby_roster()] == ["s1"]
+    assert suppressed.value(site="election_beacon_read") == 1
+
+
+def test_a_beacon_that_cannot_be_unlinked_is_counted_not_raised(ledger, suppressed):
+    ledger.retire_beacon("never-beaconed")  # nothing to retire is not an error
+    assert suppressed.value(site="election_beacon_retire") == 0
+    (ledger.standby_root / "s1.json").mkdir(parents=True)  # unlink() on a directory fails
+    ledger.retire_beacon("s1")
+    assert suppressed.value(site="election_beacon_retire") == 1
+
+
 def test_summary_reports_lapsed_leader_not_live(ledger, clock):
     ledger.campaign("c1", "a:1")
     clock.advance(10.1)

@@ -1,8 +1,10 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.paper import full_paper_experiment_xml
 from repro.sd.processlib import build_two_party_description
 from repro.core.xmlio import description_to_xml
@@ -11,9 +13,7 @@ from repro.core.xmlio import description_to_xml
 @pytest.fixture
 def desc_xml(tmp_path):
     path = tmp_path / "exp.xml"
-    desc = build_two_party_description(
-        name="cli-test", seed=3, replications=1, env_count=2,
-    )
+    desc = build_two_party_description(name="cli-test", seed=3, replications=1, env_count=2)
     path.write_text(description_to_xml(desc), encoding="utf-8")
     return path
 
@@ -67,8 +67,8 @@ def test_describe_with_plan(desc_xml, capsys):
 def test_run_inspect_timeline_condition_import(desc_xml, tmp_path, capsys):
     store = tmp_path / "l2"
     db = tmp_path / "exp.db"
-    assert main(["run", str(desc_xml), "--store", str(store),
-                 "--db", str(db), "--topology", "full"]) == 0
+    argv = ["run", str(desc_xml), "--store", str(store), "--db", str(db), "--topology", "full"]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert "1/1 runs executed" in out
     assert db.exists()
@@ -111,13 +111,12 @@ def test_run_with_slp_protocol(tmp_path, capsys):
     from repro.sd.processlib import build_three_party_description
 
     path = tmp_path / "three.xml"
-    desc = build_three_party_description(
-        name="cli-slp", seed=5, replications=1, env_count=2,
-    )
+    desc = build_three_party_description(name="cli-slp", seed=5, replications=1, env_count=2)
     path.write_text(description_to_xml(desc), encoding="utf-8")
     db = tmp_path / "three.db"
-    assert main(["run", str(path), "--store", str(tmp_path / "l2"),
-                 "--db", str(db), "--protocol", "slp", "--quiet"]) == 0
+    store = str(tmp_path / "l2")
+    argv = ["run", str(path), "--store", store, "--db", str(db), "--protocol", "slp", "--quiet"]
+    assert main(argv) == 0
     assert main(["inspect", str(db)]) == 0
     assert "1/1 complete" in capsys.readouterr().out
 
@@ -129,10 +128,9 @@ def test_paper_document_through_cli(paper_xml, tmp_path, capsys):
 
 def test_run_realtime_flag(desc_xml, tmp_path, capsys):
     """--realtime uses the wall-clock-paced platform."""
-    assert main([
-        "run", str(desc_xml), "--store", str(tmp_path / "rt"),
-        "--realtime", "500", "--topology", "full", "--quiet",
-    ]) == 0
+    store = str(tmp_path / "rt")
+    argv = ["run", str(desc_xml), "--store", store, "--realtime", "500", "--topology", "full"]
+    assert main([*argv, "--quiet"]) == 0
     from repro.core.recovery import Journal
     from repro.storage.level2 import Level2Store
 
@@ -154,3 +152,263 @@ def test_paper_xml_command(capsys):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# ``format_help()`` of the three subcommands that share flags, recorded
+# (COLUMNS=80) at the parent of the commit that declared each shared group
+# once as an argparse parent parser.
+RECORDED_HELP = {
+    "run": """\
+usage: repro run [-h] [--store STORE] [--db DB] [--resume]
+                 [--protocol {mdns,slp,hybrid,registry}]
+                 [--topology {mesh,grid,line,full}] [--realtime FACTOR]
+                 [--rpc-timeout SECS] [--run-deadline SECS] [--quiet]
+                 description
+
+positional arguments:
+  description           experiment XML file
+
+options:
+  -h, --help            show this help message and exit
+  --store STORE         level-2 store directory (default: ./<name>.l2)
+  --db DB               also write the level-3 SQLite package here
+  --resume              resume an aborted execution in --store
+  --protocol {mdns,slp,hybrid,registry}
+                        SD protocol agents (default mdns)
+  --topology {mesh,grid,line,full}
+                        emulated mesh shape (default mesh)
+  --realtime FACTOR     pace against the wall clock at this speed factor
+  --rpc-timeout SECS    per-call control-channel deadline (overrides the
+                        description's rpc_timeout; 0 disables)
+  --run-deadline SECS   watchdog budget applied to each run phase
+                        (preparation, execution, clean-up); 0 disables
+  --quiet
+""",
+    "campaign": """\
+usage: repro campaign [-h] [--dir CAMPAIGN_DIR] [--db DB] [--jobs JOBS]
+                      [--pool {thread,process,auto}] [--resume] [--merge-only]
+                      [--max-retries N] [--rpc-timeout SECS]
+                      [--run-deadline SECS] [--chaos-json FILE]
+                      [--abort-after N] [--requeue-salvage-loss FRACTION]
+                      [--protocol {mdns,slp,hybrid,registry}]
+                      [--topology {mesh,grid,line,full}] [--realtime FACTOR]
+                      [--quiet]
+                      description
+
+positional arguments:
+  description           experiment XML file
+
+options:
+  -h, --help            show this help message and exit
+  --dir CAMPAIGN_DIR    campaign directory: journal, staging stores and shards
+                        (default: ./<name>.campaign)
+  --db DB               merged level-3 SQLite database (default: <campaign
+                        dir>/<name>.db)
+  --jobs JOBS, -j JOBS  worker count; capped by the description's max_parallel
+                        special parameter (default 2)
+  --pool {thread,process,auto}
+                        worker pool kind (auto: processes for pure DES on
+                        multi-core hosts, threads otherwise)
+  --resume              resume an aborted campaign found in --dir
+  --merge-only          only merge an already completed campaign's shards into
+                        --db
+  --max-retries N, --retries N
+                        extra attempts per failed run (default 1); a run
+                        failing on a dead node is re-queued this often before
+                        the campaign reports it failed
+  --rpc-timeout SECS    per-call control-channel deadline (overrides the
+                        description's rpc_timeout; 0 disables)
+  --run-deadline SECS   watchdog budget applied to each run phase; 0 disables
+  --chaos-json FILE     JSON list of control-plane fault entries to inject
+                        (see repro.faults.control) — CI gauntlet and
+                        resilience testing
+  --abort-after N       simulate a campaign crash after N completed runs
+                        (testing --resume)
+  --requeue-salvage-loss FRACTION
+                        with --resume: probe each journaled run's staged
+                        level-2 data and re-execute runs whose dropped-record
+                        fraction exceeds FRACTION (0 re-queues on any loss)
+  --protocol {mdns,slp,hybrid,registry}
+                        SD protocol agents (default mdns)
+  --topology {mesh,grid,line,full}
+                        emulated mesh shape (default mesh)
+  --realtime FACTOR     pace runs against the wall clock at this speed factor
+  --quiet
+""",
+    "fabric serve": """\
+usage: repro fabric serve [-h] [--bind HOST:PORT] [--dir CAMPAIGN_DIR]
+                          [--db DB] [--resume] [--batch-size N]
+                          [--lease-ttl SECS] [--max-retries N]
+                          [--chaos-json FILE]
+                          [--protocol {mdns,slp,hybrid,registry}]
+                          [--topology {mesh,grid,line,full}]
+                          [--realtime FACTOR] [--rpc-timeout SECS]
+                          [--run-deadline SECS] [--timeout SECS]
+                          [--linger SECS] [--standby] [--leader-id NAME]
+                          [--election-ttl SECS] [--quiet]
+                          description
+
+positional arguments:
+  description           experiment XML file
+
+options:
+  -h, --help            show this help message and exit
+  --bind HOST:PORT      listen address (port 0 picks an ephemeral port,
+                        printed at startup; default 127.0.0.1:0)
+  --dir CAMPAIGN_DIR    campaign directory (default ./<name>.campaign)
+  --db DB               merged level-3 SQLite database (default: <campaign
+                        dir>/<name>.db)
+  --resume              resume an aborted fleet campaign from its journal
+                        (workers re-register automatically)
+  --batch-size N        maximum runs per lease (default 4)
+  --lease-ttl SECS      seconds a leased batch stays owned without a renewal
+                        before it is re-leased (default 30)
+  --max-retries N, --retries N
+                        extra attempts per failed run (default 1)
+  --chaos-json FILE     JSON list of control-plane fault entries
+  --protocol {mdns,slp,hybrid,registry}
+                        SD protocol agents (default mdns)
+  --topology {mesh,grid,line,full}
+                        emulated mesh shape (default mesh)
+  --realtime FACTOR     pace runs against the wall clock at this speed factor
+  --rpc-timeout SECS    per-call control-channel deadline
+  --run-deadline SECS   watchdog budget applied to each run phase
+  --timeout SECS        abort if the campaign is not complete within this
+                        wall-clock budget
+  --linger SECS         stay up this long after completion so polling workers
+                        observe done and exit (default 2)
+  --standby             run as a hot standby: tail the campaign journal and
+                        election ledger, take over leadership when the
+                        leader's lease lapses or is released
+  --leader-id NAME      identity on the election ledger (default coord-<pid> /
+                        standby-<pid>)
+  --election-ttl SECS   seconds the leadership lease stays held without a
+                        renewal — the failover detection horizon for standbys
+                        (default 10)
+  --quiet
+""",
+}
+
+# The three spellings had drifted apart in eight help strings; one
+# declaration shows one wording, the fullest of the recorded ones.
+# subcommand -> {flag: the subcommand whose recorded wording it now shows}
+REWORDED = {
+    "run": {"--realtime FACTOR": "campaign"},
+    "campaign": {"--run-deadline SECS": "run"},
+    "fabric serve": {
+        "--rpc-timeout SECS": "campaign",
+        "--run-deadline SECS": "run",
+        "--dir CAMPAIGN_DIR": "campaign",
+        "--resume": "campaign",
+        "--max-retries N, --retries N": "campaign",
+        "--chaos-json FILE": "campaign",
+    },
+}
+
+# dest -> default of the same three, recorded with the help text.
+RECORDED_DEFAULTS = {
+    "campaign": {
+        "abort_after": None,
+        "campaign_dir": None,
+        "chaos_json": None,
+        "db": None,
+        "jobs": 2,
+        "max_retries": 1,
+        "merge_only": False,
+        "pool": "auto",
+        "protocol": "mdns",
+        "quiet": False,
+        "realtime": None,
+        "requeue_salvage_loss": None,
+        "resume": False,
+        "rpc_timeout": None,
+        "run_deadline": None,
+        "topology": "mesh",
+    },
+    "fabric serve": {
+        "batch_size": 4,
+        "bind": "127.0.0.1:0",
+        "campaign_dir": None,
+        "chaos_json": None,
+        "db": None,
+        "election_ttl": 10.0,
+        "leader_id": None,
+        "lease_ttl": 30.0,
+        "linger": 2.0,
+        "max_retries": 1,
+        "protocol": "mdns",
+        "quiet": False,
+        "realtime": None,
+        "resume": False,
+        "rpc_timeout": None,
+        "run_deadline": None,
+        "standby": False,
+        "timeout": None,
+        "topology": "mesh",
+    },
+    "run": {
+        "db": None,
+        "protocol": "mdns",
+        "quiet": False,
+        "realtime": None,
+        "resume": False,
+        "rpc_timeout": None,
+        "run_deadline": None,
+        "store": None,
+        "topology": "mesh",
+    },
+}
+
+
+def _help_entries(text):
+    """``format_help()`` text as (usage tokens, {invocation: help}):
+    argument order and line wrapping do not count."""
+    usage, _, body = text.partition("\n\n")
+    entries, key = {}, None
+    for line in body.splitlines():
+        if line.startswith("  ") and not line.startswith("   "):
+            key, _, first = line.strip().partition("  ")
+            entries[key] = first.strip()
+        elif line.startswith("   "):
+            entries[key] = f"{entries[key]} {line.strip()}".strip()
+    return sorted(re.findall(r"\[[^\]]*\]|\S+", usage)), entries
+
+
+def _subparser(command, parser=None):
+    parser = parser or build_parser()
+    for word in command.split():
+        parser = parser._subparsers._group_actions[0].choices[word]
+    return parser
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED_HELP))
+def test_flag_sharing_subcommands_read_as_recorded(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    want_usage, want = _help_entries(RECORDED_HELP[command])
+    for flag, source in REWORDED[command].items():
+        wording = _help_entries(RECORDED_HELP[source])[1][flag]
+        assert want[flag] != wording
+        want[flag] = wording
+    usage, entries = _help_entries(_subparser(command).format_help())
+    assert usage == want_usage
+    assert entries == want
+
+    parsed = vars(build_parser().parse_args([*command.split(), "x.xml"]))
+    for selector in ("command", "fabric_command", "description"):
+        parsed.pop(selector, None)
+    assert parsed == RECORDED_DEFAULTS[command]
+
+
+def test_shared_flags_are_one_declaration():
+    # argparse hands a parent parser's Action objects to every child.
+    root = build_parser()
+    run, campaign, serve = (
+        _subparser(command, root)._option_string_actions
+        for command in ("run", "campaign", "fabric serve")
+    )
+    for flag in ("--protocol", "--topology", "--realtime", "--rpc-timeout", "--run-deadline"):
+        assert run[flag] is campaign[flag] is serve[flag]
+    assert run["--quiet"] is campaign["--quiet"] is serve["--quiet"]
+    for flag in ("--dir", "--db", "--resume", "--max-retries", "--retries", "--chaos-json"):
+        assert campaign[flag] is serve[flag]
+        assert campaign[flag] is not run.get(flag)

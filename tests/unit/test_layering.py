@@ -4,14 +4,19 @@ Level 3 owns the Table-I format — schema, reader, per-run copy, digest —
 so neither writing a package nor opening the warehouse may load the
 layers that merely *use* it.  Checked in a fresh interpreter:
 ``sys.modules`` of the test process is already full.
+
+And ``src/repro`` ships nothing that only a test would load: what exists
+to be compared against lives in ``tests/oracles`` (DESIGN.md §7).
 """
 
+import ast
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
 
 REPORT_UPPER_LAYERS = """
 import sys
@@ -50,3 +55,37 @@ def test_writing_a_level3_package_loads_no_campaign_or_fabric_module(tmp_path):
         assert read_stamped_digest(store_level3(store, "tiny.db")) is not None
     """
     assert _loaded_upper_layers(body, tmp_path) == "[]"
+
+
+def _module_name(path: Path) -> str:
+    """``src/repro/net/medium.py`` -> ``repro.net.medium``; a package's
+    ``__init__.py`` answers to the package name."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(path: Path):
+    """Every dotted name an import statement of *path* could bind to a
+    module: ``from a import b`` yields both ``a`` and ``a.b``."""
+    package = _module_name(path.parent / "__init__.py").split(".") if SRC in path.parents else []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            base = ".".join(base + ([node.module] if node.module else []))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_every_leaf_module_is_imported_by_something_that_is_not_a_test():
+    leaves = {
+        _module_name(path): path
+        for path in (SRC / "repro").rglob("*.py")
+        if path.name not in ("__init__.py", "__main__.py")  # packages; the entry point
+    }
+    imported = set()
+    for top in ("src", "examples", "tools", "benchmarks"):
+        for path in (ROOT / top).rglob("*.py"):
+            imported.update(name for name in _imports(path) if leaves.get(name, path) != path)
+    assert sorted(set(leaves) - imported) == []
