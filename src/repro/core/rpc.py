@@ -9,10 +9,11 @@ time."*
 
 Fidelity choices:
 
-* Calls really are marshalled through the stdlib XML-RPC wire codec
-  (``xmlrpc.client.dumps``/``loads``) — arguments must survive the actual
-  wire format, so accidentally passing an unserializable object fails here
-  exactly as it would against a real node.
+* Calls really are marshalled through the XML-RPC wire format
+  (:mod:`repro.core.wire`: byte-identical to ``xmlrpc.client.dumps``/``loads``
+  on the closed grammar the channel speaks, the stdlib codec itself beyond
+  it) — arguments must survive the actual wire format, so accidentally passing
+  an unserializable object fails here exactly as it would against a real node.
 * Measurements are the one payload encoded *before* the codec: a node
   returns a run's events and packets from ``collect_run`` /
   ``collect_experiment`` as level-2 record blocks
@@ -23,7 +24,8 @@ Fidelity choices:
   as fault 500 like any failing method; values XML-RPC used to reject or
   normalise but JSON carries (ints >= 2**31, carriage returns, control
   characters) now survive collection.  Events forwarded live by
-  :meth:`ControlChannel.cast_to_master` stay structs.
+  :meth:`ControlChannel.cast_to_master` cross the same way, as the level-2
+  line the node will ship for that record at collection.
 * The channel is *separate and reliable* (platform requirement IV-A1): it
   does not touch the emulated medium, never loses messages, and only adds
   a small symmetric latency (plus optional jitter, which is what makes the
@@ -49,13 +51,15 @@ tests to hang nodes, refuse connections, and drop requests or replies.
 
 from __future__ import annotations
 
+import json
 import random as _random
-import xmlrpc.client
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.core import wire
 from repro.core.errors import RpcError, RpcFault, RpcTimeout, node_token
+from repro.durable import encode_record
 from repro.obs.metrics import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,14 +107,18 @@ def dump_request(method: str, args: Tuple[Any, ...]) -> str:
     function, so an argument that cannot survive the wire format fails
     identically everywhere.
     """
-    return xmlrpc.client.dumps(tuple(args), method, allow_none=True)
+    return wire.dumps(tuple(args), method)
+
+
+def _fault_response(code: int, message: str) -> str:
+    return wire.dumps(wire.Fault(code, message), methodresponse=True)
 
 
 def load_response(response_xml: str) -> Any:
     """Decode one XML-RPC response; remote faults raise :class:`RpcFault`."""
     try:
-        (result,), _ = xmlrpc.client.loads(response_xml)
-    except xmlrpc.client.Fault as fault:
+        (result,), _ = wire.loads(response_xml)
+    except wire.Fault as fault:
         raise RpcFault(fault.faultCode, fault.faultString) from None
     return result
 
@@ -161,7 +169,6 @@ class RpcServer:
     def __init__(self, name: str) -> None:
         self.name = name
         self._methods: Dict[str, Callable[..., Any]] = {}
-        self.handled_calls = 0
 
     def register_function(self, fn: Callable[..., Any], name: Optional[str] = None) -> None:
         self._methods[name or fn.__name__] = fn
@@ -181,30 +188,20 @@ class RpcServer:
     def handle_request(self, request_xml: str) -> str:
         """Decode, dispatch and encode one request.  Remote exceptions
         become XML-RPC faults, like a real server."""
-        self.handled_calls += 1
         try:
-            args, method_name = xmlrpc.client.loads(request_xml)
+            args, method_name = wire.loads(request_xml)
         except Exception as exc:  # noqa: BLE001
-            return xmlrpc.client.dumps(
-                xmlrpc.client.Fault(400, f"malformed request: {exc}"),
-                methodresponse=True,
-            )
+            return _fault_response(400, f"malformed request: {exc}")
         method = self._methods.get(method_name or "")
         if method is None:
-            return xmlrpc.client.dumps(
-                xmlrpc.client.Fault(404, f"no such method {method_name!r} on {self.name}"),
-                methodresponse=True,
-            )
+            return _fault_response(404, f"no such method {method_name!r} on {self.name}")
         try:
             result = method(*args)
         except Exception as exc:  # noqa: BLE001 - must cross the wire as fault
-            return xmlrpc.client.dumps(
-                xmlrpc.client.Fault(500, f"{type(exc).__name__}: {exc}"),
-                methodresponse=True,
-            )
+            return _fault_response(500, f"{type(exc).__name__}: {exc}")
         if result is None:
             result = 0  # XML-RPC has no nil without extensions; 0 = "ok"
-        return xmlrpc.client.dumps((result,), methodresponse=True, allow_none=True)
+        return wire.dumps((result,), methodresponse=True)
 
 
 class ControlChannel:
@@ -294,6 +291,7 @@ class ControlChannel:
             "RPC turnaround in experiment (simulation) seconds",
             labels=("method",),
         )
+        wire.fallback_counter()
 
     # ------------------------------------------------------------------
     # Wiring
@@ -304,11 +302,6 @@ class ControlChannel:
         self._servers[node_id] = server
         self._busy[node_id] = False
         self._queues[node_id] = deque()
-
-    def remove_node(self, node_id: str) -> None:
-        self._servers.pop(node_id, None)
-        self._busy.pop(node_id, None)
-        self._queues.pop(node_id, None)
 
     def set_master_handler(self, handler: Callable[[Any], None]) -> None:
         """Register the master-side sink for one-way node upcalls."""
@@ -492,8 +485,8 @@ class ControlChannel:
             else:
                 response_xml = yield done
             try:
-                (result,), _ = xmlrpc.client.loads(response_xml)
-            except xmlrpc.client.Fault as fault:
+                (result,), _ = wire.loads(response_xml)
+            except wire.Fault as fault:
                 if fault.faultCode == 503 and attempt < attempts:
                     # Transport-level refusal: the remote never executed,
                     # so retrying is safe regardless of idempotence.
@@ -530,16 +523,8 @@ class ControlChannel:
             or self._take_call_fault(node_id, method, "drop_request")
         ):
             return  # request lost; only a caller deadline recovers
-        if down == "refuse" or node_id not in self._queues:
-            # Node refused the connection or vanished in flight.
-            done.trigger(
-                xmlrpc.client.dumps(
-                    xmlrpc.client.Fault(
-                        503, f"node {node_id} gone {node_token(node_id)}"
-                    ),
-                    methodresponse=True,
-                )
-            )
+        if down == "refuse":
+            done.trigger(_fault_response(503, f"node {node_id} gone {node_token(node_id)}"))
             return
         self._queues[node_id].append((request_xml, done, method))
         self._drain(node_id)
@@ -575,15 +560,19 @@ class ControlChannel:
     def cast_to_master(self, payload: Any) -> None:
         """Deliver *payload* to the master handler after one-way latency.
 
-        Used by node event generators; payloads still cross the XML-RPC
-        codec so only wire-format-safe data travels.
+        Used by node event generators.  The payload is encoded once, here at
+        the node, as its level-2 line (what the node ships for the same record
+        at collection) and crosses the XML-RPC codec as one ``<string>``; the
+        master ``json.loads`` it.  A payload JSON cannot encode raises here;
+        what structs rejected or normalised but JSON carries (ints >= 2**31,
+        ``\\r``, control characters in event params) now survives the upcall.
         """
         if self._master_handler is None:
             raise RpcError("no master handler registered on the control channel")
-        wire = xmlrpc.client.dumps((payload,), "master_notify", allow_none=True)
-        self.sim.call_later(self._one_way(), self._deliver_cast, wire, self._master_handler)
+        request_xml = wire.dumps((encode_record(payload),), "master_notify")
+        self.sim.call_later(self._one_way(), self._deliver_cast, request_xml, self._master_handler)
 
     @staticmethod
-    def _deliver_cast(wire: str, handler: Any) -> None:
-        (decoded,), _ = xmlrpc.client.loads(wire)
-        handler(decoded)
+    def _deliver_cast(request_xml: str, handler: Any) -> None:
+        (line,), _ = wire.loads(request_xml)
+        handler(json.loads(line))

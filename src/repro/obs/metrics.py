@@ -58,14 +58,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 
-def _label_key(label_names: Sequence[str], labels: Dict[str, str]) -> str:
-    if set(labels) != set(label_names):
-        raise ValueError(
-            f"labels {sorted(labels)} do not match declared {sorted(label_names)}",
-        )
-    return json.dumps([str(labels[name]) for name in label_names])
-
-
 class _Instrument:
     kind = "untyped"
 
@@ -74,6 +66,27 @@ class _Instrument:
         self.help = help_text
         self.label_names = tuple(label_names)
         self._lock = threading.Lock()
+        # label values (all ``str``, in declared order) -> their stored key
+        self._keys: Dict[Tuple[str, ...], str] = {}
+
+    def _key(self, labels: Dict[str, str]) -> str:
+        """The key one label set is stored under: the JSON list of its values
+        as ``str``, in declared order.  Built once per distinct tuple of
+        ``str`` values; a non-string or unhashable value is spelled afresh."""
+        names = self.label_names
+        values = tuple(map(labels.get, names))
+        try:
+            if len(labels) == len(names):
+                return self._keys[values]
+        except (KeyError, TypeError):  # first sight, or an unhashable value
+            pass
+        if set(labels) != set(names):
+            raise ValueError(f"labels {sorted(labels)} do not match declared {sorted(names)}")
+        key = json.dumps([str(value) for value in values])
+        if all(type(value) is str for value in values):
+            with self._lock:
+                self._keys[values] = key
+        return key
 
 
 class Counter(_Instrument):
@@ -86,12 +99,12 @@ class Counter(_Instrument):
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        key = _label_key(self.label_names, labels)
+        key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels: str) -> float:
-        return self._values.get(_label_key(self.label_names, labels), 0.0)
+        return self._values.get(self._key(labels), 0.0)
 
 
 class Gauge(_Instrument):
@@ -102,17 +115,17 @@ class Gauge(_Instrument):
         self._values: Dict[str, float] = {}
 
     def set(self, value: float, **labels: str) -> None:
-        key = _label_key(self.label_names, labels)
+        key = self._key(labels)
         with self._lock:
             self._values[key] = float(value)
 
     def add(self, amount: float, **labels: str) -> None:
-        key = _label_key(self.label_names, labels)
+        key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels: str) -> float:
-        return self._values.get(_label_key(self.label_names, labels), 0.0)
+        return self._values.get(self._key(labels), 0.0)
 
 
 class Histogram(_Instrument):
@@ -134,7 +147,7 @@ class Histogram(_Instrument):
         self._values: Dict[str, Dict[str, object]] = {}
 
     def observe(self, value: float, **labels: str) -> None:
-        key = _label_key(self.label_names, labels)
+        key = self._key(labels)
         with self._lock:
             cell = self._values.get(key)
             if cell is None:
@@ -152,7 +165,7 @@ class Histogram(_Instrument):
             cell["sum"] = float(cell["sum"]) + value  # type: ignore[arg-type]
 
     def count(self, **labels: str) -> int:
-        cell = self._values.get(_label_key(self.label_names, labels))
+        cell = self._values.get(self._key(labels))
         return sum(cell["counts"]) if cell else 0  # type: ignore[arg-type]
 
 

@@ -5,13 +5,16 @@ with tracing on, off, or any worker count, the level-3 Table-I digest and
 the complete RNG schedule (the end state of every named stream the
 platform drew from) must be byte-identical.  Span persistence may only
 add rows to the ``RunTraces`` extension table, which the digest excludes
-by design.  The same holds for the durable log's torn-tail counter and
-the testbed-frame counter.
+by design.  The same holds for the durable log's torn-tail counter, the
+testbed-frame counter and the wire codec's fallback counter.
 """
 
 import sqlite3
+import types
+import xmlrpc.client
 
 from repro.campaign import database_digest, run_campaign
+from repro.core import rpc, wire
 from repro.core.master import ExperiMaster
 from repro.durable import frame
 from repro.obs.metrics import get_registry
@@ -23,9 +26,9 @@ from repro.storage.level2 import Level2Store
 from repro.storage.level3 import store_level3
 
 
-def _description(seed=501, replications=6):
+def _description(seed=501, replications=6, **kwargs):
     return build_two_party_description(
-        name="trace-neutrality", seed=seed, replications=replications, env_count=1
+        name="trace-neutrality", seed=seed, replications=replications, env_count=1, **kwargs
     )
 
 
@@ -44,9 +47,9 @@ def _rng_schedule(platform):
     return states
 
 
-def _execute(tmp_path, monkeypatch, trace_value):
+def _execute(tmp_path, monkeypatch, trace_value, **kwargs):
     monkeypatch.setenv(TRACE_ENV_VAR, trace_value)
-    desc = _description()
+    desc = _description(**kwargs)
     platform = SimulatedPlatform(desc)
     master = ExperiMaster(platform, desc, Level2Store(tmp_path / "l2"))
     result = master.execute()
@@ -102,6 +105,34 @@ def test_frame_counter_moves_no_digest_and_no_rng_state(tmp_path, monkeypatch):
     assert moved(start) == (1, 1)
     assert digest_reused == digest_built
     assert rng_reused == rng_built
+
+
+def test_codec_fallback_counter_moves_no_digest_and_no_rng_state(tmp_path, monkeypatch):
+    """One non-ASCII action parameter is beyond the wire grammar: the calls
+    carrying it are decoded by the stdlib codec, counted — and the data are
+    those of a run whose every message went through the stdlib codec."""
+    counter = wire.fallback_counter()
+
+    def moved(since=(0, 0)):
+        encode, decode = counter.value(direction="encode"), counter.value(direction="decode")
+        return encode - since[0], decode - since[1]
+
+    start = moved()
+    digest_plain, *_ = _execute(tmp_path / "plain", monkeypatch, "1")
+    assert moved(start) == (0, 0)
+    nasty = {"service_type": "_expé._tcp"}
+    digest_fast, rng_fast, _ = _execute(tmp_path / "fast", monkeypatch, "1", **nasty)
+    assert moved(start)[1] > 0
+    monkeypatch.setattr(rpc, "wire", types.SimpleNamespace(
+        Fault=wire.Fault,
+        fallback_counter=wire.fallback_counter,
+        loads=xmlrpc.client.loads,
+        dumps=lambda params, methodname=None, methodresponse=False: xmlrpc.client.dumps(
+            params, methodname, methodresponse, allow_none=True),
+    ))
+    digest_stdlib, rng_stdlib, _ = _execute(tmp_path / "stdlib", monkeypatch, "1", **nasty)
+    assert digest_fast == digest_stdlib != digest_plain
+    assert rng_fast == rng_stdlib
 
 
 def test_campaign_digest_identical_for_tracing_and_jobs(tmp_path, monkeypatch):

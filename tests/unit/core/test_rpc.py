@@ -152,6 +152,27 @@ def test_cast_to_master_delivers_decoded_payload(sim):
     assert received == [{"name": "ev", "params": [1, "a", None]}]
 
 
+def test_cast_to_master_carries_what_a_level2_line_carries(sim):
+    """The upcall is the record's level-2 line: what an XML-RPC struct
+    rejected (ints >= 2**31) or normalised (``\\r``, control characters)
+    arrives as sent."""
+    channel = ControlChannel(sim, latency=0.001)
+    received = []
+    channel.set_master_handler(received.append)
+    payload = {"name": "ev", "params": [2**40, "a\r\nb", "\x01"], "local_time": 0.1 + 0.2}
+    channel.cast_to_master(payload)
+    sim.run()
+    assert received == [payload]
+
+
+def test_cast_to_master_refuses_an_unencodable_payload_at_the_node(sim):
+    channel = ControlChannel(sim, latency=0.001)
+    channel.set_master_handler(lambda payload: None)
+    with pytest.raises(TypeError):
+        channel.cast_to_master({"name": "ev", "params": [object()]})
+    assert sim.run() is None and sim.executed_callbacks == 0  # nothing was sent
+
+
 def test_cast_without_master_handler_raises(sim):
     channel = ControlChannel(sim)
     with pytest.raises(RpcError):

@@ -34,6 +34,32 @@ def test_counter_inc_and_labels():
         c.inc(node="x")  # undeclared label name
 
 
+def test_label_keys_are_the_same_json_first_time_and_every_time_after():
+    """The key is ``json.dumps([str(value), ...])`` in declared order — what
+    the exposition parses — whether it was just built or remembered."""
+    reg = MetricsRegistry()
+    c = reg.counter("repro_pairs_total", "pairs", labels=("a", "b"))
+    for _ in range(2):  # the second round meets the remembered keys
+        c.inc(a="x", b='y"\n')
+        c.inc(b='y"\n', a="x")
+        c.inc(a=1, b=True)
+        c.inc(a=1.0, b=1)  # equal to and hashing like (1, True), spelled differently
+        c.inc(a=[1], b=None)  # unhashable
+        for wrong in ({"a": "x"}, {"a": "x", "b": 'y"\n', "c": "z"}, {"a": "x", "z": 'y"\n'}, {}):
+            with pytest.raises(ValueError, match="do not match declared"):
+                c.inc(**wrong)
+            with pytest.raises(ValueError, match="do not match declared"):
+                c.value(**wrong)
+    assert c._values == {
+        json.dumps(["x", 'y"\n']): 4,
+        json.dumps(["1", "True"]): 2,
+        json.dumps(["1.0", "1"]): 2,
+        json.dumps(["[1]", "None"]): 2,
+    }
+    assert c.value(b='y"\n', a="x") == 4
+    assert check_prometheus_text(reg.to_prometheus()) == []
+
+
 def test_declaration_is_idempotent_but_typed():
     reg = MetricsRegistry()
     a = reg.counter("repro_x_total", "x")
