@@ -6,7 +6,7 @@ grows linearly with run count (the paper reports multi-day campaigns).
 This package opens the "many concurrent runs" workload:
 
 * :mod:`repro.campaign.scheduler` — partitions the plan into run tickets
-  with priority/retry policies and capacity constraints;
+  with retry policies and capacity constraints;
 * :mod:`repro.campaign.session` — what happens when a campaign opens,
   a run settles and the campaign seals: the one policy the local pool
   and the fleet fabric (:mod:`repro.fabric`) both drive;
@@ -19,9 +19,10 @@ This package opens the "many concurrent runs" workload:
   crashed campaign resumes exactly the aborted/unstarted runs;
 * :mod:`repro.campaign.merge` — per-worker level-3 SQLite shards merged
   deterministically (ordered by run id, never by completion time) into
-  the single experiment database of Table I;
-* :mod:`repro.campaign.telemetry` — live progress (completed / failed /
-  in-flight, throughput, ETA, per-worker status) for the CLI.
+  the single experiment database of Table I.
+
+The session is also the campaign's one reporter: progress lines for the
+CLI, the ``repro_campaign_*`` metrics and ``CampaignResult.telemetry``.
 """
 
 from repro.campaign.engine import CampaignEngine, run_campaign
@@ -29,7 +30,6 @@ from repro.campaign.journal import CampaignJournal
 from repro.campaign.merge import ShardWriter, database_digest, merge_shards
 from repro.campaign.scheduler import CampaignScheduler, RunTicket
 from repro.campaign.session import CampaignResult, CampaignSession, merge_campaign
-from repro.campaign.telemetry import CampaignTelemetry
 
 __all__ = [
     "CampaignEngine",
@@ -37,7 +37,6 @@ __all__ = [
     "CampaignResult",
     "CampaignScheduler",
     "CampaignSession",
-    "CampaignTelemetry",
     "RunTicket",
     "ShardWriter",
     "database_digest",

@@ -2,22 +2,20 @@
 
 The scheduler partitions a :class:`~repro.core.plan.TreatmentPlan` into
 :class:`RunTicket` work items and hands them to the engine's worker pool.
-Three policies live here:
+Four policies live here:
 
-* **Ordering** — tickets are dispatched by ``(priority, run_id)``; the
-  default priority is uniform, so dispatch order equals plan order.  A
-  ``priority`` callable lets an experimenter front-load interesting
-  treatments (e.g. the longest-running levels first, minimizing the
-  tail).  Dispatch order is a *scheduling* concern only: results are
-  merged by run id, so any order yields the same database.
+* **Ordering** — tickets are dispatched by ``(retry wave, run_id)``, so
+  first attempts go in plan order.  Dispatch order is a *scheduling*
+  concern only: results are merged by run id, so any order yields the
+  same database.
 * **Capacity** — the effective worker count is
   ``min(jobs, max_parallel)`` where ``max_parallel`` comes from the
   description's special parameters (Sec. IV-E): a description whose
   platform cannot host many isolated instances declares its own bound,
   and neither a local pool (``effective_jobs``) nor a fleet's lease
   grants (``capacity_left``) exceed it.
-* **Retry** — a failed run is requeued (at the front of its priority
-  class) until its attempt budget is exhausted, then reported failed.
+* **Retry** — a failed run is requeued (ahead of every first attempt)
+  until its attempt budget is exhausted, then reported failed.
 * **Quarantine** — failures attributable to one platform node (the
   error carries a ``[node=...]`` token, see
   :func:`repro.core.errors.extract_node_id`) are counted per node; a
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.core.errors import CampaignError
 from repro.core.plan import Run, TreatmentPlan
@@ -47,13 +45,11 @@ __all__ = ["RunTicket", "CampaignScheduler"]
 class RunTicket:
     """One schedulable unit of campaign work.
 
-    The sort order ``(priority, retry wave, run_id)`` *is* the dispatch
-    order: lower priority values first, retries ahead of their class so a
-    flaky run does not starve behind the whole plan, ties broken by plan
-    position.
+    The sort order ``(retry wave, run_id)`` *is* the dispatch order:
+    retries ahead so a flaky run does not starve behind the whole plan,
+    ties broken by plan position.
     """
 
-    priority: int
     retry_wave: int
     run_id: int
     run: Run = field(compare=False)
@@ -81,8 +77,6 @@ class CampaignScheduler:
         Description-imposed concurrency bound (0 = unbounded).
     max_attempts:
         Attempt budget per run (1 = no retries).
-    priority:
-        Optional ``run -> int`` (lower dispatches earlier).
     quarantine_after:
         Node-attributed failures a single node may cause before it is
         quarantined (0 disables quarantine).
@@ -95,7 +89,6 @@ class CampaignScheduler:
         jobs: int = 1,
         max_parallel: int = 0,
         max_attempts: int = 2,
-        priority: Optional[Callable[[Run], int]] = None,
         quarantine_after: int = 3,
     ) -> None:
         if jobs < 1:
@@ -109,7 +102,6 @@ class CampaignScheduler:
         skip: Set[int] = set(completed or ())
         self._queue: List[RunTicket] = [
             RunTicket(
-                priority=priority(run) if priority else 0,
                 retry_wave=0,
                 run_id=run.run_id,
                 run=run,
@@ -210,7 +202,7 @@ class CampaignScheduler:
         """Return an in-flight run to the queue *without* charging an
         attempt — the path for leases revoked by worker death, drain or
         quarantine, where the run itself did nothing wrong.  The run goes
-        back at the front of its priority class (retry-wave promotion) so
+        back ahead of the first attempts (retry-wave promotion) so
         a re-leased batch is not starved behind the whole backlog.
         Returns False when the run is not in flight (already acked).
         """
@@ -218,7 +210,6 @@ class CampaignScheduler:
         if ticket is None:
             return False
         released = RunTicket(
-            priority=ticket.priority,
             retry_wave=ticket.retry_wave - 1,
             run_id=ticket.run_id,
             run=ticket.run,
@@ -259,7 +250,6 @@ class CampaignScheduler:
             raise CampaignError(f"run {run_id} failed but was never dispatched")
         if not terminal and ticket.attempts_left > 0:
             requeued = RunTicket(
-                priority=ticket.priority,
                 retry_wave=ticket.retry_wave - 1,
                 run_id=ticket.run_id,
                 run=ticket.run,

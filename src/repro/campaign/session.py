@@ -9,11 +9,19 @@ transitions both transports perform: :meth:`~CampaignSession.open`,
 :meth:`~CampaignSession.dispatch`, :meth:`~CampaignSession.settle_ok`,
 :meth:`~CampaignSession.settle_failed` and :meth:`~CampaignSession.seal`.
 
-The session is the only journal writer for run state.  Dispatch and the
-two settles are not thread-safe: the local engine calls them from its one
-dispatch thread, the coordinator under its dispatch lock.  Seal runs once
-the scheduler is finished — nothing dispatches or settles any more — and
-needs no lock.
+The session is the only journal writer for run state, and the one
+reporter of it: each transition counts itself in the metrics registry and
+writes its progress line in the method that performs it.  Counts the
+scheduler owns (completed, failed, staged, in flight, quarantined nodes)
+are read from the scheduler, never re-counted; per-run facts only a settle
+sees (run and phase walls, retries, control-channel retry tallies, each
+worker's busy time) are plain fields here.  :meth:`~CampaignSession.summary`
+is the campaign report, ``CampaignResult.telemetry``.
+
+Dispatch and the two settles are not thread-safe: the local engine calls
+them from its one dispatch thread, the coordinator under its dispatch
+lock.  Seal runs once the scheduler is finished — nothing dispatches or
+settles any more — and needs no lock.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.merge import (
@@ -32,12 +40,12 @@ from repro.campaign.merge import (
     merge_shards,
 )
 from repro.campaign.scheduler import CampaignScheduler, RunTicket
-from repro.campaign.telemetry import CampaignTelemetry
 from repro.core.description import ExperimentDescription
 from repro.core.errors import CampaignError, RecoveryError, extract_node_id
 from repro.core.params import SpecialParams
 from repro.core.plan import TreatmentPlan, generate_plan
 from repro.faults.control import select_control_faults
+from repro.obs.analyze import phase_statistics
 from repro.obs.metrics import count_suppressed_error, get_registry
 from repro.storage.level2 import Level2Store
 
@@ -108,7 +116,7 @@ class CampaignSession:
         ``0.1`` tolerates up to 10%).  ``None`` (default) trusts the
         journal without probing.
     progress:
-        Optional sink for telemetry progress lines (e.g. ``print``).
+        Optional sink for progress lines (e.g. ``print``).
     """
 
     def __init__(
@@ -137,7 +145,6 @@ class CampaignSession:
         self.journal = CampaignJournal(self.campaign_dir)
         self.plan: Optional[TreatmentPlan] = None
         self.scheduler: Optional[CampaignScheduler] = None
-        self.telemetry: Optional[CampaignTelemetry] = None
         #: This session's index in the journal (0 = the fresh start).
         self.index = 0
         #: Runs earlier sessions staged: ``{run_id: run_complete entry}``.
@@ -146,12 +153,21 @@ class CampaignSession:
         #: ``campaign_complete`` is journaled (by this session's seal).
         self.sealed = False
         self._opened_at = 0.0
+        #: This session's per-run facts, folded in by the settles.
+        self.run_durations: List[float] = []
+        self.phase_durations: Dict[str, List[float]] = {}
+        self.retried = 0
+        self.rpc_retries = 0
+        self.rpc_timeouts = 0
+        #: Per-worker busy clock: ``worker -> (busy seconds, runs dispatched
+        #: and not yet settled, clock reading of the last change)``.
+        self._busy: Dict[str, Tuple[float, int, float]] = {}
 
     # ------------------------------------------------------------------
     def open(self) -> "CampaignSession":
         """Plan → journal fresh/resume check (with the salvage re-queue
         filter) → ``campaign_start`` entry → scheduler, capped by the
-        description's ``max_parallel`` (Sec. IV-E) → telemetry."""
+        description's ``max_parallel`` (Sec. IV-E)."""
         self._opened_at = time.monotonic()
         desc = self.description
         self.plan = generate_plan(
@@ -183,8 +199,8 @@ class CampaignSession:
             max_attempts=self.max_attempts,
             quarantine_after=self.quarantine_after,
         )
-        self.telemetry = CampaignTelemetry(total_runs=len(self.plan), emit=self.progress)
-        self.telemetry.campaign_started(skipped=len(self.staged))
+        if self.staged:
+            self.note(f"resume: {len(self.staged)}/{len(self.plan)} runs already staged")
         return self
 
     def _filter_salvage_requeue(
@@ -226,7 +242,7 @@ class CampaignSession:
         ``sessions``) runs clean.
         """
         self.journal.record_run_start(ticket.run_id, worker)
-        self.telemetry.run_started(ticket.run_id, worker)
+        self._clock_worker(worker, +1)
         return select_control_faults(
             self.control_faults,
             attempt=ticket.attempts,
@@ -246,7 +262,7 @@ class CampaignSession:
         phases: Optional[Dict[str, float]] = None,
         epoch: Optional[int] = None,
     ) -> None:
-        """Settle one run: ``run_complete`` entry → scheduler → telemetry.
+        """Settle one run: ``run_complete`` entry → scheduler → report.
 
         The caller's shard transaction is the commit point and has
         landed; the entry (*store* / *shard* / *epoch*, see
@@ -255,9 +271,17 @@ class CampaignSession:
         """
         self.journal.record_run_complete(run_id, worker, store, shard, epoch=epoch)
         self.scheduler.mark_done(run_id)
-        self.telemetry.run_completed(run_id, worker, duration)
-        self.telemetry.rpc_stats(rpc_retries, rpc_timeouts)
-        self.telemetry.run_phases(phases or {})
+        self.run_durations.append(duration)
+        self._worker_settled(worker)
+        get_registry().counter(
+            "repro_campaign_runs_completed_total",
+            "Campaign runs staged successfully this session",
+        ).inc()
+        self.note(f"run {run_id} ok ({duration:.2f}s, {worker})", progress=True)
+        self.rpc_retries += int(rpc_retries)
+        self.rpc_timeouts += int(rpc_timeouts)
+        for name, seconds in (phases or {}).items():
+            self.phase_durations.setdefault(str(name), []).append(float(seconds))
         if timed_out:
             self.timed_out.append(run_id)
 
@@ -276,12 +300,89 @@ class CampaignSession:
             "Exceptions crossing the campaign worker boundary",
         ).inc()
         self.journal.record_run_failed(run_id, error, attempt)
-        self.telemetry.run_failed(run_id, worker, error, requeued)
+        self._worker_settled(worker)
+        if requeued:
+            self.retried += 1
+            get_registry().counter(
+                "repro_campaign_runs_retried_total",
+                "Campaign run attempts requeued after a failure",
+            ).inc()
+            self.note(f"run {run_id} failed, retrying: {error}", progress=True)
+        else:
+            get_registry().counter(
+                "repro_campaign_runs_failed_total",
+                "Campaign runs that exhausted their attempts",
+            ).inc()
+            self.note(f"run {run_id} FAILED: {error}", progress=True)
         if node_id is not None and self.scheduler.record_node_failure(node_id):
             failures = self.scheduler.node_failures[node_id]
             self.journal.record_node_quarantined(node_id, failures)
-            self.telemetry.node_quarantined(node_id, failures)
+            self.note(f"node {node_id} QUARANTINED after {failures} failures", progress=True)
         return requeued
+
+    # ------------------------------------------------------------------
+    def _clock_worker(self, worker: str, runs: int) -> float:
+        """Move *worker*'s count of dispatched, unsettled runs by *runs*.
+
+        The worker is busy from its first outstanding dispatch to its
+        last settle: the time since its previous move counts only when it
+        held a run.  Returns its busy seconds so far.
+        """
+        now = time.monotonic()
+        busy, held, mark = self._busy.get(worker, (0.0, 0, now))
+        if held:
+            busy += now - mark
+        self._busy[worker] = (busy, max(0, held + runs), now)
+        return busy
+
+    def _worker_settled(self, worker: str) -> None:
+        get_registry().gauge(
+            "repro_campaign_worker_busy_seconds",
+            "Wall-clock seconds each campaign worker spent executing runs",
+            labels=("worker",),
+        ).set(self._clock_worker(worker, -1), worker=worker)
+
+    def note(self, line: str, progress: bool = False) -> None:
+        """Send *line* to the ``progress`` sink; with *progress*, behind
+        the ``[staged/total]  rate  eta  in flight`` head."""
+        if self.progress is None:
+            return
+        if progress:
+            line = "  ".join(self._progress_head() + [line])
+        self.progress(line)
+
+    def _progress_head(self) -> List[str]:
+        scheduler = self.scheduler
+        total = len(self.plan)
+        completed = len(scheduler.done)
+        staged = completed + len(self.staged)
+        head = [f"[{staged:>{len(str(total))}}/{total}]"]
+        # This session's rate: resumed runs took no time here.
+        elapsed = time.monotonic() - self._opened_at
+        rate = completed / elapsed if elapsed > 0 else 0.0
+        if rate > 0:
+            head.append(f"{rate:.2f} runs/s")
+            remaining = total - staged - len(scheduler.failed)
+            if remaining > 0:
+                head.append(f"eta {remaining / rate:.0f}s")
+        if scheduler.in_flight:
+            head.append(f"{len(scheduler.in_flight)} in flight")
+        return head
+
+    def summary(self) -> Dict[str, Any]:
+        """This session's report (``CampaignResult.telemetry``)."""
+        scheduler = self.scheduler
+        return {
+            "total": len(self.plan),
+            "completed": len(scheduler.done),
+            "skipped": len(self.staged),
+            "failed": len(scheduler.failed),
+            "retried": self.retried,
+            "rpc_retries": self.rpc_retries,
+            "rpc_timeouts": self.rpc_timeouts,
+            "quarantined_nodes": sorted(scheduler.quarantined_nodes),
+            "phases": phase_statistics(self.phase_durations),
+        }
 
     # ------------------------------------------------------------------
     def seal(self, db_path=None, jobs: int = 1, pool: str = "thread") -> CampaignResult:
@@ -305,7 +406,7 @@ class CampaignSession:
             duration=time.monotonic() - self._opened_at,
             jobs=jobs,
             pool=pool,
-            telemetry=self.telemetry.summary(),
+            telemetry=self.summary(),
         )
         self.write_metrics()
         if result.failed_runs:
@@ -319,7 +420,8 @@ class CampaignSession:
             self.journal.record_complete()
             self.sealed = True
         if db_path is not None:
-            self.telemetry.merge_started(len(self.staged) + len(self.scheduler.done))
+            runs = len(self.staged) + len(self.scheduler.done)
+            self.note(f"merging {runs} runs into the experiment database")
             result.db_path = merge_campaign(self.campaign_dir, db_path)
             result.duration = time.monotonic() - self._opened_at
         return result

@@ -331,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "passes if responsiveness aggregates stay "
                             "within this relative tolerance (default: any "
                             "digest drift fails)")
-    r_reg.add_argument("--strict", action="store_true",
-                       help="only an exact Table-I digest match passes")
 
     p_tr = sub.add_parser(
         "trace",
@@ -971,7 +969,6 @@ def _repo_regression_check(args) -> int:
             args.database,
             baseline=args.baseline,
             tolerance=args.tol,
-            strict=args.strict,
         )
     print(f"baseline: #{verdict['baseline']['exp_id']} "
           f"{verdict['baseline']['name']}")
@@ -988,9 +985,9 @@ def _repo_regression_check(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.obs.analyze import (
-        PHASE_SPANS,
         format_critical_path,
         format_tree,
+        phase_durations,
         phase_statistics,
     )
     from repro.storage.level3 import ExperimentDatabase
@@ -1023,11 +1020,8 @@ def _cmd_trace(args) -> int:
         by_run.setdefault(rec["run_id"], []).append(rec)
     durations: dict = {}
     for run_records in by_run.values():
-        for rec in run_records:
-            if rec["name"] in PHASE_SPANS:
-                durations.setdefault(rec["name"], []).append(
-                    max(0.0, rec["end"] - rec["start"])
-                )
+        for phase, seconds in phase_durations(run_records).items():
+            durations.setdefault(phase, []).append(seconds)
     print(f"runs with spans: {len(by_run)}")
     for phase, stats in phase_statistics(durations).items():
         print(f"  {phase:<12} n={stats['count']:<5} "

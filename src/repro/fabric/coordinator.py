@@ -244,7 +244,8 @@ class FabricCoordinator:
         self.epoch = epoch
 
         session = self.session.open()
-        self.telemetry = session.telemetry
+        # Old name of the session; benchmarks/e2e (frozen, ROADMAP 2) reads it.
+        self.telemetry = session
         self.dispatcher = LeaseDispatcher(
             session,
             LeaseStore(
@@ -619,10 +620,20 @@ class FabricCoordinator:
             if not self.session.scheduler.finished:
                 raise CampaignError("campaign still has unsettled runs")
             workers = len(self.dispatcher.registry.workers())
+            d = self.dispatcher
+            fleet = {
+                "registered": d.registered,
+                "transitions": d.transitions,
+                "leases": d.leases_granted,
+                "expired": d.leases_expired,
+                "quarantined": d.quarantined,
+            }
         # Outside the dispatch lock: polling workers must get their
         # ``done`` while the merge runs, not after it.
         try:
-            return self.session.seal(db_path, jobs=workers or 1, pool="fleet")
+            result = self.session.seal(db_path, jobs=workers or 1, pool="fleet")
+            result.telemetry["fleet"] = fleet
+            return result
         finally:
             # ``campaign_complete`` ends the need for a leader, whatever
             # becomes of the merge: release so watching standbys exit

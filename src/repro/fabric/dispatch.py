@@ -4,9 +4,13 @@ Sits between the campaign session (whose scheduler is the persistent run
 queue) and the fleet: workers *pull* batches, the dispatcher grants each
 pull as a durable lease, and every state change funnels through one
 object so the coordinator can serialize it under a single lock.  What a
-settled run means for the campaign — journal, retry ladder, telemetry —
-is the session's (:mod:`repro.campaign.session`); the dispatcher decides
-only *whether* an ack settles anything.
+settled run means for the campaign — journal, retry ladder, report — is
+the session's (:mod:`repro.campaign.session`); the dispatcher decides
+only *whether* an ack settles anything.  The fleet's own lifecycle it
+reports itself, where it happens: five tallies (workers registered,
+liveness transitions, leases granted and expired, workers quarantined),
+the lease counters of the metrics registry, and one line per event
+through the session's :meth:`~repro.campaign.session.CampaignSession.note`.
 
 The guarantees, and where each lives:
 
@@ -38,6 +42,7 @@ from repro.campaign.session import CampaignSession
 from repro.core.heartbeat import QUARANTINED
 from repro.fabric.leases import Lease, LeaseStore
 from repro.fabric.registry import WorkerRegistry
+from repro.obs.metrics import get_registry
 
 __all__ = ["LeaseDispatcher"]
 
@@ -65,6 +70,9 @@ class LeaseDispatcher:
         self.clock = clock
         #: lease id → {run_id: ticket} for in-flight (unacked) runs.
         self._tickets: Dict[str, Dict[int, RunTicket]] = {}
+        #: Fleet lifecycle tallies (``CampaignResult.telemetry["fleet"]``).
+        self.registered = self.transitions = self.quarantined = 0
+        self.leases_granted = self.leases_expired = 0
 
     @property
     def scheduler(self):
@@ -84,15 +92,20 @@ class LeaseDispatcher:
         fresh = self.registry.register(worker_id, capacity)
         if fresh:
             self.journal.record_worker_registered(worker_id, capacity)
-            self.session.telemetry.worker_registered(worker_id, capacity)
+            self.registered += 1
+            self.session.note(f"worker {worker_id} joined (capacity {capacity})")
         return fresh
 
     def beat(self, worker_id: str) -> str:
         """One worker heartbeat; returns the worker's (new) state."""
         moved = self.registry.beat(worker_id)
         if moved is not None:
-            self.session.telemetry.worker_state(worker_id, moved[0], moved[1])
+            self._moved(worker_id, *moved)
         return self.registry.state(worker_id)
+
+    def _moved(self, worker_id: str, old: str, new: str) -> None:
+        self.transitions += 1
+        self.session.note(f"worker {worker_id}: {old} -> {new}")
 
     # ------------------------------------------------------------------
     # Granting
@@ -118,7 +131,11 @@ class LeaseDispatcher:
             return None, []
         lease = self.leases.grant(worker_id, [t.run_id for t in batch])
         self._tickets[lease.lease_id] = {t.run_id: t for t in batch}
-        self.session.telemetry.lease_granted(worker_id, lease.lease_id, len(batch))
+        self.leases_granted += 1
+        get_registry().counter(
+            "repro_fabric_leases_granted_total",
+            "Run batches leased to fleet workers",
+        ).inc()
         return lease, batch
 
     def renew(self, worker_id: str, lease_id: str) -> bool:
@@ -223,7 +240,7 @@ class LeaseDispatcher:
         now = self.clock() if now is None else now
         out: Dict[str, List[str]] = {"expired": [], "quarantined": []}
         for worker_id, old, new in self.registry.sweep(now):
-            self.session.telemetry.worker_state(worker_id, old, new)
+            self._moved(worker_id, old, new)
             # A worker gone ``dead`` keeps its leases until their TTL — it may
             # be partitioned, not gone — but is granted nothing new.
             if new == QUARANTINED:
@@ -239,7 +256,16 @@ class LeaseDispatcher:
                 lease.worker_id,
                 requeued,
             )
-            self.session.telemetry.lease_expired(lease.lease_id, lease.worker_id, len(requeued))
+            self.leases_expired += 1
+            get_registry().counter(
+                "repro_fabric_leases_expired_total",
+                "Leases whose workers went silent past the TTL",
+            ).inc()
+            self.session.note(
+                f"lease {lease.lease_id} of {lease.worker_id} expired; "
+                f"{len(requeued)} runs re-queued",
+                progress=True,
+            )
         return out
 
     def _quarantine_leases(self, worker_id: str, reason: str) -> List[int]:
@@ -247,7 +273,8 @@ class LeaseDispatcher:
         for lease in self.leases.for_worker(worker_id):
             requeued.extend(self._reclaim(lease, "revoked"))
         self.journal.record_worker_quarantined(worker_id, reason)
-        self.session.telemetry.worker_quarantined(worker_id, reason)
+        self.quarantined += 1
+        self.session.note(f"worker {worker_id} QUARANTINED: {reason}", progress=True)
         return requeued
 
     def quarantine_worker(self, worker_id: str, reason: str) -> List[int]:

@@ -267,10 +267,9 @@ class ElectionLedger:
             # Advisory: a beacon left behind ages out of the roster.
             count_suppressed_error("election_beacon_retire")
 
-    def standby_roster(self, fresh_within: Optional[float] = None) -> List[dict]:
-        """Standbys whose beacon is fresher than *fresh_within* seconds
-        (default: three election TTLs)."""
-        horizon = 3.0 * self.ttl if fresh_within is None else float(fresh_within)
+    def standby_roster(self) -> List[dict]:
+        """Standbys whose beacon is fresher than three election TTLs."""
+        horizon = 3.0 * self.ttl
         now = self.clock()
         roster = []
         if not self.standby_root.is_dir():

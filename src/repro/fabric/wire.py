@@ -116,11 +116,9 @@ class PartitionGate:
         self._blocked: Set[Tuple[str, str]] = set()
         self._lock = threading.Lock()
 
-    def partition(self, src: str, dst: str, symmetric: bool = False) -> None:
+    def partition(self, src: str, dst: str) -> None:
         with self._lock:
             self._blocked.add((src, dst))
-            if symmetric:
-                self._blocked.add((dst, src))
 
     def heal(self, src: Optional[str] = None, dst: Optional[str] = None) -> None:
         """Lift rules matching *src*/*dst* (``None`` matches any)."""

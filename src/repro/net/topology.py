@@ -412,7 +412,6 @@ def random_geometric_topology(
     base_loss: float = DEFAULT_BASE_LOSS,
     base_delay: float = DEFAULT_BASE_DELAY,
     prefix: str = "n",
-    ensure_connected: bool = True,
     max_attempts: int = 64,
 ) -> Topology:
     """Nodes scattered uniformly in the unit square; links below *radius*.
@@ -420,14 +419,14 @@ def random_geometric_topology(
     Link quality degrades with distance: ``base_loss`` scales up to 4x at
     the connectivity edge, mimicking weak long links in an indoor mesh.
 
-    With ``ensure_connected`` the builder redraws (deterministically, by
-    incrementing the seed) until the graph is connected, so experiments
-    never start on a partitioned mesh unless they ask for one.
+    The graph is redrawn (deterministically, by incrementing the seed)
+    until it is connected, so experiments never start on a partitioned
+    mesh.
     """
     rng_seed = seed
     for _ in range(max_attempts):
         graph = nx.random_geometric_graph(n, radius, seed=rng_seed)
-        if not ensure_connected or nx.is_connected(graph):
+        if nx.is_connected(graph):
             break
         rng_seed += 1
     else:

@@ -1,7 +1,7 @@
 """Process-wide metrics registry with JSON and Prometheus export.
 
 Absorbs the ad-hoc counters that used to live on individual objects
-(``ControlChannel.retried_calls``, telemetry RPC tallies, fault counts)
+(``ControlChannel.retried_calls``, campaign run tallies, fault counts)
 into one registry with three instrument kinds:
 
 * :class:`Counter` — monotonically increasing totals;

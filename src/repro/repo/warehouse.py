@@ -422,7 +422,6 @@ class Warehouse:
         fresh_db_path,
         baseline=None,
         tolerance: float = 0.0,
-        strict: bool = False,
     ) -> Dict[str, Any]:
         """Check a fresh level-3 package against the warehouse baseline.
 
@@ -433,8 +432,7 @@ class Warehouse:
         differing digests still pass when every responsiveness aggregate
         is within *tolerance* (relative) and run/event counts are equal
         (for re-runs whose float paths legitimately differ, e.g.
-        campaign-merged vs single-process packages).  With *strict*,
-        only a digest match passes regardless of *tolerance*.
+        campaign-merged vs single-process packages).
         """
         # trusted=False: the whole point is catching content that changed
         # after finalization, when the stamped digest is stale.
@@ -458,9 +456,7 @@ class Warehouse:
         if not digest_match:
             aggregate = self._aggregate_checks(fresh_db_path, base_id, tolerance)
             checks.extend(aggregate)
-        ok = digest_match or (
-            not strict and tolerance > 0 and all(c["ok"] for c in aggregate)
-        )
+        ok = digest_match or (tolerance > 0 and all(c["ok"] for c in aggregate))
         return {
             "ok": ok,
             "digest_match": digest_match,

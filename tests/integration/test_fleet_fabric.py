@@ -19,7 +19,9 @@ import pytest
 
 from repro.campaign import CampaignJournal, database_digest, run_campaign
 from repro.core.heartbeat import HeartbeatConfig
+from repro.durable import DurableLog
 from repro.fabric import FabricCoordinator, FabricWorker, FleetChannel
+from repro.fabric.leases import LEASES_NAME
 from repro.sd.processlib import build_two_party_description
 
 
@@ -92,6 +94,17 @@ def test_three_worker_fleet_byte_identical(local_reference, tmp_path):
     journal = CampaignJournal(tmp_path / "campaign")
     assert journal.registered_workers() == ["w0", "w1", "w2"]
     assert sorted(journal.completed()) == list(range(len(result.plan)))
+    # The fleet's tallies: three joins, one per lease the ledger granted,
+    # no liveness transition, expiry or quarantine.
+    ledger = DurableLog(tmp_path / "campaign" / LEASES_NAME).replay()
+    grants = sum(1 for record in ledger if record.get("op") == "grant")
+    assert result.telemetry["fleet"] == {
+        "registered": 3,
+        "transitions": 0,
+        "leases": grants,
+        "expired": 0,
+        "quarantined": 0,
+    }
 
 
 def test_kill_worker_and_coordinator_restart_converges(local_reference, tmp_path):
@@ -178,6 +191,7 @@ def test_kill_worker_and_coordinator_restart_converges(local_reference, tmp_path
     expiries = [e for e in journal.entries() if e["type"] == "lease_expired"]
     assert len(expiries) == 1
     assert expiries[0]["worker_id"] == "w-bad"
+    assert result.telemetry["fleet"]["expired"] == 1
     assert journal.session_count() == 2
     assert journal.finished()
 
@@ -237,6 +251,7 @@ def test_quarantine_rpc_re_leases_in_flight_batch_exactly_once(tmp_path):
     assert result.failed_runs == {}
     journal = CampaignJournal(tmp_path / "campaign")
     assert journal.quarantined_workers() == ["w-slow"]
+    assert result.telemetry["fleet"]["quarantined"] == 1
     # The re-executed batch committed through the healthy worker only.
     completed = journal.completed()
     assert {completed[r]["worker"] for r in (0, 1)} == {"w-ok"}

@@ -38,15 +38,6 @@ def test_completed_runs_never_scheduled():
     assert sched.skipped == {0, 2, 4}
 
 
-def test_priority_callable_reorders_dispatch():
-    sched = CampaignScheduler(
-        _plan(),
-        jobs=1,
-        priority=lambda run: -run.run_id,
-    )
-    assert _drain(sched) == [5, 4, 3, 2, 1, 0]
-
-
 def test_effective_jobs_capped_by_max_parallel_and_queue():
     assert CampaignScheduler(_plan(), jobs=8).effective_jobs == 6
     assert CampaignScheduler(_plan(), jobs=8, max_parallel=3).effective_jobs == 3
@@ -103,11 +94,11 @@ def test_invalid_parameters_rejected():
         CampaignScheduler(_plan(), max_attempts=0)
 
 
-def test_ticket_ordering_priority_then_wave_then_run_id():
-    plain = RunTicket(priority=0, retry_wave=0, run_id=5, run=None)
-    retry = RunTicket(priority=0, retry_wave=-1, run_id=9, run=None)
-    urgent = RunTicket(priority=-1, retry_wave=0, run_id=7, run=None)
-    assert sorted([plain, retry, urgent]) == [urgent, retry, plain]
+def test_ticket_ordering_wave_then_run_id():
+    plain = RunTicket(retry_wave=0, run_id=5, run=None)
+    later = RunTicket(retry_wave=0, run_id=7, run=None)
+    retry = RunTicket(retry_wave=-1, run_id=9, run=None)
+    assert sorted([later, plain, retry]) == [retry, plain, later]
 
 
 def test_next_batch_pops_in_dispatch_order():

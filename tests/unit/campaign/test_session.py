@@ -1,6 +1,7 @@
 """Unit tests for the campaign session: the open / dispatch / settle /
 seal policy the local pool and the fleet coordinator both drive."""
 
+import json
 import shutil
 
 import pytest
@@ -9,8 +10,12 @@ from repro.campaign.engine import CampaignEngine
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.session import CampaignSession
 from repro.core.errors import CampaignError, RecoveryError, node_token
+from repro.core.heartbeat import HeartbeatConfig
 from repro.core.master import build_run_spec, execute_spec_run
 from repro.core.xmlio import description_to_xml
+from repro.fabric.dispatch import LeaseDispatcher
+from repro.fabric.leases import LeaseStore
+from repro.fabric.registry import WorkerRegistry
 from repro.obs.trace import Tracer
 from repro.sd.processlib import build_two_party_description
 
@@ -18,9 +23,9 @@ NODE = "t9-100"
 NODE_ERROR = f"RpcTimeout: run_init timed out {node_token(NODE)}"
 
 
-def _desc(replications=3, **kwargs):
+def _desc(replications=3, seed=5, **kwargs):
     return build_two_party_description(
-        name="session", seed=5, replications=replications, env_count=1, **kwargs
+        name="session", seed=seed, replications=replications, env_count=1, **kwargs
     )
 
 
@@ -119,8 +124,8 @@ def test_failure_requeues_until_the_budget_is_exhausted(tmp_path):
     assert session.scheduler.failed == {ticket.run_id: "boom again"}
     reasons = CampaignJournal(tmp_path).failure_reasons()
     assert reasons[ticket.run_id]["attempt"] == 2
-    assert session.telemetry.summary()["retried"] == 1
-    assert session.telemetry.summary()["failed"] == 1
+    assert session.summary()["retried"] == 1
+    assert session.summary()["failed"] == 1
 
 
 def test_quarantined_node_makes_later_failures_terminal(tmp_path):
@@ -141,7 +146,7 @@ def test_quarantined_node_makes_later_failures_terminal(tmp_path):
     ticket, requeued = _fail_next(session, "boom")
     assert (ticket.run_id, ticket.attempts) == (2, 1) and requeued
     assert sorted(session.scheduler.failed) == [0, 1]
-    assert session.telemetry.summary()["quarantined_nodes"] == [NODE]
+    assert session.summary()["quarantined_nodes"] == [NODE]
 
 
 # ----------------------------------------------------------------------
@@ -196,3 +201,222 @@ def test_an_unwritable_traces_file_is_counted_not_raised(tmp_path, suppressed):
     engine._write_traces(tracer)
     assert suppressed.value(site="campaign_traces_write") == 1
     assert tracer.pending() == 0  # drained: a retry would not duplicate them
+
+
+# ----------------------------------------------------------------------
+# the report: one line per transition, counts read from the scheduler
+# ----------------------------------------------------------------------
+def test_a_multi_run_lease_keeps_its_worker_busy_until_the_last_settle(tmp_path, clock, registry):
+    """Two runs dispatched to one worker at t0 and settled at t1 and t2:
+    the worker was busy t2 - t0, and a run is in flight until it settles."""
+    lines = []
+    session = _open(tmp_path, progress=lines.append)
+    for ticket in session.scheduler.next_batch(2):
+        session.dispatch(ticket, "w0")
+    gauge = registry.gauge("repro_campaign_worker_busy_seconds", labels=("worker",))
+    clock.now += 1.0
+    session.settle_ok(0, "w0", None, "shards/w0.db")
+    assert lines[-1] == "[1/3]  1.00 runs/s  eta 2s  1 in flight  run 0 ok (0.00s, w0)"
+    assert gauge.value(worker="w0") == 1.0
+    clock.now += 2.0
+    session.settle_ok(1, "w0", None, "shards/w0.db")
+    assert lines[-1] == "[2/3]  0.67 runs/s  eta 2s  run 1 ok (0.00s, w0)"
+    assert gauge.value(worker="w0") == 3.0
+
+
+def _metrics(campaign_dir):
+    """``metrics.json`` without its wall-clock values: family → (kind,
+    label names, counter values — or, for gauges and histograms, the
+    label sets present)."""
+    snapshot = json.loads((campaign_dir / "metrics.json").read_text(encoding="utf-8"))
+    shape = {}
+    for name, entry in snapshot.items():
+        values = entry.get("values", {})
+        if entry["kind"] == "counter":
+            seen = {tuple(json.loads(key)): value for key, value in values.items()}
+        else:
+            seen = sorted(tuple(json.loads(key)) for key in values)
+        shape[name] = (entry["kind"], tuple(entry["labels"]), seen)
+    return shape
+
+
+RPC_METHODS = (
+    "collect_experiment",
+    "collect_run",
+    "execute_action",
+    "experiment_exit",
+    "experiment_init",
+    "ping",
+    "run_exit",
+    "run_init",
+)
+RPC_CALLS = (12.0, 12.0, 36.0, 12.0, 15.0, 60.0, 12.0, 12.0)
+
+
+def test_local_campaign_report_is_pinned(tmp_path, monkeypatch, clock, registry):
+    """A 4-run local campaign with one retried failure, aborted after two
+    runs and resumed: its progress lines, ``metrics.json`` families,
+    label sets and counter values, and its summary.  Every run takes one
+    clock second and reports a 0.5 s wall."""
+    monkeypatch.setattr("repro.platforms.frame._memo", None)
+
+    def timed_run(spec):
+        clock.now += 1.0
+        result = execute_spec_run(spec)
+        result["duration"] = 0.5
+        return result
+
+    monkeypatch.setattr("repro.campaign.engine.execute_spec_run", timed_run)
+    lines = []
+    desc = _desc(replications=4, seed=77)
+    hang = {"node": NODE, "action": "hang", "run_id": 1, "max_attempt": 1}
+    options = dict(jobs=1, pool="thread", progress=lines.append, control_faults=[hang])
+    with pytest.raises(CampaignError, match="aborting after 2 runs"):
+        CampaignEngine(desc, tmp_path / "c", abort_after_runs=2, **options).execute()
+    result = CampaignEngine(desc, tmp_path / "c", resume=True, **options).execute(
+        db_path=tmp_path / "c.db"
+    )
+    assert lines == [
+        "[1/4]  1.00 runs/s  eta 3s  run 0 ok (0.50s, s0w00)",
+        "[1/4]  0.50 runs/s  eta 6s  run 1 failed, retrying: RpcTimeout: rpc run_init "
+        "to [node=t9-100] timed out after 30.0s (3 attempt(s))",
+        "[2/4]  0.67 runs/s  eta 3s  run 1 ok (0.50s, s0w00)",
+        "resume: 2/4 runs already staged",
+        "[3/4]  1.00 runs/s  eta 1s  run 2 ok (0.50s, s1w00)",
+        "[4/4]  1.00 runs/s  run 3 ok (0.50s, s1w00)",
+        "merging 4 runs into the experiment database",
+    ]
+    methods = [(method,) for method in RPC_METHODS]
+    assert _metrics(tmp_path / "c") == {
+        "repro_campaign_runs_completed_total": ("counter", (), {(): 4.0}),
+        "repro_campaign_runs_retried_total": ("counter", (), {(): 1.0}),
+        "repro_campaign_worker_busy_seconds": ("gauge", ("worker",), [("s0w00",), ("s1w00",)]),
+        "repro_campaign_worker_errors_total": ("counter", (), {(): 1.0}),
+        "repro_fault_leases_active": (
+            "gauge",
+            ("node",),
+            [("t9-100",), ("t9-101",), ("t9-102",)],
+        ),
+        "repro_fault_window_seconds": ("histogram", ("kind",), []),
+        "repro_fault_windows_total": ("counter", ("kind",), {}),
+        "repro_rpc_call_seconds": ("histogram", ("method",), methods),
+        "repro_rpc_calls_total": ("counter", ("method",), dict(zip(methods, RPC_CALLS))),
+        "repro_rpc_codec_fallback_total": ("counter", ("direction",), {}),
+        "repro_rpc_retries_total": ("counter", ("method",), {("run_init",): 2.0}),
+        "repro_rpc_timeouts_total": ("counter", ("method",), {("run_init",): 3.0}),
+        "repro_testbed_frames_total": (
+            "counter",
+            ("outcome",),
+            {("built",): 1.0, ("reused",): 4.0},
+        ),
+    }
+    telemetry = dict(result.telemetry)
+    assert {name: stats["count"] for name, stats in telemetry.pop("phases").items()} == {
+        "preparation": 2,
+        "execution": 2,
+        "cleanup": 2,
+    }
+    assert telemetry == {
+        "total": 4,
+        "completed": 2,
+        "skipped": 2,
+        "failed": 0,
+        "retried": 0,
+        "rpc_retries": 0,
+        "rpc_timeouts": 0,
+        "quarantined_nodes": [],
+    }
+
+
+def test_fleet_campaign_report_is_pinned(tmp_path, clock, registry):
+    """A scripted 2-worker fleet campaign — a failure, a silent worker, an
+    expired lease, an operator quarantine — through the lease dispatcher,
+    on one clock.  "In flight" counts runs, however many a lease holds."""
+    lines = []
+    session = _open(tmp_path, replications=6, progress=lines.append)
+    dispatcher = LeaseDispatcher(
+        session,
+        LeaseStore(tmp_path, ttl=10.0, clock=clock),
+        WorkerRegistry(HeartbeatConfig(interval=1.0), clock=clock),
+        batch_size=2,
+        clock=clock,
+    )
+
+    def lease(worker):
+        granted, batch = dispatcher.grant(worker, 2)
+        for ticket in batch:
+            session.dispatch(ticket, worker)
+        return granted
+
+    def ack(worker, granted, run_id):
+        clock.now += 1.0
+        dispatcher.ack_completed(
+            worker,
+            granted.lease_id,
+            run_id,
+            lambda: session.settle_ok(run_id, worker, None, "shards/w.db", duration=0.5),
+        )
+
+    dispatcher.register("w0", 2)
+    dispatcher.register("w1", 2)
+    first, second = lease("w0"), lease("w1")
+    ack("w0", first, 0)
+    clock.now += 1.0
+    dispatcher.ack_failed("w1", second.lease_id, 2, "boom")
+    ack("w0", first, 1)
+    for _ in range(12):  # w1 falls silent past its lease's TTL
+        clock.now += 1.0
+        dispatcher.beat("w0")
+    dispatcher.sweep()
+    for _ in range(2):
+        granted = lease("w0")
+        for run_id in granted.run_ids:
+            ack("w0", granted, run_id)
+    dispatcher.quarantine_worker("w1", "operator")
+    result = session.seal(jobs=2, pool="fleet")
+
+    assert lines == [
+        "worker w0 joined (capacity 2)",
+        "worker w1 joined (capacity 2)",
+        "[1/6]  1.00 runs/s  eta 5s  3 in flight  run 0 ok (0.50s, w0)",
+        "[1/6]  0.50 runs/s  eta 10s  2 in flight  run 2 failed, retrying: boom",
+        "[2/6]  0.67 runs/s  eta 6s  1 in flight  run 1 ok (0.50s, w0)",
+        "worker w1: alive -> suspect",
+        "worker w1: suspect -> dead",
+        "[2/6]  0.13 runs/s  eta 30s  lease L000002 of w1 expired; 1 runs re-queued",
+        "[3/6]  0.19 runs/s  eta 16s  1 in flight  run 2 ok (0.50s, w0)",
+        "[4/6]  0.24 runs/s  eta 8s  run 3 ok (0.50s, w0)",
+        "[5/6]  0.28 runs/s  eta 4s  1 in flight  run 4 ok (0.50s, w0)",
+        "[6/6]  0.32 runs/s  run 5 ok (0.50s, w0)",
+        "[6/6]  0.32 runs/s  worker w1 QUARANTINED: operator",
+    ]
+    tallies = (
+        dispatcher.registered,
+        dispatcher.transitions,
+        dispatcher.leases_granted,
+        dispatcher.leases_expired,
+        dispatcher.quarantined,
+    )
+    assert tallies == (2, 2, 4, 1, 1)
+    assert _metrics(tmp_path) == {
+        "repro_campaign_runs_completed_total": ("counter", (), {(): 6.0}),
+        "repro_campaign_runs_retried_total": ("counter", (), {(): 1.0}),
+        "repro_campaign_worker_busy_seconds": ("gauge", ("worker",), [("w0",), ("w1",)]),
+        "repro_campaign_worker_errors_total": ("counter", (), {(): 1.0}),
+        "repro_fabric_leases_expired_total": ("counter", (), {(): 1.0}),
+        "repro_fabric_leases_granted_total": ("counter", (), {(): 4.0}),
+    }
+    # w0 held at least one run from t0 to t0+3 and from t0+15 to t0+19.
+    busy = registry.gauge("repro_campaign_worker_busy_seconds", labels=("worker",))
+    assert (busy.value(worker="w0"), busy.value(worker="w1")) == (7.0, 2.0)
+    assert result.telemetry == {
+        "total": 6,
+        "completed": 6,
+        "skipped": 0,
+        "failed": 0,
+        "retried": 1,
+        "rpc_retries": 0,
+        "rpc_timeouts": 0,
+        "quarantined_nodes": [],
+        "phases": {},
+    }

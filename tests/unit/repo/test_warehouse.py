@@ -254,8 +254,8 @@ def test_regression_check_tolerance_and_strict(
     tolerant = warehouse.regression_check(shifted, baseline="alpha",
                                           tolerance=1e-9)
     assert tolerant["ok"] and not tolerant["digest_match"]
-    strict = warehouse.regression_check(shifted, baseline="alpha",
-                                        tolerance=1e-9, strict=True)
+    # The default tolerance of 0 is the strict verdict: digest drift fails.
+    strict = warehouse.regression_check(shifted, baseline="alpha")
     assert not strict["ok"]
 
 
