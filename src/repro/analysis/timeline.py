@@ -32,10 +32,6 @@ class TimelineEntry:
     params: tuple
     phase: str  # "preparation" | "execution" | "cleanup"
 
-    @property
-    def rel_time(self) -> float:  # pragma: no cover - set by timeline
-        raise AttributeError("use RunTimeline.relative_time(entry)")
-
 
 @dataclass
 class RunTimeline:

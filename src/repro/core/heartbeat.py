@@ -24,7 +24,6 @@ exists to observe.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
@@ -34,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.rpc import ControlChannel
     from repro.sim.kernel import Simulator
 
-__all__ = ["HeartbeatConfig", "NodeHealth", "HeartbeatMonitor", "LivenessTracker",
+__all__ = ["HeartbeatConfig", "NodeHealth", "HeartbeatMonitor",
            "ALIVE", "SUSPECT", "DEAD", "QUARANTINED"]
 
 ALIVE = "alive"
@@ -104,12 +103,6 @@ class NodeHealth:
             return self._move(DEAD)
         return None
 
-    def quarantine(self) -> Optional[Tuple[str, str]]:
-        """Force the terminal state (external policy decision)."""
-        if self.state == QUARANTINED:
-            return None
-        return self._move(QUARANTINED)
-
     def as_record(self) -> Dict[str, Any]:
         return {
             "state": self.state,
@@ -117,83 +110,6 @@ class NodeHealth:
             "misses": self.misses,
             "deaths": self.deaths,
         }
-
-
-class LivenessTracker:
-    """Passive, wall-clock liveness over :class:`NodeHealth` machines.
-
-    The in-simulation :class:`HeartbeatMonitor` *probes* nodes; the fabric
-    coordinator cannot (workers sit behind NAT-ish client sockets), so it
-    observes instead: every worker heartbeat is a :meth:`beat`, and a
-    periodic :meth:`sweep` converts silent intervals into the same
-    consecutive-miss bookkeeping the probing monitor would have recorded.
-    One state machine, two drivers — the ``alive → suspect → dead →
-    quarantined`` thresholds of :class:`HeartbeatConfig` mean the same
-    thing on a simulated testbed and on a real worker fleet.
-
-    Not thread-safe by itself; the coordinator serializes access under its
-    dispatch lock.
-    """
-
-    def __init__(
-        self,
-        config: Optional[HeartbeatConfig] = None,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
-        self.config = config or HeartbeatConfig()
-        self.clock = clock
-        self.health: Dict[str, NodeHealth] = {}
-        #: Per node: the wall-clock instant up to which silence has
-        #: already been charged as misses (advanced by beat and sweep).
-        self._accounted: Dict[str, float] = {}
-
-    def watch(self, node_id: str) -> NodeHealth:
-        """Start (or continue) tracking *node_id*; idempotent."""
-        health = self.health.get(node_id)
-        if health is None:
-            health = self.health[node_id] = NodeHealth(node_id, self.config)
-            self._accounted[node_id] = self.clock()
-        return health
-
-    def forget(self, node_id: str) -> None:
-        self.health.pop(node_id, None)
-        self._accounted.pop(node_id, None)
-
-    def beat(self, node_id: str) -> Optional[Tuple[str, str]]:
-        """One heartbeat arrived; returns the state transition, if any."""
-        health = self.watch(node_id)
-        self._accounted[node_id] = self.clock()
-        return health.record_success()
-
-    def sweep(self, now: Optional[float] = None) -> List[Tuple[str, str, str]]:
-        """Charge elapsed silence as missed probes; return transitions.
-
-        Each full ``interval`` of silence beyond the last accounted
-        instant counts as one consecutive miss, exactly as if a probe had
-        gone unanswered.  Returns ``[(node_id, old_state, new_state)]``
-        for every transition this sweep caused.
-        """
-        now = self.clock() if now is None else now
-        transitions: List[Tuple[str, str, str]] = []
-        for node_id in sorted(self.health):
-            health = self.health[node_id]
-            if health.state == QUARANTINED:
-                continue
-            missed = int((now - self._accounted[node_id]) / self.config.interval)
-            for _ in range(missed):
-                moved = health.record_miss()
-                if moved is not None:
-                    transitions.append((node_id, moved[0], moved[1]))
-            if missed > 0:
-                self._accounted[node_id] += missed * self.config.interval
-        return transitions
-
-    def quarantine(self, node_id: str) -> Optional[Tuple[str, str]]:
-        """Force-quarantine (policy decision outside the miss counting)."""
-        return self.watch(node_id).quarantine()
-
-    def states(self) -> Dict[str, str]:
-        return {node_id: h.state for node_id, h in self.health.items()}
 
 
 class HeartbeatMonitor:

@@ -409,10 +409,6 @@ class ExperiMaster:
             f"node_{new}", params=(node_id, old), run_id=self._current_run_id
         )
 
-    def heartbeat_summary(self) -> Dict[str, Dict[str, Any]]:
-        """Per-node liveness statistics (empty when heartbeats are off)."""
-        return self.monitor.summary() if self.monitor is not None else {}
-
     def _install_plugin_handlers(self, node_ids: List[str]) -> None:
         """Install action plugins' node-side handlers on every participating
         NodeManager (the node half of the Sec. IV-D2 plugin concept).

@@ -106,15 +106,6 @@ class TreatmentPlan:
         Sec. IV)."""
         return [run.describe() for run in self.runs]
 
-    def run_by_id(self, run_id: int) -> Run:
-        """The run with *run_id* (which equals its plan position)."""
-        if 0 <= run_id < len(self.runs) and self.runs[run_id].run_id == run_id:
-            return self.runs[run_id]
-        for run in self.runs:  # pragma: no cover - defensive fallback
-            if run.run_id == run_id:
-                return run
-        raise PlanError(f"plan has no run {run_id}")
-
     def fingerprint(self) -> str:
         """Stable content hash of the exact run sequence.
 

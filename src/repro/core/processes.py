@@ -195,10 +195,6 @@ class DomainAction(ActionNode):
         if not self.name:
             raise DescriptionError("domain action: missing name")
 
-    @property
-    def xml_tag_name(self) -> str:
-        return self.name
-
 
 #: A process body.
 ActionSequence = List[ActionNode]

@@ -7,11 +7,12 @@ architecture (DESIGN.md §15).  The pieces:
 * :mod:`repro.fabric.wire` — framed XML-RPC over TCP sockets, reusing the
   control plane's codec, deadline and retry contract (``core/rpc.py``).
 * :mod:`repro.fabric.leases` — fsynced lease records with TTL + renewal:
-  a dead worker's batch is re-leased without duplicate bookkeeping.
-* :mod:`repro.fabric.registry` — worker auto-registration, drain and
-  quarantine, driven by the heartbeat liveness state machine.
-* :mod:`repro.fabric.dispatch` — the lease dispatcher: batches runs off
-  the campaign scheduler's queue, re-leases expired batches, dedupes acks.
+  a dead worker's batch is re-leased without duplicate bookkeeping.  The
+  lease is the fleet's only failure detector.
+* :mod:`repro.fabric.dispatch` — the lease dispatcher: auto-registers
+  workers, batches runs off the campaign scheduler's queue, re-leases
+  expired batches, dedupes acks, revokes an operator-quarantined
+  worker's leases.
 * :mod:`repro.fabric.shipping` — JSON-safe shipping of per-run level-3
   shard rows and the experiment-scope payload.
 * :mod:`repro.fabric.election` — epoch-fenced leader election over the
@@ -35,7 +36,6 @@ from repro.fabric.election import (
     StandbyCoordinator,
 )
 from repro.fabric.leases import Lease, LeaseStore
-from repro.fabric.registry import WorkerRegistry
 from repro.fabric.wire import (
     FleetChannel,
     FleetServer,
@@ -60,7 +60,6 @@ __all__ = [
     "PartitionGate",
     "ReconnectBackoff",
     "StandbyCoordinator",
-    "WorkerRegistry",
     "clear_partition_gate",
     "install_partition_gate",
 ]

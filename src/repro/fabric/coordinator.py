@@ -7,7 +7,6 @@ surface to a fleet of pull-based workers:
 ``register``   worker announces itself; gets the campaign bundle
                (description XML, treatments, platform config, batch
                cadence) so workers need zero local configuration.
-``heartbeat``  liveness beat; feeds the worker state machines.
 ``lease``      pull a batch of runs as a durable TTL lease.
 ``renew``      extend a lease mid-batch.
 ``ack``        deliver one run's result (shipped level-3 rows) or its
@@ -15,6 +14,12 @@ surface to a fleet of pull-based workers:
                dispatch lock, before the worker gets its answer.
 ``status``     JSON snapshot for ``repro fabric status`` and the CI
                chaos drill.
+``quarantine`` operator revoke-now: a worker's leases are re-leased at
+               once and it is never granted again.
+``handoff``    graceful leadership transfer to a standby.
+
+A worker's liveness is its lease: it renews every TTL/3 while it
+executes, and a lease whose TTL runs out is reclaimed and re-leased.
 
 Crash safety is inherited, not invented: the coordinator is the fleet
 transport of a :class:`~repro.campaign.session.CampaignSession` — the
@@ -43,22 +48,20 @@ from repro.campaign.merge import SCOPE_NAME
 from repro.campaign.session import CampaignResult, CampaignSession
 from repro.core.description import ExperimentDescription
 from repro.core.errors import CampaignError
-from repro.core.heartbeat import HeartbeatConfig
 from repro.core.rpc import RpcServer
 from repro.core.xmlio import description_to_xml
 from repro.durable import replace_file
 from repro.fabric.dispatch import LeaseDispatcher
 from repro.fabric.election import ElectionLedger, LeadershipLost
 from repro.fabric.leases import LeaseStore
-from repro.fabric.registry import WorkerRegistry
 from repro.fabric.shipping import CoordinatorShard
 from repro.fabric.wire import FleetServer
 
 __all__ = ["FabricCoordinator"]
 
 #: Longest :meth:`FabricCoordinator.run_until_complete` sleeps between two
-#: ``finished()`` checks when nothing wakes it: the cadence of the TTL /
-#: liveness ``sweep()`` and of the settle-timeout check.
+#: ``finished()`` checks when nothing wakes it: the cadence of the TTL
+#: ``sweep()`` and of the settle-timeout check.
 SWEEP_PERIOD = 0.2
 
 
@@ -94,7 +97,7 @@ def config_to_wire(config) -> Optional[Dict[str, Any]]:
 
 def _no_lease(**why) -> str:
     """The ``lease`` reply that grants nothing, and why."""
-    return json.dumps({"lease_id": None, "runs": [], "done": False, "draining": False, **why})
+    return json.dumps({"lease_id": None, "runs": [], "done": False, **why})
 
 
 class FabricCoordinator:
@@ -110,8 +113,6 @@ class FabricCoordinator:
         at most this much at a time, whatever the backlog).
     lease_ttl:
         Seconds a granted batch stays owned without renewal.
-    heartbeat:
-        :class:`HeartbeatConfig` driving worker liveness states.
     leader_id:
         This coordinator's identity on the election ledger (defaults to
         ``coord-<pid>``).
@@ -141,7 +142,6 @@ class FabricCoordinator:
         realtime_factor: Optional[float] = None,
         control_faults: Optional[List[Dict[str, Any]]] = None,
         quarantine_after: int = 3,
-        heartbeat: Optional[HeartbeatConfig] = None,
         leader_id: Optional[str] = None,
         election_ttl: float = 10.0,
         takeover: Optional[bool] = None,
@@ -156,7 +156,6 @@ class FabricCoordinator:
         self.lease_ttl = float(lease_ttl)
         self.config_wire = config_to_wire(config)
         self.realtime_factor = realtime_factor
-        self.heartbeat = heartbeat or HeartbeatConfig()
         self.clock = clock
 
         self.leader_id = leader_id or f"coord-{os.getpid()}"
@@ -216,12 +215,10 @@ class FabricCoordinator:
         """
         rpc = RpcServer("fabric-coordinator")
         rpc.register_function(self._rpc_register, "register")
-        rpc.register_function(self._rpc_heartbeat, "heartbeat")
         rpc.register_function(self._rpc_lease, "lease")
         rpc.register_function(self._rpc_renew, "renew")
         rpc.register_function(self._rpc_ack, "ack")
         rpc.register_function(self._rpc_status, "status")
-        rpc.register_function(self._rpc_drain, "drain")
         rpc.register_function(self._rpc_quarantine, "quarantine")
         rpc.register_function(self._rpc_handoff, "handoff")
         self._server = FleetServer(self.host, self.port, rpc)  # bound, idle
@@ -254,7 +251,6 @@ class FabricCoordinator:
                 clock=self.clock,
                 epoch=self.epoch,
             ),
-            WorkerRegistry(self.heartbeat, clock=self.clock),
             batch_size=self.batch_size,
             clock=self.clock,
         )
@@ -380,10 +376,6 @@ class FabricCoordinator:
                 },
             )
 
-    def _rpc_heartbeat(self, worker_id: str) -> str:
-        with self._lock:
-            return self.dispatcher.beat(worker_id)
-
     def _rpc_lease(self, worker_id: str, want: int, epoch: int) -> str:
         with self._lock:
             if self._deposed_reason is not None:
@@ -399,10 +391,7 @@ class FabricCoordinator:
             else:
                 lease, batch = self.dispatcher.grant(worker_id, want)
             if lease is None:
-                return _no_lease(
-                    done=self.session.scheduler.finished,
-                    draining=worker_id in self.dispatcher.registry.draining,
-                )
+                return _no_lease(done=self.session.scheduler.finished)
             runs = [
                 {
                     "run_id": ticket.run_id,
@@ -417,7 +406,6 @@ class FabricCoordinator:
                     "ttl": self.lease_ttl,
                     "runs": runs,
                     "done": False,
-                    "draining": False,
                 },
             )
 
@@ -546,11 +534,6 @@ class FabricCoordinator:
             self._mark_deposed("handoff")
             return json.dumps({"released": released, "epoch": self.epoch})
 
-    def _rpc_drain(self, worker_id: str) -> bool:
-        with self._lock:
-            self.dispatcher.drain_worker(worker_id)
-            return True
-
     def _rpc_quarantine(self, worker_id: str, reason: str) -> str:
         with self._lock:
             requeued = self.dispatcher.quarantine_worker(
@@ -595,7 +578,7 @@ class FabricCoordinator:
 
         Completion is a wake-up, not a poll: the wait ends with the ack
         that settles the last run (or the loss of leadership), and only
-        the TTL / liveness sweep keeps the :data:`SWEEP_PERIOD` cadence.
+        the TTL sweep keeps the :data:`SWEEP_PERIOD` cadence.
 
         Raises :class:`CampaignError` (resumable state, like the local
         engine) when runs exhausted their attempt budgets or *timeout*
@@ -619,11 +602,10 @@ class FabricCoordinator:
         with self._lock:
             if not self.session.scheduler.finished:
                 raise CampaignError("campaign still has unsettled runs")
-            workers = len(self.dispatcher.registry.workers())
             d = self.dispatcher
+            workers = len(d.workers)
             fleet = {
                 "registered": d.registered,
-                "transitions": d.transitions,
                 "leases": d.leases_granted,
                 "expired": d.leases_expired,
                 "quarantined": d.quarantined,

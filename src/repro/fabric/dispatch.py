@@ -7,10 +7,10 @@ object so the coordinator can serialize it under a single lock.  What a
 settled run means for the campaign — journal, retry ladder, report — is
 the session's (:mod:`repro.campaign.session`); the dispatcher decides
 only *whether* an ack settles anything.  The fleet's own lifecycle it
-reports itself, where it happens: five tallies (workers registered,
-liveness transitions, leases granted and expired, workers quarantined),
-the lease counters of the metrics registry, and one line per event
-through the session's :meth:`~repro.campaign.session.CampaignSession.note`.
+reports itself, where it happens: four tallies (workers registered,
+leases granted and expired, workers quarantined), the lease counters of
+the metrics registry, and one line per event through the session's
+:meth:`~repro.campaign.session.CampaignSession.note`.
 
 The guarantees, and where each lives:
 
@@ -18,30 +18,29 @@ The guarantees, and where each lives:
   scheduler's ``done`` set is a duplicate and its commit callback is
   never invoked — a re-leased batch whose original worker resurfaces
   cannot double-commit (:meth:`ack_completed`).
-* **Exactly-once re-lease.**  Expiry, revocation and quarantine all run
-  through :meth:`_reclaim`, which closes the lease first (idempotent in
-  the lease store) and releases only the runs that close reclaimed —
-  a second expiry/revoke of the same lease is a no-op.
+* **Exactly-once re-lease.**  Expiry and quarantine both run through
+  :meth:`_reclaim`, which closes the lease first (idempotent in the
+  lease store) and releases only the runs that close reclaimed — a
+  second expiry/revoke of the same lease is a no-op.
 * **No lost runs.**  Reclaimed runs go back through
   ``scheduler.release`` — no attempt charged (the run did nothing
   wrong), retry-wave promotion so the re-leased batch does not starve.
-* **Liveness drives policy.**  :meth:`sweep` charges worker silence
-  through the registry's state machines and reclaims leases of workers
-  that crossed into ``dead``/``quarantined``; an expired TTL reclaims
-  even while the worker still counts as alive (a wedged worker process
-  heartbeats nothing either way).
+* **The lease is the failure detector.**  A worker proves it is alive
+  by renewing its lease every TTL/3; one that dies, wedges or is
+  partitioned stops renewing, and :meth:`sweep` reclaims the lease once
+  its TTL runs out.  Nothing else counts a worker's silence — a long run
+  between two renewals is not a failure.  Quarantine is the operator's
+  revoke-now (:meth:`quarantine_worker`), never an automatic verdict.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.campaign.scheduler import RunTicket
 from repro.campaign.session import CampaignSession
-from repro.core.heartbeat import QUARANTINED
 from repro.fabric.leases import Lease, LeaseStore
-from repro.fabric.registry import WorkerRegistry
 from repro.obs.metrics import get_registry
 
 __all__ = ["LeaseDispatcher"]
@@ -59,20 +58,25 @@ class LeaseDispatcher:
         self,
         session: CampaignSession,
         leases: LeaseStore,
-        registry: WorkerRegistry,
         batch_size: int = 4,
         clock: Callable[[], float] = time.time,
     ) -> None:
         self.session = session
         self.leases = leases
-        self.registry = registry
         self.batch_size = max(1, int(batch_size))
         self.clock = clock
         #: lease id → {run_id: ticket} for in-flight (unacked) runs.
         self._tickets: Dict[str, Dict[int, RunTicket]] = {}
+        #: worker id → capacity, for every worker this session has seen.
+        self.workers: Dict[str, int] = {}
+        #: Workers the operator quarantined: never granted again.
+        self.quarantined_workers: Set[str] = set()
         #: Fleet lifecycle tallies (``CampaignResult.telemetry["fleet"]``).
-        self.registered = self.transitions = self.quarantined = 0
-        self.leases_granted = self.leases_expired = 0
+        self.registered = self.leases_granted = self.leases_expired = 0
+
+    @property
+    def quarantined(self) -> int:
+        return len(self.quarantined_workers)
 
     @property
     def scheduler(self):
@@ -88,24 +92,18 @@ class LeaseDispatcher:
     # Membership
     # ------------------------------------------------------------------
     def register(self, worker_id: str, capacity: int = 1) -> bool:
-        """Admit a worker; journaled + announced on first sight only."""
-        fresh = self.registry.register(worker_id, capacity)
+        """Admit a worker; journaled + announced on first sight only.
+
+        Idempotent; a lease pull from a worker this session does not know
+        registers it too.
+        """
+        fresh = worker_id not in self.workers
         if fresh:
+            self.workers[worker_id] = max(1, int(capacity))
             self.journal.record_worker_registered(worker_id, capacity)
             self.registered += 1
             self.session.note(f"worker {worker_id} joined (capacity {capacity})")
         return fresh
-
-    def beat(self, worker_id: str) -> str:
-        """One worker heartbeat; returns the worker's (new) state."""
-        moved = self.registry.beat(worker_id)
-        if moved is not None:
-            self._moved(worker_id, *moved)
-        return self.registry.state(worker_id)
-
-    def _moved(self, worker_id: str, old: str, new: str) -> None:
-        self.transitions += 1
-        self.session.note(f"worker {worker_id}: {old} -> {new}")
 
     # ------------------------------------------------------------------
     # Granting
@@ -113,14 +111,12 @@ class LeaseDispatcher:
     def grant(self, worker_id: str, want: int) -> Tuple[Optional[Lease], List[RunTicket]]:
         """Lease up to *want* runs to *worker_id* (pull model).
 
-        Returns ``(None, [])`` when the worker may not receive work
-        (draining, dead, quarantined), the queue is empty, or the
-        description's ``max_parallel`` runs are already in flight.
+        Returns ``(None, [])`` when the worker is quarantined, the queue
+        is empty, or the description's ``max_parallel`` runs are already
+        in flight.
         """
-        if not self.registry.known(worker_id):
-            self.register(worker_id)
-        self.registry.beat(worker_id)
-        if not self.registry.leasable(worker_id):
+        self.register(worker_id)
+        if worker_id in self.quarantined_workers:
             return None, []
         size = max(1, min(int(want) if want else self.batch_size, self.batch_size))
         capacity = self.scheduler.capacity_left
@@ -141,7 +137,6 @@ class LeaseDispatcher:
     def renew(self, worker_id: str, lease_id: str) -> bool:
         """Extend a lease the worker is still executing; False tells the
         worker its lease is gone and the batch should be abandoned."""
-        self.registry.beat(worker_id)
         lease = self.leases.get(lease_id)
         if lease is None or lease.worker_id != worker_id:
             return False
@@ -168,7 +163,6 @@ class LeaseDispatcher:
 
         Returns ``"committed"`` or ``"duplicate"``.
         """
-        self.registry.beat(worker_id)
         if self._settled(run_id):
             # Already settled (duplicate ack, retried RPC, a re-leased
             # run's second executor, or a replayed ack of a run a
@@ -187,7 +181,6 @@ class LeaseDispatcher:
         Returns ``"requeued"``, ``"failed"`` (budget exhausted) or
         ``"duplicate"``.
         """
-        self.registry.beat(worker_id)
         if self._settled(run_id):
             self.leases.ack(lease_id, run_id)
             return "duplicate"
@@ -231,26 +224,19 @@ class LeaseDispatcher:
         self._tickets.pop(lease.lease_id, None)
         return requeued
 
-    def sweep(self, now: Optional[float] = None) -> Dict[str, List[str]]:
-        """Periodic housekeeping: liveness misses, TTL expiry, quarantine.
+    def sweep(self, now: Optional[float] = None) -> List[str]:
+        """Periodic housekeeping: reclaim every lease past its TTL.
 
-        Returns ``{"expired": [lease ids], "quarantined": [worker ids]}``
-        for the coordinator's status output.
+        Returns the ids of the leases that expired with runs still
+        pending.
         """
         now = self.clock() if now is None else now
-        out: Dict[str, List[str]] = {"expired": [], "quarantined": []}
-        for worker_id, old, new in self.registry.sweep(now):
-            self._moved(worker_id, old, new)
-            # A worker gone ``dead`` keeps its leases until their TTL — it may
-            # be partitioned, not gone — but is granted nothing new.
-            if new == QUARANTINED:
-                out["quarantined"].append(worker_id)
-                self._quarantine_leases(worker_id, "liveness flapping")
+        expired: List[str] = []
         for lease in self.leases.expired(now):
             requeued = self._reclaim(lease, "expired")
             if not requeued and not lease.pending:
                 continue
-            out["expired"].append(lease.lease_id)
+            expired.append(lease.lease_id)
             self.journal.record_lease_expired(
                 lease.lease_id,
                 lease.worker_id,
@@ -266,29 +252,23 @@ class LeaseDispatcher:
                 f"{len(requeued)} runs re-queued",
                 progress=True,
             )
-        return out
+        return expired
 
-    def _quarantine_leases(self, worker_id: str, reason: str) -> List[int]:
+    def quarantine_worker(self, worker_id: str, reason: str) -> List[int]:
+        """Operator removal: revokes the worker's active leases now, and
+        it is never granted again.
+
+        Returns the run ids returned to the queue.
+        """
+        if worker_id in self.quarantined_workers:
+            return []
+        self.quarantined_workers.add(worker_id)
         requeued: List[int] = []
         for lease in self.leases.for_worker(worker_id):
             requeued.extend(self._reclaim(lease, "revoked"))
         self.journal.record_worker_quarantined(worker_id, reason)
-        self.quarantined += 1
         self.session.note(f"worker {worker_id} QUARANTINED: {reason}", progress=True)
         return requeued
-
-    def quarantine_worker(self, worker_id: str, reason: str) -> List[int]:
-        """Administrative/terminal removal; revokes active leases now.
-
-        Returns the run ids returned to the queue.
-        """
-        if not self.registry.quarantine(worker_id):
-            return []
-        return self._quarantine_leases(worker_id, reason)
-
-    def drain_worker(self, worker_id: str) -> None:
-        """Graceful removal: current leases finish, nothing new granted."""
-        self.registry.drain(worker_id)
 
     # ------------------------------------------------------------------
     # Restore (coordinator restart)
@@ -313,7 +293,7 @@ class LeaseDispatcher:
                     kept[run_id] = ticket
             self._tickets[lease.lease_id] = kept
             self.leases.renew(lease.lease_id)
-            self.registry.register(lease.worker_id)
+            self.workers.setdefault(lease.worker_id, 1)
         return restored
 
     # ------------------------------------------------------------------
@@ -321,6 +301,6 @@ class LeaseDispatcher:
         return {
             "scheduler": self.scheduler.summary(),
             "leases": self.leases.summary(),
-            "fleet": self.registry.counts(),
-            "workers": self.registry.summary(),
+            "workers": dict(self.workers),
+            "quarantined": sorted(self.quarantined_workers),
         }

@@ -29,6 +29,7 @@ import socketserver
 import struct
 import threading
 import time
+import zlib
 from typing import Any, Optional, Set, Tuple
 
 from repro.core.errors import RpcError, RpcTimeout
@@ -245,7 +246,7 @@ class FleetServer:
 class FleetChannel:
     """Client side of the framed transport; NOT thread-safe.
 
-    Each worker thread owns its own channel (heartbeats, renewals and the
+    Each worker thread owns its own channel (the renewal thread and the
     lease loop never share a socket).
 
     Parameters
@@ -264,7 +265,8 @@ class FleetChannel:
         ``retry.max_attempts`` like any other RPC.
     backoff:
         Delay schedule between connection-level retries; defaults to a
-        :class:`ReconnectBackoff` seeded from the channel *label* so a
+        :class:`ReconnectBackoff` seeded from a CRC-32 of the channel
+        *label* (stable across processes, unlike ``hash``) so a
         reconnecting fleet de-phases deterministically instead of
         thundering-herding a freshly promoted leader.
     label:
@@ -290,7 +292,7 @@ class FleetChannel:
         self.reconnect_budget = float(reconnect_budget)
         self.label = label
         self.backoff = backoff or ReconnectBackoff(
-            seed=hash(label) & 0xFFFFFFFF if label is not None else 0,
+            seed=zlib.crc32(label.encode()) if label is not None else 0,
         )
         self.clock = clock
         self.sleep = sleep

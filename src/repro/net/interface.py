@@ -146,13 +146,6 @@ class Interface:
         if direction.covers(Direction.TX):
             self._tx_up = up
 
-    def is_up(self, direction: Direction) -> bool:
-        if direction is Direction.RX:
-            return self._rx_up
-        if direction is Direction.TX:
-            return self._tx_up
-        return self._rx_up and self._tx_up
-
     # ------------------------------------------------------------------
     # Filter chain
     # ------------------------------------------------------------------

@@ -115,9 +115,6 @@ class NetNode:
     def unbind(self, port: int) -> None:
         self._bindings.pop(port, None)
 
-    def is_bound(self, port: int) -> bool:
-        return port in self._bindings
-
     def join_group(self, group: str) -> None:
         """Start receiving datagrams addressed to multicast *group*."""
         if not is_multicast(group):

@@ -113,9 +113,6 @@ class Topology:
             self._sorted_neighbors[name] = cached
         return cached
 
-    def edge_attrs(self, a: str, b: str) -> Dict[str, float]:
-        return self.graph.edges[a, b]
-
     def edge_params(self, a: str, b: str) -> Tuple[float, float]:
         """``(base_loss, base_delay)`` of a link, with carry-path defaults.
 
@@ -132,9 +129,6 @@ class Topology:
             )
             self._edge_params[key] = params
         return params
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return self.graph.has_edge(a, b)
 
     # ------------------------------------------------------------------
     # Interned ids and route tables (the packet hot path)

@@ -18,7 +18,6 @@ import time
 import pytest
 
 from repro.campaign import CampaignJournal, database_digest, run_campaign
-from repro.core.heartbeat import HeartbeatConfig
 from repro.durable import DurableLog
 from repro.fabric import FabricCoordinator, FabricWorker, FleetChannel
 from repro.fabric.leases import LEASES_NAME
@@ -95,12 +94,11 @@ def test_three_worker_fleet_byte_identical(local_reference, tmp_path):
     assert journal.registered_workers() == ["w0", "w1", "w2"]
     assert sorted(journal.completed()) == list(range(len(result.plan)))
     # The fleet's tallies: three joins, one per lease the ledger granted,
-    # no liveness transition, expiry or quarantine.
+    # no expiry or quarantine.
     ledger = DurableLog(tmp_path / "campaign" / LEASES_NAME).replay()
     grants = sum(1 for record in ledger if record.get("op") == "grant")
     assert result.telemetry["fleet"] == {
         "registered": 3,
-        "transitions": 0,
         "leases": grants,
         "expired": 0,
         "quarantined": 0,
@@ -111,19 +109,12 @@ def test_kill_worker_and_coordinator_restart_converges(local_reference, tmp_path
     """The full failover drill: SIGKILL-equivalent worker death mid-batch,
     coordinator crash, resume — the merged database must not notice."""
     ref_digest, ref_stats = local_reference
-    heartbeat = HeartbeatConfig(
-        interval=0.3,
-        suspect_after=2,
-        dead_after=4,
-        quarantine_after=2,
-    )
     coordinator = FabricCoordinator(
         _desc(),
         tmp_path / "campaign",
         port=0,
         batch_size=2,
         lease_ttl=2.0,
-        heartbeat=heartbeat,
     )
 
     executed = []
@@ -166,7 +157,6 @@ def test_kill_worker_and_coordinator_restart_converges(local_reference, tmp_path
         port=0,
         batch_size=2,
         lease_ttl=2.0,
-        heartbeat=heartbeat,
         resume=True,
     )
     with resumed:

@@ -28,7 +28,6 @@ import pytest
 
 from repro.campaign import CampaignJournal, database_digest, run_campaign
 from repro.core.errors import CampaignError
-from repro.core.heartbeat import HeartbeatConfig
 from repro.durable import DurableLog
 from repro.fabric import (
     FabricCoordinator,
@@ -249,16 +248,12 @@ def test_graceful_handoff_re_leases_zero_runs(local_reference, tmp_path):
 
 def test_partitioned_worker_acks_deduplicate_after_heal(local_reference, tmp_path):
     campaign_dir = tmp_path / "campaign"
-    heartbeat = HeartbeatConfig(
-        interval=0.5, suspect_after=20, dead_after=40, quarantine_after=60,
-    )
     coordinator = FabricCoordinator(
         _desc(),
         campaign_dir,
         port=0,
         batch_size=2,
         lease_ttl=2.0,
-        heartbeat=heartbeat,
         election_ttl=5.0,
     )
     gate = install_partition_gate(PartitionGate())

@@ -178,7 +178,7 @@ class ReferenceMedium:
         unicast: bool,
         extra_delay: float,
     ) -> None:
-        attrs = self.topology.edge_attrs(sender.name, receiver.name)
+        attrs = self.topology.graph.edges[sender.name, receiver.name]
         utilization = self.utilization()
         p_loss = min(
             0.99,

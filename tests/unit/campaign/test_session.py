@@ -10,12 +10,10 @@ from repro.campaign.engine import CampaignEngine
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.session import CampaignSession
 from repro.core.errors import CampaignError, RecoveryError, node_token
-from repro.core.heartbeat import HeartbeatConfig
 from repro.core.master import build_run_spec, execute_spec_run
 from repro.core.xmlio import description_to_xml
 from repro.fabric.dispatch import LeaseDispatcher
 from repro.fabric.leases import LeaseStore
-from repro.fabric.registry import WorkerRegistry
 from repro.obs.trace import Tracer
 from repro.sd.processlib import build_two_party_description
 
@@ -337,7 +335,6 @@ def test_fleet_campaign_report_is_pinned(tmp_path, clock, registry):
     dispatcher = LeaseDispatcher(
         session,
         LeaseStore(tmp_path, ttl=10.0, clock=clock),
-        WorkerRegistry(HeartbeatConfig(interval=1.0), clock=clock),
         batch_size=2,
         clock=clock,
     )
@@ -364,9 +361,7 @@ def test_fleet_campaign_report_is_pinned(tmp_path, clock, registry):
     clock.now += 1.0
     dispatcher.ack_failed("w1", second.lease_id, 2, "boom")
     ack("w0", first, 1)
-    for _ in range(12):  # w1 falls silent past its lease's TTL
-        clock.now += 1.0
-        dispatcher.beat("w0")
+    clock.now += 12.0  # w1 falls silent past its lease's TTL
     dispatcher.sweep()
     for _ in range(2):
         granted = lease("w0")
@@ -381,8 +376,6 @@ def test_fleet_campaign_report_is_pinned(tmp_path, clock, registry):
         "[1/6]  1.00 runs/s  eta 5s  3 in flight  run 0 ok (0.50s, w0)",
         "[1/6]  0.50 runs/s  eta 10s  2 in flight  run 2 failed, retrying: boom",
         "[2/6]  0.67 runs/s  eta 6s  1 in flight  run 1 ok (0.50s, w0)",
-        "worker w1: alive -> suspect",
-        "worker w1: suspect -> dead",
         "[2/6]  0.13 runs/s  eta 30s  lease L000002 of w1 expired; 1 runs re-queued",
         "[3/6]  0.19 runs/s  eta 16s  1 in flight  run 2 ok (0.50s, w0)",
         "[4/6]  0.24 runs/s  eta 8s  run 3 ok (0.50s, w0)",
@@ -392,12 +385,11 @@ def test_fleet_campaign_report_is_pinned(tmp_path, clock, registry):
     ]
     tallies = (
         dispatcher.registered,
-        dispatcher.transitions,
         dispatcher.leases_granted,
         dispatcher.leases_expired,
         dispatcher.quarantined,
     )
-    assert tallies == (2, 2, 4, 1, 1)
+    assert tallies == (2, 4, 1, 1)
     assert _metrics(tmp_path) == {
         "repro_campaign_runs_completed_total": ("counter", (), {(): 6.0}),
         "repro_campaign_runs_retried_total": ("counter", (), {(): 1.0}),

@@ -2,10 +2,8 @@
 
 from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.session import CampaignSession
-from repro.core.heartbeat import ALIVE, DEAD, HeartbeatConfig, QUARANTINED
 from repro.fabric.dispatch import LeaseDispatcher
 from repro.fabric.leases import LeaseStore
-from repro.fabric.registry import WorkerRegistry
 from repro.sd.processlib import build_two_party_description
 
 
@@ -39,11 +37,9 @@ def _session(tmp_path, replications=6, max_attempts=2, resume=False, staged=(), 
 
 
 def _dispatcher(tmp_path, clock, replications=6, ttl=30.0, max_attempts=2, session=None):
-    heartbeat = HeartbeatConfig(interval=1.0, suspect_after=2, dead_after=4, quarantine_after=2)
     return LeaseDispatcher(
         session or _session(tmp_path, replications, max_attempts),
         LeaseStore(tmp_path, ttl=ttl, clock=clock),
-        WorkerRegistry(heartbeat, clock=clock),
         batch_size=2,
         clock=clock,
     )
@@ -64,7 +60,7 @@ def test_grant_auto_registers_and_respects_batch_size(tmp_path):
     clock = FakeClock()
     dispatcher = _dispatcher(tmp_path, clock)
     lease, batch = dispatcher.grant("w1", want=10)
-    assert dispatcher.registry.known("w1")
+    assert dispatcher.workers == {"w1": 1}
     assert [t.run_id for t in batch] == [0, 1]  # capped at batch_size
     assert lease.run_ids == (0, 1)
     assert dispatcher.journal.registered_workers() == ["w1"]
@@ -81,20 +77,6 @@ def test_grant_trims_the_batch_to_the_descriptions_max_parallel(tmp_path):
     dispatcher.ack_completed("w1", lease.lease_id, 0, _commit(dispatcher, 0))
     _, batch = dispatcher.grant("w3", 2)
     assert [t.run_id for t in batch] == [3]  # the settled run's slot, no more
-
-
-def test_draining_and_dead_workers_get_nothing(tmp_path):
-    clock = FakeClock()
-    dispatcher = _dispatcher(tmp_path, clock)
-    dispatcher.register("w1")
-    dispatcher.drain_worker("w1")
-    assert dispatcher.grant("w1", 2) == (None, [])
-    dispatcher.registry.undrain("w1")
-    clock.advance(10.0)  # > dead_after consecutive misses
-    dispatcher.sweep()
-    assert dispatcher.registry.state("w1") == DEAD
-    assert dispatcher.grant("w2", 2)[0] is not None  # others still served
-    assert dispatcher.registry.state("w2") == ALIVE
 
 
 def test_duplicate_ack_never_commits_twice(tmp_path):
@@ -120,11 +102,10 @@ def test_expired_lease_requeues_pending_runs_exactly_once(tmp_path):
     lease, _ = dispatcher.grant("w1", 2)
     dispatcher.ack_completed("w1", lease.lease_id, 0, _commit(dispatcher, 0))
     clock.advance(11.0)
-    swept = dispatcher.sweep()
-    assert swept["expired"] == [lease.lease_id]
+    assert dispatcher.sweep() == [lease.lease_id]
     # Run 1 is back in the queue, no attempt charged; a second sweep is a no-op.
     assert dispatcher.scheduler.pending == 5
-    assert dispatcher.sweep()["expired"] == []
+    assert dispatcher.sweep() == []
     lease2, batch2 = dispatcher.grant("w2", 1)
     assert batch2[0].run_id == 1  # retry-wave promotion: re-leased first
     assert batch2[0].attempts == 1  # expiry did not charge the budget
@@ -181,8 +162,8 @@ def test_quarantined_worker_batch_re_leased_exactly_once(tmp_path):
     # Second quarantine (or a racing expiry sweep) reclaims nothing more.
     assert dispatcher.quarantine_worker("w1", "again") == []
     clock.advance(1000.0)
-    assert dispatcher.sweep()["expired"] == []
-    assert dispatcher.registry.state("w1") == QUARANTINED
+    assert dispatcher.sweep() == []
+    assert dispatcher.quarantined_workers == {"w1"}
     assert dispatcher.grant("w1", 1) == (None, [])
     # The batch is leasable by someone else, once.
     _, batch = dispatcher.grant("w2", 2)
@@ -190,21 +171,21 @@ def test_quarantined_worker_batch_re_leased_exactly_once(tmp_path):
     assert dispatcher.scheduler.pending == 4
 
 
-def test_liveness_flapping_quarantines_and_revokes(tmp_path):
+def test_renewing_worker_keeps_its_lease_however_long_its_runs_take(tmp_path):
+    """A worker's only liveness signal is its lease renewal every TTL/3:
+    a long run between two renewals must not cost it the lease."""
     clock = FakeClock()
-    dispatcher = _dispatcher(tmp_path, clock, ttl=1000.0)
+    dispatcher = _dispatcher(tmp_path, clock, ttl=30.0)
     lease, _ = dispatcher.grant("w1", 2)
-    # Die, resurrect, die again: quarantine_after=2 makes it terminal.
-    clock.advance(5.0)
-    dispatcher.sweep()
-    dispatcher.beat("w1")
-    clock.advance(5.0)
-    swept = dispatcher.sweep()
-    assert swept["quarantined"] == ["w1"]
-    assert dispatcher.registry.state("w1") == QUARANTINED
-    assert dispatcher.leases.get(lease.lease_id).closed == "revoked"
-    assert dispatcher.scheduler.pending == 6
-    assert dispatcher.journal.quarantined_workers() == ["w1"]
+    for tick in range(1, 1501):  # 300 s of the coordinator's 0.2 s sweeps
+        clock.advance(0.2)
+        if tick % 50 == 0:
+            assert dispatcher.renew("w1", lease.lease_id)
+        assert dispatcher.sweep() == []
+    assert dispatcher.leases.get(lease.lease_id).closed is None
+    assert dispatcher.scheduler.in_flight.keys() == {0, 1}
+    assert dispatcher.quarantined == 0
+    assert dispatcher.journal.quarantined_workers() == []
 
 
 def test_restore_reclaims_pending_runs_and_grace_renews(tmp_path):
@@ -218,16 +199,16 @@ def test_restore_reclaims_pending_runs_and_grace_renews(tmp_path):
     restored = LeaseDispatcher(
         _session(tmp_path, resume=True, staged=[0]),
         LeaseStore(tmp_path, ttl=10.0, clock=clock),
-        WorkerRegistry(HeartbeatConfig(), clock=clock),
         batch_size=2,
         clock=clock,
     )
     assert restored.restore() == 1
+    assert restored.workers == {"w1": 1}  # known again, not re-journaled
     # Run 1 is claimed by the restored lease: not leasable to others ...
     _, batch = restored.grant("w2", 2)
     assert 1 not in [t.run_id for t in batch]
     # ... the grace renewal pushed the expiry a fresh TTL out ...
-    assert restored.sweep()["expired"] == []
+    assert restored.sweep() == []
     # ... and the original worker's ack still lands as the first ack.
     assert restored.ack_completed("w1", lease.lease_id, 1, _commit(restored, 1)) == "committed"
 

@@ -193,6 +193,33 @@ def test_backoff_reset_returns_to_base():
     assert 0.1 <= backoff.next() <= 0.3
 
 
+def test_channel_backoff_is_the_same_in_every_process():
+    """A worker's reconnect jitter derives from its label alone, not from
+    the per-process salt of ``str`` hashes."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    script = (
+        "from repro.fabric.wire import FleetChannel\n"
+        "backoff = FleetChannel('127.0.0.1:1', label='w0').backoff\n"
+        "print([round(backoff.next(), 6) for _ in range(4)])\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(outputs) == 1, outputs
+
+
 def test_backoff_rejects_bad_bounds():
     from repro.fabric.wire import ReconnectBackoff
 

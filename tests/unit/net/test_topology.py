@@ -60,7 +60,7 @@ def test_unreachable_pair():
 
 def test_edge_attr_defaults():
     topo = grid_topology(2, 2, base_loss=0.07, base_delay=0.003)
-    attrs = topo.edge_attrs("n0", "n1")
+    attrs = topo.graph.edges["n0", "n1"]
     assert attrs["base_loss"] == 0.07
     assert attrs["base_delay"] == 0.003
 
