@@ -32,7 +32,8 @@ Crash recovery
 The parent process is the only journal writer.  A run is journaled
 ``run_complete`` only after its shard transaction committed; a crash
 anywhere (worker or parent) therefore loses at most in-flight work, which
-``--resume`` re-executes to byte-identical results.
+``--resume`` re-executes to byte-identical results.  Resume and merge read
+only the shards and ``scope.json``: the staging stores are scratch.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class CampaignEngine:
     Parameters
     ----------
     description, campaign_dir, max_attempts, resume, custom_treatments,
-    progress, control_faults, quarantine_after, salvage_requeue_loss:
+    progress, control_faults, quarantine_after:
         As for :class:`~repro.campaign.session.CampaignSession`.
     jobs:
         Requested worker count; capped by the description's
@@ -106,7 +107,6 @@ class CampaignEngine:
         abort_after_runs: Optional[int] = None,
         control_faults: Optional[List[Dict[str, Any]]] = None,
         quarantine_after: int = 3,
-        salvage_requeue_loss: Optional[float] = None,
     ) -> None:
         if pool not in ("thread", "process", "auto"):
             raise CampaignError(f"unknown pool kind {pool!r}")
@@ -123,7 +123,6 @@ class CampaignEngine:
             custom_treatments=custom_treatments,
             control_faults=control_faults,
             quarantine_after=quarantine_after,
-            salvage_requeue_loss=salvage_requeue_loss,
             progress=progress,
         )
 
@@ -220,13 +219,13 @@ class CampaignEngine:
                             session.settle_ok(
                                 ticket.run_id,
                                 label,
-                                res["store"],
                                 res["shard"],
                                 duration=res["duration"],
                                 timed_out=res["timed_out"],
                                 rpc_retries=res.get("rpc_retries", 0),
                                 rpc_timeouts=res.get("rpc_timeouts", 0),
                                 phases=res.get("phases"),
+                                scope=res["scope"],
                             )
                             # Fold a forked worker's metric delta into this
                             # process; a thread worker already wrote here.

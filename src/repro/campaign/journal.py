@@ -2,10 +2,9 @@
 
 Extends the serial recovery semantics of :mod:`repro.core.recovery` to
 parallel execution.  The serial journal lives inside the single level-2
-store; a campaign has *many* stores (one per run, grouped into per-worker
-staging directories), so the campaign journal is its own append-only
-JSONL file at the campaign root, and each entry names where a run's data
-physically lives:
+store; a campaign commits its runs to *many* level-3 shards (one per
+worker), so the campaign journal is its own append-only JSONL file at the
+campaign root, and each entry names the shard a run's rows live in:
 
 ``campaign_start``
     fingerprint, seed, total_runs, plan fingerprint, session index.
@@ -14,13 +13,12 @@ physically lives:
     run id + worker label — diagnostic only; a crashed session leaves
     dangling ``run_start`` entries whose runs are simply re-executed.
 ``run_complete``
-    run id, worker, the run's level-2 staging directory and the worker's
-    level-3 shard database (both relative to the campaign root).  Written
-    *after* the shard transaction committed — the shard write is the
-    commit point, the journal entry the durable pointer to it.  Fleet
-    campaigns (DESIGN.md §15) have no coordinator-side staging store, so
-    their entries carry ``store: null`` and resume validation falls back
-    to probing the shard itself for the run's rows.
+    ``{run_id, worker, shard[, epoch]}``: the shard database relative to
+    the campaign root, plus the committing coordinator's epoch on fleet
+    campaigns.  Written *after* the shard transaction committed — the
+    shard write is the commit point, the journal entry the durable
+    pointer to it — so resume trusts an entry iff its shard holds the
+    run's rows.  Level-2 staging stores are scratch; no entry names one.
 ``run_failed``
     run id, error text, attempt number (kept for post-mortems; a failed
     run may later gain a ``run_complete`` from a retry or resume).  The
@@ -34,11 +32,6 @@ physically lives:
     never lives here — completed runs are ``run_complete`` entries and
     lease state is the fabric lease store's — these entries only preserve
     the fleet's story for post-mortems and ``repro fabric status``.
-``run_salvage_requeued``
-    a resume probed a journaled run's staged level-2 data, found its
-    salvage loss above the configured threshold and re-queued the run
-    instead of trusting the staged copy (kept/dropped record counts are
-    preserved for post-mortems).
 ``campaign_complete``
     all runs staged; only merging can remain.
 
@@ -104,20 +97,16 @@ class CampaignJournal:
         self,
         run_id: int,
         worker: str,
-        store: Optional[str],
         shard: str,
         epoch: Optional[int] = None,
     ) -> None:
-        """*store* is ``None`` for fleet runs: results arrived as shipped
-        shard rows and only the shard holds the run.  Fleet entries also
-        carry the committing coordinator's fencing *epoch* (DESIGN.md
-        §16) so a post-mortem can attribute every commit to the leader
-        that made it."""
+        """Fleet entries also carry the committing coordinator's fencing
+        *epoch* (DESIGN.md §16) so a post-mortem can attribute every
+        commit to the leader that made it."""
         record = {
             "type": "run_complete",
             "run_id": run_id,
             "worker": worker,
-            "store": store,
             "shard": shard,
         }
         if epoch is not None:
@@ -176,16 +165,6 @@ class CampaignJournal:
             },
         )
 
-    def record_run_salvage_requeued(self, run_id: int, kept: int, dropped: int) -> None:
-        self._append(
-            {
-                "type": "run_salvage_requeued",
-                "run_id": run_id,
-                "kept": kept,
-                "dropped": dropped,
-            },
-        )
-
     def record_complete(self) -> None:
         self._append({"type": "campaign_complete"})
 
@@ -217,8 +196,8 @@ class CampaignJournal:
         """``{run_id: latest run_complete entry}`` — the merge source map.
 
         The *latest* entry wins: if a run was re-executed (journal lagged
-        a shard commit across a crash), its newest staging location is
-        authoritative and older copies are ignored by the merge.
+        a shard commit across a crash), its newest shard is authoritative
+        and older copies are ignored by the merge.
         """
         return self._latest("run_complete")
 
@@ -230,10 +209,6 @@ class CampaignJournal:
         intersect with :meth:`completed` as needed.
         """
         return self._latest("run_failed")
-
-    def salvage_requeued(self) -> Dict[int, Dict[str, Any]]:
-        """``{run_id: latest run_salvage_requeued entry}`` (diagnostic)."""
-        return self._latest("run_salvage_requeued")
 
     def quarantined_nodes(self) -> List[str]:
         return sorted(
@@ -260,8 +235,8 @@ class CampaignJournal:
         Mirrors :meth:`repro.core.recovery.Journal.prepare_resume`, plus
         the plan-fingerprint check (a campaign may execute a programmatic
         ``custom_treatments`` plan the description fingerprint does not
-        cover).  Entries whose staged level-2 data vanished are dropped so
-        the scheduler re-executes those runs.
+        cover).  An entry is trusted iff its shard holds the run's rows;
+        the others are dropped so the scheduler re-executes those runs.
         """
         start = self.start_entry()
         if start is None:
@@ -277,22 +252,9 @@ class CampaignJournal:
                 "(custom_treatments differ?)",
             )
         from repro.campaign.merge import shard_has_run
-        from repro.storage.level2 import Level2Store
 
-        staged = {}
-        for run_id, entry in self.completed().items():
-            shard = self.root / entry["shard"]
-            if not shard.exists():
-                continue
-            if entry.get("store") is None:
-                # Fleet entry: the shard is the only copy — trust it iff
-                # it actually holds the run's rows.
-                if shard_has_run(shard, run_id):
-                    staged[run_id] = entry
-                continue
-            store_root = self.root / entry["store"]
-            if store_root.is_dir() and Level2Store(store_root).has_complete_run(
-                run_id,
-            ):
-                staged[run_id] = entry
-        return staged
+        return {
+            run_id: entry
+            for run_id, entry in self.completed().items()
+            if shard_has_run(self.root / entry["shard"], run_id)
+        }

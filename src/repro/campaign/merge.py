@@ -6,9 +6,10 @@ appends every run it completes in a single transaction.  The final
 experiment database is then assembled by :func:`merge_shards`:
 
 * experiment-scope tables (ExperimentInfo, Logs, EEFiles,
-  ExperimentMeasurements) come from one designated *scope* store — the
-  staging store of the plan's first run, which exists in every campaign
-  and is identical regardless of worker count;
+  ExperimentMeasurements) come from ``scope.json`` at the campaign root —
+  the conditioned scope the plan's first run returned, which every
+  campaign has and which is identical regardless of worker count or
+  transport;
 * run tables (RunInfos, ExtraRunMeasurements, Events, Packets) are pulled
   run by run **in ascending run id order** from whichever shard the
   journal names for that run.  Completion order, worker count and shard
@@ -17,7 +18,9 @@ experiment database is then assembled by :func:`merge_shards`:
 
 Within one run, rows keep their shard insertion order (``ORDER BY
 rowid``), which is the conditioned order (common time, node, seq) — the
-same order :func:`repro.storage.level3.store_level3` produces.
+same order :func:`repro.storage.level3.store_level3` produces.  No
+staging store is read: the shards and ``scope.json`` are the campaign's
+record.
 """
 
 from __future__ import annotations
@@ -28,12 +31,7 @@ from typing import Dict, Mapping
 
 from repro.core.errors import StorageError
 from repro.obs.metrics import count_suppressed_error
-from repro.storage.conditioning import (
-    ConditionedExperiment,
-    condition_run,
-    condition_scope,
-    decode_scope,
-)
+from repro.storage.conditioning import ConditionedExperiment, condition_run, decode_scope
 from repro.storage.level2 import Level2Store
 from repro.storage.level3 import (
     EXTENSION_RUN_TABLES,
@@ -42,6 +40,7 @@ from repro.storage.level3 import (
     _addr_to_node_map,
     create_schema,
     database_digest,
+    fresh_database,
     fsync_database,
     insert_experiment_scope,
     insert_fault_leases,
@@ -64,25 +63,21 @@ __all__ = [
     "database_digest",
 ]
 
-#: File name of the persisted experiment-scope payload a fabric
-#: coordinator keeps at the campaign root (written before the scope
-#: run's shard commit, so journal-complete implies it exists).
+#: File name of the persisted experiment-scope payload at the campaign
+#: root.  The session writes it when the plan's first run settles, on
+#: either transport, before that run's journal entry — so a journaled
+#: scope run implies the file exists.
 SCOPE_NAME = "scope.json"
 
 
 def load_scope_payload(path) -> ConditionedExperiment:
-    """Read a persisted ``scope.json`` back into the scope payload form.
-
-    Fleet campaigns have no coordinator-side staging stores; the scope
-    run's worker ships its conditioned experiment scope and the
-    coordinator persists it here.  The merge accepts this payload in
-    place of a scope store (see :func:`merge_shards`).
-    """
+    """Read a persisted ``scope.json`` back into the scope payload form
+    :func:`merge_shards` takes."""
     path = Path(path)
     if not path.exists():
         raise StorageError(
-            f"experiment scope payload missing: {path}; the fleet campaign "
-            "never shipped its scope run",
+            f"experiment scope payload missing: {path}; the campaign's "
+            "scope run never settled",
         )
     return decode_scope(path.read_text(encoding="utf-8"))
 
@@ -120,7 +115,7 @@ class ShardWriter(RunShard):
 
 def merge_shards(
     db_path,
-    scope_store: Level2Store,
+    scope: ConditionedExperiment,
     run_sources: Mapping[int, Path],
 ) -> Path:
     """Assemble the single experiment database from campaign shards.
@@ -128,72 +123,57 @@ def merge_shards(
     Parameters
     ----------
     db_path:
-        Output database (must not exist — same contract as
+        Output database (must not exist, and does not exist after a
+        failed merge — same contract as
         :func:`~repro.storage.level3.store_level3`).
-    scope_store:
-        Level-2 store providing the experiment-scope tables, or an
-        already-conditioned :class:`ConditionedExperiment` scope payload —
-        the form a fabric coordinator holds, shipped from the worker that
-        executed the plan's first run (DESIGN.md §15).  Both forms insert
-        identical experiment-scope rows.
+    scope:
+        The conditioned experiment scope (:func:`load_scope_payload` of
+        the campaign's ``scope.json``); its run list is ignored.
     run_sources:
         ``{run_id: shard database path}`` — typically
         ``CampaignJournal.completed()`` mapped to absolute paths.  Merged
         in ascending run id order regardless of mapping order.
     """
-    db_path = Path(db_path)
-    if db_path.exists():
-        raise StorageError(f"refusing to overwrite existing database {db_path}")
-    db_path.parent.mkdir(parents=True, exist_ok=True)
-
-    # The merged database is freshly created and rebuildable from the
-    # shards at any time, so it gets the full fast-write treatment: no
-    # journal, no per-statement syncs, one transaction, one final fsync.
-    out = open_fast_connection(db_path, fresh=True)
-    shards: Dict[Path, sqlite3.Connection] = {}
-    try:
-        create_schema(out)
-        out.execute("BEGIN")
-        # condition_scope skips the scope store's run records entirely —
-        # run rows come from the shards, never the scope store.
-        scope = (
-            scope_store
-            if isinstance(scope_store, ConditionedExperiment)
-            else condition_scope(scope_store)
-        )
-        insert_experiment_scope(out, scope)
-
-        for run_id in sorted(run_sources):
-            shard_path = Path(run_sources[run_id])
-            conn = shards.get(shard_path)
-            if conn is None:
-                if not shard_path.exists():
-                    raise StorageError(f"shard database missing: {shard_path}")
-                conn = shards[shard_path] = sqlite3.connect(str(shard_path))
-            if not insert_rows(out, read_run_rows(conn, run_id, RUN_TABLES)):
-                raise StorageError(
-                    f"run {run_id} has no rows in shard {shard_path}; "
-                    "journal and shard diverged",
-                )
-            # Integrity side tables: copied per run like the run tables,
-            # but excluded from the divergence check above — a run with
-            # neither leaked leases nor salvage loss legitimately has none.
-            insert_rows(out, read_run_rows(conn, run_id, EXTENSION_RUN_TABLES))
-        out.execute("COMMIT")
-    finally:
-        for conn in shards.values():
-            conn.close()
-        out.close()
-    stamp_table1_digest(db_path)
-    fsync_database(db_path)
+    with fresh_database(db_path) as db_path:
+        # The merged database is freshly created and rebuildable from the
+        # shards at any time, so it gets the full fast-write treatment: no
+        # journal, no per-statement syncs, one transaction, one final fsync.
+        out = open_fast_connection(db_path, fresh=True)
+        shards: Dict[Path, sqlite3.Connection] = {}
+        try:
+            create_schema(out)
+            out.execute("BEGIN")
+            insert_experiment_scope(out, scope)
+            for run_id in sorted(run_sources):
+                shard_path = Path(run_sources[run_id])
+                conn = shards.get(shard_path)
+                if conn is None:
+                    if not shard_path.exists():
+                        raise StorageError(f"shard database missing: {shard_path}")
+                    conn = shards[shard_path] = sqlite3.connect(str(shard_path))
+                if not insert_rows(out, read_run_rows(conn, run_id, RUN_TABLES)):
+                    raise StorageError(
+                        f"run {run_id} has no rows in shard {shard_path}; "
+                        "journal and shard diverged",
+                    )
+                # Integrity side tables: copied per run like the run tables,
+                # but excluded from the divergence check above — a run with
+                # neither leaked leases nor salvage loss legitimately has none.
+                insert_rows(out, read_run_rows(conn, run_id, EXTENSION_RUN_TABLES))
+            out.execute("COMMIT")
+        finally:
+            for conn in shards.values():
+                conn.close()
+            out.close()
+        stamp_table1_digest(db_path)
+        fsync_database(db_path)
     return db_path
 
 
 def shard_has_run(shard_path, run_id: int) -> bool:
     """Whether a shard database holds committed rows for *run_id*.
 
-    The fleet resume check: a coordinator-side shard is the only copy of a
-    shipped run, so a journal ``run_complete`` entry with ``store: null``
+    The resume check of both transports: a journal ``run_complete`` entry
     is only trusted when the shard transaction it points at really
     committed.  Returns False for missing or unreadable shards — the
     run is then re-queued — counting an unreadable one in

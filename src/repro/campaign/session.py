@@ -18,6 +18,12 @@ sees (run and phase walls, retries, control-channel retry tallies, each
 worker's busy time) are plain fields here.  :meth:`~CampaignSession.summary`
 is the campaign report, ``CampaignResult.telemetry``.
 
+One commit contract serves both transports: a run is committed when its
+shard holds it (the journal entry points there, and a resume trusts an
+entry only as far as :func:`~repro.campaign.merge.shard_has_run`), the
+experiment scope is ``scope.json`` (written by the scope run's settle),
+and a staging store is scratch that neither resume nor merge reads.
+
 Dispatch and the two settles are not thread-safe: the local engine calls
 them from its one dispatch thread, the coordinator under its dispatch
 lock.  Seal runs once the scheduler is finished — nothing dispatches or
@@ -44,10 +50,10 @@ from repro.core.description import ExperimentDescription
 from repro.core.errors import CampaignError, RecoveryError, extract_node_id
 from repro.core.params import SpecialParams
 from repro.core.plan import TreatmentPlan, generate_plan
+from repro.durable import replace_file
 from repro.faults.control import select_control_faults
 from repro.obs.analyze import phase_statistics
 from repro.obs.metrics import count_suppressed_error, get_registry
-from repro.storage.level2 import Level2Store
 
 __all__ = ["CampaignResult", "CampaignSession", "merge_campaign"]
 
@@ -92,7 +98,8 @@ class CampaignSession:
     description:
         The abstract experiment description.
     campaign_dir:
-        Root directory holding the journal, staging stores and shards.
+        Root directory holding the journal, ``scope.json``, the shards
+        and the (scratch) staging stores.
     jobs:
         Requested local worker count; the scheduler caps it by the
         description's ``max_parallel`` special parameter when declared.
@@ -109,12 +116,6 @@ class CampaignSession:
     quarantine_after:
         Node-attributed failures before a node is quarantined
         (0 disables).
-    salvage_requeue_loss:
-        When resuming, probe each journaled run's staged level-2 data for
-        corruption and re-queue runs whose dropped-record fraction
-        exceeds this threshold (e.g. ``0.0`` re-queues on any loss,
-        ``0.1`` tolerates up to 10%).  ``None`` (default) trusts the
-        journal without probing.
     progress:
         Optional sink for progress lines (e.g. ``print``).
     """
@@ -129,7 +130,6 @@ class CampaignSession:
         custom_treatments: Optional[List[Dict[str, Any]]] = None,
         control_faults: Optional[List[Dict[str, Any]]] = None,
         quarantine_after: int = 3,
-        salvage_requeue_loss: Optional[float] = None,
         progress=None,
     ) -> None:
         self.description = description
@@ -140,7 +140,6 @@ class CampaignSession:
         self.custom_treatments = custom_treatments
         self.control_faults = list(control_faults or [])
         self.quarantine_after = quarantine_after
-        self.salvage_requeue_loss = salvage_requeue_loss
         self.progress = progress
         self.journal = CampaignJournal(self.campaign_dir)
         self.plan: Optional[TreatmentPlan] = None
@@ -165,9 +164,14 @@ class CampaignSession:
 
     # ------------------------------------------------------------------
     def open(self) -> "CampaignSession":
-        """Plan → journal fresh/resume check (with the salvage re-queue
-        filter) → ``campaign_start`` entry → scheduler, capped by the
-        description's ``max_parallel`` (Sec. IV-E)."""
+        """Plan → journal fresh/resume check → ``campaign_start`` entry →
+        scheduler, capped by the description's ``max_parallel``
+        (Sec. IV-E).
+
+        A resume keeps the runs whose shards hold them; without
+        ``scope.json`` it also re-queues the plan's first run, whose
+        settle writes the file again.
+        """
         self._opened_at = time.monotonic()
         desc = self.description
         self.plan = generate_plan(
@@ -177,9 +181,9 @@ class CampaignSession:
         )
         plan_fp = self.plan.fingerprint()
         if self.resume:
-            self.staged = self._filter_salvage_requeue(
-                self.journal.prepare_resume(desc, len(self.plan), plan_fp),
-            )
+            self.staged = self.journal.prepare_resume(desc, len(self.plan), plan_fp)
+            if not (self.campaign_dir / SCOPE_NAME).exists():
+                self.staged.pop(self.plan[0].run_id, None)
         elif self.journal.started():
             raise RecoveryError(
                 "campaign directory already holds a journal; pass "
@@ -203,36 +207,6 @@ class CampaignSession:
             self.note(f"resume: {len(self.staged)}/{len(self.plan)} runs already staged")
         return self
 
-    def _filter_salvage_requeue(
-        self,
-        staged: Dict[int, Dict[str, Any]],
-    ) -> Dict[int, Dict[str, Any]]:
-        """Drop journaled runs whose staged data lost too much to salvage.
-
-        A dropped run goes back through the scheduler exactly like a run
-        that never completed; re-execution is deterministic, so the
-        re-staged copy is byte-identical to what the lost records would
-        have conditioned into.
-        """
-        threshold = self.salvage_requeue_loss
-        if threshold is None:
-            return staged
-        kept_map: Dict[int, Dict[str, Any]] = {}
-        for run_id, entry in sorted(staged.items()):
-            probe = Level2Store(self.campaign_dir / entry["store"]).salvage_probe(
-                run_id,
-            )
-            total = probe["kept"] + probe["dropped"]
-            if probe["dropped"] and total and probe["dropped"] / total > threshold:
-                self.journal.record_run_salvage_requeued(
-                    run_id,
-                    probe["kept"],
-                    probe["dropped"],
-                )
-            else:
-                kept_map[run_id] = entry
-        return kept_map
-
     # ------------------------------------------------------------------
     def dispatch(self, ticket: RunTicket, worker: str) -> List[Dict[str, Any]]:
         """Journal one ticket's hand-over to *worker*.
@@ -253,7 +227,6 @@ class CampaignSession:
         self,
         run_id: int,
         worker: str,
-        store: Optional[str],
         shard: str,
         duration: float = 0.0,
         timed_out: bool = False,
@@ -261,15 +234,23 @@ class CampaignSession:
         rpc_timeouts: int = 0,
         phases: Optional[Dict[str, float]] = None,
         epoch: Optional[int] = None,
+        scope: Optional[str] = None,
     ) -> None:
-        """Settle one run: ``run_complete`` entry → scheduler → report.
+        """Settle one run: scope → ``run_complete`` entry → scheduler →
+        report.
 
         The caller's shard transaction is the commit point and has
-        landed; the entry (*store* / *shard* / *epoch*, see
+        landed; the entry (*shard* / *epoch*, see
         :meth:`CampaignJournal.record_run_complete`) is the durable
-        pointer to it.
+        pointer to it.  *scope* is the encoded experiment scope the
+        plan's first run returns: the first one settled becomes
+        ``scope.json``, fsynced before the entry, so a journaled scope
+        run implies the file the merge reads.
         """
-        self.journal.record_run_complete(run_id, worker, store, shard, epoch=epoch)
+        scope_path = self.campaign_dir / SCOPE_NAME
+        if scope is not None and not scope_path.exists():
+            replace_file(scope_path, scope)
+        self.journal.record_run_complete(run_id, worker, shard, epoch=epoch)
         self.scheduler.mark_done(run_id)
         self.run_durations.append(duration)
         self._worker_settled(worker)
@@ -451,7 +432,8 @@ def merge_campaign(campaign_dir, db_path) -> Path:
 
     Useful when the campaign itself completed (journal says
     ``campaign_complete``) but the merge never ran or its output was
-    deleted — merging is repeatable at any time from the shards alone.
+    deleted — merging is repeatable at any time from the shards and
+    ``scope.json`` alone; no staging store is read.
     """
     campaign_dir = Path(campaign_dir)
     journal = CampaignJournal(campaign_dir)
@@ -463,7 +445,7 @@ def merge_campaign(campaign_dir, db_path) -> Path:
     if not sources:
         raise CampaignError("journal holds no completed runs")
     run_sources = {run_id: campaign_dir / entry["shard"] for run_id, entry in sources.items()}
-    merged = merge_shards(db_path, _resolve_scope(campaign_dir, sources), run_sources)
+    merged = merge_shards(db_path, load_scope_payload(campaign_dir / SCOPE_NAME), run_sources)
     # Earlier attempts' failures go into the merged RunInfos rows.  Only
     # runs that *did* complete are annotated — a run present in the
     # database with a non-NULL ``AbortReason`` is a retry survivor, not a
@@ -475,19 +457,3 @@ def merge_campaign(campaign_dir, db_path) -> Path:
     }
     apply_abort_reasons(merged, reasons)
     return merged
-
-
-def _resolve_scope(campaign_dir: Path, sources: Dict[int, Dict[str, Any]]):
-    """Locate the experiment-scope payload for a merge.
-
-    The scope run is the plan's first (minimum run id) — the one run
-    every campaign has.  A local entry points at its staging store; a
-    fleet entry (``store: null``) means the scope was shipped from the
-    worker that executed the scope run and persisted as ``scope.json``
-    at the campaign root.  Both forms condition to identical scope rows,
-    so local and fleet campaigns merge byte-identically.
-    """
-    entry = sources[min(sources)]
-    if entry.get("store") is not None:
-        return Level2Store(campaign_dir / entry["store"])
-    return load_scope_payload(campaign_dir / SCOPE_NAME)

@@ -120,12 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--abort-after", type=int, default=None, metavar="N",
                         help="simulate a campaign crash after N completed runs "
                              "(testing --resume)")
-    p_camp.add_argument("--requeue-salvage-loss", type=float, default=None,
-                        metavar="FRACTION", dest="requeue_salvage_loss",
-                        help="with --resume: probe each journaled run's staged "
-                             "level-2 data and re-execute runs whose dropped-"
-                             "record fraction exceeds FRACTION (0 re-queues on "
-                             "any loss)")
 
     p_fab = sub.add_parser(
         "fabric",
@@ -461,7 +455,6 @@ def _cmd_campaign(args) -> int:
         progress=None if args.quiet else print,
         abort_after_runs=args.abort_after,
         control_faults=control_faults,
-        salvage_requeue_loss=args.requeue_salvage_loss,
     )
     result = engine.execute(db_path=db_path)
     if not args.quiet:

@@ -236,13 +236,6 @@ class EventBus:
     def log(self) -> List[ExEvent]:
         return self._log
 
-    def events_named(self, name: str, run_id: Optional[int] = None) -> List[ExEvent]:
-        return [
-            e
-            for e in self._log
-            if e.name == name and (run_id is None or e.run_id == run_id)
-        ]
-
     def clear(self) -> None:
         """Reset the bus between experiments (not between runs — the full
         log is an experiment-level artefact)."""

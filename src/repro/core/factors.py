@@ -128,16 +128,6 @@ class Factor:
     def level_values(self) -> List[Any]:
         return [lv.value for lv in self.levels]
 
-    def coerced(self) -> "Factor":
-        """Return a copy with every level value coerced to ``self.type``."""
-        return Factor(
-            id=self.id,
-            type=self.type,
-            usage=self.usage,
-            levels=[Level(coerce_value(self.type, lv.value)) for lv in self.levels],
-            description=self.description,
-        )
-
     def is_constant(self) -> bool:
         """Single-level factors are constant regardless of declared usage."""
         return len(self.levels) == 1

@@ -788,7 +788,9 @@ def execute_spec_run(spec: Dict[str, Any]) -> Dict[str, Any]:
     run needs arrives as JSON-able values (plus an optional platform
     config), everything it produces lands on disk under
     ``spec["campaign_dir"]``, and the returned dict only carries pointers
-    and statistics back to the caller.
+    and statistics back to the caller — plus, for the plan's first run,
+    the encoded experiment scope (``"scope"``; ``None`` for every other
+    run), which the campaign session persists as ``scope.json``.
 
     Spec keys (see :func:`build_run_spec`): ``campaign_dir``,
     ``description_xml``, ``custom_treatments``, ``config``,
@@ -812,6 +814,7 @@ def execute_spec_run(spec: Dict[str, Any]) -> Dict[str, Any]:
     from repro.obs.metrics import diff_snapshots
     from repro.platforms.localhost import LocalhostPlatform
     from repro.platforms.simulated import SimulatedPlatform
+    from repro.storage.conditioning import condition_scope, encode_scope
 
     started = _time.monotonic()
     # With a process pool this worker owns a private registry; the parent
@@ -869,12 +872,14 @@ def execute_spec_run(spec: Dict[str, Any]) -> Dict[str, Any]:
 
     with ShardWriter(root / spec["shard"]) as shard:
         shard.stage_run(store, run_id)
+    scope = encode_scope(condition_scope(store)) if run_id == result.plan[0].run_id else None
 
     channel = getattr(platform, "channel", None)
     return {
         "run_id": run_id,
         "store": spec["store"],
         "shard": spec["shard"],
+        "scope": scope,
         "timed_out": run_id in result.timed_out_runs,
         "duration": _time.monotonic() - started,
         "pid": os.getpid(),

@@ -173,15 +173,6 @@ class RpcServer:
     def register_function(self, fn: Callable[..., Any], name: Optional[str] = None) -> None:
         self._methods[name or fn.__name__] = fn
 
-    def register_instance(self, obj: Any, prefix: str = "") -> None:
-        """Expose every public method of *obj* (paper's node object style)."""
-        for attr in dir(obj):
-            if attr.startswith("_"):
-                continue
-            fn = getattr(obj, attr)
-            if callable(fn):
-                self._methods[prefix + attr] = fn
-
     def methods(self):
         return sorted(self._methods)
 

@@ -1,8 +1,8 @@
 """The campaign coordinator: ``repro fabric serve``.
 
-One process owns the campaign directory — journal, lease ledger, scope
-payload and the coordinator-side shards — and serves the fabric RPC
-surface to a fleet of pull-based workers:
+One process owns the campaign directory — journal, lease ledger,
+``scope.json`` and the coordinator-side shards — and serves the fabric
+RPC surface to a fleet of pull-based workers:
 
 ``register``   worker announces itself; gets the campaign bundle
                (description XML, treatments, platform config, batch
@@ -23,11 +23,12 @@ executes, and a lease whose TTL runs out is reclaimed and re-leased.
 
 Crash safety is inherited, not invented: the coordinator is the fleet
 transport of a :class:`~repro.campaign.session.CampaignSession` — the
-same open / settle / seal policy the local pool drives — so every run
-commit is scope payload → shard transaction → the session's
-``settle_ok`` (journal entry → scheduler), the lease ledger restores
+same open / settle / seal policy and the same commit contract the local
+pool drives — so every run commit is shard transaction → the session's
+``settle_ok`` (shipped scope, if any, as ``scope.json`` → journal entry
+→ scheduler) under the election fence; the lease ledger restores
 in-flight ownership after a coordinator restart, and the journal's
-resume protocol re-queues exactly the runs whose commits never landed.
+resume protocol re-queues exactly the runs whose shards lack them.
 Because runs are pure functions of (description, run id), the merged
 database of a restarted, re-leased, partially re-executed fleet campaign
 is byte-identical to a single ``--jobs`` local campaign — the invariant
@@ -44,13 +45,11 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.campaign.merge import SCOPE_NAME
 from repro.campaign.session import CampaignResult, CampaignSession
 from repro.core.description import ExperimentDescription
 from repro.core.errors import CampaignError
 from repro.core.rpc import RpcServer
 from repro.core.xmlio import description_to_xml
-from repro.durable import replace_file
 from repro.fabric.dispatch import LeaseDispatcher
 from repro.fabric.election import ElectionLedger, LeadershipLost
 from repro.fabric.leases import LeaseStore
@@ -183,7 +182,6 @@ class FabricCoordinator:
         #: when leadership is lost, the two things completion waits for.
         self._progress = threading.Condition(self._lock)
         self._server: Optional[FleetServer] = None
-        self._scope_lock = threading.Lock()
         self.dispatcher: Optional[LeaseDispatcher] = None
         self._handoff_draining = False
         self._deposed_reason: Optional[str] = None
@@ -199,10 +197,6 @@ class FabricCoordinator:
             raise CampaignError("coordinator is not serving")
         host, port = self._server.address
         return f"{host}:{port}"
-
-    @property
-    def scope_path(self) -> Path:
-        return self.campaign_dir / SCOPE_NAME
 
     def start(self) -> "FabricCoordinator":
         """Claim leadership, open the journal session, begin serving.
@@ -263,7 +257,6 @@ class FabricCoordinator:
         # deposed predecessor appends from here on replays as stale.
         self.dispatcher.leases.fence()
         self.description_xml = description_to_xml(self.description)
-        self._scope_run = min((run.run_id for run in session.plan), default=0)
 
         self._renew_stop.clear()
         self._renew_thread = threading.Thread(
@@ -350,14 +343,6 @@ class FabricCoordinator:
                     "re-resolve the coordinator",
                 )
             self.dispatcher.register(worker_id, capacity)
-            # The worker executing the scope run must ship the conditioned
-            # experiment scope — unless a previous session already staged
-            # the scope run locally (its store serves the merge) or a
-            # fleet shipment already persisted scope.json.
-            staged_scope = self.session.staged.get(self._scope_run)
-            need_scope = not self.scope_path.exists() and not (
-                staged_scope is not None and staged_scope.get("store") is not None
-            )
             return json.dumps(
                 {
                     "session": self.session.index,
@@ -367,7 +352,6 @@ class FabricCoordinator:
                     "custom_treatments": self.session.custom_treatments,
                     "config": self.config_wire,
                     "realtime_factor": self.realtime_factor,
-                    "scope_run": self._scope_run if need_scope else None,
                     "lease_ttl": self.lease_ttl,
                     "batch_size": self.batch_size,
                     "epoch": self.epoch,
@@ -445,14 +429,12 @@ class FabricCoordinator:
             stats = payload.get("stats") or {}
 
             def commit() -> None:
-                self._persist_scope(payload.get("scope"))
                 shard_rel = f"shards/fleet_{_worker_slug(worker_id)}.db"
                 with CoordinatorShard(self.campaign_dir / shard_rel) as shard:
                     shard.ingest(run_id, payload["tables"])
                 self.session.settle_ok(
                     run_id,
                     worker_id,
-                    None,
                     shard_rel,
                     duration=float(payload.get("duration", 0.0)),
                     timed_out=bool(payload.get("timed_out")),
@@ -460,6 +442,7 @@ class FabricCoordinator:
                     rpc_timeouts=stats.get("rpc_timeouts", 0),
                     phases=payload.get("phases"),
                     epoch=self.epoch,
+                    scope=payload.get("scope"),
                 )
 
             try:
@@ -541,22 +524,6 @@ class FabricCoordinator:
                 reason or "operator request",
             )
             return json.dumps({"requeued": sorted(requeued)})
-
-    # ------------------------------------------------------------------
-    def _persist_scope(self, scope_json: Optional[str]) -> None:
-        """Durably keep the shipped scope payload, first shipment wins.
-
-        Written (and fsynced) *before* the scope run's shard commit: a
-        journal entry for the scope run therefore implies the scope
-        payload exists, which is what lets the merge trust ``scope.json``
-        unconditionally for fleet campaigns.
-        """
-        if scope_json is None:
-            return
-        with self._scope_lock:
-            if self.scope_path.exists():
-                return
-            replace_file(self.scope_path, scope_json)
 
     # ------------------------------------------------------------------
     # Completion

@@ -8,8 +8,8 @@ loop is pure pull:
 1. ``lease`` a batch (blocking politely when the queue is empty),
 2. execute each run through :func:`repro.core.master.execute_spec_run`
    against a worker-local staging store and shard,
-3. ship the run's conditioned level-3 rows (plus, for the scope run,
-   the experiment-scope payload) in the ``ack``,
+3. ship the run's conditioned level-3 rows (plus, for the plan's first
+   run, the experiment-scope payload it returned) in the ``ack``,
 4. repeat until the coordinator says the campaign is done.
 
 A renewal thread pulses ``renew`` at ~TTL/3 while a batch executes; a
@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import CampaignError, RpcError, RpcFault, RpcTimeout
 from repro.core.rpc import RetryPolicy
-from repro.fabric.shipping import encode_payload, encode_scope, extract_run_rows
+from repro.fabric.shipping import encode_payload, extract_run_rows
 from repro.fabric.wire import FleetChannel
 
 __all__ = ["FabricWorker"]
@@ -374,13 +374,8 @@ class FabricWorker:
                 "rpc_timeouts": result.get("rpc_timeouts", 0),
             },
         }
-        if self._campaign.get("scope_run") == run_id:
-            from repro.storage.conditioning import condition_scope
-            from repro.storage.level2 import Level2Store
-
-            payload["scope"] = encode_scope(
-                condition_scope(Level2Store(self.workdir / result["store"])),
-            )
+        if result.get("scope") is not None:
+            payload["scope"] = result["scope"]
         # Buffered before the first send: a failover between execution
         # and a successful ack must not lose the result.
         payload_json = encode_payload(payload)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 __all__ = [
     "Packet",
@@ -137,10 +137,6 @@ class Packet:
     def expired(self) -> bool:
         """True when the hop budget is spent."""
         return self.ttl <= 0
-
-    def endpoint_pair(self) -> Tuple[str, str]:
-        """The unordered end-to-end address pair, for path-fault matching."""
-        return tuple(sorted((self.src_addr, self.dst_addr)))  # type: ignore[return-value]
 
     def describe(self) -> Dict[str, Any]:
         """A flat, serialization-friendly summary of the packet."""

@@ -63,7 +63,7 @@ from __future__ import annotations
 import json
 import shutil
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.errors import StorageError
 from repro.durable import DurableLog, encode_record, frame, iter_frames
@@ -516,20 +516,6 @@ class Level2Store:
         reads, ordered for stable L3 insertion."""
         return [self._salvage[key] for key in sorted(self._salvage)]
 
-    def salvage_probe(self, run_id: int) -> Dict[str, int]:
-        """Non-mutating corruption estimate for one run.
-
-        Scans the run's event and packet streams without quarantining
-        anything — the campaign resume path uses this to decide whether a
-        journaled run lost too much data and must be re-executed.
-        """
-        kept = dropped = 0
-        for stream in ("events.jsonl", "packets.jsonl"):
-            groups, bad = _scan_frames(self._run_dir(run_id) / stream)
-            kept += sum(len(records) for records in groups.values())
-            dropped += len(bad)
-        return {"kept": kept, "dropped": dropped}
-
     def write_salvage_report(self) -> Optional[Path]:
         """Summarize this instance's salvage reads into
         ``quarantine/salvage_report.json`` (None when nothing was salvaged)."""
@@ -591,26 +577,6 @@ class Level2Store:
 
     def run_ids(self) -> List[int]:
         return sorted(int(p.name) for p in self.root.glob("runs/*") if p.name.isdigit())
-
-    def iter_run_node_pairs(self) -> Iterator[Tuple[int, str]]:
-        node_ids = self.node_ids()
-        for run_id in self.run_ids():
-            for node_id in node_ids:
-                yield run_id, node_id
-
-    def has_complete_run(self, run_id: int) -> bool:
-        """Whether this store holds a fully collected *run_id*.
-
-        A run is complete once its master-side run info and time-sync
-        measurements exist — the master writes both during preparation and
-        journals completion only after collection.  The campaign resume
-        path uses this as a defense against journal/data divergence: a
-        journaled run whose staged data vanished is simply re-executed.
-        """
-        return (
-            (self.root / "master" / "runinfo" / f"run_{run_id}.json").exists()
-            and (self.root / "master" / "timesync" / f"run_{run_id}.json").exists()
-        )
 
     def purge_run(self, run_id: int) -> None:
         """Delete one run's partial data everywhere (resume of an aborted

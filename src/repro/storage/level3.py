@@ -72,6 +72,7 @@ __all__ = [
     "stamp_table1_digest",
     "create_schema",
     "open_fast_connection",
+    "fresh_database",
     "fsync_database",
     "insert_experiment_scope",
     "insert_run",
@@ -279,6 +280,25 @@ def open_fast_connection(path, fresh: bool = True) -> sqlite3.Connection:
         conn.execute("PRAGMA synchronous=OFF")
     conn.execute("PRAGMA cache_size=-16384")  # 16 MiB page cache
     return conn
+
+
+@contextmanager
+def fresh_database(db_path) -> Iterator[Path]:
+    """Bracket the write of a new level-3 package at *db_path*.
+
+    Refuses an existing file; when the body raises, unlinks whatever it
+    left, so a failed write never blocks its retry with "refusing to
+    overwrite".
+    """
+    db_path = Path(db_path)
+    if db_path.exists():
+        raise StorageError(f"refusing to overwrite existing database {db_path}")
+    db_path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        yield db_path
+    except BaseException:
+        db_path.unlink(missing_ok=True)
+        raise
 
 
 def read_stamped_digest(db_path) -> Optional[str]:
@@ -546,41 +566,39 @@ def store_level3(source, db_path) -> Path:
     else:
         raise StorageError(f"cannot store {type(source).__name__} as level 3")
 
-    db_path = Path(db_path)
-    if db_path.exists():
-        raise StorageError(f"refusing to overwrite existing database {db_path}")
-    db_path.parent.mkdir(parents=True, exist_ok=True)
-
-    conn = open_fast_connection(db_path, fresh=True)
-    try:
-        create_schema(conn)
-        conn.execute("BEGIN")
-        insert_experiment_scope(conn, scope)
-        src_map = _addr_to_node_map(scope.description_xml)
-        for run in runs:
-            insert_run(conn, run, src_map)
+    with fresh_database(db_path) as db_path:
+        conn = open_fast_connection(db_path, fresh=True)
+        try:
+            create_schema(conn)
+            conn.execute("BEGIN")
+            insert_experiment_scope(conn, scope)
+            src_map = _addr_to_node_map(scope.description_xml)
+            for run in runs:
+                insert_run(conn, run, src_map)
+            if isinstance(source, Level2Store):
+                # Integrity side tables: the reconciled-leak log written by
+                # the master's sweeps, and whatever the just-finished
+                # conditioning pass salvaged (non-empty only with
+                # source.salvage=True).
+                insert_fault_leases(conn, source.read_reconciled_leases())
+                insert_salvage_info(conn, source.salvage_records())
+                # Harness spans: per-run streams first (run id ascending,
+                # node ascending, file order within), then experiment-scope
+                # spans.
+                for run_id in source.run_ids():
+                    traces = source.read_run_stream(run_id, "traces.jsonl")
+                    for node_id in sorted(traces):
+                        insert_run_traces(conn, traces[node_id])
+                insert_run_traces(conn, source.read_experiment_traces())
+            else:
+                insert_salvage_info(conn, scope.salvage_records)
+            conn.execute("COMMIT")
+        finally:
+            conn.close()
         if isinstance(source, Level2Store):
-            # Integrity side tables: the reconciled-leak log written by the
-            # master's sweeps, and whatever the just-finished conditioning
-            # pass salvaged (non-empty only with source.salvage=True).
-            insert_fault_leases(conn, source.read_reconciled_leases())
-            insert_salvage_info(conn, source.salvage_records())
-            # Harness spans: per-run streams first (run id ascending, node
-            # ascending, file order within), then experiment-scope spans.
-            for run_id in source.run_ids():
-                traces = source.read_run_stream(run_id, "traces.jsonl")
-                for node_id in sorted(traces):
-                    insert_run_traces(conn, traces[node_id])
-            insert_run_traces(conn, source.read_experiment_traces())
-        else:
-            insert_salvage_info(conn, scope.salvage_records)
-        conn.execute("COMMIT")
-    finally:
-        conn.close()
-    if isinstance(source, Level2Store):
-        source.write_salvage_report()
-    stamp_table1_digest(db_path)
-    fsync_database(db_path)
+            source.write_salvage_report()
+        stamp_table1_digest(db_path)
+        fsync_database(db_path)
     return db_path
 
 

@@ -5,9 +5,12 @@
   Sec. IV-C1 repeatability guarantee survives concurrency.
 * A campaign killed mid-flight resumes from its write-ahead journal,
   re-executes only the unfinished runs and converges to the identical
-  database.
+  database.  A run is committed when its shard holds it: resume and
+  merge never read a staging store.
 * The CLI ``campaign`` subcommand drives the same machinery end to end.
 """
+
+import shutil
 
 import pytest
 
@@ -19,9 +22,10 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.cli import main as cli_main
-from repro.core.errors import CampaignError, RecoveryError
+from repro.core.errors import CampaignError, RecoveryError, StorageError
 from repro.core.xmlio import description_to_xml
 from repro.sd.processlib import build_two_party_description
+from repro.storage.level3 import RunShard
 
 
 def _desc(seed=31, replications=20, **kwargs):
@@ -48,6 +52,38 @@ def serial_reference(tmp_path_factory):
     assert len(result.plan) >= 20
     assert result.executed_runs == list(range(len(result.plan)))
     return database_digest(root / "ref.db"), root
+
+
+@pytest.fixture(scope="module")
+def small_reference(tmp_path_factory):
+    """The 1-worker campaign over the 4-run plan: digest + directory."""
+    root = tmp_path_factory.mktemp("small")
+    run_campaign(
+        _desc(replications=4),
+        root / "campaign",
+        db_path=root / "ref.db",
+        jobs=1,
+        pool="thread",
+    )
+    return database_digest(root / "ref.db"), root
+
+
+def _abort_after_two(campaign_dir):
+    with pytest.raises(CampaignError, match="abort"):
+        run_campaign(
+            _desc(replications=4), campaign_dir, jobs=2, pool="thread", abort_after_runs=2
+        )
+    return CampaignJournal(campaign_dir).completed()
+
+
+def _resume(campaign_dir, db_path):
+    return CampaignEngine(
+        _desc(replications=4),
+        campaign_dir,
+        jobs=2,
+        pool="thread",
+        resume=True,
+    ).execute(db_path=db_path)
 
 
 def test_four_workers_byte_identical_to_one(serial_reference, tmp_path):
@@ -92,25 +128,40 @@ def test_kill_and_resume_converges(serial_reference, tmp_path):
     assert database_digest(tmp_path / "resumed.db") == ref_digest
 
 
-def test_resume_reexecutes_runs_whose_staging_vanished(tmp_path):
-    desc = _desc(replications=4)
-    import shutil
+def test_resume_after_staging_is_deleted_reexecutes_no_staged_run(small_reference, tmp_path):
+    ref_digest, _ = small_reference
+    staged = set(_abort_after_two(tmp_path / "campaign"))
+    shutil.rmtree(tmp_path / "campaign" / "staging")  # staging is scratch
 
-    with pytest.raises(CampaignError):
-        run_campaign(desc, tmp_path / "campaign", jobs=2, pool="thread", abort_after_runs=2)
-    journal = CampaignJournal(tmp_path / "campaign")
-    victim_id, victim = sorted(journal.completed().items())[0]
-    shutil.rmtree(tmp_path / "campaign" / victim["store"])
+    result = _resume(tmp_path / "campaign", tmp_path / "out.db")
+    assert set(result.skipped_runs) == staged
+    assert set(result.executed_runs).isdisjoint(staged)
+    assert database_digest(tmp_path / "out.db") == ref_digest
 
-    result = CampaignEngine(
-        desc,
-        tmp_path / "campaign",
-        jobs=2,
-        pool="thread",
-        resume=True,
-    ).execute(db_path=tmp_path / "out.db")
+
+def test_resume_reexecutes_a_journaled_run_its_shard_lost(small_reference, tmp_path):
+    ref_digest, _ = small_reference
+    victim_id, victim = max(_abort_after_two(tmp_path / "campaign").items())
+    with RunShard(tmp_path / "campaign" / victim["shard"]) as shard:
+        with shard.replacing_run(victim_id):
+            pass  # the run's rows are gone, its journal entry is not
+
+    result = _resume(tmp_path / "campaign", tmp_path / "out.db")
     assert victim_id in result.executed_runs
     assert victim_id not in result.skipped_runs
+    assert database_digest(tmp_path / "out.db") == ref_digest
+
+
+def test_a_failed_merge_leaves_no_database(small_reference, tmp_path):
+    ref_digest, root = small_reference
+    campaign = shutil.copytree(root / "campaign", tmp_path / "campaign")
+    (campaign / "shards").rename(tmp_path / "shards-aside")
+    with pytest.raises(StorageError, match="shard database missing"):
+        merge_campaign(campaign, tmp_path / "out.db")
+    assert not (tmp_path / "out.db").exists()
+
+    (tmp_path / "shards-aside").rename(campaign / "shards")
+    assert database_digest(merge_campaign(campaign, tmp_path / "out.db")) == ref_digest
 
 
 def test_merge_campaign_rebuilds_database(serial_reference, tmp_path):
@@ -159,7 +210,8 @@ def test_cli_campaign_subcommand(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "cli.db").exists()
     assert CampaignJournal(tmp_path / "campaign").finished()
-    # merge-only rebuilds the database from the shards alone
+    # merge-only rebuilds the database from the shards and scope.json alone
+    shutil.rmtree(tmp_path / "campaign" / "staging")
     rc = cli_main(
         [
             "campaign",

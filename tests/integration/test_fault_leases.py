@@ -4,9 +4,10 @@ The experiment-integrity story end to end: a run killed in the middle of
 an open ``msg_loss`` window leaks the fault's on-disk lease; the next
 execution's reconciliation sweep force-reverts it before any run starts,
 records it as ``fault_leak_reconciled``, and the resumed package digests
-byte-identical to a fault-free reference.  The salvage side: a campaign
-resume probes staged level-2 data and re-queues runs whose loss exceeds
-the threshold, again converging to the reference digest.
+byte-identical to a fault-free reference.  The campaign side: a resume
+trusts a committed run whose staged level-2 copy was torn afterwards —
+the shard, not the staging store, is the record — again converging to
+the reference digest.
 """
 
 import pytest
@@ -25,7 +26,7 @@ from repro.core.errors import (
     RpcTimeout,
     RunAbortedError,
 )
-from repro.core.master import ExperiMaster
+from repro.core.master import ExperiMaster, build_run_spec
 from repro.core.processes import DomainAction
 from repro.core.recovery import Journal
 from repro.faults.leases import FaultLeaseStore
@@ -200,9 +201,9 @@ def test_campaign_retry_sweeps_leaked_lease_and_digest_matches(
 
 
 # ----------------------------------------------------------------------
-# Campaign resume: salvage probe re-queues a corrupted staged run
+# Campaign resume: a committed run's staging copy is scratch
 # ----------------------------------------------------------------------
-def test_campaign_resume_requeues_salvage_lossy_run(
+def test_campaign_resume_trusts_a_committed_run_despite_torn_staging(
     fault_free_reference, tmp_path
 ):
     desc = _desc(replications=4)
@@ -210,15 +211,13 @@ def test_campaign_resume_requeues_salvage_lossy_run(
         run_campaign(
             desc, tmp_path / "campaign", jobs=2, pool="thread", abort_after_runs=2
         )
-    journal = CampaignJournal(tmp_path / "campaign")
-    staged = journal.completed()
+    staged = CampaignJournal(tmp_path / "campaign").completed()
     assert staged
     victim = min(staged)
-    events = (
-        tmp_path / "campaign" / staged[victim]["store"]
-        / "runs" / str(victim) / "events.jsonl"
-    )
-    # Tear the file's tail the way a crashed writer would.
+    spec = build_run_spec(tmp_path / "campaign", "", victim, staged[victim]["worker"])
+    events = tmp_path / "campaign" / spec["store"] / "runs" / str(victim) / "events.jsonl"
+    # Tear the file's tail the way a crashed writer would — after the
+    # shard commit, so the run's committed rows are intact.
     data = events.read_bytes()
     assert len(data) > 25
     events.write_bytes(data[:-25])
@@ -229,14 +228,10 @@ def test_campaign_resume_requeues_salvage_lossy_run(
         jobs=2,
         pool="thread",
         resume=True,
-        salvage_requeue_loss=0.0,
     ).execute(db_path=tmp_path / "resumed.db")
-    # The torn run was re-executed instead of trusted.
-    assert victim in result.executed_runs
-    assert victim not in result.skipped_runs
-    requeued = journal.salvage_requeued()
-    assert set(requeued) == {victim}
-    assert requeued[victim]["dropped"] >= 1
+    # Its shard holds the run: nothing reads the torn copy.
+    assert victim in result.skipped_runs
+    assert victim not in result.executed_runs
 
     digest = database_digest(
         tmp_path / "resumed.db", ignore_columns=("AbortReason",)

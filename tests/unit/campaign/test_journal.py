@@ -23,7 +23,7 @@ def test_round_trip_and_session_index(tmp_path):
     assert not journal.started()
     assert _started(journal, desc) == 0
     journal.record_run_start(0, "s0w00")
-    journal.record_run_complete(0, "s0w00", "staging/s0w00/run_000000", "shards/s0w00.db")
+    journal.record_run_complete(0, "s0w00", "shards/s0w00.db")
     assert journal.started() and not journal.finished()
     assert _started(journal, desc) == 1  # second session
     journal.record_complete()
@@ -40,9 +40,14 @@ def test_round_trip_and_session_index(tmp_path):
 
 def test_completed_latest_entry_wins(tmp_path):
     journal = CampaignJournal(tmp_path)
-    journal.record_run_complete(3, "s0w00", "staging/old", "shards/old.db")
-    journal.record_run_complete(3, "s1w01", "staging/new", "shards/new.db")
-    assert journal.completed()[3]["store"] == "staging/new"
+    journal.record_run_complete(3, "s0w00", "shards/old.db")
+    journal.record_run_complete(3, "s1w01", "shards/new.db")
+    assert journal.completed()[3] == {
+        "type": "run_complete",
+        "run_id": 3,
+        "worker": "s1w01",
+        "shard": "shards/new.db",
+    }
 
 
 def test_prepare_resume_requires_a_start(tmp_path):
@@ -76,8 +81,8 @@ def test_prepare_resume_drops_entries_with_missing_data(tmp_path):
     journal = CampaignJournal(tmp_path)
     desc = _desc()
     _started(journal, desc)
-    # Journaled but its staged data never materialized on disk.
-    journal.record_run_complete(0, "s0w00", "staging/gone", "shards/gone.db")
+    # Journaled but its shard never materialized on disk.
+    journal.record_run_complete(0, "s0w00", "shards/gone.db")
     assert journal.prepare_resume(desc, 2, "pfp") == {}
 
 

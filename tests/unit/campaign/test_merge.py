@@ -1,5 +1,6 @@
 """Unit tests for sharded level-3 writes and the deterministic merge."""
 
+import shutil
 import sqlite3
 
 import pytest
@@ -10,6 +11,7 @@ from repro.core.errors import StorageError
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.platforms.simulated import SimulatedPlatform
 from repro.sd.processlib import build_two_party_description
+from repro.storage.conditioning import condition_scope
 from repro.storage.level3 import RUN_TABLES
 
 
@@ -57,7 +59,7 @@ def test_merge_matches_serial_store_level3(executed_store, tmp_path):
         writer.stage_run(executed_store, 0)
     merged = merge_shards(
         tmp_path / "merged.db",
-        executed_store,
+        condition_scope(executed_store),
         {0: shard, 1: shard},
     )
     assert database_digest(merged) == database_digest(serial_db)
@@ -67,16 +69,26 @@ def test_merge_refuses_existing_database(executed_store, tmp_path):
     out = tmp_path / "out.db"
     out.write_bytes(b"")
     with pytest.raises(StorageError, match="refusing to overwrite"):
-        merge_shards(out, executed_store, {})
+        merge_shards(out, condition_scope(executed_store), {})
 
 
 def test_merge_missing_shard_raises(executed_store, tmp_path):
     with pytest.raises(StorageError, match="shard database missing"):
         merge_shards(
             tmp_path / "out.db",
-            executed_store,
+            condition_scope(executed_store),
             {0: tmp_path / "nope.db"},
         )
+    assert not (tmp_path / "out.db").exists()  # the failed merge left nothing
+
+
+def test_a_failed_store_level3_leaves_no_database(executed_store, tmp_path):
+    broken = tmp_path / "broken.l2"
+    shutil.copytree(executed_store.root, broken)
+    (broken / "master" / "runinfo" / "run_1.json").unlink()
+    with pytest.raises(StorageError, match="run 1 has no run info"):
+        store_level3(Level2Store(broken), tmp_path / "out.db")
+    assert not (tmp_path / "out.db").exists()  # a retry is not refused
 
 
 def test_merge_detects_journal_shard_divergence(executed_store, tmp_path):
@@ -85,7 +97,7 @@ def test_merge_detects_journal_shard_divergence(executed_store, tmp_path):
         writer.stage_run(executed_store, 0)
     with pytest.raises(StorageError, match="diverged"):
         # Journal claims run 1 lives in this shard; it does not.
-        merge_shards(tmp_path / "out.db", executed_store, {0: shard, 1: shard})
+        merge_shards(tmp_path / "out.db", condition_scope(executed_store), {0: shard, 1: shard})
 
 
 def test_database_digest_ignore_columns(executed_store, tmp_path):

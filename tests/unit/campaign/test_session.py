@@ -16,6 +16,7 @@ from repro.fabric.dispatch import LeaseDispatcher
 from repro.fabric.leases import LeaseStore
 from repro.obs.trace import Tracer
 from repro.sd.processlib import build_two_party_description
+from repro.storage.level3 import RunShard
 
 NODE = "t9-100"
 NODE_ERROR = f"RpcTimeout: run_init timed out {node_token(NODE)}"
@@ -48,7 +49,7 @@ def _run_for_real(session, ticket, worker="s0w00"):
             control_faults=faults,
         )
     )
-    session.settle_ok(ticket.run_id, worker, res["store"], res["shard"])
+    session.settle_ok(ticket.run_id, worker, res["shard"], scope=res["scope"])
     return res
 
 
@@ -75,18 +76,40 @@ def test_open_caps_the_scheduler_by_the_descriptions_max_parallel(tmp_path):
     assert free.scheduler.capacity_left is None
 
 
-def test_resume_keeps_staged_runs_and_drops_vanished_staging(tmp_path):
+def _lose_from_shard(campaign_dir, res):
+    """Delete one committed run's rows from its shard."""
+    with RunShard(campaign_dir / res["shard"]) as shard, shard.replacing_run(res["run_id"]):
+        pass
+
+
+def test_resume_keeps_the_runs_their_shards_hold_whatever_became_of_staging(tmp_path):
     first = _open(tmp_path)
     kept = _run_for_real(first, first.scheduler.next_ticket())
     lost = _run_for_real(first, first.scheduler.next_ticket())
-    shutil.rmtree(tmp_path / lost["store"])
+    shutil.rmtree(tmp_path / "staging")  # scratch: no committed run needs it
+    _lose_from_shard(tmp_path, lost)
 
     resumed = _open(tmp_path, resume=True)
     assert resumed.index == 1
     assert sorted(resumed.staged) == [kept["run_id"]]
     assert resumed.scheduler.skipped == {kept["run_id"]}
-    # The vanished run and the never-started one are back in the queue.
+    # The run its shard lost and the never-started one are back in the queue.
     assert resumed.scheduler.pending == 2
+
+
+def test_resume_without_scope_json_requeues_the_scope_run(tmp_path):
+    first = _open(tmp_path)
+    scope_run = _run_for_real(first, first.scheduler.next_ticket())
+    other = _run_for_real(first, first.scheduler.next_ticket())
+    assert scope_run["scope"] is not None and other["scope"] is None
+    (tmp_path / "scope.json").unlink()
+
+    resumed = _open(tmp_path, resume=True)
+    assert sorted(resumed.staged) == [other["run_id"]]
+    ticket = resumed.scheduler.next_ticket()
+    assert ticket.run_id == scope_run["run_id"]
+    _run_for_real(resumed, ticket)  # its settle writes the file again
+    assert (tmp_path / "scope.json").read_text(encoding="utf-8") == scope_run["scope"]
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +178,7 @@ def test_seal_reports_failed_runs_and_leaves_the_journal_resumable(tmp_path):
     for _ in range(2):
         _fail_next(session, "boom")
     ticket = session.scheduler.next_ticket()
-    session.settle_ok(ticket.run_id, "w0", None, "shards/w0.db")
+    session.settle_ok(ticket.run_id, "w0", "shards/w0.db")
     with pytest.raises(CampaignError) as info:
         session.seal()
     assert str(info.value) == (
@@ -170,7 +193,7 @@ def test_seal_journals_completion_exactly_once(tmp_path):
     session = _open(tmp_path, replications=2)
     while (ticket := session.scheduler.next_ticket()) is not None:
         session.dispatch(ticket, "w0")
-        session.settle_ok(ticket.run_id, "w0", None, "shards/w0.db", timed_out=ticket.run_id == 1)
+        session.settle_ok(ticket.run_id, "w0", "shards/w0.db", timed_out=ticket.run_id == 1)
     result = session.seal(jobs=2, pool="fleet")
     again = session.seal(jobs=2, pool="fleet")
     assert _types(tmp_path).count("campaign_complete") == 1
@@ -213,11 +236,11 @@ def test_a_multi_run_lease_keeps_its_worker_busy_until_the_last_settle(tmp_path,
         session.dispatch(ticket, "w0")
     gauge = registry.gauge("repro_campaign_worker_busy_seconds", labels=("worker",))
     clock.now += 1.0
-    session.settle_ok(0, "w0", None, "shards/w0.db")
+    session.settle_ok(0, "w0", "shards/w0.db")
     assert lines[-1] == "[1/3]  1.00 runs/s  eta 2s  1 in flight  run 0 ok (0.00s, w0)"
     assert gauge.value(worker="w0") == 1.0
     clock.now += 2.0
-    session.settle_ok(1, "w0", None, "shards/w0.db")
+    session.settle_ok(1, "w0", "shards/w0.db")
     assert lines[-1] == "[2/3]  0.67 runs/s  eta 2s  run 1 ok (0.00s, w0)"
     assert gauge.value(worker="w0") == 3.0
 
@@ -351,7 +374,7 @@ def test_fleet_campaign_report_is_pinned(tmp_path, clock, registry):
             worker,
             granted.lease_id,
             run_id,
-            lambda: session.settle_ok(run_id, worker, None, "shards/w.db", duration=0.5),
+            lambda: session.settle_ok(run_id, worker, "shards/w.db", duration=0.5),
         )
 
     dispatcher.register("w0", 2)

@@ -12,7 +12,7 @@ def _start(session, worker):
 
 
 def _ok(session, run_id, worker, **kwargs):
-    session.settle_ok(run_id, worker, None, f"shards/{worker}.db", **kwargs)
+    session.settle_ok(run_id, worker, f"shards/{worker}.db", **kwargs)
 
 
 def _busy(registry, worker):

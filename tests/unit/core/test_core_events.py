@@ -41,14 +41,6 @@ def test_register_assigns_sequences(bus):
     assert [e.name for e in bus.log] == ["a", "b"]
 
 
-def test_events_named_with_run_filter(bus):
-    bus.register(_ev("x", run_id=0))
-    bus.register(_ev("x", run_id=1))
-    bus.register(_ev("y", run_id=0))
-    assert len(bus.events_named("x")) == 2
-    assert len(bus.events_named("x", run_id=1)) == 1
-
-
 def test_clear_resets_sequence(bus):
     bus.register(_ev())
     bus.clear()

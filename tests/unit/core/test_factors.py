@@ -62,12 +62,6 @@ def test_factor_validates_type():
         Factor(id="", type="int", usage=Usage.CONSTANT)
 
 
-def test_factor_coerced_copy():
-    f = Factor(id="f", type="int", usage=Usage.CONSTANT, levels=[Level("3")])
-    assert f.coerced().level_values == [3]
-    assert f.level_values == ["3"]  # original untouched
-
-
 def test_factor_is_constant():
     assert _factor(values=(1,)).is_constant()
     assert not _factor(values=(1, 2)).is_constant()

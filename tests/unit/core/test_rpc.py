@@ -187,20 +187,6 @@ def test_unserializable_argument_fails_loudly(sim):
         next(gen)
 
 
-def test_register_instance_exposes_public_methods(sim):
-    class Obj:
-        def visible(self):
-            return 1
-
-        def _hidden(self):  # pragma: no cover
-            return 2
-
-    server = RpcServer("n")
-    server.register_instance(Obj())
-    assert "visible" in server.methods()
-    assert "_hidden" not in server.methods()
-
-
 def test_completed_calls_counter(sim):
     channel = ControlChannel(sim, latency=0.0)
     channel.add_node("n", _server())

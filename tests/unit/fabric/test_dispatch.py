@@ -51,7 +51,7 @@ def _commit(dispatcher, run_id, log=None):
     def commit():
         if log is not None:
             log.append(run_id)
-        dispatcher.session.settle_ok(run_id, "w", None, "shards/w.db")
+        dispatcher.session.settle_ok(run_id, "w", "shards/w.db")
 
     return commit
 

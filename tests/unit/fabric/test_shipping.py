@@ -132,5 +132,5 @@ def test_scope_codec_roundtrips_and_scope_file_is_read_back(staged, tmp_path):
 
 
 def test_missing_scope_file_names_the_unshipped_scope_run(tmp_path):
-    with pytest.raises(StorageError, match="never shipped its scope run"):
+    with pytest.raises(StorageError, match="scope run never settled"):
         load_scope_payload(tmp_path / SCOPE_NAME)

@@ -57,12 +57,6 @@ def test_multicast_and_broadcast_predicates():
     assert not is_broadcast(MULTICAST_SD_GROUP)
 
 
-def test_endpoint_pair_is_unordered():
-    a = _pkt(src_addr="10.0.0.1", dst_addr="10.0.0.2")
-    b = _pkt(src_addr="10.0.0.2", dst_addr="10.0.0.1")
-    assert a.endpoint_pair() == b.endpoint_pair()
-
-
 def test_describe_is_flat_and_complete():
     p = _pkt(flow="generated-load")
     d = p.describe()

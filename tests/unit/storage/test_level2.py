@@ -104,9 +104,6 @@ def test_enumeration(store):
     store.write_run_data("n2", 1, [], [])
     assert store.node_ids() == ["n1", "n2"]
     assert store.run_ids() == [0, 1]
-    assert list(store.iter_run_node_pairs()) == [
-        (0, "n1"), (0, "n2"), (1, "n1"), (1, "n2")
-    ]
 
 
 def test_run_writer_buffers_and_appends(store):

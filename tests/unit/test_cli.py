@@ -156,7 +156,7 @@ def test_parser_rejects_unknown_command():
 
 # ``format_help()`` of the three subcommands that share flags, recorded
 # (COLUMNS=80) at the parent of the commit that declared each shared group
-# once as an argparse parent parser.
+# once as an argparse parent parser, minus the flags deleted since.
 RECORDED_HELP = {
     "run": """\
 usage: repro run [-h] [--store STORE] [--db DB] [--resume]
@@ -189,7 +189,7 @@ usage: repro campaign [-h] [--dir CAMPAIGN_DIR] [--db DB] [--jobs JOBS]
                       [--pool {thread,process,auto}] [--resume] [--merge-only]
                       [--max-retries N] [--rpc-timeout SECS]
                       [--run-deadline SECS] [--chaos-json FILE]
-                      [--abort-after N] [--requeue-salvage-loss FRACTION]
+                      [--abort-after N]
                       [--protocol {mdns,slp,hybrid,registry}]
                       [--topology {mesh,grid,line,full}] [--realtime FACTOR]
                       [--quiet]
@@ -224,10 +224,6 @@ options:
                         resilience testing
   --abort-after N       simulate a campaign crash after N completed runs
                         (testing --resume)
-  --requeue-salvage-loss FRACTION
-                        with --resume: probe each journaled run's staged
-                        level-2 data and re-execute runs whose dropped-record
-                        fraction exceeds FRACTION (0 re-queues on any loss)
   --protocol {mdns,slp,hybrid,registry}
                         SD protocol agents (default mdns)
   --topology {mesh,grid,line,full}
@@ -319,7 +315,6 @@ RECORDED_DEFAULTS = {
         "protocol": "mdns",
         "quiet": False,
         "realtime": None,
-        "requeue_salvage_loss": None,
         "resume": False,
         "rpc_timeout": None,
         "run_deadline": None,

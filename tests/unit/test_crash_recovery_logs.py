@@ -39,7 +39,7 @@ class _Campaign(_Case):
         CampaignJournal(root).record_start(self.desc.fingerprint(), self.desc.seed, 2, "pfp")
 
     def write(self, i):
-        CampaignJournal(self.root).record_run_complete(i, "w", None, f"shards/{i}.db")
+        CampaignJournal(self.root).record_run_complete(i, "w", f"shards/{i}.db")
 
     def view(self):
         journal = CampaignJournal(self.root)
