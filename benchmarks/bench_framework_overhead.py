@@ -11,30 +11,44 @@ Measures the machinery the prototype section describes, in isolation:
 
 
 from repro.core.events import EventBus, EventPattern, ExEvent
-from repro.core.rpc import ControlChannel, RpcServer
+from repro.core.rpc import ControlChannel, RetryPolicy, RpcServer
 from repro.net.packet import Packet
 from repro.net.tagger import PacketTagger
 from repro.sim.kernel import Simulator
 from repro.storage.conditioning import _condition_records
 
 
-def test_rpc_roundtrip_throughput(benchmark):
+def _hundred_calls(**channel_kw):
+    """100 sequential echo calls on a fresh kernel; returns the kernel."""
     sim = Simulator()
-    channel = ControlChannel(sim, latency=0.0001)
+    channel = ControlChannel(sim, latency=0.0001, **channel_kw)
     server = RpcServer("n")
     server.register_function(lambda x: x, "echo")
     channel.add_node("n", server)
 
-    def hundred_calls():
-        def caller():
-            for i in range(100):
-                yield from channel.call("n", "echo", i)
+    def caller():
+        for i in range(100):
+            yield from channel.call("n", "echo", i)
 
-        proc = sim.process(caller())
-        sim.run(until_event=proc)
+    proc = sim.process(caller())
+    sim.run(until_event=proc)
+    assert channel.completed_calls == 100
+    return sim
 
-    benchmark(hundred_calls)
-    assert channel.completed_calls >= 100
+
+def test_rpc_roundtrip_throughput(benchmark):
+    sim = benchmark(_hundred_calls)
+    # Per call: request, reply, unlock, resume (plus the caller's start).
+    assert sim.executed_callbacks == 1 + 4 * 100
+
+
+def test_rpc_roundtrip_with_deadline_throughput(benchmark):
+    """The path every simulated platform takes: a 30 s deadline and a
+    retry policy.  The deadline adds one relay hop per call; its own
+    wheel entry is still pending when the call returns."""
+    sim = benchmark(_hundred_calls, call_timeout=30.0, retry=RetryPolicy(seed=0))
+    assert sim.executed_callbacks == 1 + 5 * 100
+    assert sim.pending == 100
 
 
 def test_event_bus_throughput(benchmark):

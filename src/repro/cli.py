@@ -730,9 +730,11 @@ def _inspect_directory_leases(directory: Path) -> None:
     from repro.faults.leases import FaultLeaseStore, iter_lease_files
 
     active_total = 0
+    stores = {}  # one store per lease directory
     for path, node in sorted(iter_lease_files(directory)):
-        leases = FaultLeaseStore(path.parent).active(node)
-        for lease in leases:
+        if path.parent not in stores:
+            stores[path.parent] = FaultLeaseStore(path.parent)
+        for lease in stores[path.parent].active(node):
             active_total += 1
             print(f"active lease: {lease['lease_id']}  kind={lease['kind']}  "
                   f"acquired_at={lease['acquired_at']}")

@@ -61,6 +61,7 @@ from repro.core import wire
 from repro.core.errors import RpcError, RpcFault, RpcTimeout, node_token
 from repro.durable import encode_record
 from repro.obs.metrics import get_registry
+from repro.sim.events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     import random
@@ -161,6 +162,41 @@ class RetryPolicy:
     def delays(self) -> List[float]:
         """The full backoff schedule (consumes jitter draws; tests)."""
         return [self.delay(i) for i in range(1, self.max_attempts)]
+
+
+class _Call(SimEvent):
+    """One attempt of a synchronous call: the event its caller waits on.
+
+    With a deadline, :meth:`answer` and :meth:`expire` relay through
+    :meth:`_settle` at the current instant, the hop an ``AnyOf`` child
+    took, so the schedule equals waiting on ``any_of(reply, timeout)``;
+    once settled, both push nothing.  The reply stays out of the event's
+    value: the deadline entry outlives the call and must not keep it.
+    """
+
+    __slots__ = ("answered", "response", "_relay")
+
+    def __init__(self, sim: "Simulator", relay: bool) -> None:
+        super().__init__(sim)
+        self.answered = False
+        self.response: Optional[str] = None
+        self._relay = relay
+
+    def answer(self, response_xml: str) -> None:
+        self.answered = True
+        self.response = response_xml
+        if not self._relay:
+            self.trigger()
+        elif not self._triggered:
+            self.sim.call_later(0.0, self._settle)
+
+    def expire(self) -> None:
+        if not self._triggered:
+            self.sim.call_later(0.0, self._settle)
+
+    def _settle(self) -> None:
+        if not self._triggered:
+            self.trigger()
 
 
 class RpcServer:
@@ -442,39 +478,38 @@ class ControlChannel:
         sim_start = self.sim.now
 
         for attempt in range(1, attempts + 1):
-            done = self.sim.event(name=f"rpc:{node_id}.{method}")
+            call = _Call(self.sim, deadline > 0)
             # Request propagation to the node...
             self.sim.call_later(
-                self._one_way(), self._enqueue, node_id, method, request_xml, done
+                self._one_way(), self._enqueue, node_id, method, request_xml, call
             )
             if deadline > 0:
-                expiry = self.sim.timeout(deadline, name=f"rpc-deadline:{method}")
-                fired, value = yield self.sim.any_of(done, expiry)
-                if fired is expiry and not done.triggered:
-                    # The in-flight request is abandoned: a late response
-                    # triggers the orphaned event, which nobody awaits.
-                    self.timed_out_calls += 1
-                    self._m_timeouts.inc(method=method)
-                    if attempt < attempts:
-                        self.retried_calls += 1
-                        self._m_retries.inc(method=method)
-                        yield self.sim.timeout(self.retry.delay(attempt))
-                        continue
-                    if tracing:
-                        tracer.record(
-                            "rpc", wall_start, tracer.clock(), status="error",
-                            method=method, target=node_id, outcome="timeout",
-                            attempts=attempt, deadline=deadline,
-                        )
-                    raise RpcTimeout(
-                        f"rpc {method} to {node_token(node_id)} timed out after "
-                        f"{deadline}s ({attempt} attempt(s))",
-                        node_id=node_id,
-                        method=method,
+                self.sim.call_later(deadline, call.expire)
+            yield call
+            if not call.answered:
+                # The in-flight request is abandoned: a late response
+                # answers the settled call, which pushes nothing.
+                self.timed_out_calls += 1
+                self._m_timeouts.inc(method=method)
+                if attempt < attempts:
+                    self.retried_calls += 1
+                    self._m_retries.inc(method=method)
+                    yield self.sim.timeout(self.retry.delay(attempt))
+                    continue
+                if tracing:
+                    tracer.record(
+                        "rpc", wall_start, tracer.clock(), status="error",
+                        method=method, target=node_id, outcome="timeout",
+                        attempts=attempt, deadline=deadline,
                     )
-                response_xml = done.value
-            else:
-                response_xml = yield done
+                raise RpcTimeout(
+                    f"rpc {method} to {node_token(node_id)} timed out after "
+                    f"{deadline}s ({attempt} attempt(s))",
+                    node_id=node_id,
+                    method=method,
+                )
+            # The deadline entry may outlive the call: drop the reply from it.
+            response_xml, call.response = call.response, None
             try:
                 (result,), _ = wire.loads(response_xml)
             except wire.Fault as fault:
@@ -506,7 +541,7 @@ class ControlChannel:
                 )
             return result
 
-    def _enqueue(self, node_id: str, method: str, request_xml: str, done) -> None:
+    def _enqueue(self, node_id: str, method: str, request_xml: str, call: _Call) -> None:
         down = self._down.get(node_id)
         if (
             down == "hang"
@@ -515,9 +550,9 @@ class ControlChannel:
         ):
             return  # request lost; only a caller deadline recovers
         if down == "refuse":
-            done.trigger(_fault_response(503, f"node {node_id} gone {node_token(node_id)}"))
+            call.answer(_fault_response(503, f"node {node_id} gone {node_token(node_id)}"))
             return
-        self._queues[node_id].append((request_xml, done, method))
+        self._queues[node_id].append((request_xml, call, method))
         self._drain(node_id)
 
     def _drain(self, node_id: str) -> None:
@@ -528,7 +563,7 @@ class ControlChannel:
         if not queue:
             return
         self._busy[node_id] = True
-        request_xml, done, method = queue.popleft()
+        request_xml, call, method = queue.popleft()
         response_xml = self._servers[node_id].handle_request(request_xml)
         dropped = self._partitioned(node_id, "reply") or self._take_call_fault(
             node_id, method, "drop_reply"
@@ -538,7 +573,7 @@ class ControlChannel:
         # after local handling, so the next queued call proceeds while the
         # previous response is still in flight.
         if not dropped:
-            self.sim.call_later(self._one_way(), done.trigger, response_xml)
+            self.sim.call_later(self._one_way(), call.answer, response_xml)
         self.sim.call_later(0.0, self._unlock, node_id)
 
     def _unlock(self, node_id: str) -> None:

@@ -40,6 +40,7 @@ lease file stays bounded by the number of concurrently active faults.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -74,11 +75,25 @@ def make_lease(
 
 
 class FaultLeaseStore:
-    """Fsynced per-node lease files under one root directory."""
+    """Fsynced per-node lease files under one root directory.
+
+    The directory is listed once, at construction; later files come from
+    this store's own appends, so sweeping a node with no file reads
+    nothing.  Invariant: **one store per lease directory at a time**
+    (``leases/run_XXXXXX`` in a campaign, the master's ``leases`` when
+    serial), built before the startup sweep so it sees what a crashed
+    attempt leaked.
+    """
 
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: Nodes whose lease file may hold an active lease.
+        self._files = {
+            entry.name[: -len(".jsonl")]
+            for entry in os.scandir(self.root)
+            if entry.name.endswith(".jsonl")
+        }
         #: Live lease count per node as this store sees it — mirrors into
         #: the ``repro_fault_leases_active`` gauge, so a stuck window (a
         #: lease that never releases) is visible without reading files.
@@ -103,10 +118,12 @@ class FaultLeaseStore:
     # Writing (both appends are the crash-safety points: synced)
     # ------------------------------------------------------------------
     def acquire(self, lease: Dict[str, Any]) -> None:
+        self._files.add(lease["node"])
         self._log(lease["node"]).append([{"op": "acquire", "lease": lease}])
         self._track(lease["node"], +1)
 
     def release(self, node: str, lease_id: str, released_at: float) -> None:
+        # No set update: a release without an acquire holds no active lease.
         self._log(node).append(
             [{"op": "release", "lease_id": lease_id, "released_at": released_at}])
         self._track(node, -1)
@@ -116,6 +133,8 @@ class FaultLeaseStore:
     # ------------------------------------------------------------------
     def active(self, node: str) -> List[Dict[str, Any]]:
         """Leases with an ``acquire`` but no ``release``, in acquire order."""
+        if node not in self._files:
+            return []
         leases: Dict[str, Dict[str, Any]] = {}
         for rec in self._log(node).replay():
             if rec.get("op") == "acquire":
@@ -125,9 +144,6 @@ class FaultLeaseStore:
             elif rec.get("op") == "release":
                 leases.pop(rec.get("lease_id"), None)
         return list(leases.values())
-
-    def nodes(self) -> List[str]:
-        return sorted(p.stem for p in self.root.glob("*.jsonl"))
 
     # ------------------------------------------------------------------
     # Reconciliation
@@ -141,9 +157,9 @@ class FaultLeaseStore:
         sweep reconciles again, idempotently — or the new, empty one.
         """
         leaked = self.active(node)
-        path = self._log(node).path
-        if path.exists():
-            replace_file(path, "")
+        if node in self._files:
+            replace_file(self._log(node).path, "")
+            self._files.discard(node)
         self._track(node, None)
         return leaked
 

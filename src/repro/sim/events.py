@@ -98,10 +98,6 @@ class SimEvent:
             self.sim._schedule_callback(cb, self)
         return self
 
-    def succeed(self, value: Any = None) -> "SimEvent":
-        """Alias of :meth:`trigger`, mirroring SimPy naming."""
-        return self.trigger(value)
-
     def add_callback(self, cb: Callable[["SimEvent"], None]) -> None:
         """Register *cb* to run when the event fires.
 

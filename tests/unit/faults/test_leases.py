@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro import durable
+from repro.cli import main as cli_main
 from repro.durable import frame
 from repro.faults.controller import FaultController
 from repro.faults.leases import FaultLeaseStore, iter_lease_files, make_lease
@@ -57,7 +59,6 @@ def test_acquire_release_roundtrip(tmp_path):
     assert [ls["lease_id"] for ls in store.active("n1")] == [a["lease_id"], b["lease_id"]]
     store.release("n1", a["lease_id"], released_at=5.0)
     assert [ls["lease_id"] for ls in store.active("n1")] == [b["lease_id"]]
-    assert store.nodes() == ["n1"]
     assert store.active("ghost") == []
 
 
@@ -85,6 +86,47 @@ def test_truncated_tail_is_tolerated(tmp_path):
     # so dropping the unparseable line is safe.
     assert [ls["lease_id"] for ls in store.active("n1")] == ["n1/0/1"]
     assert [ls["lease_id"] for ls in store.reconcile("n1")] == ["n1/0/1"]
+
+
+def test_sweeping_a_node_without_a_file_reads_nothing(tmp_path, monkeypatch):
+    """The store lists its directory once; a node it never saw a file for
+    is swept without opening anything."""
+    FaultLeaseStore(tmp_path / "leases").acquire(_lease(node="n1"))
+    store = FaultLeaseStore(tmp_path / "leases")
+    opened = []
+    real = durable.iter_frames
+    monkeypatch.setattr(durable, "iter_frames", lambda path: opened.append(path) or real(path))
+    for node in ("n2", "n3", "n4"):
+        assert store.active(node) == []
+        assert store.reconcile(node) == []
+    assert opened == []
+    assert not (tmp_path / "leases" / "n2.jsonl").exists()
+    # The listed node is read; once compacted empty, it is not read again.
+    assert [ls["lease_id"] for ls in store.reconcile("n1")] == ["n1/0/1"]
+    assert len(opened) == 1
+    assert store.reconcile("n1") == []
+    assert len(opened) == 1
+
+
+def test_inspect_leases_output(tmp_path, capsys):
+    """``repro inspect --leases`` over a campaign root: one store per
+    ``run_XXXXXX`` directory, the same lines as one store per file."""
+    root = tmp_path / "campaign" / "leases"
+    first = FaultLeaseStore(root / "run_000001")
+    first.acquire(_lease(node="a1", fault_id=1, run_id=1))
+    first.acquire(_lease(node="a1", fault_id=2, run_id=1, kind="msg_delay"))
+    first.acquire(_lease(node="b2", fault_id=1, run_id=1, acquired_at=2.5))
+    first.release("a1", "a1/1/1", released_at=3.0)
+    second = FaultLeaseStore(root / "run_000002")
+    second.acquire(_lease(node="a1", fault_id=1, run_id=2))
+    second.reconcile("a1")
+    assert cli_main(["inspect", str(tmp_path / "campaign"), "--leases"]) == 0
+    assert capsys.readouterr().out == (
+        "active lease: a1/1/2  kind=msg_delay  acquired_at=1.0\n"
+        "active lease: b2/1/1  kind=msg_loss  acquired_at=2.5\n"
+        "active leases: 2\n"
+        "reconciled leases: 0\n"
+    )
 
 
 def test_iter_lease_files_both_layouts(tmp_path):
@@ -202,6 +244,37 @@ def test_attach_sweeps_previous_crash(pair_net, rngs, tmp_path):
     leaked = ctrl.attach_lease_store(store)
     assert [ls["lease_id"] for ls in leaked] == [f"{a.name}/4/9"]
     assert store.active(a.name) == []
+
+
+def test_attach_reconciles_a_file_leaked_by_an_earlier_store(pair_net, rngs, tmp_path):
+    """A crashed attempt's store is gone; the next one finds its file in
+    the listing taken at construction."""
+    sim, _medium, a, _b = pair_net
+    FaultLeaseStore(tmp_path / "leases").acquire(
+        make_lease(node=a.name, run_id=4, kind="msg_loss", fault_id=3,
+                   acquired_at=0.5, duration=600.0)
+    )
+    ctrl = FaultController(sim, a, rngs, lambda *args, **kw: None)
+    leaked = ctrl.attach_lease_store(FaultLeaseStore(tmp_path / "leases"))
+    assert [ls["lease_id"] for ls in leaked] == [f"{a.name}/4/3"]
+    assert FaultLeaseStore(tmp_path / "leases").active(a.name) == []
+
+
+def test_lease_acquired_after_construction_is_found_by_the_next_sweep(
+    pair_net, rngs, tmp_path
+):
+    """Watchdog-abort shape: the directory was empty when the store listed
+    it, the lease came later, and the ``run_init`` sweep still finds it."""
+    sim, _medium, a, _b = pair_net
+    store = FaultLeaseStore(tmp_path / "leases")
+    ctrl = FaultController(sim, a, rngs, lambda *args, **kw: None)
+    ctrl.set_run(0)
+    assert ctrl.attach_lease_store(store) == []
+    assert list((tmp_path / "leases").iterdir()) == []
+    ctrl.start("msg_loss", {"probability": 0.5})
+    ctrl.set_run(1)
+    assert [ls["run_id"] for ls in ctrl.reconcile_leases()] == [0]
+    assert a.interface.filters == []
 
 
 def test_controller_without_store_is_unchanged(pair_net, rngs):

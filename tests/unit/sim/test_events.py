@@ -19,12 +19,6 @@ def test_double_trigger_rejected(sim):
         ev.trigger()
 
 
-def test_succeed_alias(sim):
-    ev = sim.event()
-    ev.succeed("x")
-    assert ev.value == "x"
-
-
 def test_callbacks_run_asynchronously(sim):
     ev = sim.event()
     seen = []
