@@ -16,9 +16,13 @@ Pools
 -----
 ``pool="thread"`` runs workers as threads in this process (cheap, shares
 the page cache; ideal for the wall-clock-paced platform whose runs mostly
-sleep).  ``pool="process"`` forks worker processes (true CPU parallelism
-for the compute-bound pure-DES platform).  ``pool="auto"`` picks
-processes for pure DES on multi-core hosts, threads otherwise.
+sleep).  Pure-DES runs on those threads take turns: one process computes
+one at a time, with the cyclic collector paused
+(:func:`~repro.core.master.execute_spec_run`); tickets still go out
+``jobs`` at a time and queue there.  ``pool="process"`` forks worker
+processes (true CPU parallelism for the compute-bound pure-DES platform).
+``pool="auto"`` picks processes for pure DES on multi-core hosts, threads
+otherwise.
 
 Shard-slot affinity
 -------------------

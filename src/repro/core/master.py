@@ -24,6 +24,9 @@ the kernel until the experiment completes.
 
 from __future__ import annotations
 
+import gc
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
@@ -780,6 +783,10 @@ def build_run_spec(
     }
 
 
+#: Admits one pure-DES run per interpreter at a time (see execute_spec_run).
+_RUN_TURNSTILE = threading.Lock()
+
+
 def execute_spec_run(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one campaign run from a plain picklable *spec*.
 
@@ -801,10 +808,35 @@ def execute_spec_run(spec: Dict[str, Any]) -> Dict[str, Any]:
     Determinism contract: the run's staged data is a pure function of
     (description, run id) — which host executes the spec, how often, and
     in what order is invisible in the output.
+
+    One run owns the interpreter: at most one pure-DES run computes per
+    process, and the cyclic collector is paused while it does — its world
+    stays reachable until it returns, so a mid-run collection frees nothing
+    and only promotes it (DESIGN.md §8).  Cyclic garbage made during the
+    run waits until it returns, which bounds it by one run.
     """
+    if spec["realtime_factor"] is not None:
+        return _execute_spec_run(spec, None)
+    asked = time.monotonic()
+    with _RUN_TURNSTILE:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            # The run's frame is gone before the collector resumes, so
+            # nothing references its world: the first young collection
+            # frees it instead of promoting it.
+            return _execute_spec_run(spec, time.monotonic() - asked)
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def _execute_spec_run(spec: Dict[str, Any], waited: Optional[float]) -> Dict[str, Any]:
+    """:func:`execute_spec_run` once admitted; *waited* is the turnstile wait
+    (``None`` for a wall-clock-paced run, which takes neither turnstile nor
+    pause: it sleeps most of the time)."""
     import os
     import shutil
-    import time as _time
     from pathlib import Path
 
     from repro.campaign.merge import ShardWriter
@@ -816,13 +848,18 @@ def execute_spec_run(spec: Dict[str, Any]) -> Dict[str, Any]:
     from repro.platforms.simulated import SimulatedPlatform
     from repro.storage.conditioning import condition_scope, encode_scope
 
-    started = _time.monotonic()
+    started = time.monotonic()
     # With a process pool this worker owns a private registry; the parent
     # folds the per-ticket delta back in (keyed on pid).  With a thread
     # pool the registry *is* the parent's and no fold-in happens, so
     # nothing is counted twice either way.
     registry = get_registry()
     metrics_before = registry.snapshot()
+    if waited is not None:
+        registry.histogram(
+            "repro_run_turnstile_wait_seconds",
+            "Wall seconds a pure-DES run waited for its process's run turnstile",
+        ).observe(waited)
     root = Path(spec["campaign_dir"])
     run_id = spec["run_id"]
 
@@ -881,7 +918,7 @@ def execute_spec_run(spec: Dict[str, Any]) -> Dict[str, Any]:
         "shard": spec["shard"],
         "scope": scope,
         "timed_out": run_id in result.timed_out_runs,
-        "duration": _time.monotonic() - started,
+        "duration": time.monotonic() - started,
         "pid": os.getpid(),
         "rpc_retries": getattr(channel, "retried_calls", 0),
         "rpc_timeouts": getattr(channel, "timed_out_calls", 0),

@@ -68,6 +68,9 @@ def _seed_list(address) -> List[str]:
 class FabricWorker:
     """One fleet worker process (or thread, in tests).
 
+    Worker threads of one process take turns at its run turnstile
+    (:func:`~repro.core.master.execute_spec_run`); a waiting lease renews.
+
     Parameters
     ----------
     address:

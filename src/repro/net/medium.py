@@ -228,15 +228,8 @@ class WirelessMedium:
     def node(self, name: str) -> "NetNode":
         return self._nodes[name]
 
-    def address_of(self, name: str) -> str:
-        return self._nodes[name].address
-
     def node_by_address(self, address: str) -> Optional["NetNode"]:
         return self._by_address.get(address)
-
-    @property
-    def attached_names(self):
-        return sorted(self._nodes)
 
     # ------------------------------------------------------------------
     # Load accounting

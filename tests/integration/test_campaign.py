@@ -8,9 +8,16 @@
   database.  A run is committed when its shard holds it: resume and
   merge never read a staging store.
 * The CLI ``campaign`` subcommand drives the same machinery end to end.
+* One pure-DES run owns the interpreter: runs on two threads of one
+  process take turns, with the cyclic collector paused during each.
 """
 
+import gc
 import shutil
+import sys
+import threading
+import time
+import weakref
 
 import pytest
 
@@ -22,8 +29,12 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.cli import main as cli_main
+from repro.core import master
 from repro.core.errors import CampaignError, RecoveryError, StorageError
+from repro.core.master import ExperiMaster, build_run_spec, execute_spec_run
 from repro.core.xmlio import description_to_xml
+from repro.fabric import FabricCoordinator, FabricWorker
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.sd.processlib import build_two_party_description
 from repro.storage.level3 import RunShard
 
@@ -225,4 +236,167 @@ def test_cli_campaign_subcommand(tmp_path, capsys):
     )
     assert rc == 0
     assert database_digest(tmp_path / "cli.db") == database_digest(tmp_path / "cli2.db")
+
+
+# ----------------------------------------------------------------------
+# The run turnstile: one pure-DES run computes per interpreter
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def pair_xml():
+    return description_to_xml(_desc(replications=2))
+
+
+@pytest.fixture(scope="module")
+def pair_reference(tmp_path_factory):
+    """Digest of the 1-worker campaign over the 2-run plan."""
+    root = tmp_path_factory.mktemp("pair")
+    run_campaign(_desc(replications=2), root / "campaign", db_path=root / "ref.db", jobs=1)
+    return database_digest(root / "ref.db")
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """Every ``ExperiMaster.execute`` call: its wall interval, whether the
+    cyclic collector was on inside it and a weak reference to its kernel.
+    Each call dwells a moment so two runs computing at once would overlap."""
+    seen = []
+    original = ExperiMaster.execute
+
+    def probed(self):
+        start, collecting = time.monotonic(), gc.isenabled()
+        time.sleep(0.05)
+        try:
+            return original(self)
+        finally:
+            seen.append(
+                {
+                    "start": start,
+                    "end": time.monotonic(),
+                    "gc": collecting,
+                    "world": weakref.ref(self.sim),
+                }
+            )
+
+    monkeypatch.setattr(ExperiMaster, "execute", probed)
+    return seen
+
+
+@pytest.fixture
+def fresh_registry():
+    set_registry(MetricsRegistry())
+    yield
+    set_registry(None)
+
+
+def _two_worker_fleet(desc, root):
+    coordinator = FabricCoordinator(desc, root / "campaign", port=0, batch_size=1, lease_ttl=10.0)
+    threads = []
+    with coordinator:
+        for i in range(2):
+            worker = FabricWorker(
+                coordinator.address, f"w{i}", root / f"w{i}", capacity=1, poll_interval=0.05
+            )
+            threads.append(threading.Thread(target=worker.run_forever, daemon=True))
+            threads[-1].start()
+        coordinator.run_until_complete(db_path=root / "out.db", timeout=120.0)
+    for thread in threads:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("transport", ["thread pool", "fleet"])
+def test_two_threads_take_turns(
+    transport, pair_reference, executions, fresh_registry, tmp_path, capsys
+):
+    if transport == "fleet":
+        _two_worker_fleet(_desc(replications=2), tmp_path)
+    else:
+        run_campaign(
+            _desc(replications=2),
+            tmp_path / "campaign",
+            db_path=tmp_path / "out.db",
+            jobs=2,
+            pool="thread",
+        )
+    first, second = sorted(executions, key=lambda call: call["start"])
+    assert first["end"] <= second["start"]
+    assert database_digest(tmp_path / "out.db") == pair_reference
+    # Each run observed its wait, a zero wait included; the later one
+    # waited out the earlier one.
+    capsys.readouterr()
+    assert cli_main(["metrics", str(tmp_path / "campaign")]) == 0
+    prom = dict(
+        line.rsplit(" ", 1)
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("repro_run_turnstile_wait_seconds_")
+    )
+    assert prom["repro_run_turnstile_wait_seconds_count"] == "2"
+    assert float(prom["repro_run_turnstile_wait_seconds_sum"]) > 0
+
+
+def test_turns_hold_under_fast_thread_switching(pair_xml, executions, tmp_path):
+    specs = [build_run_spec(tmp_path, pair_xml, i % 2, f"t{i}") for i in range(3)]
+    threads = [threading.Thread(target=execute_spec_run, args=(s,), daemon=True) for s in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    calls = sorted(executions, key=lambda call: call["start"])
+    assert len(calls) == 3
+    assert all(a["end"] <= b["start"] for a, b in zip(calls, calls[1:]))
+
+
+def test_the_collector_is_paused_only_inside_a_run(pair_xml, executions, tmp_path):
+    assert gc.isenabled()
+    execute_spec_run(build_run_spec(tmp_path, pair_xml, 0, "t0"))
+    assert [call["gc"] for call in executions] == [False]
+    assert gc.isenabled()
+    # The run's world never left the young generation.
+    gc.collect(0)
+    assert executions[0]["world"]() is None
+    # A host program that turned the collector off keeps it off.
+    gc.disable()
+    try:
+        execute_spec_run(build_run_spec(tmp_path, pair_xml, 1, "t0"))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_a_failed_run_releases_the_turnstile_and_the_collector(pair_xml, tmp_path):
+    with pytest.raises(CampaignError, match="plan has no run 99"):
+        execute_spec_run(build_run_spec(tmp_path, pair_xml, 99, "t0"))
+    assert not master._RUN_TURNSTILE.locked()
+    assert gc.isenabled()
+
+
+def test_a_realtime_run_takes_neither_the_turnstile_nor_the_pause(pair_xml, executions, tmp_path):
+    results = []
+    spec = build_run_spec(tmp_path, pair_xml, 0, "t0", realtime_factor=200.0)
+    runner = threading.Thread(target=lambda: results.append(execute_spec_run(spec)), daemon=True)
+    with master._RUN_TURNSTILE:
+        runner.start()
+        runner.join(timeout=60.0)
+        assert not runner.is_alive()
+    assert results[0]["run_id"] == 0
+    assert [call["gc"] for call in executions] == [True]
+
+
+def test_runs_leave_no_tracked_objects_behind(pair_xml, tmp_path):
+    def run(run_id):
+        execute_spec_run(build_run_spec(tmp_path, pair_xml, run_id, "t0"))
+
+    run(0)  # warm: lazy imports, the testbed frame, metric families
+    gc.collect()
+    before = len(gc.get_objects())
+    for i in range(10):
+        run(i % 2)
+    gc.collect()
+    assert len(gc.get_objects()) - before < 100
 

@@ -89,18 +89,11 @@ class ReferenceMedium:
     def node(self, name: str) -> "NetNode":
         return self._nodes[name]
 
-    def address_of(self, name: str) -> str:
-        return self._nodes[name].address
-
     def node_by_address(self, address: str) -> Optional["NetNode"]:
         for node in self._nodes.values():
             if node.address == address:
                 return node
         return None
-
-    @property
-    def attached_names(self):
-        return sorted(self._nodes)
 
     # ------------------------------------------------------------------
     # Load accounting

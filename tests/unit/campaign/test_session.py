@@ -325,6 +325,7 @@ def test_local_campaign_report_is_pinned(tmp_path, monkeypatch, clock, registry)
         "repro_rpc_codec_fallback_total": ("counter", ("direction",), {}),
         "repro_rpc_retries_total": ("counter", ("method",), {("run_init",): 2.0}),
         "repro_rpc_timeouts_total": ("counter", ("method",), {("run_init",): 3.0}),
+        "repro_run_turnstile_wait_seconds": ("histogram", (), [()]),
         "repro_testbed_frames_total": (
             "counter",
             ("outcome",),
