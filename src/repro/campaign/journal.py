@@ -215,9 +215,6 @@ class CampaignJournal:
             {e["node_id"] for e in self.entries() if e["type"] == "node_quarantined"},
         )
 
-    def registered_workers(self) -> List[str]:
-        return sorted({e["worker_id"] for e in self.entries() if e["type"] == "worker_registered"})
-
     def quarantined_workers(self) -> List[str]:
         return sorted({e["worker_id"] for e in self.entries() if e["type"] == "worker_quarantined"})
 

@@ -135,7 +135,7 @@ def latin_square_design(
         if f.id not in (row_factor_id, col_factor_id, treatment_factor_id)
     ]
     for f in other:
-        if len(f.levels) != 1:
+        if not f.is_constant():
             raise PlanError(
                 f"latin square: extra factor {f.id!r} must be held constant "
                 "(single level)"

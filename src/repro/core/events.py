@@ -242,6 +242,3 @@ class EventBus:
         self._log.clear()
         self._watchers.clear()
         self._seq = itertools.count()
-
-    def pending_watchers(self) -> int:
-        return len(self._watchers)

@@ -34,7 +34,6 @@ from repro.core.actions import ActionRegistry, default_registry
 from repro.core.description import EE_VERSION, ExperimentDescription
 from repro.core.errors import ExecutionError, RecoveryError, RunAbortedError
 from repro.core.events import EventBus, ExEvent
-from repro.core.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from repro.core.params import SpecialParams
 from repro.core.plan import Run, TreatmentPlan, generate_plan
 from repro.core.recovery import Journal
@@ -175,9 +174,6 @@ class ExperiMaster:
         self._current_binding: Optional[RunBinding] = None
         self._current_run_id: Optional[int] = None
         self._current_phase: Optional[str] = None
-        #: Liveness monitor (DESIGN.md §10); armed in :meth:`_main` when
-        #: the description sets ``heartbeat_interval`` > 0.
-        self.monitor: Optional[HeartbeatMonitor] = None
 
     # ------------------------------------------------------------------
     # Event plumbing
@@ -269,8 +265,9 @@ class ExperiMaster:
 
         The ``run_aborted`` journal entry does not mark the run complete —
         a ``resume=True`` execution re-runs it — but it preserves the
-        failure reason for post-mortems and the campaign engine's L3
-        ``RunInfos.AbortReason`` column.
+        failure reason for post-mortems.  (A campaign records the failure
+        again as ``run_failed`` in its own journal; that entry, not this
+        one, becomes the L3 ``RunInfos.AbortReason``.)
         """
         run_id = self._current_run_id
         if run_id is None:
@@ -335,7 +332,6 @@ class ExperiMaster:
             yield from self.channel.call(node_id, "experiment_init", desc.name)
         self.store.write_topology("before", self.platform.topology_measurement())
         self.plugins.experiment_init(self)
-        self._start_heartbeat(node_ids)
         init_span.end()
 
         # --- the run series --------------------------------------------
@@ -365,8 +361,6 @@ class ExperiMaster:
 
         # --- experiment teardown ---------------------------------------
         exit_span = self.tracer.start_span("experiment_collect", nodes=len(node_ids))
-        if self.monitor is not None:
-            self.monitor.stop()
         self.store.write_topology("after", self.platform.topology_measurement())
         for name, content in self.plugins.experiment_exit(self).items():
             self.store.write_experiment_measurement(name, content)
@@ -384,33 +378,6 @@ class ExperiMaster:
         self.store.append_experiment_traces(self.tracer.drain(None))
         journal.record_experiment_complete()
         done.trigger(True)
-
-    def _start_heartbeat(self, node_ids: List[str]) -> None:
-        """Arm the liveness monitor when the description opts in.
-
-        Off by default (``heartbeat_interval=0``): probes travel the real
-        control channel and therefore consume its jitter RNG draws, so
-        they must be part of the description to keep runs reproducible.
-        """
-        interval = self.params.get("heartbeat_interval")
-        if interval <= 0:
-            return
-        config = HeartbeatConfig(
-            interval=interval,
-            timeout=self.params.get("heartbeat_timeout"),
-            suspect_after=self.params.get("heartbeat_suspect_after"),
-            dead_after=self.params.get("heartbeat_dead_after"),
-        )
-        self.monitor = HeartbeatMonitor(
-            self.sim, self.channel, node_ids, config,
-            on_transition=self._on_liveness_transition,
-        )
-        self.monitor.start()
-
-    def _on_liveness_transition(self, node_id: str, old: str, new: str) -> None:
-        self.emit_master(
-            f"node_{new}", params=(node_id, old), run_id=self._current_run_id
-        )
 
     def _install_plugin_handlers(self, node_ids: List[str]) -> None:
         """Install action plugins' node-side handlers on every participating
@@ -463,22 +430,14 @@ class ExperiMaster:
         self._record_reconciled_leases(reconciled)
 
     def _record_reconciled_leases(self, records: List[Dict[str, Any]]) -> None:
-        """Persist reconciled-leak records: L2 master log + journal.
+        """Persist reconciled-leak records in the L2 master log.
 
         ``master/fault_leases.jsonl`` is what the level-3 writer turns
         into ``FaultLeases`` rows (an extension table outside Table I, so
         resume digests over the paper's schema stay byte-identical).
         """
-        if not records:
-            return
-        self.store.append_reconciled_leases(records)
-        try:
-            Journal(self.store).record_fault_leases_reconciled(records)
-        except Exception as exc:  # noqa: BLE001 - diagnostics only
-            self.tracer.record_error(
-                "journal_write", exc, site="fault_leases_reconciled"
-            )
-            count_suppressed_error("journal_leases_reconciled")
+        if records:
+            self.store.append_reconciled_leases(records)
 
     # ------------------------------------------------------------------
     # One run

@@ -106,7 +106,6 @@ class NodeManager:
     def _register_rpc_surface(self) -> None:
         for fn in (
             self.ping,
-            self.heartbeat,
             self.hostinfo,
             self.experiment_init,
             self.experiment_exit,
@@ -165,19 +164,6 @@ class NodeManager:
     def ping(self):
         """Time-sync probe: return the node's local clock reading."""
         return self.node.clock.time()
-
-    def heartbeat(self, seq: int):
-        """Liveness probe (DESIGN.md §10): echo the sequence number.
-
-        Deliberately *not* an event generator — probes run continuously
-        and would otherwise flood the run's event record.
-        """
-        return {
-            "seq": int(seq),
-            "node_id": self.node.name,
-            "run": self.current_run if self.current_run is not None else -1,
-            "time": self.node.clock.time(),
-        }
 
     def hostinfo(self):
         return {"node_id": self.node.name, "address": self.node.address}

@@ -67,25 +67,6 @@ SPECIAL_PARAM_DEFS: Dict[str, ParamDef] = {
             "out attempts back off exponentially with seeded jitter.",
         ),
         ParamDef(
-            "heartbeat_interval", float, 0.0,
-            "Seconds between node liveness probe rounds; 0 disables the "
-            "heartbeat monitor (the default: probes consume control-"
-            "channel jitter draws, so they are opt-in per description).",
-        ),
-        ParamDef(
-            "heartbeat_timeout", float, 0.25,
-            "Deadline of one heartbeat probe, seconds (never retried).",
-        ),
-        ParamDef(
-            "heartbeat_suspect_after", int, 2,
-            "Consecutive missed probes before a node is marked suspect.",
-        ),
-        ParamDef(
-            "heartbeat_dead_after", int, 4,
-            "Consecutive missed probes before a suspect node is declared "
-            "dead.",
-        ),
-        ParamDef(
             "prep_deadline", float, 0.0,
             "Watchdog wall-clock (kernel time) budget for a run's "
             "preparation phase, seconds; 0 disables.",
@@ -170,9 +151,3 @@ class SpecialParams:
     def unknown_keys(self):
         """Keys present in the description but not defined here."""
         return sorted(k for k in self._raw if k not in SPECIAL_PARAM_DEFS)
-
-    def as_dict(self) -> Dict[str, Any]:
-        out = {key: self.get(key) for key in SPECIAL_PARAM_DEFS}
-        for key in self.unknown_keys():
-            out[key] = self._raw[key]
-        return out

@@ -87,8 +87,9 @@ class Journal:
 
         Diagnostic only: readers filter by type, so an aborted run is
         simply not in :meth:`completed_runs` and a resume re-executes it;
-        the entry preserves *why* for post-mortems and the L3
-        ``RunInfos.AbortReason`` column.
+        the entry preserves *why* for post-mortems (:meth:`abort_reasons`).
+        Nothing carries it into level 3: ``RunInfos.AbortReason`` comes
+        from the campaign journal's ``run_failed`` entries.
         """
         self.store.append_journal(
             {
@@ -96,30 +97,6 @@ class Journal:
                 "run_id": run_id,
                 "phase": phase or "",
                 "reason": str(reason)[:500],
-            }
-        )
-
-    def record_fault_leases_reconciled(self, records: List[Dict[str, Any]]) -> None:
-        """A reconciliation sweep force-reverted leaked faults.
-
-        Diagnostic, like ``run_aborted``: readers filter by type, so the
-        entry influences neither :meth:`completed_runs` nor the resume
-        protocol — it documents *that* a crash leaked a fault window and
-        that the sweep closed it (DESIGN.md §11).
-        """
-        self.store.append_journal(
-            {
-                "type": "fault_leases_reconciled",
-                "count": len(records),
-                "leases": [
-                    {
-                        "lease_id": r.get("lease_id"),
-                        "node": r.get("node"),
-                        "run_id": r.get("run_id"),
-                        "kind": r.get("kind"),
-                    }
-                    for r in records
-                ],
             }
         )
 
@@ -146,14 +123,6 @@ class Journal:
     def abort_reasons(self) -> Dict[int, Dict[str, Any]]:
         """``{run_id: latest run_aborted entry}`` for post-mortems."""
         return {e["run_id"]: e for e in self.entries() if e["type"] == "run_aborted"}
-
-    def fault_leases_reconciled(self) -> List[Dict[str, Any]]:
-        """Flat list of the lease summaries every sweep entry recorded."""
-        out: List[Dict[str, Any]] = []
-        for e in self.entries():
-            if e["type"] == "fault_leases_reconciled":
-                out.extend(e.get("leases", []))
-        return out
 
     def start_entry(self) -> Optional[Dict[str, Any]]:
         for e in self.entries():

@@ -40,10 +40,10 @@ Two interaction styles exist, both used by the paper's prototype:
 * :meth:`ControlChannel.cast_to_master` — one-way upcall used by the
   node-side event generators to forward events to the master's bus.
 
-Resilience (DESIGN.md §10): every synchronous call can carry a deadline,
-and calls to methods in :data:`IDEMPOTENT_METHODS` are retried under a
-:class:`RetryPolicy` (exponential backoff with seeded jitter, so retry
-timings are reproducible).  The channel also exposes a fault-injection
+Resilience (DESIGN.md §10): every synchronous call carries the channel's
+deadline, and calls to methods in :data:`IDEMPOTENT_METHODS` are retried
+under a :class:`RetryPolicy` (exponential backoff with seeded jitter, so
+retry timings are reproducible).  The channel also exposes a fault-injection
 surface (:meth:`ControlChannel.set_node_down`,
 :meth:`ControlChannel.add_call_fault`) used by the chaos integration
 tests to hang nodes, refuse connections, and drop requests or replies.
@@ -78,13 +78,12 @@ __all__ = [
 ]
 
 #: RPC methods whose remote effect is safe to repeat (at-least-once
-#: semantics): state resets, liveness probes and read-only collection.
+#: semantics): state resets, clock probes and read-only collection.
 #: Methods with per-call side effects (``execute_action``,
 #: ``traffic_start``) are deliberately absent — a timed-out call to one of
 #: those fails immediately instead of risking a double execution.
 IDEMPOTENT_METHODS = frozenset({
     "ping",
-    "heartbeat",
     "hostinfo",
     "experiment_init",
     "experiment_exit",
@@ -247,8 +246,8 @@ class ControlChannel:
     rng:
         Dedicated random stream for jitter draws.
     call_timeout:
-        Default per-call deadline in seconds; ``0`` disables deadlines
-        (and with them retries), which is the historical behaviour.
+        Per-call deadline in seconds; ``0`` disables deadlines (and with
+        them retries), which is the historical behaviour.
     retry:
         :class:`RetryPolicy` applied to timed-out calls of idempotent
         methods; ``None`` means a deadline miss fails on the first
@@ -440,23 +439,16 @@ class ControlChannel:
     # ------------------------------------------------------------------
     # Synchronous call (generator style)
     # ------------------------------------------------------------------
-    def call(
-        self,
-        node_id: str,
-        method: str,
-        *args: Any,
-        timeout: Optional[float] = None,
-        retry: bool = True,
-    ):
+    def call(self, node_id: str, method: str, *args: Any):
         """Sub-generator performing one synchronous RPC.
 
         Usage from a master process::
 
             result = yield from channel.call("t9-105", "ping", t0)
 
-        ``timeout`` overrides the channel's default deadline (``0``
-        disables it for this call); ``retry=False`` forbids retries even
-        for idempotent methods (liveness probes must observe misses).
+        The deadline is the channel's ``call_timeout``; a timed-out call
+        of an idempotent method is retried under the channel's
+        :class:`RetryPolicy`.
 
         Raises :class:`RpcFault` when the remote method raised,
         :class:`RpcTimeout` when the deadline passed (after any retries),
@@ -466,9 +458,9 @@ class ControlChannel:
             raise RpcError(
                 f"no node {node_id!r} {node_token(node_id)} on the control channel"
             )
-        deadline = self.call_timeout if timeout is None else float(timeout)
+        deadline = self.call_timeout
         attempts = 1
-        if retry and deadline > 0 and self.retry is not None and method in IDEMPOTENT_METHODS:
+        if deadline > 0 and self.retry is not None and method in IDEMPOTENT_METHODS:
             attempts = self.retry.max_attempts
         request_xml = dump_request(method, args)
 

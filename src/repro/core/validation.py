@@ -20,7 +20,9 @@ Checked invariants
 * node selectors reference declared actors / abstract nodes,
 * ``wait_for_event`` timeouts and ``wait_for_time`` delays are not
   negative (when literal),
-* manipulation processes target declared actors / abstract nodes.
+* manipulation processes target declared actors / abstract nodes,
+* every known special parameter coerces to its declared type (bools
+  excepted: any value reads as one).
 
 Warnings
 --------
@@ -39,7 +41,7 @@ from repro.core.actions import ActionKind, ActionRegistry, default_registry
 from repro.core.description import ExperimentDescription
 from repro.core.errors import ValidationError
 from repro.core.factors import Usage
-from repro.core.params import SpecialParams
+from repro.core.params import SPECIAL_PARAM_DEFS, SpecialParams
 from repro.core.processes import (
     ActionSequence,
     DomainAction,
@@ -225,5 +227,16 @@ def validate_description(
     # --- special parameters ----------------------------------------------
     for key in SpecialParams(desc.special_params).unknown_keys():
         warn(f"unknown special parameter {key!r} (passed through untyped)")
+    for key, value in sorted(desc.special_params.items()):
+        definition = SPECIAL_PARAM_DEFS.get(key)
+        if definition is None or definition.type is bool:
+            continue
+        try:
+            definition.type(value)
+        except (TypeError, ValueError):
+            err(
+                f"special parameter {key!r}: {value!r} is not a valid "
+                f"{definition.type.__name__}"
+            )
 
     return report

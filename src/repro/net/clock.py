@@ -56,10 +56,6 @@ class LocalClock:
         """Map a true instant to this clock's reading."""
         return self.offset + (1.0 + self.drift) * true_time
 
-    def from_local(self, local_time: float) -> float:
-        """Invert :meth:`to_local` (oracle use only: tests, not conditioning)."""
-        return (local_time - self.offset) / (1.0 + self.drift)
-
     def step(self, delta: float) -> None:
         """Manually displace the clock (models an NTP step mid-experiment)."""
         self.offset += float(delta)

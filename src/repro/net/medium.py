@@ -124,14 +124,6 @@ class MediumStats:
     losses: int = 0
     mac_retries: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "transmissions": self.transmissions,
-            "deliveries": self.deliveries,
-            "losses": self.losses,
-            "mac_retries": self.mac_retries,
-        }
-
 
 class WirelessMedium:
     """The shared radio channel over a mesh :class:`Topology`.
@@ -234,18 +226,6 @@ class WirelessMedium:
     # ------------------------------------------------------------------
     # Load accounting
     # ------------------------------------------------------------------
-    def _account(self, size: int) -> None:
-        now = self.sim.now
-        window = self._load_window
-        if window and window[-1][0] == now:
-            window[-1][1] += size
-        else:
-            window.append([now, size])
-        self._load_bytes += size
-        horizon = now - self.congestion.window
-        while window and window[0][0] < horizon:
-            self._load_bytes -= window.popleft()[1]
-
     def _evict(self, now: float) -> None:
         horizon = now - self.congestion.window
         window = self._load_window
@@ -345,7 +325,7 @@ class WirelessMedium:
                 congestion.jitter,
             )
         c_window, c_capacity, c_loss_coeff, c_qdac, jitter = self._cong_params
-        # Inlined _account: same-instant slot merge + window eviction.
+        # Load accounting: same-instant slot merge + window eviction.
         now = self.sim._now
         window = self._load_window
         size = packet.size

@@ -56,11 +56,6 @@ class PacketTagger:
         self._counter = start % TAG_MODULUS
         self.tagged_count = 0
 
-    @property
-    def next_tag(self) -> int:
-        """The identifier the next tagged packet will receive."""
-        return self._counter
-
     def tag(self, packet: Packet) -> bool:
         """Tag *packet* if enabled and selected; returns whether it was."""
         if not self.enabled:

@@ -179,7 +179,7 @@ class Topology:
         One FIFO BFS over the interned adjacency; first-discovery hop
         assignment replicates ``nx.all_pairs_shortest_path`` exactly (see
         module docstring).  Also materializes the distance row consumed by
-        :meth:`hop_count`.  scipy's C BFS when scipy is importable, the
+        :meth:`hop_rows`.  scipy's C BFS when scipy is importable, the
         pure-Python deque BFS otherwise; both produce identical rows
         (pinned by ``tests/unit/net/test_topology.py``).
         """
@@ -266,22 +266,10 @@ class Topology:
         hop_id = self._route_row(src_id)[dst_id]
         return None if hop_id < 0 else self._names[hop_id]
 
-    def hop_count(self, src: str, dst: str) -> Optional[int]:
-        """Number of hops between two nodes, ``None`` if unreachable."""
-        if src == dst:
-            return 0
-        ids = self.intern_ids()
-        src_id = ids.get(src)
-        dst_id = ids.get(dst)
-        if src_id is None or dst_id is None:
-            return None
-        self._route_row(src_id)
-        dist = self._dist_rows[src_id][dst_id]
-        return None if dist < 0 else dist
-
     def hop_rows(self, names: List[str]) -> List[List[Optional[int]]]:
-        """Hop counts as rows: ``rows[i][j]`` is ``hop_count(names[i],
-        names[j])``, read straight off the BFS distance rows."""
+        """Hop counts as rows: ``rows[i][j]`` is the hop distance from
+        ``names[i]`` to ``names[j]`` (``None``: unknown or unreachable),
+        read straight off the BFS distance rows."""
         ids = self.intern_ids()
         cols = [ids.get(name, -1) for name in names]
         rows: List[List[Optional[int]]] = []

@@ -131,10 +131,6 @@ class TrafficGenerator:
         self._pairs: List[Tuple[NetNode, NetNode]] = []
 
     @property
-    def active_pairs(self) -> List[Tuple[str, str]]:
-        return [(a.name, b.name) for a, b in self._pairs]
-
-    @property
     def running(self) -> bool:
         return any(flow.running for flow in self._flows)
 
@@ -173,31 +169,3 @@ class TrafficGenerator:
             "sent_packets": sum(f.sent_packets for f in self._flows),
         }
 
-
-def choose_pairs(
-    candidates: List[NetNode],
-    count: int,
-    rng: random.Random,
-) -> List[Tuple[NetNode, NetNode]]:
-    """Draw *count* distinct unordered pairs from *candidates*.
-
-    Deterministic given the rng state.  Raises ``ValueError`` when the
-    candidate set cannot supply that many distinct pairs.
-    """
-    n = len(candidates)
-    max_pairs = n * (n - 1) // 2
-    if count > max_pairs:
-        raise ValueError(
-            f"cannot pick {count} distinct pairs from {n} nodes (max {max_pairs})"
-        )
-    ordered = sorted(candidates, key=lambda node: node.name)
-    chosen: List[Tuple[NetNode, NetNode]] = []
-    seen = set()
-    while len(chosen) < count:
-        a, b = rng.sample(ordered, 2)
-        key = tuple(sorted((a.name, b.name)))
-        if key in seen:
-            continue
-        seen.add(key)
-        chosen.append((a, b))
-    return chosen

@@ -282,9 +282,6 @@ class MetricsRegistry:
                                 counts[idx] += c
                             mine["sum"] = float(mine["sum"]) + float(cell["sum"])
 
-    def to_prometheus(self) -> str:
-        return render_prometheus(self.snapshot())
-
 
 def diff_snapshots(after: Dict[str, dict], before: Dict[str, dict]) -> Dict[str, dict]:
     """Delta between two snapshots of the *same* registry.

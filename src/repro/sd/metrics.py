@@ -60,12 +60,6 @@ class RunDiscovery:
         last = max(self.found_at[p] for p in self.required)
         return last - self.search_started
 
-    def t_first(self) -> Optional[float]:
-        """Time to the first provider (partial-discovery latency)."""
-        if self.search_started is None or not self.found_at:
-            return None
-        return min(self.found_at.values()) - self.search_started
-
 
 def extract_run_discovery(
     events: Iterable[Dict[str, Any]],

@@ -109,10 +109,6 @@ class Role(enum.Enum):
         )
 
     @property
-    def is_user(self) -> bool:
-        return self in (Role.SU, Role.SU_SM)
-
-    @property
     def is_manager(self) -> bool:
         return self in (Role.SM, Role.SU_SM)
 

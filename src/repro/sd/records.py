@@ -141,11 +141,5 @@ class ServiceCache:
                 gone.append(self._entries.pop(key).instance)
         return gone
 
-    def next_expiry(self) -> Optional[float]:
-        """Earliest expiry deadline, for housekeeping scheduling."""
-        if not self._entries:
-            return None
-        return min(entry.expires_at for entry in self._entries.values())
-
     def clear(self) -> None:
         self._entries.clear()

@@ -119,9 +119,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling (kernel-internal API used by events/processes)
     # ------------------------------------------------------------------
-    def _push(self, at: float, fn: Callable[..., None], args: tuple = ()) -> None:
-        self._wheel.push((at, next(self._sequence), fn, args))
-
     def _schedule_callback(self, cb: Callable[[Any], None], arg: Any) -> None:
         """Run ``cb(arg)`` at the current simulated instant, asynchronously."""
         self._wheel.push((self._now, next(self._sequence), cb, (arg,)))
@@ -273,8 +270,3 @@ class Simulator:
     def pending(self) -> int:
         """Number of scheduled-but-unexecuted callbacks."""
         return len(self._wheel)
-
-    def drain_crashes(self) -> List[Process]:
-        """Return and clear the list of crashed processes (for tests)."""
-        crashed, self._crashed = self._crashed, []
-        return crashed

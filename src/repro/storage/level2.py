@@ -318,10 +318,6 @@ class Level2Store:
         text = snapshot if isinstance(snapshot, str) else encode_json(snapshot)
         _write_text(self.root / "master" / f"topology_{phase}.json", text)
 
-    def read_topology(self, phase: str) -> Optional[Dict[str, Any]]:
-        path = self.root / "master" / f"topology_{phase}.json"
-        return _read_json(path) if path.exists() else None
-
     def write_timesync(self, run_id: int, measurements: Dict[str, Dict[str, Any]]) -> None:
         _write_json(self.root / "master" / "timesync" / f"run_{run_id}.json", measurements)
 
@@ -349,20 +345,11 @@ class Level2Store:
             )
         return groups
 
-    def write_node_log(self, node_id: str, log_text: str) -> None:
-        self.write_node_collections({node_id: log_text}, {})
-
     def read_node_logs(self) -> Dict[str, str]:
         """``{node: log text}`` for every node that stored a log; a node's
         latest frame wins (a resumed experiment collects logs again)."""
         frames = self._read_node_frames("logs.jsonl")
         return {node: texts[-1] for node, texts in frames.items() if texts}
-
-    def read_node_log(self, node_id: str) -> str:
-        return self.read_node_logs().get(node_id, "")
-
-    def write_node_experiment_events(self, node_id: str, events: List[Dict[str, Any]]) -> None:
-        self.write_node_collections({}, {node_id: encode_block(events)})
 
     def write_node_collections(self, logs: Dict[str, str], event_blocks: Dict[str, str]) -> None:
         """The experiment-exit collection, ``{node: log text}`` and ``{node:
@@ -374,9 +361,6 @@ class Level2Store:
         if event_blocks:
             _append_lines(nodes / "experiment_events.jsonl", [
                 f for node, block in event_blocks.items() for f in _block_frames(node, block)])
-
-    def read_node_experiment_events(self, node_id: str) -> List[Dict[str, Any]]:
-        return self._read_node_frames("experiment_events.jsonl").get(node_id, [])
 
     # ------------------------------------------------------------------
     # Per-run data
@@ -421,12 +405,6 @@ class Level2Store:
             self._quarantine(int(run_id), stream, groups, bad)
         return groups
 
-    def read_run_events(self, node_id: str, run_id: int) -> List[Dict[str, Any]]:
-        return self.read_run_stream(run_id, "events.jsonl").get(node_id, [])
-
-    def read_run_packets(self, node_id: str, run_id: int) -> List[Dict[str, Any]]:
-        return self.read_run_stream(run_id, "packets.jsonl").get(node_id, [])
-
     def read_run_traces(self, node_id: str, run_id: int) -> List[Dict[str, Any]]:
         """Span records one node (usually the master) persisted for a run."""
         return self.read_run_stream(run_id, "traces.jsonl").get(node_id, [])
@@ -457,9 +435,6 @@ class Level2Store:
                 "dropped": len(reasons),
                 "reason": ",".join(sorted(set(reasons))),
             }
-
-    def read_extra_measurements(self, node_id: str, run_id: int) -> Dict[str, Any]:
-        return _read_json_dir(self._run_dir(run_id) / "extra" / node_id)
 
     def read_run_extra_measurements(self, run_id: int) -> Dict[str, Dict[str, Any]]:
         """``{node: {plugin: content}}`` for one run, nodes ascending."""
@@ -504,9 +479,6 @@ class Level2Store:
         """Persist a metrics-registry snapshot for ``repro metrics``."""
         _write_json(self.metrics_path, snapshot)
         return self.metrics_path
-
-    def read_metrics(self) -> Dict[str, Any]:
-        return _read_json(self.metrics_path) if self.metrics_path.exists() else {}
 
     # ------------------------------------------------------------------
     # Salvage (DESIGN.md §11)

@@ -84,3 +84,25 @@ def test_missing_capability_blocks_execution(tmp_path):
     master = ExperiMaster(platform, desc, Level2Store(tmp_path / "cap"))
     with pytest.raises(PlatformError, match="connection_control"):
         master.execute()
+
+
+def test_retired_heartbeat_keys_are_unknown_and_inert(tmp_path):
+    """Nothing probes node liveness: a description that still sets the old
+    ``heartbeat_*`` keys is warned about like any unknown key, and runs
+    byte-identically to one that does not."""
+    from repro.core.validation import validate_description
+    from repro.storage.level3 import RUN_TABLES, database_digest
+
+    digests = []
+    for label, extra in (("plain", {}), ("heartbeat", {"heartbeat_interval": 1.0})):
+        desc = build_two_party_description(replications=2, seed=5, special_params=extra)
+        result = run_experiment(desc, store_root=tmp_path / label)
+        db_path = store_level3(result.store, tmp_path / f"{label}.db")
+        digests.append(database_digest(db_path, tables=RUN_TABLES))
+    assert digests[0] == digests[1]
+    report = validate_description(desc)
+    assert report.ok
+    assert (
+        "unknown special parameter 'heartbeat_interval' (passed through untyped)"
+        in report.warnings
+    )

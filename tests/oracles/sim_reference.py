@@ -150,7 +150,3 @@ class ReferenceSimulator:
     @property
     def pending(self) -> int:
         return len(self._queue)
-
-    def drain_crashes(self) -> List[Process]:
-        crashed, self._crashed = self._crashed, []
-        return crashed

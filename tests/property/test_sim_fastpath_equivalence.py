@@ -18,6 +18,7 @@ and nodes alone, no control plane — is held to the same standard down to
 the capture records.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -189,7 +190,7 @@ def _storm(sim_cls, medium_cls, node_cls):
         for rec in node.capture.records:
             capture.update(json.dumps(rec, sort_keys=True).encode())
     return {
-        "stats": medium.stats.as_dict(),
+        "stats": dataclasses.asdict(medium.stats),
         "callbacks": sim.executed_callbacks,
         "captured": sum(len(node.capture) for node in nodes),
         "capture_digest": capture.hexdigest(),

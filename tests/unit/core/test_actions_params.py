@@ -97,7 +97,7 @@ def test_unknown_keys_pass_through():
 
 
 def test_as_dict_merges_known_and_unknown():
+    """Known keys (set or defaulted) and unknown keys answer side by side."""
     sp = SpecialParams({"custom": 1, "sync_probes": 9})
-    d = sp.as_dict()
-    assert d["custom"] == 1 and d["sync_probes"] == 9
-    assert "max_run_duration" in d
+    assert sp.get("custom") == 1 and sp.get("sync_probes") == 9
+    assert sp.get("max_run_duration") == SPECIAL_PARAM_DEFS["max_run_duration"].default

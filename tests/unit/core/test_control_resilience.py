@@ -1,6 +1,6 @@
 """Unit tests for the control-plane resilience layer (DESIGN.md §10):
-retry policy determinism, per-call deadlines and their kernel schedule,
-and heartbeat liveness.
+retry policy determinism, and per-call deadlines and their kernel
+schedule.
 """
 
 import gc
@@ -13,15 +13,6 @@ from repro.core.errors import (
     RpcTimeout,
     extract_node_id,
     node_token,
-)
-from repro.core.heartbeat import (
-    ALIVE,
-    DEAD,
-    QUARANTINED,
-    SUSPECT,
-    HeartbeatConfig,
-    HeartbeatMonitor,
-    NodeHealth,
 )
 from repro.core.rpc import (
     IDEMPOTENT_METHODS,
@@ -103,7 +94,7 @@ def test_node_token_roundtrip():
 def _node(name="n"):
     server = RpcServer(name)
     server.register_function(lambda: 1, "ping")
-    server.register_function(lambda seq: {"seq": seq, "node_id": name}, "heartbeat")
+    server.register_function(lambda: {"node_id": name}, "hostinfo")
     server.register_function(lambda name, params: 0, "execute_action")
     return server
 
@@ -190,7 +181,7 @@ def test_zero_timeout_keeps_historical_behavior(sim):
     retries, identical completion time."""
     channel = ControlChannel(sim, latency=0.001)
     channel.add_node("n", _node())
-    result, error = _drive(sim, channel.call("n", "ping", timeout=0))
+    result, error = _drive(sim, channel.call("n", "ping"))
     assert error is None and result == 1
     assert sim.now == pytest.approx(0.002)
     assert channel.timed_out_calls == 0
@@ -305,7 +296,7 @@ def test_deadline_entry_keeps_no_reply_alive(sim):
     server.handle_request = lambda request_xml: replies.append(handle(request_xml)) or replies[-1]
     channel = ControlChannel(sim, latency=0.001, call_timeout=30.0)
     channel.add_node("n", server)
-    assert _drive(sim, channel.call("n", "heartbeat", 7)) == ({"seq": 7, "node_id": "n"}, None)
+    assert _drive(sim, channel.call("n", "hostinfo")) == ({"node_id": "n"}, None)
     assert sim.pending == 1  # the deadline
     gc.collect()
     assert [ref for ref in gc.get_referrers(replies[0]) if ref is not replies] == []
@@ -317,131 +308,3 @@ def test_bad_down_mode_rejected(sim):
         channel.set_node_down("n", "explode")
     with pytest.raises(RpcError):
         channel.add_call_fault("n", "drop_everything")
-
-
-# ----------------------------------------------------------------------
-# NodeHealth state machine
-# ----------------------------------------------------------------------
-def _health(**kwargs):
-    config = HeartbeatConfig(
-        suspect_after=kwargs.pop("suspect_after", 2),
-        dead_after=kwargs.pop("dead_after", 4),
-        quarantine_after=kwargs.pop("quarantine_after", 2),
-    )
-    return NodeHealth("n", config)
-
-
-def test_health_alive_to_suspect_to_dead():
-    h = _health()
-    assert h.state == ALIVE
-    h.record_miss()
-    assert h.state == ALIVE
-    h.record_miss()
-    assert h.state == SUSPECT
-    h.record_miss()
-    h.record_miss()
-    assert h.state == DEAD
-    assert (ALIVE, SUSPECT) in h.transitions
-    assert (SUSPECT, DEAD) in h.transitions
-
-
-def test_health_success_resets_to_alive():
-    h = _health()
-    h.record_miss()
-    h.record_miss()
-    assert h.state == SUSPECT
-    h.record_success()
-    assert h.state == ALIVE
-    assert h.consecutive_misses == 0
-    # The miss streak starts over: one new miss is not enough.
-    h.record_miss()
-    assert h.state == ALIVE
-
-
-def test_health_repeated_death_quarantines():
-    h = _health(quarantine_after=2)
-    for _ in range(4):
-        h.record_miss()
-    assert h.state == DEAD and h.deaths == 1
-    h.record_success()
-    for _ in range(4):
-        h.record_miss()
-    assert h.state == QUARANTINED and h.deaths == 2
-    # Terminal: nothing revives a quarantined node.
-    h.record_success()
-    assert h.state == QUARANTINED
-
-
-def test_health_record():
-    h = _health()
-    h.record_miss()
-    h.record_success()
-    rec = h.as_record()
-    assert rec["state"] == ALIVE
-    assert rec["probes"] == 2 and rec["misses"] == 1
-
-
-# ----------------------------------------------------------------------
-# HeartbeatMonitor over the channel
-# ----------------------------------------------------------------------
-def test_monitor_marks_hung_node_and_spares_healthy_one(sim):
-    channel = ControlChannel(sim, latency=0.0001)
-    channel.add_node("good", _node("good"))
-    channel.add_node("bad", _node("bad"))
-    channel.set_node_down("bad", "hang")
-
-    transitions = []
-    monitor = HeartbeatMonitor(
-        sim,
-        channel,
-        ["good", "bad"],
-        config=HeartbeatConfig(interval=0.1, timeout=0.05, suspect_after=2, dead_after=4),
-        on_transition=lambda node, old, new: transitions.append((node, new)),
-    )
-    monitor.start()
-    sim.run(until=2.0)
-    monitor.stop()
-
-    states = monitor.states()
-    assert states["good"] == ALIVE
-    assert states["bad"] == DEAD
-    assert ("bad", SUSPECT) in transitions
-    assert ("bad", DEAD) in transitions
-    assert all(node != "good" for node, _ in transitions)
-
-
-def test_monitor_recovery_transitions_back_to_alive(sim):
-    channel = ControlChannel(sim, latency=0.0001)
-    channel.add_node("n", _node("n"))
-    channel.set_node_down("n", "hang")
-
-    monitor = HeartbeatMonitor(
-        sim,
-        channel,
-        ["n"],
-        config=HeartbeatConfig(interval=0.1, timeout=0.05, suspect_after=2, dead_after=50),
-    )
-    monitor.start()
-    sim.call_later(1.0, lambda: channel.restore_node("n"))
-    sim.run(until=2.0)
-    monitor.stop()
-
-    health = monitor.health["n"]
-    assert (ALIVE, SUSPECT) in health.transitions
-    assert (SUSPECT, ALIVE) in health.transitions
-    assert monitor.states()["n"] == ALIVE
-
-
-def test_monitor_summary_counts(sim):
-    channel = ControlChannel(sim, latency=0.0001)
-    channel.add_node("n", _node("n"))
-    monitor = HeartbeatMonitor(
-        sim, channel, ["n"], config=HeartbeatConfig(interval=0.1, timeout=0.05)
-    )
-    monitor.start()
-    sim.run(until=1.0)
-    monitor.stop()
-    summary = monitor.summary()
-    assert summary["n"]["state"] == ALIVE
-    assert summary["n"]["probes"] >= 5
-    assert summary["n"]["misses"] == 0

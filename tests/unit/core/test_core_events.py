@@ -154,18 +154,18 @@ def test_watch_marker_semantics(sim, bus):
 
 def test_cancel_removes_watcher(sim, bus):
     signal = bus.watch(EventPattern(name="never", run_id=0))
-    assert bus.pending_watchers() == 1
+    assert len(bus._watchers) == 1
     bus.cancel(signal)
-    assert bus.pending_watchers() == 0
+    assert len(bus._watchers) == 0
     bus.register(_ev("never"))
     assert not signal.triggered
 
 
 def test_completed_watcher_removed(sim, bus):
     bus.watch(EventPattern(name="go", run_id=0))
-    assert bus.pending_watchers() == 1
+    assert len(bus._watchers) == 1
     bus.register(_ev("go"))
-    assert bus.pending_watchers() == 0
+    assert len(bus._watchers) == 0
 
 
 def test_watch_delivers_triggering_event(sim, bus):

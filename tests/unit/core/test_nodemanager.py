@@ -195,4 +195,4 @@ def test_experiment_init_clears_prior_state(managed):
     nm_a.experiment_init("fresh")
     assert nm_a.collect_run(0)["events"] == ""
     assert nm_a.current_run is None
-    assert nm_a.node.tagger.next_tag == 0
+    assert nm_a.node.tagger.tagged_count == 0

@@ -165,7 +165,8 @@ def test_experiment_exit_opens_each_nodes_file_once(tmp_path, monkeypatch):
     assert opened.count("logs.jsonl") == opened.count("experiment_events.jsonl") == 1
     nodes = [n for n in result.store.node_ids() if n != "master"]
     assert sorted(result.store.read_node_logs()) == nodes
-    assert all(result.store.read_node_experiment_events(n) for n in nodes + ["master"])
+    events = result.store._read_node_frames("experiment_events.jsonl")
+    assert all(events.get(n) for n in nodes + ["master"])
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for the recovery journal and topology measurement."""
 
+import networkx as nx
 import pytest
 
 from repro.core.errors import RecoveryError
@@ -87,8 +88,8 @@ def test_prepare_resume_purges_partial_runs(store):
     store.write_timesync(1, {})
     completed = j.prepare_resume(desc, total)
     assert completed == {0}
-    assert store.read_run_events("nodeX", 1) == []
-    assert store.read_run_events("nodeX", 0) != []
+    assert "nodeX" not in store.read_run_stream(1, "events.jsonl")
+    assert store.read_run_stream(0, "events.jsonl")["nodeX"] != []
 
 
 # ----------------------------------------------------------------------
@@ -104,9 +105,10 @@ def test_measure_hop_counts_keys_and_values():
     out = measure_hop_counts(topo, ["n3", "island", "n0"])
     assert out["names"] == ["island", "n0", "n3"]
     assert out["hops"] == [[0, None, None], [None, 0, 2], [None, 2, 0]]
+    lengths = dict(nx.all_pairs_shortest_path_length(topo.graph))
     for i, a in enumerate(out["names"]):
         for j, b in enumerate(out["names"]):
-            assert out["hops"][i][j] == topo.hop_count(a, b)
+            assert out["hops"][i][j] == lengths[a].get(b)
 
 
 def test_snapshot_and_compare_stable():

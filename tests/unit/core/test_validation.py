@@ -194,6 +194,26 @@ def test_unknown_special_param_warns():
     assert any("quantum_flux" in w for w in report.warnings)
 
 
+def test_malformed_special_param_is_an_error():
+    """A known key whose value does not coerce would silently run with the
+    default (``get`` falls back); validation names it instead."""
+    desc = _minimal()
+    desc.special_params.update(
+        max_run_duration="12O",  # letter O: read as 120 s before
+        sync_probes="five",
+        run_spacing="0.25",  # coerces: fine
+        service_type=7,  # str() takes anything
+        collect_packets="nope",  # bools read any value
+    )
+    report = validate_description(desc)
+    assert report.errors == [
+        "special parameter 'max_run_duration': '12O' is not a valid float",
+        "special parameter 'sync_probes': 'five' is not a valid int",
+    ]
+    with pytest.raises(ValidationError):
+        report.raise_if_failed()
+
+
 def test_raise_if_failed():
     desc = _minimal()
     desc.actors.append(ActorDescription("a0"))

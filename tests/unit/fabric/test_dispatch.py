@@ -63,7 +63,8 @@ def test_grant_auto_registers_and_respects_batch_size(tmp_path):
     assert dispatcher.workers == {"w1": 1}
     assert [t.run_id for t in batch] == [0, 1]  # capped at batch_size
     assert lease.run_ids == (0, 1)
-    assert dispatcher.journal.registered_workers() == ["w1"]
+    entries = dispatcher.journal.entries()
+    assert [e["worker_id"] for e in entries if e["type"] == "worker_registered"] == ["w1"]
 
 
 def test_grant_trims_the_batch_to_the_descriptions_max_parallel(tmp_path):

@@ -92,7 +92,7 @@ def test_stop_all_silent(controlled):
     assert ctrl.stop_all() == []  # every revert succeeded
     assert a.interface.filters == []
     assert len(events) == n_events  # no stop events during cleanup
-    assert ctrl.active_faults() == []
+    assert ctrl._active == {}
 
 
 def test_stop_all_reverts_in_reverse_start_order(controlled):
@@ -129,7 +129,7 @@ def test_stop_all_collects_errors_and_keeps_sweeping(controlled):
     errors = ctrl.stop_all()
     assert len(errors) == 1 and "interface wedged" in errors[0]
     assert len(calls) == 2  # the failure did not abort the sweep
-    assert ctrl.active_faults() == []  # bookkeeping cleared either way
+    assert ctrl._active == {}  # bookkeeping cleared either way
 
 
 def test_fault_rng_deterministic_per_run(pair_net, rngs):
@@ -148,5 +148,5 @@ def test_fault_rng_deterministic_per_run(pair_net, rngs):
 def test_active_faults_listing(controlled):
     _sim, ctrl, _a, _b, _events = controlled
     ctrl.start("msg_loss", {"probability": 0.5})
-    active = ctrl.active_faults()
+    active = list(ctrl._active.values())
     assert len(active) == 1 and active[0].kind == "msg_loss"

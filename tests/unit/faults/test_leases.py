@@ -210,7 +210,7 @@ def test_reconcile_removes_still_installed_filter(leased):
     leaked = ctrl.reconcile_leases()
     assert len(leaked) == 1
     assert a.interface.filters == []
-    assert ctrl.active_faults() == []
+    assert ctrl._active == {}
     assert store.active(a.name) == []
 
 
@@ -226,7 +226,7 @@ def test_lease_written_before_filter_installs(leased):
     with pytest.raises(RuntimeError):
         ctrl.start("msg_loss", {"probability": 0.5})
     assert len(store.active(a.name)) == 1
-    assert ctrl.active_faults() == []
+    assert ctrl._active == {}
     # The sweep converges back to zero without touching any filter.
     assert len(ctrl.reconcile_leases()) == 1
     assert store.active(a.name) == []

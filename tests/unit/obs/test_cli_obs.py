@@ -59,10 +59,10 @@ def test_traces_survive_into_the_database(executed):
 
 def test_level2_metrics_roundtrip(tmp_path):
     store = Level2Store(tmp_path / "l2")
-    assert store.read_metrics() == {}
+    assert not store.metrics_path.exists()
     snap = {"repro_x_total": {"kind": "counter", "help": "", "labels": [], "values": {"[]": 3.0}}}
-    store.write_metrics(snap)
-    assert store.read_metrics() == snap
+    assert store.write_metrics(snap) == store.metrics_path
+    assert json.loads(store.metrics_path.read_text()) == snap
 
 
 # ----------------------------------------------------------------------

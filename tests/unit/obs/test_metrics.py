@@ -57,7 +57,7 @@ def test_label_keys_are_the_same_json_first_time_and_every_time_after():
         json.dumps(["[1]", "None"]): 2,
     }
     assert c.value(b='y"\n', a="x") == 4
-    assert check_prometheus_text(reg.to_prometheus()) == []
+    assert check_prometheus_text(render_prometheus(reg.snapshot())) == []
 
 
 def test_declaration_is_idempotent_but_typed():
@@ -147,7 +147,7 @@ def test_render_prometheus_is_valid_exposition():
     h = reg.histogram("repro_dur_seconds", "durations", buckets=DEFAULT_BUCKETS)
     for v in (0.002, 0.3, 500.0):
         h.observe(v)
-    text = reg.to_prometheus()
+    text = render_prometheus(reg.snapshot())
     assert check_prometheus_text(text) == []
     assert "# TYPE repro_dur_seconds histogram" in text
     assert 'le="+Inf"' in text

@@ -35,14 +35,14 @@ def test_extract_complete_discovery():
     out = extract_run_discovery(_events(), 0, "su1", ["sm1", "sm2"])
     assert out.complete
     assert out.t_r == pytest.approx(3.0)
-    assert out.t_first() == pytest.approx(1.5)
+    assert out.search_started == 1.0 and out.found_at == {"sm1": 2.5, "sm2": 4.0}
 
 
 def test_extract_partial_discovery():
     events = [e for e in _events() if "sm2" not in e["params"]]
     out = extract_run_discovery(events, 0, "su1", ["sm1", "sm2"])
     assert not out.complete and out.t_r is None
-    assert out.t_first() == pytest.approx(1.5)
+    assert out.found_at == {"sm1": 2.5}
 
 
 def test_extract_wrong_run_or_node_ignored():

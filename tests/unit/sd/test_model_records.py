@@ -26,10 +26,8 @@ def test_role_parse():
 
 
 def test_role_predicates():
-    assert Role.SU.is_user and not Role.SU.is_manager
-    assert Role.SM.is_manager and not Role.SM.is_user
-    assert Role.SU_SM.is_user and Role.SU_SM.is_manager
-    assert not Role.SCM.is_user and not Role.SCM.is_manager
+    assert Role.SM.is_manager and Role.SU_SM.is_manager
+    assert not any(role.is_manager for role in (Role.SU, Role.SCM, Role.BROKER))
 
 
 def test_instance_name_convention():
@@ -110,10 +108,12 @@ def test_remove():
 
 def test_next_expiry():
     cache = ServiceCache()
-    assert cache.next_expiry() is None
+    assert cache.purge_expired(now=100.0) == []
     cache.add(_inst(name="a._t", provider="a", ttl=5.0), now=0.0)
     cache.add(_inst(name="b._t", provider="b", ttl=2.0), now=0.0)
-    assert cache.next_expiry() == pytest.approx(2.0)
+    assert cache.purge_expired(now=1.9) == []
+    assert [inst.name for inst in cache.purge_expired(now=2.0)] == ["b._t"]
+    assert len(cache) == 1
 
 
 def test_clear():

@@ -99,7 +99,7 @@ def test_missing_run_info_raises(store):
 def test_condition_experiment_aggregates(store):
     _seed_run(store, 0)
     _seed_run(store, 1)
-    store.write_node_log("n1", "log!")
+    store.write_node_collections({"n1": "log!"}, {})
     store.write_eefile("VERSION", "v")
     data = condition_experiment(store)
     assert [r.run_id for r in data.runs] == [0, 1]

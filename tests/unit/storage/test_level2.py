@@ -1,14 +1,20 @@
 """Unit tests for the level-2 filesystem store."""
 
+import json
+
 import pytest
 
 from repro.core.errors import StorageError
-from repro.storage.level2 import Level2Store, encode_json
+from repro.storage.level2 import Level2Store, encode_block, encode_json
 
 
 @pytest.fixture
 def store(tmp_path):
     return Level2Store(tmp_path / "exp")
+
+
+def _events(store, node, run):
+    return store.read_run_stream(run, "events.jsonl").get(node, [])
 
 
 def test_description_roundtrip(store):
@@ -36,13 +42,13 @@ def test_journal_append_order(store):
 
 def test_topology_phases(store):
     store.write_topology("before", {"nodes": ["a"]})
-    assert store.read_topology("before") == {"nodes": ["a"]}
-    assert store.read_topology("after") is None
+    master = store.root / "master"
+    assert json.loads((master / "topology_before.json").read_text()) == {"nodes": ["a"]}
+    assert not (master / "topology_after.json").exists()
     with pytest.raises(StorageError):
         store.write_topology("middle", {})
     # A measurement that is already level-2 text is written as it is.
     store.write_topology("after", encode_json({"nodes": ["a"]}))
-    master = store.root / "master"
     assert (master / "topology_after.json").read_bytes() == (
         master / "topology_before.json"
     ).read_bytes()
@@ -58,18 +64,18 @@ def test_timesync_roundtrip(store):
 def test_run_data_appends(store):
     store.write_run_data("n1", 0, [{"name": "e1"}], [{"uid": 1}])
     store.write_run_data("n1", 0, [{"name": "e2"}], [])
-    events = store.read_run_events("n1", 0)
+    events = _events(store, "n1", 0)
     assert [e["name"] for e in events] == ["e1", "e2"]
-    assert store.read_run_packets("n1", 0) == [{"uid": 1}]
-    assert store.read_run_events("n1", 5) == []
+    assert store.read_run_stream(0, "packets.jsonl")["n1"] == [{"uid": 1}]
+    assert _events(store, "n1", 5) == []
 
 
 def test_extra_measurements(store):
     store.write_extra_measurement("n1", 0, "plugin_a", {"x": 1})
     store.write_extra_measurement("n1", 0, "plugin_b", [1, 2])
-    out = store.read_extra_measurements("n1", 0)
-    assert out == {"plugin_a": {"x": 1}, "plugin_b": [1, 2]}
-    assert store.read_extra_measurements("n1", 9) == {}
+    out = store.read_run_extra_measurements(0)
+    assert out == {"n1": {"plugin_a": {"x": 1}, "plugin_b": [1, 2]}}
+    assert store.read_run_extra_measurements(9) == {}
 
 
 def test_run_info_roundtrip(store):
@@ -80,10 +86,9 @@ def test_run_info_roundtrip(store):
 
 
 def test_node_logs_and_experiment_events(store):
-    store.write_node_log("n1", "line1\nline2")
-    assert store.read_node_log("n1") == "line1\nline2"
-    assert store.read_node_log("ghost") == ""
-    store.write_node_experiment_events("n1", [{"name": "init"}])
+    store.write_node_collections({"n1": "line1\nline2"}, {"n1": encode_block([{"name": "init"}])})
+    assert store.read_node_logs() == {"n1": "line1\nline2"}
+    assert store._read_node_frames("experiment_events.jsonl") == {"n1": [{"name": "init"}]}
 
 
 def test_eefiles(store):
@@ -116,10 +121,9 @@ def test_run_writer_buffers_and_appends(store):
         assert store.run_ids() == [0]
         w.add_events("n1", [{"name": "e4"}, {"name": "e5"}])  # crosses 4
         assert w.records_written == 6
-    assert [e["name"] for e in store.read_run_events("n1", 0)] == \
-        ["e1", "e2", "e4", "e5"]
-    assert store.read_run_packets("n1", 0) == [{"uid": 1}]
-    assert [e["name"] for e in store.read_run_events("n2", 0)] == ["e3"]
+    assert [e["name"] for e in _events(store, "n1", 0)] == ["e1", "e2", "e4", "e5"]
+    assert store.read_run_stream(0, "packets.jsonl")["n1"] == [{"uid": 1}]
+    assert [e["name"] for e in _events(store, "n2", 0)] == ["e3"]
 
 
 def test_run_writer_empty_batches_create_streams(store):
@@ -129,7 +133,7 @@ def test_run_writer_empty_batches_create_streams(store):
         w.add_events("n1", [])
         w.add_packets("n1", [])
     assert store.run_ids() == [3]
-    assert store.read_run_events("n1", 3) == []
+    assert _events(store, "n1", 3) == []
 
 
 def test_run_writer_interleaves_with_plain_appends(store):
@@ -137,8 +141,7 @@ def test_run_writer_interleaves_with_plain_appends(store):
     with store.run_writer(0) as w:
         w.add_events("n1", [{"name": "during"}])
     store.write_run_data("n1", 0, [{"name": "after"}], [])
-    assert [e["name"] for e in store.read_run_events("n1", 0)] == \
-        ["before", "during", "after"]
+    assert [e["name"] for e in _events(store, "n1", 0)] == ["before", "during", "after"]
 
 
 def test_run_writer_closed_rejects_appends(store):
@@ -162,7 +165,7 @@ def test_enumeration_cache_tracks_writes(store):
     # Nodes are read off the frames: n2 only ever appeared in run 4's
     # packed streams, so it goes with them.
     assert store.node_ids() == ["n1"]
-    store.write_node_log("n3", "log")
+    store.write_node_collections({"n3": "log"}, {})
     assert store.node_ids() == ["n1", "n3"]
 
 
@@ -172,7 +175,7 @@ def test_purge_run(store):
     store.write_timesync(1, {})
     store.write_run_info(1, {"run_id": 1, "start_time": 0.0})
     store.purge_run(1)
-    assert store.read_run_events("n1", 1) == []
-    assert store.read_run_events("n1", 0) != []
+    assert _events(store, "n1", 1) == []
+    assert _events(store, "n1", 0) != []
     with pytest.raises(StorageError):
         store.read_timesync(1)

@@ -30,7 +30,7 @@ def filled_store(tmp_path):
                    "treatment_index": 0, "seed": 7}])
     s.write_eefile("VERSION", "1.0")
     s.write_experiment_measurement("overall", {"k": 1})
-    s.write_node_log("h1", "the log")
+    s.write_node_collections({"h1": "the log"}, {})
     s.write_timesync(0, {"h1": {"offset": 0.5, "rtt": 0.001,
                                 "error_bound": 0.0005, "probes": 5}})
     s.write_run_info(0, {"run_id": 0, "start_time": 1.0, "treatment": {"f": 1}})

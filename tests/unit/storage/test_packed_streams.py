@@ -9,7 +9,7 @@ import pytest
 from repro.core.errors import StorageError
 from repro.storage import level2
 from repro.storage.conditioning import iter_conditioned_runs
-from repro.storage.level2 import Level2Store
+from repro.storage.level2 import Level2Store, encode_block
 from repro.storage.level3 import ExperimentDatabase, store_level3
 
 NODES = ("h1", "h2", "master")
@@ -156,9 +156,10 @@ def _stage_single_run(root, nodes):
     store.write_extra_measurement("master", 0, "medium", {"x": 1})
     store.write_topology("after", {"names": names})
     for n in names:
-        store.write_node_log(n, f"log of {n}")
-        store.write_node_experiment_events(n, [{"name": "experiment_init"}])
-    store.write_node_experiment_events("master", [])
+        store.write_node_collections(
+            {n: f"log of {n}"}, {n: encode_block([{"name": "experiment_init"}])}
+        )
+    store.write_node_collections({}, {"master": encode_block([])})
     return store
 
 
@@ -172,8 +173,8 @@ def test_file_count_is_independent_of_node_count(tmp_path):
     large = _stage_single_run(tmp_path / "n64", 64)
     assert _inventory(small.root) == _inventory(large.root)
     assert len(small.node_ids()) == 9 and len(large.node_ids()) == 65
-    assert large.read_node_log("n63") == "log of n63"
-    assert large.read_run_events("n63", 0) == [_event("n63", 1)]
+    assert large.read_node_logs()["n63"] == "log of n63"
+    assert large.read_run_stream(0, "events.jsonl")["n63"] == [_event("n63", 1)]
 
 
 def test_conditioning_holds_one_run_at_a_time(tmp_path, monkeypatch):
@@ -210,8 +211,7 @@ def test_conditioning_holds_one_run_at_a_time(tmp_path, monkeypatch):
         (rid, s) for rid in range(20) for s in ("events.jsonl", "packets.jsonl")]
     monkeypatch.undo()
     # Reading again re-scans the file: nothing was consumed on disk.
-    assert store.read_run_events("h1", 7) == [_event("h1", i, 7) for i in range(5)]
-    assert store.read_run_events("h1", 7) == store.read_run_stream(7, "events.jsonl")["h1"]
+    assert store.read_run_stream(7, "events.jsonl")["h1"] == [_event("h1", i, 7) for i in range(5)]
 
 
 def test_store_level3_reads_packed_layout_end_to_end(tmp_path):

@@ -64,14 +64,14 @@ def test_run_streams_are_crc_framed(tmp_path):
 
 def test_framed_roundtrip_and_legacy_lines(tmp_path):
     store = _fill(tmp_path / "l2")
-    events = store.read_run_events("h1", 0)
+    events = store.read_run_stream(0, "events.jsonl")["h1"]
     assert events == [_event(i) for i in range(5)]
     # A pre-framing store wrote bare JSON lines; there is no reader for
     # them any more — an unframed line is a torn frame.
     with open(_events_path(tmp_path / "l2"), "a", encoding="utf-8") as fh:
         fh.write(json.dumps(_event(5)) + "\n")
     with pytest.raises(StorageError, match="truncated"):
-        store.read_run_events("h1", 0)
+        store.read_run_stream(0, "events.jsonl")["h1"]
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +81,7 @@ def test_crc_mismatch_fails_without_salvage(tmp_path):
     store = _fill(tmp_path / "l2")
     _corrupt_crc(_events_path(tmp_path / "l2"))
     with pytest.raises(StorageError, match="--salvage"):
-        store.read_run_events("h1", 0)
+        store.read_run_stream(0, "events.jsonl")["h1"]
 
 
 def test_truncated_tail_fails_without_salvage(tmp_path):
@@ -90,7 +90,7 @@ def test_truncated_tail_fails_without_salvage(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-5])  # cuts into the 8-hex CRC suffix
     with pytest.raises(StorageError, match="truncated"):
-        store.read_run_events("h1", 0)
+        store.read_run_stream(0, "events.jsonl")["h1"]
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +99,7 @@ def test_truncated_tail_fails_without_salvage(tmp_path):
 def test_salvage_quarantines_crc_mismatch(tmp_path):
     store = _fill(tmp_path / "l2", salvage=True)
     _corrupt_crc(_events_path(tmp_path / "l2"))
-    events = store.read_run_events("h1", 0)
+    events = store.read_run_stream(0, "events.jsonl")["h1"]
     assert [e["name"] for e in events] == ["ev0", "ev1", "ev2", "ev3"]
     records = store.salvage_records()
     assert records == [{"run_id": 0, "node": "h1", "stream": "events.jsonl",
@@ -118,7 +118,7 @@ def test_salvage_classifies_bad_json(tmp_path):
     path = _events_path(tmp_path / "l2")
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(frame("h1", "{not json at all").decode() + "\n")  # CRC itself is valid
-    store.read_run_events("h1", 0)
+    store.read_run_stream(0, "events.jsonl")["h1"]
     assert store.salvage_records()[0]["reason"] == "bad_json"
 
 
@@ -126,7 +126,7 @@ def test_salvage_report_written_and_probe_nonmutating(tmp_path):
     store = _fill(tmp_path / "l2", salvage=True)
     _corrupt_crc(_events_path(tmp_path / "l2"))
 
-    store.read_run_events("h1", 0)
+    store.read_run_stream(0, "events.jsonl")["h1"]
     report_path = store.write_salvage_report()
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["total_kept"] == 4
@@ -138,14 +138,14 @@ def test_salvage_report_written_and_probe_nonmutating(tmp_path):
 
 def test_clean_store_probe_and_records_empty(tmp_path):
     store = _fill(tmp_path / "l2", salvage=True)
-    assert store.read_run_events("h1", 0)
+    assert store.read_run_stream(0, "events.jsonl")["h1"]
     assert store.salvage_records() == []
 
 
 def test_purge_run_clears_quarantine(tmp_path):
     store = _fill(tmp_path / "l2", salvage=True)
     _corrupt_crc(_events_path(tmp_path / "l2"))
-    store.read_run_events("h1", 0)
+    store.read_run_stream(0, "events.jsonl")["h1"]
     assert store.salvage_records()
     store.purge_run(0)
     assert store.salvage_records() == []
