@@ -18,7 +18,6 @@ Run:  python examples/experiment_design_study.py
 import tempfile
 from pathlib import Path
 
-from repro import ExperiMaster, Level2Store, store_level3
 from repro.analysis.convergence import (
     replications_to_converge,
     running_responsiveness,
@@ -28,8 +27,8 @@ from repro.core.designs import (
     completely_randomized_design,
     randomized_complete_block_design,
 )
+from repro.campaign import run_campaign
 from repro.core.plan import generate_plan
-from repro.platforms.simulated import SimulatedPlatform
 from repro.sd.processlib import build_two_party_description
 from repro.storage.level3 import ExperimentDatabase
 
@@ -111,19 +110,15 @@ def main() -> None:
     )
     from repro.platforms.simulated import PlatformConfig
 
-    platform = SimulatedPlatform(
-        desc_crd, PlatformConfig(sd_config={"announce_count": 0})
-    )
-    master = ExperiMaster(
-        platform, desc_crd, Level2Store(workdir / "l2"),
+    result = run_campaign(
+        desc_crd, workdir / "campaign", db_path=workdir / "design.db", jobs=1,
+        pool="thread", config=PlatformConfig(sd_config={"announce_count": 0}),
         custom_treatments=custom,
     )
-    result = master.execute()
     print(f"executed {len(result.executed_runs)} runs in completely "
           f"randomized order")
 
-    db_path = store_level3(result.store, workdir / "design.db")
-    with ExperimentDatabase(db_path) as db:
+    with ExperimentDatabase(result.db_path) as db:
         outcomes = run_outcomes(db)
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ Run:  python examples/fault_injection_study.py
 import tempfile
 from pathlib import Path
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.analysis.responsiveness import run_outcomes
 from repro.core.description import ManipulationProcess
 from repro.core.processes import DomainAction
@@ -67,9 +67,8 @@ def run_sweep(architecture: str, workdir: Path):
                 )
             )
         tag = f"{architecture}-{loss}"
-        result = run_experiment(desc, store_root=workdir / tag, config=config)
-        db_path = store_level3(result.store, workdir / f"{tag}.db")
-        with ExperimentDatabase(db_path) as db:
+        result = run_experiment(desc, workdir / tag, config=config)
+        with ExperimentDatabase(result.db_path) as db:
             outcomes = run_outcomes(db)
         times = sorted(o.t_r for o in outcomes if o.t_r is not None)
         rows.append({

@@ -5,9 +5,10 @@ This walks the full ExCovery workflow of Fig. 3 in ~60 lines of user code:
 
 1. build the abstract experiment description (the Figs. 9/10 two-party
    service discovery scenario, 3 replications),
-2. execute it on the emulated wireless-mesh testbed,
-3. condition the measurements and store the level-3 SQLite package
-   (Table I schema),
+2. execute it on the emulated wireless-mesh testbed (a one-worker
+   campaign: every run in its own kernel, each run's raw data in its own
+   level-2 store, conditioned into the level-3 SQLite package of Table I),
+3. locate the package and the run's raw level-2 data,
 4. query the database: discovery times, responsiveness, and the Fig. 11
    timeline of the first run.
 
@@ -17,7 +18,7 @@ Run:  python examples/quickstart.py
 import tempfile
 from pathlib import Path
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.analysis.responsiveness import run_outcomes
 from repro.analysis.timeline import build_run_timeline
 from repro.sd.metrics import responsiveness, summarize_runs
@@ -41,15 +42,16 @@ def main() -> None:
     print(describe_description(description))
     print()
 
-    # 2. Execute on the emulated testbed (platform + master in one call).
-    result = run_experiment(description, store_root=workdir / "level2")
+    # 2. Execute on the emulated testbed (platforms, masters, conditioning
+    #    and the level-3 merge in one call).
+    result = run_experiment(description, workdir / "campaign")
     print(describe_result(result.summary()))
-    print(f"level-2 store: {result.store.root}")
     print()
 
-    # 3. Condition + store level 3 (the Table I database).
-    db_path = store_level3(result.store, workdir / "quickstart.db")
+    # 3. The level-3 package (the Table I database) and the raw data.
+    db_path = result.db_path
     print(f"level-3 database: {db_path}")
+    print(f"level-2 stores: {result.campaign_dir / 'staging'}")
     print()
 
     # 4. Analyze.

@@ -3,9 +3,10 @@
 
 Demonstrates two framework features around the experiment *series*:
 
-1. **Recovery** (Sec. VII): an execution is aborted after a few runs
-   (simulating a master crash), then resumed from the journal; the run
-   series completes without re-executing finished runs.
+1. **Recovery** (Sec. VII): a series is aborted after a few runs
+   (simulating a crash), then resumed from the journal; the series
+   completes without re-executing finished runs, and stores the same
+   bytes as an uninterrupted series.
 2. **Level-4 warehouse** (Sec. IV-F — the paper's unrealized fourth
    storage level): two experiments with different seeds are ingested into
    one :class:`repro.repo.Warehouse` and compared.
@@ -16,20 +17,18 @@ Run:  python examples/resume_and_repository.py
 import tempfile
 from pathlib import Path
 
-from repro import ExperiMaster, Level2Store, store_level3
-from repro.core.errors import ExecutionError
-from repro.platforms.simulated import SimulatedPlatform
+from repro.campaign import run_campaign
+from repro.core.errors import CampaignError
 from repro.repo import Warehouse
 from repro.sd.processlib import build_two_party_description
 
 
-def execute(desc, root, resume=False, abort_after=None):
-    platform = SimulatedPlatform(desc)
-    master = ExperiMaster(
-        platform, desc, Level2Store(root),
+def execute(desc, root, db_path=None, resume=False, abort_after=None):
+    """The series as a one-worker campaign (what ``repro run`` does)."""
+    return run_campaign(
+        desc, root, db_path=db_path, jobs=1, pool="thread",
         resume=resume, abort_after_runs=abort_after,
     )
-    return master.execute()
 
 
 def main() -> None:
@@ -44,15 +43,15 @@ def main() -> None:
     print(f"experiment: {desc.factors.total_runs()} runs planned")
     try:
         execute(desc, workdir / "series", abort_after=2)
-    except ExecutionError as exc:
+    except CampaignError as exc:
         print(f"crash simulated: {exc}")
 
-    result = execute(desc, workdir / "series", resume=True)
+    db_a = workdir / "exp-seed99.db"
+    result = execute(desc, workdir / "series", db_path=db_a, resume=True)
     print(f"resumed: skipped runs {result.skipped_runs}, "
           f"executed runs {result.executed_runs}")
     assert result.skipped_runs == [0, 1]
     assert result.executed_runs == [2, 3, 4]
-    db_a = store_level3(result.store, workdir / "exp-seed99.db")
 
     # ------------------------------------------------------------------
     # 2. A second experiment, then the level-4 warehouse.
@@ -60,8 +59,8 @@ def main() -> None:
     desc_b = build_two_party_description(
         name="recovery-demo-seed7", seed=7, replications=5, env_count=2,
     )
-    result_b = execute(desc_b, workdir / "series-b")
-    db_b = store_level3(result_b.store, workdir / "exp-seed7.db")
+    db_b = workdir / "exp-seed7.db"
+    execute(desc_b, workdir / "series-b", db_path=db_b)
 
     with Warehouse(workdir / "warehouse") as warehouse:
         id_a = warehouse.ingest(db_a).exp_id

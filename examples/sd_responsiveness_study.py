@@ -15,7 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.analysis.responsiveness import responsiveness_by_treatment
 from repro.platforms.simulated import PlatformConfig
 from repro.sd.processlib import build_two_party_description
@@ -49,12 +49,11 @@ def main(replications: int = 10) -> None:
         mesh_radius=0.5,
         base_loss=0.05,
     )
-    result = run_experiment(description, store_root=workdir / "l2", config=config)
+    result = run_experiment(description, workdir / "campaign", config=config)
     print(f"executed {len(result.executed_runs)} runs "
           f"({len(result.timed_out_runs)} hit the run backstop)")
 
-    db_path = store_level3(result.store, workdir / "study.db")
-    with ExperimentDatabase(db_path) as db:
+    with ExperimentDatabase(result.db_path) as db:
         rows = responsiveness_by_treatment(db, deadlines=(0.2, 1.0, 5.0))
 
     header = f"{'pairs':>5} {'bw':>5} {'runs':>5} {'median t_R':>11} " \

@@ -18,6 +18,12 @@ Quickstart
 >>> result = run_experiment(desc)           # doctest: +SKIP
 >>> result.summary()["executed"]            # doctest: +SKIP
 2
+>>> result.db_path                          # doctest: +SKIP
+PosixPath('/tmp/excovery-.../sd-two-party.db')
+
+``run_experiment`` is a one-worker campaign: the level-3 database holds
+the same bytes as ``run_campaign`` at any ``jobs`` for the same
+description and seed.
 
 See ``examples/quickstart.py`` for the full tour: description → execution
 → conditioning → level-3 SQLite → analysis.
@@ -47,14 +53,8 @@ __all__ = [
 ]
 
 
-def run_experiment(
-    description,
-    store_root=None,
-    config=None,
-    resume=False,
-    plugins=None,
-):
-    """One-call convenience: build a platform, execute, return the result.
+def run_experiment(description, campaign_dir=None, config=None, resume=False):
+    """One-call convenience: execute *description* as a one-worker campaign.
 
     Parameters
     ----------
@@ -62,26 +62,31 @@ def run_experiment(
         An :class:`ExperimentDescription` (build one programmatically, via
         :mod:`repro.sd.processlib`, or parse XML with
         :func:`description_from_xml`).
-    store_root:
-        Directory for the level-2 store; a temporary directory when
-        omitted.
+    campaign_dir:
+        Campaign directory (journal, shards, per-run level-2 staging
+        stores); a temporary directory when omitted.  The merged level-3
+        database is ``<campaign_dir>/<name>.db``.
     config:
         Optional :class:`PlatformConfig`.
     resume:
-        Resume an aborted execution found under *store_root*.
-    plugins:
-        Optional :class:`repro.core.plugins.PluginManager`.
+        Resume an aborted campaign found in *campaign_dir*.
+
+    Returns the :class:`~repro.campaign.CampaignResult`.
     """
     import tempfile
+    from pathlib import Path
 
-    if store_root is None:
-        store_root = tempfile.mkdtemp(prefix="excovery-")
-    platform = SimulatedPlatform(description, config)
-    master = ExperiMaster(
-        platform,
+    from repro.campaign import run_campaign
+
+    if campaign_dir is None:
+        campaign_dir = tempfile.mkdtemp(prefix="excovery-")
+    campaign_dir = Path(campaign_dir)
+    return run_campaign(
         description,
-        Level2Store(store_root),
+        campaign_dir,
+        db_path=campaign_dir / f"{description.name}.db",
+        jobs=1,
+        pool="thread",
+        config=config,
         resume=resume,
-        plugins=plugins,
     )
-    return master.execute()

@@ -1,9 +1,10 @@
-"""Parallel campaign execution: many runs, many workers, one database.
+"""Campaign execution: every series of runs, on one worker or many.
 
-The serial :class:`~repro.core.master.ExperiMaster` executes a treatment
-plan strictly in order inside one simulation kernel — wall-clock time
-grows linearly with run count (the paper reports multi-day campaigns).
-This package opens the "many concurrent runs" workload:
+An :class:`~repro.core.master.ExperiMaster` executes one run of a
+treatment plan; a campaign executes the plan — ``repro run`` and
+:func:`repro.run_experiment` as a one-worker campaign, ``repro campaign``
+on a worker pool, ``repro fabric serve`` on a leased fleet — and stores
+one dataset per (description, seed) whichever of them ran it:
 
 * :mod:`repro.campaign.scheduler` — partitions the plan into run tickets
   with retry policies and capacity constraints;
@@ -14,9 +15,9 @@ This package opens the "many concurrent runs" workload:
   (threads or processes), each run inside its *own* fresh platform and
   kernel, so every run's data is a pure function of (description, run)
   and bit-identical regardless of worker count or completion order;
-* :mod:`repro.campaign.journal` — a write-ahead JSONL journal extending
-  :mod:`repro.core.recovery` semantics to concurrent execution, so a
-  crashed campaign resumes exactly the aborted/unstarted runs;
+* :mod:`repro.campaign.journal` — the write-ahead JSONL journal (Sec.
+  VII's recovery), so a crashed campaign resumes exactly the
+  aborted/unstarted runs;
 * :mod:`repro.campaign.merge` — per-worker level-3 SQLite shards merged
   deterministically (ordered by run id, never by completion time) into
   the single experiment database of Table I.

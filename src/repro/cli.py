@@ -6,8 +6,9 @@ experiment related data"*; this CLI is that program for the common
 workflows:
 
 ``repro run <description.xml>``
-    Validate and execute a description on the emulated platform, write
-    the level-2 store and (optionally) the level-3 database.
+    Execute a description on the emulated platform as a one-worker
+    campaign: the same journal, resume and level-3 database as
+    ``repro campaign``, so one (description, seed) gives one dataset.
 ``repro validate <description.xml>``
     Parse + semantic check; print errors and warnings.
 ``repro describe <description.xml>``
@@ -53,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Declared once, inherited by every subcommand that executes a
-    # description (run, campaign, fabric serve) ...
+    # description (run, campaign, fabric serve), all of which own a
+    # campaign directory.
     execution = argparse.ArgumentParser(add_help=False)
     execution.add_argument("description", type=Path, help="experiment XML file")
     execution.add_argument("--protocol", choices=("mdns", "slp", "hybrid", "registry"),
@@ -72,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(preparation, execution, clean-up); 0 disables")
     execution.add_argument("--quiet", action="store_true")
 
-    # ... and by every owner of a campaign directory (campaign, fabric serve).
     campaign_dir = argparse.ArgumentParser(add_help=False)
     campaign_dir.add_argument("--dir", type=Path, default=None, dest="campaign_dir",
                               help="campaign directory: journal, staging stores and "
@@ -92,15 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
                                    "inject (see repro.faults.control) — CI gauntlet "
                                    "and resilience testing")
 
-    p_run = sub.add_parser(
-        "run", help="execute an experiment description", parents=[execution]
+    sub.add_parser(
+        "run",
+        help="execute an experiment description (a one-worker campaign)",
+        parents=[execution, campaign_dir],
     )
-    p_run.add_argument("--store", type=Path, default=None,
-                       help="level-2 store directory (default: ./<name>.l2)")
-    p_run.add_argument("--db", type=Path, default=None,
-                       help="also write the level-3 SQLite package here")
-    p_run.add_argument("--resume", action="store_true",
-                       help="resume an aborted execution in --store")
 
     p_camp = sub.add_parser(
         "campaign",
@@ -390,38 +387,10 @@ def _apply_resilience_flags(desc, args) -> None:
 
 
 def _cmd_run(args) -> int:
-    from repro.core.master import ExperiMaster
-    from repro.platforms.localhost import LocalhostPlatform
-    from repro.platforms.simulated import PlatformConfig, SimulatedPlatform
-    from repro.storage.level2 import Level2Store
-    from repro.storage.level3 import store_level3
-    from repro.viz.describe import describe_result
-
-    desc = _load_description(args.description)
-    _apply_resilience_flags(desc, args)
-    store_root = args.store or Path(f"{desc.name}.l2")
-    config = PlatformConfig(protocol=args.protocol, topology=args.topology)
-    if args.realtime is not None:
-        platform = LocalhostPlatform(desc, config, realtime_factor=args.realtime)
-    else:
-        platform = SimulatedPlatform(desc, config)
-    master = ExperiMaster(
-        platform, desc, Level2Store(store_root), resume=args.resume
-    )
-    result = master.execute()
-    from repro.obs.metrics import get_registry
-
-    snapshot = get_registry().snapshot()
-    if snapshot:
-        result.store.write_metrics(snapshot)
-    if not args.quiet:
-        print(describe_result(result.summary()))
-        print(f"level-2 store: {store_root}")
-    if args.db is not None:
-        db_path = store_level3(result.store, args.db)
-        if not args.quiet:
-            print(f"level-3 database: {db_path}")
-    return 0
+    """``repro campaign`` with one thread worker."""
+    return _cmd_campaign(argparse.Namespace(
+        **vars(args), jobs=1, pool="thread", merge_only=False, abort_after=None
+    ))
 
 
 def _cmd_campaign(args) -> int:

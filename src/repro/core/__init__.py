@@ -15,9 +15,8 @@ Module                 Paper section
 ``events``             IV-B1 event model, event bus, dependency matching
 ``rpc``                VI-A  XML-RPC control channel, per-node locking
 ``nodemanager``        VI-A  the controlled entity on each node
-``master``             VI-A  ExperiMaster, the controlling entity
+``master``             VI-A  ExperiMaster, the controlling entity of one run
 ``runner``             IV-C1 run lifecycle: preparation/execution/clean-up
-``recovery``           VII   resuming aborted experiment series
 ``timesync``           IV-B3 per-run clock offset measurement
 ``topomeasure``        IV-B4 hop-count topology snapshots
 ``plugins``            IV-B  custom measurement plugins

@@ -88,7 +88,8 @@ SPECIAL_PARAM_DEFS: Dict[str, ParamDef] = {
         ),
         ParamDef(
             "run_spacing", float, 0.5,
-            "Idle time between consecutive runs, seconds.",
+            "Quiet time after the run, before the experiment's teardown, "
+            "seconds.",
         ),
         ParamDef(
             "sd_registry_nodes", str, "",

@@ -11,7 +11,6 @@ Layout::
 
     <root>/
       experiment.xml              # level-1 description as executed
-      journal.jsonl               # recovery journal (append-only)
       plan.json                   # exact treatment sequence
       master/
         topology_before.json
@@ -42,7 +41,7 @@ in each frame, not in a directory per node.
 The files under ``runs/`` and ``nodes/`` are **packed and CRC-framed**:
 each line is ``<node>\t<json>\t<crc32 as 8 hex digits>``, the frame of
 :mod:`repro.durable` (whose :class:`~repro.durable.DurableLog` keeps
-``journal.jsonl`` and ``master/*.jsonl``).  An empty batch writes a *marker*
+``master/*.jsonl``).  An empty batch writes a *marker*
 frame (empty JSON part): the node took part and had nothing to report.
 A record's JSON text is produced exactly once, by :func:`encode_block` on
 the node that measured it (``NodeManager.collect_run``); the block crosses
@@ -61,7 +60,6 @@ and keep conditioning the intact rest.
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple
 
@@ -293,20 +291,6 @@ class Level2Store:
 
     def read_plan(self) -> List[Dict[str, Any]]:
         return _read_json(self.root / "plan.json")
-
-    # ------------------------------------------------------------------
-    # Journal (recovery)
-    # ------------------------------------------------------------------
-    @property
-    def journal_path(self) -> Path:
-        return self.root / "journal.jsonl"
-
-    def append_journal(self, record: Dict[str, Any]) -> None:
-        # Unsynced: the run data this journal vouches for is not fsynced either.
-        DurableLog(self.journal_path).append([record], sync=False)
-
-    def read_journal(self) -> List[Dict[str, Any]]:
-        return list(DurableLog(self.journal_path).replay())
 
     # ------------------------------------------------------------------
     # Master-side measurements
@@ -549,16 +533,3 @@ class Level2Store:
 
     def run_ids(self) -> List[int]:
         return sorted(int(p.name) for p in self.root.glob("runs/*") if p.name.isdigit())
-
-    def purge_run(self, run_id: int) -> None:
-        """Delete one run's partial data everywhere (resume of an aborted
-        run starts from a clean slate)."""
-        shutil.rmtree(self._run_dir(run_id), ignore_errors=True)
-        shutil.rmtree(self.root / "quarantine" / "runs" / str(run_id), ignore_errors=True)
-        for path in (
-            self.root / "master" / "timesync" / f"run_{run_id}.json",
-            self.root / "master" / "runinfo" / f"run_{run_id}.json",
-        ):
-            path.unlink(missing_ok=True)
-        for key in [k for k in self._salvage if k[0] == run_id]:
-            del self._salvage[key]

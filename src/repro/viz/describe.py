@@ -122,10 +122,10 @@ def describe_plan(plan: TreatmentPlan, max_rows: int = 12) -> str:
 
 
 def describe_result(summary: Dict[str, Any]) -> str:
-    """Render an :meth:`ExperimentResult.summary` mapping."""
+    """Render a :meth:`~repro.campaign.CampaignResult.summary` mapping."""
     return (
         f"experiment {summary['experiment']!r}: "
         f"{summary['executed']}/{summary['total_runs']} runs executed "
         f"({summary['skipped']} resumed-skipped, {summary['timed_out']} timed out) "
-        f"in {summary['duration']:.1f} simulated seconds"
+        f"in {summary['duration']:.1f} s"
     )

@@ -30,7 +30,7 @@ from repro.campaign import (
 )
 from repro.cli import main as cli_main
 from repro.core import master
-from repro.core.errors import CampaignError, RecoveryError, StorageError
+from repro.core.errors import CampaignError, ExecutionError, RecoveryError, StorageError
 from repro.core.master import ExperiMaster, build_run_spec, execute_spec_run
 from repro.core.xmlio import description_to_xml
 from repro.fabric import FabricCoordinator, FabricWorker
@@ -370,7 +370,7 @@ def test_the_collector_is_paused_only_inside_a_run(pair_xml, executions, tmp_pat
 
 
 def test_a_failed_run_releases_the_turnstile_and_the_collector(pair_xml, tmp_path):
-    with pytest.raises(CampaignError, match="plan has no run 99"):
+    with pytest.raises(ExecutionError, match="plan has no run 99"):
         execute_spec_run(build_run_spec(tmp_path, pair_xml, 99, "t0"))
     assert not master._RUN_TURNSTILE.locked()
     assert gc.isenabled()

@@ -18,19 +18,28 @@ grammar (PR 23, parent f5a8d0b): whatever encodes a call must emit the
 stdlib marshaller's bytes.  The same runs must never need the stdlib codec
 (``repro_rpc_codec_fallback_total`` stays put), so a new RPC shape that
 silently drops to the slow path is noticed here.
+
+The experiments execute as one-worker campaigns, each run in its own
+kernel and level-2 staging store; the level-2 hashes run over the plan's
+stores in run order.  The one-run traffic case kept every literal when the
+serial series became a one-worker campaign.  The two 2-run cases were
+re-recorded then, once: their run 1 used to continue run 0's kernel
+timeline (starting seconds later in simulated time), and now starts
+afresh like every campaign run.
 """
 
 import hashlib
-from pathlib import Path
 
 import pytest
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.campaign import database_digest
 from repro.core.rpc import RpcServer
 from repro.core.wire import fallback_counter
 from repro.platforms.simulated import PlatformConfig
 from repro.sd.processlib import build_registry_description, build_two_party_description
+
+from tests.conftest import staging_store
 
 
 def _mdns():
@@ -52,11 +61,12 @@ def _registry():
     return desc, PlatformConfig(protocol="registry", topology="full", base_loss=0.0)
 
 
-def _sha(root, pattern, keep=lambda path: True):
+def _sha(stores, pattern, keep=lambda path: True):
     digest = hashlib.sha256()
-    for path in sorted(Path(root).glob(pattern)):
-        if keep(path):
-            digest.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
+    for store in stores:
+        for path in sorted(store.root.glob(pattern)):
+            if keep(path):
+                digest.update(str(path.relative_to(store.root)).encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
 
 
@@ -67,11 +77,11 @@ def _codec_fallbacks():
 
 @pytest.mark.parametrize("build, run_streams, node_files, l3_digest, topology_before, wire", [
     (_mdns,
-     "eb96cb827c7db9406ee84e5c282f3399e3ff7aa95bc1cf32d9e78e2906db9a7e",
-     "67dc9a7afe3279aaf046568da287cb1d36abd4e37fbbc930c9146f3e878b5948",
-     "419cc7f3ea4ef4e43f7ab25ad17b0df2300d5332727f9f62248d3fff53bac6a5",
+     "68d73a0139aad5906d853dfcfc09792f2fd4a3c36833f3b862c738c0e0539545",
+     "731effb78a639147a3e313c41de0567bd9abd16f563e0c2c29fa4709ee5d81ff",
+     "377b985c88e25ea27b71435caa74107744860bb7745bc623cf9f63dc28efa983",
      "fbddc3364de0e31fbf87ada6733cc63fd43e349041f6166a7bb558297be8ebcf",
-     "b7fc0341433d67f2c35d51cd78f074c88f86ce8a7827101d641f4a09f477be98"),
+     "19a6f41811a79ef40d502b31f28649cd72d4f865cddbf40f84fb7cd699c0400d"),
     (_mdns_traffic,
      "3cbb0a94fe08b3ae8b881354b036afca988bd6f07534f9a07cf388f6b89a2a43",
      "582c38d413e632eab33e2a445aab578c9597f057dd5277c9c53d158b4847f7d7",
@@ -79,11 +89,11 @@ def _codec_fallbacks():
      "3f085715867310987226a08ae1becabc50478e39605f98406d49675c44ce967f",
      "ce9ff0fbdd37ec93ee9eb47b4a8034755bf693bec36350674c4f462167d121b2"),
     (_registry,
-     "9c0c1a1cceba9433fb5c1577555194eca683a989828015a7f0eba8b54b02eb11",
-     "a307869f69ead36cb750219c667527d344628aecfa7e6497b4969e4c80e4c970",
-     "1d598ab0190c6b3842cbd6e7cdf71e1259278d040b0c5e085bd740bd2e1820be",
+     "36d701cba08eef51a5f01ea71316edf0639a42559fdc1830027461322b97b6b7",
+     "a9b46bcd032d8c954330353e79db25d86f10c844a90dfb30fbdff71700ec7359",
+     "89a0144137f144fc206cc2ab39df59a32404fae13665da0957bc5f60cb8d7c08",
      "3b7cde0641cc867097a119f88cd0e77f3795f048d6840d8714e5a1c4eab75bda",
-     "098f066267b026f95767efe399d513cc736b9ca19abd501fde535f3547b595fb"),
+     "1f0f340c8af6140fd11eeb89bb444eb41d1a019cbd6300a5602ba266ca88a6c7"),
 ], ids=["two-party-mdns", "two-party-mdns-31-traffic", "registry"])
 def test_level2_bytes_and_level3_digest_equal_the_parent_commit(
         tmp_path, monkeypatch, build, run_streams, node_files, l3_digest, topology_before, wire):
@@ -97,14 +107,15 @@ def test_level2_bytes_and_level3_digest_equal_the_parent_commit(
     monkeypatch.setattr(RpcServer, "handle_request", hashed)
     fallbacks = _codec_fallbacks()
     desc, config = build()
-    result = run_experiment(desc, store_root=tmp_path / "l2", config=config)
+    result = run_experiment(desc, tmp_path / "c", config=config)
     assert on_the_wire.hexdigest() == wire
     assert _codec_fallbacks() == fallbacks
-    root = tmp_path / "l2"
+    stores = [staging_store(result.campaign_dir, run.run_id) for run in result.plan]
     # traces.jsonl carries host-clock span times and is not pinned.
-    assert _sha(root, "runs/*/*.jsonl", lambda p: p.name != "traces.jsonl") == run_streams
-    assert _sha(root, "nodes/*.jsonl") == node_files
-    before = (root / "master" / "topology_before.json").read_bytes()
-    assert hashlib.sha256(before).hexdigest() == topology_before
-    assert (root / "master" / "topology_after.json").read_bytes() == before
-    assert database_digest(store_level3(result.store, tmp_path / "l3.db")) == l3_digest
+    assert _sha(stores, "runs/*/*.jsonl", lambda p: p.name != "traces.jsonl") == run_streams
+    assert _sha(stores, "nodes/*.jsonl") == node_files
+    for store in stores:
+        before = (store.root / "master" / "topology_before.json").read_bytes()
+        assert hashlib.sha256(before).hexdigest() == topology_before
+        assert (store.root / "master" / "topology_after.json").read_bytes() == before
+    assert database_digest(result.db_path) == l3_digest

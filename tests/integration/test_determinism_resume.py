@@ -3,19 +3,17 @@
 * Two fresh executions of the same description are byte-identical at the
   level-3 Events table (absolute common times included) — Sec. IV-C1's
   "perfect repeatability".
-* An execution aborted mid-series and resumed converges to the same
-  per-run behaviour: identical event sequences and (within float noise)
-  identical run-relative timings — Sec. VII's "recovers from failures by
-  resuming aborted runs".
+* An execution aborted mid-series and resumed stores byte-identical
+  level-3 contents to an uninterrupted one — Sec. VII's "recovers from
+  failures by resuming aborted runs".
 """
 
 import json
 
 import pytest
 
-from repro import ExperiMaster, Level2Store, store_level3
-from repro.core.errors import ExecutionError, RecoveryError
-from repro.platforms.simulated import SimulatedPlatform
+from repro.campaign import CampaignJournal, database_digest, run_campaign
+from repro.core.errors import CampaignError, RecoveryError
 from repro.sd.processlib import build_two_party_description
 from repro.storage.level3 import ExperimentDatabase
 
@@ -28,49 +26,43 @@ def _desc(seed=31):
 
 
 def _execute(desc, root, resume=False, abort_after=None):
-    platform = SimulatedPlatform(desc)
-    master = ExperiMaster(
-        platform, desc, Level2Store(root), resume=resume,
-        abort_after_runs=abort_after,
+    """The plan as a one-worker campaign — what ``run_experiment`` does."""
+    return run_campaign(
+        desc, root, db_path=root / "out.db", jobs=1, pool="thread",
+        resume=resume, abort_after_runs=abort_after,
     )
-    return master.execute()
 
 
-def _events_table(root, tmp, tag):
-    db_path = store_level3(Level2Store(root), tmp / f"{tag}.db")
-    with ExperimentDatabase(db_path) as db:
-        return db.events(), {r["RunID"]: r["StartTime"] for r in db.run_infos()
-                             if r["NodeID"] == "master"}
+def _events_table(root):
+    with ExperimentDatabase(root / "out.db") as db:
+        return db.events()
 
 
 def test_fresh_executions_byte_identical(tmp_path):
     desc = _desc()
     _execute(desc, tmp_path / "a")
     _execute(desc, tmp_path / "b")
-    ev_a, _ = _events_table(tmp_path / "a", tmp_path, "a")
-    ev_b, _ = _events_table(tmp_path / "b", tmp_path, "b")
+    ev_a = _events_table(tmp_path / "a")
+    ev_b = _events_table(tmp_path / "b")
     assert json.dumps(ev_a, sort_keys=True) == json.dumps(ev_b, sort_keys=True)
 
 
 def test_different_seed_differs(tmp_path):
     _execute(_desc(seed=31), tmp_path / "a")
     _execute(_desc(seed=32), tmp_path / "b")
-    ev_a, _ = _events_table(tmp_path / "a", tmp_path, "a")
-    ev_b, _ = _events_table(tmp_path / "b", tmp_path, "b")
+    ev_a = _events_table(tmp_path / "a")
+    ev_b = _events_table(tmp_path / "b")
     assert json.dumps(ev_a, sort_keys=True) != json.dumps(ev_b, sort_keys=True)
 
 
 def test_abort_and_resume_completes_all_runs(tmp_path):
     desc = _desc()
-    with pytest.raises(ExecutionError, match="abort"):
+    with pytest.raises(CampaignError, match="abort"):
         _execute(desc, tmp_path / "r", abort_after=1)
     result = _execute(desc, tmp_path / "r", resume=True)
     assert sorted(result.skipped_runs) == [0]
     assert sorted(result.executed_runs) == [1, 2]
-
-    from repro.core.recovery import Journal
-
-    assert Journal(result.store).finished()
+    assert CampaignJournal(result.campaign_dir).finished()
 
 
 def test_resumed_runs_equivalent_to_uninterrupted(tmp_path):
@@ -78,33 +70,13 @@ def test_resumed_runs_equivalent_to_uninterrupted(tmp_path):
     # Reference: uninterrupted execution.
     _execute(desc, tmp_path / "full")
     # Aborted after one run, then resumed.
-    with pytest.raises(ExecutionError):
+    with pytest.raises(CampaignError):
         _execute(desc, tmp_path / "resumed", abort_after=1)
     _execute(desc, tmp_path / "resumed", resume=True)
-
-    ev_full, starts_full = _events_table(tmp_path / "full", tmp_path, "f")
-    ev_res, starts_res = _events_table(tmp_path / "resumed", tmp_path, "r")
-
-    def per_run(events, starts):
-        runs = {}
-        for e in events:
-            rid = e["run_id"]
-            if rid is None:
-                continue
-            runs.setdefault(rid, []).append(
-                (e["name"], e["node"], tuple(e["params"]),
-                 e["common_time"] - starts[rid])
-            )
-        return runs
-
-    full_runs = per_run(ev_full, starts_full)
-    res_runs = per_run(ev_res, starts_res)
-    assert set(full_runs) == set(res_runs)
-    for rid in full_runs:
-        a, b = full_runs[rid], res_runs[rid]
-        assert [x[:3] for x in a] == [x[:3] for x in b], f"run {rid} sequence"
-        for (_, _, _, ta), (_, _, _, tb) in zip(a, b):
-            assert ta == pytest.approx(tb, abs=1e-6), f"run {rid} timing"
+    # Every run's data is a pure function of (description, run id): the
+    # resumed dataset is byte-identical, absolute common times included.
+    assert database_digest(tmp_path / "resumed" / "out.db") == database_digest(
+        tmp_path / "full" / "out.db")
 
 
 def test_determinism_across_processes_and_hash_seeds(tmp_path):
@@ -120,8 +92,8 @@ def test_determinism_across_processes_and_hash_seeds(tmp_path):
     script = tmp_path / "det.py"
     script.write_text(textwrap.dedent(
         """
-        import hashlib, json, os, sys, tempfile
-        from repro import run_experiment, store_level3
+        import hashlib, json, tempfile
+        from repro import run_experiment
         from repro.sd.processlib import build_two_party_description
         from repro.storage.level3 import ExperimentDatabase
 
@@ -129,10 +101,8 @@ def test_determinism_across_processes_and_hash_seeds(tmp_path):
             replications=1, seed=55, env_count=2, traffic=True,
             pairs_levels=(2,), bw_levels=(50,),
         )
-        result = run_experiment(desc, store_root=tempfile.mkdtemp())
-        db_path = os.path.join(tempfile.mkdtemp(), "d.db")
-        store_level3(result.store, db_path)
-        with ExperimentDatabase(db_path) as db:
+        result = run_experiment(desc, tempfile.mkdtemp())
+        with ExperimentDatabase(result.db_path) as db:
             blob = json.dumps(db.events(), sort_keys=True).encode()
         print(hashlib.sha256(blob).hexdigest())
         """
@@ -165,7 +135,7 @@ def test_resume_completed_experiment_refused(tmp_path):
 
 def test_resume_with_changed_description_refused(tmp_path):
     desc = _desc()
-    with pytest.raises(ExecutionError):
+    with pytest.raises(CampaignError):
         _execute(desc, tmp_path / "x", abort_after=1)
     changed = _desc()
     changed.comment = "edited since the abort"

@@ -6,8 +6,9 @@ executing through the unchanged master, storage and analysis layers.
 """
 
 
-from repro import ExperiMaster, Level2Store, store_level3
+from repro import Level2Store, store_level3
 from repro.core.description import ManipulationProcess
+from repro.core.plan import generate_plan
 from repro.core.plugins import PluginManager
 from repro.core.processes import DomainAction
 from repro.core.validation import validate_description
@@ -15,14 +16,18 @@ from repro.platforms.simulated import SimulatedPlatform
 from repro.procs.echo import EchoPlugin, build_echo_description, install_echo_agent
 from repro.storage.level3 import ExperimentDatabase
 
+from tests.conftest import execute_run
+
 
 def _execute(desc, root, config=None):
-    platform = SimulatedPlatform(desc, config)
-    for nm in platform.node_managers.values():
-        install_echo_agent(nm)
-    plugins = PluginManager(action=[EchoPlugin()])
-    master = ExperiMaster(platform, desc, Level2Store(root), plugins=plugins)
-    return master.execute(), master
+    """Every run on its own echo-equipped platform, into one level-2 store."""
+    for run in generate_plan(desc.factors, desc.seed):
+        platform = SimulatedPlatform(desc, config)
+        for nm in platform.node_managers.values():
+            install_echo_agent(nm)
+        plugins = PluginManager(action=[EchoPlugin()])
+        execute_run(desc, root, run.run_id, platform=platform, plugins=plugins)
+    return Level2Store(root)
 
 
 def test_echo_description_validates_with_plugin():
@@ -45,9 +50,9 @@ def test_echo_availability_run(tmp_path):
     desc = build_echo_description(
         replications=2, probe_rate=10.0, measure_seconds=3.0, seed=5,
     )
-    result, _master = _execute(desc, tmp_path / "echo")
-    assert len(result.executed_runs) == 2
-    db_path = store_level3(result.store, tmp_path / "echo.db")
+    store = _execute(desc, tmp_path / "echo")
+    assert store.run_ids() == [0, 1]
+    db_path = store_level3(store, tmp_path / "echo.db")
     with ExperimentDatabase(db_path) as db:
         for run_id in db.run_ids():
             replies = db.events(run_id=run_id, event_type="echo_reply")
@@ -80,8 +85,7 @@ def test_echo_under_interface_fault_loses_probes(tmp_path):
             )],
         )
     )
-    result, _ = _execute(desc, tmp_path / "echo-fault")
-    db_path = store_level3(result.store, tmp_path / "echo-fault.db")
+    db_path = store_level3(_execute(desc, tmp_path / "echo-fault"), tmp_path / "echo-fault.db")
     with ExperimentDatabase(db_path) as db:
         replies = db.events(event_type="echo_reply")
         timeouts = db.events(event_type="echo_timeout")
@@ -100,8 +104,7 @@ def test_echo_deterministic(tmp_path):
 
     def events_of(root):
         desc = build_echo_description(replications=1, measure_seconds=2.0, seed=9)
-        result, _ = _execute(desc, root)
-        db_path = store_level3(result.store, root / "db.sqlite")
+        db_path = store_level3(_execute(desc, root), root / "db.sqlite")
         with ExperimentDatabase(db_path) as db:
             return json.dumps(db.events(), sort_keys=True)
 

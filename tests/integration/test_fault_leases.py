@@ -2,13 +2,15 @@
 
 The experiment-integrity story end to end: a run killed in the middle of
 an open ``msg_loss`` window leaks the fault's on-disk lease; the next
-execution's reconciliation sweep force-reverts it before any run starts,
+attempt's reconciliation sweep force-reverts it before the run starts,
 records it as ``fault_leak_reconciled``, and the resumed package digests
 byte-identical to a fault-free reference.  The campaign side: a resume
 trusts a committed run whose staged level-2 copy was torn afterwards —
 the shard, not the staging store, is the record — again converging to
 the reference digest.
 """
+
+import json
 
 import pytest
 
@@ -20,20 +22,15 @@ from repro.campaign import (
 )
 from repro.cli import main as cli_main
 from repro.core.description import ManipulationProcess
-from repro.core.errors import (
-    CampaignError,
-    ExecutionError,
-    RpcTimeout,
-    RunAbortedError,
-)
-from repro.core.master import ExperiMaster, build_run_spec
+from repro.core.errors import CampaignError
+from repro.core.master import build_run_spec
 from repro.core.processes import DomainAction
-from repro.core.recovery import Journal
+from repro.core.xmlio import description_to_xml
 from repro.faults.leases import FaultLeaseStore
-from repro.platforms.simulated import PlatformConfig, SimulatedPlatform
 from repro.sd.processlib import build_two_party_description
-from repro.storage.level2 import Level2Store
-from repro.storage.level3 import ExperimentDatabase, store_level3
+from repro.storage.level3 import ExperimentDatabase
+
+from tests.conftest import staging_store
 
 SM_NODE = "t9-100"  # actor node hosting the SM role
 SU_NODE = "t9-101"  # hosts actor1, the target of the msg_loss window
@@ -77,27 +74,17 @@ def _desc(seed=91, replications=3, **kwargs):
     return desc
 
 
-def _fresh_master(store, **kwargs):
-    desc = _desc()
-    return ExperiMaster(SimulatedPlatform(desc), desc, store, **kwargs)
+def _one_worker(desc, campaign_dir, **kwargs):
+    """The plan as a one-worker campaign — what ``repro run`` does."""
+    return run_campaign(desc, campaign_dir, jobs=1, pool="thread", **kwargs)
 
 
 @pytest.fixture(scope="module")
 def fault_free_reference(tmp_path_factory):
-    """Fault-free digests shaped like the recovery paths under test.
-
-    Same construction as in test_control_plane_faults: the serial
-    reference is a controlled abort after run 0 plus a resume (serial
-    kernels make absolute times depend on the interruption point); the
-    campaign reference runs straight through (per-run kernels are
-    directly comparable).
-    """
+    """Fault-free digests of the 3-run and the 4-run plan (every run in
+    its own kernel, so directly comparable to a recovered campaign)."""
     root = tmp_path_factory.mktemp("lease-reference")
-    serial_store = Level2Store(root / "serial.l2")
-    with pytest.raises(ExecutionError):
-        _fresh_master(serial_store, abort_after_runs=1).execute()
-    result = _fresh_master(serial_store, resume=True).execute()
-    serial_db = store_level3(result.store, root / "serial.db")
+    serial_db = _one_worker(_desc(), root / "serial", db_path=root / "serial.db").db_path
     run_campaign(
         _desc(replications=4),
         root / "campaign",
@@ -113,47 +100,42 @@ def fault_free_reference(tmp_path_factory):
 
 
 # ----------------------------------------------------------------------
-# Serial: kill mid-window, resume sweeps the leaked lease
+# One worker (`repro run`): kill mid-window, resume sweeps the leaked lease
 # ----------------------------------------------------------------------
 def test_killed_run_leaks_lease_and_resume_reconciles(
     fault_free_reference, tmp_path
 ):
     desc = _desc()
-    store = Level2Store(tmp_path / "exp.l2")
-    faulty = SimulatedPlatform(
-        desc, PlatformConfig(control_faults=[dict(KILL_MID_WINDOW)])
-    )
-    with pytest.raises((RpcTimeout, RunAbortedError)):
-        ExperiMaster(faulty, desc, store).execute()
+    campaign = tmp_path / "campaign"
+    with pytest.raises(CampaignError, match=r"failed after 1 attempt\(s\): 1"):
+        _one_worker(desc, campaign, max_attempts=1, control_faults=[dict(KILL_MID_WINDOW)])
 
-    journal = Journal(store)
-    assert journal.completed_runs() == {0}
-    aborted = journal.abort_reasons()
-    assert set(aborted) == {1}
-    assert aborted[1]["phase"] == "cleanup"
+    journal = CampaignJournal(campaign)
+    assert set(journal.completed()) == {0, 2}
+    assert "RpcTimeout" in journal.failure_reasons()[1]["error"]
 
     # The crash left the msg_loss lease active on disk for the SU node.
-    leases = FaultLeaseStore(store.root / "leases")
+    leases = FaultLeaseStore(campaign / "leases" / "run_000001")
     active = leases.active(SU_NODE)
     assert len(active) == 1
     assert active[0]["kind"] == "msg_loss"
     assert active[0]["run_id"] == 1
     assert active[0]["expires_at"] is not None  # advisory TTL was stamped
 
-    # Resume on a pristine platform: the startup sweep force-reverts the
-    # leaked fault before any run executes, then runs 1 and 2 replay.
-    result = _fresh_master(store, resume=True).execute()
-    assert sorted(result.executed_runs) == [1, 2]
-    assert leases.active(SU_NODE) == []
+    # Resume without the fault: the replayed run's startup sweep
+    # force-reverts the leaked fault before the run executes.
+    result = _one_worker(desc, campaign, db_path=tmp_path / "resumed.db", resume=True)
+    assert result.executed_runs == [1]
+    assert FaultLeaseStore(campaign / "leases" / "run_000001").active(SU_NODE) == []
 
-    reconciled = store.read_reconciled_leases()
+    reconciled = staging_store(campaign, 1).read_reconciled_leases()
     assert [r["kind"] for r in reconciled] == ["msg_loss"]
     assert reconciled[0]["node"] == SU_NODE
     assert reconciled[0]["run_id"] == 1
 
     # The sweep is visible in level 3 (FaultLeases side table) and the
     # Table I digest is byte-identical to the fault-free reference.
-    db_path = store_level3(result.store, tmp_path / "resumed.db")
+    db_path = result.db_path
     with ExperimentDatabase(db_path) as db:
         rows = db.fault_leases()
         assert len(rows) == 1
@@ -239,35 +221,33 @@ def test_campaign_resume_trusts_a_committed_run_despite_torn_staging(
 
 
 # ----------------------------------------------------------------------
-# CLI surface: repro inspect --leases over stores and databases
+# CLI surface: repro inspect --leases over campaign directories and databases
 # ----------------------------------------------------------------------
 def test_cli_inspect_leases_over_directory_and_db(tmp_path, capsys):
-    desc = _desc(replications=2)
-    store = Level2Store(tmp_path / "exp.l2")
-    faulty = SimulatedPlatform(
-        desc, PlatformConfig(control_faults=[dict(KILL_MID_WINDOW)])
-    )
-    with pytest.raises((RpcTimeout, RunAbortedError)):
-        ExperiMaster(faulty, desc, store).execute()
+    xml = tmp_path / "exp.xml"
+    xml.write_text(description_to_xml(_desc(replications=2)), encoding="utf-8")
+    chaos = tmp_path / "chaos.json"
+    chaos.write_text(json.dumps([KILL_MID_WINDOW]), encoding="utf-8")
+    campaign, db_path = tmp_path / "campaign", tmp_path / "resumed.db"
+    run = ["run", str(xml), "--dir", str(campaign), "--db", str(db_path), "--quiet"]
+    assert cli_main([*run, "--chaos-json", str(chaos), "--max-retries", "0"]) == 2
+    capsys.readouterr()
 
-    rc = cli_main(["inspect", str(store.root), "--leases"])
+    rc = cli_main(["inspect", str(campaign), "--leases"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "active leases: 1" in out
     assert "kind=msg_loss" in out
     assert "reconciled leases: 0" in out
 
-    result = ExperiMaster(
-        SimulatedPlatform(desc), desc, store, resume=True
-    ).execute()
-    rc = cli_main(["inspect", str(store.root), "--leases"])
+    assert cli_main([*run, "--resume"]) == 0
+    rc = cli_main(["inspect", str(campaign), "--leases"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "active leases: 0" in out
     assert "reconciled leases: 1" in out
 
     # The same view over the level-3 database.
-    db_path = store_level3(result.store, tmp_path / "resumed.db")
     rc = cli_main(["inspect", str(db_path), "--leases"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -275,4 +255,4 @@ def test_cli_inspect_leases_over_directory_and_db(tmp_path, capsys):
     assert "kind=msg_loss" in out
 
     # A directory without a view flag is a usage error.
-    assert cli_main(["inspect", str(store.root)]) == 2
+    assert cli_main(["inspect", str(campaign)]) == 2

@@ -7,7 +7,7 @@ and hybrid architectures complete the same task.
 """
 
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.analysis.responsiveness import run_outcomes
 from repro.core.description import ManipulationProcess
 from repro.core.processes import DomainAction
@@ -20,8 +20,8 @@ from repro.storage.level3 import ExperimentDatabase
 
 
 def _median_t_r(tmp_path, tag, desc, config=None):
-    result = run_experiment(desc, store_root=tmp_path / tag, config=config)
-    db_path = store_level3(result.store, tmp_path / f"{tag}.db")
+    result = run_experiment(desc, tmp_path / tag, config=config)
+    db_path = result.db_path
     with ExperimentDatabase(db_path) as db:
         outcomes = run_outcomes(db)
     times = sorted(o.t_r for o in outcomes if o.t_r is not None)
@@ -87,8 +87,8 @@ def test_interface_fault_window_blocks_discovery(tmp_path):
             ],
         )
     )
-    result = run_experiment(desc, store_root=tmp_path / "dead")
-    db_path = store_level3(result.store, tmp_path / "dead.db")
+    result = run_experiment(desc, tmp_path / "dead")
+    db_path = result.db_path
     with ExperimentDatabase(db_path) as db:
         outcomes = run_outcomes(db)
         assert all(not o.complete for o in outcomes)
@@ -100,8 +100,8 @@ def test_interface_fault_window_blocks_discovery(tmp_path):
 def test_fault_events_recorded(tmp_path):
     desc = build_two_party_description(replications=1, seed=23, env_count=2)
     desc.manipulations.append(_loss_manipulation(0.2))
-    result = run_experiment(desc, store_root=tmp_path / "ev")
-    db_path = store_level3(result.store, tmp_path / "ev.db")
+    result = run_experiment(desc, tmp_path / "ev")
+    db_path = result.db_path
     with ExperimentDatabase(db_path) as db:
         assert db.events(event_type="fault_msg_loss_started")
 
@@ -118,9 +118,9 @@ def test_three_party_slp_completes(tmp_path):
 def test_three_party_registration_visible(tmp_path):
     desc = build_three_party_description(replications=1, seed=25, env_count=2)
     result = run_experiment(
-        desc, store_root=tmp_path / "reg", config=PlatformConfig(protocol="slp")
+        desc, tmp_path / "reg", config=PlatformConfig(protocol="slp")
     )
-    db_path = store_level3(result.store, tmp_path / "reg.db")
+    db_path = result.db_path
     with ExperimentDatabase(db_path) as db:
         assert db.events(event_type="scm_started")
         assert db.events(event_type="scm_found")
@@ -139,8 +139,8 @@ def test_multiple_sms_and_sus(tmp_path):
     desc = build_two_party_description(
         sm_count=2, su_count=2, replications=2, seed=27, env_count=2
     )
-    result = run_experiment(desc, store_root=tmp_path / "multi")
-    db_path = store_level3(result.store, tmp_path / "multi.db")
+    result = run_experiment(desc, tmp_path / "multi")
+    db_path = result.db_path
     with ExperimentDatabase(db_path) as db:
         outcomes = run_outcomes(db)
         # Two SUs per run, each needing both SMs.

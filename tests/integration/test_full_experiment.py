@@ -8,12 +8,14 @@ import json
 
 import pytest
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.analysis.responsiveness import run_outcomes
 from repro.analysis.timeline import build_run_timeline
 from repro.core.xmlio import description_from_xml
 from repro.paper import full_paper_experiment_xml
 from repro.storage.level3 import ExperimentDatabase
+
+from tests.conftest import staging_store
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +23,8 @@ def executed(tmp_path_factory):
     """Execute the paper experiment once; share across this module."""
     desc = description_from_xml(full_paper_experiment_xml(replications=1, seed=5))
     root = tmp_path_factory.mktemp("paper-exec")
-    result = run_experiment(desc, store_root=root / "l2")
-    db_path = store_level3(result.store, root / "exp.db")
-    return desc, result, db_path
+    result = run_experiment(desc, root / "c")
+    return desc, result, result.db_path
 
 
 def test_all_runs_execute(executed):
@@ -115,7 +116,7 @@ def test_timeline_reconstructs_phases(executed):
 
 def test_topology_measured_before_and_after(executed):
     _desc, result, _db = executed
-    master = result.store.root / "master"
+    master = staging_store(result.campaign_dir, 0).root / "master"
     before = json.loads((master / "topology_before.json").read_text())
     after = json.loads((master / "topology_after.json").read_text())
     assert before["hop_counts"] and after["hop_counts"]
@@ -123,16 +124,16 @@ def test_topology_measured_before_and_after(executed):
 
 
 def test_journal_complete(executed):
-    from repro.core.recovery import Journal
+    from repro.campaign import CampaignJournal
 
     _desc, result, _db = executed
-    j = Journal(result.store)
-    assert j.finished()
-    assert j.completed_runs() == set(range(6))
+    journal = CampaignJournal(result.campaign_dir)
+    assert journal.finished()
+    assert set(journal.completed()) == set(range(6))
 
 
 def test_logs_collected(executed):
     _desc, result, _db = executed
-    log = result.store.read_node_logs()["t9-105"]
+    log = staging_store(result.campaign_dir, 0).read_node_logs()["t9-105"]
     assert "run_init: 0" in log
     assert "action: sd_start_publish" in log

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ExperiMaster, Level2Store, run_experiment, store_level3
+from repro import ExperiMaster, Level2Store, store_level3
 from repro.analysis.packetstats import packet_stats_for_run
 from repro.core.errors import PlatformError
 from repro.core.plugins import MediumStatsPlugin, PluginManager
@@ -12,6 +12,8 @@ from repro.platforms.simulated import PlatformConfig, SimulatedPlatform
 from repro.sd.processlib import build_two_party_description
 from repro.storage.conditioning import condition_run
 from repro.storage.level3 import ExperimentDatabase
+
+from tests.conftest import execute_run
 
 
 def _small_desc(seed=41, **kw):
@@ -76,11 +78,11 @@ def test_localhost_platform_realtime_pacing(tmp_path):
     desc = _small_desc(env_count=0)
     desc.special_params.update({"run_spacing": 0.0, "run_settle_time": 0.01})
     platform = LocalhostPlatform(desc, realtime_factor=200.0)
-    master = ExperiMaster(platform, desc, Level2Store(tmp_path / "rt"))
+    master = ExperiMaster(platform, desc, Level2Store(tmp_path / "rt"), 0)
     t0 = time.monotonic()
     result = master.execute()
     wall = time.monotonic() - t0
-    assert result.summary()["executed"] == 1
+    assert (result.run_id, result.timed_out) == (0, False)
     # Simulated duration / 200 must roughly lower-bound the wall time.
     assert wall >= result.duration / 200.0 * 0.5
 
@@ -95,11 +97,11 @@ def test_localhost_rejects_bad_factor():
 # ----------------------------------------------------------------------
 def test_medium_stats_plugin_records_per_run(tmp_path):
     desc = _small_desc(replications=2)
-    platform = SimulatedPlatform(desc)
-    plugins = PluginManager(measurement=[MediumStatsPlugin(platform.medium)])
-    master = ExperiMaster(platform, desc, Level2Store(tmp_path / "pl"), plugins=plugins)
-    result = master.execute()
-    db_path = store_level3(result.store, tmp_path / "pl.db")
+    for run_id in (0, 1):
+        platform = SimulatedPlatform(desc)
+        plugins = PluginManager(measurement=[MediumStatsPlugin(platform.medium)])
+        execute_run(desc, tmp_path / "pl", run_id, platform=platform, plugins=plugins)
+    db_path = store_level3(Level2Store(tmp_path / "pl"), tmp_path / "pl.db")
     with ExperimentDatabase(db_path) as db:
         for run_id in db.run_ids():
             extras = db.extra_measurements(run_id)
@@ -144,8 +146,7 @@ def test_custom_measurement_and_action_plugin(tmp_path):
     platform = SimulatedPlatform(desc)
     counting = CountingPlugin()
     plugins = PluginManager(measurement=[counting], action=[BeepAction()])
-    master = ExperiMaster(platform, desc, Level2Store(tmp_path / "cp"), plugins=plugins)
-    result = master.execute()
+    result = execute_run(desc, tmp_path / "cp", platform=platform, plugins=plugins)
     assert counting.inits == 1
     db_path = store_level3(result.store, tmp_path / "cp.db")
     with ExperimentDatabase(db_path) as db:
@@ -170,7 +171,7 @@ def test_duplicate_plugin_names_rejected():
 # Tagger end-to-end
 # ----------------------------------------------------------------------
 def test_tagged_packets_enable_loss_delay_analysis(tmp_path):
-    result = run_experiment(_small_desc(), store_root=tmp_path / "tag")
+    result = execute_run(_small_desc(), tmp_path / "tag")
     run = condition_run(result.store, 0)
     rows = packet_stats_for_run(run.packets)
     assert rows, "tagged experiment packets must produce loss/delay rows"

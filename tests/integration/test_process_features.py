@@ -6,7 +6,7 @@ faults, path faults with node selectors, and publication updates.
 """
 
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.analysis.responsiveness import run_outcomes
 from repro.core.description import EnvironmentProcess, ManipulationProcess
 from repro.core.factors import Factor, Level, Usage
@@ -23,8 +23,8 @@ from repro.sd.processlib import build_two_party_description
 from repro.storage.level3 import ExperimentDatabase
 
 
-def _db(result, tmp_path, tag="x"):
-    return ExperimentDatabase(store_level3(result.store, tmp_path / f"{tag}.db"))
+def _db(result):
+    return ExperimentDatabase(result.db_path)
 
 
 def test_run_backstop_interrupts_hung_actor(tmp_path):
@@ -37,10 +37,10 @@ def test_run_backstop_interrupts_hung_actor(tmp_path):
     # And the SU never raises done either (it waits for the SM's flag).
     desc.special_params["max_run_duration"] = 3.0
     desc.special_params["run_spacing"] = 0.0
-    result = run_experiment(desc, store_root=tmp_path / "hang")
+    result = run_experiment(desc, tmp_path / "hang")
     assert result.timed_out_runs == [0, 1]
     assert len(result.executed_runs) == 2  # the series still completes
-    with _db(result, tmp_path) as db:
+    with _db(result) as db:
         assert len(db.events(event_type="run_timeout")) == 2
         # Both runs were still collected and conditioned.
         assert db.run_ids() == [0, 1]
@@ -57,8 +57,8 @@ def test_wait_for_time_factor_reference(tmp_path):
     idx = next(i for i, a in enumerate(su.actions)
                if isinstance(a, DomainAction) and a.name == "sd_start_search")
     su.actions.insert(idx, WaitForTime(seconds=FactorRef("fact_delay")))
-    result = run_experiment(desc, store_root=tmp_path / "delay")
-    with _db(result, tmp_path) as db:
+    result = run_experiment(desc, tmp_path / "delay")
+    with _db(result) as db:
         events = {e["name"]: e["common_time"] for e in db.events(run_id=0)}
         assert events["sd_start_search"] - events["sd_init_done"] >= 1.5
 
@@ -72,8 +72,8 @@ def test_manipulation_targeting_abstract_node(tmp_path):
             actions=[DomainAction(name="msg_delay_start", params={"delay": 0.2})],
         )
     )
-    result = run_experiment(desc, store_root=tmp_path / "nid")
-    with _db(result, tmp_path) as db:
+    result = run_experiment(desc, tmp_path / "nid")
+    with _db(result) as db:
         started = db.events(event_type="fault_msg_delay_started")
         assert len(started) == 1
         # The SU's platform node (second actor node) carries the fault.
@@ -92,8 +92,8 @@ def test_drop_all_environment_blocks_discovery(tmp_path):
             DomainAction(name="env_drop_all_stop"),
         ])
     ]
-    result = run_experiment(desc, store_root=tmp_path / "dropall")
-    with _db(result, tmp_path) as db:
+    result = run_experiment(desc, tmp_path / "dropall")
+    with _db(result) as db:
         outcomes = run_outcomes(db)
         assert all(not o.complete for o in outcomes)
         assert db.events(event_type="env_drop_all_started")
@@ -115,8 +115,8 @@ def test_windowed_fault_delays_discovery_until_window_ends(tmp_path):
             )],
         )
     )
-    result = run_experiment(desc, store_root=tmp_path / "window")
-    with _db(result, tmp_path) as db:
+    result = run_experiment(desc, tmp_path / "window")
+    with _db(result) as db:
         for run_id in db.run_ids():
             events = {e["name"]: e["common_time"] for e in db.events(run_id=run_id)}
             fault_start = next(
@@ -148,8 +148,8 @@ def test_path_loss_with_node_selector_peer(tmp_path):
         )
     )
     config = PlatformConfig(topology="full", sd_config={"announce_count": 0})
-    result = run_experiment(desc, store_root=tmp_path / "path", config=config)
-    with _db(result, tmp_path) as db:
+    result = run_experiment(desc, tmp_path / "path", config=config)
+    with _db(result) as db:
         outcomes = run_outcomes(db)
         assert len(outcomes) == 1
         outcome = outcomes[0]
@@ -171,8 +171,8 @@ def test_update_publication_emits_upd_events(tmp_path):
     sm.actions.insert(
         idx + 2, DomainAction(name="sd_update_publication", params={})
     )
-    result = run_experiment(desc, store_root=tmp_path / "upd")
-    with _db(result, tmp_path) as db:
+    result = run_experiment(desc, tmp_path / "upd")
+    with _db(result) as db:
         upd = db.events(event_type="sd_service_upd")
         assert upd, "the SM must emit sd_service_upd"
         # The SU sees the new version arriving after its add.
@@ -187,8 +187,8 @@ def test_event_flag_params_travel_to_bus(tmp_path):
     done_idx = next(i for i, a in enumerate(su.actions)
                     if isinstance(a, EventFlag))
     su.actions.insert(done_idx, EventFlag(value="checkpoint", params=(7, "tag")))
-    result = run_experiment(desc, store_root=tmp_path / "flag")
-    with _db(result, tmp_path) as db:
+    result = run_experiment(desc, tmp_path / "flag")
+    with _db(result) as db:
         flags = db.events(event_type="checkpoint")
         assert flags and flags[0]["params"] == [7, "tag"]
 
@@ -204,9 +204,9 @@ def test_role_rotation_across_treatments(tmp_path):
         "actor1": {"0": "SM0"},
     }
     map_factor.levels.append(type(map_factor.levels[0])(swapped))
-    result = run_experiment(desc, store_root=tmp_path / "rot")
+    result = run_experiment(desc, tmp_path / "rot")
     assert len(result.executed_runs) == 2
-    with _db(result, tmp_path, "rot") as db:
+    with _db(result) as db:
         from repro.analysis.responsiveness import discover_roles
 
         sm_node = desc.platform.for_abstract("SM0").node_id
@@ -227,8 +227,8 @@ def test_multi_instance_actor_role(tmp_path):
     desc = build_two_party_description(
         sm_count=3, su_count=1, replications=1, seed=74, env_count=0,
     )
-    result = run_experiment(desc, store_root=tmp_path / "multi")
-    with _db(result, tmp_path, "multi") as db:
+    result = run_experiment(desc, tmp_path / "multi")
+    with _db(result) as db:
         publishes = db.events(event_type="sd_start_publish", run_id=0)
         assert len(publishes) == 3  # one per instance of actor0
         outcomes = run_outcomes(db)
@@ -243,8 +243,8 @@ def test_replication_factor_addressable_in_actions(tmp_path):
         DomainAction(name="generic",
                      params={"rep": FactorRef("fact_replication_id")})
     )
-    result = run_experiment(desc, store_root=tmp_path / "repref")
-    with _db(result, tmp_path) as db:
+    result = run_experiment(desc, tmp_path / "repref")
+    with _db(result) as db:
         generics = db.events(event_type="generic_executed")
         reps = sorted(p for e in generics for p in e["params"] if p.startswith("rep="))
         assert reps == ["rep=0", "rep=1", "rep=2"]

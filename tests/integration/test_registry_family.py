@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.analysis.responsiveness import run_outcomes
 from repro.campaign import database_digest, run_campaign
 from repro.core.xmlio import description_from_xml, description_to_xml
@@ -36,8 +36,7 @@ def _config():
 def _run_from_xml(tmp_path, tag, desc, config=None):
     """XML round-trip the description, execute, return (outcomes, db)."""
     desc = description_from_xml(description_to_xml(desc))
-    result = run_experiment(desc, store_root=tmp_path / tag, config=config or _config())
-    db_path = store_level3(result.store, tmp_path / f"{tag}.db")
+    db_path = run_experiment(desc, tmp_path / tag, config=config or _config()).db_path
     db = ExperimentDatabase(db_path)
     return run_outcomes(db), db
 

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.sd.processlib import build_two_party_description
 from repro.storage.level3 import ExperimentDatabase
+
+from tests.conftest import execute_run
 
 
 def test_collect_packets_false_drops_captures(tmp_path):
@@ -12,8 +14,8 @@ def test_collect_packets_false_drops_captures(tmp_path):
         replications=1, seed=44, env_count=0,
         special_params={"collect_packets": False},
     )
-    result = run_experiment(desc, store_root=tmp_path / "nopkts")
-    with ExperimentDatabase(store_level3(result.store, tmp_path / "x.db")) as db:
+    result = run_experiment(desc, tmp_path / "nopkts")
+    with ExperimentDatabase(result.db_path) as db:
         assert db.row_counts()["Packets"] == 0
         assert db.row_counts()["Events"] > 0  # events unaffected
 
@@ -37,8 +39,7 @@ def test_rpc_latency_param_shapes_sync_error(tmp_path):
             replications=1, seed=44, env_count=0,
             special_params={"rpc_latency": latency, "rpc_jitter": 0.0},
         )
-        result = run_experiment(desc, store_root=tmp_path / f"lat{latency}")
-        sync = result.store.read_timesync(0)
+        sync = execute_run(desc, tmp_path / f"lat{latency}").store.read_timesync(0)
         return max(m["error_bound"] for m in sync.values())
 
     fast = error_bound(0.0005)
@@ -48,17 +49,11 @@ def test_rpc_latency_param_shapes_sync_error(tmp_path):
 
 
 def test_sync_probes_param_controls_probe_count(tmp_path):
-    from repro import ExperiMaster, Level2Store
-    from repro.platforms.simulated import SimulatedPlatform
-
     desc = build_two_party_description(
         replications=1, seed=44, env_count=0,
         special_params={"sync_probes": 9},
     )
-    platform = SimulatedPlatform(desc)
-    master = ExperiMaster(platform, desc, Level2Store(tmp_path / "probes"))
-    master.execute()
-    sync = master.store.read_timesync(0)
+    sync = execute_run(desc, tmp_path / "probes").store.read_timesync(0)
     assert all(m["probes"] == 9 for m in sync.values())
 
 
@@ -81,7 +76,7 @@ def test_missing_capability_blocks_execution(tmp_path):
             )
 
     platform = CrippledPlatform(desc)
-    master = ExperiMaster(platform, desc, Level2Store(tmp_path / "cap"))
+    master = ExperiMaster(platform, desc, Level2Store(tmp_path / "cap"), 0)
     with pytest.raises(PlatformError, match="connection_control"):
         master.execute()
 
@@ -96,9 +91,8 @@ def test_retired_heartbeat_keys_are_unknown_and_inert(tmp_path):
     digests = []
     for label, extra in (("plain", {}), ("heartbeat", {"heartbeat_interval": 1.0})):
         desc = build_two_party_description(replications=2, seed=5, special_params=extra)
-        result = run_experiment(desc, store_root=tmp_path / label)
-        db_path = store_level3(result.store, tmp_path / f"{label}.db")
-        digests.append(database_digest(db_path, tables=RUN_TABLES))
+        result = run_experiment(desc, tmp_path / label)
+        digests.append(database_digest(result.db_path, tables=RUN_TABLES))
     assert digests[0] == digests[1]
     report = validate_description(desc)
     assert report.ok

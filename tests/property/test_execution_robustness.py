@@ -13,7 +13,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import ExperiMaster, Level2Store, store_level3
+from repro import run_experiment
 from repro.core.description import (
     ActorDescription,
     EnvironmentProcess,
@@ -31,7 +31,7 @@ from repro.core.processes import (
     WaitMarker,
 )
 from repro.core.validation import validate_description
-from repro.platforms.simulated import PlatformConfig, SimulatedPlatform
+from repro.platforms.simulated import PlatformConfig
 from repro.storage.level3 import ExperimentDatabase
 
 _flag_names = st.sampled_from(["alpha", "beta", "gamma"])
@@ -127,14 +127,11 @@ def test_random_descriptions_execute_and_store(tmp_path_factory, desc):
     assert report.ok, report.errors
 
     root = tmp_path_factory.mktemp("fuzz")
-    platform = SimulatedPlatform(desc, PlatformConfig(topology="full"))
-    master = ExperiMaster(platform, desc, Level2Store(root / "l2"))
-    result = master.execute()
+    result = run_experiment(desc, root / "c", config=PlatformConfig(topology="full"))
     assert len(result.executed_runs) == desc.factors.total_runs()
     assert result.timed_out_runs == []  # terminating vocabulary
 
-    db_path = store_level3(result.store, root / "fuzz.db")
-    with ExperimentDatabase(db_path) as db:
+    with ExperimentDatabase(result.db_path) as db:
         # Every run has run_init/run_exit bracketing on the master lane.
         for run_id in db.run_ids():
             names = [e["name"] for e in db.events(run_id=run_id, node_id="master")]

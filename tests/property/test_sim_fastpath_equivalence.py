@@ -26,7 +26,6 @@ import random
 import pytest
 
 from repro.campaign import database_digest
-from repro.core.master import ExperiMaster
 from repro.net.medium import CongestionModel, WirelessMedium
 from repro.net.node import NetNode
 from repro.net.packet import MULTICAST_SD_GROUP, reset_uid_counter
@@ -36,6 +35,7 @@ from repro.sd.processlib import build_two_party_description
 from repro.sim.kernel import Simulator
 from repro.storage.level2 import Level2Store
 from repro.storage.level3 import store_level3
+from tests.conftest import execute_plan
 from tests.oracles.net_reference import ReferenceMedium, ReferenceNetNode
 from tests.oracles.sim_reference import ReferenceSimulator
 
@@ -58,22 +58,18 @@ def _description():
 def _execute(tmp_path, label):
     desc = _description()
     config = PlatformConfig(topology="mesh", mesh_radius=0.22, base_loss=0.03)
-    platform = SimulatedPlatform(desc, config)
-    master = ExperiMaster(platform, desc, Level2Store(tmp_path / label / "l2"))
-    result = master.execute()
-    db_path = store_level3(result.store, tmp_path / label / "exp.db")
-    stats = platform.medium.stats
+    platforms = execute_plan(desc, tmp_path / label / "l2", config)
+    db_path = store_level3(Level2Store(tmp_path / label / "l2"), tmp_path / label / "exp.db")
     return {
         "digest": database_digest(db_path),
-        "stats": (
-            stats.transmissions,
-            stats.deliveries,
-            stats.losses,
-            stats.mac_retries,
-        ),
-        "callbacks": platform.sim.executed_callbacks,
-        "medium_rng": platform.medium.rng.getstate(),
-        "runs": len(result.executed_runs),
+        "stats": [
+            (p.medium.stats.transmissions, p.medium.stats.deliveries,
+             p.medium.stats.losses, p.medium.stats.mac_retries)
+            for p in platforms
+        ],
+        "callbacks": [p.sim.executed_callbacks for p in platforms],
+        "medium_rng": [p.medium.rng.getstate() for p in platforms],
+        "runs": len(platforms),
     }
 
 

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import run_experiment, store_level3
+from repro import Level2Store, store_level3
 from repro.campaign import database_digest, run_campaign
 from repro.core.description import EE_VERSION
 from repro.sd.processlib import build_two_party_description
@@ -39,6 +39,9 @@ from repro.storage.level3 import (
     _name_comment,
     create_schema,
 )
+
+from tests.conftest import execute_plan
+
 
 # ----------------------------------------------------------------------
 # Reference implementations (the pre-optimization pipeline, verbatim)
@@ -196,9 +199,8 @@ def _description():
 @pytest.fixture(scope="module")
 def executed_store(tmp_path_factory):
     root = tmp_path_factory.mktemp("fastpath")
-    result = run_experiment(_description(), store_root=root / "l2")
-    assert len(result.executed_runs) == REPLICATIONS
-    return result.store
+    assert len(execute_plan(_description(), root / "l2")) == REPLICATIONS
+    return Level2Store(root / "l2")
 
 
 def test_optimized_writer_identical_table_dumps(executed_store, tmp_path):

@@ -15,15 +15,15 @@ import xmlrpc.client
 
 from repro.campaign import database_digest, run_campaign
 from repro.core import rpc, wire
-from repro.core.master import ExperiMaster
 from repro.durable import frame
 from repro.obs.metrics import get_registry
 from repro.obs.trace import TRACE_ENV_VAR
 from repro.platforms import frame as frame_module
-from repro.platforms.simulated import SimulatedPlatform
 from repro.sd.processlib import build_two_party_description
 from repro.storage.level2 import Level2Store
 from repro.storage.level3 import store_level3
+
+from tests.conftest import execute_plan
 
 
 def _description(seed=501, replications=6, **kwargs):
@@ -33,7 +33,7 @@ def _description(seed=501, replications=6, **kwargs):
 
 
 def _rng_schedule(platform):
-    """End state of every RNG stream the execution touched.
+    """End state of every RNG stream a run's execution touched.
 
     Any extra draw anywhere — one ``random()`` call from the tracing
     path — shifts the state of the stream it came from.
@@ -50,11 +50,9 @@ def _rng_schedule(platform):
 def _execute(tmp_path, monkeypatch, trace_value, **kwargs):
     monkeypatch.setenv(TRACE_ENV_VAR, trace_value)
     desc = _description(**kwargs)
-    platform = SimulatedPlatform(desc)
-    master = ExperiMaster(platform, desc, Level2Store(tmp_path / "l2"))
-    result = master.execute()
-    db_path = store_level3(result.store, tmp_path / "exp.db")
-    return database_digest(db_path), _rng_schedule(platform), db_path
+    platforms = execute_plan(desc, tmp_path / "l2")
+    db_path = store_level3(Level2Store(tmp_path / "l2"), tmp_path / "exp.db")
+    return database_digest(db_path), [_rng_schedule(p) for p in platforms], db_path
 
 
 def _run_trace_rows(db_path):
@@ -76,15 +74,16 @@ def test_digest_and_rng_schedule_identical_tracing_on_off(tmp_path, monkeypatch)
 
 
 def test_torn_tail_counter_moves_no_digest_and_no_rng_state(tmp_path, monkeypatch):
-    """A crash tore the very first journal append; executing over that
-    store drops and cuts the fragment (counted twice) and nothing else."""
+    """A crash tore the very first experiment-span append; executing over
+    that store cuts the fragment (counted) and changes nothing else."""
     digest_clean, rng_clean, _ = _execute(tmp_path / "clean", monkeypatch, "1")
     torn = Level2Store(tmp_path / "torn" / "l2")
-    torn.journal_path.write_bytes(frame("", '{"type": "experiment_start"}')[:-5])
+    torn.experiment_trace_path.parent.mkdir(parents=True)
+    torn.experiment_trace_path.write_bytes(frame("", '{"name": "experiment_init"}')[:-5])
     counter = get_registry().counter("durable_torn_tails_total", labels=("log",))
-    before = counter.value(log="journal.jsonl")
+    before = counter.value(log="traces.jsonl")
     digest_torn, rng_torn, _ = _execute(tmp_path / "torn", monkeypatch, "1")
-    assert counter.value(log="journal.jsonl") >= before + 2
+    assert counter.value(log="traces.jsonl") >= before + 1
     assert digest_torn == digest_clean
     assert rng_torn == rng_clean
 
@@ -100,9 +99,10 @@ def test_frame_counter_moves_no_digest_and_no_rng_state(tmp_path, monkeypatch):
     monkeypatch.setattr(frame_module, "_memo", None)
     start = moved()
     digest_built, rng_built, _ = _execute(tmp_path / "built", monkeypatch, "1")
-    assert moved(start) == (1, 0)
+    runs = len(rng_built)
+    assert moved(start) == (1, runs - 1)
     digest_reused, rng_reused, _ = _execute(tmp_path / "reused", monkeypatch, "1")
-    assert moved(start) == (1, 1)
+    assert moved(start) == (1, 2 * runs - 1)
     assert digest_reused == digest_built
     assert rng_reused == rng_built
 

@@ -74,15 +74,16 @@ def test_forwarding_matrix():
 
 
 def test_routes_from_real_experiment(tmp_path):
-    from repro import run_experiment
     from repro.platforms.simulated import PlatformConfig
     from repro.sd.processlib import build_two_party_description
     from repro.storage.conditioning import condition_run
 
+    from tests.conftest import execute_run
+
     # A line forces multi-hop forwarding between SM and SU.
     desc = build_two_party_description(replications=1, seed=71, env_count=2)
     config = PlatformConfig(topology="line")
-    result = run_experiment(desc, store_root=tmp_path / "line", config=config)
+    result = execute_run(desc, tmp_path / "line", config=config)
     run = condition_run(result.store, 0)
     stats = path_statistics(run.packets)
     assert stats["tracked_packets"] > 0

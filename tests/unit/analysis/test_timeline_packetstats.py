@@ -91,14 +91,14 @@ def test_phase_duration_summary():
 
 
 def test_phase_summary_in_report(tmp_path):
-    from repro import run_experiment, store_level3
+    from repro import run_experiment
     from repro.sd.processlib import build_two_party_description
     from repro.storage.level3 import ExperimentDatabase
     from repro.viz.report import experiment_report
 
     desc = build_two_party_description(replications=2, seed=45, env_count=0)
-    result = run_experiment(desc, store_root=tmp_path / "l2")
-    with ExperimentDatabase(store_level3(result.store, tmp_path / "p.db")) as db:
+    result = run_experiment(desc, tmp_path / "c")
+    with ExperimentDatabase(result.db_path) as db:
         text = experiment_report(db)
     assert "## Run phase durations" in text
     assert "| preparation |" in text

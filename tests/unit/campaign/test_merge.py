@@ -5,23 +5,24 @@ import sqlite3
 
 import pytest
 
-from repro import ExperiMaster, Level2Store, store_level3
+from repro import Level2Store, store_level3
 from repro.campaign.merge import ShardWriter, database_digest, merge_shards, shard_has_run
 from repro.core.errors import StorageError
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.platforms.simulated import SimulatedPlatform
 from repro.sd.processlib import build_two_party_description
 from repro.storage.conditioning import condition_scope
 from repro.storage.level3 import RUN_TABLES
 
+from tests.conftest import execute_plan
+
 
 @pytest.fixture(scope="module")
 def executed_store(tmp_path_factory):
-    """A completed 2-run experiment's level-2 store (shared, read-only)."""
+    """Both runs of a 2-run experiment in one level-2 store (shared,
+    read-only): each run's master writes into the same root."""
     root = tmp_path_factory.mktemp("store")
     desc = build_two_party_description(name="mrg", seed=11, replications=2, env_count=1)
-    master = ExperiMaster(SimulatedPlatform(desc), desc, Level2Store(root))
-    master.execute()
+    execute_plan(desc, root)
     return Level2Store(root)
 
 

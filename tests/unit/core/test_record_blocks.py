@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import run_experiment
 from repro.core.errors import RpcError, RpcFault
 from repro.core.nodemanager import NodeManager
 from repro.core.rpc import ControlChannel, RetryPolicy, dump_request
@@ -21,6 +20,8 @@ from repro.sd.processlib import build_two_party_description
 from repro.storage import level2
 from repro.storage.level2 import Level2Store
 from repro.storage.level3 import ExperimentDatabase, store_level3
+
+from tests.conftest import execute_run
 
 SM_NODE = "t9-100"
 
@@ -94,9 +95,9 @@ def test_retried_collect_run_returns_the_same_block(managed):
 
 
 def test_dropped_collect_reply_stores_each_record_exactly_once(tmp_path):
-    clean = run_experiment(_desc(), store_root=tmp_path / "clean")
-    chaos = run_experiment(
-        _desc(), store_root=tmp_path / "chaos",
+    clean = execute_run(_desc(), tmp_path / "clean")
+    chaos = execute_run(
+        _desc(), tmp_path / "chaos",
         config=PlatformConfig(control_faults=[
             {"node": SM_NODE, "action": "drop_reply", "method": "collect_run", "run_id": 0}]),
     )
@@ -115,7 +116,7 @@ def test_salvage_keeps_every_other_frame_of_a_block_written_stream(tmp_path):
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
 
-    result = run_experiment(_desc(), store_root=tmp_path / "l2")
+    result = execute_run(_desc(), tmp_path / "l2")
     before = result.store.read_run_stream(0, "events.jsonl")
     assert tool.main([str(tmp_path / "l2"), "--run", "0", "--node", SM_NODE,
                       "--index", "1", "--flip-byte"]) == 0
@@ -145,8 +146,7 @@ def test_unwanted_packets_are_neither_made_wire_safe_nor_shipped(managed, monkey
 
 
 def test_collect_packets_false_still_marks_every_node(tmp_path):
-    result = run_experiment(
-        _desc(special_params={"collect_packets": False}), store_root=tmp_path / "l2")
+    result = execute_run(_desc(special_params={"collect_packets": False}), tmp_path / "l2")
     packets = result.store.read_run_stream(0, "packets.jsonl")
     assert set(packets) == set(result.store.read_run_stream(0, "events.jsonl"))
     assert not any(packets.values())
@@ -161,7 +161,7 @@ def test_experiment_exit_opens_each_nodes_file_once(tmp_path, monkeypatch):
     real = level2._open_append
     monkeypatch.setattr(level2, "_open_append",
                         lambda path: opened.append(path.name) or real(path))
-    result = run_experiment(_desc(), store_root=tmp_path / "l2")
+    result = execute_run(_desc(), tmp_path / "l2")
     assert opened.count("logs.jsonl") == opened.count("experiment_events.jsonl") == 1
     nodes = [n for n in result.store.node_ids() if n != "master"]
     assert sorted(result.store.read_node_logs()) == nodes

@@ -3,8 +3,9 @@
 import networkx as nx
 import pytest
 
+from repro.campaign.journal import CampaignJournal
+from repro.campaign.merge import ShardWriter
 from repro.core.errors import RecoveryError
-from repro.core.recovery import Journal
 from repro.core.topomeasure import (
     compare_snapshots,
     measure_hop_counts,
@@ -12,84 +13,68 @@ from repro.core.topomeasure import (
 )
 from repro.net.topology import grid_topology
 from repro.sd.processlib import build_two_party_description
-from repro.storage.level2 import Level2Store
+
+from tests.conftest import execute_run
 
 
 @pytest.fixture
-def store(tmp_path):
-    return Level2Store(tmp_path / "l2")
+def journal(tmp_path):
+    return CampaignJournal(tmp_path)
 
 
 # ----------------------------------------------------------------------
 # Journal
 # ----------------------------------------------------------------------
-def test_journal_lifecycle(store):
-    j = Journal(store)
-    assert not j.started() and not j.finished()
-    j.record_start("fp", 1, 10)
-    j.record_run_complete(0)
-    j.record_run_complete(1)
-    assert j.started() and not j.finished()
-    assert j.completed_runs() == {0, 1}
-    j.record_experiment_complete()
-    assert j.finished()
+def test_journal_lifecycle(journal):
+    assert not journal.started() and not journal.finished()
+    journal.record_start("fp", 1, 10, "pfp")
+    journal.record_run_complete(0, "w", "shards/w.db")
+    journal.record_run_complete(1, "w", "shards/w.db")
+    assert journal.started() and not journal.finished()
+    assert set(journal.completed()) == {0, 1}
+    journal.record_complete()
+    assert journal.finished()
 
 
-def test_prepare_resume_happy_path(store):
+def test_prepare_resume_happy_path(journal, tmp_path):
     desc = build_two_party_description(replications=4, seed=3)
     total = desc.factors.total_runs()
-    j = Journal(store)
-    j.record_start(desc.fingerprint(), desc.seed, total)
-    j.record_run_complete(0)
-    assert j.prepare_resume(desc, total) == {0}
+    result = execute_run(desc, tmp_path / "l2")
+    with ShardWriter(tmp_path / "shards" / "w.db") as shard:
+        shard.stage_run(result.store, 0)
+    journal.record_start(desc.fingerprint(), desc.seed, total, "pfp")
+    journal.record_run_complete(0, "w", "shards/w.db")
+    journal.record_run_complete(1, "w", "shards/w.db")  # the shard lacks run 1
+    assert set(journal.prepare_resume(desc, total, "pfp")) == {0}
 
 
-def test_prepare_resume_requires_start(store):
+def test_prepare_resume_requires_start(journal):
     desc = build_two_party_description(replications=1)
     with pytest.raises(RecoveryError, match="nothing to resume"):
-        Journal(store).prepare_resume(desc, 1)
+        journal.prepare_resume(desc, 1, "pfp")
 
 
-def test_prepare_resume_refuses_finished(store):
+def test_prepare_resume_refuses_finished(journal):
     desc = build_two_party_description(replications=1)
-    j = Journal(store)
-    j.record_start(desc.fingerprint(), desc.seed, 1)
-    j.record_experiment_complete()
+    journal.record_start(desc.fingerprint(), desc.seed, 1, "pfp")
+    journal.record_complete()
     with pytest.raises(RecoveryError, match="already completed"):
-        j.prepare_resume(desc, 1)
+        journal.prepare_resume(desc, 1, "pfp")
 
 
-def test_prepare_resume_detects_description_change(store):
+def test_prepare_resume_detects_description_change(journal):
     desc = build_two_party_description(replications=2, seed=3)
-    j = Journal(store)
-    j.record_start(desc.fingerprint(), desc.seed, 2)
+    journal.record_start(desc.fingerprint(), desc.seed, 2, "pfp")
     changed = build_two_party_description(replications=2, seed=3, deadline=10.0)
     with pytest.raises(RecoveryError, match="description changed"):
-        j.prepare_resume(changed, 2)
+        journal.prepare_resume(changed, 2, "pfp")
 
 
-def test_prepare_resume_detects_seed_change(store):
+def test_prepare_resume_detects_seed_change(journal):
     desc = build_two_party_description(replications=2, seed=3)
-    j = Journal(store)
-    j.record_start(desc.fingerprint(), 999, 2)
+    journal.record_start(desc.fingerprint(), 999, 2, "pfp")
     with pytest.raises(RecoveryError, match="seed changed"):
-        j.prepare_resume(desc, 2)
-
-
-def test_prepare_resume_purges_partial_runs(store):
-    desc = build_two_party_description(replications=3, seed=3)
-    total = desc.factors.total_runs()
-    j = Journal(store)
-    j.record_start(desc.fingerprint(), desc.seed, total)
-    j.record_run_complete(0)
-    # Run 1 aborted mid-way: partial data on disk, no journal entry.
-    store.write_run_data("nodeX", 0, [{"name": "ok", "local_time": 0.0, "node": "nodeX"}], [])
-    store.write_run_data("nodeX", 1, [{"name": "partial", "local_time": 0.0, "node": "nodeX"}], [])
-    store.write_timesync(1, {})
-    completed = j.prepare_resume(desc, total)
-    assert completed == {0}
-    assert "nodeX" not in store.read_run_stream(1, "events.jsonl")
-    assert store.read_run_stream(0, "events.jsonl")["nodeX"] != []
+        journal.prepare_resume(desc, 2, "pfp")
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ from repro.sd.processlib import build_two_party_description
 from repro.storage.level2 import Level2Store
 from repro.storage.level3 import ExperimentDatabase, store_level3
 
+from tests.conftest import staging_store
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[3] / "tools"))
 from check_prom import check_prometheus_text  # noqa: E402
 
@@ -33,28 +35,27 @@ def desc_xml(tmp_path):
 @pytest.fixture
 def executed(desc_xml, tmp_path, monkeypatch):
     monkeypatch.setenv(TRACE_ENV_VAR, "1")
-    store = tmp_path / "l2"
+    campaign = tmp_path / "c"
     db = tmp_path / "exp.db"
-    assert main(["run", str(desc_xml), "--store", str(store), "--db", str(db), "--quiet"]) == 0
-    return store, db
+    assert main(["run", str(desc_xml), "--dir", str(campaign), "--db", str(db), "--quiet"]) == 0
+    return campaign, db
 
 
 # ----------------------------------------------------------------------
 # Level-2 / level-3 round trip
 # ----------------------------------------------------------------------
 def test_traces_survive_into_the_database(executed):
-    store_root, db = executed
-    store = Level2Store(store_root)
+    campaign, db = executed
+    store = staging_store(campaign, 0)
     assert store.read_run_traces("master", 0)
+    # Experiment-scope spans (no run id) stay in each run's level-2 store.
+    assert "experiment_init" in {rec["name"] for rec in store.read_experiment_traces()}
     with ExperimentDatabase(db) as dbh:
         records = dbh.run_traces(run_id=0)
         names = {rec["name"] for rec in records}
         assert {"preparation", "execution", "cleanup"} <= names
         run_span = next(rec for rec in records if rec["name"] == "run")
         assert run_span["attrs"]["replication"] == 0
-        # Experiment-scope spans (no run id) are kept too.
-        exp_names = {rec["name"] for rec in dbh.run_traces() if rec["run_id"] is None}
-        assert "experiment_init" in exp_names
 
 
 def test_level2_metrics_roundtrip(tmp_path):
@@ -92,9 +93,8 @@ def test_trace_summary_across_runs(executed, capsys):
 
 def test_trace_reports_absence(desc_xml, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(TRACE_ENV_VAR, "0")
-    store = tmp_path / "l2"
     db = tmp_path / "exp.db"
-    assert main(["run", str(desc_xml), "--store", str(store), "--db", str(db), "--quiet"]) == 0
+    assert main(["run", str(desc_xml), "--dir", str(tmp_path / "c"), "--db", str(db), "--quiet"]) == 0
     assert main(["trace", str(db)]) == 1
     assert "no trace spans" in capsys.readouterr().err
     assert main(["trace", str(db), "--run", "0"]) == 1
@@ -105,16 +105,16 @@ def test_trace_reports_absence(desc_xml, tmp_path, monkeypatch, capsys):
 # repro metrics
 # ----------------------------------------------------------------------
 def test_metrics_prometheus_from_run_store(executed, capsys):
-    store_root, _ = executed
-    assert main(["metrics", str(store_root)]) == 0
+    campaign, _ = executed
+    assert main(["metrics", str(campaign)]) == 0
     text = capsys.readouterr().out
     assert check_prometheus_text(text) == []
     assert "repro_rpc_calls_total" in text
 
 
 def test_metrics_json_output(executed, capsys):
-    store_root, _ = executed
-    assert main(["metrics", str(store_root / "metrics.json"), "--format", "json"]) == 0
+    campaign, _ = executed
+    assert main(["metrics", str(campaign / "metrics.json"), "--format", "json"]) == 0
     snap = json.loads(capsys.readouterr().out)
     assert snap["repro_rpc_calls_total"]["kind"] == "counter"
 
@@ -130,8 +130,8 @@ def test_metrics_missing_snapshot(tmp_path, capsys):
 def test_store_level3_keeps_error_span_tracebacks(executed, tmp_path):
     from repro.obs.trace import Tracer
 
-    store_root, _ = executed
-    store = Level2Store(store_root)
+    campaign, _ = executed
+    store = staging_store(campaign, 0)
     tracer = Tracer(enabled=True)
     tracer.current_run = 0
     try:

@@ -33,13 +33,6 @@ def test_plan_roundtrip(store):
     assert store.read_plan() == plan
 
 
-def test_journal_append_order(store):
-    store.append_journal({"type": "a"})
-    store.append_journal({"type": "b"})
-    assert [e["type"] for e in store.read_journal()] == ["a", "b"]
-    assert Level2Store(store.root).read_journal()  # persisted on disk
-
-
 def test_topology_phases(store):
     store.write_topology("before", {"nodes": ["a"]})
     master = store.root / "master"
@@ -160,22 +153,5 @@ def test_enumeration_cache_tracks_writes(store):
     store.write_run_data("n2", 4, [], [])
     assert store.node_ids() == ["n1", "n2"]
     assert store.run_ids() == [0, 4]
-    store.purge_run(4)
-    assert store.run_ids() == [0]
-    # Nodes are read off the frames: n2 only ever appeared in run 4's
-    # packed streams, so it goes with them.
-    assert store.node_ids() == ["n1"]
     store.write_node_collections({"n3": "log"}, {})
-    assert store.node_ids() == ["n1", "n3"]
-
-
-def test_purge_run(store):
-    store.write_run_data("n1", 0, [{"name": "keep"}], [])
-    store.write_run_data("n1", 1, [{"name": "drop"}], [])
-    store.write_timesync(1, {})
-    store.write_run_info(1, {"run_id": 1, "start_time": 0.0})
-    store.purge_run(1)
-    assert _events(store, "n1", 1) == []
-    assert _events(store, "n1", 0) != []
-    with pytest.raises(StorageError):
-        store.read_timesync(1)
+    assert store.node_ids() == ["n1", "n2", "n3"]

@@ -142,16 +142,6 @@ def test_clean_store_probe_and_records_empty(tmp_path):
     assert store.salvage_records() == []
 
 
-def test_purge_run_clears_quarantine(tmp_path):
-    store = _fill(tmp_path / "l2", salvage=True)
-    _corrupt_crc(_events_path(tmp_path / "l2"))
-    store.read_run_stream(0, "events.jsonl")["h1"]
-    assert store.salvage_records()
-    store.purge_run(0)
-    assert store.salvage_records() == []
-    assert not (tmp_path / "l2" / "quarantine" / "runs" / "0").exists()
-
-
 # ----------------------------------------------------------------------
 # Conditioning and level 3
 # ----------------------------------------------------------------------
@@ -185,16 +175,6 @@ def test_condition_experiment_carries_salvage_records(tmp_path):
     assert [r["reason"] for r in data.salvage_records] == ["crc_mismatch"]
     clean = condition_experiment(_fill(tmp_path / "clean"))
     assert clean.salvage_records == []
-
-
-def test_journal_tolerates_torn_tail(tmp_path):
-    store = Level2Store(tmp_path / "l2")
-    store.append_journal({"type": "experiment_start", "seed": 1})
-    store.append_journal({"type": "run_complete", "run_id": 0})
-    with open(store.journal_path, "ab") as fh:
-        fh.write(frame("", '{"type": "run_complete", "run_id": 1}')[:-12])  # torn append
-    entries = store.read_journal()
-    assert [e["type"] for e in entries] == ["experiment_start", "run_complete"]
 
 
 def test_reconciled_lease_log_roundtrip(tmp_path):

@@ -9,6 +9,8 @@ from repro.paper import full_paper_experiment_xml
 from repro.sd.processlib import build_two_party_description
 from repro.core.xmlio import description_to_xml
 
+from tests.conftest import staging_store
+
 
 @pytest.fixture
 def desc_xml(tmp_path):
@@ -65,12 +67,12 @@ def test_describe_with_plan(desc_xml, capsys):
 
 
 def test_run_inspect_timeline_condition_import(desc_xml, tmp_path, capsys):
-    store = tmp_path / "l2"
+    campaign = tmp_path / "c"
     db = tmp_path / "exp.db"
-    argv = ["run", str(desc_xml), "--store", str(store), "--db", str(db), "--topology", "full"]
+    argv = ["run", str(desc_xml), "--dir", str(campaign), "--db", str(db), "--topology", "full"]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "1/1 runs executed" in out
+    assert "campaign 'cli-test': 1 executed" in out and "(1 thread workers" in out
     assert db.exists()
 
     assert main(["inspect", str(db)]) == 0
@@ -83,11 +85,11 @@ def test_run_inspect_timeline_condition_import(desc_xml, tmp_path, capsys):
 
     assert main(["timeline", str(db), "--run", "99"]) == 1
 
-    # Condition the same level-2 store into a second database: identical
-    # content, so importing both into the level-4 warehouse dedups onto
-    # one catalogued experiment.
+    # Condition the run's level-2 staging store into a second database:
+    # identical content, so importing both into the level-4 warehouse
+    # dedups onto one catalogued experiment.
     db2 = tmp_path / "exp2.db"
-    assert main(["condition", str(store), str(db2)]) == 0
+    assert main(["condition", str(staging_store(campaign, 0).root), str(db2)]) == 0
     assert db2.exists()
 
     warehouse = tmp_path / "wh"
@@ -98,13 +100,14 @@ def test_run_inspect_timeline_condition_import(desc_xml, tmp_path, capsys):
 
 
 def test_run_resume_flow(desc_xml, tmp_path, capsys):
-    store = tmp_path / "l2"
-    assert main(["run", str(desc_xml), "--store", str(store), "--quiet"]) == 0
-    # A second plain run against the same store must refuse...
-    assert main(["run", str(desc_xml), "--store", str(store)]) == 2
+    campaign = str(tmp_path / "c")
+    assert main(["run", str(desc_xml), "--dir", campaign, "--quiet"]) == 0
+    # A second plain run against the same campaign directory must refuse...
+    assert main(["run", str(desc_xml), "--dir", campaign]) == 2
     assert "journal" in capsys.readouterr().err
-    # ...and --resume on a completed store explains itself too.
-    assert main(["run", str(desc_xml), "--store", str(store), "--resume"]) == 2
+    # ...and --resume on a completed campaign explains itself too.
+    assert main(["run", str(desc_xml), "--dir", campaign, "--resume"]) == 2
+    assert "already completed" in capsys.readouterr().err
 
 
 def test_run_with_slp_protocol(tmp_path, capsys):
@@ -114,8 +117,8 @@ def test_run_with_slp_protocol(tmp_path, capsys):
     desc = build_three_party_description(name="cli-slp", seed=5, replications=1, env_count=2)
     path.write_text(description_to_xml(desc), encoding="utf-8")
     db = tmp_path / "three.db"
-    store = str(tmp_path / "l2")
-    argv = ["run", str(path), "--store", store, "--db", str(db), "--protocol", "slp", "--quiet"]
+    campaign = str(tmp_path / "c")
+    argv = ["run", str(path), "--dir", campaign, "--db", str(db), "--protocol", "slp", "--quiet"]
     assert main(argv) == 0
     assert main(["inspect", str(db)]) == 0
     assert "1/1 complete" in capsys.readouterr().out
@@ -128,13 +131,12 @@ def test_paper_document_through_cli(paper_xml, tmp_path, capsys):
 
 def test_run_realtime_flag(desc_xml, tmp_path, capsys):
     """--realtime uses the wall-clock-paced platform."""
-    store = str(tmp_path / "rt")
-    argv = ["run", str(desc_xml), "--store", store, "--realtime", "500", "--topology", "full"]
+    campaign = str(tmp_path / "rt")
+    argv = ["run", str(desc_xml), "--dir", campaign, "--realtime", "500", "--topology", "full"]
     assert main([*argv, "--quiet"]) == 0
-    from repro.core.recovery import Journal
-    from repro.storage.level2 import Level2Store
+    from repro.campaign.journal import CampaignJournal
 
-    assert Journal(Level2Store(tmp_path / "rt")).finished()
+    assert CampaignJournal(campaign).finished()
 
 
 def test_paper_xml_command(capsys):
@@ -156,13 +158,16 @@ def test_parser_rejects_unknown_command():
 
 # ``format_help()`` of the three subcommands that share flags, recorded
 # (COLUMNS=80) at the parent of the commit that declared each shared group
-# once as an argparse parent parser, minus the flags deleted since.
+# once as an argparse parent parser, minus the flags deleted since.  ``run``
+# was re-recorded when it became the one-worker campaign command and took
+# the campaign-directory group in place of its own --store/--db/--resume.
 RECORDED_HELP = {
     "run": """\
-usage: repro run [-h] [--store STORE] [--db DB] [--resume]
-                 [--protocol {mdns,slp,hybrid,registry}]
+usage: repro run [-h] [--protocol {mdns,slp,hybrid,registry}]
                  [--topology {mesh,grid,line,full}] [--realtime FACTOR]
                  [--rpc-timeout SECS] [--run-deadline SECS] [--quiet]
+                 [--dir CAMPAIGN_DIR] [--db DB] [--resume] [--max-retries N]
+                 [--chaos-json FILE]
                  description
 
 positional arguments:
@@ -170,19 +175,28 @@ positional arguments:
 
 options:
   -h, --help            show this help message and exit
-  --store STORE         level-2 store directory (default: ./<name>.l2)
-  --db DB               also write the level-3 SQLite package here
-  --resume              resume an aborted execution in --store
   --protocol {mdns,slp,hybrid,registry}
                         SD protocol agents (default mdns)
   --topology {mesh,grid,line,full}
                         emulated mesh shape (default mesh)
-  --realtime FACTOR     pace against the wall clock at this speed factor
+  --realtime FACTOR     pace runs against the wall clock at this speed factor
   --rpc-timeout SECS    per-call control-channel deadline (overrides the
                         description's rpc_timeout; 0 disables)
   --run-deadline SECS   watchdog budget applied to each run phase
                         (preparation, execution, clean-up); 0 disables
   --quiet
+  --dir CAMPAIGN_DIR    campaign directory: journal, staging stores and shards
+                        (default: ./<name>.campaign)
+  --db DB               merged level-3 SQLite database (default: <campaign
+                        dir>/<name>.db)
+  --resume              resume an aborted campaign found in --dir
+  --max-retries N, --retries N
+                        extra attempts per failed run (default 1); a run
+                        failing on a dead node is re-queued this often before
+                        the campaign reports it failed
+  --chaos-json FILE     JSON list of control-plane fault entries to inject
+                        (see repro.faults.control) — CI gauntlet and
+                        resilience testing
 """,
     "campaign": """\
 usage: repro campaign [-h] [--dir CAMPAIGN_DIR] [--db DB] [--jobs JOBS]
@@ -289,7 +303,7 @@ options:
 # declaration shows one wording, the fullest of the recorded ones.
 # subcommand -> {flag: the subcommand whose recorded wording it now shows}
 REWORDED = {
-    "run": {"--realtime FACTOR": "campaign"},
+    "run": {},
     "campaign": {"--run-deadline SECS": "run"},
     "fabric serve": {
         "--rpc-timeout SECS": "campaign",
@@ -342,14 +356,16 @@ RECORDED_DEFAULTS = {
         "topology": "mesh",
     },
     "run": {
+        "campaign_dir": None,
+        "chaos_json": None,
         "db": None,
+        "max_retries": 1,
         "protocol": "mdns",
         "quiet": False,
         "realtime": None,
         "resume": False,
         "rpc_timeout": None,
         "run_deadline": None,
-        "store": None,
         "topology": "mesh",
     },
 }
@@ -405,5 +421,4 @@ def test_shared_flags_are_one_declaration():
         assert run[flag] is campaign[flag] is serve[flag]
     assert run["--quiet"] is campaign["--quiet"] is serve["--quiet"]
     for flag in ("--dir", "--db", "--resume", "--max-retries", "--retries", "--chaos-json"):
-        assert campaign[flag] is serve[flag]
-        assert campaign[flag] is not run.get(flag)
+        assert run[flag] is campaign[flag] is serve[flag]

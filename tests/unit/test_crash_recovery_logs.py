@@ -3,23 +3,21 @@ log: a record torn mid-append is dropped (not an error, not a hole), the
 next append reads back, and damage anywhere but the tail is refused.
 
 Only the stores' public methods and raw bytes are used, so the file also
-runs against a tree that predates :mod:`repro.durable` — where the three
-strict readers raise on the torn tail and the three tolerant ones lose the
-record appended after it.
+runs against a tree that predates :mod:`repro.durable` — where the strict
+readers raise on the torn tail and the tolerant ones lose the record
+appended after it.
 """
 
 import pytest
 
 from repro.campaign.journal import CampaignJournal
 from repro.core.errors import StorageError
-from repro.core.recovery import Journal
 from repro.fabric.election import ElectionLedger
 from repro.fabric.leases import LeaseStore
 from repro.faults.leases import FaultLeaseStore, make_lease
 from repro.repo.fingerprint import ExperimentKey
 from repro.repo.journal import IngestJournal
 from repro.sd.processlib import build_two_party_description
-from repro.storage.level2 import Level2Store
 
 
 class _Case:
@@ -125,23 +123,7 @@ class _Ingest(_Case):
         return list(ids)
 
 
-class _Recovery(_Case):
-    def __init__(self, root):
-        super().__init__(root)
-        self.path = root / "journal.jsonl"
-        Journal(Level2Store(root)).record_start("fp", 1, 3)
-
-    def write(self, i):
-        Journal(Level2Store(self.root)).record_run_complete(i)
-
-    def view(self):
-        return sorted(Journal(Level2Store(self.root)).completed_runs())
-
-    def expect(self, ids):
-        return sorted(ids)
-
-
-CASES = [_Campaign, _FleetLeases, _Election, _FaultLeases, _Ingest, _Recovery]
+CASES = [_Campaign, _FleetLeases, _Election, _FaultLeases, _Ingest]
 
 
 @pytest.fixture(params=CASES, ids=lambda case: case.__name__.strip("_"))

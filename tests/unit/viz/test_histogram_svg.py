@@ -99,13 +99,12 @@ def test_svg_tooltips_carry_relative_times():
 
 
 def test_svg_cli_roundtrip(tmp_path):
-    from repro import run_experiment, store_level3
+    from repro import run_experiment
     from repro.cli import main
     from repro.sd.processlib import build_two_party_description
 
     desc = build_two_party_description(replications=1, seed=91, env_count=0)
-    result = run_experiment(desc, store_root=tmp_path / "l2")
-    db = store_level3(result.store, tmp_path / "x.db")
+    db = run_experiment(desc, tmp_path / "c").db_path
     out = tmp_path / "run0.svg"
     assert main(["timeline", str(db), "--run", "0", "--svg", str(out)]) == 0
     root = ET.fromstring(out.read_text())

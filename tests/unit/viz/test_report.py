@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.cli import main
 from repro.sd.processlib import build_two_party_description
 from repro.storage.level3 import ExperimentDatabase
@@ -15,8 +15,7 @@ def db_path(tmp_path_factory):
     desc = build_two_party_description(
         name="report-test", seed=77, replications=2, env_count=2,
     )
-    result = run_experiment(desc, store_root=root / "l2")
-    return store_level3(result.store, root / "report.db")
+    return run_experiment(desc, root / "c").db_path
 
 
 def test_report_sections_present(db_path):
