@@ -27,7 +27,7 @@ from repro.net.topology import line_topology
 from repro.platforms.simulated import PlatformConfig
 from repro.sd.processlib import build_two_party_description
 from repro.sim.kernel import Simulator
-from repro.storage.conditioning import condition_run
+from repro.storage.level3 import ExperimentDatabase
 
 
 def _mesh(sim, n, base_loss, mac_retries):
@@ -126,11 +126,11 @@ def test_ablation_known_answer_suppression(benchmark, workdir):
             "known_answer_suppression": suppression,
         }
         config = PlatformConfig(topology="full", sd_config=sd_config)
-        store_root = workdir / f"ka-{suppression}"
-        result = run_experiment(desc, store_root=store_root, config=config)
-        run = condition_run(result.store, 0)
+        result = run_experiment(desc, workdir / f"ka-{suppression}", config=config)
+        with ExperimentDatabase(result.db_path) as db:
+            packets = db.packets(run_id=0)
         responses = [
-            p for p in run.packets
+            p for p in packets
             if p["direction"] == "tx" and p["node"] == "t9-100"
             and "'kind': 'response'" in str(p["payload"])
         ]
@@ -162,18 +162,17 @@ def test_ablation_announcements(benchmark, workdir):
         config = PlatformConfig(
             topology="full", sd_config={"announce_count": announce_count}
         )
-        result = run_experiment(
-            desc, store_root=workdir / f"ann{announce_count}", config=config
-        )
+        result = run_experiment(desc, workdir / f"ann{announce_count}", config=config)
         times = []
-        for run_id in range(5):
-            run = condition_run(result.store, run_id)
+        with ExperimentDatabase(result.db_path) as db:
+            runs = [db.events(run_id=run_id) for run_id in range(5)]
+        for events in runs:
             start = next(
-                (e["common_time"] for e in run.events if e["name"] == "sd_start_search"),
+                (e["common_time"] for e in events if e["name"] == "sd_start_search"),
                 None,
             )
             add = next(
-                (e["common_time"] for e in run.events if e["name"] == "sd_service_add"),
+                (e["common_time"] for e in events if e["name"] == "sd_service_add"),
                 None,
             )
             if start is not None and add is not None:

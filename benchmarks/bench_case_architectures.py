@@ -14,7 +14,7 @@ Measures: wall time of the three-architecture comparison.
 
 from conftest import print_table, run_once
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.analysis.responsiveness import run_outcomes
 from repro.platforms.simulated import PlatformConfig
 from repro.sd.processlib import (
@@ -27,11 +27,8 @@ REPLICATIONS = 4
 
 
 def _run(workdir, tag, desc, protocol):
-    result = run_experiment(
-        desc, store_root=workdir / tag, config=PlatformConfig(protocol=protocol)
-    )
-    db_path = store_level3(result.store, workdir / f"{tag}.db")
-    with ExperimentDatabase(db_path) as db:
+    result = run_experiment(desc, workdir / tag, config=PlatformConfig(protocol=protocol))
+    with ExperimentDatabase(result.db_path) as db:
         outcomes = run_outcomes(db)
         has_scm = bool(db.events(event_type="scm_registration_add"))
     times = sorted(o.t_r for o in outcomes if o.t_r is not None)

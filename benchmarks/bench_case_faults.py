@@ -11,7 +11,7 @@ Measures: wall time of the loss sweep.
 
 from conftest import print_table, run_once
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.analysis.responsiveness import run_outcomes
 from repro.core.description import ManipulationProcess
 from repro.core.processes import DomainAction
@@ -39,9 +39,8 @@ def _one_level(workdir, loss):
             )
         )
     config = PlatformConfig(sd_config={"announce_count": 0})
-    result = run_experiment(desc, store_root=workdir / f"loss{loss}", config=config)
-    db_path = store_level3(result.store, workdir / f"loss{loss}.db")
-    with ExperimentDatabase(db_path) as db:
+    result = run_experiment(desc, workdir / f"loss{loss}", config=config)
+    with ExperimentDatabase(result.db_path) as db:
         outcomes = run_outcomes(db)
     times = sorted(o.t_r for o in outcomes if o.t_r is not None)
     return {

@@ -18,18 +18,19 @@ from repro.analysis.convergence import replications_to_converge
 from repro.core.processes import DomainAction
 from repro.platforms.simulated import PlatformConfig
 from repro.sd.processlib import build_two_party_description
-from repro.storage.conditioning import condition_run
+from repro.storage.level3 import ExperimentDatabase
 
 REPLICATIONS = 4
 
 
 def _median_t_r(result, runs):
     times = []
-    for run_id in range(runs):
-        run = condition_run(result.store, run_id)
-        start = next((e["common_time"] for e in run.events
+    with ExperimentDatabase(result.db_path) as db:
+        per_run = [db.events(run_id=run_id) for run_id in range(runs)]
+    for events in per_run:
+        start = next((e["common_time"] for e in events
                       if e["name"] == "sd_start_search"), None)
-        add = next((e["common_time"] for e in run.events
+        add = next((e["common_time"] for e in events
                     if e["name"] == "sd_service_add"), None)
         if start is not None and add is not None:
             times.append(add - start)
@@ -61,9 +62,7 @@ def test_case_discovery_modes(benchmark, workdir):
             config = PlatformConfig(
                 topology="full", sd_config={"record_ttl": record_ttl}
             )
-            result = run_experiment(
-                desc, store_root=workdir / mode, config=config
-            )
+            result = run_experiment(desc, workdir / mode, config=config)
             rows.append({"mode": mode,
                          "median": _median_t_r(result, REPLICATIONS)})
         return rows
@@ -89,9 +88,7 @@ def test_case_discovery_modes(benchmark, workdir):
 def test_case_replication_convergence(benchmark, workdir):
     """Sec. II-A3: how many replications until the responsiveness
     estimate stabilizes?  Regenerated from a 16-replication series."""
-    from repro import store_level3
     from repro.analysis.responsiveness import run_outcomes
-    from repro.storage.level3 import ExperimentDatabase
 
     desc = build_two_party_description(
         name="convergence", seed=23, replications=16, env_count=0,
@@ -99,9 +96,8 @@ def test_case_replication_convergence(benchmark, workdir):
     )
 
     def run_series():
-        result = run_experiment(desc, store_root=workdir / "conv")
-        db_path = store_level3(result.store, workdir / "conv.db")
-        with ExperimentDatabase(db_path) as db:
+        result = run_experiment(desc, workdir / "conv")
+        with ExperimentDatabase(result.db_path) as db:
             return run_outcomes(db)
 
     outcomes = run_once(benchmark, run_series)

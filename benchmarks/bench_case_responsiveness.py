@@ -12,7 +12,7 @@ Measures: wall time of the full factorial sweep.
 
 from conftest import print_table, run_once
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.analysis.responsiveness import responsiveness_by_treatment
 from repro.platforms.simulated import PlatformConfig
 from repro.sd.processlib import build_two_party_description
@@ -33,9 +33,8 @@ def test_case_responsiveness_vs_load(benchmark, workdir):
     config = PlatformConfig(topology="mesh", mesh_radius=0.5, base_loss=0.05)
 
     def sweep():
-        result = run_experiment(desc, store_root=workdir / "l2", config=config)
-        db_path = store_level3(result.store, workdir / "case.db")
-        with ExperimentDatabase(db_path) as db:
+        result = run_experiment(desc, workdir / "campaign", config=config)
+        with ExperimentDatabase(result.db_path) as db:
             return responsiveness_by_treatment(db, deadlines=DEADLINES)
 
     rows = run_once(benchmark, sweep)

@@ -25,15 +25,14 @@ def test_echo_platform_calibration(benchmark, workdir):
     )
 
     def run_calibration():
-        platform = SimulatedPlatform(desc)
-        for nm in platform.node_managers.values():
-            install_echo_agent(nm)
-        master = ExperiMaster(
-            platform, desc, Level2Store(workdir / "l2"),
-            plugins=PluginManager(action=[EchoPlugin()]),
-        )
-        result = master.execute()
-        return store_level3(result.store, workdir / "cal.db")
+        store = Level2Store(workdir / "l2")
+        for run_id in range(desc.factors.total_runs()):
+            platform = SimulatedPlatform(desc)
+            for nm in platform.node_managers.values():
+                install_echo_agent(nm)
+            plugins = PluginManager(action=[EchoPlugin()])
+            ExperiMaster(platform, desc, store, run_id, plugins=plugins).execute()
+        return store_level3(store, workdir / "cal.db")
 
     db_path = run_once(benchmark, run_calibration)
     with ExperimentDatabase(db_path) as db:

@@ -16,7 +16,7 @@ inventory the live component graph of a constructed platform.
 
 from conftest import print_table, run_once
 
-from repro import ExperiMaster, Level2Store, store_level3
+from repro import Level2Store, run_experiment
 from repro.platforms.simulated import SimulatedPlatform
 from repro.sd.processlib import build_two_party_description
 from repro.storage.level3 import ExperimentDatabase
@@ -28,11 +28,9 @@ def test_fig03_workflow_stages(benchmark, workdir):
     )
 
     def full_workflow():
-        platform = SimulatedPlatform(desc)                  # platform setup
-        master = ExperiMaster(platform, desc, Level2Store(workdir / "l2"))
-        result = master.execute()                            # execution
-        db_path = store_level3(result.store, workdir / "w.db")  # condition+store
-        return result, db_path
+        # platform setup, execution, condition + store: one per run
+        result = run_experiment(desc, workdir / "campaign")
+        return result, result.db_path
 
     result, db_path = run_once(benchmark, full_workflow)
 
@@ -42,15 +40,17 @@ def test_fig03_workflow_stages(benchmark, workdir):
                    f"{len(result.plan)} runs planned"))
     # 2. Execution with monitoring: runs completed, events recorded.
     stages.append(("execution", f"{len(result.executed_runs)} runs executed"))
-    # 3. Temporary (level-2) storage per node and run.
-    l2_nodes = result.store.node_ids()
-    l2_runs = result.store.run_ids()
+    # 3. Temporary (level-2) storage per node and run: one store per run.
+    stores = [Level2Store(p) for p in sorted(result.campaign_dir.glob("staging/*/run_*"))]
+    l2_nodes = stores[0].node_ids()
+    l2_runs = sorted(run_id for store in stores for run_id in store.run_ids())
     assert l2_nodes and l2_runs == [0, 1]
-    stages.append(("temporary storage", f"{len(l2_nodes)} node dirs x "
-                   f"{len(l2_runs)} runs"))
+    stages.append(("temporary storage", f"{len(l2_nodes)} nodes x "
+                   f"{len(l2_runs)} run stores"))
     # 4. Collection & conditioning: sync measurements present per run.
-    for run_id in l2_runs:
-        assert result.store.read_timesync(run_id)
+    for store in stores:
+        for run_id in store.run_ids():
+            assert store.read_timesync(run_id)
     stages.append(("collect + condition", "per-run clock offsets applied"))
     # 5. The single results database.
     with ExperimentDatabase(db_path) as db:

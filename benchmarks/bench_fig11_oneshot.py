@@ -7,7 +7,7 @@ Measures: timeline extraction + rendering from a stored experiment.
 """
 
 
-from repro import run_experiment, store_level3
+from repro import run_experiment
 from repro.analysis.timeline import build_run_timeline
 from repro.sd.processlib import build_two_party_description
 from repro.storage.level3 import ExperimentDatabase
@@ -21,8 +21,7 @@ def test_fig11_oneshot_timeline(benchmark, workdir):
         name="fig11-oneshot", seed=11, replications=1, env_count=2,
         settle_after_publish=3.5,
     )
-    result = run_experiment(desc, store_root=workdir / "l2")
-    db_path = store_level3(result.store, workdir / "fig11.db")
+    db_path = run_experiment(desc, workdir / "campaign").db_path
 
     with ExperimentDatabase(db_path) as db:
         events = db.events(run_id=0)

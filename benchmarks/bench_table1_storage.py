@@ -7,7 +7,8 @@ Measures: conditioning + SQLite write throughput for one experiment.
 
 from conftest import print_table, run_once
 
-from repro import run_experiment, store_level3
+from repro import ExperiMaster, Level2Store, store_level3
+from repro.platforms.simulated import SimulatedPlatform
 from repro.sd.processlib import build_two_party_description
 from repro.storage.level3 import TABLE_SCHEMAS, ExperimentDatabase
 
@@ -16,10 +17,12 @@ def test_table1_schema_regenerated(benchmark, workdir):
     desc = build_two_party_description(
         name="table1", seed=3, replications=4, env_count=3,
     )
-    result = run_experiment(desc, store_root=workdir / "l2")
+    store = Level2Store(workdir / "l2")
+    for run_id in range(desc.factors.total_runs()):
+        ExperiMaster(SimulatedPlatform(desc), desc, store, run_id).execute()
 
     def condition_and_store():
-        return store_level3(result.store, workdir / "table1.db")
+        return store_level3(store, workdir / "table1.db")
 
     db_path = run_once(benchmark, condition_and_store)
 

@@ -3,9 +3,9 @@
 Execution model
 ---------------
 Every run executes inside its **own fresh platform and simulation
-kernel**, driven by a single-run :class:`~repro.core.master.ExperiMaster`
-(``only_runs={run_id}``) — the full ``experiment_init → run →
-experiment_exit`` lifecycle of Fig. 3, but over exactly one run; only the
+kernel**, driven by a one-run :class:`~repro.core.master.ExperiMaster` —
+the full ``experiment_init → run → experiment_exit`` lifecycle of Fig. 3,
+over exactly one run; only the
 immutable testbed frame (:mod:`repro.platforms.frame`: mesh, routes, its
 measurement) is built once per worker process and shared.  That isolation
 is what makes parallelism *free* of determinism cost: a run's data is a pure
@@ -92,8 +92,8 @@ class CampaignEngine:
         When set, runs execute on the wall-clock-paced
         :class:`~repro.platforms.localhost.LocalhostPlatform`.
     abort_after_runs:
-        Test/demo hook mirroring :class:`ExperiMaster`'s: simulate a
-        crash after this many completions in this session.
+        Test/demo hook: simulate a crash after this many completions in
+        this session.
     """
 
     def __init__(

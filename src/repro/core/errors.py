@@ -74,8 +74,8 @@ class ExecutionError(ExCoveryError):
 class RunAbortedError(ExecutionError):
     """The run watchdog killed a run phase that overran its deadline.
 
-    The abort is journaled before this propagates, so a subsequent
-    ``resume=True`` execution replays the run.
+    The campaign journals it as the run's failure, so a retry or a
+    ``resume=True`` campaign replays the run.
     """
 
     def __init__(self, message: str, run_id: Optional[int] = None,

@@ -80,9 +80,9 @@ class FaultLeaseStore:
     The directory is listed once, at construction; later files come from
     this store's own appends, so sweeping a node with no file reads
     nothing.  Invariant: **one store per lease directory at a time**
-    (``leases/run_XXXXXX`` in a campaign, the master's ``leases`` when
-    serial), built before the startup sweep so it sees what a crashed
-    attempt leaked.
+    (``leases/run_XXXXXX`` in a campaign, ``<store>/leases`` for a master
+    without a lease root), built before the startup sweep so it sees
+    what a crashed attempt leaked.
     """
 
     def __init__(self, root) -> None:
@@ -167,7 +167,7 @@ class FaultLeaseStore:
 def iter_lease_files(directory) -> Iterator[Tuple[Path, str]]:
     """Yield ``(lease_file, node)`` under *directory*'s lease roots.
 
-    Understands both layouts: a serial store (``<dir>/leases/<node>.jsonl``)
+    Understands both layouts: a level-2 store (``<dir>/leases/<node>.jsonl``)
     and a campaign root (``<dir>/leases/run_XXXXXX/<node>.jsonl``).  Used
     by ``repro inspect --leases``.
     """

@@ -168,7 +168,7 @@ def reset_uid_counter(start: int = 1) -> None:
     """Reset the calling thread's packet uid counter.
 
     Platform construction calls this so every execution starts its uid
-    space at 1 — the stored uids are then identical between a serial
-    series and a campaign worker re-executing the same run.
+    space at 1 — the stored uids are then identical whichever worker
+    executes (or re-executes) the same run.
     """
     _uid_state.counter = itertools.count(start)

@@ -18,7 +18,9 @@ import tempfile
 
 
 def workload(replications: int) -> None:
-    from repro import run_experiment, store_level3
+    """Every run's master on this thread (cProfile sees one thread), then
+    conditioning and the level-3 write."""
+    from repro import ExperiMaster, Level2Store, SimulatedPlatform, store_level3
     from repro.sd.processlib import build_two_party_description
 
     desc = build_two_party_description(
@@ -27,8 +29,10 @@ def workload(replications: int) -> None:
         special_params={"run_spacing": 0.05},
     )
     workdir = tempfile.mkdtemp(prefix="excovery-profile-")
-    result = run_experiment(desc, store_root=f"{workdir}/l2")
-    store_level3(result.store, f"{workdir}/profile.db")
+    store = Level2Store(f"{workdir}/l2")
+    for run_id in range(desc.factors.total_runs()):
+        ExperiMaster(SimulatedPlatform(desc, None), desc, store, run_id).execute()
+    store_level3(store, f"{workdir}/profile.db")
 
 
 def main() -> int:
