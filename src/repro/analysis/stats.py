@@ -30,7 +30,7 @@ def _z_or_t(confidence: float, dof: int) -> float:
         from scipy import stats as _st
 
         return float(_st.t.ppf(0.5 + confidence / 2.0, dof))
-    except Exception:  # pragma: no cover - scipy present in this env
+    except ImportError:
         return _Z.get(confidence, 1.959963984540054)
 
 

@@ -43,7 +43,6 @@ from repro.storage.level3 import (
     fresh_database,
     fsync_database,
     insert_experiment_scope,
-    insert_fault_leases,
     insert_rows,
     insert_run,
     insert_run_traces,
@@ -92,14 +91,11 @@ class ShardWriter(RunShard):
     def stage_run(self, store: Level2Store, run_id: int) -> None:
         """Condition *run_id* from its staging store and commit it here.
 
-        Integrity side rows ride along in the same transaction: leases the
-        master's sweeps reconciled for this run (recorded in the staging
-        store's ``master/fault_leases.jsonl``) and any salvage records the
-        conditioning pass just produced.
+        Integrity side rows ride along in the same transaction: any
+        salvage records the conditioning pass just produced.
         """
         run = condition_run(store, run_id)
         src_map = _addr_to_node_map(store.read_description())
-        leases = [rec for rec in store.read_reconciled_leases() if rec.get("run_id") == run_id]
         salvaged = [rec for rec in store.salvage_records() if rec.get("run_id") == run_id]
         # Harness spans the (single-run) master persisted for this run.
         # Experiment-scope spans carry no run id and stay in the staging
@@ -108,7 +104,6 @@ class ShardWriter(RunShard):
         traces = [rec for node_id in sorted(by_node) for rec in by_node[node_id]]
         with self.replacing_run(run_id) as conn:  # the campaign's commit point
             insert_run(conn, run, src_map)
-            insert_fault_leases(conn, leases)
             insert_salvage_info(conn, salvaged)
             insert_run_traces(conn, traces)
 
@@ -158,7 +153,7 @@ def merge_shards(
                     )
                 # Integrity side tables: copied per run like the run tables,
                 # but excluded from the divergence check above — a run with
-                # neither leaked leases nor salvage loss legitimately has none.
+                # neither salvage loss nor spans legitimately has none.
                 insert_rows(out, read_run_rows(conn, run_id, EXTENSION_RUN_TABLES))
             out.execute("COMMIT")
         finally:

@@ -229,15 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ins = sub.add_parser(
         "inspect",
-        help="summarize a level-3 database (or, with --leases/--salvage, "
+        help="summarize a level-3 database (or, with --salvage, "
              "an experiment/campaign directory)",
     )
     p_ins.add_argument("database", type=Path,
                        help="level-3 database, or a level-2/campaign "
-                            "directory with --leases/--salvage")
-    p_ins.add_argument("--leases", action="store_true",
-                       help="show fault leases: active (leaked, not yet "
-                            "reconciled) and reconciled ones")
+                            "directory with --salvage")
     p_ins.add_argument("--salvage", action="store_true",
                        help="show salvage-conditioning records "
                             "(quarantined corrupt level-2 data)")
@@ -343,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="export a harness metrics snapshot"
     )
     p_met.add_argument("source", type=Path,
-                       help="metrics.json file, or a level-2 store / campaign "
-                            "directory containing one")
+                       help="metrics.json file, or a campaign directory "
+                            "containing one")
     p_met.add_argument("--format", choices=("prometheus", "json"),
                        default="prometheus", dest="fmt",
                        help="output format (default prometheus text "
@@ -647,14 +644,11 @@ def _cmd_inspect(args) -> int:
     from repro.storage.level3 import ExperimentDatabase
 
     if args.database.is_dir():
-        if not (args.leases or args.salvage):
-            print("error: inspecting a directory needs --leases or --salvage",
+        if not args.salvage:
+            print("error: inspecting a directory needs --salvage",
                   file=sys.stderr)
             return 2
-        if args.leases:
-            _inspect_directory_leases(args.database)
-        if args.salvage:
-            _inspect_directory_salvage(args.database)
+        _inspect_directory_salvage(args.database)
         return 0
 
     if args.digest:
@@ -664,11 +658,8 @@ def _cmd_inspect(args) -> int:
         return 0
 
     with ExperimentDatabase(args.database) as db:
-        if args.leases or args.salvage:
-            if args.leases:
-                _inspect_db_leases(db)
-            if args.salvage:
-                _inspect_db_salvage(db)
+        if args.salvage:
+            _inspect_db_salvage(db)
             return 0
         info = db.experiment_info()
         counts = db.row_counts()
@@ -693,32 +684,6 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _inspect_directory_leases(directory: Path) -> None:
-    """Lease view over a level-2 store or campaign directory."""
-    from repro.durable import DurableLog
-    from repro.faults.leases import FaultLeaseStore, iter_lease_files
-
-    active_total = 0
-    stores = {}  # one store per lease directory
-    for path, node in sorted(iter_lease_files(directory)):
-        if path.parent not in stores:
-            stores[path.parent] = FaultLeaseStore(path.parent)
-        for lease in stores[path.parent].active(node):
-            active_total += 1
-            print(f"active lease: {lease['lease_id']}  kind={lease['kind']}  "
-                  f"acquired_at={lease['acquired_at']}")
-    print(f"active leases: {active_total}")
-
-    reconciled = []
-    for log in sorted(directory.rglob("fault_leases.jsonl")):
-        reconciled.extend(DurableLog(log).replay())
-    for rec in reconciled:
-        print(f"reconciled lease: {rec.get('lease_id')}  "
-              f"kind={rec.get('kind')}  run={rec.get('run_id')}  "
-              f"reconciled_at={rec.get('reconciled_at')}")
-    print(f"reconciled leases: {len(reconciled)}")
-
-
 def _inspect_directory_salvage(directory: Path) -> None:
     """Salvage view over a level-2 store or campaign directory."""
     import json
@@ -737,15 +702,6 @@ def _inspect_directory_salvage(directory: Path) -> None:
                   f"kept {rec['kept']}, dropped {rec['dropped']} "
                   f"({rec['reason']})")
     print(f"salvage reports: {len(reports)}")
-
-
-def _inspect_db_leases(db) -> None:
-    rows = db.fault_leases()
-    for row in rows:
-        print(f"lease {row['LeaseID']}  kind={row['Kind']}  "
-              f"run={row['RunID']}  event={row['Event']}  "
-              f"reconciled_at={row['ReconciledAt']}")
-    print(f"fault leases: {len(rows)}")
 
 
 def _inspect_db_salvage(db) -> None:

@@ -92,12 +92,6 @@ class ExperiMaster:
         Optional explicit treatment sequence replacing the default OFAT
         expansion — the paper's "custom factor level variation plan"
         (Sec. IV-C1).  Build one with :mod:`repro.core.designs`.
-    lease_root:
-        Directory for the nodes' on-disk fault-lease files (DESIGN.md
-        §11); defaults to ``<store>/leases``.  The campaign engine points
-        this *outside* a run's staging store, which is deleted wholesale
-        on retry — the lease must survive exactly the crashes that delete
-        the staging data.
     tracer:
         Harness span tracer (:class:`repro.obs.trace.Tracer`); a private
         one is built when omitted (honouring ``REPRO_TRACE``).  The
@@ -118,7 +112,6 @@ class ExperiMaster:
         plugins: Optional[PluginManager] = None,
         registry: Optional[ActionRegistry] = None,
         custom_treatments: Optional[List[Dict[str, Any]]] = None,
-        lease_root=None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.platform = platform
@@ -129,9 +122,6 @@ class ExperiMaster:
         self.registry = registry or default_registry()
         self.plugins.extend_registry(self.registry)
         self.custom_treatments = custom_treatments
-        self.lease_root = lease_root
-        #: Shared fault-lease store; built in :meth:`_attach_lease_stores`.
-        self.lease_store = None
 
         self.sim = platform.sim
         self.channel = platform.channel
@@ -248,7 +238,10 @@ class ExperiMaster:
         node_ids = [n.node_id for n in desc.platform.nodes]
         self.platform.check_nodes(node_ids)
         self._install_plugin_handlers(node_ids)
-        self._attach_lease_stores(node_ids)
+        for node_id in node_ids:
+            manager = self.platform.node_managers.get(node_id)
+            if manager is not None:
+                manager.set_tracer(self.tracer)
 
         # --- experiment initialization --------------------------------
         init_span = self.tracer.start_span("experiment_init", nodes=len(node_ids))
@@ -302,47 +295,6 @@ class ExperiMaster:
                         name,
                         (lambda params, _h=handler, _nm=manager: _h(_nm, params)),
                     )
-
-    def _attach_lease_stores(self, node_ids: List[str]) -> None:
-        """Wire every NodeManager to the shared on-disk fault-lease store.
-
-        Runs before ``experiment_init``: the attach performs each node's
-        *startup* reconciliation sweep, so leases leaked by a crashed
-        earlier execution are force-reverted before any run of this one
-        starts.  The TTL margin folded into every lease is the worst-case
-        run length (``max_run_duration``, or the execution watchdog
-        deadline when that is longer).
-        """
-        from pathlib import Path
-
-        from repro.faults.leases import FaultLeaseStore
-
-        root = Path(self.lease_root) if self.lease_root else self.store.root / "leases"
-        self.lease_store = FaultLeaseStore(root)
-        margin = max(
-            self.params.get("max_run_duration"),
-            self.params.get("exec_deadline") or 0.0,
-        )
-        reconciled: List[Dict[str, Any]] = []
-        for node_id in node_ids:
-            manager = self.platform.node_managers.get(node_id)
-            if manager is None:
-                continue
-            manager.set_tracer(self.tracer)
-            reconciled.extend(
-                manager.attach_lease_store(self.lease_store, ttl_margin=margin)
-            )
-        self._record_reconciled_leases(reconciled)
-
-    def _record_reconciled_leases(self, records: List[Dict[str, Any]]) -> None:
-        """Persist reconciled-leak records in the L2 master log.
-
-        ``master/fault_leases.jsonl`` is what the level-3 writer turns
-        into ``FaultLeases`` rows (an extension table outside Table I, so
-        resume digests over the paper's schema stay byte-identical).
-        """
-        if records:
-            self.store.append_reconciled_leases(records)
 
     # ------------------------------------------------------------------
     # The run
@@ -443,12 +395,8 @@ class ExperiMaster:
         # control-channel RNG streams so every run's randomness is a pure
         # function of (experiment seed, run id) — resume-safe).
         self.platform.on_run_init(run.run_id)
-        reconciled: List[Dict[str, Any]] = []
         for node_id in node_ids:
-            ack = yield from self.channel.call(node_id, "run_init", run.run_id)
-            if isinstance(ack, dict):
-                reconciled.extend(ack.get("reconciled") or [])
-        self._record_reconciled_leases(reconciled)
+            yield from self.channel.call(node_id, "run_init", run.run_id)
         settle = self.params.get("run_settle_time")
         if settle > 0:
             yield self.sim.timeout(settle)
@@ -606,8 +554,7 @@ def build_run_spec(
 
     *worker* (a local pool's slot label, a fleet worker's id) names the
     staging subtree and the shard, so no two workers share an output
-    file; the fault-lease root is keyed by run id alone, so a retry on
-    any worker finds what the previous attempt leaked.
+    file.
     """
     return {
         "campaign_dir": str(campaign_dir),
@@ -618,7 +565,6 @@ def build_run_spec(
         "run_id": run_id,
         "store": f"staging/{worker}/run_{run_id:06d}",
         "shard": f"shards/{worker}.db",
-        "lease_root": f"leases/run_{run_id:06d}",
         "control_faults": control_faults or [],
     }
 
@@ -641,8 +587,8 @@ def execute_spec_run(spec: Dict[str, Any]) -> Dict[str, Any]:
 
     Spec keys (see :func:`build_run_spec`): ``campaign_dir``,
     ``description_xml``, ``custom_treatments``, ``config``,
-    ``realtime_factor``, ``run_id``, ``store`` / ``shard`` /
-    ``lease_root`` (paths relative to the campaign dir) and optional
+    ``realtime_factor``, ``run_id``, ``store`` / ``shard`` (paths
+    relative to the campaign dir) and optional
     ``control_faults`` (already filtered to this attempt and session).
 
     Determinism contract: the run's staged data is a pure function of
@@ -736,11 +682,6 @@ def _execute_spec_run(spec: Dict[str, Any], waited: Optional[float]) -> Dict[str
         store,
         run_id,
         custom_treatments=spec["custom_treatments"],
-        # Fault leases must survive the staging rmtree above — a retried
-        # attempt's reconciliation sweep is what reverts the faults the
-        # crashed attempt leaked, so the lease root lives at campaign
-        # level, keyed by run id.
-        lease_root=root / spec["lease_root"],
     )
     result = master.execute()
 

@@ -126,17 +126,10 @@ class NodeManager:
     # ------------------------------------------------------------------
     # Event generator
     # ------------------------------------------------------------------
-    def emit(self, name: str, params=(), run_id: Optional[int] = "current",
-             forward: bool = True) -> ExEvent:
+    def emit(self, name: str, params=(), run_id: Optional[int] = "current") -> ExEvent:
         """Generate an event: local record + forward to the master.
 
         ``run_id="current"`` binds the event to the run in progress.
-        ``forward=False`` keeps the event node-local: the channel cast
-        consumes a latency-jitter draw, so out-of-band events (e.g. the
-        reconciliation sweep's) must not go through it — an execution
-        that swept a leaked lease would otherwise drift off the RNG
-        schedule of one that had nothing to sweep, breaking the resume
-        digest guarantee.
         """
         rid = self.current_run if run_id == "current" else run_id
         event = ExEvent(
@@ -151,8 +144,7 @@ class NodeManager:
             self._exp_events.append(record)
         else:
             self._run_events.setdefault(rid, []).append(record)
-        if forward:
-            self.channel.cast_to_master(record)
+        self.channel.cast_to_master(record)
         return event
 
     def log_line(self, message: str) -> None:
@@ -186,14 +178,8 @@ class NodeManager:
         self.emit("experiment_exit", run_id=None)
 
     def run_init(self, run_id: int):
-        """Run preparation on this node: clean state, arm recording.
-
-        Returns ``{"reconciled": [...]}`` over RPC: the fault leases a
-        crashed earlier execution leaked and this sweep force-reverted
-        (see :mod:`repro.faults.leases`).  Empty after orderly runs.
-        """
+        """Run preparation on this node: clean state, arm recording."""
         self.reset_environment()
-        reconciled = self._reconcile_fault_leases()
         self.current_run = int(run_id)
         self.faults.set_run(self.current_run)
         self.node.reset_data_plane()
@@ -202,7 +188,6 @@ class NodeManager:
             hook(self.current_run)
         self.log_line(f"run_init: {run_id}")
         self.emit("run_init", params=(int(run_id),))
-        return {"reconciled": reconciled}
 
     def run_exit(self, run_id: int):
         """Run clean-up on this node: stop activity, seal recordings."""
@@ -222,51 +207,16 @@ class NodeManager:
         self.node.interface.set_up()
 
     # ------------------------------------------------------------------
-    # Fault leases (crash-safe revert; DESIGN.md §11)
+    # Observability
     # ------------------------------------------------------------------
     def set_tracer(self, tracer) -> None:
         """Adopt the master's span tracer (:mod:`repro.obs.trace`).
 
-        The fault controller records its fault windows, lease churn and
-        swallowed revert errors there; a ``None`` tracer (standalone
+        The fault controller records its fault windows and swallowed
+        revert errors there; a ``None`` tracer (standalone
         NodeManager tests) simply records nothing.
         """
         self.faults.tracer = tracer
-
-    def attach_lease_store(self, leases, ttl_margin: float = 0.0):
-        """Attach the on-disk fault-lease store and sweep at startup.
-
-        Called by the master before ``experiment_init`` (NodeManager
-        startup from the experiment's point of view).  Returns the leaked
-        leases of a previous crashed execution, already force-reverted,
-        each announced as a ``fault_leak_reconciled`` event.
-        """
-        leaked = self.faults.attach_lease_store(leases, ttl_margin=ttl_margin)
-        return self._announce_reconciled(leaked)
-
-    def _reconcile_fault_leases(self):
-        return self._announce_reconciled(self.faults.reconcile_leases())
-
-    def _announce_reconciled(self, leaked):
-        # Experiment-scope events (run_id=None) deliberately: the leak
-        # belongs to a run that was purged and will be re-executed, so
-        # binding the event to any run would poison that run's replayed
-        # event record (and the resume digest guarantee with it).
-        for record in leaked:
-            self.emit(
-                "fault_leak_reconciled",
-                params=(
-                    record.get("kind", ""),
-                    record.get("run_id") if record.get("run_id") is not None else -1,
-                    record.get("lease_id", ""),
-                ),
-                run_id=None,
-                # Node-local: the master learns about the sweep from the
-                # RPC return value; a channel cast would burn a jitter
-                # draw only executions-with-leaks pay (emit docstring).
-                forward=False,
-            )
-        return leaked
 
     def set_address(self, new_address: str):
         """Reconfigure the node's address, generating the event the paper

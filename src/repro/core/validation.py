@@ -39,7 +39,7 @@ from typing import List, Optional, Set
 
 from repro.core.actions import ActionKind, ActionRegistry, default_registry
 from repro.core.description import ExperimentDescription
-from repro.core.errors import ValidationError
+from repro.core.errors import DescriptionError, ValidationError
 from repro.core.factors import Usage
 from repro.core.params import SPECIAL_PARAM_DEFS, SpecialParams
 from repro.core.processes import (
@@ -100,7 +100,7 @@ def validate_description(
     # --- factor checks -------------------------------------------------
     try:
         map_factor = desc.factors.actor_map_factor()
-    except Exception as exc:  # DescriptionError from >1 map factors
+    except DescriptionError as exc:  # more than one map factor
         err(str(exc))
         map_factor = None
 

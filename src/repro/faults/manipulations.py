@@ -289,7 +289,7 @@ class EnvironmentController:
             victim = rng.choice(victims)
             if mode == "crash":
                 # A crash is invisible to the victim's own software: the
-                # data plane dies for `downtime` (auto-reverted fault lease)
+                # data plane dies for `downtime` (a self-reverting fault)
                 # while its registrations silently stale out.
                 yield from self.channel.call(
                     victim, "execute_action", "iface_fault_start",

@@ -18,7 +18,6 @@ Layout::
         timesync/run_<id>.json    # per-run offset measurements
         runinfo/run_<id>.json     # per-run start time and treatment
         measurements/<name>.json  # experiment-scope measurements
-        fault_leases.jsonl        # reconciled-leak log -> L3 FaultLeases
         traces.jsonl              # experiment-scope span records
       runs/<run id>/
         events.jsonl              # every node's events, one frame each
@@ -29,8 +28,6 @@ Layout::
         logs.jsonl                # one frame per node log (last one wins)
         experiment_events.jsonl   # experiment-scope events of every node
       eefiles/<name>              # executables/artefacts (EEFiles table)
-      leases/<node>.jsonl         # fault leases (repro.faults.leases)
-      metrics.json                # metrics registry snapshot (repro metrics)
       quarantine/runs/<run id>/<stream>   # salvage mode's bad-frame sidecar
 
 Everything is JSON-on-disk: human-inspectable, diff-able, and exactly what
@@ -428,21 +425,7 @@ class Level2Store:
         }
 
     # ------------------------------------------------------------------
-    # Fault leases (reconciled-leak log; feeds the L3 FaultLeases table)
-    # ------------------------------------------------------------------
-    @property
-    def fault_lease_log_path(self) -> Path:
-        return self.root / "master" / "fault_leases.jsonl"
-
-    def append_reconciled_leases(self, records: List[Dict[str, Any]]) -> None:
-        """Persist leases a reconciliation sweep force-reverted."""
-        DurableLog(self.fault_lease_log_path).append(records, sync=False)
-
-    def read_reconciled_leases(self) -> List[Dict[str, Any]]:
-        return list(DurableLog(self.fault_lease_log_path).replay())
-
-    # ------------------------------------------------------------------
-    # Harness observability (spans outside any run; metrics snapshot)
+    # Harness observability (spans outside any run)
     # ------------------------------------------------------------------
     @property
     def experiment_trace_path(self) -> Path:
@@ -454,15 +437,6 @@ class Level2Store:
 
     def read_experiment_traces(self) -> List[Dict[str, Any]]:
         return list(DurableLog(self.experiment_trace_path).replay())
-
-    @property
-    def metrics_path(self) -> Path:
-        return self.root / "metrics.json"
-
-    def write_metrics(self, snapshot: Dict[str, Any]) -> Path:
-        """Persist a metrics-registry snapshot for ``repro metrics``."""
-        _write_json(self.metrics_path, snapshot)
-        return self.metrics_path
 
     # ------------------------------------------------------------------
     # Salvage (DESIGN.md §11)

@@ -76,7 +76,6 @@ __all__ = [
     "fsync_database",
     "insert_experiment_scope",
     "insert_run",
-    "insert_fault_leases",
     "insert_run_traces",
     "insert_salvage_info",
     "store_level3",
@@ -153,14 +152,9 @@ CREATE INDEX idx_packets_run ON Packets (RunID);
 
 #: Integrity side tables beyond Table I (DESIGN.md §11).  Deliberately
 #: kept out of :data:`TABLE_SCHEMAS` so the default ``database_digest``
-#: stays Table-I-only: a run whose leaked fault was reconciled, or whose
-#: corrupt records were salvaged away on a clean retry, must still digest
-#: byte-identical to a fault-free execution.
+#: stays Table-I-only: a run whose corrupt records were salvaged away on a
+#: clean retry must still digest byte-identical to an undamaged execution.
 EXTENSION_TABLES: Dict[str, List[str]] = {
-    "FaultLeases": [
-        "RunID", "NodeID", "Kind", "LeaseID", "Event",
-        "AcquiredAt", "ExpiresAt", "ReconciledAt",
-    ],
     "SalvageInfo": [
         "RunID", "NodeID", "Stream", "RecordsKept", "RecordsDropped", "Reason",
     ],
@@ -171,7 +165,7 @@ EXTENSION_TABLES: Dict[str, List[str]] = {
 }
 
 #: Extension tables keyed by run id (campaign merge reorders these too).
-EXTENSION_RUN_TABLES = ("FaultLeases", "SalvageInfo", "RunTraces")
+EXTENSION_RUN_TABLES = ("SalvageInfo", "RunTraces")
 
 #: Column lookup across Table I and the integrity side tables.
 _ALL_SCHEMAS: Dict[str, List[str]] = {**TABLE_SCHEMAS, **EXTENSION_TABLES}
@@ -192,16 +186,6 @@ _CHECKSUM_DDL = (
 )
 
 _EXTENSION_DDL = """
-CREATE TABLE FaultLeases (
-    RunID        INTEGER,
-    NodeID       TEXT NOT NULL,
-    Kind         TEXT NOT NULL,
-    LeaseID      TEXT NOT NULL,
-    Event        TEXT NOT NULL,
-    AcquiredAt   REAL,
-    ExpiresAt    REAL,
-    ReconciledAt REAL
-);
 CREATE TABLE SalvageInfo (
     RunID          INTEGER,
     NodeID         TEXT NOT NULL,
@@ -342,7 +326,7 @@ def database_digest(
     integrity side tables record *what went wrong and was repaired*, which
     is execution-specific by nature, so they must not perturb equivalence
     checks between a recovered execution and a clean one.  Pass ``tables``
-    explicitly (e.g. ``("FaultLeases",)``) to digest them too.
+    explicitly (e.g. ``("SalvageInfo",)``) to digest them too.
 
     Rows are serialized inside SQLite (``quote()`` per column, one string
     per row) and hashed in large chunks, so the digest runs at C speed
@@ -477,28 +461,6 @@ def insert_run(conn: sqlite3.Connection, run, src_map: Dict[str, str]) -> None:
     )
 
 
-def insert_fault_leases(conn: sqlite3.Connection, records: List[Dict[str, Any]]) -> None:
-    """Insert reconciled-lease records (level-2 ``master/fault_leases.jsonl``)
-    into the FaultLeases side table."""
-    _insert(
-        conn,
-        "FaultLeases",
-        (
-            (
-                rec.get("run_id"),
-                rec.get("node", ""),
-                rec.get("kind", ""),
-                rec.get("lease_id", ""),
-                rec.get("event", "fault_leak_reconciled"),
-                rec.get("acquired_at"),
-                rec.get("expires_at"),
-                rec.get("reconciled_at"),
-            )
-            for rec in records
-        ),
-    )
-
-
 def insert_salvage_info(conn: sqlite3.Connection, records: List[Dict[str, Any]]) -> None:
     """Insert per-(run, node, stream) salvage records into SalvageInfo."""
     _insert(
@@ -576,11 +538,9 @@ def store_level3(source, db_path) -> Path:
             for run in runs:
                 insert_run(conn, run, src_map)
             if isinstance(source, Level2Store):
-                # Integrity side tables: the reconciled-leak log written by
-                # the master's sweeps, and whatever the just-finished
+                # Integrity side table: whatever the just-finished
                 # conditioning pass salvaged (non-empty only with
                 # source.salvage=True).
-                insert_fault_leases(conn, source.read_reconciled_leases())
                 insert_salvage_info(conn, source.salvage_records())
                 # Harness spans: per-run streams first (run id ascending,
                 # node ascending, file order within), then experiment-scope
@@ -999,13 +959,6 @@ class ExperimentDatabase:
             ).fetchall()
         except sqlite3.OperationalError:
             return []
-
-    def fault_leases(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
-        """Reconciled fault-lease rows (empty for fault-free executions)."""
-        return [
-            dict(row)
-            for row in self._side_rows("FaultLeases", "RunID, NodeID, LeaseID", run_id)
-        ]
 
     def salvage_info(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
         """Salvage-conditioning rows (empty unless the package was built

@@ -313,11 +313,6 @@ def test_local_campaign_report_is_pinned(tmp_path, monkeypatch, clock, registry)
         "repro_campaign_runs_retried_total": ("counter", (), {(): 1.0}),
         "repro_campaign_worker_busy_seconds": ("gauge", ("worker",), [("s0w00",), ("s1w00",)]),
         "repro_campaign_worker_errors_total": ("counter", (), {(): 1.0}),
-        "repro_fault_leases_active": (
-            "gauge",
-            ("node",),
-            [("t9-100",), ("t9-101",), ("t9-102",)],
-        ),
         "repro_fault_window_seconds": ("histogram", ("kind",), []),
         "repro_fault_windows_total": ("counter", ("kind",), {}),
         "repro_rpc_call_seconds": ("histogram", ("method",), methods),

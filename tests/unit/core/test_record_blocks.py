@@ -74,7 +74,7 @@ def test_unencodable_record_is_a_fault_500_at_the_node(managed):
 def test_wide_ints_and_control_characters_survive_collection(managed):
     sim, channel, nm_a, _nm_b = managed
     nm_a.run_init(0)
-    nm_a.emit("odd", params=(2**40, "a\r\nb\x00"), forward=False)
+    nm_a.emit("odd", params=(2**40, "a\r\nb\x00"))
     data = _call(sim, channel.call("h0", "collect_run", 0, True))
     assert json.loads(data["events"].split("\n")[-1])["params"] == [2**40, "a\r\nb\x00"]
 

@@ -108,6 +108,20 @@ def test_actors_without_map_factor():
     assert any("no actor_node_map" in e for e in errors)
 
 
+def test_two_actor_map_factors_are_a_validation_error():
+    desc = _minimal()
+    desc.factors.add(
+        Factor(
+            id="fact_nodes_2", type="actor_node_map", usage=Usage.BLOCKING,
+            levels=[Level({"a0": {"0": "B"}, "a1": {"0": "A"}})],
+        )
+    )
+    report = validate_description(desc)
+    assert "at most one actor_node_map factor is allowed" in report.errors
+    with pytest.raises(ValidationError):
+        report.raise_if_failed()
+
+
 def test_unmapped_abstract_node():
     desc = _minimal()
     desc.platform = PlatformSpec([PlatformNode("h0", "10.0.0.1", abstract_id="A")])

@@ -10,7 +10,6 @@ from repro.cli import main
 from repro.core.xmlio import description_to_xml
 from repro.obs.trace import TRACE_ENV_VAR
 from repro.sd.processlib import build_two_party_description
-from repro.storage.level2 import Level2Store
 from repro.storage.level3 import ExperimentDatabase, store_level3
 
 from tests.conftest import staging_store
@@ -56,14 +55,6 @@ def test_traces_survive_into_the_database(executed):
         assert {"preparation", "execution", "cleanup"} <= names
         run_span = next(rec for rec in records if rec["name"] == "run")
         assert run_span["attrs"]["replication"] == 0
-
-
-def test_level2_metrics_roundtrip(tmp_path):
-    store = Level2Store(tmp_path / "l2")
-    assert not store.metrics_path.exists()
-    snap = {"repro_x_total": {"kind": "counter", "help": "", "labels": [], "values": {"[]": 3.0}}}
-    assert store.write_metrics(snap) == store.metrics_path
-    assert json.loads(store.metrics_path.read_text()) == snap
 
 
 # ----------------------------------------------------------------------

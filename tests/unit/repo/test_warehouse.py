@@ -142,7 +142,7 @@ def test_closing_a_view_leaves_the_shard_connection_to_the_warehouse(
     assert warehouse.run_ids(exp_id) == [0, 1, 2]
     assert len(warehouse.events(exp_id, event_type="sd_service_add")) == 3
     # A slice carries Table I only; the side-table readers say "nothing".
-    assert view.run_traces() == [] and view.fault_leases() == []
+    assert view.run_traces() == [] and view.salvage_info() == []
     assert view.abort_reasons() == {}
 
 

@@ -163,7 +163,6 @@ def test_store_level3_salvage_path_records_salvage_info(tmp_path):
         assert rows[0]["RecordsDropped"] == 1
         assert rows[0]["Reason"] == "crc_mismatch"
         assert db.row_counts()["Events"] == 4
-        assert db.fault_leases() == []
     # store_level3 also summarized the quarantine on the way out.
     assert (tmp_path / "l2" / "quarantine" / "salvage_report.json").exists()
 
@@ -175,16 +174,3 @@ def test_condition_experiment_carries_salvage_records(tmp_path):
     assert [r["reason"] for r in data.salvage_records] == ["crc_mismatch"]
     clean = condition_experiment(_fill(tmp_path / "clean"))
     assert clean.salvage_records == []
-
-
-def test_reconciled_lease_log_roundtrip(tmp_path):
-    store = Level2Store(tmp_path / "l2")
-    assert store.read_reconciled_leases() == []
-    store.append_reconciled_leases([])  # no-op, creates nothing
-    assert not store.fault_lease_log_path.exists()
-    store.append_reconciled_leases(
-        [{"lease_id": "h1/0/1", "node": "h1", "run_id": 0, "kind": "msg_loss",
-          "reconciled_at": 2.5}]
-    )
-    leases = store.read_reconciled_leases()
-    assert [ls["lease_id"] for ls in leases] == ["h1/0/1"]

@@ -14,7 +14,6 @@ from repro.campaign.journal import CampaignJournal
 from repro.core.errors import StorageError
 from repro.fabric.election import ElectionLedger
 from repro.fabric.leases import LeaseStore
-from repro.faults.leases import FaultLeaseStore, make_lease
 from repro.repo.fingerprint import ExperimentKey
 from repro.repo.journal import IngestJournal
 from repro.sd.processlib import build_two_party_description
@@ -89,22 +88,6 @@ class _Election(_Case):
         return (len(ids), f"c{ids[-1]}")
 
 
-class _FaultLeases(_Case):
-    def __init__(self, root):
-        super().__init__(root)
-        self.path = root / "leases" / "n1.jsonl"
-
-    def write(self, i):
-        FaultLeaseStore(self.root / "leases").acquire(make_lease(
-            node="n1", run_id=0, kind="msg_loss", fault_id=i, acquired_at=1.0, duration=5.0))
-
-    def view(self):
-        return [ls["fault_id"] for ls in FaultLeaseStore(self.root / "leases").active("n1")]
-
-    def expect(self, ids):
-        return list(ids)
-
-
 class _Ingest(_Case):
     def __init__(self, root):
         super().__init__(root)
@@ -123,7 +106,7 @@ class _Ingest(_Case):
         return list(ids)
 
 
-CASES = [_Campaign, _FleetLeases, _Election, _FaultLeases, _Ingest]
+CASES = [_Campaign, _FleetLeases, _Election, _Ingest]
 
 
 @pytest.fixture(params=CASES, ids=lambda case: case.__name__.strip("_"))
