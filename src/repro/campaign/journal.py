@@ -10,8 +10,11 @@ root, and each entry names the shard a run's rows live in:
     fingerprint, seed, total_runs, plan fingerprint, session index.
     Appended once per execution session (a resume appends another).
 ``run_start``
-    run id + worker label — diagnostic only; a crashed session leaves
-    dangling ``run_start`` entries whose runs are simply re-executed.
+    run id, worker label and the fleet ``lease_id`` the run was granted
+    under (``null`` on a local campaign).  A restarted coordinator folds
+    these into its open leases (:meth:`repro.fabric.leases.LeaseStore.restore`);
+    a local session's dangling entries mean nothing, their runs are
+    simply re-executed.
 ``run_complete``
     ``{run_id, worker, shard[, epoch]}``: the shard database relative to
     the campaign root, plus the committing coordinator's epoch on fleet
@@ -28,10 +31,10 @@ root, and each entry names the shard a run's rows live in:
     node id + failure count — the scheduler stopped charging this node's
     failures against run retry budgets.
 ``worker_registered`` / ``worker_quarantined`` / ``lease_expired``
-    fleet lifecycle diagnostics (DESIGN.md §15).  Run and lease *state*
-    never lives here — completed runs are ``run_complete`` entries and
-    lease state is the fabric lease store's — these entries only preserve
-    the fleet's story for post-mortems and ``repro fabric status``.
+    the fleet's lifecycle (DESIGN.md §15).  The lease fold reads the last
+    two: a ``lease_expired`` closes the lease it names, a
+    ``worker_quarantined`` revokes the worker's open leases and keeps it
+    quarantined.
 ``campaign_complete``
     all runs staged; only merging can remain.
 
@@ -110,8 +113,11 @@ class CampaignJournal:
         )
         return session
 
-    def record_run_start(self, run_id: int, worker: str) -> None:
-        self._append({"type": "run_start", "run_id": run_id, "worker": worker})
+    def record_run_start(self, run_id: int, worker: str, lease_id: Optional[str]) -> None:
+        """*lease_id* is ``None`` on a local campaign."""
+        self._append(
+            {"type": "run_start", "run_id": run_id, "worker": worker, "lease_id": lease_id},
+        )
 
     def record_run_complete(
         self,

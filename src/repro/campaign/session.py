@@ -208,14 +208,17 @@ class CampaignSession:
         return self
 
     # ------------------------------------------------------------------
-    def dispatch(self, ticket: RunTicket, worker: str) -> List[Dict[str, Any]]:
-        """Journal one ticket's hand-over to *worker*.
+    def dispatch(
+        self, ticket: RunTicket, worker: str, lease_id: Optional[str]
+    ) -> List[Dict[str, Any]]:
+        """Journal one ticket's hand-over to *worker* (under the fleet
+        lease *lease_id*, ``None`` for a local worker).
 
         Returns the chaos entries surviving the attempt/session filter: a
         retry past an entry's ``max_attempt`` (or a resume past its
         ``sessions``) runs clean.
         """
-        self.journal.record_run_start(ticket.run_id, worker)
+        self.journal.record_run_start(ticket.run_id, worker, lease_id)
         self._clock_worker(worker, +1)
         return select_control_faults(
             self.control_faults,

@@ -6,9 +6,10 @@ architecture (DESIGN.md §15).  The pieces:
 
 * :mod:`repro.fabric.wire` — framed XML-RPC over TCP sockets, reusing the
   control plane's codec, deadline and retry contract (``core/rpc.py``).
-* :mod:`repro.fabric.leases` — fsynced lease records with TTL + renewal:
-  a dead worker's batch is re-leased without duplicate bookkeeping.  The
-  lease is the fleet's only failure detector.
+* :mod:`repro.fabric.leases` — the in-memory lease table with TTL +
+  renewal, rebuilt from the campaign journal on restart: a dead worker's
+  batch is re-leased without duplicate bookkeeping.  The lease is the
+  fleet's only failure detector.
 * :mod:`repro.fabric.dispatch` — the lease dispatcher: auto-registers
   workers, batches runs off the campaign scheduler's queue, re-leases
   expired batches, dedupes acks, revokes an operator-quarantined

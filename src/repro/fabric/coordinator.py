@@ -1,13 +1,14 @@
 """The campaign coordinator: ``repro fabric serve``.
 
-One process owns the campaign directory — journal, lease ledger,
+One process owns the campaign directory — journal, election ledger,
 ``scope.json`` and the coordinator-side shards — and serves the fabric
 RPC surface to a fleet of pull-based workers:
 
 ``register``   worker announces itself; gets the campaign bundle
                (description XML, treatments, platform config, batch
                cadence) so workers need zero local configuration.
-``lease``      pull a batch of runs as a durable TTL lease.
+``lease``      pull a batch of runs as a TTL lease (each run journaled
+               as a ``run_start`` carrying the lease id).
 ``renew``      extend a lease mid-batch.
 ``ack``        deliver one run's result (shipped level-3 rows) or its
                failure; the durable commit happens here, under the
@@ -26,9 +27,9 @@ transport of a :class:`~repro.campaign.session.CampaignSession` — the
 same open / settle / seal policy and the same commit contract the local
 pool drives — so every run commit is shard transaction → the session's
 ``settle_ok`` (shipped scope, if any, as ``scope.json`` → journal entry
-→ scheduler) under the election fence; the lease ledger restores
-in-flight ownership after a coordinator restart, and the journal's
-resume protocol re-queues exactly the runs whose shards lack them.
+→ scheduler) under the election fence; after a coordinator restart the
+same journal restores in-flight lease ownership, and its resume
+protocol re-queues exactly the runs whose shards lack them.
 Because runs are pure functions of (description, run id), the merged
 database of a restarted, re-leased, partially re-executed fleet campaign
 is byte-identical to a single ``--jobs`` local campaign — the invariant
@@ -239,23 +240,12 @@ class FabricCoordinator:
         self.telemetry = session
         self.dispatcher = LeaseDispatcher(
             session,
-            LeaseStore(
-                self.campaign_dir,
-                ttl=self.lease_ttl,
-                clock=self.clock,
-                epoch=self.epoch,
-            ),
+            LeaseStore(ttl=self.lease_ttl, clock=self.clock),
             batch_size=self.batch_size,
             clock=self.clock,
         )
         if session.resume:
             self.dispatcher.restore()
-            # Restore may have learned a higher epoch from the ledger,
-            # but ours is the freshly claimed maximum by construction.
-            self.dispatcher.leases.epoch = self.epoch
-        # Fence the lease ledger at our epoch immediately: anything a
-        # deposed predecessor appends from here on replays as stale.
-        self.dispatcher.leases.fence()
         self.description_xml = description_to_xml(self.description)
 
         self._renew_stop.clear()
@@ -380,7 +370,7 @@ class FabricCoordinator:
                 {
                     "run_id": ticket.run_id,
                     "attempt": ticket.attempts,
-                    "control_faults": self.session.dispatch(ticket, worker_id),
+                    "control_faults": self.session.dispatch(ticket, worker_id, lease.lease_id),
                 }
                 for ticket in batch
             ]

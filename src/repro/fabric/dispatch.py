@@ -2,15 +2,17 @@
 
 Sits between the campaign session (whose scheduler is the persistent run
 queue) and the fleet: workers *pull* batches, the dispatcher grants each
-pull as a durable lease, and every state change funnels through one
-object so the coordinator can serialize it under a single lock.  What a
-settled run means for the campaign — journal, retry ladder, report — is
-the session's (:mod:`repro.campaign.session`); the dispatcher decides
-only *whether* an ack settles anything.  The fleet's own lifecycle it
-reports itself, where it happens: four tallies (workers registered,
-leases granted and expired, workers quarantined), the lease counters of
-the metrics registry, and one line per event through the session's
-:meth:`~repro.campaign.session.CampaignSession.note`.
+pull as a lease, and every state change funnels through one object so
+the coordinator can serialize it under a single lock.  The lease table
+lives in memory; its durable story is the session's journal, which a
+restarted coordinator folds back into open leases (:meth:`restore`).
+What a settled run means for the campaign — journal, retry ladder,
+report — is the session's (:mod:`repro.campaign.session`); the
+dispatcher decides only *whether* an ack settles anything.  The fleet's
+own lifecycle it reports itself, where it happens: four tallies (workers
+registered, leases granted and expired, workers quarantined), the lease
+counters of the metrics registry, and one line per event through the
+session's :meth:`~repro.campaign.session.CampaignSession.note`.
 
 The guarantees, and where each lives:
 
@@ -276,13 +278,14 @@ class LeaseDispatcher:
     def restore(self) -> int:
         """Rebuild lease state after a coordinator restart.
 
-        Active leases from the ledger re-claim their unsettled runs out
-        of the scheduler queue (the original workers may still ack them)
-        and get one fresh TTL so a live worker has time to re-establish
-        its renewal cadence before the first sweep.  Returns the number
-        of restored active leases.
+        Folds the campaign journal (:meth:`LeaseStore.restore`): open
+        leases re-claim their unsettled runs out of the scheduler queue
+        (the original workers may still ack them), and a quarantined
+        worker stays quarantined.  Returns the number of restored open
+        leases.
         """
-        restored = self.leases.restore()
+        restored = self.leases.restore(self.journal.entries())
+        self.quarantined_workers.update(self.journal.quarantined_workers())
         for lease in self.leases.active():
             kept: Dict[int, RunTicket] = {}
             for run_id in lease.pending:
@@ -292,7 +295,6 @@ class LeaseDispatcher:
                 if ticket is not None:
                     kept[run_id] = ticket
             self._tickets[lease.lease_id] = kept
-            self.leases.renew(lease.lease_id)
             self.workers.setdefault(lease.worker_id, 1)
         return restored
 

@@ -1,8 +1,8 @@
 """Epoch-fenced leader election: automatic coordinator failover.
 
-PR 8 made coordinator failover *safe* (journal + lease-ledger replay)
-but not *automatic*: a dead coordinator stalled the fleet until an
-operator restarted it with ``--resume``.  This module adds the missing
+Journal replay makes coordinator failover *safe* but not *automatic*:
+on its own, a dead coordinator stalls the fleet until an operator
+restarts it with ``--resume``.  This module adds the missing
 piece — a durable **leadership lease** over the campaign directory, so
 any number of ``repro fabric serve --standby`` processes can tail the
 journal and take over the moment the leader's heartbeat lapses.
@@ -19,8 +19,8 @@ synced per append like the campaign journal, with three record shapes:
 
 Mutual exclusion between rival claimants is an ``flock`` on
 ``election.lock`` in the same directory: the fabric's coordinators
-share the campaign directory (that is what the journal and lease ledger
-already require), so POSIX advisory locking is the natural arbiter.
+share the campaign directory (that is what the journal already
+requires), so POSIX advisory locking is the natural arbiter.
 Every claim, renewal, release — and, crucially, every **fenced commit**
 — runs under that lock, which closes the check-then-write race: a
 deposed leader that was stopped (partitioned, SIGSTOPped) mid-campaign
@@ -32,10 +32,11 @@ The fencing invariant: epochs only grow, at most one process can hold
 the lease at any epoch, and no run commit is durable unless the
 committing coordinator held the current epoch at commit time.  Split
 brain can therefore delay work (two coordinators may *think* they lead)
-but never double-commit a run — the losing side's writes are rejected
-by epoch comparison, both live (fenced commits) and at replay
-(:meth:`repro.fabric.leases.LeaseStore.restore` skips records stamped
-with a superseded epoch).
+but never double-commit a run — the losing side's commits are rejected
+live, by epoch comparison under the lock (:meth:`ElectionLedger.fenced`).
+There is no replay-side fence: a deposed leader's stray lease entries in
+the journal can at worst re-queue a run early, and first-ack-wins makes
+the second execution a duplicate.
 
 Standbys additionally announce themselves through beacon files under
 ``standbys/`` so ``repro fabric status`` can report the roster without
@@ -313,7 +314,7 @@ class StandbyCoordinator:
     watch the leadership lease, and the moment it lapses (leader death,
     partition) or is released (graceful handoff), campaign for it.  On
     winning, the standby *becomes* the coordinator — it resumes from the
-    journal + lease ledger exactly like ``--resume`` and serves the rest
+    journal exactly like ``--resume`` and serves the rest
     of the campaign at its own endpoint (workers re-resolve through
     their seed lists).
 

@@ -1,35 +1,22 @@
-"""Fsynced batch leases: the fabric's exactly-once re-dispatch ledger.
+"""Batch leases: the coordinator's in-memory lease table.
 
-A lease is the coordinator's durable promise that one worker owns one
-batch of runs for a bounded time.  The ledger is a
-:class:`repro.durable.DurableLog` at ``<campaign dir>/leases.jsonl``,
-synced per append like the campaign journal, holding five record shapes:
+A lease is the coordinator's promise that one worker owns one batch of
+runs for a bounded time.  Workers renew it at ~TTL/3 while executing,
+so only dead or wedged workers expire; acks retire its runs one by one;
+it closes ``complete`` (all runs resolved), ``expired`` (TTL ran out) or
+``revoked`` (operator quarantine).  Close is idempotent and the first
+reason wins, which is what makes re-leasing *exactly once* — revoking or
+expiring an already-closed lease is a no-op.
 
-``grant``    lease id, worker, run ids, expiry — written *before* the
-             batch leaves the coordinator, so a crash can never forget
-             who held what.
-``renew``    new expiry for an active lease (workers renew at ~TTL/3
-             while executing, so only dead or wedged workers expire).
-``ack``      one run of the lease resolved (completed or failed).
-``close``    the lease ended: ``complete`` (all runs resolved),
-             ``expired`` (TTL ran out), ``revoked`` (drain/quarantine).
-``epoch``    a fence: a freshly claimed coordinator marking its fencing
-             epoch as the ledger's floor before any organic append.
-
-Replaying the ledger reconstructs the exact active-lease set, which is
-what makes coordinator failover safe: a restarted coordinator honors
-in-flight leases (their workers may still ack) instead of blindly
-re-dispatching, and the TTL sweep re-queues only batches whose workers
-went silent.  Close records are what makes re-leasing *exactly once* —
-revoking or expiring an already-closed lease is a no-op.
-
-Every record is stamped with the writing coordinator's **fencing
-epoch** (:mod:`repro.fabric.election`).  Epochs only grow, so a record
-carrying an epoch lower than one already seen was appended by a deposed
-leader that outlived its lease (partition, SIGSTOP) — :meth:`restore`
-skips such records (counted in :attr:`LeaseStore.fenced_records`),
-which is the replay-side half of the split-brain defense: a stale
-leader's stray appends can waste bytes, never corrupt lease state.
+The table keeps no log of its own: the campaign journal
+(:mod:`repro.campaign.journal`) already holds every fact it needs.  Each
+granted run is a ``run_start`` entry carrying its lease id, each settle
+a ``run_complete`` / ``run_failed``, each re-queuing expiry a
+``lease_expired``, each revoke a ``worker_quarantined``.
+:meth:`LeaseStore.restore` folds those entries, which is what makes
+coordinator failover safe: a restarted coordinator honors in-flight
+leases (their workers may still ack) instead of blindly re-dispatching,
+and each restored lease gets one fresh TTL.
 
 Wall-clock timestamps are used deliberately: leases coordinate real
 processes, not simulated ones, and never influence run data (a lease
@@ -41,14 +28,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.errors import CampaignError
-from repro.durable import DurableLog
 
 __all__ = ["Lease", "LeaseStore"]
 
+# No file has this name any more; benchmarks/e2e (frozen, ROADMAP 1(d)) counts its lines.
 LEASES_NAME = "leases.jsonl"
 
 
@@ -59,10 +45,8 @@ class Lease:
     lease_id: str
     worker_id: str
     run_ids: Tuple[int, ...]
-    granted_at: float
     expires_at: float
     acked: Set[int] = field(default_factory=set)
-    renewals: int = 0
     closed: Optional[str] = None  # close reason, None while active
 
     @property
@@ -79,91 +63,49 @@ class Lease:
 
 
 class LeaseStore:
-    """The append-only lease ledger of one campaign directory."""
+    """The lease table of one coordinator."""
 
-    def __init__(
-        self,
-        campaign_dir,
-        ttl: float = 30.0,
-        clock: Callable[[], float] = time.time,
-        epoch: int = 0,
-    ) -> None:
+    def __init__(self, ttl: float = 30.0, clock: Callable[[], float] = time.time) -> None:
         if ttl <= 0:
             raise CampaignError(f"lease ttl must be > 0, got {ttl}")
-        self.root = Path(campaign_dir)
-        self.path = self.root / LEASES_NAME
-        self._log = DurableLog(self.path)
         self.ttl = float(ttl)
         self.clock = clock
-        #: The writing coordinator's fencing epoch, stamped on appends.
-        self.epoch = int(epoch)
-        #: Stale-epoch records skipped by the last :meth:`restore`.
-        self.fenced_records = 0
         self._leases: Dict[str, Lease] = {}
         self._seq = 0
 
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def _append(self, record: dict) -> None:
-        record.setdefault("epoch", self.epoch)
-        self._log.append([record])
-
+    # Nothing to fence any more; benchmarks/e2e (frozen, ROADMAP 1(d)) wraps it.
     def fence(self) -> None:
-        """Durably mark this store's epoch as the ledger's floor.
+        pass
 
-        Written by a freshly claimed coordinator *before* any organic
-        append so that every record a deposed predecessor writes after
-        the takeover replays as stale.  Without it there is a window —
-        between the successor's claim and its first grant/renew — where
-        a stale leader's appends would carry the highest epoch in the
-        file and replay as legitimate.
-        """
-        self._append({"op": "epoch"})
+    def restore(self, entries: Iterable[Dict[str, Any]]) -> int:
+        """Fold campaign-journal *entries*, in file order, into the table
+        (coordinator restart); returns the number of open leases.
 
-    def restore(self) -> int:
-        """Replay the ledger (coordinator restart); returns active count.
-
-        Records stamped with an epoch *below* the highest seen so far
-        were written by a deposed leader after its successor claimed the
-        lease — they are skipped (fencing by epoch comparison), and the
-        highest epoch seen becomes the floor for this store's own
-        :attr:`epoch` stamp.
+        Every open lease gets a fresh TTL, so a live worker has time to
+        re-establish its renewal cadence before the first sweep.
         """
         self._leases.clear()
         self._seq = 0
-        self.fenced_records = 0
-        max_epoch = 0
-        for rec in self._log.replay():
-            op = rec["op"]
-            rec_epoch = int(rec.get("epoch", 0))
-            if rec_epoch < max_epoch:
-                self.fenced_records += 1
-                continue
-            max_epoch = rec_epoch
-            if op == "grant":
-                lease = Lease(
-                    lease_id=rec["lease_id"],
-                    worker_id=rec["worker_id"],
-                    run_ids=tuple(rec["run_ids"]),
-                    granted_at=rec["granted_at"],
-                    expires_at=rec["expires_at"],
-                )
-                self._leases[lease.lease_id] = lease
-                self._seq = max(self._seq, int(rec["lease_id"][1:]))
-                continue
-            lease = self._leases.get(rec.get("lease_id"))
-            if lease is None:
-                continue
-            if op == "renew":
-                lease.expires_at = rec["expires_at"]
-                lease.renewals += 1
-            elif op == "ack":
-                lease.acked.add(rec["run_id"])
-            elif op == "close":
-                lease.closed = rec["reason"]
-        if max_epoch > self.epoch:
-            self.epoch = max_epoch
+        expires_at = self.clock() + self.ttl
+        latest: Dict[int, Lease] = {}  # run id -> the last lease granting it
+        for entry in entries:
+            kind = entry["type"]
+            if kind == "run_start" and entry.get("lease_id"):
+                lease_id = entry["lease_id"]
+                lease = self._leases.get(lease_id)
+                if lease is None:
+                    lease = Lease(lease_id, entry["worker"], (), expires_at)
+                    self._leases[lease_id] = lease
+                    self._seq = max(self._seq, int(lease_id[1:]))
+                lease.run_ids += (entry["run_id"],)
+                latest[entry["run_id"]] = lease
+            elif kind in ("run_complete", "run_failed") and entry["run_id"] in latest:
+                self.ack(latest[entry["run_id"]].lease_id, entry["run_id"])
+            elif kind == "lease_expired":
+                self.close(entry["lease_id"], "expired")
+            elif kind == "worker_quarantined":
+                for lease in self.for_worker(entry["worker_id"]):
+                    self.close(lease.lease_id, "revoked")
         return len(self.active())
 
     # ------------------------------------------------------------------
@@ -172,27 +114,8 @@ class LeaseStore:
     def grant(self, worker_id: str, run_ids: List[int]) -> Lease:
         if not run_ids:
             raise CampaignError("refusing to grant an empty lease")
-        now = self.clock()
         self._seq += 1
-        lease = Lease(
-            lease_id=f"L{self._seq:06d}",
-            worker_id=worker_id,
-            run_ids=tuple(run_ids),
-            granted_at=now,
-            expires_at=now + self.ttl,
-        )
-        # Durable before dispatch: the grant record is what a restarted
-        # coordinator uses to keep honoring this worker's acks.
-        self._append(
-            {
-                "op": "grant",
-                "lease_id": lease.lease_id,
-                "worker_id": worker_id,
-                "run_ids": list(run_ids),
-                "granted_at": now,
-                "expires_at": lease.expires_at,
-            },
-        )
+        lease = Lease(f"L{self._seq:06d}", worker_id, tuple(run_ids), self.clock() + self.ttl)
         self._leases[lease.lease_id] = lease
         return lease
 
@@ -207,10 +130,6 @@ class LeaseStore:
         if lease is None or not lease.active:
             return None
         lease.expires_at = self.clock() + self.ttl
-        lease.renewals += 1
-        self._append(
-            {"op": "renew", "lease_id": lease_id, "expires_at": lease.expires_at},
-        )
         return lease
 
     def ack(self, lease_id: str, run_id: int) -> Optional[Lease]:
@@ -221,7 +140,6 @@ class LeaseStore:
         if lease is None or run_id in lease.acked:
             return lease
         lease.acked.add(run_id)
-        self._append({"op": "ack", "lease_id": lease_id, "run_id": run_id})
         if lease.active and not lease.pending:
             self.close(lease_id, "complete")
         return lease
@@ -233,7 +151,6 @@ class LeaseStore:
         if lease is None or not lease.active:
             return lease
         lease.closed = reason
-        self._append({"op": "close", "lease_id": lease_id, "reason": reason})
         return lease
 
     # ------------------------------------------------------------------
@@ -270,6 +187,4 @@ class LeaseStore:
             "granted": self._seq,
             "active": len(active),
             "leased_runs": sum(len(lease.pending) for lease in active),
-            "epoch": self.epoch,
-            "fenced_records": self.fenced_records,
         }

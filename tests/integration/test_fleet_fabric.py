@@ -18,9 +18,7 @@ import time
 import pytest
 
 from repro.campaign import CampaignJournal, database_digest, run_campaign
-from repro.durable import DurableLog
 from repro.fabric import FabricCoordinator, FabricWorker, FleetChannel
-from repro.fabric.leases import LEASES_NAME
 from repro.sd.processlib import build_two_party_description
 
 
@@ -94,16 +92,17 @@ def test_three_worker_fleet_byte_identical(local_reference, tmp_path):
     registered = [e["worker_id"] for e in journal.entries() if e["type"] == "worker_registered"]
     assert sorted(registered) == ["w0", "w1", "w2"]
     assert sorted(journal.completed()) == list(range(len(result.plan)))
-    # The fleet's tallies: three joins, one per lease the ledger granted,
+    # The fleet's tallies: three joins, one per lease the journal names,
     # no expiry or quarantine.
-    ledger = DurableLog(tmp_path / "campaign" / LEASES_NAME).replay()
-    grants = sum(1 for record in ledger if record.get("op") == "grant")
+    grants = {e["lease_id"] for e in journal.entries() if e["type"] == "run_start"}
     assert result.telemetry["fleet"] == {
         "registered": 3,
-        "leases": grants,
+        "leases": len(grants),
         "expired": 0,
         "quarantined": 0,
     }
+    # The journal is the lease ledger: no campaign writes a second one.
+    assert not (tmp_path / "campaign" / "leases.jsonl").exists()
 
 
 def test_kill_worker_and_coordinator_restart_converges(local_reference, tmp_path):
@@ -185,6 +184,7 @@ def test_kill_worker_and_coordinator_restart_converges(local_reference, tmp_path
     assert result.telemetry["fleet"]["expired"] == 1
     assert journal.session_count() == 2
     assert journal.finished()
+    assert not (tmp_path / "campaign" / "leases.jsonl").exists()
 
 
 def test_quarantine_rpc_re_leases_in_flight_batch_exactly_once(tmp_path):

@@ -1,201 +1,227 @@
-"""Property tests: the lease ledger under arbitrary failover chaos.
+"""Property tests: the fleet's lease state, rebuilt from the campaign journal.
 
-Hypothesis drives a model of the fabric's settle path — grants, worker
-deaths (TTL expiry), leadership epoch bumps with a stale predecessor
-still appending, duplicate acks and stale-epoch acks — against the real
-:class:`repro.fabric.leases.LeaseStore` and the dispatcher's first-ack-
-wins dedupe rule.  Two invariants must hold for *every* interleaving:
+Hypothesis drives the real settle path — :class:`LeaseDispatcher` over a
+:class:`CampaignSession`, with a fake commit as in ``test_dispatch`` —
+through grants, failures, TTL expiries, duplicate and stale acks, operator
+quarantine and coordinator restarts (a resumed session plus a fresh
+dispatcher that calls ``restore()``).  One drawn append crashes: a
+test-only patch of :meth:`DurableLog.append` raises :class:`SimulatedCrash`
+instead of writing it, and the coordinator restarts from what is on disk.
+Two invariants must hold for *every* interleaving:
 
-1. **Exactly-once commit.**  Each run's durable-commit callback fires at
-   most once during the chaos, and exactly once after the queue drains.
-2. **Replay determinism.**  Restoring a fresh store from any prefix of
-   the ledger file reconstructs exactly the lease state the legitimate
-   (current-epoch) store held when that prefix was the whole file —
-   stale leaders' appends are fenced out by epoch comparison.
+1. **Exactly-once commit.**  No run is journaled ``run_complete`` twice
+   during the chaos, and each is journaled exactly once after the queue
+   drains.
+2. **The journal is the lease ledger.**  Folding any prefix of the
+   journal (:meth:`LeaseStore.restore`) yields the open leases, with the
+   same *unsettled* runs, that the live dispatcher held when that prefix
+   was the whole file — and the same next lease id.
 """
 
 from collections import Counter
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaign.journal import CampaignJournal
+from repro.campaign.session import CampaignSession
+from repro.durable import DurableLog
+from repro.fabric.dispatch import LeaseDispatcher
 from repro.fabric.leases import LeaseStore
+from repro.sd.processlib import build_two_party_description
 
-RUNS = 8
+RUNS = 6
 TTL = 30.0
+WORKERS = ["w1", "w2", "w3"]
+DESC = build_two_party_description(name="ledger", seed=11, replications=RUNS, env_count=1)
+APPEND = DurableLog.append
+
+
+class SimulatedCrash(BaseException):
+    """The process died inside a durable append (no ``except Exception``
+    may swallow it)."""
 
 
 class Model:
-    """The coordinator-side settle model: store + first-ack-wins dedupe."""
+    """One campaign directory, its live coordinator, and the crash hook."""
 
-    def __init__(self, tmp_path):
-        self.root = tmp_path
+    def __init__(self, root):
+        self.root = root
         self.now = [1000.0]
-        self.epoch = 1
-        self.store = LeaseStore(tmp_path, ttl=TTL, clock=self.clock, epoch=1)
-        self.store.fence()  # what FabricCoordinator.start does on claim
-        self.stale_store = None  # the deposed predecessor, if any
-        self.done = set()
-        self.commits = Counter()
-        self.queue = list(range(RUNS))
+        self.shard = set()  # the fake shard: what resume trusts
+        self.crash_at = None  # the append to crash at, counting from 1
+        self.appends = 0  # journal records on disk
         self.snapshots = []
-        self.snapshot()
+        (root / "scope.json").write_text("{}", encoding="utf-8")
 
     def clock(self):
         return self.now[0]
 
-    # -- canonical state + snapshotting --------------------------------
-    def state(self, store):
-        return {
-            lease.lease_id: (
-                lease.worker_id,
-                lease.run_ids,
-                tuple(sorted(lease.acked)),
-                lease.closed,
-            )
-            for lease in store._leases.values()
-        }
+    # -- the crash hook ------------------------------------------------
+    def append(self, log, records):
+        records = list(records)
+        if self.crash_at is not None:
+            self.crash_at -= 1
+            if self.crash_at == 0:
+                self.crash_at = None
+                raise SimulatedCrash()
+        APPEND(log, records, sync=False)  # a simulated crash needs no fsync
+        self.appends += len(records)
 
-    def lines(self):
-        if not self.store.path.exists():
-            return 0
-        with open(self.store.path, "r", encoding="utf-8") as fh:
-            return sum(1 for _ in fh)
+    # -- coordinator lifecycle -----------------------------------------
+    def start(self, resume):
+        session = CampaignSession(DESC, self.root, max_attempts=RUNS * 10, resume=resume)
+        self.dispatcher = LeaseDispatcher(
+            session.open(),
+            LeaseStore(ttl=TTL, clock=self.clock),
+            batch_size=2,
+            clock=self.clock,
+        )
+        if resume:
+            self.dispatcher.restore()
+            journaled = CampaignJournal(self.root).quarantined_workers()
+            assert sorted(self.dispatcher.quarantined_workers) == journaled
+
+    def step(self, op, arg):
+        try:
+            op(arg)
+        except SimulatedCrash:
+            self.start(resume=True)
+        self.snapshot()
+
+    # -- canonical state -----------------------------------------------
+    def settled(self):
+        return self.dispatcher.scheduler.done | self.dispatcher.scheduler.skipped
 
     def snapshot(self):
-        self.snapshots.append((self.lines(), self.epoch, self.state(self.store)))
+        settled = self.settled()
+        held = {}
+        for lease in self.dispatcher.leases.active():
+            unsettled = tuple(r for r in lease.pending if r not in settled)
+            if unsettled:
+                held[lease.lease_id] = (lease.worker_id, unsettled)
+        self.snapshots.append((self.appends, held, self.dispatcher.leases._seq))
 
     # -- operations ----------------------------------------------------
+    def holder(self, run_id):
+        for lease in self.dispatcher.leases.active():
+            if run_id in lease.pending:
+                return lease
+        return None
+
+    def commit(self, run_id, worker):
+        def commit():
+            self.shard.add(run_id)  # the shard transaction: the commit point
+            self.dispatcher.session.settle_ok(run_id, worker, "shards/fake.db")
+
+        return commit
+
     def grant(self, worker):
-        batch = self.queue[:2]
-        if not batch:
-            return
-        del self.queue[:2]
-        self.store.grant(worker, batch)
-        self.snapshot()
+        lease, batch = self.dispatcher.grant(worker, 2)
+        for ticket in batch:
+            self.dispatcher.session.dispatch(ticket, worker, lease.lease_id)
 
     def ack(self, run_id):
-        """First-ack-wins settle, mirroring LeaseDispatcher.ack_completed."""
-        for lease in self.store.active():
-            if run_id in lease.pending:
-                if run_id not in self.done:
-                    self.commits[run_id] += 1
-                    self.done.add(run_id)
-                self.store.ack(lease.lease_id, run_id)
-                self.snapshot()
-                return
+        lease = self.holder(run_id)
+        if lease is not None:
+            self.dispatcher.ack_completed(
+                lease.worker_id, lease.lease_id, run_id, self.commit(run_id, lease.worker_id)
+            )
 
-    def duplicate_ack(self, run_id):
-        """A retried/replayed ack of an already settled run."""
-        if run_id not in self.done:
-            return
-        for lease in self.store._leases.values():
+    def fail(self, run_id):
+        lease = self.holder(run_id)
+        if lease is not None:
+            self.dispatcher.ack_failed(lease.worker_id, lease.lease_id, run_id, "boom")
+
+    def stale(self, run_id):
+        """An ack through any lease that ever held the run: a retried
+        RPC, a zombie after expiry or revoke, a replay after restart."""
+        for lease in self.dispatcher.leases._leases.values():
             if run_id in lease.run_ids:
-                if run_id in self.done:
-                    pass  # dedupe: commit callback NOT invoked
-                self.store.ack(lease.lease_id, run_id)
-                self.snapshot()
+                self.dispatcher.ack_completed(
+                    lease.worker_id, lease.lease_id, run_id, self.commit(run_id, lease.worker_id)
+                )
                 return
 
-    def worker_dies(self):
-        """Advance past the TTL; expire leases, requeue unsettled runs."""
+    def expire(self, _=None):
         self.now[0] += TTL + 1.0
-        for lease in self.store.expired():
-            closed = self.store.close(lease.lease_id, "expired")
-            if closed is not None and closed.closed == "expired":
-                for run_id in lease.pending:
-                    if run_id not in self.done:
-                        self.queue.append(run_id)
-        self.snapshot()
+        self.dispatcher.sweep()
 
-    def epoch_bump(self):
-        """A rival coordinator takes over; we become the stale writer."""
-        self.stale_store = self.store
-        self.epoch += 1
-        successor = LeaseStore(self.root, ttl=TTL, clock=self.clock,
-                               epoch=self.epoch)
-        successor.restore()
-        successor.epoch = self.epoch
-        successor.fence()
-        self.store = successor
-        self.snapshot()
+    def quarantine(self, worker):
+        self.dispatcher.quarantine_worker(worker, "operator")
 
-    def stale_append(self, run_id):
-        """The deposed leader keeps acking/granting at its old epoch."""
-        if self.stale_store is None:
-            return
-        for lease in self.stale_store.active():
-            if run_id in lease.pending:
-                self.stale_store.ack(lease.lease_id, run_id)
-                return
-        # Nothing to ack: append a stale grant instead (also fenced).
-        self.stale_store.grant("ghost", [run_id])
+    def restart(self, _=None):
+        self.start(resume=True)
 
     def drain(self):
-        """Settle everything still outstanding under the current leader."""
-        guard = 0
-        while len(self.done) < RUNS and guard < 100:
-            guard += 1
-            outstanding = [
-                r for lease in self.store.active() for r in lease.pending
-            ]
-            for run_id in outstanding:
-                self.ack(run_id)
-            if self.queue:
-                self.grant("drainer")
-        assert guard < 100, "drain did not converge"
+        """Settle everything still outstanding."""
+        for _ in range(100):
+            if self.dispatcher.scheduler.finished:
+                return
+            leases = self.dispatcher.leases.active()
+            for lease in leases:
+                for run_id in lease.pending:
+                    self.step(self.ack, run_id)
+            if not leases:
+                self.step(self.grant, "drainer")
+        raise AssertionError("drain did not converge")
 
 
 ops = st.lists(
     st.one_of(
-        st.tuples(st.just("grant"), st.sampled_from(["w1", "w2", "w3"])),
+        st.tuples(st.just("grant"), st.sampled_from(WORKERS)),
         st.tuples(st.just("ack"), st.integers(0, RUNS - 1)),
-        st.tuples(st.just("dup"), st.integers(0, RUNS - 1)),
-        st.tuples(st.just("die"), st.none()),
-        st.tuples(st.just("bump"), st.none()),
+        st.tuples(st.just("fail"), st.integers(0, RUNS - 1)),
         st.tuples(st.just("stale"), st.integers(0, RUNS - 1)),
+        st.tuples(st.just("expire"), st.none()),
+        st.tuples(st.just("quarantine"), st.sampled_from(WORKERS)),
+        st.tuples(st.just("restart"), st.none()),
     ),
     min_size=1,
-    max_size=30,
+    max_size=25,
 )
 
 
-@given(ops=ops)
-@settings(max_examples=60, deadline=None)
-def test_exactly_once_commits_and_prefix_replay(ops, tmp_path_factory):
-    tmp_path = tmp_path_factory.mktemp("ledger")
-    model = Model(tmp_path)
-    dispatch = {
-        "grant": model.grant,
-        "ack": model.ack,
-        "dup": model.duplicate_ack,
-        "die": lambda _=None: model.worker_dies(),
-        "bump": lambda _=None: model.epoch_bump(),
-        "stale": model.stale_append,
-    }
-    for name, arg in ops:
-        dispatch[name](arg) if arg is not None else dispatch[name]()
-        # Invariant 1, continuously: no run ever commits twice.
-        assert all(count == 1 for count in model.commits.values())
+def _completions(entries):
+    return Counter(e["run_id"] for e in entries if e["type"] == "run_complete")
 
-    model.drain()
+
+@given(ops=ops, crash_at=st.integers(1, 20))
+@settings(max_examples=80, deadline=None)
+def test_exactly_once_commits_and_prefix_replay(ops, crash_at, tmp_path_factory):
+    root = tmp_path_factory.mktemp("journal")
+    model = Model(root)
+    journal = CampaignJournal(root)
+    with mock.patch.object(
+        DurableLog, "append", lambda log, records, sync=True: model.append(log, records)
+    ), mock.patch(
+        "repro.campaign.merge.shard_has_run", lambda _path, run_id: run_id in model.shard
+    ):
+        model.start(resume=False)
+        model.snapshot()
+        model.crash_at = crash_at
+        for name, arg in ops:
+            model.step(getattr(model, name), arg)
+            # Invariant 1, continuously: no run is ever committed twice.
+            assert all(n == 1 for n in _completions(journal.entries()).values())
+        model.drain()
+
+    entries = journal.entries()
     # Invariant 1, terminally: every run committed exactly once.
-    assert model.commits == Counter({run: 1 for run in range(RUNS)})
+    assert _completions(entries) == Counter(range(RUNS))
 
-    # Invariant 2: replaying any prefix of the ledger reconstructs the
-    # exact state the legitimate store held at that point.
-    with open(model.store.path, "r", encoding="utf-8") as fh:
-        all_lines = fh.readlines()
-    replay_root = tmp_path_factory.mktemp("replay")
-    for i, (line_count, epoch, expected) in enumerate(model.snapshots):
-        prefix_dir = replay_root / f"p{i}"
-        prefix_dir.mkdir()
-        (prefix_dir / "leases.jsonl").write_text(
-            "".join(all_lines[:line_count]), encoding="utf-8",
-        )
-        replayed = LeaseStore(prefix_dir, ttl=TTL, clock=model.clock)
-        replayed.restore()
-        assert replayed.epoch == epoch
-        assert model.state(replayed) == expected, (
-            f"prefix of {line_count} lines diverged at epoch {epoch}"
-        )
+    # Invariant 2: each journal prefix folds into the lease state the
+    # live dispatcher held when the prefix was the whole file.
+    for count, held, seq in model.snapshots:
+        prefix = entries[:count]
+        settled = {e["run_id"] for e in prefix if e["type"] == "run_complete"}
+        store = LeaseStore(ttl=TTL, clock=model.clock)
+        store.restore(prefix)
+        folded = {
+            lease.lease_id: (lease.worker_id, tuple(lease.pending))
+            for lease in store.active()
+        }
+        assert all(not set(runs) & settled for _worker, runs in folded.values())
+        assert folded == held, f"prefix of {count} records diverged"
+        assert store._seq == seq

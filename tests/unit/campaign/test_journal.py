@@ -22,7 +22,7 @@ def test_round_trip_and_session_index(tmp_path):
     desc = _desc()
     assert not journal.started()
     assert _started(journal, desc) == 0
-    journal.record_run_start(0, "s0w00")
+    journal.record_run_start(0, "s0w00", None)
     journal.record_run_complete(0, "s0w00", "shards/s0w00.db")
     assert journal.started() and not journal.finished()
     assert _started(journal, desc) == 1  # second session

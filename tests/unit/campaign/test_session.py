@@ -39,7 +39,7 @@ def _types(tmp_path):
 
 def _run_for_real(session, ticket, worker="s0w00"):
     """Execute one ticket the way a pool worker would, then settle it."""
-    faults = session.dispatch(ticket, worker)
+    faults = session.dispatch(ticket, worker, None)
     res = execute_spec_run(
         build_run_spec(
             session.campaign_dir,
@@ -119,11 +119,11 @@ def test_dispatch_journals_the_start_and_filters_chaos_per_attempt(tmp_path):
     fault = {"node": NODE, "action": "hang", "max_attempt": 1}
     session = _open(tmp_path, control_faults=[fault])
     ticket = session.scheduler.next_ticket()
-    assert session.dispatch(ticket, "w0") == [fault]
+    assert session.dispatch(ticket, "w0", None) == [fault]
     assert session.settle_failed(ticket.run_id, "w0", "boom", ticket.attempts)
     retry = session.scheduler.next_ticket()
     assert (retry.run_id, retry.attempts) == (ticket.run_id, 2)
-    assert session.dispatch(retry, "w1") == []  # past max_attempt: runs clean
+    assert session.dispatch(retry, "w1", None) == []  # past max_attempt: runs clean
     starts = [e for e in CampaignJournal(tmp_path).entries() if e["type"] == "run_start"]
     assert [(e["run_id"], e["worker"]) for e in starts] == [(0, "w0"), (0, "w1")]
 
@@ -192,7 +192,7 @@ def test_seal_reports_failed_runs_and_leaves_the_journal_resumable(tmp_path):
 def test_seal_journals_completion_exactly_once(tmp_path):
     session = _open(tmp_path, replications=2)
     while (ticket := session.scheduler.next_ticket()) is not None:
-        session.dispatch(ticket, "w0")
+        session.dispatch(ticket, "w0", None)
         session.settle_ok(ticket.run_id, "w0", "shards/w0.db", timed_out=ticket.run_id == 1)
     result = session.seal(jobs=2, pool="fleet")
     again = session.seal(jobs=2, pool="fleet")
@@ -233,7 +233,7 @@ def test_a_multi_run_lease_keeps_its_worker_busy_until_the_last_settle(tmp_path,
     lines = []
     session = _open(tmp_path, progress=lines.append)
     for ticket in session.scheduler.next_batch(2):
-        session.dispatch(ticket, "w0")
+        session.dispatch(ticket, "w0", None)
     gauge = registry.gauge("repro_campaign_worker_busy_seconds", labels=("worker",))
     clock.now += 1.0
     session.settle_ok(0, "w0", "shards/w0.db")
@@ -353,7 +353,7 @@ def test_fleet_campaign_report_is_pinned(tmp_path, clock, registry):
     session = _open(tmp_path, replications=6, progress=lines.append)
     dispatcher = LeaseDispatcher(
         session,
-        LeaseStore(tmp_path, ttl=10.0, clock=clock),
+        LeaseStore(ttl=10.0, clock=clock),
         batch_size=2,
         clock=clock,
     )
@@ -361,7 +361,7 @@ def test_fleet_campaign_report_is_pinned(tmp_path, clock, registry):
     def lease(worker):
         granted, batch = dispatcher.grant(worker, 2)
         for ticket in batch:
-            session.dispatch(ticket, worker)
+            session.dispatch(ticket, worker, granted.lease_id)
         return granted
 
     def ack(worker, granted, run_id):

@@ -39,10 +39,18 @@ def _session(tmp_path, replications=6, max_attempts=2, resume=False, staged=(), 
 def _dispatcher(tmp_path, clock, replications=6, ttl=30.0, max_attempts=2, session=None):
     return LeaseDispatcher(
         session or _session(tmp_path, replications, max_attempts),
-        LeaseStore(tmp_path, ttl=ttl, clock=clock),
+        LeaseStore(ttl=ttl, clock=clock),
         batch_size=2,
         clock=clock,
     )
+
+
+def _grant(dispatcher, worker, want):
+    """Grant and journal the batch, as the coordinator's ``lease`` does."""
+    lease, batch = dispatcher.grant(worker, want)
+    for ticket in batch:
+        dispatcher.session.dispatch(ticket, worker, lease.lease_id)
+    return lease, batch
 
 
 def _commit(dispatcher, run_id, log=None):
@@ -192,14 +200,14 @@ def test_renewing_worker_keeps_its_lease_however_long_its_runs_take(tmp_path):
 def test_restore_reclaims_pending_runs_and_grace_renews(tmp_path):
     clock = FakeClock()
     dispatcher = _dispatcher(tmp_path, clock, ttl=10.0)
-    lease, _ = dispatcher.grant("w1", 2)
+    lease, _ = _grant(dispatcher, "w1", 2)
     dispatcher.ack_completed("w1", lease.lease_id, 0, _commit(dispatcher, 0))
 
     # Coordinator restart: fresh session (run 0 staged), fresh dispatcher.
     clock.advance(9.0)
     restored = LeaseDispatcher(
         _session(tmp_path, resume=True, staged=[0]),
-        LeaseStore(tmp_path, ttl=10.0, clock=clock),
+        LeaseStore(ttl=10.0, clock=clock),
         batch_size=2,
         clock=clock,
     )
@@ -208,10 +216,24 @@ def test_restore_reclaims_pending_runs_and_grace_renews(tmp_path):
     # Run 1 is claimed by the restored lease: not leasable to others ...
     _, batch = restored.grant("w2", 2)
     assert 1 not in [t.run_id for t in batch]
-    # ... the grace renewal pushed the expiry a fresh TTL out ...
+    # ... the restored lease got a fresh TTL ...
     assert restored.sweep() == []
     # ... and the original worker's ack still lands as the first ack.
     assert restored.ack_completed("w1", lease.lease_id, 1, _commit(restored, 1)) == "committed"
+
+
+def test_a_quarantined_worker_stays_quarantined_across_a_restart(tmp_path):
+    clock = FakeClock()
+    dispatcher = _dispatcher(tmp_path, clock)
+    _grant(dispatcher, "w1", 2)
+    assert sorted(dispatcher.quarantine_worker("w1", "flaky host")) == [0, 1]
+
+    restored = _dispatcher(tmp_path, clock, session=_session(tmp_path, resume=True))
+    assert restored.restore() == 0  # the revoked lease stays closed
+    assert restored.quarantined_workers == {"w1"}
+    assert restored.grant("w1", 2) == (None, [])  # never granted again
+    _, batch = restored.grant("w2", 2)
+    assert [t.run_id for t in batch] == [0, 1]
 
 
 def test_replayed_ack_of_staged_run_deduplicates(tmp_path):
@@ -220,10 +242,9 @@ def test_replayed_ack_of_staged_run_deduplicates(tmp_path):
     the crash: the new session must answer ``duplicate`` — not commit
     again, and not corrupt the scheduler's pending accounting."""
     clock = FakeClock()
-    _session(tmp_path, replications=4)
     # Session 1 granted L000001 for runs (0, 1) and committed run 0.
-    old = LeaseStore(tmp_path, ttl=30.0, clock=clock)
-    old_lease = old.grant("w1", [0, 1])
+    old = _dispatcher(tmp_path, clock, session=_session(tmp_path, replications=4))
+    old_lease, _ = _grant(old, "w1", 2)
     # Session 2: run 0 arrives staged (journal replay), not via `done`.
     session = _session(tmp_path, replications=4, resume=True, staged=[0])
     scheduler = session.scheduler

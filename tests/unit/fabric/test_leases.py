@@ -1,4 +1,4 @@
-"""Unit tests for the fsynced lease ledger (fabric exactly-once core)."""
+"""Unit tests for the lease table and its journal fold (fabric exactly-once core)."""
 
 import pytest
 
@@ -23,8 +23,8 @@ def clock():
 
 
 @pytest.fixture()
-def store(tmp_path, clock):
-    return LeaseStore(tmp_path, ttl=30.0, clock=clock)
+def store(clock):
+    return LeaseStore(ttl=30.0, clock=clock)
 
 
 def test_grant_assigns_sequential_ids_and_expiry(store, clock):
@@ -36,11 +36,11 @@ def test_grant_assigns_sequential_ids_and_expiry(store, clock):
     assert store.leased_runs() == {0, 1, 2}
 
 
-def test_empty_grant_and_bad_ttl_are_refused(tmp_path, store):
+def test_empty_grant_and_bad_ttl_are_refused(store):
     with pytest.raises(CampaignError):
         store.grant("w1", [])
     with pytest.raises(CampaignError):
-        LeaseStore(tmp_path, ttl=0)
+        LeaseStore(ttl=0)
 
 
 def test_ttl_expiry_and_renewal_race(store, clock):
@@ -81,25 +81,41 @@ def test_close_is_idempotent_first_reason_wins(store):
     assert lease.closed == "expired"
 
 
-def test_restore_replays_ledger_byte_identically(tmp_path, clock):
-    store = LeaseStore(tmp_path, ttl=10.0, clock=clock)
-    done = store.grant("w1", [0, 1])
-    store.ack(done.lease_id, 0)
-    store.ack(done.lease_id, 1)
-    open_lease = store.grant("w2", [2, 3])
-    store.ack(open_lease.lease_id, 2)
-    store.renew(open_lease.lease_id)
+def _start(run_id, worker, lease_id):
+    return {"type": "run_start", "run_id": run_id, "worker": worker, "lease_id": lease_id}
 
-    restored = LeaseStore(tmp_path, ttl=10.0, clock=clock)
-    assert restored.restore() == 1
-    lease = restored.get(open_lease.lease_id)
-    assert lease.worker_id == "w2"
-    assert lease.pending == [3]
-    assert lease.renewals == 1
-    assert restored.get(done.lease_id).closed == "complete"
+
+def test_restore_folds_open_complete_expired_and_revoked_leases(clock):
+    entries = [
+        {"type": "campaign_start"},
+        _start(0, "w1", "L000001"),
+        _start(1, "w1", "L000001"),
+        _start(2, "w2", "L000002"),
+        _start(3, "w2", "L000002"),
+        _start(4, "w3", "L000003"),
+        _start(5, "w4", "L000004"),
+        _start(6, "s0w00", None),  # a local dispatch opens no lease
+        {"type": "run_complete", "run_id": 0, "worker": "w1", "shard": "s.db"},
+        {"type": "run_failed", "run_id": 1, "error": "boom", "attempt": 1},
+        {"type": "run_complete", "run_id": 2, "worker": "w2", "shard": "s.db"},
+        {"type": "lease_expired", "lease_id": "L000003", "worker_id": "w3", "requeued_runs": [4]},
+        {"type": "worker_quarantined", "worker_id": "w4", "reason": "operator"},
+    ]
+    clock.advance(100.0)
+    store = LeaseStore(ttl=10.0, clock=clock)
+    assert store.restore(entries) == 1
+    lease = store.get("L000002")
+    assert (lease.worker_id, lease.run_ids, lease.pending) == ("w2", (2, 3), [3])
+    assert lease.expires_at == clock.now + 10.0  # a fresh TTL
+    assert store.get("L000001").closed == "complete"  # nothing pending
+    assert store.get("L000003").closed == "expired"
+    assert store.get("L000004").closed == "revoked"
+    assert store.leased_runs() == {3}
     # The sequence counter continues: no lease id reuse after restart.
-    assert restored.grant("w3", [4]).lease_id == "L000003"
+    assert store.grant("w5", [7]).lease_id == "L000005"
 
 
-def test_restore_of_missing_ledger_is_empty(tmp_path):
-    assert LeaseStore(tmp_path).restore() == 0
+def test_restore_of_an_empty_journal_is_empty(store):
+    store.grant("w1", [0])
+    assert store.restore([]) == 0
+    assert store.grant("w1", [0]).lease_id == "L000001"

@@ -13,7 +13,6 @@ import pytest
 from repro.campaign.journal import CampaignJournal
 from repro.core.errors import StorageError
 from repro.fabric.election import ElectionLedger
-from repro.fabric.leases import LeaseStore
 from repro.repo.fingerprint import ExperimentKey
 from repro.repo.journal import IngestJournal
 from repro.sd.processlib import build_two_party_description
@@ -47,26 +46,6 @@ class _Campaign(_Case):
 
     def expect(self, ids):
         return sorted(ids)
-
-
-class _FleetLeases(_Case):
-    def __init__(self, root):
-        super().__init__(root)
-        self.path = root / "leases.jsonl"
-
-    def _restored(self):
-        store = LeaseStore(self.root, ttl=30.0, clock=lambda: 1000.0)
-        store.restore()
-        return store
-
-    def write(self, i):
-        self._restored().grant(f"w{i}", [i])
-
-    def view(self):
-        return sorted((lease.worker_id, lease.run_ids) for lease in self._restored().active())
-
-    def expect(self, ids):
-        return sorted((f"w{i}", (i,)) for i in ids)
 
 
 class _Election(_Case):
@@ -106,7 +85,7 @@ class _Ingest(_Case):
         return list(ids)
 
 
-CASES = [_Campaign, _FleetLeases, _Election, _Ingest]
+CASES = [_Campaign, _Election, _Ingest]
 
 
 @pytest.fixture(params=CASES, ids=lambda case: case.__name__.strip("_"))

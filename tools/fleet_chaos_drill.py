@@ -94,12 +94,13 @@ def fleet_status(address):
         return None
 
 
-def holds_pending_lease(ledger_path, worker_id):
+def holds_pending_lease(campaign_dir, worker_id):
     """True while *worker_id* has an active lease with unacked runs."""
+    from repro.campaign.journal import CampaignJournal
     from repro.fabric.leases import LeaseStore
 
-    store = LeaseStore(ledger_path.parent)
-    store.restore()  # a fold over durable.DurableLog.replay
+    store = LeaseStore()
+    store.restore(CampaignJournal(campaign_dir).entries())  # the journal fold
     return any(lease.pending for lease in store.for_worker(worker_id))
 
 
@@ -201,10 +202,10 @@ def scenario_kill_worker(args, work, xml, ref, procs, deadline):
         )
     procs.extend(workers.values())
 
-    # Kill w0 while the lease ledger shows it mid-batch, so its open
-    # lease is left behind for TTL expiry to reclaim.
-    ledger = work / "fleet.campaign" / "leases.jsonl"
-    while not holds_pending_lease(ledger, "w0"):
+    # Kill w0 while the journal shows it mid-batch, so its open lease is
+    # left behind for TTL expiry to reclaim.
+    campaign_dir = work / "fleet.campaign"
+    while not holds_pending_lease(campaign_dir, "w0"):
         if time.monotonic() > deadline:
             raise RuntimeError("drill timed out waiting for w0 to hold a batch")
         time.sleep(0.02)
@@ -302,8 +303,10 @@ def scenario_kill_leader(args, work, xml, ref, procs, deadline):
         args, work, xml, procs, deadline,
     )
     wait_first_commit(leader_addr, deadline)
-    ledger = work / "fleet.campaign" / "leases.jsonl"
-    while not (holds_pending_lease(ledger, "w0") or holds_pending_lease(ledger, "w1")):
+    campaign_dir = work / "fleet.campaign"
+    while not (
+        holds_pending_lease(campaign_dir, "w0") or holds_pending_lease(campaign_dir, "w1")
+    ):
         if time.monotonic() > deadline:
             raise RuntimeError("drill timed out waiting for a mid-batch lease")
         time.sleep(0.02)
