@@ -53,7 +53,7 @@ def _scenarios(population_levels):
             hold_time=5.0,
         ),
         "churn": dict(
-            seed=64, env_count=2, sm_count=2, churn=True, churn_mode="leave",
+            seed=64, env_count=2, sm_count=2, churn=True,
             churn_interval_levels=(1.5,), hold_time=6.0,
         ),
         "population": dict(

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-def run_experiment(description, campaign_dir=None, config=None, resume=False):
+def run_experiment(description, campaign_dir=None, config=None):
     """One-call convenience: execute *description* as a one-worker campaign.
 
     Parameters
@@ -68,10 +68,10 @@ def run_experiment(description, campaign_dir=None, config=None, resume=False):
         database is ``<campaign_dir>/<name>.db``.
     config:
         Optional :class:`PlatformConfig`.
-    resume:
-        Resume an aborted campaign found in *campaign_dir*.
 
-    Returns the :class:`~repro.campaign.CampaignResult`.
+    Returns the :class:`~repro.campaign.CampaignResult`.  To resume an
+    aborted campaign, call :func:`~repro.campaign.run_campaign` with
+    ``resume=True``.
     """
     import tempfile
     from pathlib import Path
@@ -88,5 +88,4 @@ def run_experiment(description, campaign_dir=None, config=None, resume=False):
         jobs=1,
         pool="thread",
         config=config,
-        resume=resume,
     )

@@ -74,16 +74,15 @@ def run_outcomes(
     return outcomes
 
 
-def treatment_key(treatment: Dict[str, Any], ignore: Sequence[str] = ()) -> str:
-    """Stable string key of a treatment (minus ignored factors).
+def treatment_key(treatment: Dict[str, Any]) -> str:
+    """Stable string key of a treatment.
 
-    The replication factor is always ignored — replications of one
-    treatment belong to the same group by definition.
+    The replication factor is ignored — replications of one treatment
+    belong to the same group by definition.
     """
-    drop = set(ignore) | {"fact_replication_id"}
     flat = {
         k: v for k, v in treatment.items()
-        if k not in drop and not isinstance(v, dict)
+        if k != "fact_replication_id" and not isinstance(v, dict)
     }
     return json.dumps(flat, sort_keys=True)
 
@@ -112,15 +111,13 @@ def outcomes_by_treatment(
 
 
 def responsiveness_by_treatment(
-    db: ExperimentDatabase,
-    deadlines: Sequence[float],
-    confidence: float = 0.95,
+    db: ExperimentDatabase, deadlines: Sequence[float]
 ) -> List[Dict[str, Any]]:
     """The case-study result table.
 
     One row per distinct treatment: the treatment's factor levels, run
     count, ``t_r`` summary, and for each requested deadline the
-    responsiveness estimate with its Wilson confidence interval.
+    responsiveness estimate with its 95 % Wilson confidence interval.
     """
     rows: List[Dict[str, Any]] = []
     for _key, treatment, run_ids, outcomes in outcomes_by_treatment(db, db.plan()):
@@ -137,7 +134,7 @@ def responsiveness_by_treatment(
             hits = sum(
                 1 for o in outcomes if o.t_r is not None and o.t_r <= deadline
             )
-            p, lo, hi = binomial_proportion_ci(hits, len(outcomes), confidence)
+            p, lo, hi = binomial_proportion_ci(hits, len(outcomes))
             row[f"R({deadline:g}s)"] = {"p": p, "ci": (lo, hi)}
         rows.append(row)
     return rows

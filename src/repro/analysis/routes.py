@@ -45,13 +45,9 @@ def packet_routes(
     return routes
 
 
-def route_of(
-    packets: Iterable[Dict[str, Any]],
-    uid: int,
-    flow: Optional[str] = None,
-) -> List[str]:
+def route_of(packets: Iterable[Dict[str, Any]], uid: int) -> List[str]:
     """The node path one packet took (deduplicated, observation order)."""
-    routes = packet_routes(packets, flow=flow)
+    routes = packet_routes(packets, flow=None)
     observations = routes.get(uid, [])
     path: List[str] = []
     for _t, node, _direction in observations:
@@ -60,17 +56,14 @@ def route_of(
     return path
 
 
-def path_statistics(
-    packets: Iterable[Dict[str, Any]],
-    flow: Optional[str] = "experiment",
-) -> Dict[str, Any]:
-    """Aggregate route statistics over all tracked packets.
+def path_statistics(packets: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Aggregate route statistics over all tracked experiment packets.
 
     Returns observed hop-count distribution (number of distinct nodes a
     packet touched minus one) and the count of packets seen by only their
     originator (never delivered anywhere — lost on the first hop).
     """
-    routes = packet_routes(packets, flow=flow)
+    routes = packet_routes(packets, flow="experiment")
     hop_counts: Counter = Counter()
     stranded = 0
     for uid, observations in routes.items():
@@ -89,14 +82,11 @@ def path_statistics(
     }
 
 
-def forwarding_matrix(
-    packets: Iterable[Dict[str, Any]],
-    flow: Optional[str] = "experiment",
-) -> Dict[Tuple[str, str], int]:
+def forwarding_matrix(packets: Iterable[Dict[str, Any]]) -> Dict[Tuple[str, str], int]:
     """``{(node_a, node_b): packets}`` for consecutive observations —
     which links actually carried the experiment's traffic."""
     matrix: Counter = Counter()
-    for observations in packet_routes(packets, flow=flow).values():
+    for observations in packet_routes(packets, flow="experiment").values():
         previous = None
         for _t, node, _d in observations:
             if previous is not None and previous != node:

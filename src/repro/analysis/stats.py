@@ -2,7 +2,7 @@
 
 Kept deliberately small: means with confidence intervals (normal
 approximation, or Student-t when SciPy is available), percentiles and a
-one-call summary.  Vectorized with NumPy — analysis runs over tens of
+one-call summary.  Every interval is two-sided at :data:`CONFIDENCE`.  Vectorized with NumPy — analysis runs over tens of
 thousands of rows when replication counts approach the paper's 1000.
 """
 
@@ -20,23 +20,23 @@ __all__ = [
     "binomial_proportion_ci",
 ]
 
-#: Two-sided z quantiles for common confidence levels.
-_Z = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
+#: Confidence level of every interval here.
+CONFIDENCE = 0.95
+#: Two-sided z quantile at :data:`CONFIDENCE`.
+_Z = 1.959963984540054
 
 
-def _z_or_t(confidence: float, dof: int) -> float:
+def _z_or_t(dof: int) -> float:
     """Student-t quantile when SciPy is at hand, else the z approximation."""
     try:
         from scipy import stats as _st
 
-        return float(_st.t.ppf(0.5 + confidence / 2.0, dof))
+        return float(_st.t.ppf(0.5 + CONFIDENCE / 2.0, dof))
     except ImportError:
-        return _Z.get(confidence, 1.959963984540054)
+        return _Z
 
 
-def mean_confidence_interval(
-    values: Sequence[float], confidence: float = 0.95
-) -> Tuple[float, float, float]:
+def mean_confidence_interval(values: Sequence[float]) -> Tuple[float, float, float]:
     """``(mean, lower, upper)`` of the sample mean.
 
     Raises ``ValueError`` on an empty sample; a single observation yields
@@ -49,7 +49,7 @@ def mean_confidence_interval(
     if arr.size == 1:
         return mean, mean, mean
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    half = _z_or_t(confidence, arr.size - 1) * sem
+    half = _z_or_t(arr.size - 1) * sem
     return mean, mean - half, mean + half
 
 
@@ -61,9 +61,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(np.percentile(arr, q))
 
 
-def binomial_proportion_ci(
-    successes: int, trials: int, confidence: float = 0.95
-) -> Tuple[float, float, float]:
+def binomial_proportion_ci(successes: int, trials: int) -> Tuple[float, float, float]:
     """Wilson score interval for a proportion — the right interval for
     responsiveness estimates near 1.0, where the normal approximation
     collapses."""
@@ -71,7 +69,7 @@ def binomial_proportion_ci(
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
-    z = _Z.get(confidence, 1.959963984540054)
+    z = _Z
     p = successes / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

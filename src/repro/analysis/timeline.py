@@ -121,16 +121,11 @@ def phase_duration_summary(
     return out
 
 
-def build_run_timeline(
-    events: List[Dict[str, Any]],
-    run_id: int,
-    exclude: tuple = (),
-) -> RunTimeline:
+def build_run_timeline(events: List[Dict[str, Any]], run_id: int) -> RunTimeline:
     """Assemble the timeline of *run_id* from conditioned event records.
 
     *events* are records with ``common_time`` (level-3 reader output or
-    conditioned level-2 data).  ``exclude`` filters noisy event types out
-    of the rendering (not out of the phase computation).
+    conditioned level-2 data).
     """
     run_events = sorted(
         (e for e in events if e.get("run_id") == run_id),
@@ -160,8 +155,6 @@ def build_run_timeline(
         end=end,
     )
     for e in run_events:
-        if e["name"] in exclude:
-            continue
         timeline.entries.append(
             TimelineEntry(
                 common_time=e["common_time"],

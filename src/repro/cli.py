@@ -174,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     f_worker.add_argument("--workdir", type=Path, default=None,
                           help="local scratch root for staging stores and "
                                "the worker shard (default ./fabric-<id>)")
-    f_worker.add_argument("--capacity", type=int, default=2, metavar="N",
-                          help="batch size to request per lease (default 2)")
     f_worker.add_argument("--poll", type=float, default=0.5, metavar="SECS",
                           help="sleep between lease polls when the queue is "
                                "empty (default 0.5)")
@@ -245,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tl = sub.add_parser("timeline", help="render one run's timeline")
     p_tl.add_argument("database", type=Path)
     p_tl.add_argument("--run", type=int, default=0)
-    p_tl.add_argument("--width", type=int, default=72)
     p_tl.add_argument("--svg", type=Path, default=None,
                       help="write an SVG rendering to this path instead")
 
@@ -278,11 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     r_ing.add_argument("--force", action="store_true",
                        help="ingest even if an identical package (same "
                             "Table-I digest) is already catalogued")
-    r_ing.add_argument("--sync", action="store_true",
-                       help="bypass the write-behind queue and ingest "
-                            "sequentially")
-    r_ing.add_argument("--batch-size", type=int, default=16, metavar="N",
-                       help="write-behind batch size (default 16)")
 
     r_list = repo_sub.add_parser("list", help="catalogue: experiments and "
                                               "partitions")
@@ -329,12 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run to render; without it, per-phase statistics "
                            "across all runs plus the slowest run's critical "
                            "path")
-    g_tr = p_tr.add_mutually_exclusive_group()
-    g_tr.add_argument("--tree", action="store_true",
-                      help="span tree of the run (default with --run)")
-    g_tr.add_argument("--critical-path", action="store_true",
+    p_tr.add_argument("--critical-path", action="store_true",
                       dest="critical_path",
-                      help="longest root-to-leaf span chain of the run")
+                      help="longest root-to-leaf span chain of the run "
+                           "(default with --run: its span tree)")
 
     p_met = sub.add_parser(
         "metrics", help="export a harness metrics snapshot"
@@ -543,7 +533,6 @@ def _fabric_worker(args) -> int:
         args.coordinator,
         worker_id,
         workdir,
-        capacity=args.capacity,
         poll_interval=args.poll,
         call_timeout=args.call_timeout,
         reconnect_budget=args.reconnect_budget,
@@ -730,7 +719,7 @@ def _cmd_timeline(args) -> int:
         args.svg.write_text(render_timeline_svg(timeline), encoding="utf-8")
         print(f"SVG timeline written to {args.svg}")
     else:
-        print(render_timeline(timeline, width=args.width))
+        print(render_timeline(timeline))
     return 0
 
 
@@ -785,17 +774,10 @@ def _repo_ingest(args) -> int:
         if recovered:
             print(f"recovered {recovered} in-flight ingest(s) from a previous "
                   f"session: {recovery}", file=sys.stderr)
-        if args.sync:
-            results = [
-                warehouse.ingest(db, force=args.force) for db in args.databases
-            ]
-        else:
-            with WriteBehindIngester(
-                warehouse, batch_size=args.batch_size
-            ) as queue:
-                for db in args.databases:
-                    queue.submit(db, force=args.force)
-                results = queue.flush()
+        with WriteBehindIngester(warehouse) as queue:
+            for db in args.databases:
+                queue.submit(db, force=args.force)
+            results = queue.flush()
         for result in results:
             if result.duplicate:
                 print(f"{result.source}: duplicate of experiment "

@@ -75,9 +75,6 @@ class ActionRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._specs
 
-    def names(self) -> List[str]:
-        return sorted(self._specs)
-
     def known_events(self) -> List[str]:
         out = set()
         for spec in self._specs.values():

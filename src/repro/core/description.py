@@ -169,9 +169,6 @@ class PlatformSpec:
                 f"abstract node {abstract_id!r} has no platform mapping"
             ) from None
 
-    def node_ids(self) -> List[str]:
-        return [n.node_id for n in self._nodes]
-
     def __len__(self) -> int:
         return len(self._nodes)
 
@@ -210,9 +207,6 @@ class ExperimentDescription:
 
     def actor_ids(self) -> List[str]:
         return [a.actor_id for a in self.actors]
-
-    def special(self, key: str, default: Any = None) -> Any:
-        return self.special_params.get(key, default)
 
     def fingerprint(self) -> str:
         """Stable content hash of the description (drives recovery safety:

@@ -186,10 +186,6 @@ class FactorList:
         except KeyError:
             raise DescriptionError(f"unknown factor {factor_id!r}") from None
 
-    @property
-    def factors(self) -> List[Factor]:
-        return list(self._factors)
-
     def actor_map_factor(self) -> Optional[Factor]:
         """The (at most one) factor of type ``actor_node_map``."""
         maps = [f for f in self._factors if f.type == "actor_node_map"]

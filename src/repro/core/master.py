@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.core.actions import ActionRegistry, default_registry
+from repro.core.actions import default_registry
 from repro.core.description import EE_VERSION, ExperimentDescription
 from repro.core.errors import ExCoveryError, ExecutionError, RunAbortedError
 from repro.core.events import EventBus, ExEvent
@@ -85,21 +85,19 @@ class ExperiMaster:
     run_id:
         The plan's run to execute.
     plugins:
-        A :class:`~repro.core.plugins.PluginManager` (optional).
-    registry:
-        Action registry; defaults to the built-ins plus plugin actions.
+        A :class:`~repro.core.plugins.PluginManager` (optional); its
+        actions join the built-ins in the master's action registry.
     custom_treatments:
         Optional explicit treatment sequence replacing the default OFAT
         expansion — the paper's "custom factor level variation plan"
         (Sec. IV-C1).  Build one with :mod:`repro.core.designs`.
-    tracer:
-        Harness span tracer (:class:`repro.obs.trace.Tracer`); a private
-        one is built when omitted (honouring ``REPRO_TRACE``).  The
-        master hands the instance to the control channel, the fault
-        controllers and the environment controller, and drains the run's
-        spans into the level-2 store during collection.  Tracing is
-        wall-clocked and RNG-free, so it never perturbs results
-        (DESIGN.md §12).
+
+    Each master builds its own harness span tracer
+    (:class:`repro.obs.trace.Tracer`, honouring ``REPRO_TRACE``) and hands
+    it to the control channel, the fault controllers and the environment
+    controller; the run's spans are drained into the level-2 store during
+    collection.  Tracing is wall-clocked and RNG-free, so it never
+    perturbs results (DESIGN.md §12).
     """
 
     def __init__(
@@ -110,16 +108,14 @@ class ExperiMaster:
         run_id: int,
         *,
         plugins: Optional[PluginManager] = None,
-        registry: Optional[ActionRegistry] = None,
         custom_treatments: Optional[List[Dict[str, Any]]] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.platform = platform
         self.description = description
         self.store = store
         self.run_id = run_id
         self.plugins = plugins or PluginManager()
-        self.registry = registry or default_registry()
+        self.registry = default_registry()
         self.plugins.extend_registry(self.registry)
         self.custom_treatments = custom_treatments
 
@@ -130,7 +126,7 @@ class ExperiMaster:
         #: Harness observability: one tracer per master, shared with every
         #: component the master drives (never across masters — campaign
         #: workers each build their own, so spans cannot interleave).
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = Tracer()
         self.env_controller = EnvironmentController(
             self.sim, self.channel, emit=self._emit_env_event
         )

@@ -204,7 +204,6 @@ class NodeManager:
         self.faults.stop_all()
         self._drop_all_rule = None
         self.node.interface.clear_filters()
-        self.node.interface.set_up()
 
     # ------------------------------------------------------------------
     # Observability

@@ -351,22 +351,17 @@ class StandbyCoordinator:
         self.ledger = ElectionLedger(campaign_dir, ttl=election_ttl, clock=clock)
         self.promoted = False
         self.coordinator: Optional["object"] = None
-        self._stop = False
 
     def _note(self, line: str) -> None:
         if self.on_event is not None:
             self.on_event(f"[standby {self.standby_id}] {line}")
-
-    def stop(self) -> None:
-        self._stop = True
 
     # ------------------------------------------------------------------
     def run(self, timeout: Optional[float] = None):
         """Tail the lease; on takeover, serve the campaign to completion.
 
         Returns the promoted coordinator's :class:`CampaignResult`, or
-        ``None`` when the campaign completed under another leader (or
-        the loop was stopped).  Raises :class:`CampaignError` on
+        ``None`` when the campaign completed under another leader.  Raises :class:`CampaignError` on
         *timeout*.
         """
         from repro.campaign.journal import CampaignJournal
@@ -375,7 +370,7 @@ class StandbyCoordinator:
         deadline = None if timeout is None else time.monotonic() + timeout
         endpoint = f"{self.host}:{self.port}"
         try:
-            while not self._stop:
+            while True:
                 if deadline is not None and time.monotonic() > deadline:
                     raise CampaignError(
                         f"standby {self.standby_id} timed out after {timeout}s "
@@ -401,7 +396,6 @@ class StandbyCoordinator:
                         return result
                     self._note("lost the claim race; resuming watch")
                 time.sleep(self.poll)
-            return None
         finally:
             self.ledger.retire_beacon(self.standby_id)
 

@@ -255,43 +255,38 @@ class FleetChannel:
         ``(host, port)`` tuple or ``"host:port"`` string.
     call_timeout:
         Default per-call deadline, seconds.
-    retry:
-        Backoff schedule between attempts; seeded, so retry timing is as
-        reproducible as the rest of the control plane.
     reconnect_budget:
         Wall-clock seconds a *connection*-level failure (refused, reset —
         the coordinator-restart signature) may be retried for, regardless
-        of the per-attempt budget.  Deadline misses stay bounded by
-        ``retry.max_attempts`` like any other RPC.
-    backoff:
-        Delay schedule between connection-level retries; defaults to a
-        :class:`ReconnectBackoff` seeded from a CRC-32 of the channel
-        *label* (stable across processes, unlike ``hash``) so a
-        reconnecting fleet de-phases deterministically instead of
-        thundering-herding a freshly promoted leader.
+        of the per-attempt budget.  Deadline misses stay bounded by the
+        channel's retry policy (4 attempts, seeded backoff 0.1–2 s) like
+        any other RPC.
     label:
         Source identity for :class:`PartitionGate` matching (typically
         the worker id); ``None`` opts out of partition rules with a
-        ``"*"``-source match only.
+        ``"*"``-source match only.  It also seeds the delay schedule
+        between connection-level retries: a :class:`ReconnectBackoff`
+        seeded from a CRC-32 of the label (stable across processes,
+        unlike ``hash``), so a reconnecting fleet de-phases
+        deterministically instead of thundering-herding a freshly
+        promoted leader.
     """
 
     def __init__(
         self,
         address,
         call_timeout: float = 10.0,
-        retry: Optional[RetryPolicy] = None,
         reconnect_budget: float = 60.0,
-        backoff: Optional[ReconnectBackoff] = None,
         label: Optional[str] = None,
         clock=time.monotonic,
         sleep=time.sleep,
     ) -> None:
         self.address = parse_address(address) if isinstance(address, str) else address
         self.call_timeout = float(call_timeout)
-        self.retry = retry or RetryPolicy(max_attempts=4, base_delay=0.1, max_delay=2.0)
+        self.retry = RetryPolicy(max_attempts=4, base_delay=0.1, max_delay=2.0)
         self.reconnect_budget = float(reconnect_budget)
         self.label = label
-        self.backoff = backoff or ReconnectBackoff(
+        self.backoff = ReconnectBackoff(
             seed=zlib.crc32(label.encode()) if label is not None else 0,
         )
         self.clock = clock

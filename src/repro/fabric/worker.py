@@ -139,10 +139,6 @@ class FabricWorker:
         if self.on_event is not None:
             self.on_event(f"[{self.worker_id}] {line}")
 
-    def stop(self) -> None:
-        """Ask the loop to exit after the current run."""
-        self._stop.set()
-
     def kill(self) -> None:
         """Simulate abrupt process death (tests, chaos drills): stop the
         loop AND the renewal pulse immediately, acking nothing — exactly

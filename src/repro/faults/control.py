@@ -124,9 +124,6 @@ class ControlFaultPlan:
     def __init__(self, entries: Optional[Iterable[Dict[str, Any]]] = None) -> None:
         self.entries = [_normalize(e) for e in (entries or [])]
 
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
     def for_run(self, run_id: int) -> List[Dict[str, Any]]:
         return [e for e in self.entries if e["run_id"] is None or e["run_id"] == run_id]
 

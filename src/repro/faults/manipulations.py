@@ -38,7 +38,7 @@ RPCs to the NodeManagers, exactly like the prototype's environment thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.sim.rng import RngRegistry
 
@@ -386,7 +386,7 @@ class EnvironmentController:
         self.emit("env_generic_executed", params=(len(ctx.acting_nodes),))
 
     # ------------------------------------------------------------------
-    def cleanup(self, ctx: Optional[EnvContext] = None):
+    def cleanup(self):
         """Run clean-up: stop anything still active.
 
         Idempotent by construction: the pending-node lists are detached

@@ -35,26 +35,20 @@ class PacketCapture:
     ----------
     node:
         The owning node (provides the local clock).
-    max_records:
-        Optional ring-buffer bound.  ``None`` (default) keeps everything —
-        ExCovery's philosophy is "collecting as much data as possible"
-        (Sec. IV-B).
+
+    The buffer is unbounded: ExCovery's philosophy is "collecting as much
+    data as possible" (Sec. IV-B).
     """
 
-    def __init__(self, node: "NetNode", max_records: Optional[int] = None) -> None:
+    def __init__(self, node: "NetNode") -> None:
         self.node = node
-        self.max_records = max_records
         self.enabled = True
         self._records: List[CapturedPacket] = []
         self._seq = itertools.count()
-        self.dropped_records = 0
 
     def record(self, packet: Packet, direction: Direction) -> None:
         """Store one observation of *packet* at the node's local time."""
         if not self.enabled:
-            return
-        if self.max_records is not None and len(self._records) >= self.max_records:
-            self.dropped_records += 1
             return
         node = self.node
         # One dict literal instead of build-then-update; the key order

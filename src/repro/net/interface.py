@@ -1,4 +1,4 @@
-"""Network interfaces with per-direction state and packet-filter chains.
+"""Network interfaces with per-direction packet-filter chains.
 
 Platform requirement IV-A2 ("Connection Control"): *"Network interfaces
 need to support activation and deactivation.  Furthermore, it needs to be
@@ -9,13 +9,13 @@ modifying their content."*
 An :class:`Interface` therefore carries an ordered chain of
 :class:`PacketFilter` rules consulted on every packet, separately for the
 transmit and receive direction.  The fault injectors of
-:mod:`repro.faults.injectors` are implemented as such filters.
+:mod:`repro.faults.injectors` are implemented as such filters, and so is
+deactivation: an :class:`~repro.faults.injectors.InterfaceFaultFilter`
+drops everything in its direction while it is installed.
 
 Semantics: filters run *before* capture — a packet dropped by a rule
 emulates loss in the network, so the node never observes it.  A packet
-delayed by a rule is observed at its delayed arrival time.  An interface
-that is administratively down in a direction neither filters nor captures;
-it is silent.
+delayed by a rule is observed at its delayed arrival time.
 """
 
 from __future__ import annotations
@@ -123,8 +123,6 @@ class Interface:
         self.node = node
         self.name = name
         self.medium: Optional["WirelessMedium"] = None
-        self._rx_up = True
-        self._tx_up = True
         self._filters: List[PacketFilter] = []
         #: Simple octet/packet counters, split by direction.
         self.counters: Dict[str, int] = {
@@ -135,16 +133,6 @@ class Interface:
             "tx_dropped": 0,
             "rx_dropped": 0,
         }
-
-    # ------------------------------------------------------------------
-    # Administrative state
-    # ------------------------------------------------------------------
-    def set_up(self, direction: Direction = Direction.BOTH, up: bool = True) -> None:
-        """Activate or deactivate the interface, per direction."""
-        if direction.covers(Direction.RX):
-            self._rx_up = up
-        if direction.covers(Direction.TX):
-            self._tx_up = up
 
     # ------------------------------------------------------------------
     # Filter chain
@@ -193,15 +181,11 @@ class Interface:
     def transmit(self, packet: Packet) -> bool:
         """Send *packet* out through this interface.
 
-        Returns ``False`` if the interface was down or a rule dropped the
-        packet (callers treat both as silent loss, like a real socket over
-        a dead NIC).
+        Returns ``False`` if a rule dropped the packet (callers treat it
+        as silent loss, like a real socket over a dead NIC).
         """
         if self.medium is None:
             raise RuntimeError(f"interface {self.name} of {self.node.name} not attached")
-        if not self._tx_up:
-            self.counters["tx_dropped"] += 1
-            return False
         delay = 0.0
         if self._filters:  # fast path: most interfaces carry no rules
             result = self._run_chain(packet, Direction.TX)
@@ -222,9 +206,6 @@ class Interface:
 
     def deliver(self, packet: Packet) -> None:
         """Called by the medium when a packet arrives at this interface."""
-        if not self._rx_up:
-            self.counters["rx_dropped"] += 1
-            return
         if self._filters:
             result = self._run_chain(packet, Direction.RX)
             if result.dropped:
@@ -247,9 +228,6 @@ class Interface:
         node._receive(packet, self)
 
     def _accept(self, packet: Packet) -> None:
-        if not self._rx_up:  # may have gone down during a filter delay
-            self.counters["rx_dropped"] += 1
-            return
         counters = self.counters
         counters["rx_packets"] += 1
         counters["rx_bytes"] += packet.size
@@ -260,5 +238,4 @@ class Interface:
         node._receive(packet, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"rx={'up' if self._rx_up else 'down'},tx={'up' if self._tx_up else 'down'}"
-        return f"<Interface {self.node.name}:{self.name} {state} rules={len(self._filters)}>"
+        return f"<Interface {self.node.name}:{self.name} rules={len(self._filters)}>"

@@ -80,6 +80,9 @@ logger = logging.getLogger(__name__)
 #: Cache sentinel distinguishing "never resolved" from "resolved: no route".
 _UNRESOLVED = object()
 
+#: Extra delay per failed unicast MAC attempt, seconds.
+RETRY_BACKOFF = 0.004
+
 
 @dataclass
 class CongestionModel:
@@ -141,8 +144,8 @@ class WirelessMedium:
         Load model; ``None`` selects the defaults.
     mac_retries:
         Unicast MAC retransmission budget (802.11 default-ish: 3).
-    retry_backoff:
-        Extra delay per failed unicast attempt, seconds.
+
+    Each failed unicast attempt adds :data:`RETRY_BACKOFF` seconds.
     """
 
     def __init__(
@@ -152,14 +155,12 @@ class WirelessMedium:
         rng: "random.Random",
         congestion: Optional[CongestionModel] = None,
         mac_retries: int = 3,
-        retry_backoff: float = 0.004,
     ) -> None:
         self.sim = sim
         self.topology = topology
         self.rng = rng
         self.congestion = congestion or CongestionModel()
         self.mac_retries = int(mac_retries)
-        self.retry_backoff = float(retry_backoff)
         self._nodes: Dict[str, "NetNode"] = {}
         self._by_address: Dict[str, "NetNode"] = {}
         # Sliding load window of [time, bytes] slots; same-instant
@@ -216,9 +217,6 @@ class WirelessMedium:
         node.interface.medium = None
         self._cache_version = -1
         return was_attached
-
-    def node(self, name: str) -> "NetNode":
-        return self._nodes[name]
 
     def node_by_address(self, address: str) -> Optional["NetNode"]:
         return self._by_address.get(address)
@@ -407,7 +405,7 @@ class WirelessMedium:
             if rand() >= p_loss:
                 stats.mac_retries += attempt
                 stats.deliveries += 1
-                call_later(delay + attempt * self.retry_backoff, deliver, packet)
+                call_later(delay + attempt * RETRY_BACKOFF, deliver, packet)
                 return
         stats.losses += 1
 

@@ -60,14 +60,11 @@ class NetNode:
         Unicast network address, e.g. ``"10.0.0.7"``.
     clock:
         The node's (possibly skewed) local clock; defaults to a perfect one.
-    forwarding:
-        Whether this node forwards unicast packets for others (mesh router
-        role).  All DES testbed nodes do.
-    flood_multicast:
-        Whether this node re-floods multicast packets (with duplicate
-        suppression).  Disable to confine multicast to one hop.
     seen_cache_size:
         Capacity of the duplicate-suppression LRU for flooded packets.
+
+    Every node forwards unicast packets for others: all DES testbed nodes
+    are mesh routers.
     """
 
     def __init__(
@@ -76,16 +73,15 @@ class NetNode:
         name: str,
         address: str,
         clock: Optional[LocalClock] = None,
-        forwarding: bool = True,
-        flood_multicast: bool = True,
         seen_cache_size: int = 4096,
     ) -> None:
         self.sim = sim
         self.name = name
         self.address = address
         self.clock = clock if clock is not None else LocalClock(sim)
-        self.forwarding = forwarding
-        self.flood_multicast = flood_multicast
+        #: Whether this node re-floods multicast packets (with duplicate
+        #: suppression); switch it off to confine multicast to one hop.
+        self.flood_multicast = True
         self.interface = Interface(self, "wlan0")
         self.capture = PacketCapture(self)
         self.tagger = PacketTagger(name)
@@ -123,10 +119,6 @@ class NetNode:
 
     def leave_group(self, group: str) -> None:
         self._groups.discard(group)
-
-    @property
-    def groups(self) -> Set[str]:
-        return set(self._groups)
 
     def send_datagram(
         self,
@@ -198,8 +190,6 @@ class NetNode:
             self.interface.transmit(packet.forwarded())
 
     def _forward_unicast(self, packet: Packet) -> None:
-        if not self.forwarding:
-            return
         if packet.ttl <= 1:  # the forwarded packet would be expired
             self.counters["ttl_expired"] += 1
             return

@@ -15,8 +15,6 @@ wraps at 65536 — the analysis handles wrap-around by sequence unwrapping.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.net.packet import Packet
 
 __all__ = ["PacketTagger", "TAG_OPTION", "TAG_NODE_OPTION", "TAG_MODULUS"]
@@ -36,31 +34,21 @@ class PacketTagger:
     ----------
     node_name:
         Name written into :data:`TAG_NODE_OPTION` so analyses can group
-        tags by originating sequence.
-    selector:
-        Predicate choosing which packets get tagged ("each *selected* IP
-        packet").  Default: tag everything the node originates.
+        tags by originating sequence.  Every packet the node originates
+        is tagged.
     start:
         Initial counter value (mainly for tests exercising wrap-around).
     """
 
-    def __init__(
-        self,
-        node_name: str,
-        selector: Optional[Callable[[Packet], bool]] = None,
-        start: int = 0,
-    ) -> None:
+    def __init__(self, node_name: str, start: int = 0) -> None:
         self.node_name = node_name
-        self.selector = selector
         self.enabled = True
         self._counter = start % TAG_MODULUS
         self.tagged_count = 0
 
     def tag(self, packet: Packet) -> bool:
-        """Tag *packet* if enabled and selected; returns whether it was."""
+        """Tag *packet* if enabled; returns whether it was."""
         if not self.enabled:
-            return False
-        if self.selector is not None and not self.selector(packet):
             return False
         packet.options[TAG_OPTION] = self._counter
         packet.options[TAG_NODE_OPTION] = self.node_name
@@ -68,9 +56,9 @@ class PacketTagger:
         self.tagged_count += 1
         return True
 
-    def reset(self, start: int = 0) -> None:
-        """Restart the sequence (new experiment)."""
-        self._counter = start % TAG_MODULUS
+    def reset(self) -> None:
+        """Restart the sequence at 0 (new experiment)."""
+        self._counter = 0
         self.tagged_count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

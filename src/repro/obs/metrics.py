@@ -214,10 +214,6 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._declare(Histogram, name, help_text, labels, buckets=buckets)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._instruments.clear()
-
     # -- plain-data interchange ----------------------------------------
 
     def snapshot(self) -> Dict[str, dict]:

@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import StorageError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import count_suppressed_error, get_registry
 
 from repro.repo.fingerprint import fingerprint_package
 from repro.repo.warehouse import IngestResult, Warehouse
@@ -190,7 +190,9 @@ class WriteBehindIngester:
                     self._finish(index, result)
             except Exception:
                 # Batch-level failure: fall back to one-by-one so a
-                # single bad package poisons only itself.
+                # single bad package poisons only itself.  The batch's
+                # own error is counted; each package reports its own.
+                count_suppressed_error("repo_batch_fallback")
                 for index, path, _f, key in sub:
                     try:
                         result = self.warehouse.ingest_many(

@@ -69,9 +69,8 @@ class IngestResult:
 class Warehouse:
     """One warehouse directory: ``catalog.db``, ``shards/``, ``journal/``."""
 
-    def __init__(self, root, tracer=None) -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root)
-        self.tracer = tracer
         self.catalog = Catalog(self.root)
         self.journal = IngestJournal(self.root)
         self.cache = AggregateCache()
@@ -135,89 +134,80 @@ class Warehouse:
     def _ingest_batch_locked(
         self, paths: List[Any], keys: List[ExperimentKey], force: bool
     ) -> List[IngestResult]:
-        span = (
-            self.tracer.start_span("repo_ingest_batch", packages=len(paths))
-            if self.tracer is not None
-            else None
+        tickets = [self.journal.next_ticket() for _ in paths]
+        self.journal.append_many(
+            self.journal.begin_record(t, p, k)
+            for t, p, k in zip(tickets, paths, keys)
         )
-        try:
-            tickets = [self.journal.next_ticket() for _ in paths]
-            self.journal.append_many(
-                self.journal.begin_record(t, p, k)
-                for t, p, k in zip(tickets, paths, keys)
+
+        # Catalogue pass: dedup + allocate pending ExpIDs.
+        results: List[Optional[IngestResult]] = [None] * len(paths)
+        fresh: List[Tuple[int, Any, ExperimentKey, int]] = []
+        seq = self.catalog.next_ingest_seq()
+        seen: Dict[str, IngestResult] = {}
+        for i, (path, key) in enumerate(zip(paths, keys)):
+            if not force:
+                existing = self.catalog.find_by_digest(key.content_digest)
+                prior = seen.get(key.content_digest)
+                if existing is not None or prior is not None:
+                    dup_id, dup_part = (
+                        (existing["ExpID"], existing["PartitionID"])
+                        if existing is not None
+                        else (prior.exp_id, prior.partition_id)
+                    )
+                    results[i] = IngestResult(
+                        source=str(path),
+                        exp_id=dup_id,
+                        duplicate=True,
+                        partition_id=dup_part,
+                        content_digest=key.content_digest,
+                    )
+                    continue
+            partition_id, _shard_path = self.catalog.get_or_create_partition(
+                key.name, key.factor_fingerprint
             )
-
-            # Catalogue pass: dedup + allocate pending ExpIDs.
-            results: List[Optional[IngestResult]] = [None] * len(paths)
-            fresh: List[Tuple[int, Any, ExperimentKey, int]] = []
-            seq = self.catalog.next_ingest_seq()
-            seen: Dict[str, IngestResult] = {}
-            for i, (path, key) in enumerate(zip(paths, keys)):
-                if not force:
-                    existing = self.catalog.find_by_digest(key.content_digest)
-                    prior = seen.get(key.content_digest)
-                    if existing is not None or prior is not None:
-                        dup_id, dup_part = (
-                            (existing["ExpID"], existing["PartitionID"])
-                            if existing is not None
-                            else (prior.exp_id, prior.partition_id)
-                        )
-                        results[i] = IngestResult(
-                            source=str(path),
-                            exp_id=dup_id,
-                            duplicate=True,
-                            partition_id=dup_part,
-                            content_digest=key.content_digest,
-                        )
-                        continue
-                partition_id, _shard_path = self.catalog.get_or_create_partition(
-                    key.name, key.factor_fingerprint
-                )
-                exp_id = self.catalog.insert_pending(partition_id, key, path, seq)
-                seq += 1
-                result = IngestResult(
-                    source=str(path),
-                    exp_id=exp_id,
-                    duplicate=False,
-                    partition_id=partition_id,
-                    content_digest=key.content_digest,
-                )
-                seen[key.content_digest] = result
-                fresh.append((i, path, key, exp_id))
-                results[i] = result
-            self.catalog.conn.commit()
-
-            # Shard pass: attach-copy, grouped per partition.
-            by_partition: Dict[int, List[Tuple[int, Any]]] = {}
-            for i, path, _key, exp_id in fresh:
-                by_partition.setdefault(results[i].partition_id, []).append(
-                    (exp_id, path)
-                )
-            for partition_id, batch in by_partition.items():
-                copy_batch_into_shard(self._shard(partition_id), batch)
-
-            # Read-model pass + completion, one catalogue transaction.
-            for i, _path, _key, exp_id in fresh:
-                refresh_experiment_views(
-                    self.catalog.conn, self._shard(results[i].partition_id), exp_id
-                )
-                self.catalog.mark_done(exp_id)
-            self.catalog.conn.commit()
-
-            self.journal.append_many(
-                (
-                    self.journal.done_record(t, r.exp_id)
-                    if not r.duplicate
-                    else self.journal.skip_record(t, r.exp_id)
-                    for t, r in zip(tickets, results)
-                ),
-                fsync=False,
+            exp_id = self.catalog.insert_pending(partition_id, key, path, seq)
+            seq += 1
+            result = IngestResult(
+                source=str(path),
+                exp_id=exp_id,
+                duplicate=False,
+                partition_id=partition_id,
+                content_digest=key.content_digest,
             )
-            self.cache.invalidate()
-            return [r for r in results if r is not None]
-        finally:
-            if span is not None:
-                span.end()
+            seen[key.content_digest] = result
+            fresh.append((i, path, key, exp_id))
+            results[i] = result
+        self.catalog.conn.commit()
+
+        # Shard pass: attach-copy, grouped per partition.
+        by_partition: Dict[int, List[Tuple[int, Any]]] = {}
+        for i, path, _key, exp_id in fresh:
+            by_partition.setdefault(results[i].partition_id, []).append(
+                (exp_id, path)
+            )
+        for partition_id, batch in by_partition.items():
+            copy_batch_into_shard(self._shard(partition_id), batch)
+
+        # Read-model pass + completion, one catalogue transaction.
+        for i, _path, _key, exp_id in fresh:
+            refresh_experiment_views(
+                self.catalog.conn, self._shard(results[i].partition_id), exp_id
+            )
+            self.catalog.mark_done(exp_id)
+        self.catalog.conn.commit()
+
+        self.journal.append_many(
+            (
+                self.journal.done_record(t, r.exp_id)
+                if not r.duplicate
+                else self.journal.skip_record(t, r.exp_id)
+                for t, r in zip(tickets, results)
+            ),
+            fsync=False,
+        )
+        self.cache.invalidate()
+        return [r for r in results if r is not None]
 
     # ------------------------------------------------------------------
     # Recovery
@@ -232,64 +222,55 @@ class Warehouse:
             "confirmed": [],
         }
         with self._lock:
-            span = (
-                self.tracer.start_span("repo_recover")
-                if self.tracer is not None
-                else None
-            )
-            try:
-                touched = False
-                # Catalogue rows stuck in 'pending': redo or purge.
-                for row in self.catalog.pending():
-                    touched = True
-                    exp_id = row["ExpID"]
-                    shard = self._shard(row["PartitionID"])
-                    delete_experiment_rows(shard, exp_id)
-                    source = Path(row["SourcePath"])
-                    if source.exists():
-                        copy_batch_into_shard(shard, [(exp_id, source)])
-                        refresh_experiment_views(self.catalog.conn, shard, exp_id)
-                        self.catalog.mark_done(exp_id)
-                        self.catalog.conn.commit()
-                        report["completed"].append(exp_id)
-                    else:
-                        self.catalog.purge_experiment(exp_id)
-                        self.catalog.conn.commit()
-                        report["purged"].append(exp_id)
+            touched = False
+            # Catalogue rows stuck in 'pending': redo or purge.
+            for row in self.catalog.pending():
+                touched = True
+                exp_id = row["ExpID"]
+                shard = self._shard(row["PartitionID"])
+                delete_experiment_rows(shard, exp_id)
+                source = Path(row["SourcePath"])
+                if source.exists():
+                    copy_batch_into_shard(shard, [(exp_id, source)])
+                    refresh_experiment_views(self.catalog.conn, shard, exp_id)
+                    self.catalog.mark_done(exp_id)
+                    self.catalog.conn.commit()
+                    report["completed"].append(exp_id)
+                else:
+                    self.catalog.purge_experiment(exp_id)
+                    self.catalog.conn.commit()
+                    report["purged"].append(exp_id)
 
-                # Journal tickets that never completed (may predate the
-                # catalogue insert entirely).
-                closing = []
-                for rec in self.journal.incomplete():
-                    touched = True
-                    ticket = rec.get("ticket", -1)
-                    existing = self.catalog.find_by_digest(rec.get("digest", ""))
-                    if existing is not None:
-                        closing.append(
-                            self.journal.done_record(ticket, existing["ExpID"])
-                        )
-                        report["confirmed"].append(existing["ExpID"])
-                        continue
-                    source = Path(rec.get("source", ""))
-                    if source.exists():
-                        result = self._ingest_batch_locked(
-                            [source], [fingerprint_package(source)], False
-                        )[0]
-                        closing.append(
-                            self.journal.done_record(ticket, result.exp_id)
-                        )
-                        report["reingested"].append(result.exp_id)
-                    else:
-                        closing.append(
-                            self.journal.abandon_record(ticket, "source missing")
-                        )
-                        report["purged"].append(str(source))
-                self.journal.append_many(closing)
-                if touched:
-                    self.cache.invalidate()
-            finally:
-                if span is not None:
-                    span.end()
+            # Journal tickets that never completed (may predate the
+            # catalogue insert entirely).
+            closing = []
+            for rec in self.journal.incomplete():
+                touched = True
+                ticket = rec.get("ticket", -1)
+                existing = self.catalog.find_by_digest(rec.get("digest", ""))
+                if existing is not None:
+                    closing.append(
+                        self.journal.done_record(ticket, existing["ExpID"])
+                    )
+                    report["confirmed"].append(existing["ExpID"])
+                    continue
+                source = Path(rec.get("source", ""))
+                if source.exists():
+                    result = self._ingest_batch_locked(
+                        [source], [fingerprint_package(source)], False
+                    )[0]
+                    closing.append(
+                        self.journal.done_record(ticket, result.exp_id)
+                    )
+                    report["reingested"].append(result.exp_id)
+                else:
+                    closing.append(
+                        self.journal.abandon_record(ticket, "source missing")
+                    )
+                    report["purged"].append(str(source))
+            self.journal.append_many(closing)
+            if touched:
+                self.cache.invalidate()
         return report
 
     # ------------------------------------------------------------------
@@ -300,9 +281,6 @@ class Warehouse:
 
     def partitions(self) -> List[Dict[str, Any]]:
         return self.catalog.partitions()
-
-    def experiment_id_by_name(self, name: str) -> int:
-        return self.catalog.experiment_id_by_name(name)
 
     def resolve(self, ref) -> int:
         """An experiment reference: ExpID (int or digits) or name."""

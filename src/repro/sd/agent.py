@@ -254,8 +254,8 @@ class SDAgent:
         if instance.service_type in self.searching:
             self.emit(M.EVENT_SD_SERVICE_DEL, params=instance.event_params())
 
-    def cache_housekeeping(self, interval: float = 1.0):
-        """Generator: periodically expire cache entries.
+    def cache_housekeeping(self):
+        """Generator: expire cache entries once per simulated second.
 
         The epoch check closes a teardown race: when the housekeeping
         timeout fires in the same instant as ``sd_exit``, the kernel has
@@ -269,7 +269,7 @@ class SDAgent:
         """
         epoch = self._epoch
         while True:
-            yield self.sim.timeout(interval)
+            yield self.sim.timeout(1.0)
             if epoch != self._epoch:
                 return
             for instance in self.cache.purge_expired(self.sim.now):

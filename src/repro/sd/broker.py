@@ -196,12 +196,13 @@ class BrokerRelay:
         )
 
     # ------------------------------------------------------------------
-    def expiry_loop(self, interval: float = 1.0):
-        """Generator: expire mirrored records, announcing deletions."""
+    def expiry_loop(self):
+        """Generator: expire mirrored records once per simulated second,
+        announcing deletions."""
         agent = self.agent
         epoch = agent._epoch
         while True:
-            yield agent.sim.timeout(interval)
+            yield agent.sim.timeout(1.0)
             if epoch != agent._epoch:
                 return
             for gone in self.mirror.purge_expired(agent.sim.now):

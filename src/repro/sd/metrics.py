@@ -12,12 +12,11 @@ read back from the level-3 database.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, Optional, Sequence, Set
 
 __all__ = [
     "RunDiscovery",
     "extract_run_discovery",
-    "discovery_times",
     "responsiveness",
     "summarize_runs",
 ]
@@ -93,11 +92,6 @@ def extract_run_discovery(
         found_at=found_at,
         required=required,
     )
-
-
-def discovery_times(outcomes: Iterable[RunDiscovery]) -> List[Optional[float]]:
-    """The ``t_r`` series of a set of runs (``None`` = incomplete)."""
-    return [o.t_r for o in outcomes]
 
 
 def responsiveness(

@@ -68,14 +68,26 @@ def sm_actions(service_type: str = SERVICE_TYPE) -> list:
     ]
 
 
+#: Every SM instance (actor0), the nodes an SU waits on.
+_ALL_SMS = NodeSelector(actor="actor0", instance="all")
+
+
+def _every_sm_added(deadline: float) -> WaitForEvent:
+    """Wait until every SU (actor1) has added every SM's service."""
+    return WaitForEvent(
+        event="sd_service_add",
+        from_nodes=NodeSelector(actor="actor1", instance="all"),
+        param_nodes=_ALL_SMS,
+        timeout=deadline,
+    )
+
+
 def su_actions(
-    sm_actor: str = "actor0",
-    su_actor: str = "actor1",
     service_type: str = SERVICE_TYPE,
     deadline: float = 30.0,
     settle_after_publish: float = 0.0,
 ) -> list:
-    """The requester role of Fig. 10.
+    """The requester role of Fig. 10 (SMs are ``actor0``, SUs ``actor1``).
 
     Waits for every SM instance to start publishing (and the environment's
     ``ready_to_init``), initializes, searches until every SM's service was
@@ -86,10 +98,7 @@ def su_actions(
     sd_start_publish ... to let unsolicited announcements pass").
     """
     actions: list = [
-        WaitForEvent(
-            event="sd_start_publish",
-            from_nodes=NodeSelector(actor=sm_actor, instance="all"),
-        ),
+        WaitForEvent(event="sd_start_publish", from_nodes=_ALL_SMS),
         WaitForEvent(event="ready_to_init"),
     ]
     if settle_after_publish > 0:
@@ -98,12 +107,7 @@ def su_actions(
         DomainAction(name="sd_init", params={"role": "su"}),
         WaitMarker(),
         DomainAction(name="sd_start_search", params={"type": service_type}),
-        WaitForEvent(
-            event="sd_service_add",
-            from_nodes=NodeSelector(actor=su_actor, instance="all"),
-            param_nodes=NodeSelector(actor=sm_actor, instance="all"),
-            timeout=deadline,
-        ),
+        _every_sm_added(deadline),
         EventFlag(value="done"),
         DomainAction(name="sd_stop_search", params={"type": service_type}),
         DomainAction(name="sd_exit"),
@@ -120,9 +124,7 @@ def scm_actions() -> list:
     ]
 
 
-def registry_sm_actions(
-    service_type: str = SERVICE_TYPE, replicas: object = None
-) -> list:
+def registry_sm_actions(replicas: object = None) -> list:
     """The provider role of the registry family.
 
     Unlike :func:`sm_actions` there is no ``sd_stop_publish``: under a
@@ -135,20 +137,13 @@ def registry_sm_actions(
         init_params["replicas"] = replicas
     return [
         DomainAction(name="sd_init", params=init_params),
-        DomainAction(name="sd_start_publish", params={"type": service_type}),
+        DomainAction(name="sd_start_publish", params={"type": SERVICE_TYPE}),
         WaitForEvent(event="done"),
         DomainAction(name="sd_exit"),
     ]
 
 
-def registry_su_actions(
-    sm_actor: str = "actor0",
-    su_actor: str = "actor1",
-    service_type: str = SERVICE_TYPE,
-    deadline: float = 30.0,
-    replicas: object = None,
-    hold_time: float = 0.0,
-) -> list:
+def registry_su_actions(replicas: object = None, hold_time: float = 0.0) -> list:
     """The requester role of the registry family (Fig. 10 shape).
 
     ``hold_time`` keeps the discovered system under observation for a
@@ -160,26 +155,18 @@ def registry_su_actions(
     if replicas is not None:
         init_params["replicas"] = replicas
     actions: list = [
-        WaitForEvent(
-            event="sd_start_publish",
-            from_nodes=NodeSelector(actor=sm_actor, instance="all"),
-        ),
+        WaitForEvent(event="sd_start_publish", from_nodes=_ALL_SMS),
         WaitForEvent(event="ready_to_init"),
         DomainAction(name="sd_init", params=init_params),
         WaitMarker(),
-        DomainAction(name="sd_start_search", params={"type": service_type}),
-        WaitForEvent(
-            event="sd_service_add",
-            from_nodes=NodeSelector(actor=su_actor, instance="all"),
-            param_nodes=NodeSelector(actor=sm_actor, instance="all"),
-            timeout=deadline,
-        ),
+        DomainAction(name="sd_start_search", params={"type": SERVICE_TYPE}),
+        _every_sm_added(30.0),
     ]
     if hold_time > 0:
         actions.append(WaitForTime(seconds=hold_time))
     actions += [
         EventFlag(value="done"),
-        DomainAction(name="sd_stop_search", params={"type": service_type}),
+        DomainAction(name="sd_stop_search", params={"type": SERVICE_TYPE}),
         DomainAction(name="sd_exit"),
     ]
     return actions
@@ -197,7 +184,7 @@ def registry_server_actions(role: str = "scm", replicas: object = None) -> list:
     ]
 
 
-def _env_traffic_actions(switch_amount: int = 1) -> list:
+def _env_traffic_actions() -> list:
     """The environment process of Fig. 7 (traffic generation)."""
     return [
         EventFlag(value="ready_to_init"),
@@ -206,7 +193,7 @@ def _env_traffic_actions(switch_amount: int = 1) -> list:
             params={
                 "bw": FactorRef("fact_bw"),
                 "choice": 0,
-                "random_switch_amount": switch_amount,
+                "random_switch_amount": 1,
                 "random_switch_seed": FactorRef("fact_replication_id"),
                 "random_pairs": FactorRef("fact_pairs"),
                 "random_seed": FactorRef("fact_pairs"),
@@ -226,16 +213,15 @@ def _abstract_names(count: int, prefix: str) -> List[str]:
     return [f"{prefix}{i}" for i in range(count)]
 
 
-def _platform_spec(
-    abstract: Sequence[str], env_count: int, host_prefix: str = "t9-1"
-) -> PlatformSpec:
-    """Fig. 8-style platform spec: hostnames + addresses for all nodes."""
+def _platform_spec(abstract: Sequence[str], env_count: int) -> PlatformSpec:
+    """Fig. 8-style platform spec: hostnames (``t9-100``, ``t9-101``, …)
+    + addresses for all nodes."""
     spec = PlatformSpec()
     idx = 0
     for abs_id in abstract:
         spec.add(
             PlatformNode(
-                node_id=f"{host_prefix}{idx:02d}",
+                node_id=f"t9-1{idx:02d}",
                 address=f"10.0.0.{idx + 1}",
                 abstract_id=abs_id,
             )
@@ -243,7 +229,7 @@ def _platform_spec(
         idx += 1
     for _ in range(env_count):
         spec.add(
-            PlatformNode(node_id=f"{host_prefix}{idx:02d}", address=f"10.0.0.{idx + 1}")
+            PlatformNode(node_id=f"t9-1{idx:02d}", address=f"10.0.0.{idx + 1}")
         )
         idx += 1
     return spec
@@ -355,31 +341,18 @@ def build_two_party_description(
 def build_three_party_description(
     name: str = "sd-three-party",
     seed: int = 1,
-    sm_count: int = 1,
-    su_count: int = 1,
     env_count: int = 4,
     replications: int = 3,
     deadline: float = 30.0,
-    traffic: bool = False,
-    pairs_levels: Optional[Sequence[int]] = None,
-    bw_levels: Optional[Sequence[int]] = None,
-    service_type: str = SERVICE_TYPE,
-    special_params: Optional[Dict] = None,
 ) -> ExperimentDescription:
-    """The centralized variant: actor2 runs the SCM (directory)."""
+    """The centralized variant, one SM and one SU, no generated load:
+    actor2 runs the SCM (directory)."""
     desc = build_two_party_description(
         name=name,
         seed=seed,
-        sm_count=sm_count,
-        su_count=su_count,
         env_count=env_count,
         replications=replications,
         deadline=deadline,
-        traffic=traffic,
-        pairs_levels=pairs_levels,
-        bw_levels=bw_levels,
-        service_type=service_type,
-        special_params=special_params,
     )
     desc.parameters["sd_architecture"] = "three-party"
     desc.parameters["sd_protocol"] = "slp"
@@ -397,40 +370,36 @@ def build_registry_description(
     name: str = "sd-registry",
     seed: int = 1,
     sm_count: int = 1,
-    su_count: int = 1,
     registry_count: int = 1,
     broker_count: int = 0,
     env_count: int = 4,
     replications: int = 3,
-    deadline: float = 30.0,
     replica_levels: Optional[Sequence[int]] = None,
     churn: bool = False,
-    churn_mode: str = "leave",
     churn_interval_levels: Optional[Sequence[float]] = None,
-    churn_downtime: float = 1.0,
     population: bool = False,
     population_levels: Optional[Sequence[int]] = None,
-    per_user_qps: float = 0.1,
     hold_time: float = 0.0,
-    service_type: str = SERVICE_TYPE,
     special_params: Optional[Dict] = None,
 ) -> ExperimentDescription:
     """The registry-family scenario (ROADMAP item 4).
 
-    actor0 = providers (SM), actor1 = clients (SU), actor2 = registry
+    actor0 = providers (SM), actor1 = the client (one SU), actor2 = registry
     replicas, actor3 = broker relays (when ``broker_count > 0``, which
     also switches the clients to ``broker`` dissemination via the
     ``sd_dissemination`` special parameter).
 
     Factors: ``fact_replicas`` sweeps the active-replica count over
     ``replica_levels`` (default: the full ``registry_count``); with
-    ``churn=True`` a seeded churn schedule runs against the providers and
-    ``fact_churn_interval`` sweeps its cadence; with ``population=True``
-    ``fact_users`` sweeps the simulated client population (Sec. IV-D2's
-    traffic generator shaped as registry queries).
+    ``churn=True`` a seeded churn schedule runs against the providers (a
+    provider leaves and stays away 1 s) and ``fact_churn_interval`` sweeps
+    its cadence; with ``population=True`` ``fact_users`` sweeps the
+    simulated client population, 0.1 queries/s per user (Sec. IV-D2's
+    traffic generator shaped as registry queries).  The client searches
+    for at most 30 s.
     """
     sm_abstract = _abstract_names(sm_count, "SM")
-    su_abstract = _abstract_names(su_count, "SU")
+    su_abstract = _abstract_names(1, "SU")
     reg_abstract = _abstract_names(registry_count, "REG")
     brk_abstract = _abstract_names(broker_count, "BRK")
     abstract = sm_abstract + su_abstract + reg_abstract + brk_abstract
@@ -487,9 +456,9 @@ def build_registry_description(
                 name="env_churn_start",
                 params={
                     "nodes": NodeSelector(actor="actor0", instance="all"),
-                    "mode": churn_mode,
+                    "mode": "leave",
                     "interval": FactorRef("fact_churn_interval"),
-                    "downtime": churn_downtime,
+                    "downtime": 1.0,
                     "random_seed": FactorRef("fact_replication_id"),
                     "rejoin_role": "sm",
                     "replicas": replicas_ref,
@@ -505,10 +474,10 @@ def build_registry_description(
                 name="env_population_start",
                 params={
                     "users": FactorRef("fact_users"),
-                    "per_user_qps": per_user_qps,
+                    "per_user_qps": 0.1,
                     "nodes": NodeSelector(actor=target_actor, instance="all"),
                     "dst_port": 7447,
-                    "service_type": service_type,
+                    "service_type": SERVICE_TYPE,
                     "choice": 0,
                 },
             )
@@ -523,17 +492,12 @@ def build_registry_description(
         ActorDescription(
             "actor0",
             name="SM",
-            actions=registry_sm_actions(service_type, replicas=replicas_ref),
+            actions=registry_sm_actions(replicas=replicas_ref),
         ),
         ActorDescription(
             "actor1",
             name="SU",
-            actions=registry_su_actions(
-                service_type=service_type,
-                deadline=deadline,
-                replicas=replicas_ref,
-                hold_time=hold_time,
-            ),
+            actions=registry_su_actions(replicas=replicas_ref, hold_time=hold_time),
         ),
         ActorDescription(
             "actor2",

@@ -182,7 +182,7 @@ class SlpAgent(SDAgent):
     # ------------------------------------------------------------------
     # Reliable unicast (transactions)
     # ------------------------------------------------------------------
-    def _transact(self, dst_addr: str, payload: Dict[str, Any], size: int = 120):
+    def _transact(self, dst_addr: str, payload: Dict[str, Any]):
         """Sub-generator: send, retry with back-off until a reply with the
         same xid arrives.  Returns the reply payload."""
         timeout = float(self.config.get("unicast_retry_timeout", 0.5))
@@ -193,7 +193,7 @@ class SlpAgent(SDAgent):
         while True:
             reply_ev = self.sim.event(name=f"xid:{xid}")
             self._pending[xid] = reply_ev
-            self._send_uc(dst_addr, payload, size=size)
+            self._send_uc(dst_addr, payload)
             fired, value = yield self.sim.any_of(reply_ev, self.sim.timeout(timeout))
             self._pending.pop(xid, None)
             if fired is reply_ev:

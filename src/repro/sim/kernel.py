@@ -58,28 +58,18 @@ class Simulator:
         experiment master typically leaves this at zero and uses per-node
         :class:`~repro.net.clock.LocalClock` offsets to model desynchronized
         node clocks.
-    bucket_count / bucket_width:
-        Event-wheel geometry (see :class:`~repro.sim.wheel.EventWheel`).
-        The defaults suit emulated-network workloads; the width self-tunes
-        while the simulation runs.
+
+    The event wheel keeps its default geometry, which suits emulated-network
+    workloads; its bucket width self-tunes while the simulation runs.
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        bucket_count: int = 1024,
-        bucket_width: float = 0.001,
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         # Entries are (time, sequence, fn, args): storing the argument
         # tuple beside the callable avoids allocating a closure per
         # scheduled event on the two hottest paths (callback resumption
         # and event triggering).
-        self._wheel = EventWheel(
-            start_time=self._now,
-            bucket_count=bucket_count,
-            bucket_width=bucket_width,
-        )
+        self._wheel = EventWheel(start_time=self._now)
         self._sequence = itertools.count()
         self._crashed: List[Process] = []
         #: Counts every callback executed; handy for overhead benchmarks.
@@ -168,7 +158,6 @@ class Simulator:
         until: Optional[float] = None,
         until_event: Optional[SimEvent] = None,
         realtime_factor: Optional[float] = None,
-        raise_on_crash: bool = True,
     ) -> Any:
         """Drive the simulation.
 
@@ -183,10 +172,9 @@ class Simulator:
             When given, synchronize execution to the wall clock: one
             simulated second takes ``1 / realtime_factor`` wall seconds.
             ``realtime_factor=2.0`` runs at double speed.
-        raise_on_crash:
-            Raise :class:`SimulationError` if any process died from an
-            unhandled exception during this call (default).  The first
-            crash's traceback is chained.
+
+        Raises :class:`SimulationError` if any process died from an
+        unhandled exception; the first crash's traceback is chained.
 
         Returns
         -------
@@ -216,7 +204,7 @@ class Simulator:
                 self._now = head[0]
                 self.executed_callbacks += 1
                 head[2](*head[3])
-                if raise_on_crash and crashed:
+                if crashed:
                     self._raise_crash()
         else:
             peek = wheel.peek
@@ -246,10 +234,10 @@ class Simulator:
                 self._now = next_at
                 self.executed_callbacks += 1
                 head[2](*head[3])
-                if raise_on_crash and crashed:
+                if crashed:
                     self._raise_crash()
 
-        if raise_on_crash and self._crashed:
+        if self._crashed:
             self._raise_crash()
         if until_event is not None and until_event.triggered:
             value = until_event.value

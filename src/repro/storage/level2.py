@@ -163,14 +163,13 @@ class RunWriter:
     :meth:`Level2Store.node_ids`.
     """
 
-    #: Buffered lines per stream before an actual file write.
+    #: Buffered lines per stream before an actual file write (tests
+    #: patch it to cross the threshold with a handful of records).
     FLUSH_RECORDS = 1024
 
-    def __init__(self, store: "Level2Store", run_id: int,
-                 flush_records: Optional[int] = None) -> None:
+    def __init__(self, store: "Level2Store", run_id: int) -> None:
         self.store = store
         self.run_id = int(run_id)
-        self._flush_records = flush_records or self.FLUSH_RECORDS
         self._handles: Dict[str, BinaryIO] = {}
         self._buffers: Dict[str, List[bytes]] = {}
         self._closed = False
@@ -191,7 +190,7 @@ class RunWriter:
             buffer = self._open(stream)
         buffer.extend(_frames(node_id, records))
         self.records_written += len(records)
-        if len(buffer) >= self._flush_records:
+        if len(buffer) >= self.FLUSH_RECORDS:
             self._flush_stream(stream)
 
     def add_block(self, node_id: str, stream: str, block: str) -> None:
@@ -203,7 +202,7 @@ class RunWriter:
         frames = _block_frames(node_id, block)
         buffer.extend(frames)
         self.records_written += len(frames) if block else 0
-        if len(buffer) >= self._flush_records:
+        if len(buffer) >= self.FLUSH_RECORDS:
             self._flush_stream(stream)
 
     def add_events(self, node_id: str, records: List[Dict[str, Any]]) -> None:
@@ -360,9 +359,9 @@ class Level2Store:
             writer.add_events(node_id, events)
             writer.add_packets(node_id, packets)
 
-    def run_writer(self, run_id: int, flush_records: Optional[int] = None) -> RunWriter:
+    def run_writer(self, run_id: int) -> RunWriter:
         """Open a buffered :class:`RunWriter` for *run_id*'s collection."""
-        return RunWriter(self, run_id, flush_records=flush_records)
+        return RunWriter(self, run_id)
 
     def write_extra_measurement(
         self, node_id: str, run_id: int, plugin: str, content: Any

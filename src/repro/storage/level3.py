@@ -310,11 +310,7 @@ def read_stamped_digest(db_path) -> Optional[str]:
     return row[0] if row else None
 
 
-def database_digest(
-    db_path,
-    ignore_columns: Iterable[str] = (),
-    tables: Optional[Iterable[str]] = None,
-) -> str:
+def database_digest(db_path, ignore_columns: Iterable[str] = ()) -> str:
     """Content hash of a level-3 database for equivalence checks.
 
     Hashes every table's rows *in stored order* (row order is part of the
@@ -322,11 +318,10 @@ def database_digest(
     are legitimately execution-specific — e.g. wall-clock timestamps an
     analysis pipeline may add — before hashing.
 
-    The default table set is Table I only (:data:`TABLE_SCHEMAS`): the
-    integrity side tables record *what went wrong and was repaired*, which
-    is execution-specific by nature, so they must not perturb equivalence
-    checks between a recovered execution and a clean one.  Pass ``tables``
-    explicitly (e.g. ``("SalvageInfo",)``) to digest them too.
+    The table set is Table I only (:data:`TABLE_SCHEMAS`): the integrity
+    side tables record *what went wrong and was repaired*, which is
+    execution-specific by nature, so they must not perturb equivalence
+    checks between a recovered execution and a clean one.
 
     Rows are serialized inside SQLite (``quote()`` per column, one string
     per row) and hashed in large chunks, so the digest runs at C speed
@@ -338,8 +333,8 @@ def database_digest(
     digest = hashlib.sha256()
     conn = sqlite3.connect(str(db_path))
     try:
-        for table in (tables if tables is not None else TABLE_SCHEMAS):
-            keep = [c for c in _ALL_SCHEMAS[table] if c not in ignored]
+        for table, columns in TABLE_SCHEMAS.items():
+            keep = [c for c in columns if c not in ignored]
             digest.update(f"--{table}({','.join(keep)})--".encode())
             if not keep:
                 continue
@@ -661,6 +656,8 @@ class RunShard:
 #: Events and packets on the common time base; ties broken by node,
 #: then by insertion (= conditioned) order.
 _TIME_ORDER = " ORDER BY CommonTime, NodeID, rowid"
+#: Rows a streaming reader fetches per batch.
+_CHUNK_ROWS = 4096
 
 
 class ExperimentDatabase:
@@ -722,16 +719,14 @@ class ExperimentDatabase:
                 args.append(value)
         return (" WHERE " + " AND ".join(clauses) if clauses else ""), args
 
-    def _chunks(
-        self, query: str, args: List[Any], chunk_size: int
-    ) -> Iterator[List[sqlite3.Row]]:
-        """The rows of *query*, *chunk_size* at a time through a dedicated
-        cursor, so the result set is never materialized."""
+    def _chunks(self, query: str, args: List[Any]) -> Iterator[List[sqlite3.Row]]:
+        """The rows of *query*, :data:`_CHUNK_ROWS` at a time through a
+        dedicated cursor, so the result set is never materialized."""
         cursor = self.conn.cursor()
         try:
             cursor.execute(query, args)
             while True:
-                rows = cursor.fetchmany(chunk_size)
+                rows = cursor.fetchmany(_CHUNK_ROWS)
                 if not rows:
                     return
                 yield rows
@@ -803,20 +798,19 @@ class ExperimentDatabase:
         run_id: Optional[int] = None,
         event_type: Union[None, str, Tuple[str, ...]] = None,
         node_id: Optional[str] = None,
-        chunk_size: int = 4096,
     ) -> Iterator[Dict[str, Any]]:
         """Stream event records without materializing the result set.
 
         Same filters and record shape as :meth:`events`, but rows arrive
-        through a dedicated cursor in ``chunk_size`` batches — analysis
-        over multi-gigabyte packages runs in constant memory.
+        through a dedicated cursor in :data:`_CHUNK_ROWS` batches —
+        analysis over multi-gigabyte packages runs in constant memory.
         """
         where, args = self._where(RunID=run_id, EventType=event_type, NodeID=node_id)
         query = (
             "SELECT RunID, NodeID, CommonTime, EventType, Parameter "
             f"FROM Events{where}{_TIME_ORDER}"
         )
-        for rows in self._chunks(query, args, chunk_size):
+        for rows in self._chunks(query, args):
             for row in rows:
                 yield {
                     "run_id": row["RunID"],
@@ -829,16 +823,14 @@ class ExperimentDatabase:
     def packets(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
         return list(self.iter_packets(run_id=run_id))
 
-    def iter_packets(
-        self, run_id: Optional[int] = None, chunk_size: int = 4096
-    ) -> Iterator[Dict[str, Any]]:
+    def iter_packets(self, run_id: Optional[int] = None) -> Iterator[Dict[str, Any]]:
         """Stream packet records (see :meth:`iter_events`)."""
         where, args = self._where(RunID=run_id)
         query = (
             "SELECT RunID, NodeID, CommonTime, SrcNodeID, Data "
             f"FROM Packets{where}{_TIME_ORDER}"
         )
-        for rows in self._chunks(query, args, chunk_size):
+        for rows in self._chunks(query, args):
             for row in rows:
                 rec = json.loads(row["Data"])
                 rec["src_node"] = row["SrcNodeID"]
@@ -960,12 +952,11 @@ class ExperimentDatabase:
         except sqlite3.OperationalError:
             return []
 
-    def salvage_info(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
+    def salvage_info(self) -> List[Dict[str, Any]]:
         """Salvage-conditioning rows (empty unless the package was built
         with ``--salvage`` over a corrupt store)."""
         return [
-            dict(row)
-            for row in self._side_rows("SalvageInfo", "RunID, NodeID, Stream", run_id)
+            dict(row) for row in self._side_rows("SalvageInfo", "RunID, NodeID, Stream", None)
         ]
 
     def run_traces(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:

@@ -19,9 +19,8 @@ def histogram(
     width: int = 40,
     lo: Optional[float] = None,
     hi: Optional[float] = None,
-    unit: str = "s",
 ) -> str:
-    """Render *values* as a fixed-width ASCII histogram.
+    """Render *values* (seconds) as a fixed-width ASCII histogram.
 
     Bin edges default to the data range; a degenerate range (all values
     equal) renders a single full bar.
@@ -32,7 +31,7 @@ def histogram(
     lo = min(values) if lo is None else lo
     hi = max(values) if hi is None else hi
     if hi <= lo:
-        label = f"{lo:.3f}{unit}"
+        label = f"{lo:.3f}s"
         return f"{label:>14} |{'#' * width} {len(values)}"
     span = hi - lo
     counts = [0] * bins
@@ -49,7 +48,7 @@ def histogram(
         left = lo + span * i / bins
         right = lo + span * (i + 1) / bins
         bar = "#" * int(round(count / peak * width))
-        lines.append(f"{left:7.3f}-{right:7.3f}{unit} |{bar:<{width}} {count}")
+        lines.append(f"{left:7.3f}-{right:7.3f}s |{bar:<{width}} {count}")
     if clipped:
         lines.append(f"(+{clipped} sample(s) outside [{lo:g}, {hi:g}])")
     return "\n".join(lines)
@@ -59,7 +58,6 @@ def t_r_histogram(
     outcomes: Iterable,
     bins: int = 12,
     width: int = 40,
-    include_misses: bool = True,
 ) -> str:
     """Histogram of discovery times from :class:`RunDiscovery` outcomes.
 
@@ -70,6 +68,6 @@ def t_r_histogram(
     times = [o.t_r for o in outcomes if o.t_r is not None]
     misses = len(outcomes) - len(times)
     body = histogram(times, bins=bins, width=width)
-    if include_misses and misses:
+    if misses:
         body += f"\n{'missed':>15} |{'x' * min(width, misses)} {misses}"
     return body

@@ -24,8 +24,8 @@ from repro.viz.timeline_art import render_timeline
 __all__ = ["experiment_report"]
 
 
-def _fmt(value: Optional[float], pattern: str = "{:.3f}") -> str:
-    return pattern.format(value) if value is not None else "-"
+def _fmt(value: Optional[float]) -> str:
+    return f"{value:.3f}" if value is not None else "-"
 
 
 def _informative_parameters(xml_text: str) -> Dict[str, str]:
@@ -46,7 +46,6 @@ def experiment_report(
     db: ExperimentDatabase,
     deadlines: tuple = (0.2, 1.0, 5.0),
     timeline_run: Optional[int] = 0,
-    timeline_width: int = 72,
 ) -> str:
     """Render one experiment's report as markdown text."""
     info = db.experiment_info()
@@ -173,7 +172,7 @@ def experiment_report(
         out("")
         out("```")
         timeline = build_run_timeline(db.events(run_id=timeline_run), timeline_run)
-        out(render_timeline(timeline, width=timeline_width))
+        out(render_timeline(timeline))
         out("```")
 
     out("")

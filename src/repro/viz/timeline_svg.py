@@ -32,6 +32,7 @@ _PHASE_FILL = {
     "cleanup": "#fff3e0",
 }
 
+_WIDTH = 900
 _LANE_H = 34
 _MARGIN_L = 110
 _MARGIN_R = 30
@@ -45,14 +46,13 @@ def _esc(text: str) -> str:
 
 def render_timeline_svg(
     timeline: RunTimeline,
-    width: int = 900,
     include_nodes: Optional[List[str]] = None,
     title: Optional[str] = None,
 ) -> str:
     """Render *timeline* as a complete SVG document (a string)."""
     nodes = list(include_nodes) if include_nodes else timeline.nodes()
     span = max(timeline.end - timeline.start, 1e-9)
-    plot_w = width - _MARGIN_L - _MARGIN_R
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     height = _MARGIN_T + _LANE_H * max(1, len(nodes)) + _MARGIN_B
 
     def x_of(t: float) -> float:
@@ -60,11 +60,11 @@ def render_timeline_svg(
 
     parts: List[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{height}" viewBox="0 0 {_WIDTH} {height}" '
         f'font-family="monospace" font-size="12">'
     )
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    parts.append(f'<rect width="{_WIDTH}" height="{height}" fill="white"/>')
 
     heading = title or f"run {timeline.run_id}"
     if timeline.t_r is not None:
@@ -102,7 +102,7 @@ def render_timeline_svg(
             f'<text x="8" y="{y + 4}" fill="#333">{_esc(node)}</text>'
         )
         parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{y}" x2="{width - _MARGIN_R}" '
+            f'<line x1="{_MARGIN_L}" y1="{y}" x2="{_WIDTH - _MARGIN_R}" '
             f'y2="{y}" stroke="#bbb" stroke-width="1"/>'
         )
         for entry in timeline.events_on(node):
@@ -122,7 +122,7 @@ def render_timeline_svg(
     # Time axis.
     axis_y = lanes_bottom + 24
     parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{axis_y}" x2="{width - _MARGIN_R}" '
+        f'<line x1="{_MARGIN_L}" y1="{axis_y}" x2="{_WIDTH - _MARGIN_R}" '
         f'y2="{axis_y}" stroke="#333"/>'
     )
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):

@@ -19,7 +19,6 @@ The CI ``fleet-chaos`` job repeats drills 1 and a SIGSTOP-based
 partition variant with real processes (``tools/fleet_chaos_drill.py``).
 """
 
-import json
 import socket
 import threading
 import time
@@ -27,11 +26,11 @@ import time
 import pytest
 
 from repro.campaign import CampaignJournal, database_digest, run_campaign
+from repro.cli import main as cli_main
 from repro.core.errors import CampaignError
 from repro.fabric import (
     FabricCoordinator,
     FabricWorker,
-    FleetChannel,
     LeadershipLost,
     PartitionGate,
     StandbyCoordinator,
@@ -189,7 +188,7 @@ def test_standby_takes_over_after_leader_death(local_reference, tmp_path):
     assert sum(w.failovers for w, _ in workers) >= 1
 
 
-def test_graceful_handoff_re_leases_zero_runs(local_reference, tmp_path):
+def test_graceful_handoff_re_leases_zero_runs(local_reference, tmp_path, capsys):
     campaign_dir = tmp_path / "campaign"
     leader_port, standby_port = _free_port(), _free_port()
     seeds = f"127.0.0.1:{leader_port},127.0.0.1:{standby_port}"
@@ -211,10 +210,9 @@ def test_graceful_handoff_re_leases_zero_runs(local_reference, tmp_path):
             _spawn_worker(seeds, tmp_path / f"w{i}", f"w{i}") for i in range(2)
         ]
         _wait_for_settled(leader, 1)
-        with FleetChannel(leader.address) as channel:
-            reply = json.loads(channel.call("handoff", 60.0))
-        assert reply["released"] is True
-        assert reply["epoch"] == 1
+        # `repro fabric handoff` drains in-flight batches, then releases.
+        assert cli_main(["fabric", "handoff", leader.address, "--timeout", "60"]) == 0
+        assert "leadership released (epoch 1)" in capsys.readouterr().out
         # The deposed leader refuses further leadership-bound work.
         with pytest.raises(LeadershipLost) as lost:
             leader.finished()

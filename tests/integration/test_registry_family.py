@@ -22,7 +22,8 @@ from repro.analysis.responsiveness import run_outcomes
 from repro.campaign import database_digest, run_campaign
 from repro.core.xmlio import description_from_xml, description_to_xml
 from repro.fabric import FabricCoordinator, FabricWorker
-from repro.platforms.simulated import PlatformConfig
+from repro.core.errors import PlatformError
+from repro.platforms.simulated import PlatformConfig, SimulatedPlatform
 from repro.sd.processlib import build_registry_description
 from repro.storage.level3 import ExperimentDatabase
 
@@ -54,6 +55,24 @@ def test_direct_scenario_end_to_end(tmp_path):
         # registry accounted the registration.
         assert db.events(event_type="scm_found")
         assert db.events(event_type="scm_registration_add")
+
+
+def test_registry_nodes_may_be_named_by_platform_node_id():
+    """``sd_registry_nodes`` takes abstract ids or platform node ids,
+    mixed, in listed order; any other token is refused."""
+    desc = build_registry_description(
+        name="registry-ids", seed=41, replications=1, env_count=1, registry_count=2
+    )
+    reg0, reg1 = (desc.platform.for_abstract(a) for a in ("REG0", "REG1"))
+    desc.special_params["sd_registry_nodes"] = f"{reg1.node_id}, REG0"
+    platform = SimulatedPlatform(desc, _config())
+    assert {tuple(a.config["registry_addrs"]) for a in platform.agents.values()} == {
+        (reg1.address, reg0.address)
+    }
+
+    desc.special_params["sd_registry_nodes"] = "REG0 nowhere"
+    with pytest.raises(PlatformError, match="'nowhere' is neither an abstract nor a platform"):
+        SimulatedPlatform(desc, _config())
 
 
 def test_broker_scenario_end_to_end(tmp_path):
@@ -101,7 +120,6 @@ def test_churn_and_population_events_recorded(tmp_path):
         env_count=2,
         sm_count=2,
         churn=True,
-        churn_mode="leave",
         churn_interval_levels=(1.5,),
         population=True,
         population_levels=(200,),

@@ -74,6 +74,10 @@ def test_campaign_ingest_query_diff_regression(campaign_dbs, tmp_path,
     assert cli_main(["repo", "regression-check", str(root), str(perturbed),
                      "--baseline", "wh-a"]) == 1
     assert "[DRIFT]" in capsys.readouterr().out
+    # ... unless a tolerance admits the aggregates' drift.
+    assert cli_main(["repo", "regression-check", str(root), str(perturbed),
+                     "--baseline", "wh-a", "--tol", "100"]) == 0
+    assert "regression check passed" in capsys.readouterr().out
 
 
 def test_warehouse_models_match_canonical_analysis(campaign_dbs, tmp_path):

@@ -235,9 +235,6 @@ class ReferenceInterface(Interface):
     def transmit(self, packet: Packet) -> bool:
         if self.medium is None:
             raise RuntimeError(f"interface {self.name} of {self.node.name} not attached")
-        if not self._tx_up:
-            self.counters["tx_dropped"] += 1
-            return False
         result = self._run_chain(packet, Direction.TX)
         if result.dropped:
             self.counters["tx_dropped"] += 1
@@ -249,9 +246,6 @@ class ReferenceInterface(Interface):
         return True
 
     def deliver(self, packet: Packet) -> None:
-        if not self._rx_up:
-            self.counters["rx_dropped"] += 1
-            return
         result = self._run_chain(packet, Direction.RX)
         if result.dropped:
             self.counters["rx_dropped"] += 1
@@ -262,9 +256,6 @@ class ReferenceInterface(Interface):
             self._accept(result.packet)
 
     def _accept(self, packet: Packet) -> None:
-        if not self._rx_up:  # may have gone down during a filter delay
-            self.counters["rx_dropped"] += 1
-            return
         self.counters["rx_packets"] += 1
         self.counters["rx_bytes"] += packet.size
         self.node.capture.record(packet, Direction.RX)
@@ -307,8 +298,6 @@ class ReferenceNetNode(NetNode):
                 self.interface.transmit(onward)
 
     def _forward_unicast(self, packet: Packet) -> None:
-        if not self.forwarding:
-            return
         onward = _replace_copy(packet, ttl=packet.ttl - 1)
         if onward.ttl <= 0:
             self.counters["ttl_expired"] += 1

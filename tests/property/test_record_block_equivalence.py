@@ -11,11 +11,12 @@ import json
 import tempfile
 import xmlrpc.client
 from pathlib import Path
+from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.storage.level2 import Level2Store, encode_block
+from repro.storage.level2 import Level2Store, RunWriter, encode_block
 
 _NASTY = ["\r\n", "\r", "\n", "\t", "\x00", "\x1f", "&<>", "&amp;", "]]>", "<![CDATA[",
           "\ud800", "\udfff", "\U0001f600", " ", "\x7f", "é", ""]
@@ -55,8 +56,8 @@ def _through_the_wire(block):
 def test_block_path_writes_the_bytes_append_writes(batches):
     with tempfile.TemporaryDirectory() as tmp:
         by_block, by_append = Level2Store(Path(tmp, "a")), Level2Store(Path(tmp, "b"))
-        with by_block.run_writer(0, flush_records=3) as blocks, \
-                by_append.run_writer(0, flush_records=3) as appends:
+        with patch.object(RunWriter, "FLUSH_RECORDS", 3), \
+                by_block.run_writer(0) as blocks, by_append.run_writer(0) as appends:
             for node, records in batches:
                 block = encode_block(records)
                 assert block.isascii()

@@ -79,3 +79,18 @@ def test_summarize_fields():
 def test_summarize_empty():
     s = summarize([])
     assert s["n"] == 0 and s["mean"] is None
+
+
+def test_intervals_are_pinned_at_95_percent():
+    """One sample, the exact 95 % bounds: a drifting level moves them."""
+    assert binomial_proportion_ci(5, 10) == (
+        0.5,
+        pytest.approx(0.236593090512564, rel=1e-12),
+        pytest.approx(0.7634069094874361, rel=1e-12),
+    )
+    pytest.importorskip("scipy")  # the Student-t branch; the z one is pinned above
+    assert mean_confidence_interval([1.0, 2.0, 3.0, 4.0]) == (
+        2.5,
+        pytest.approx(0.4457397432394794, rel=1e-9),
+        pytest.approx(4.554260256760521, rel=1e-9),
+    )

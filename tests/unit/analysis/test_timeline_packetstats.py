@@ -60,12 +60,6 @@ def test_timeline_without_discovery():
     assert tl.t_r is None
 
 
-def test_timeline_exclude_filter():
-    tl = build_run_timeline(_events(), 0, exclude=("run_init", "run_exit"))
-    names = [e.name for e in tl.entries]
-    assert "run_init" not in names and "sd_service_add" in names
-
-
 def test_timeline_nodes_and_relative_time():
     tl = build_run_timeline(_events(), 0)
     assert tl.nodes() == ["master", "sm", "su"]

@@ -80,3 +80,32 @@ def test_a_coordinator_deposed_mid_wait_raises_without_waiting_out_the_period(co
     assert outcome["error"].reason == "deposed"
     assert "finalized_at" not in outcome
     assert outcome["returned_at"] - deposed_at < 0.02
+
+
+def test_the_status_rpc_reports_the_fleet_over_the_wire(coordinator, capsys):
+    """``repro fabric status HOST:PORT``: the coordinator's snapshot of its
+    dispatcher, lease table and scheduler, through the fleet wire."""
+    from repro.cli import main
+
+    coordinator._rpc_register("w0", 2)
+    lease = json.loads(coordinator._rpc_lease("w0", 1, coordinator.epoch))
+    assert [run["run_id"] for run in lease["runs"]] == [0]
+
+    assert main(["fabric", "status", coordinator.address]) == 0
+    status = json.loads(capsys.readouterr().out)
+    assert status["workers"] == {"w0": 2}
+    assert status["quarantined"] == []
+    assert status["leases"] == {"granted": 1, "active": 1, "leased_runs": 1}
+    assert status["scheduler"]["total"] == 2
+    assert status["scheduler"]["in_flight"] == 1
+    assert status["scheduler"]["done"] == 0
+    assert (status["total_runs"], status["staged"], status["finished"]) == (2, 0, False)
+    assert status["epoch"] == coordinator.epoch
+    assert status["election"]["leader_live"]
+
+    # Without an endpoint, `--dir` reads leadership off the election ledger.
+    assert main(["fabric", "status", "--dir", str(coordinator.campaign_dir)]) == 0
+    election = json.loads(capsys.readouterr().out)["election"]
+    assert election["leader_live"]
+    assert election["epoch"] == coordinator.epoch
+    assert election["leader_endpoint"] == coordinator.address

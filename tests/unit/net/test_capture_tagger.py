@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.net.capture import PacketCapture
 from repro.net.interface import Direction
 from repro.net.node import NetNode
 from repro.net.tagger import (
@@ -46,14 +45,6 @@ def test_capture_disable(sim):
     node.capture.enabled = False
     node.capture.record(_pkt(), Direction.RX)
     assert len(node.capture) == 0
-
-
-def test_capture_ring_bound(sim):
-    node = NetNode(sim, "x", "10.0.0.1")
-    cap = PacketCapture(node, max_records=2)
-    for _ in range(5):
-        cap.record(_pkt(), Direction.RX)
-    assert len(cap) == 2 and cap.dropped_records == 3
 
 
 def test_capture_drain_clears(sim):
@@ -101,15 +92,6 @@ def test_tagger_wraps_at_16_bits():
     tagger.tag(p2)
     assert p1.options[TAG_OPTION] == TAG_MODULUS - 1
     assert p2.options[TAG_OPTION] == 0
-
-
-def test_tagger_selector():
-    tagger = PacketTagger("n", selector=lambda p: p.flow == "experiment")
-    exp = _pkt(flow="experiment")
-    load = _pkt(flow="generated-load")
-    assert tagger.tag(exp)
-    assert not tagger.tag(load)
-    assert TAG_OPTION not in load.options
 
 
 def test_tagger_disable_and_reset():

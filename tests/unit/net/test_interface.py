@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults.injectors import InterfaceFaultFilter
 from repro.net.interface import (
     DROP,
     PASS,
@@ -33,11 +34,13 @@ def test_direction_covers():
     assert not Direction.RX.covers(Direction.TX)
 
 
+# Deactivating an interface is a drop-all rule in one direction (the
+# interface fault), not a separate state.
 def test_tx_down_blocks_sending(pair_net):
     sim, medium, a, b = pair_net
     got = []
     b.bind(1000, lambda pl, pkt, n: got.append(pl))
-    a.interface.set_up(Direction.TX, up=False)
+    a.interface.add_filter(InterfaceFaultFilter(Direction.TX))
     _send(a, b)
     sim.run(until=1.0)
     assert got == []
@@ -48,7 +51,7 @@ def test_rx_down_blocks_delivery(pair_net):
     sim, medium, a, b = pair_net
     got = []
     b.bind(1000, lambda pl, pkt, n: got.append(pl))
-    b.interface.set_up(Direction.RX, up=False)
+    b.interface.add_filter(InterfaceFaultFilter(Direction.RX))
     _send(a, b)
     sim.run(until=1.0)
     assert got == []
@@ -60,10 +63,10 @@ def test_reactivation_restores_traffic(pair_net):
     sim, medium, a, b = pair_net
     got = []
     b.bind(1000, lambda pl, pkt, n: got.append(pl))
-    b.interface.set_up(Direction.BOTH, up=False)
+    rule_id = b.interface.add_filter(InterfaceFaultFilter(Direction.BOTH))
     _send(a, b)
     sim.run(until=1.0)
-    b.interface.set_up(Direction.BOTH, up=True)
+    assert b.interface.remove_filter(rule_id)
     _send(a, b, "second")
     sim.run(until=2.0)
     assert got == ["second"]

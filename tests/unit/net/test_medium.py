@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net.medium import CongestionModel, WirelessMedium
+from repro.net.medium import RETRY_BACKOFF, CongestionModel, WirelessMedium
 from repro.net.node import NetNode
 from repro.net.packet import MULTICAST_SD_GROUP
 from repro.net.topology import from_edges, line_topology
@@ -90,7 +90,7 @@ def test_multicast_has_no_mac_retries(sim):
 def test_retry_adds_backoff_delay(sim):
     cong = CongestionModel(jitter=0.0, queue_delay_at_capacity=0.0)
     topo = from_edges([("m0", "m1")], base_loss=0.0, base_delay=0.001)
-    medium = WirelessMedium(sim, topo, random.Random(1), congestion=cong, retry_backoff=0.01)
+    medium = WirelessMedium(sim, topo, random.Random(1), congestion=cong)
     a = NetNode(sim, "m0", "10.2.0.1")
     b = NetNode(sim, "m1", "10.2.0.2")
     medium.attach(a)
@@ -113,7 +113,7 @@ def test_retry_adds_backoff_delay(sim):
     b.bind(5, lambda pl, pkt, n: got.append(sim.now))
     a.send_datagram("x", b.address, 5)
     sim.run(until=1.0)
-    assert got and got[0] == pytest.approx(0.001 + 0.01)
+    assert got and got[0] == pytest.approx(0.001 + RETRY_BACKOFF)
 
 
 def test_utilization_rises_with_traffic(sim):

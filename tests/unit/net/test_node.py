@@ -46,17 +46,6 @@ def test_ttl_expiry_kills_packet(grid_net):
     assert any(n.counters["ttl_expired"] for n in nodes.values())
 
 
-def test_forwarding_disabled_node_drops(grid_net):
-    sim, topo, medium, nodes = grid_net
-    for n in nodes.values():
-        n.forwarding = False
-    got = []
-    nodes["n8"].bind(10, lambda pl, pkt, n: got.append(pl))
-    nodes["n0"].send_datagram("x", nodes["n8"].address, 10)
-    sim.run(until=2.0)
-    assert got == []
-
-
 def test_multicast_requires_group_membership(grid_net):
     sim, topo, medium, nodes = grid_net
     got = []

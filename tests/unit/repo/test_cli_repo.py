@@ -26,13 +26,6 @@ def test_repo_ingest_and_list(make_level3, tmp_path, capsys):
     assert "3 experiment(s), 2 partition(s)" in out  # forced copy listed too
 
 
-def test_repo_ingest_sync_path(make_level3, tmp_path, capsys):
-    root = tmp_path / "wh"
-    db = make_level3("alpha")
-    assert main(["repo", "ingest", str(root), str(db), "--sync"]) == 0
-    assert "warehouse holds 1 experiment(s)" in capsys.readouterr().out
-
-
 def test_repo_query_kinds(make_level3, tmp_path, capsys):
     root = tmp_path / "wh"
     db = make_level3("alpha", n_runs=4)

@@ -421,6 +421,29 @@ def test_queue_isolates_corrupt_package(warehouse, make_level3, tmp_path):
     assert len(warehouse.experiments()) == 1  # the good one landed
 
 
+def test_a_failed_batch_falls_back_one_by_one_and_is_counted(
+    warehouse, make_level3, monkeypatch, suppressed
+):
+    ingest_many = warehouse.ingest_many
+    calls = []
+
+    def fails_once(paths, **kwargs):
+        calls.append(paths)
+        if len(calls) == 1:
+            raise StorageError("transient batch failure")
+        return ingest_many(paths, **kwargs)
+
+    monkeypatch.setattr(warehouse, "ingest_many", fails_once)
+    dbs = [make_level3(f"exp-{i}", t0=1.0 + 20.0 * i) for i in range(3)]
+    with WriteBehindIngester(warehouse, batch_size=3) as queue:
+        for db in dbs:
+            queue.submit(db)
+        results = queue.flush()
+    assert [r.source for r in results] == [str(db) for db in dbs]
+    assert len(warehouse.experiments()) == 3
+    assert suppressed.value(site="repo_batch_fallback") == 1
+
+
 def test_queue_rejects_submissions_after_close(warehouse, make_level3):
     queue = WriteBehindIngester(warehouse)
     queue.submit(make_level3("alpha"))

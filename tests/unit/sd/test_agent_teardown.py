@@ -23,7 +23,7 @@ class _LoopbackAgent(SDAgent):
     protocol = "loopback"
 
     def on_init(self, params):
-        self.spawn(self.cache_housekeeping(interval=1.0), "cache")
+        self.spawn(self.cache_housekeeping(), "cache")
 
     def on_start_search(self, service_type, params):
         pass

@@ -124,19 +124,6 @@ def test_crash_raises_simulation_error(sim):
         sim.run()
 
 
-def test_crash_suppressible(sim):
-    def boom():
-        yield sim.timeout(1.0)
-        raise RuntimeError("bang")
-
-    proc = sim.process(boom())
-    sim.run(raise_on_crash=False)
-    assert isinstance(proc.error, RuntimeError)
-    # The crash stays on record: the next checked run reports it.
-    with pytest.raises(SimulationError, match="bang"):
-        sim.run()
-
-
 def test_realtime_factor_paces_wall_clock():
     import time
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.errors import StorageError
-from repro.storage.level2 import Level2Store, encode_block, encode_json
+from repro.storage.level2 import Level2Store, RunWriter, encode_block, encode_json
 
 
 @pytest.fixture
@@ -104,8 +104,9 @@ def test_enumeration(store):
     assert store.run_ids() == [0, 1]
 
 
-def test_run_writer_buffers_and_appends(store):
-    with store.run_writer(0, flush_records=4) as w:
+def test_run_writer_buffers_and_appends(store, monkeypatch):
+    monkeypatch.setattr(RunWriter, "FLUSH_RECORDS", 4)
+    with store.run_writer(0) as w:
         w.add_events("n1", [{"name": "e1"}, {"name": "e2"}])
         w.add_packets("n1", [{"uid": 1}])
         w.add_events("n2", [{"name": "e3"}])

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.errors import StorageError
 from repro.storage.level2 import Level2Store
+from repro.storage import level3
 from repro.storage.level3 import (
     CHECKSUM_TABLE,
     EXTENSION_TABLES,
@@ -161,15 +162,16 @@ def test_event_pair_latencies_single_pass_per_run_false(tmp_path):
                          "latency": pytest.approx(0.5)}]
 
 
-def test_iter_events_and_iter_packets_stream(filled_store, tmp_path):
+def test_iter_events_and_iter_packets_stream(filled_store, tmp_path, monkeypatch):
+    monkeypatch.setattr(level3, "_CHUNK_ROWS", 1)
     with ExperimentDatabase(store_level3(filled_store, tmp_path / "x.db")) as db:
-        it = db.iter_events(run_id=0, chunk_size=1)
+        it = db.iter_events(run_id=0)
         assert next(it)["name"] == "ev"
         assert list(it) == []
         assert list(db.iter_events(event_type="ghost")) == []
         # Streaming readers return the same records as the list APIs.
         assert list(db.iter_events()) == db.events()
-        assert list(db.iter_packets(chunk_size=1)) == db.packets()
+        assert list(db.iter_packets()) == db.packets()
 
 
 def test_store_level3_streams_runs_lazily(filled_store, tmp_path, monkeypatch):

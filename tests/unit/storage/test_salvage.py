@@ -174,3 +174,30 @@ def test_condition_experiment_carries_salvage_records(tmp_path):
     assert [r["reason"] for r in data.salvage_records] == ["crc_mismatch"]
     clean = condition_experiment(_fill(tmp_path / "clean"))
     assert clean.salvage_records == []
+
+
+# ----------------------------------------------------------------------
+# `repro inspect --salvage`: the quarantine seen from the CLI
+# ----------------------------------------------------------------------
+def test_inspect_salvage_on_a_level2_directory_and_a_database(tmp_path, capsys):
+    from repro.cli import main
+
+    l2, db = tmp_path / "l2", tmp_path / "salvaged.db"
+    _fill(l2)
+    _corrupt_crc(_events_path(l2))
+    assert main(["inspect", str(l2)]) == 2  # a directory needs --salvage
+    assert main(["inspect", str(l2), "--salvage"]) == 0
+    assert "salvage reports: 0" in capsys.readouterr().out
+
+    assert main(["condition", str(l2), str(db), "--salvage"]) == 0
+    capsys.readouterr()
+    assert main(["inspect", str(l2), "--salvage"]) == 0
+    out = capsys.readouterr().out
+    assert "total kept: 4  total dropped: 1" in out
+    assert "run 0 node h1 events.jsonl: kept 4, dropped 1 (crc_mismatch)" in out
+    assert "salvage reports: 1" in out
+
+    assert main(["inspect", str(db), "--salvage"]) == 0
+    out = capsys.readouterr().out
+    assert "salvage run 0 node h1 events.jsonl: kept 4, dropped 1 (crc_mismatch)" in out
+    assert "salvage records: 1" in out

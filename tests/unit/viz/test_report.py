@@ -52,6 +52,12 @@ def test_report_cli_stdout(db_path, capsys):
     assert "# Experiment report: report-test" in out
 
 
+def test_report_cli_renders_the_chosen_run(db_path, capsys):
+    assert main(["report", str(db_path), "--run", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "## Timeline of run 1" in out and "## Timeline of run 0" not in out
+
+
 def test_report_cli_to_file(db_path, tmp_path, capsys):
     out_file = tmp_path / "report.md"
     assert main(["report", str(db_path), "--out", str(out_file)]) == 0
