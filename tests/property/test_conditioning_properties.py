@@ -1,10 +1,31 @@
 """Property tests: conditioning recovers the common time base within the
-sync error bound, for arbitrary clock skews."""
+sync error bound, for arbitrary clock skews.
+
+Records go through a level-2 store and :func:`condition_run`, the one
+conditioning path.  Each node's stream holds its records in draw order,
+which is unsorted in time, so the merge must order them itself.
+"""
+
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.conditioning import _condition_records
+from repro.storage.conditioning import condition_run
+from repro.storage.level2 import Level2Store
+
+
+def _conditioned_events(records, offsets, run_id):
+    """Write *records* as run *run_id* of a fresh store, one frame each in
+    the given order, and return the conditioned events."""
+    with tempfile.TemporaryDirectory() as root:
+        store = Level2Store(root)
+        store.write_timesync(run_id, {node: {"offset": off} for node, off in offsets.items()})
+        store.write_run_info(run_id, {"run_id": run_id, "start_time": 0.0})
+        with store.run_writer(run_id) as writer:
+            for rec in records:
+                writer.add_events(rec["node"], [rec])
+        return condition_run(store, run_id).events
 
 
 @given(
@@ -35,7 +56,7 @@ def test_conditioning_inverts_offsets_within_error(offsets, true_times, errors):
              "run_id": 0, "seq": i}
         )
         expected.append((f"e{i}", t, est_err))
-    conditioned = _condition_records(
+    conditioned = _conditioned_events(
         records,
         {n: offsets[n] + errors[hash(n) % len(errors)] * 0 for n in nodes},
         run_id=0,
@@ -79,7 +100,7 @@ def test_conditioning_restores_cross_node_causal_order(offsets, pairs):
             "local_time": t + dt + offsets[effect_node], "run_id": 0, "seq": seq,
         })
         seq += 1
-    conditioned = _condition_records(records, dict(offsets), run_id=0)
+    conditioned = _conditioned_events(records, dict(offsets), run_id=0)
     position = {r["name"]: idx for idx, r in enumerate(conditioned)}
     for i in range(len(pairs)):
         assert position[f"cause{i}"] < position[f"effect{i}"]
@@ -100,7 +121,7 @@ def test_conditioned_output_is_sorted_and_complete(records):
         {"name": f"e{i}", "node": n, "local_time": t, "run_id": 0, "seq": i}
         for i, (n, t) in enumerate(records)
     ]
-    out = _condition_records(recs, {"n1": 1.0, "n2": -2.0}, run_id=0)
+    out = _conditioned_events(recs, {"n1": 1.0, "n2": -2.0}, run_id=0)
     assert len(out) == len(recs)
     times = [r["common_time"] for r in out]
     assert times == sorted(times)

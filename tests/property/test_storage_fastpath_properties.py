@@ -150,7 +150,7 @@ def _table_dump(db_path, table):
 _record = st.fixed_dictionaries({
     # Drawing the node label per record (not per stream) deliberately
     # produces cross-attributed streams whose sort keys interleave, so
-    # the merge path's sortedness detection and fallback are exercised.
+    # the merge meets ties and out-of-order streams.
     "node": st.sampled_from(["n0", "n1", "master"]),
     "local_time": st.floats(min_value=0.0, max_value=100.0,
                             allow_nan=False, allow_infinity=False),

@@ -167,6 +167,30 @@ def test_store_level3_salvage_path_records_salvage_info(tmp_path):
     assert (tmp_path / "l2" / "quarantine" / "salvage_report.json").exists()
 
 
+def _corrupt_trace(root):
+    """A 1-run store whose last ``traces.jsonl`` frame fails its CRC."""
+    store = _fill(root)
+    with store.run_writer(0) as writer:
+        writer.add_traces("master", [{"run_id": 0, "span_id": 1, "name": "run"},
+                                     {"run_id": 0, "span_id": 2, "name": "exit"}])
+    path = root / "runs" / "0" / "traces.jsonl"
+    path.write_bytes(path.read_bytes().replace(b'"exit"', b'"exiT"'))
+
+
+def test_store_level3_records_salvaged_trace_frames(tmp_path):
+    _corrupt_trace(tmp_path / "l2")
+    db_path = store_level3(Level2Store(tmp_path / "l2", salvage=True), tmp_path / "s.db")
+    with ExperimentDatabase(db_path) as db:
+        assert [
+            (r["NodeID"], r["Stream"], r["RecordsKept"], r["RecordsDropped"], r["Reason"])
+            for r in db.salvage_info()
+        ] == [("master", "traces.jsonl", 1, 1, "crc_mismatch")]
+        assert [span["name"] for span in db.run_traces()] == ["run"]
+    report = json.loads((tmp_path / "l2" / "quarantine" / "salvage_report.json")
+                        .read_text(encoding="utf-8"))
+    assert report["total_dropped"] == 1
+
+
 def test_condition_experiment_carries_salvage_records(tmp_path):
     _fill(tmp_path / "l2")
     _corrupt_crc(_events_path(tmp_path / "l2"))

@@ -10,20 +10,24 @@ the damage is deliberate and permanent.
 Usage::
 
     python tools/corrupt_l2.py STORE --run RUN --node NODE \
-        [--stream events.jsonl] [--index -1] (--truncate-bytes K | --flip-byte)
+        [--stream events.jsonl] [--index -1] \
+        (--truncate-bytes K | --flip-byte | --bad-json)
 
 The target is the ``--index``-th frame (default: the last) that ``--node``
 wrote into ``runs/RUN/STREAM``.  ``--truncate-bytes K`` ends the file K
 bytes short of that frame's end (a torn write: the frame is cut and
 whatever followed it is gone); ``--flip-byte`` changes one character
 inside the frame's JSON part while leaving its CRC suffix alone
-(simulating silent media corruption -> crc_mismatch).
+(simulating silent media corruption -> crc_mismatch); ``--bad-json`` cuts
+the last character off the frame's JSON part and writes the CRC of what
+is left (a writer that framed broken JSON -> bad_json).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import zlib
 from pathlib import Path
 
 
@@ -42,6 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--flip-byte", action="store_true",
                       help="corrupt one character of the frame's JSON part "
                            "(keeps the CRC suffix -> crc_mismatch)")
+    mode.add_argument("--bad-json", action="store_true",
+                      help="cut the frame's JSON part short and recompute "
+                           "its CRC (-> bad_json)")
     return parser
 
 
@@ -87,6 +94,19 @@ def flip_byte(path: Path, lines, target: int) -> None:
     print(f"flipped one byte in frame {target + 1} of {path}")
 
 
+def bad_json(path: Path, lines, target: int) -> None:
+    frame = lines[target].rstrip(b"\n")
+    node, body, _suffix = frame.split(b"\t")
+    if len(body) < 2:
+        raise SystemExit(f"frame {target + 1} of {path} has no JSON part to cut")
+    # Cutting the closing bracket leaves text no JSON reader accepts; the
+    # fresh CRC makes the frame itself intact.
+    head = node + b"\t" + body[:-1]
+    lines[target] = head + b"\t%08x" % zlib.crc32(head) + lines[target][len(frame):]
+    path.write_bytes(b"".join(lines))
+    print(f"cut the JSON part of frame {target + 1} of {path} under a fresh CRC")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     path = args.store / "runs" / str(args.run) / args.stream
@@ -96,6 +116,8 @@ def main(argv=None) -> int:
     target = locate(lines, args.node, args.index)
     if args.truncate_bytes is not None:
         truncate(path, lines, target, args.truncate_bytes)
+    elif args.bad_json:
+        bad_json(path, lines, target)
     else:
         flip_byte(path, lines, target)
     return 0
