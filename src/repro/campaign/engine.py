@@ -43,7 +43,6 @@ only the shards and ``scope.json``: the staging stores are scratch.
 from __future__ import annotations
 
 import concurrent.futures
-import json
 import os
 from typing import Any, Dict, List, Optional
 
@@ -56,6 +55,7 @@ from repro.core.master import build_run_spec, execute_spec_run
 # resolves ``engine.generate_plan`` and benchmarks/e2e is frozen (ROADMAP 5).
 from repro.core.plan import generate_plan  # noqa: F401
 from repro.core.xmlio import description_to_xml
+from repro.durable import encode_record
 from repro.obs.metrics import count_suppressed_error, get_registry
 from repro.obs.trace import Tracer
 
@@ -290,7 +290,7 @@ class CampaignEngine:
         try:
             with open(self.session.campaign_dir / "traces.jsonl", "a", encoding="utf-8") as fh:
                 for rec in records:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                    fh.write(encode_record(rec) + "\n")
         except OSError:
             count_suppressed_error("campaign_traces_write")
 

@@ -340,11 +340,12 @@ class NodeManager:
         """
         rid = int(run_id)
         captured = self._run_packets.get(rid, []) if packets else []
+        texts: Dict[int, str] = {}  # {id(payload): repr}; the records keep each alive
         return {
             "node_id": self.node.name,
             "run_id": rid,
             "events": encode_block(self._run_events.get(rid, [])),
-            "packets": encode_block(map(self._packet_wire, captured)),
+            "packets": encode_block(self._packet_wire(rec, texts) for rec in captured),
         }
 
     def collect_experiment(self):
@@ -355,10 +356,15 @@ class NodeManager:
         }
 
     @staticmethod
-    def _packet_wire(rec: Dict[str, Any]) -> Dict[str, Any]:
+    def _packet_wire(rec: Dict[str, Any], texts: Dict[int, str]) -> Dict[str, Any]:
         """Make a capture record JSON/DB safe: the payload becomes its
-        textual representation (the 'raw packet data' blob of Table I)."""
+        textual representation (the 'raw packet data' blob of Table I), made
+        once per payload object (a multicast's receivers share one) per call."""
         wire = dict(rec)
-        wire["payload"] = repr(wire.get("payload"))
+        payload = wire.get("payload")
+        text = texts.get(id(payload))
+        if text is None:
+            text = texts[id(payload)] = repr(payload)
+        wire["payload"] = text
         wire["options"] = {str(k): v for k, v in (wire.get("options") or {}).items()}
         return wire

@@ -51,7 +51,6 @@ tests to hang nodes, refuse connections, and drop requests or replies.
 
 from __future__ import annotations
 
-import json
 import random as _random
 from collections import deque
 from dataclasses import dataclass, field
@@ -59,7 +58,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECK
 
 from repro.core import wire
 from repro.core.errors import RpcError, RpcFault, RpcTimeout, node_token
-from repro.durable import encode_record
+from repro.durable import decode_record, encode_record
 from repro.obs.metrics import get_registry
 from repro.sim.events import SimEvent
 
@@ -581,7 +580,7 @@ class ControlChannel:
         Used by node event generators.  The payload is encoded once, here at
         the node, as its level-2 line (what the node ships for the same record
         at collection) and crosses the XML-RPC codec as one ``<string>``; the
-        master ``json.loads`` it.  A payload JSON cannot encode raises here;
+        master ``decode_record``s it.  A payload JSON cannot encode raises here;
         what structs rejected or normalised but JSON carries (ints >= 2**31,
         ``\\r``, control characters in event params) now survives the upcall.
         """
@@ -593,4 +592,4 @@ class ControlChannel:
     @staticmethod
     def _deliver_cast(request_xml: str, handler: Any) -> None:
         (line,), _ = wire.loads(request_xml)
-        handler(json.loads(line))
+        handler(decode_record(line))

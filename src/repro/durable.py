@@ -27,8 +27,10 @@ import os
 import re
 import zlib
 from contextlib import contextmanager
+from functools import partial
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.core.errors import StorageError
 from repro.obs.metrics import get_registry
@@ -50,23 +52,32 @@ __all__ = [
 ]
 
 _CRC_SUFFIX = re.compile(rb"^[0-9a-f]{8}$")
-#: Same text as ``json.dumps(rec, sort_keys=True)`` without building an
-#: encoder per record.
-encode_record = json.JSONEncoder(sort_keys=True).encode
+#: ``json.dumps(value, sort_keys=True)``: the same text, or the same
+#: ``TypeError``, from one C encoder bound here where ``dumps`` builds one per
+#: call.  ``markers=None`` drops the circular-reference check, so the shared
+#: encoder keeps no state across calls or threads; a record is acyclic.
+if c_make_encoder is None:  # pragma: no cover - a Python built without _json
+    encode_record = partial(json.dumps, sort_keys=True)
+else:
+    _default = partial(json.JSONEncoder.default, None)  # dumps' TypeError
+    _encode = c_make_encoder(
+        None, _default, encode_basestring_ascii, None, ": ", ", ", True, False, True
+    )
+    encode_record = lambda value: "".join(_encode(value, 0))
 _scan_once = json.JSONDecoder().scan_once
 
 
-def decode_record(body: bytes) -> Any:
+def decode_record(body: Union[bytes, str]) -> Any:
     """``json.loads(body)``: the same value, or the same ``ValueError``.
 
-    A body that is one bare JSON value in UTF-8 (what :func:`encode_record`
-    writes) is read by the C scanner straight from its text, skipping the
+    A body that is one bare JSON value, in text or UTF-8 (what ``encode_record``
+    writes), is read by the C scanner straight from its text, skipping the
     encoding sniff and the whitespace checks of ``json.loads``.  Anything
     else (surrounding whitespace, a BOM, bad UTF-8, trailing data) goes to
     ``json.loads`` unchanged, which stays the oracle of every outcome.
     """
     try:
-        text = body.decode("utf-8")
+        text = body if isinstance(body, str) else body.decode("utf-8")
         value, end = _scan_once(text, 0)
         if end == len(text):
             return value

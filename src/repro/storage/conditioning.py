@@ -26,11 +26,11 @@ salvage records end up in the level-3 ``SalvageInfo`` table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.core.errors import StorageError
+from repro.durable import decode_record, encode_record
 from repro.storage.level2 import Level2Store
 
 __all__ = [
@@ -79,20 +79,19 @@ class ConditionedExperiment:
 def encode_scope(scope: ConditionedExperiment) -> str:
     """Serialize the experiment-scope payload (no run data): the form a
     fleet worker ships and the coordinator persists as ``scope.json``."""
-    return json.dumps(
+    return encode_record(
         {
             "description_xml": scope.description_xml,
             "node_logs": scope.node_logs,
             "experiment_measurements": scope.experiment_measurements,
             "eefiles": scope.eefiles,
             "plan": scope.plan,
-        },
-        sort_keys=True,
+        }
     )
 
 
 def decode_scope(text: str) -> ConditionedExperiment:
-    data = json.loads(text)
+    data = decode_record(text)
     return ConditionedExperiment(
         description_xml=data["description_xml"],
         runs=[],

@@ -32,7 +32,6 @@ to a fault-free execution's.
 from __future__ import annotations
 
 import hashlib
-import json
 import sqlite3
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
@@ -51,7 +50,7 @@ from typing import (
 
 from repro.core.description import EE_VERSION
 from repro.core.errors import StorageError
-from repro.durable import encode_record
+from repro.durable import decode_record, encode_record
 from repro.durable import sync_file as fsync_database  # the fast write path's one sync point
 from repro.storage.conditioning import (
     ConditionedExperiment,
@@ -803,7 +802,7 @@ class ExperimentDatabase:
                     "node": row["NodeID"],
                     "common_time": row["CommonTime"],
                     "name": row["EventType"],
-                    "params": json.loads(row["Parameter"]),
+                    "params": decode_record(row["Parameter"]),
                 }
 
     def packets(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
@@ -818,7 +817,7 @@ class ExperimentDatabase:
         )
         for rows in self._chunks(query, args):
             for row in rows:
-                rec = json.loads(row["Data"])
+                rec = decode_record(row["Data"])
                 rec["src_node"] = row["SrcNodeID"]
                 yield rec
 
@@ -858,7 +857,7 @@ class ExperimentDatabase:
         row = self.conn.execute(f"SELECT File FROM EEFiles{where}", args).fetchone()
         if row is None:
             raise StorageError("no plan.json in EEFiles")
-        return json.loads(row[0])
+        return decode_record(row[0])
 
     def event_pair_latencies(
         self,
@@ -961,7 +960,7 @@ class ExperimentDatabase:
                 "start": row["StartTime"],
                 "end": row["EndTime"],
                 "status": row["Status"],
-                "attrs": json.loads(row["Attrs"]) if row["Attrs"] else {},
+                "attrs": decode_record(row["Attrs"]) if row["Attrs"] else {},
             }
             for row in self._side_rows("RunTraces", "RunID, StartTime, SpanID", run_id)
         ]
@@ -972,5 +971,5 @@ class ExperimentDatabase:
         for row in self.conn.execute(
             f"SELECT NodeID, Name, Content FROM ExtraRunMeasurements{where}", args
         ):
-            out.setdefault(row["NodeID"], {})[row["Name"]] = json.loads(row["Content"])
+            out.setdefault(row["NodeID"], {})[row["Name"]] = decode_record(row["Content"])
         return out

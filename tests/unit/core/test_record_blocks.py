@@ -131,6 +131,51 @@ def test_salvage_keeps_every_other_frame_of_a_block_written_stream(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# One repr per payload object, per collect_run call
+# ----------------------------------------------------------------------
+class _Payload:
+    """A payload that counts how often it is made wire-safe."""
+
+    def __init__(self, text):
+        self.text, self.reprs = text, 0
+
+    def __repr__(self):
+        self.reprs += 1
+        return f"<payload {self.text}>"
+
+
+def _per_record_block(records):
+    """The packets block as built with one ``repr`` per capture record."""
+    wires = [{**rec, "payload": repr(rec.get("payload")),
+              "options": {str(k): v for k, v in (rec.get("options") or {}).items()}}
+             for rec in records]
+    return level2.encode_block(wires)
+
+
+def test_a_shared_payload_is_made_wire_safe_once_per_call(managed):
+    sim, _channel, nm_a, nm_b = managed
+    shared, other = _Payload("shared"), _Payload("other")
+    for nm in (nm_a, nm_b):
+        nm.run_init(0)
+    nm_b.node.bind(9, lambda *a: None)
+    for payload in (shared, shared, other, shared, None, None):
+        nm_a.node.send_datagram(payload, nm_b.node.address, 9)
+    sim.run(until=0.5)
+    for nm in (nm_a, nm_b):
+        nm.run_exit(0)
+    blocks = {nm: nm.collect_run(0)["packets"] for nm in (nm_a, nm_b)}
+    assert (shared.reprs, other.reprs) == (2, 2)  # once per node's call
+    for nm, block in blocks.items():
+        assert block == _per_record_block(nm._run_packets[0])
+        assert block.count("<payload shared>") == 3
+    # The memo lives for one call: a payload changed since shows.
+    shared.text = "changed"
+    again = nm_a.collect_run(0)["packets"]
+    assert again.count("<payload changed>") == 3 and "<payload shared>" not in again
+    assert again == _per_record_block(nm_a._run_packets[0])
+
+
+# ----------------------------------------------------------------------
 # Don't ship what the master drops
 # ----------------------------------------------------------------------
 def test_unwanted_packets_are_neither_made_wire_safe_nor_shipped(managed, monkeypatch):
