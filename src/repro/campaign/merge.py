@@ -46,7 +46,6 @@ from repro.storage.level3 import (
     insert_rows,
     insert_run,
     insert_run_traces,
-    insert_salvage_info,
     open_fast_connection,
     read_run_rows,
     stamp_table1_digest,
@@ -89,11 +88,10 @@ class ShardWriter(RunShard):
     """
 
     def stage_run(self, store: Level2Store, run_id: int) -> None:
-        """Condition *run_id* from its staging store and commit it here.
-
-        Integrity side rows ride along in the same transaction: any
-        salvage records reading the run's streams just produced.
-        """
+        """Condition *run_id* from its staging store and commit it here,
+        its harness spans in the same transaction.  A corrupt frame raises
+        :class:`StorageError` before anything is written: the attempt
+        fails and the campaign re-executes the run."""
         run = condition_run(store, run_id)
         src_map = _addr_to_node_map(store.read_description())
         # Harness spans the (single-run) master persisted for this run.
@@ -101,10 +99,8 @@ class ShardWriter(RunShard):
         # store; only run-attributed traces travel through the merge.
         by_node = store.read_run_stream(run_id, "traces.jsonl")
         traces = [rec for node_id in sorted(by_node) for rec in by_node[node_id]]
-        salvaged = [rec for rec in store.salvage_records() if rec.get("run_id") == run_id]
         with self.replacing_run(run_id) as conn:  # the campaign's commit point
             insert_run(conn, run, src_map)
-            insert_salvage_info(conn, salvaged)
             insert_run_traces(conn, traces)
 
 
@@ -151,9 +147,9 @@ def merge_shards(
                         f"run {run_id} has no rows in shard {shard_path}; "
                         "journal and shard diverged",
                     )
-                # Integrity side tables: copied per run like the run tables,
-                # but excluded from the divergence check above — a run with
-                # neither salvage loss nor spans legitimately has none.
+                # Side tables: copied per run like the run tables, but
+                # excluded from the divergence check above — a run executed
+                # with tracing off legitimately has no spans.
                 insert_rows(out, read_run_rows(conn, run_id, EXTENSION_RUN_TABLES))
             out.execute("COMMIT")
         finally:

@@ -21,10 +21,10 @@ workflows:
     Execute the plan's runs concurrently across a worker pool and merge
     the per-worker shards into one level-3 database; ``--resume``
     continues an aborted campaign from its journal.
-``repro condition <level2-dir> <experiment.db> [--salvage]``
-    Condition an existing level-2 store into a level-3 package.  With
-    ``--salvage``, corrupt run records are quarantined instead of
-    aborting the conditioning (DESIGN.md §11).
+``repro condition <level2-dir> <experiment.db>``
+    Condition an existing level-2 store into a level-3 package; the
+    first corrupt frame aborts it, naming the file, line and reason
+    (DESIGN.md §11).
 ``repro repo <subcommand> ...``
     The L4 analytics warehouse (DESIGN.md §13): ``ingest`` level-3
     packages through the crash-safe write-behind queue, ``list`` the
@@ -225,17 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_desc.add_argument("--plan", action="store_true",
                         help="also print the head of the treatment plan")
 
-    p_ins = sub.add_parser(
-        "inspect",
-        help="summarize a level-3 database (or, with --salvage, "
-             "an experiment/campaign directory)",
-    )
-    p_ins.add_argument("database", type=Path,
-                       help="level-3 database, or a level-2/campaign "
-                            "directory with --salvage")
-    p_ins.add_argument("--salvage", action="store_true",
-                       help="show salvage-conditioning records "
-                            "(quarantined corrupt level-2 data)")
+    p_ins = sub.add_parser("inspect", help="summarize a level-3 database")
+    p_ins.add_argument("database", type=Path, help="level-3 database")
     p_ins.add_argument("--digest", action="store_true",
                        help="print only the deterministic Table-I content "
                             "digest of the database")
@@ -256,11 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cond = sub.add_parser("condition", help="level-2 dir -> level-3 DB")
     p_cond.add_argument("store", type=Path)
     p_cond.add_argument("database", type=Path)
-    p_cond.add_argument("--salvage", action="store_true",
-                        help="quarantine corrupt level-2 records instead of "
-                             "aborting; what was dropped is recorded in the "
-                             "database's SalvageInfo table and in "
-                             "<store>/quarantine/salvage_report.json")
 
     p_repo = sub.add_parser(
         "repo", help="the sharded L4 analytics warehouse"
@@ -633,12 +619,9 @@ def _cmd_inspect(args) -> int:
     from repro.storage.level3 import ExperimentDatabase
 
     if args.database.is_dir():
-        if not args.salvage:
-            print("error: inspecting a directory needs --salvage",
-                  file=sys.stderr)
-            return 2
-        _inspect_directory_salvage(args.database)
-        return 0
+        print(f"error: {args.database} is a directory; inspect expects "
+              "a level-3 database", file=sys.stderr)
+        return 2
 
     if args.digest:
         from repro.campaign.merge import database_digest
@@ -647,9 +630,6 @@ def _cmd_inspect(args) -> int:
         return 0
 
     with ExperimentDatabase(args.database) as db:
-        if args.salvage:
-            _inspect_db_salvage(db)
-            return 0
         info = db.experiment_info()
         counts = db.row_counts()
         print(f"experiment: {info['Name']}  ({info['EEVersion']})")
@@ -671,35 +651,6 @@ def _cmd_inspect(args) -> int:
                   + (f", median t_R = {summary['t_r_median']:.3f} s"
                      if summary["t_r_median"] is not None else ""))
     return 0
-
-
-def _inspect_directory_salvage(directory: Path) -> None:
-    """Salvage view over a level-2 store or campaign directory."""
-    import json
-
-    reports = sorted(directory.rglob("quarantine/salvage_report.json"))
-    if not reports:
-        print("salvage reports: 0")
-        return
-    for report_path in reports:
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        print(f"salvage report: {report_path}")
-        print(f"  total kept: {report.get('total_kept', 0)}  "
-              f"total dropped: {report.get('total_dropped', 0)}")
-        for rec in report.get("records", []):
-            print(f"  run {rec['run_id']} node {rec['node']} {rec['stream']}: "
-                  f"kept {rec['kept']}, dropped {rec['dropped']} "
-                  f"({rec['reason']})")
-    print(f"salvage reports: {len(reports)}")
-
-
-def _inspect_db_salvage(db) -> None:
-    rows = db.salvage_info()
-    for row in rows:
-        print(f"salvage run {row['RunID']} node {row['NodeID']} "
-              f"{row['Stream']}: kept {row['RecordsKept']}, "
-              f"dropped {row['RecordsDropped']} ({row['Reason']})")
-    print(f"salvage records: {len(rows)}")
 
 
 def _cmd_timeline(args) -> int:
@@ -741,15 +692,7 @@ def _cmd_condition(args) -> int:
     from repro.storage.level2 import Level2Store
     from repro.storage.level3 import store_level3
 
-    store = Level2Store(args.store, salvage=args.salvage)
-    db_path = store_level3(store, args.database)
-    salvaged = store.salvage_records()
-    if salvaged:
-        dropped = sum(r["dropped"] for r in salvaged)
-        kept = sum(r["kept"] for r in salvaged)
-        print(f"salvage: dropped {dropped} corrupt record(s) across "
-              f"{len(salvaged)} stream(s), kept {kept}; see "
-              f"{store.root / 'quarantine' / 'salvage_report.json'}")
+    db_path = store_level3(Level2Store(args.store), args.database)
     print(f"level-3 database: {db_path}")
     return 0
 

@@ -16,12 +16,10 @@ the idle control channel.
 Master-side records (node id ``master``) already carry reference-clock
 timestamps; their offset is zero by construction.
 
-Conditioning inherits the store's corruption policy (DESIGN.md §11): a
-:class:`~repro.storage.level2.Level2Store` opened normally hard-fails on
-the first corrupt run record, while one opened with ``salvage=True``
-quarantines bad records and keeps going — :func:`condition_run` then
-conditions the surviving records, and the store's per-(run, node, stream)
-salvage records end up in the level-3 ``SalvageInfo`` table.
+Conditioning inherits the store's corruption policy (DESIGN.md §11): the
+first corrupt run record raises :class:`~repro.core.errors.StorageError`
+and nothing of the run reaches level 3.  A torn stream is not repaired;
+the campaign re-executes its run.
 """
 
 from __future__ import annotations
@@ -70,10 +68,6 @@ class ConditionedExperiment:
     experiment_measurements: Dict[str, Any]
     eefiles: Dict[str, str]
     plan: List[Dict[str, Any]]
-    #: Per-(run, node, stream) salvage records collected while the runs
-    #: were conditioned (non-empty only for a ``salvage=True`` store that
-    #: actually hit corruption).
-    salvage_records: List[Dict[str, Any]] = field(default_factory=list)
 
 
 def encode_scope(scope: ConditionedExperiment) -> str:
@@ -216,5 +210,4 @@ def condition_experiment(store: Level2Store) -> ConditionedExperiment:
     """
     data = condition_scope(store)
     data.runs = list(iter_conditioned_runs(store))
-    data.salvage_records = store.salvage_records()
     return data

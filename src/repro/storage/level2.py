@@ -28,7 +28,6 @@ Layout::
         logs.jsonl                # one frame per node log (last one wins)
         experiment_events.jsonl   # experiment-scope events of every node
       eefiles/<name>              # executables/artefacts (EEFiles table)
-      quarantine/runs/<run id>/<stream>   # salvage mode's bad-frame sidecar
 
 Everything is JSON-on-disk: human-inspectable, diff-able, and exactly what
 the conditioning stage consumes.  A run costs a constant handful of files
@@ -47,26 +46,23 @@ its lines verbatim — the master never parses or re-encodes a collected
 record (conditioning is the first and only parser).  Master-side records
 take :meth:`RunWriter.append`; both paths end in the one
 :func:`repro.durable.frame`.
-The frame is what lets salvage mode (DESIGN.md §11) tell an intact record
-from a truncated or bit-flipped one: readers hard-fail on the first corrupt
-frame (the default — corruption must never pass silently) or, with
-``salvage=True``, quarantine the bad lines into the ``quarantine/`` sidecar
-and keep conditioning the intact rest.
+The frame is what lets a reader tell an intact record from a truncated,
+bit-flipped or unparseable one, and every reader refuses the first corrupt
+frame with a :class:`~repro.core.errors.StorageError` naming the file, line
+and reason.  Level 2 is scratch: a torn stream is not repaired but dies
+with its attempt, and the campaign re-executes the run (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, BinaryIO, Dict, Iterable, List, Set, Tuple
 
 from repro.core.errors import StorageError
 from repro.durable import DurableLog, decode_record, encode_record, frame, iter_frames
 
 __all__ = ["Level2Store", "RunWriter", "encode_block", "encode_json"]
-
-#: A bad line: ``(line number, node prefix, reason, raw text)``.
-_BadLine = Tuple[int, str, str, str]
 
 
 def _frames(node_id: str, values: List[Any]) -> List[bytes]:
@@ -89,15 +85,15 @@ def _block_frames(node_id: str, block: str) -> List[bytes]:
     return [frame(node_id, line) for line in block.split("\n")]
 
 
-def _scan_frames(path: Path) -> Tuple[Dict[str, List[Any]], List[_BadLine]]:
-    """Parse a packed file into ``({node: [values]}, bad lines)``; every
-    node with an intact frame gets a key, marker frames and frames whose
-    JSON is bad included."""
+def _scan_frames(path: Path) -> Dict[str, List[Any]]:
+    """Parse a packed file into ``{node: [values]}``; every node with a
+    frame gets a key, marker frames included.  The first corrupt frame
+    raises :class:`StorageError` naming *path*, its line and the reason
+    (``truncated``, ``crc_mismatch`` or ``bad_json``)."""
     groups: Dict[str, List[Any]] = {}
-    bad: List[_BadLine] = []
     # {node key bytes: its group}; each distinct key is decoded once per file.
     by_key: Dict[bytes, List[Any]] = {}
-    for lineno, line, node, body, reason in iter_frames(path):
+    for lineno, _line, node, body, reason in iter_frames(path):
         if reason is None:
             try:
                 values = by_key.get(node)
@@ -108,9 +104,8 @@ def _scan_frames(path: Path) -> Tuple[Dict[str, List[Any]], List[_BadLine]]:
                 continue
             except ValueError:  # includes UnicodeDecodeError
                 reason = "bad_json"
-        bad.append((lineno, node.decode("utf-8", "replace"), reason,
-                    line.decode("utf-8", "backslashreplace")))
-    return groups, bad
+        raise StorageError(f"corrupt record in {path} (line {lineno}: {reason})")
+    return groups
 
 
 def _open_append(path: Path) -> BinaryIO:
@@ -253,29 +248,18 @@ class RunWriter:
 class Level2Store:
     """One execution's intermediate storage rooted at a directory.
 
-    With ``salvage=True`` the run-stream readers quarantine corrupt
-    frames (truncated tails, CRC mismatches) instead of raising: the bad
-    raw lines are copied under ``quarantine/`` at their original relative
-    path, a per-(run, node, stream) salvage record counts what was kept
-    and dropped, and conditioning continues over the intact records.  A
-    bad line is attributed to the node its prefix names when that node
-    has intact frames in the same stream, else to ``"*"``.  The default
-    (``salvage=False``) hard-fails on the first corrupt frame — partial
-    data must never flow into level 3 unannounced.
+    Its packed readers hard-fail on the first corrupt frame: partial data
+    never flows into level 3.
     """
 
-    def __init__(self, root, salvage: bool = False) -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         if any(p.is_dir() for p in (self.root / "nodes").glob("*")):
             raise StorageError(f"{self.root} uses the retired per-node layout "
                                "(nodes/<node>/runs/<run>/); only packed runs/<run>/ is read")
-        self.salvage = bool(salvage)
-        #: ``{(run, node, stream): salvage record}`` from this instance's
-        #: salvage-mode reads (also mirrored to quarantine/ on disk).
-        self._salvage: Dict[Tuple[int, str, str], Dict[str, Any]] = {}
         #: ``{path: ((size, mtime), node keys)}`` of the run streams this
-        #: instance read with no bad line, so :meth:`node_ids` need not scan
+        #: instance read whole, so :meth:`node_ids` need not scan
         #: them again while they are unchanged.
         self._scanned: Dict[Path, Tuple[Tuple[int, int], Set[str]]] = {}
 
@@ -326,13 +310,7 @@ class Level2Store:
     # Per-node data (experiment scope)
     # ------------------------------------------------------------------
     def _read_node_frames(self, name: str) -> Dict[str, List[Any]]:
-        path = self.root / "nodes" / name
-        groups, bad = _scan_frames(path)
-        if bad:
-            raise StorageError(
-                f"corrupt frame in {path} (line {bad[0][0]}: {bad[0][2]})"
-            )
-        return groups
+        return _scan_frames(self.root / "nodes" / name)
 
     def read_node_logs(self) -> Dict[str, str]:
         """``{node: log text}`` for every node that stored a log; a node's
@@ -379,57 +357,24 @@ class Level2Store:
         _write_json(self._run_dir(run_id) / "extra" / node_id / f"{plugin}.json", content)
 
     def read_run_stream(self, run_id: int, stream: str) -> Dict[str, List[Dict[str, Any]]]:
-        """One packed run stream as ``{node: records in file order}``,
-        honouring the store's salvage mode.  Every call scans the file and
-        returns a fresh dict the store keeps no reference to, so a consumer
-        that pops node after node never holds a run's records twice."""
+        """One packed run stream as ``{node: records in file order}``; a
+        corrupt frame raises :class:`StorageError`.  Every call scans the
+        file and returns a fresh dict the store keeps no reference to, so a
+        consumer that pops node after node never holds a run's records
+        twice."""
         path = self._run_dir(run_id) / stream
         try:
             st = path.stat()  # taken first: a later write only forces a rescan
         except FileNotFoundError:
             st = None
-        groups, bad = _scan_frames(path)
-        if st is not None and not bad:
+        groups = _scan_frames(path)
+        if st is not None:
             self._scanned[path] = ((st.st_size, st.st_mtime_ns), set(groups))
-        if bad and not self.salvage:
-            raise StorageError(
-                f"corrupt record in {path} (line {bad[0][0]}: {bad[0][2]}); "
-                "re-run conditioning with --salvage to quarantine it"
-            )
-        if bad:
-            self._quarantine(int(run_id), stream, groups, bad)
         return groups
 
     def read_run_traces(self, node_id: str, run_id: int) -> List[Dict[str, Any]]:
         """Span records one node (usually the master) persisted for a run."""
         return self.read_run_stream(run_id, "traces.jsonl").get(node_id, [])
-
-    def _quarantine(
-        self, run_id: int, stream: str, groups: Dict[str, List[Any]], bad: List[_BadLine]
-    ) -> None:
-        """Record one stream's corrupt lines in the quarantine sidecar."""
-        # A prefix is only trusted when intact frames of this stream name
-        # the same node; a damaged prefix must not invent one.
-        bad = [(lineno, prefix if prefix in groups else "*", reason, line)
-               for lineno, prefix, reason, line in bad]
-        # Rewritten whole on every read, so re-reading never duplicates lines.
-        sidecar = self.root / "quarantine" / "runs" / str(run_id) / stream
-        sidecar.parent.mkdir(parents=True, exist_ok=True)
-        sidecar.write_text("".join(
-            encode_record({"line": lineno, "node": node_id, "reason": reason, "raw": line}) + "\n"
-            for lineno, node_id, reason, line in bad), encoding="utf-8")
-        by_node: Dict[str, List[str]] = {}
-        for _, node_id, reason, _ in bad:
-            by_node.setdefault(node_id, []).append(reason)
-        for node_id, reasons in by_node.items():
-            self._salvage[(run_id, node_id, stream)] = {
-                "run_id": run_id,
-                "node": node_id,
-                "stream": stream,
-                "kept": len(groups.get(node_id, ())),
-                "dropped": len(reasons),
-                "reason": ",".join(sorted(set(reasons))),
-            }
 
     def read_run_extra_measurements(self, run_id: int) -> Dict[str, Dict[str, Any]]:
         """``{node: {plugin: content}}`` for one run, nodes ascending."""
@@ -451,31 +396,6 @@ class Level2Store:
 
     def read_experiment_traces(self) -> List[Dict[str, Any]]:
         return list(DurableLog(self.experiment_trace_path).replay())
-
-    # ------------------------------------------------------------------
-    # Salvage (DESIGN.md §11)
-    # ------------------------------------------------------------------
-    def salvage_records(self) -> List[Dict[str, Any]]:
-        """Per-(run, node, stream) salvage records from this instance's
-        reads, ordered for stable L3 insertion."""
-        return [self._salvage[key] for key in sorted(self._salvage)]
-
-    def write_salvage_report(self) -> Optional[Path]:
-        """Summarize this instance's salvage reads into
-        ``quarantine/salvage_report.json`` (None when nothing was salvaged)."""
-        records = self.salvage_records()
-        if not records:
-            return None
-        report_path = self.root / "quarantine" / "salvage_report.json"
-        _write_json(
-            report_path,
-            {
-                "records": records,
-                "total_kept": sum(r["kept"] for r in records),
-                "total_dropped": sum(r["dropped"] for r in records),
-            },
-        )
-        return report_path
 
     # ------------------------------------------------------------------
     # Run metadata (start times)
@@ -514,8 +434,8 @@ class Level2Store:
         extra-measurement directory, ascending.
 
         A run stream this instance already read whole and unchanged since
-        is not scanned again: with no bad line, its groups are exactly the
-        node keys of its intact frames."""
+        is not scanned again: a whole read's groups are exactly the node
+        keys of its intact frames."""
         nodes: Set[str] = set()
         for path in [*self.root.glob("nodes/*.jsonl"), *self.root.glob("runs/*/*.jsonl")]:
             version, known = self._scanned.get(path, (None, None))

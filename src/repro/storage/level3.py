@@ -77,7 +77,6 @@ __all__ = [
     "insert_experiment_scope",
     "insert_run",
     "insert_run_traces",
-    "insert_salvage_info",
     "store_level3",
     "read_run_rows",
     "insert_rows",
@@ -150,14 +149,11 @@ CREATE INDEX idx_events_run ON Events (RunID, EventType);
 CREATE INDEX idx_packets_run ON Packets (RunID);
 """
 
-#: Integrity side tables beyond Table I (DESIGN.md §11).  Deliberately
-#: kept out of :data:`TABLE_SCHEMAS` so the default ``database_digest``
-#: stays Table-I-only: a run whose corrupt records were salvaged away on a
-#: clean retry must still digest byte-identical to an undamaged execution.
+#: Side tables beyond Table I.  Deliberately kept out of
+#: :data:`TABLE_SCHEMAS` so the default ``database_digest`` stays
+#: Table-I-only: harness spans carry wall-clock timings, so two executions
+#: of one run differ here while their Table-I rows are byte-identical.
 EXTENSION_TABLES: Dict[str, List[str]] = {
-    "SalvageInfo": [
-        "RunID", "NodeID", "Stream", "RecordsKept", "RecordsDropped", "Reason",
-    ],
     "RunTraces": [
         "RunID", "NodeID", "SpanID", "ParentID", "Name",
         "StartTime", "EndTime", "Status", "Attrs",
@@ -165,9 +161,9 @@ EXTENSION_TABLES: Dict[str, List[str]] = {
 }
 
 #: Extension tables keyed by run id (campaign merge reorders these too).
-EXTENSION_RUN_TABLES = ("SalvageInfo", "RunTraces")
+EXTENSION_RUN_TABLES = ("RunTraces",)
 
-#: Column lookup across Table I and the integrity side tables.
+#: Column lookup across Table I and the side tables.
 _ALL_SCHEMAS: Dict[str, List[str]] = {**TABLE_SCHEMAS, **EXTENSION_TABLES}
 
 #: Side table carrying checksums *of* the package.  Deliberately outside
@@ -186,14 +182,6 @@ _CHECKSUM_DDL = (
 )
 
 _EXTENSION_DDL = """
-CREATE TABLE SalvageInfo (
-    RunID          INTEGER,
-    NodeID         TEXT NOT NULL,
-    Stream         TEXT NOT NULL,
-    RecordsKept    INTEGER NOT NULL,
-    RecordsDropped INTEGER NOT NULL,
-    Reason         TEXT NOT NULL
-);
 CREATE TABLE RunTraces (
     RunID     INTEGER,
     NodeID    TEXT NOT NULL,
@@ -234,7 +222,7 @@ RUN_TABLES = ("RunInfos", "ExtraRunMeasurements", "Events", "Packets")
 
 
 def create_schema(conn: sqlite3.Connection) -> None:
-    """Create the Table I schema (plus the integrity side tables) on an
+    """Create the Table I schema (plus the side tables) on an
     empty database connection."""
     conn.executescript(_DDL)
     conn.executescript(_EXTENSION_DDL)
@@ -318,10 +306,10 @@ def database_digest(db_path, ignore_columns: Iterable[str] = ()) -> str:
     are legitimately execution-specific — e.g. wall-clock timestamps an
     analysis pipeline may add — before hashing.
 
-    The table set is Table I only (:data:`TABLE_SCHEMAS`): the integrity
-    side tables record *what went wrong and was repaired*, which is
-    execution-specific by nature, so they must not perturb equivalence
-    checks between a recovered execution and a clean one.
+    The table set is Table I only (:data:`TABLE_SCHEMAS`): the side
+    tables record harness timings, which are execution-specific by
+    nature, so they must not perturb equivalence checks between a
+    retried execution and a clean one.
 
     Rows are serialized inside SQLite (``quote()`` per column, one string
     per row) and hashed in large chunks, so the digest runs at C speed
@@ -456,28 +444,9 @@ def insert_run(conn: sqlite3.Connection, run, src_map: Dict[str, str]) -> None:
     )
 
 
-def insert_salvage_info(conn: sqlite3.Connection, records: List[Dict[str, Any]]) -> None:
-    """Insert per-(run, node, stream) salvage records into SalvageInfo."""
-    _insert(
-        conn,
-        "SalvageInfo",
-        (
-            (
-                rec.get("run_id"),
-                rec.get("node", ""),
-                rec.get("stream", ""),
-                rec.get("kept", 0),
-                rec.get("dropped", 0),
-                rec.get("reason", ""),
-            )
-            for rec in records
-        ),
-    )
-
-
 def insert_run_traces(conn: sqlite3.Connection, records: List[Dict[str, Any]]) -> None:
     """Insert harness span records (level-2 ``traces.jsonl`` streams) into
-    the RunTraces side table.  Like the other extension tables this never
+    the RunTraces side table.  Like every extension table this never
     feeds the Table-I digest — the span payload carries wall-clock
     timings, which are execution-specific by nature."""
     _insert(
@@ -530,13 +499,9 @@ def store_level3(source, db_path) -> Path:
                     insert_run_traces(conn, traces[node_id])
             insert_experiment_scope(conn, condition_scope(source))
             insert_run_traces(conn, source.read_experiment_traces())
-            # Integrity side table: whatever the streams read above
-            # salvaged (non-empty only with source.salvage=True).
-            insert_salvage_info(conn, source.salvage_records())
             conn.execute("COMMIT")
         finally:
             conn.close()
-        source.write_salvage_report()
         stamp_table1_digest(db_path)
         fsync_database(db_path)
     return db_path
@@ -653,7 +618,7 @@ class ExperimentDatabase:
     BY`` tie-breaks; a shard slice differs only in the row scope
     (``ExpID = ?``) that :meth:`_where` puts in front of every filter.
     A shard has no ``ExperimentInfo`` (the catalogue keeps it) and no
-    integrity side tables: those readers return nothing there.
+    side tables: those readers return nothing there.
     """
 
     def __init__(self, db_path) -> None:
@@ -923,33 +888,23 @@ class ExperimentDatabase:
         close_group(current if per_run else None)
         return out
 
-    def _side_rows(self, table: str, order_by: str, run_id: Optional[int]) -> List[sqlite3.Row]:
-        """Rows of one integrity side table — empty, not an error, for a
-        database written before the table existed (and for shard slices,
-        which carry Table I only)."""
-        where, args = self._where(RunID=run_id)
-        try:
-            return self.conn.execute(
-                f"SELECT {', '.join(EXTENSION_TABLES[table])} FROM {table}"
-                f"{where} ORDER BY {order_by}",
-                args,
-            ).fetchall()
-        except sqlite3.OperationalError:
-            return []
-
-    def salvage_info(self) -> List[Dict[str, Any]]:
-        """Salvage-conditioning rows (empty unless the package was built
-        with ``--salvage`` over a corrupt store)."""
-        return [
-            dict(row) for row in self._side_rows("SalvageInfo", "RunID, NodeID, Stream", None)
-        ]
-
     def run_traces(self, run_id: Optional[int] = None) -> List[Dict[str, Any]]:
         """Harness span records, as the tracer drained them.
 
         ``run_id=None`` returns every row including experiment-scope
         spans (``RunID IS NULL``).  Empty with tracing disabled.
         """
+        where, args = self._where(RunID=run_id)
+        try:
+            rows = self.conn.execute(
+                f"SELECT {', '.join(EXTENSION_TABLES['RunTraces'])} FROM RunTraces"
+                f"{where} ORDER BY RunID, StartTime, SpanID",
+                args,
+            ).fetchall()
+        except sqlite3.OperationalError:
+            # A database written before the table existed, or a shard
+            # slice (Table I only): no spans, not an error.
+            rows = []
         return [
             {
                 "run_id": row["RunID"],
@@ -962,7 +917,7 @@ class ExperimentDatabase:
                 "status": row["Status"],
                 "attrs": decode_record(row["Attrs"]) if row["Attrs"] else {},
             }
-            for row in self._side_rows("RunTraces", "RunID, StartTime, SpanID", run_id)
+            for row in rows
         ]
 
     def extra_measurements(self, run_id: int) -> Dict[str, Dict[str, Any]]:

@@ -58,7 +58,7 @@ def test_warehouse_view_byte_equal_to_level3(tmp_path_factory, shape):
             assert view.node_ids() == level3.node_ids()
             assert view.plan() == level3.plan()
             # The shard holds the Table-I subset; L3 additionally carries
-            # operational tables (RunTraces, SalvageInfo).
+            # an operational table (RunTraces).
             direct_counts = level3.row_counts()
             for table, count in view.row_counts().items():
                 assert count == direct_counts[table]

@@ -125,21 +125,3 @@ def test_probing_an_unreadable_shard_is_false_and_counted(executed_store, tmp_pa
         assert suppressed.value(site="shard_probe") == 1
     finally:
         set_registry(None)
-
-
-def test_stage_run_records_salvaged_trace_frames(tmp_path):
-    from tests.unit.storage.test_salvage import _corrupt_trace
-
-    _corrupt_trace(tmp_path / "l2")
-    with ShardWriter(tmp_path / "w0.db") as writer:
-        writer.stage_run(Level2Store(tmp_path / "l2", salvage=True), 0)
-    conn = sqlite3.connect(str(tmp_path / "w0.db"))
-    try:
-        rows = conn.execute(
-            "SELECT RunID, NodeID, Stream, RecordsKept, RecordsDropped, Reason FROM SalvageInfo"
-        ).fetchall()
-        spans = conn.execute("SELECT Name FROM RunTraces").fetchall()
-    finally:
-        conn.close()
-    assert rows == [(0, "master", "traces.jsonl", 1, 1, "crc_mismatch")]
-    assert spans == [("run",)]

@@ -12,14 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.errors import RpcError, RpcFault
+from repro.core.errors import RpcError, RpcFault, StorageError
 from repro.core.nodemanager import NodeManager
 from repro.core.rpc import ControlChannel, RetryPolicy, dump_request
 from repro.platforms.simulated import PlatformConfig
 from repro.sd.processlib import build_two_party_description
 from repro.storage import level2
 from repro.storage.level2 import Level2Store
-from repro.storage.level3 import ExperimentDatabase, store_level3
+from repro.storage.level3 import store_level3
 
 from tests.conftest import execute_run
 
@@ -110,24 +110,24 @@ def test_dropped_collect_reply_stores_each_record_exactly_once(tmp_path):
         assert stored and stored == clean.store.read_run_stream(0, stream)[SM_NODE]
 
 
-def test_salvage_keeps_every_other_frame_of_a_block_written_stream(tmp_path):
+def test_a_flipped_frame_of_a_block_written_stream_is_refused(tmp_path):
     tool_path = Path(__file__).resolve().parents[3] / "tools" / "corrupt_l2.py"
     spec = importlib.util.spec_from_file_location("corrupt_l2", tool_path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
 
-    result = execute_run(_desc(), tmp_path / "l2")
-    before = result.store.read_run_stream(0, "events.jsonl")
+    execute_run(_desc(), tmp_path / "l2")
+    path = tmp_path / "l2" / "runs" / "0" / "events.jsonl"
+    own = [lineno for lineno, line in enumerate(path.read_bytes().splitlines(), start=1)
+           if line.startswith(SM_NODE.encode() + b"\t")]
     assert tool.main([str(tmp_path / "l2"), "--run", "0", "--node", SM_NODE,
                       "--index", "1", "--flip-byte"]) == 0
-    salvaging = Level2Store(tmp_path / "l2", salvage=True)
-    after = salvaging.read_run_stream(0, "events.jsonl")
-    assert after.pop(SM_NODE) == before[SM_NODE][:1] + before[SM_NODE][2:]
-    assert after == {node: recs for node, recs in before.items() if node != SM_NODE}
-    with ExperimentDatabase(store_level3(salvaging, tmp_path / "s.db")) as db:
-        (row,) = db.salvage_info()
-        assert (row["NodeID"], row["RecordsDropped"], row["Reason"]) == (
-            SM_NODE, 1, "crc_mismatch")
+    with pytest.raises(StorageError) as info:
+        Level2Store(tmp_path / "l2").read_run_stream(0, "events.jsonl")
+    assert str(info.value) == f"corrupt record in {path} (line {own[1]}: crc_mismatch)"
+    with pytest.raises(StorageError, match="crc_mismatch"):
+        store_level3(Level2Store(tmp_path / "l2"), tmp_path / "s.db")
+    assert not (tmp_path / "s.db").exists()
 
 
 # ----------------------------------------------------------------------

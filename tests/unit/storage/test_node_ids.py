@@ -1,6 +1,7 @@
 """``Level2Store.node_ids()`` reuses the run-stream reads the level-3
 writers make anyway; the experiment scope's node list must still be exactly
-what a fresh scan of the store names, wherever a node is named."""
+what a fresh scan of the store names, wherever a node is named.  A store
+with a corrupt frame has no scope: conditioning and staging refuse it."""
 
 import json
 import sqlite3
@@ -9,7 +10,8 @@ import zlib
 import pytest
 
 from repro.campaign import run_campaign
-from repro.campaign.merge import SCOPE_NAME, ShardWriter
+from repro.campaign.merge import SCOPE_NAME, ShardWriter, shard_has_run
+from repro.core.errors import StorageError
 from repro.durable import frame
 from repro.sd.processlib import build_two_party_description
 from repro.storage.conditioning import condition_scope, decode_scope, encode_scope
@@ -88,8 +90,8 @@ def _undecodable_key(store):
     _append_frame(store, "traces.jsonl", head + b"\t%08x" % zlib.crc32(head))
 
 
-STRICT = [_marker, _log, _experiment_events, _extra, _empty_extra, _trace, _other_stream]
-SALVAGED = [_bad_json, _crc_mismatch, _undecodable_key]
+CLEAN = [_marker, _log, _experiment_events, _extra, _empty_extra, _trace, _other_stream]
+CORRUPT = [_bad_json, _crc_mismatch, _undecodable_key]
 
 
 def _logs_rows(db_path):
@@ -100,18 +102,26 @@ def _logs_rows(db_path):
         conn.close()
 
 
-@pytest.mark.parametrize("shape", STRICT + SALVAGED, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("shape", CLEAN + CORRUPT, ids=lambda f: f.__name__.strip("_"))
 def test_scope_lists_exactly_the_node_ids(tmp_path, shape):
-    salvage = shape in SALVAGED
     shape(_store(tmp_path / "l2"))
     expected = Level2Store(tmp_path / "l2").node_ids()
     assert len(expected) == (2 if shape is not _crc_mismatch else 1)
 
-    db_path = store_level3(Level2Store(tmp_path / "l2", salvage=salvage), tmp_path / "x.db")
+    if shape in CORRUPT:
+        with pytest.raises(StorageError, match="bad_json|crc_mismatch"):
+            store_level3(Level2Store(tmp_path / "l2"), tmp_path / "x.db")
+        with ShardWriter(tmp_path / "w0.db") as shard, pytest.raises(StorageError):
+            shard.stage_run(Level2Store(tmp_path / "l2"), 0)
+        assert not (tmp_path / "x.db").exists()
+        assert not shard_has_run(tmp_path / "w0.db", 0)
+        return
+
+    db_path = store_level3(Level2Store(tmp_path / "l2"), tmp_path / "x.db")
     assert _logs_rows(db_path) == expected
 
     # The plan's first run of a campaign: stage it, then condition the scope.
-    store = Level2Store(tmp_path / "l2", salvage=salvage)
+    store = Level2Store(tmp_path / "l2")
     with ShardWriter(tmp_path / "w0.db") as shard:
         shard.stage_run(store, 0)
     scope = decode_scope(encode_scope(condition_scope(store)))

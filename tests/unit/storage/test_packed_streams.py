@@ -11,6 +11,7 @@ from repro.storage import level2
 from repro.storage.conditioning import iter_conditioned_runs
 from repro.storage.level2 import Level2Store, encode_block
 from repro.storage.level3 import ExperimentDatabase, store_level3
+from tests.oracles import frame_reference
 
 NODES = ("h1", "h2", "master")
 
@@ -20,9 +21,9 @@ def _event(node, i, run_id=0):
             "params": [], "run_id": run_id}
 
 
-def _record_run(root, salvage=False):
+def _record_run(root):
     """Three nodes interleaved in one packed stream, one of them silent."""
-    store = Level2Store(root, salvage=salvage)
+    store = Level2Store(root)
     with store.run_writer(0) as writer:
         writer.add_events("h1", [_event("h1", 0), _event("h1", 1)])
         writer.add_events("h2", [])
@@ -51,44 +52,33 @@ def _intact_frames(data):
 
 
 def _check_damaged(tmp_path, pristine, damaged):
-    """Strict mode refuses *damaged*; salvage mode keeps exactly the intact
-    frames under the right node and counts every other line."""
+    """A read of *damaged* is refused at the oracle's first bad line, for
+    the oracle's reason; a cut on a frame boundary reads as exactly the
+    intact frames.  Returns the oracle's bad lines."""
     root = tmp_path / "l2"
     path = root / "runs" / "0" / "events.jsonl"
     path.write_bytes(damaged)
     intact = _intact_frames(damaged)
     lines = [ln for ln in damaged.split(b"\n") if ln.rstrip(b"\r")]
-    dropped = len(lines) - len(intact)
+    _groups, bad = frame_reference.scan_frames(damaged)
+    assert len(bad) == len(lines) - len(intact)
 
-    if dropped:
-        with pytest.raises(StorageError, match="--salvage"):
-            Level2Store(root).read_run_stream(0, "events.jsonl")
+    store = Level2Store(root)
+    if bad:
+        lineno, _node, reason, _raw = bad[0]
+        with pytest.raises(StorageError) as info:
+            store.read_run_stream(0, "events.jsonl")
+        assert str(info.value) == f"corrupt record in {path} (line {lineno}: {reason})"
     else:
         # Cut on a frame boundary: what is left is a clean, shorter stream.
         assert intact == _intact_frames(pristine)[: len(intact)]
-
-    store = Level2Store(root, salvage=True)
-    groups = store.read_run_stream(0, "events.jsonl")
-    expected = {}
-    for node, record in intact:
-        expected.setdefault(node, [])
-        if record is not None:
-            expected[node].append(record)
-    assert groups == expected
-
-    records = store.salvage_records()
-    assert sum(r["dropped"] for r in records) == dropped
-    for rec in records:
-        assert rec["node"] == "*" or rec["node"] in expected
-        assert rec["kept"] == len(expected.get(rec["node"], ()))
-    report_path = store.write_salvage_report()
-    if dropped:
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        assert report["total_dropped"] == dropped
-        assert report["records"] == records
-    else:
-        assert report_path is None and records == []
-    return records
+        expected = {}
+        for node, record in intact:
+            expected.setdefault(node, [])
+            if record is not None:
+                expected[node].append(record)
+        assert store.read_run_stream(0, "events.jsonl") == expected
+    return bad
 
 
 def test_truncation_at_every_offset(tmp_path):
@@ -96,10 +86,10 @@ def test_truncation_at_every_offset(tmp_path):
     pristine = (tmp_path / "l2" / "runs" / "0" / "events.jsonl").read_bytes()
     assert len(_intact_frames(pristine)) == 5
     for cut in range(len(pristine)):
-        records = _check_damaged(tmp_path, pristine, pristine[:cut])
-        # A torn tail is one bad line, blamed on a node the intact part
-        # of the stream already names or on nobody.
-        assert len(records) <= 1
+        bad = _check_damaged(tmp_path, pristine, pristine[:cut])
+        # A torn tail is one bad line, the last one.
+        assert len(bad) <= 1
+        assert not bad or bad[0][2] == "truncated"
 
 
 def test_byte_flip_at_every_offset(tmp_path):
@@ -109,28 +99,8 @@ def test_byte_flip_at_every_offset(tmp_path):
         for mask in (0x01, 0x80, 0xFF):
             damaged = bytearray(pristine)
             damaged[offset] ^= mask
-            records = _check_damaged(tmp_path, pristine, bytes(damaged))
-            assert records, f"flip at {offset} (mask {mask:#x}) went unnoticed"
-
-
-def test_flipped_prefix_is_attributed_to_nobody(tmp_path):
-    store = _record_run(tmp_path / "l2", salvage=True)
-    path = tmp_path / "l2" / "runs" / "0" / "events.jsonl"
-    lines = path.read_bytes().split(b"\n")
-    assert lines[2].startswith(b"h2\t")  # the silent node's only frame
-    lines[2] = b"h9" + lines[2][2:]
-    lines[3] = lines[3].replace(b"ev2", b"ev7")  # body damage, prefix intact
-    path.write_bytes(b"\n".join(lines))
-    groups = store.read_run_stream(0, "events.jsonl")
-    assert sorted(groups) == ["h1"]
-    assert {(r["node"], r["dropped"]) for r in store.salvage_records()} == {("*", 2)}
-    # master's prefix is intact but no intact frame vouches for it; h1's is.
-    lines[0] = lines[0].replace(b"ev0", b"ev8")
-    path.write_bytes(b"\n".join(lines))
-    fresh = Level2Store(tmp_path / "l2", salvage=True)
-    fresh.read_run_stream(0, "events.jsonl")
-    assert {(r["node"], r["kept"], r["dropped"]) for r in fresh.salvage_records()} == {
-        ("*", 0, 2), ("h1", 2, 1)}
+            bad = _check_damaged(tmp_path, pristine, bytes(damaged))
+            assert bad, f"flip at {offset} (mask {mask:#x}) went unnoticed"
 
 
 # ----------------------------------------------------------------------
@@ -242,34 +212,22 @@ def test_corrupt_l2_tool_targets_one_frame(tmp_path):
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
 
-    root = tmp_path / "l2"
-    _record_run(root)  # file order: h1 ev0, h1 ev1, h2 marker, master ev2, h1 ev3
-    assert tool.main([str(root), "--run", "0", "--node", "h1", "--index", "1",
-                      "--flip-byte"]) == 0
-    store = Level2Store(root, salvage=True)
-    groups = store.read_run_stream(0, "events.jsonl")
-    assert [e["name"] for e in groups["h1"]] == ["ev0", "ev3"]
-    assert store.salvage_records() == [{
-        "run_id": 0, "node": "h1", "stream": "events.jsonl",
-        "kept": 2, "dropped": 1, "reason": "crc_mismatch"}]
+    def refusal(name, *args):
+        root = tmp_path / name
+        _record_run(root)  # file order: h1 ev0, h1 ev1, h2 marker, master ev2, h1 ev3
+        assert tool.main([str(root), "--run", "0", *args]) == 0
+        path = root / "runs" / "0" / "events.jsonl"
+        with pytest.raises(StorageError) as info:
+            Level2Store(root).read_run_stream(0, "events.jsonl")
+        return len(path.read_bytes().splitlines()), str(info.value).rsplit(" (", 1)[1]
 
+    assert refusal("flip", "--node", "h1", "--index", "1", "--flip-byte") == (
+        5, "line 2: crc_mismatch)")
     # A torn write inside master's frame takes everything after it along.
-    assert tool.main([str(root), "--run", "0", "--node", "master",
-                      "--truncate-bytes", "5"]) == 0
-    store = Level2Store(root, salvage=True)
-    groups = store.read_run_stream(0, "events.jsonl")
-    assert sorted(groups) == ["h1", "h2"] and len(groups["h1"]) == 1
-    assert {(r["node"], r["reason"]) for r in store.salvage_records()} == {
-        ("h1", "crc_mismatch"), ("*", "truncated")}
-    with pytest.raises(SystemExit, match="no index 7"):
-        tool.main([str(root), "--run", "0", "--node", "h1", "--index", "7", "--flip-byte"])
-
+    assert refusal("torn", "--node", "master", "--truncate-bytes", "5") == (
+        4, "line 4: truncated)")
     # Broken JSON under a CRC that holds: the frame is intact, its body is not.
-    root = tmp_path / "again"
-    _record_run(root)
-    assert tool.main([str(root), "--run", "0", "--node", "h1", "--bad-json"]) == 0
-    store = Level2Store(root, salvage=True)
-    assert [e["name"] for e in store.read_run_stream(0, "events.jsonl")["h1"]] == ["ev0", "ev1"]
-    assert store.salvage_records() == [{
-        "run_id": 0, "node": "h1", "stream": "events.jsonl",
-        "kept": 2, "dropped": 1, "reason": "bad_json"}]
+    assert refusal("json", "--node", "h1", "--bad-json") == (5, "line 5: bad_json)")
+    with pytest.raises(SystemExit, match="no index 7"):
+        tool.main([str(tmp_path / "flip"), "--run", "0", "--node", "h1", "--index", "7",
+                   "--flip-byte"])

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Controlled level-2 corruption for salvage-mode drills.
+"""Controlled level-2 corruption for strict-conditioning drills.
 
 Damages one frame of a packed level-2 run stream the way real failures do
-— a crash-torn write or a bit flip that breaks the frame's CRC — so CI and
-operators can exercise ``repro condition --salvage`` against a store that
-is corrupt in a known, assertable way.  Run it on a *copy* of the store:
-the damage is deliberate and permanent.
+— a crash-torn write or a bit flip that breaks the frame's CRC — so CI,
+tests and operators can check that ``repro condition`` refuses a store
+that is corrupt in a known, assertable way, naming the frame's line and
+reason.  Run it on a *copy* of the store: the damage is deliberate and
+permanent.
 
 Usage::
 
