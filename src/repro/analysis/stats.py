@@ -1,17 +1,17 @@
 """Statistics helpers for experiment analysis.
 
-Kept deliberately small: means with confidence intervals (normal
-approximation, or Student-t when SciPy is available), percentiles and a
-one-call summary.  Every interval is two-sided at :data:`CONFIDENCE`.  Vectorized with NumPy — analysis runs over tens of
-thousands of rows when replication counts approach the paper's 1000.
+Kept deliberately small: means with Student-t confidence intervals, a
+Wilson interval for proportions, percentiles and a one-call summary.
+Every interval is two-sided at :data:`CONFIDENCE`.  Vectorized with NumPy
+— analysis runs over tens of thousands of rows when replication counts
+approach the paper's 1000.  NumPy and SciPy are imported inside the
+functions that compute, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, Iterable, Optional, Sequence, Tuple
-
-import numpy as np
 
 __all__ = [
     "mean_confidence_interval",
@@ -22,18 +22,8 @@ __all__ = [
 
 #: Confidence level of every interval here.
 CONFIDENCE = 0.95
-#: Two-sided z quantile at :data:`CONFIDENCE`.
+#: Two-sided z quantile at :data:`CONFIDENCE` (the Wilson interval's).
 _Z = 1.959963984540054
-
-
-def _z_or_t(dof: int) -> float:
-    """Student-t quantile when SciPy is at hand, else the z approximation."""
-    try:
-        from scipy import stats as _st
-
-        return float(_st.t.ppf(0.5 + CONFIDENCE / 2.0, dof))
-    except ImportError:
-        return _Z
 
 
 def mean_confidence_interval(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -42,6 +32,9 @@ def mean_confidence_interval(values: Sequence[float]) -> Tuple[float, float, flo
     Raises ``ValueError`` on an empty sample; a single observation yields
     a degenerate (zero-width) interval.
     """
+    import numpy as np
+    from scipy import stats
+
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample")
@@ -49,12 +42,14 @@ def mean_confidence_interval(values: Sequence[float]) -> Tuple[float, float, flo
     if arr.size == 1:
         return mean, mean, mean
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    half = _z_or_t(arr.size - 1) * sem
+    half = float(stats.t.ppf(0.5 + CONFIDENCE / 2.0, arr.size - 1)) * sem
     return mean, mean - half, mean + half
 
 
 def percentile(values: Sequence[float], q: float) -> float:
     """The q-th percentile (q in [0, 100]) of a sample."""
+    import numpy as np
+
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot take a percentile of an empty sample")
@@ -83,6 +78,8 @@ def binomial_proportion_ci(successes: int, trials: int) -> Tuple[float, float, f
 
 def summarize(values: Iterable[float]) -> Dict[str, Optional[float]]:
     """One-call sample summary used by report printers."""
+    import numpy as np
+
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         return {

@@ -31,9 +31,13 @@ of the nx shortest path (pinned by ``tests/unit/net/test_topology.py`` and,
 against a medium that really asks nx, by
 ``tests/property/test_sim_fastpath_equivalence.py``).
 
-Two builders make a row and ``import scipy`` succeeding is the whole
-selection: scipy's C BFS where it is installed, the sequential pure-Python
-BFS otherwise — which is also the oracle the scipy rows are tested against.
+One builder makes a row: scipy's C BFS over the interned adjacency.  The
+sequential pure-Python BFS it replaced is the test oracle the scipy rows
+are checked against (``tests/oracles/net_reference.py``).
+
+networkx, scipy and numpy are imported inside the functions that build a
+graph or a row, never at module load: a process that builds no topology
+(a query, a coordinator, conditioning) loads none of them (DESIGN.md §3).
 
 Every cache (id interning, route/distance rows, sorted neighbours, edge
 parameters) invalidates together through
@@ -43,17 +47,10 @@ so medium-local caches keyed on the topology can notice mutations.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
-try:  # scipy is optional; its C BFS is the fastest route-row builder.
-    import numpy as _np  # only the CSR arrays handed to scipy need it
-    from scipy.sparse import csr_matrix as _sp_csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order as _sp_bfs
-except ImportError:  # pragma: no cover
-    _sp_bfs = None
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = [
     "Topology",
@@ -159,18 +156,21 @@ class Topology:
         sequential BFS.
         """
         if self._sp_graph is None:
+            import numpy as np
+            from scipy.sparse import csr_matrix
+
             self.intern_ids()
             adj = self._adj_ids
             n = len(adj)
-            indptr = _np.zeros(n + 1, dtype=_np.int32)
-            _np.cumsum([len(a) for a in adj], out=indptr[1:])
-            indices = _np.fromiter(
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum([len(a) for a in adj], out=indptr[1:])
+            indices = np.fromiter(
                 (w for a in adj for w in a),
-                dtype=_np.int32,
+                dtype=np.int32,
                 count=int(indptr[-1]),
             )
-            data = _np.ones(len(indices), dtype=_np.float64)
-            self._sp_graph = _sp_csr_matrix((data, indices, indptr), shape=(n, n))
+            data = np.ones(len(indices), dtype=np.float64)
+            self._sp_graph = csr_matrix((data, indices, indptr), shape=(n, n))
         return self._sp_graph
 
     def _route_row(self, src_id: int) -> List[int]:
@@ -179,62 +179,32 @@ class Topology:
         One FIFO BFS over the interned adjacency; first-discovery hop
         assignment replicates ``nx.all_pairs_shortest_path`` exactly (see
         module docstring).  Also materializes the distance row consumed by
-        :meth:`hop_rows`.  scipy's C BFS when scipy is importable, the
-        pure-Python deque BFS otherwise; both produce identical rows
-        (pinned by ``tests/unit/net/test_topology.py``).
+        :meth:`hop_rows`.  Built by :meth:`_route_row_scipy`; the
+        sequential BFS oracle pins its rows
+        (``tests/unit/net/test_topology.py``).
         """
         row = self._route_rows.get(src_id)
         if row is None:
-            if _sp_bfs is not None:
-                row, dist = self._route_row_scipy(src_id)
-            else:
-                row, dist = self._route_row_python(src_id)
+            row, dist = self._route_row_scipy(src_id)
             # Distances first: readers test the route row, then read both.
             self._dist_rows[src_id] = dist
             self._route_rows[src_id] = row
         return row
-
-    def _route_row_python(self, src_id: int) -> Tuple[List[int], List[int]]:
-        """The sequential FIFO BFS — fallback and equivalence oracle."""
-        self.intern_ids()
-        adj = self._adj_ids
-        n = len(adj)
-        row = [-1] * n
-        dist = [-1] * n
-        dist[src_id] = 0
-        queue = deque((src_id,))
-        pop = queue.popleft
-        push = queue.append
-        while queue:
-            v = pop()
-            hop_v = row[v]
-            dist_w = dist[v] + 1
-            if v == src_id:
-                for w in adj[v]:
-                    if dist[w] < 0:
-                        dist[w] = dist_w
-                        row[w] = w
-                        push(w)
-            else:
-                for w in adj[v]:
-                    if dist[w] < 0:
-                        dist[w] = dist_w
-                        row[w] = hop_v
-                        push(w)
-        return row, dist
 
     def _route_row_scipy(self, src_id: int) -> Tuple[List[int], List[int]]:
         """C BFS via ``scipy.sparse.csgraph``, first-discovery order intact.
 
         scipy's ``breadth_first_order`` is the same FIFO BFS over the same
         CSR rows, so its predecessor tree equals the sequential BFS's
-        parent assignment node for node (verified against
-        ``_route_row_python`` across every topology shape in
+        parent assignment node for node (verified against the oracle in
+        ``tests/oracles/net_reference.py`` across every topology shape in
         ``tests/unit/net/test_topology.py``).  The next-hop row follows by
         walking the BFS order once: a node inherits its parent's first
         hop, or is its own first hop when the parent is the source.
         """
-        order, pred = _sp_bfs(
+        from scipy.sparse.csgraph import breadth_first_order
+
+        order, pred = breadth_first_order(
             self._scipy_graph(), src_id, directed=True, return_predecessors=True
         )
         n = len(self._names)
@@ -286,6 +256,8 @@ class Topology:
     def freeze(self) -> "Topology":
         """Build every route/distance row, then refuse structural change and
         :meth:`invalidate_cache`: runs and threads only read it (DESIGN.md §8)."""
+        import networkx as nx
+
         for src_id in self.intern_ids().values():
             self._route_row(src_id)
         nx.freeze(self.graph)
@@ -302,6 +274,8 @@ class Topology:
         graph and must never go stale independently.
         ``version`` is bumped so medium-local caches rebuild too.
         """
+        import networkx as nx
+
         if nx.is_frozen(self.graph):
             _refuse_mutation()
         self._ids = None
@@ -322,6 +296,8 @@ class Topology:
 
 
 def _refuse_mutation(*_args, **_kwargs):
+    import networkx as nx
+
     raise nx.NetworkXError("frozen, shared between runs: copy it first: Topology(t.graph.copy())")
 
 
@@ -334,6 +310,8 @@ def _apply_defaults(graph: nx.Graph, base_loss: float, base_delay: float) -> nx.
 
 def _named(graph: nx.Graph, prefix: str) -> nx.Graph:
     """Relabel integer node ids to stable string names."""
+    import networkx as nx
+
     mapping = {n: f"{prefix}{i}" for i, n in enumerate(sorted(graph.nodes))}
     return nx.relabel_nodes(graph, mapping)
 
@@ -346,6 +324,8 @@ def grid_topology(
     prefix: str = "n",
 ) -> Topology:
     """A ``rows x cols`` lattice — the canonical office-floor mesh."""
+    import networkx as nx
+
     graph = nx.grid_2d_graph(rows, cols)
     graph = nx.relabel_nodes(
         graph, {rc: rc[0] * cols + rc[1] for rc in list(graph.nodes)}
@@ -361,6 +341,8 @@ def line_topology(
     prefix: str = "n",
 ) -> Topology:
     """A chain of *n* nodes, the worst case for multi-hop flooding."""
+    import networkx as nx
+
     graph = _named(nx.path_graph(n), prefix)
     return Topology(_apply_defaults(graph, base_loss, base_delay))
 
@@ -372,6 +354,8 @@ def star_topology(
     prefix: str = "n",
 ) -> Topology:
     """One hub (``<prefix>0``) with *leaves* one-hop neighbours."""
+    import networkx as nx
+
     graph = _named(nx.star_graph(leaves), prefix)
     return Topology(_apply_defaults(graph, base_loss, base_delay))
 
@@ -383,6 +367,8 @@ def full_mesh_topology(
     prefix: str = "n",
 ) -> Topology:
     """Everyone hears everyone — a single collision domain."""
+    import networkx as nx
+
     graph = _named(nx.complete_graph(n), prefix)
     return Topology(_apply_defaults(graph, base_loss, base_delay))
 
@@ -405,6 +391,8 @@ def random_geometric_topology(
     until it is connected, so experiments never start on a partitioned
     mesh.
     """
+    import networkx as nx
+
     rng_seed = seed
     for _ in range(max_attempts):
         graph = nx.random_geometric_graph(n, radius, seed=rng_seed)
@@ -432,6 +420,8 @@ def from_edges(
     base_delay: float = DEFAULT_BASE_DELAY,
 ) -> Topology:
     """Build a topology from explicit named edges."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_edges_from(edges)
     return Topology(_apply_defaults(graph, base_loss, base_delay))

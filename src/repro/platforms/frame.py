@@ -16,8 +16,6 @@ import math
 import threading
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.core.errors import PlatformError
 from repro.core.topomeasure import measure_hop_counts, snapshot_topology
 from repro.net import topology as net_topology
@@ -65,6 +63,8 @@ def frame_for(
 
 
 def _build_topology(node_ids, spec, mesh_radius, base_loss, seed) -> net_topology.Topology:
+    import networkx as nx
+
     n = len(node_ids)
     if spec == "grid":
         cols = max(1, math.ceil(math.sqrt(n)))

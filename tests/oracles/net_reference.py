@@ -16,6 +16,10 @@ closure per delayed accept, and the copy-then-check TTL handling with a
 against the code as it shipped, not against a reference medium grafted
 onto the already-optimized node stack.
 
+:func:`reference_route_row` is the sequential FIFO BFS that built
+:class:`~repro.net.topology.Topology` route rows where scipy was missing;
+``tests/unit/net/test_topology.py`` checks the scipy rows against it.
+
 Do not optimize this module — it is the oracle the fast path is measured
 against.  It shares :class:`CongestionModel` and :class:`MediumStats`
 with the production medium so counters compare directly, and it draws
@@ -42,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from repro.sim.kernel import Simulator
 
-__all__ = ["ReferenceMedium", "ReferenceInterface", "ReferenceNetNode"]
+__all__ = ["ReferenceMedium", "ReferenceInterface", "ReferenceNetNode", "reference_route_row"]
 
 
 class ReferenceMedium:
@@ -211,6 +215,31 @@ class ReferenceMedium:
             f"<ReferenceMedium nodes={len(self._nodes)} "
             f"util={self.utilization():.2f}>"
         )
+
+
+def reference_route_row(topology: Topology, src_id: int) -> Tuple[List[int], List[int]]:
+    """``(next-hop ids, hop distances)`` from *src_id* by one sequential
+    FIFO BFS over the interned adjacency (-1: unreachable or the source).
+
+    A node's first hop is its parent's, or itself when the parent is the
+    source — first discovery in ``graph.adj`` order, as
+    ``nx.all_pairs_shortest_path`` assigns it.
+    """
+    topology.intern_ids()
+    adj = topology._adj_ids
+    n = len(adj)
+    row = [-1] * n
+    dist = [-1] * n
+    dist[src_id] = 0
+    queue = deque((src_id,))
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                row[w] = w if v == src_id else row[v]
+                queue.append(w)
+    return row, dist
 
 
 def _replace_copy(packet: Packet, **overrides) -> Packet:

@@ -1,7 +1,5 @@
 """Unit tests for statistics helpers."""
 
-import sys
-
 import pytest
 
 from repro.analysis.stats import (
@@ -16,16 +14,6 @@ def test_mean_ci_contains_mean():
     mean, lo, hi = mean_confidence_interval([1.0, 2.0, 3.0, 4.0])
     assert mean == pytest.approx(2.5)
     assert lo < mean < hi
-
-
-def test_mean_ci_falls_back_to_z_without_scipy(monkeypatch):
-    """Without SciPy the half-width is the z quantile times the standard
-    error: for [1, 2, 3] the sample sd is 1, so it is 1.96 / sqrt(3)."""
-    monkeypatch.setitem(sys.modules, "scipy", None)  # the import now fails
-    mean, lo, hi = mean_confidence_interval([1.0, 2.0, 3.0])
-    half = 1.959963984540054 / 3 ** 0.5
-    assert mean == pytest.approx(2.0)
-    assert (lo, hi) == (pytest.approx(2.0 - half), pytest.approx(2.0 + half))
 
 
 def test_mean_ci_narrows_with_samples():
@@ -88,7 +76,6 @@ def test_intervals_are_pinned_at_95_percent():
         pytest.approx(0.236593090512564, rel=1e-12),
         pytest.approx(0.7634069094874361, rel=1e-12),
     )
-    pytest.importorskip("scipy")  # the Student-t branch; the z one is pinned above
     assert mean_confidence_interval([1.0, 2.0, 3.0, 4.0]) == (
         2.5,
         pytest.approx(0.4457397432394794, rel=1e-9),

@@ -6,7 +6,6 @@ import threading
 import networkx as nx
 import pytest
 
-from repro.net import topology as topology_module
 from repro.net.topology import (
     Topology,
     from_edges,
@@ -16,6 +15,7 @@ from repro.net.topology import (
     random_geometric_topology,
     star_topology,
 )
+from tests.oracles.net_reference import reference_route_row
 
 
 def test_grid_shape():
@@ -116,21 +116,18 @@ def _row_shapes():
 
 
 def test_route_row_backends_agree():
-    # The pure-python BFS is the oracle; the scipy C BFS must reproduce its
-    # next-hop and distance rows exactly (not just equivalently) so routing
-    # does not depend on what is installed.
-    if topology_module._sp_bfs is None:
-        pytest.skip("scipy not installed: the python BFS is the only builder")
+    # The sequential BFS is the oracle; the scipy C BFS must reproduce its
+    # next-hop and distance rows exactly (not just equivalently).
     for label, topo in _row_shapes().items():
         for src_id in topo.intern_ids().values():
             rows = topo._route_row_scipy(src_id)
-            assert rows == topo._route_row_python(src_id), f"scipy diverged at {label}/{src_id}"
+            assert rows == reference_route_row(topo, src_id), f"scipy diverged at {label}/{src_id}"
 
 
 def test_route_row_dispatcher_matches_oracle():
     for topo in _row_shapes().values():
         for src_id in topo.intern_ids().values():
-            row, dist = topo._route_row_python(src_id)
+            row, dist = reference_route_row(topo, src_id)
             assert topo._route_row(src_id) == row
             assert topo._dist_rows[src_id] == dist
 
@@ -170,13 +167,10 @@ def test_invalidate_cache_clears_route_rows():
     assert topo.version == version + 1
 
 
-@pytest.mark.parametrize("backend", ["scipy", "python"])
-def test_cold_topology_shared_by_threads_reads_whole_rows(backend, monkeypatch):
+def test_cold_topology_shared_by_threads_reads_whole_rows():
     # A thread pool campaign hands one prebuilt Topology to every worker:
     # the first queries race.  intern_ids() used to publish the ids before
     # the adjacency they index (TypeError on _adj_ids None in most trials).
-    if backend == "python":
-        monkeypatch.setattr(topology_module, "_sp_bfs", None)
     names = [f"n{i}" for i in range(120)]
     expect = random_geometric_topology(120, 0.2, seed=3).hop_rows(names)
     errors, results = [], []

@@ -5,6 +5,10 @@ so neither writing a package nor opening the warehouse may load the
 layers that merely *use* it.  Checked in a fresh interpreter:
 ``sys.modules`` of the test process is already full.
 
+The simulator's numeric stack (numpy, scipy, networkx) loads where a
+topology or a statistic is built, so the CLI, the warehouse, the fleet
+coordinator and a level-3 write load none of it (DESIGN.md §3).
+
 And ``src/repro`` ships nothing that only a test would load: what exists
 to be compared against lives in ``tests/oracles`` (DESIGN.md §7).
 """
@@ -15,6 +19,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
 
@@ -23,10 +29,15 @@ import sys
 print(sorted(m for m in sys.modules if m.startswith(("repro.campaign", "repro.fabric"))))
 """
 
+REPORT_NUMERIC_STACK = """
+import sys
+print([m for m in ("numpy", "scipy", "networkx") if m in sys.modules])
+"""
 
-def _loaded_upper_layers(body: str, cwd) -> str:
+
+def _run_fresh(body: str, report: str, cwd) -> str:
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(body) + REPORT_UPPER_LAYERS],
+        [sys.executable, "-c", textwrap.dedent(body) + report],
         env={"PYTHONPATH": str(SRC), "PATH": ""},
         cwd=str(cwd),
         capture_output=True,
@@ -38,11 +49,10 @@ def _loaded_upper_layers(body: str, cwd) -> str:
 
 
 def test_importing_the_warehouse_loads_no_campaign_or_fabric_module(tmp_path):
-    assert _loaded_upper_layers("import repro.repo", tmp_path) == "[]"
+    assert _run_fresh("import repro.repo", REPORT_UPPER_LAYERS, tmp_path) == "[]"
 
 
-def test_writing_a_level3_package_loads_no_campaign_or_fabric_module(tmp_path):
-    body = """
+WRITE_LEVEL3 = """
         from repro.storage.level2 import Level2Store
         from repro.storage.level3 import read_stamped_digest, store_level3
 
@@ -53,8 +63,31 @@ def test_writing_a_level3_package_loads_no_campaign_or_fabric_module(tmp_path):
         store.write_run_info(0, {"run_id": 0, "start_time": 0.0, "treatment": {}})
         store.write_run_data("n0", 0, [{"name": "e", "node": "n0", "local_time": 1.0}], [])
         assert read_stamped_digest(store_level3(store, "tiny.db")) is not None
+"""
+
+
+def test_writing_a_level3_package_loads_no_campaign_or_fabric_module(tmp_path):
+    assert _run_fresh(WRITE_LEVEL3, REPORT_UPPER_LAYERS, tmp_path) == "[]"
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["import repro.cli", "import repro.repo", "import repro.fabric.coordinator", WRITE_LEVEL3],
+    ids=["cli", "warehouse", "coordinator", "level3-write"],
+)
+def test_a_process_that_builds_no_topology_loads_no_numeric_stack(body, tmp_path):
+    assert _run_fresh(body, REPORT_NUMERIC_STACK, tmp_path) == "[]"
+
+
+def test_building_a_topology_loads_the_numeric_stack(tmp_path):
+    # The positive control: the report above sees the stack when it loads.
+    body = """
+        from repro.net.topology import random_geometric_topology
+
+        random_geometric_topology(30, 0.3, seed=1).next_hop("n0", "n29")
     """
-    assert _loaded_upper_layers(body, tmp_path) == "[]"
+    loaded = _run_fresh(body, REPORT_NUMERIC_STACK, tmp_path)
+    assert "'networkx'" in loaded and "'scipy'" in loaded
 
 
 def _module_name(path: Path) -> str:
