@@ -37,17 +37,21 @@ root, and each entry names the shard a run's rows live in:
     quarantined.
 ``campaign_complete``
     all runs staged; only merging can remain.
+``leader_claim`` / ``leader_renew`` / ``leader_release``
+    a fleet campaign's leadership lease, folded by
+    :class:`repro.fabric.election.ElectionLedger` (DESIGN.md §16).
 
 The file is a :class:`repro.durable.DurableLog` and every append is
 synced: a crash never loses an acknowledged run, it only re-executes work
 in flight — and because runs are deterministic, re-execution converges to
-byte-identical data.
+byte-identical data.  A fleet coordinator sets a :attr:`~CampaignJournal.fence`
+that checks its leadership under the file's lock; a local campaign sets none.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.errors import RecoveryError
 from repro.durable import DurableLog
@@ -55,6 +59,9 @@ from repro.durable import DurableLog
 __all__ = ["CampaignJournal", "check_start_compatibility"]
 
 JOURNAL_NAME = "campaign.jsonl"
+
+#: A fold that may refuse the append it guards (:meth:`DurableLog.append`).
+Fence = Callable[[List[Dict[str, Any]]], Any]
 
 
 def check_start_compatibility(start: Dict[str, Any], description, total_runs: int) -> None:
@@ -85,12 +92,14 @@ class CampaignJournal:
         self.root = Path(campaign_dir)
         self.path = self.root / JOURNAL_NAME
         self._log = DurableLog(self.path)
+        #: The fence every append passes first (a fleet coordinator's).
+        self.fence: Optional[Fence] = None
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def _append(self, record: Dict[str, Any]) -> None:
-        self._log.append([record])
+    def _append(self, record: Dict[str, Any], fence: Optional[Fence] = None) -> None:
+        self._log.append([record], fence=fence or self.fence)
 
     def record_start(
         self,
@@ -193,6 +202,22 @@ class CampaignJournal:
 
     def record_complete(self) -> None:
         self._append({"type": "campaign_complete"})
+
+    def record_leader_claim(self, leader_id: str, endpoint: str, fence: Fence) -> Dict[str, Any]:
+        """*fence* returns the claim's epoch and times under the lock."""
+        entry = {"type": "leader_claim", "leader_id": leader_id, "endpoint": endpoint}
+        self._append(entry, lambda entries: entry.update(fence(entries)))
+        return entry
+
+    def record_leader_renew(self, epoch: int, expires_at: float, fence: Fence) -> None:
+        self._append({"type": "leader_renew", "epoch": epoch, "expires_at": expires_at}, fence)
+
+    def record_leader_release(self, epoch: int, reason: str, fence: Fence) -> None:
+        self._append({"type": "leader_release", "epoch": epoch, "reason": reason}, fence)
+
+    def follow(self, fold: Fence) -> None:
+        """:meth:`DurableLog.follow` over this journal's own cursor."""
+        self._log.follow(fold)
 
     # ------------------------------------------------------------------
     # Reading

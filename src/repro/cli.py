@@ -540,6 +540,7 @@ def _fabric_status(args) -> int:
     """
     import json
 
+    from repro.campaign.journal import CampaignJournal
     from repro.core.errors import RpcError
     from repro.fabric import ElectionLedger, FleetChannel
 
@@ -557,7 +558,7 @@ def _fabric_status(args) -> int:
                 print(f"coordinator unreachable: {exc}")
                 return 1
     if status is None:
-        status = {"election": ElectionLedger(args.campaign_dir).summary()}
+        status = {"election": ElectionLedger(CampaignJournal(args.campaign_dir)).summary()}
     print(json.dumps(status, indent=2, sort_keys=True))
     election = status.get("election") or {}
     if not election.get("leader_live") or status.get("deposed"):

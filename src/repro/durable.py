@@ -13,8 +13,9 @@ by this module (a pre-framing JSONL file is refused, not guessed at).
 The crash rule, stated once: a crash can damage only what the last
 ``write()`` put down, i.e. the *final* line.  A final line that is not an
 intact frame is a **torn tail** — never acknowledged, dropped by
-:meth:`DurableLog.replay`, cut off by the next :meth:`DurableLog.append`
-(so a new record can never glue onto a fragment), and counted in
+:meth:`DurableLog.replay`, never consumed by :meth:`DurableLog.follow`, cut
+off by the next :meth:`DurableLog.append` (so a new record can never glue
+onto a fragment), and counted in
 ``durable_torn_tails_total{log=<file name>}``.  A bad frame anywhere else
 is **corruption** and raises: skipping it would silently drop a record
 that was acknowledged.
@@ -25,12 +26,12 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import zlib
-from contextlib import contextmanager
 from functools import partial
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import StorageError
 from repro.obs.metrics import get_registry
@@ -46,7 +47,6 @@ __all__ = [
     "encode_record",
     "frame",
     "iter_frames",
-    "locked",
     "replace_file",
     "sync_file",
 ]
@@ -141,19 +141,31 @@ class DurableLog:
 
     def __init__(self, path) -> None:
         self.path = Path(path)
+        self._cursor = 0  # where follow() reads on; it holds _follow_lock
+        self._follow_lock = threading.Lock()
 
-    def append(self, records: Iterable[Dict[str, Any]], sync: bool = True) -> None:
+    def append(
+        self,
+        records: Iterable[Dict[str, Any]],
+        sync: bool = True,
+        fence: Optional[Callable[[List[Dict[str, Any]]], None]] = None,
+    ) -> None:
         """Append *records* with a single ``write()``; with *sync* they are
         on stable storage when this returns.  Appenders exclude each other
         by an ``flock`` on the file, so cutting a torn tail cannot race a
-        rival's write."""
-        data = b"".join(frame("", encode_record(rec)) + b"\n" for rec in records)
-        if not data:
+        rival's write.  Under that lock a *fence* is :meth:`follow`'s fold:
+        it may raise to refuse the append before anything is written, or
+        complete *records*, which are encoded after it ran."""
+        records = list(records)
+        if not records:
             return
         fd = _open_rw(self.path, os.O_APPEND)
         try:
             if fcntl is not None:
                 fcntl.flock(fd, fcntl.LOCK_EX)
+            if fence is not None:
+                self.follow(fence)
+            data = b"".join(frame("", encode_record(rec)) + b"\n" for rec in records)
             data = self._repair_tail(fd) + data
             if os.write(fd, data) != len(data):
                 raise StorageError(f"short write to {self.path}; the record is not durable")
@@ -165,23 +177,57 @@ class DurableLog:
     def replay(self) -> Iterator[Dict[str, Any]]:
         """Yield the intact prefix; a bad final frame is a torn tail
         (dropped, counted), a bad frame before it raises."""
-        torn: Optional[Tuple[int, str]] = None
-        for lineno, line, _key, body, reason in iter_frames(self.path):
-            if torn is not None:
-                raise StorageError(
-                    f"corrupt record in {self.path} (line {torn[0]}: {torn[1]}); "
-                    "only the final line of a log may be torn"
-                )
-            if reason is None:
-                try:
-                    record = decode_record(body)
-                except ValueError:
-                    reason = "bad_json"
-                else:
-                    yield record
-                    continue
-            self._require_framed(line)
-            torn = (lineno, reason)
+        return (record for _end, record in self._read(0))
+
+    def follow(self, fold: Callable[[List[Dict[str, Any]]], None]) -> None:
+        """Hand *fold* the intact records past this reader's byte cursor,
+        in file order, and move the cursor past them: never past a torn
+        final line, once past an intact one lacking its newline.
+        Corruption raises as in :meth:`replay`.  One reader's calls are
+        serialized with their folds: a fold sees every record once."""
+        with self._follow_lock:
+            records = []
+            end = self._cursor
+            for end, record in self._read(end):
+                records.append(record)
+            self._cursor = end
+            fold(records)
+
+    def _read(self, start: int) -> Iterator[Tuple[int, Dict[str, Any]]]:
+        """``(end offset, record)`` per intact frame from byte *start* on,
+        under the crash rule of :meth:`replay`."""
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return
+        with fh:
+            fh.seek(start)
+            end = start
+
+            def lines() -> Iterator[bytes]:
+                nonlocal end
+                for raw in fh:
+                    end += len(raw)
+                    yield raw
+
+            torn: Optional[Tuple[int, str]] = None
+            for lineno, line, _key, body, reason in _scan(lines()):
+                if torn is not None:
+                    where = f"line {torn[0]}" + (f" after byte {start}" if start else "")
+                    raise StorageError(
+                        f"corrupt record in {self.path} ({where}: {torn[1]}); "
+                        "only the final line of a log may be torn"
+                    )
+                if reason is None:
+                    try:
+                        record = decode_record(body)
+                    except ValueError:
+                        reason = "bad_json"
+                    else:
+                        yield end, record
+                        continue
+                self._require_framed(line)
+                torn = (lineno, reason)
         if torn is not None:
             self._count_torn_tail()
 
@@ -221,19 +267,6 @@ class DurableLog:
                 os.ftruncate(fd, start + cut + 1)
                 return b""
         return b"" if tail.endswith(b"\n") or not tail else b"\n"
-
-
-@contextmanager
-def locked(path) -> Iterator[None]:
-    """Hold an exclusive ``flock`` on *path* (created on demand) for the
-    scope: mutual exclusion between processes sharing a directory."""
-    fd = _open_rw(Path(path))
-    try:
-        if fcntl is not None:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        os.close(fd)  # releases the flock
 
 
 def _sync_dir(directory: Path) -> None:

@@ -16,9 +16,9 @@ architecture (DESIGN.md §15).  The pieces:
   worker's leases.
 * :mod:`repro.fabric.shipping` — JSON-safe shipping of per-run level-3
   shard rows and the experiment-scope payload.
-* :mod:`repro.fabric.election` — epoch-fenced leader election over the
-  shared campaign directory: hot-standby coordinators take over a lapsed
-  or released leadership lease automatically (DESIGN.md §16).
+* :mod:`repro.fabric.election` — epoch-fenced leader election in the
+  campaign journal: hot-standby coordinators take over a lapsed or
+  released leadership lease automatically (DESIGN.md §16).
 * :mod:`repro.fabric.coordinator` / :mod:`repro.fabric.worker` — the two
   processes: ``repro fabric serve`` and ``repro fabric worker``.
 

@@ -1,8 +1,8 @@
 """The campaign coordinator: ``repro fabric serve``.
 
-One process owns the campaign directory — journal, election ledger,
-``scope.json`` and the coordinator-side shards — and serves the fabric
-RPC surface to a fleet of pull-based workers:
+One process owns the campaign directory — journal (leadership lease
+included), ``scope.json`` and the coordinator-side shards — and serves
+the fabric RPC surface to a fleet of pull-based workers:
 
 ``register``   worker announces itself; gets the campaign bundle
                (description XML, treatments, platform config, batch
@@ -27,7 +27,8 @@ transport of a :class:`~repro.campaign.session.CampaignSession` — the
 same open / settle / seal policy and the same commit contract the local
 pool drives — so every run commit is shard transaction → the session's
 ``settle_ok`` (shipped scope, if any, as ``scope.json`` → journal entry
-→ scheduler) under the election fence; after a coordinator restart the
+→ scheduler), and every journal entry it writes passes its election
+fence (:meth:`ElectionLedger.fence`).  After a coordinator restart the
 same journal restores in-flight lease ownership, and its resume
 protocol re-queues exactly the runs whose shards lack them.
 Because runs are pure functions of (description, run id), the merged
@@ -173,7 +174,7 @@ class FabricCoordinator:
             progress=progress,
         )
         self.election = ElectionLedger(
-            self.campaign_dir,
+            self.session.journal,
             ttl=self.election_ttl,
             clock=self.clock,
         )
@@ -234,6 +235,7 @@ class FabricCoordinator:
                 reason="lost-claim",
             )
         self.epoch = epoch
+        self.session.journal.fence = self.election.fence(epoch)
 
         session = self.session.open()
         # Old name of the session; benchmarks/e2e (frozen, ROADMAP 2) reads it.
@@ -282,6 +284,8 @@ class FabricCoordinator:
         return self._deposed_reason
 
     def _mark_deposed(self, reason: str) -> None:
+        # Takes the dispatch lock: a refused journal append calls this once
+        # it unwound, never from inside the fence (which holds the flock).
         self._deposed_reason = self._deposed_reason or reason
         self._renew_stop.set()
         with self._progress:
@@ -327,12 +331,15 @@ class FabricCoordinator:
 
     def _rpc_register(self, worker_id: str, capacity: int) -> str:
         with self._lock:
-            if self._deposed_reason is not None:
+            try:
+                self._check_leadership()
+                self.dispatcher.register(worker_id, capacity)
+            except LeadershipLost:
+                self._mark_deposed("deposed")
                 raise CampaignError(
                     f"{self.leader_id} is not the leader ({self._deposed_reason}); "
                     "re-resolve the coordinator",
-                )
-            self.dispatcher.register(worker_id, capacity)
+                ) from None
             return json.dumps(
                 {
                     "session": self.session.index,
@@ -352,28 +359,31 @@ class FabricCoordinator:
 
     def _rpc_lease(self, worker_id: str, want: int, epoch: int) -> str:
         with self._lock:
-            if self._deposed_reason is not None:
+            try:
+                self._check_leadership()
+                if self._epoch_gate(epoch):
+                    return _no_lease(stale_epoch=True, epoch=self.epoch)
+                self.dispatcher.sweep()
+                if self._handoff_draining:
+                    # Leadership is being handed off: in-flight batches
+                    # drain, nothing new is granted; workers keep polling
+                    # and will re-resolve to the successor.
+                    lease, batch = None, []
+                else:
+                    lease, batch = self.dispatcher.grant(worker_id, want)
+                if lease is None:
+                    return _no_lease(done=self.session.scheduler.finished)
+                runs = [
+                    {
+                        "run_id": ticket.run_id,
+                        "attempt": ticket.attempts,
+                        "control_faults": self.session.dispatch(ticket, worker_id, lease.lease_id),
+                    }
+                    for ticket in batch
+                ]
+            except LeadershipLost:
+                self._mark_deposed("deposed")
                 return _no_lease(not_leader=True)
-            if self._epoch_gate(epoch):
-                return _no_lease(stale_epoch=True, epoch=self.epoch)
-            self.dispatcher.sweep()
-            if self._handoff_draining:
-                # Leadership is being handed off: in-flight batches drain,
-                # nothing new is granted; workers keep polling and will
-                # re-resolve to the successor.
-                lease, batch = None, []
-            else:
-                lease, batch = self.dispatcher.grant(worker_id, want)
-            if lease is None:
-                return _no_lease(done=self.session.scheduler.finished)
-            runs = [
-                {
-                    "run_id": ticket.run_id,
-                    "attempt": ticket.attempts,
-                    "control_faults": self.session.dispatch(ticket, worker_id, lease.lease_id),
-                }
-                for ticket in batch
-            ]
             return json.dumps(
                 {
                     "lease_id": lease.lease_id,
@@ -400,56 +410,50 @@ class FabricCoordinator:
         epoch: int,
     ) -> str:
         with self._lock:
-            if self._deposed_reason is not None:
-                return json.dumps({"status": "not_leader"})
-            if self._epoch_gate(epoch):
-                if self._deposed_reason is not None:
-                    return json.dumps({"status": "not_leader"})
-                return json.dumps({"status": "stale_epoch", "epoch": self.epoch})
-            if not ok:
-                status = self.dispatcher.ack_failed(
-                    worker_id,
-                    lease_id,
-                    run_id,
-                    error or "worker reported failure",
-                )
-                self._progress.notify_all()
-                return json.dumps({"status": status})
-            payload = json.loads(payload_json)
-            stats = payload.get("stats") or {}
-
-            def commit() -> None:
-                shard_rel = f"shards/fleet_{_worker_slug(worker_id)}.db"
-                with CoordinatorShard(self.campaign_dir / shard_rel) as shard:
-                    shard.ingest(run_id, payload["tables"])
-                self.session.settle_ok(
-                    run_id,
-                    worker_id,
-                    shard_rel,
-                    duration=float(payload.get("duration", 0.0)),
-                    timed_out=bool(payload.get("timed_out")),
-                    rpc_retries=stats.get("rpc_retries", 0),
-                    rpc_timeouts=stats.get("rpc_timeouts", 0),
-                    phases=payload.get("phases"),
-                    epoch=self.epoch,
-                    scope=payload.get("scope"),
-                )
-
             try:
-                # The durable write runs under the election flock with the
-                # epoch re-validated inside: a leader deposed mid-ack (a
-                # partition healed, a rival claimed) cannot commit.
-                status = self.dispatcher.ack_completed(
-                    worker_id,
-                    lease_id,
-                    run_id,
-                    lambda: self.election.fenced(self.epoch, commit),
-                )
+                self._check_leadership()
+                if self._epoch_gate(epoch):
+                    self._check_leadership()  # a caller ahead of us deposed us
+                    return json.dumps({"status": "stale_epoch", "epoch": self.epoch})
+                if ok:
+                    status = self._commit(worker_id, lease_id, run_id, payload_json)
+                else:
+                    status = self.dispatcher.ack_failed(
+                        worker_id,
+                        lease_id,
+                        run_id,
+                        error or "worker reported failure",
+                    )
             except LeadershipLost:
                 self._mark_deposed("deposed")
                 return json.dumps({"status": "not_leader"})
             self._progress.notify_all()
             return json.dumps({"status": status})
+
+    def _commit(self, worker_id: str, lease_id: str, run_id: int, payload_json: str) -> str:
+        """Shard transaction, then the fenced journal entry: a deposed leader
+        may still write the (same, idempotent) shard rows, not the entry."""
+        payload = json.loads(payload_json)
+        stats = payload.get("stats") or {}
+
+        def commit() -> None:
+            shard_rel = f"shards/fleet_{_worker_slug(worker_id)}.db"
+            with CoordinatorShard(self.campaign_dir / shard_rel) as shard:
+                shard.ingest(run_id, payload["tables"])
+            self.session.settle_ok(
+                run_id,
+                worker_id,
+                shard_rel,
+                duration=float(payload.get("duration", 0.0)),
+                timed_out=bool(payload.get("timed_out")),
+                rpc_retries=stats.get("rpc_retries", 0),
+                rpc_timeouts=stats.get("rpc_timeouts", 0),
+                phases=payload.get("phases"),
+                epoch=self.epoch,
+                scope=payload.get("scope"),
+            )
+
+        return self.dispatcher.ack_completed(worker_id, lease_id, run_id, commit)
 
     def _rpc_status(self) -> str:
         with self._lock:
@@ -509,10 +513,15 @@ class FabricCoordinator:
 
     def _rpc_quarantine(self, worker_id: str, reason: str) -> str:
         with self._lock:
-            requeued = self.dispatcher.quarantine_worker(
-                worker_id,
-                reason or "operator request",
-            )
+            try:
+                self._check_leadership()
+                requeued = self.dispatcher.quarantine_worker(
+                    worker_id,
+                    reason or "operator request",
+                )
+            except LeadershipLost:
+                self._mark_deposed("deposed")
+                return json.dumps({"requeued": [], "not_leader": True})
             return json.dumps({"requeued": sorted(requeued)})
 
     # ------------------------------------------------------------------
@@ -523,7 +532,11 @@ class FabricCoordinator:
             # A deposed leader must not keep sweeping: TTL expiries and
             # lease closes are the successor's to write now.
             self._check_leadership()
-            self.dispatcher.sweep()
+            try:
+                self.dispatcher.sweep()
+            except LeadershipLost:
+                self._mark_deposed("deposed")
+                raise
             return self.session.scheduler.finished
 
     def run_until_complete(

@@ -7,36 +7,29 @@ piece — a durable **leadership lease** over the campaign directory, so
 any number of ``repro fabric serve --standby`` processes can tail the
 journal and take over the moment the leader's heartbeat lapses.
 
-The ledger is a :class:`repro.durable.DurableLog` (``election.jsonl``)
-synced per append like the campaign journal, with three record shapes:
+The lease lives in the campaign journal, as three entry types:
 
-``claim``    a coordinator took leadership: monotonically increasing
-             **fencing epoch**, leader id, serving endpoint, expiry.
-``renew``    the leader's heartbeat: a new expiry for its epoch.
-``release``  the leader gave leadership up voluntarily (``handoff``,
-             ``complete``) — standbys may claim immediately instead of
-             waiting out the TTL.
+``leader_claim``    a coordinator took leadership: monotonically
+                    increasing **fencing epoch**, leader id, serving
+                    endpoint, expiry.
+``leader_renew``    the leader's heartbeat: a new expiry for its epoch.
+``leader_release``  the leader gave leadership up voluntarily
+                    (``handoff``, ``complete``) — standbys may claim
+                    immediately instead of waiting out the TTL.
 
-Mutual exclusion between rival claimants is an ``flock`` on
-``election.lock`` in the same directory: the fabric's coordinators
-share the campaign directory (that is what the journal already
-requires), so POSIX advisory locking is the natural arbiter.
-Every claim, renewal, release — and, crucially, every **fenced commit**
-— runs under that lock, which closes the check-then-write race: a
-deposed leader that was stopped (partitioned, SIGSTOPped) mid-campaign
-and wakes up later re-validates its epoch *inside* the lock before any
-durable write, finds a higher epoch on the ledger, and aborts with
-:class:`LeadershipLost` instead of corrupting state.
+:class:`ElectionLedger` folds them incrementally, from its own byte
+cursor (:meth:`repro.durable.DurableLog.follow`).  The arbiter is the
+``flock`` every journal append already holds: a claim computes its epoch
+under it, and a leader's every write — renewal, release and, through the
+fence the coordinator sets on its journal (:meth:`ElectionLedger.fence`),
+each entry it journals — is refused there with :class:`LeadershipLost`,
+before anything is written, once a newer epoch or a release is on file.
 
 The fencing invariant: epochs only grow, at most one process can hold
-the lease at any epoch, and no run commit is durable unless the
-committing coordinator held the current epoch at commit time.  Split
-brain can therefore delay work (two coordinators may *think* they lead)
-but never double-commit a run — the losing side's commits are rejected
-live, by epoch comparison under the lock (:meth:`ElectionLedger.fenced`).
-There is no replay-side fence: a deposed leader's stray lease entries in
-the journal can at worst re-queue a run early, and first-ack-wins makes
-the second execution a duplicate.
+the lease at any epoch, and no journal entry carries a non-current
+epoch's writes.  Split brain can therefore delay work (two coordinators
+may *think* they lead) but never double-commit a run or leave a deposed
+leader's grant, failure, expiry or quarantine for a later resume to fold.
 
 Standbys additionally announce themselves through beacon files under
 ``standbys/`` so ``repro fabric status`` can report the roster without
@@ -47,12 +40,14 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
+from repro.campaign.journal import CampaignJournal, Fence
 from repro.core.errors import CampaignError
-from repro.durable import DurableLog, locked, replace_file
+from repro.durable import replace_file
 from repro.obs.metrics import count_suppressed_error
 
 __all__ = [
@@ -62,8 +57,6 @@ __all__ = [
     "StandbyCoordinator",
 ]
 
-ELECTION_NAME = "election.jsonl"
-LOCK_NAME = "election.lock"
 STANDBY_DIR = "standbys"
 
 
@@ -83,7 +76,7 @@ class LeadershipLost(CampaignError):
 
 @dataclass
 class LeaderRecord:
-    """The ledger's view of one leadership epoch."""
+    """The journal's view of one leadership epoch."""
 
     epoch: int
     leader_id: str
@@ -102,50 +95,57 @@ def _slug(name: str) -> str:
 
 
 class ElectionLedger:
-    """The durable leadership lease of one campaign directory."""
+    """The leadership lease folded from *journal* (a coordinator's session
+    journal, so its fence and its views share one cursor)."""
 
     def __init__(
         self,
-        campaign_dir,
+        journal: CampaignJournal,
         ttl: float = 10.0,
         clock: Callable[[], float] = time.time,
     ) -> None:
         if ttl <= 0:
             raise CampaignError(f"election ttl must be > 0, got {ttl}")
-        self.root = Path(campaign_dir)
-        self.path = self.root / ELECTION_NAME
-        self.lock_path = self.root / LOCK_NAME
-        self._log = DurableLog(self.path)
+        self.journal = journal
+        self.root = journal.root
         self.ttl = float(ttl)
         self.clock = clock
+        self._record: Optional[LeaderRecord] = None
+        #: ``campaign_complete`` is on file: no campaign needs a leader.
+        self.complete = False
 
-    def _append(self, record: dict) -> None:
-        self._log.append([record])
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    def current(self) -> Optional[LeaderRecord]:
-        """Replay the ledger; the highest-epoch claim wins."""
-        record: Optional[LeaderRecord] = None
-        for rec in self._log.replay():
-            op = rec["op"]
-            if op == "claim":
-                record = LeaderRecord(
+    def _fold(self, entries: List[Dict[str, Any]]) -> None:
+        """Apply journal *entries*, in file order; the latest claim wins
+        and a renewal or release counts only for the epoch it names."""
+        for rec in entries:
+            kind = rec["type"]
+            if kind == "leader_claim":
+                self._record = LeaderRecord(
                     epoch=int(rec["epoch"]),
                     leader_id=rec["leader_id"],
                     endpoint=rec["endpoint"],
                     claimed_at=rec["claimed_at"],
                     expires_at=rec["expires_at"],
                 )
-            elif record is None or int(rec["epoch"]) != record.epoch:
-                continue  # stale writer's renew/release: fenced out
-            elif op == "renew":
-                record.expires_at = rec["expires_at"]
-                record.renewals += 1
-            elif op == "release":
-                record.released = rec["reason"]
-        return record
+            elif kind == "campaign_complete":
+                self.complete = True
+            elif kind not in ("leader_renew", "leader_release"):
+                continue
+            elif self._record is None or int(rec["epoch"]) != self._record.epoch:
+                continue  # a stale writer's renew/release: fenced out
+            elif kind == "leader_renew":
+                self._record.expires_at = rec["expires_at"]
+                self._record.renewals += 1
+            else:
+                self._record.released = rec["reason"]
+
+    # ------------------------------------------------------------------
+    # Views
+    # ------------------------------------------------------------------
+    def current(self) -> Optional[LeaderRecord]:
+        """The latest claim, with what happened to it since."""
+        self.journal.follow(self._fold)
+        return self._record
 
     def leader(self, now: Optional[float] = None) -> Optional[LeaderRecord]:
         """The live leader, or ``None`` when the lease is claimable."""
@@ -153,14 +153,27 @@ class ElectionLedger:
         record = self.current()
         return record if record is not None and record.live(now) else None
 
-    def epoch(self) -> int:
-        """The highest epoch ever claimed (0 on a fresh directory)."""
-        record = self.current()
-        return 0 if record is None else record.epoch
-
     # ------------------------------------------------------------------
     # Lease lifecycle
     # ------------------------------------------------------------------
+    def fence(self, epoch: int) -> Fence:
+        """The fold that admits a journal append only while *epoch* holds
+        the lease: it raises :class:`LeadershipLost` once a higher epoch
+        or a release is on file."""
+
+        def check(entries: List[Dict[str, Any]]) -> None:
+            self._fold(entries)
+            record = self._record
+            if record is None or record.epoch != epoch or record.released:
+                held = "released" if record and record.released else "superseded"
+                raise LeadershipLost(
+                    f"epoch {epoch} is {held} "
+                    f"(journal at epoch {record.epoch if record else 0}); "
+                    "refusing the write",
+                )
+
+        return check
+
     def campaign(
         self,
         leader_id: str,
@@ -175,67 +188,33 @@ class ElectionLedger:
         epoch over a live lease: the operator-restart path, where whoever
         runs ``--resume`` asserts the old leader is gone.
         """
-        with locked(self.lock_path):
+
+        def check(entries: List[Dict[str, Any]]) -> Dict[str, Any]:
+            self._fold(entries)
             now = self.clock()
-            record = self.current()
+            record = self._record
             if record is not None and record.live(now) and not force:
-                return None
+                raise LeadershipLost(f"{record.leader_id} holds epoch {record.epoch}")
             epoch = (0 if record is None else record.epoch) + 1
-            self._append(
-                {
-                    "op": "claim",
-                    "epoch": epoch,
-                    "leader_id": leader_id,
-                    "endpoint": endpoint,
-                    "claimed_at": now,
-                    "expires_at": now + self.ttl,
-                },
-            )
-            return epoch
+            return {"epoch": epoch, "claimed_at": now, "expires_at": now + self.ttl}
+
+        with suppress(LeadershipLost):
+            return self.journal.record_leader_claim(leader_id, endpoint, check)["epoch"]
+        return None
 
     def renew(self, epoch: int) -> bool:
         """Heartbeat the lease at *epoch*; ``False`` means deposed."""
-        with locked(self.lock_path):
-            record = self.current()
-            if record is None or record.epoch != epoch or record.released:
-                return False
-            self._append(
-                {
-                    "op": "renew",
-                    "epoch": epoch,
-                    "expires_at": self.clock() + self.ttl,
-                },
-            )
+        with suppress(LeadershipLost):
+            self.journal.record_leader_renew(epoch, self.clock() + self.ttl, self.fence(epoch))
             return True
+        return False
 
     def release(self, epoch: int, reason: str) -> bool:
         """Voluntarily give leadership up (handoff, completion)."""
-        with locked(self.lock_path):
-            record = self.current()
-            if record is None or record.epoch != epoch or record.released:
-                return False
-            self._append({"op": "release", "epoch": epoch, "reason": reason})
+        with suppress(LeadershipLost):
+            self.journal.record_leader_release(epoch, reason, self.fence(epoch))
             return True
-
-    def fenced(self, epoch: int, fn: Callable[[], None]) -> None:
-        """Run *fn* iff *epoch* is still the current leadership epoch.
-
-        The whole callable executes under the election flock, so a rival
-        cannot claim a higher epoch between the check and *fn*'s durable
-        writes — this is the commit-side half of the fencing invariant.
-        Raises :class:`LeadershipLost` instead of running *fn* when a
-        higher epoch exists or the lease was released.
-        """
-        with locked(self.lock_path):
-            record = self.current()
-            if record is None or record.epoch != epoch or record.released:
-                held = "released" if record and record.released else "superseded"
-                raise LeadershipLost(
-                    f"epoch {epoch} is {held} "
-                    f"(ledger at epoch {record.epoch if record else 0}); "
-                    "refusing the write",
-                )
-            fn()
+        return False
 
     # ------------------------------------------------------------------
     # Standby roster (beacon files; status reporting only)
@@ -307,7 +286,7 @@ class ElectionLedger:
 
 
 class StandbyCoordinator:
-    """A hot-standby coordinator: tail the ledger, take over on lapse.
+    """A hot-standby coordinator: tail the journal, take over on lapse.
 
     Construction takes everything a :class:`FabricCoordinator` would,
     plus the standby's own bind address.  :meth:`run` loops: beacon,
@@ -348,7 +327,9 @@ class StandbyCoordinator:
         self.on_event = on_event
         self.clock = clock
         self.coordinator_kwargs = coordinator_kwargs
-        self.ledger = ElectionLedger(campaign_dir, ttl=election_ttl, clock=clock)
+        self.ledger = ElectionLedger(
+            CampaignJournal(self.campaign_dir), ttl=election_ttl, clock=clock
+        )
         self.promoted = False
         self.coordinator: Optional["object"] = None
 
@@ -361,12 +342,10 @@ class StandbyCoordinator:
         """Tail the lease; on takeover, serve the campaign to completion.
 
         Returns the promoted coordinator's :class:`CampaignResult`, or
-        ``None`` when the campaign completed under another leader.  Raises :class:`CampaignError` on
-        *timeout*.
+        ``None`` when the campaign completed under another leader.  Raises
+        :class:`CampaignError` on *timeout*.  Each poll reads only what the
+        journal gained since the last one.
         """
-        from repro.campaign.journal import CampaignJournal
-
-        journal = CampaignJournal(self.campaign_dir)
         deadline = None if timeout is None else time.monotonic() + timeout
         endpoint = f"{self.host}:{self.port}"
         try:
@@ -377,10 +356,10 @@ class StandbyCoordinator:
                         "without a takeover or campaign completion",
                     )
                 self.ledger.beacon(self.standby_id, endpoint)
-                if journal.finished():
+                record = self.ledger.leader()
+                if self.ledger.complete:
                     self._note("campaign complete under another leader; exiting")
                     return None
-                record = self.ledger.leader()
                 if record is None:
                     previous = self.ledger.current()
                     why = (
@@ -391,7 +370,7 @@ class StandbyCoordinator:
                         else "no leader yet"
                     )
                     self._note(f"leadership claimable ({why}); campaigning")
-                    result = self._promote(journal)
+                    result = self._promote()
                     if result is not _LOST_RACE:
                         return result
                     self._note("lost the claim race; resuming watch")
@@ -399,7 +378,7 @@ class StandbyCoordinator:
         finally:
             self.ledger.retire_beacon(self.standby_id)
 
-    def _promote(self, journal):
+    def _promote(self):
         """Claim + serve; returns ``_LOST_RACE`` when a rival won."""
         from repro.fabric.coordinator import FabricCoordinator
 
@@ -408,7 +387,7 @@ class StandbyCoordinator:
             self.campaign_dir,
             host=self.host,
             port=self.port,
-            resume=journal.started(),
+            resume=self.ledger.journal.started(),
             leader_id=self.standby_id,
             election_ttl=self.election_ttl,
             takeover=False,  # polite claim: only a lapsed/released lease

@@ -42,7 +42,6 @@ from repro.net.topology import (
     random_geometric_topology,
     star_topology,
 )
-from repro.net.traffic import TrafficGenerator
 
 __all__ = [
     "BROADCAST_ADDR",
@@ -52,7 +51,6 @@ __all__ = [
     "NetNode",
     "Packet",
     "Topology",
-    "TrafficGenerator",
     "WirelessMedium",
     "grid_topology",
     "is_multicast",

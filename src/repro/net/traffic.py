@@ -4,8 +4,9 @@ This is the data-plane half of the paper's *traffic generator* environment
 manipulation (Sec. IV-D2): *"Creates network load between a given number
 of node pairs.  Each pair bidirectionally communicates at a given data
 rate."*  Pair selection, the switch-amount logic and factor plumbing live
-with the manipulations (:mod:`repro.faults.manipulations`); this module
-only knows how to push real packets through the medium at a rate.
+with the manipulations (:mod:`repro.faults.manipulations`), which start
+each direction of a pair as one flow; this module only knows how to push
+real packets through the medium at a rate.
 
 The packets are genuine datagrams routed hop-by-hop through the mesh, so
 they consume medium capacity exactly like experiment traffic — which is
@@ -16,14 +17,14 @@ responsiveness numbers.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.net.node import NetNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
-__all__ = ["TrafficFlow", "TrafficGenerator", "TRAFFIC_PORT", "TRAFFIC_FLOW_LABEL"]
+__all__ = ["TrafficFlow", "TRAFFIC_PORT", "TRAFFIC_FLOW_LABEL"]
 
 #: Destination port for generated load; nodes need no binding — unclaimed
 #: datagrams are dropped at the destination, having already loaded the path.
@@ -115,57 +116,3 @@ class TrafficFlow:
             )
             seq += 1
             self.sent_packets += 1
-
-
-class TrafficGenerator:
-    """Manages a set of bidirectional CBR pairs.
-
-    One generator instance lives per experiment; the environment
-    manipulation process starts and stops it and re-rolls the pairs each
-    run (the ``switch amount`` parameter of Sec. IV-D2).
-    """
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self._flows: List[TrafficFlow] = []
-        self._pairs: List[Tuple[NetNode, NetNode]] = []
-
-    @property
-    def running(self) -> bool:
-        return any(flow.running for flow in self._flows)
-
-    def configure(
-        self,
-        pairs: List[Tuple[NetNode, NetNode]],
-        rate_kbps: float,
-        rng: random.Random,
-        packet_size: int = 512,
-    ) -> None:
-        """Replace the pair set; stops any previously running flows."""
-        self.stop()
-        self._pairs = list(pairs)
-        self._flows = []
-        for a, b in self._pairs:
-            # "Each pair bidirectionally communicates at a given data rate".
-            self._flows.append(
-                TrafficFlow(self.sim, a, b, rate_kbps, rng, packet_size=packet_size)
-            )
-            self._flows.append(
-                TrafficFlow(self.sim, b, a, rate_kbps, rng, packet_size=packet_size)
-            )
-
-    def start(self) -> None:
-        for flow in self._flows:
-            flow.start()
-
-    def stop(self) -> None:
-        for flow in self._flows:
-            flow.stop()
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "pairs": len(self._pairs),
-            "flows": len(self._flows),
-            "sent_packets": sum(f.sent_packets for f in self._flows),
-        }
-

@@ -153,7 +153,7 @@ def test_standby_takes_over_after_leader_death(local_reference, tmp_path):
     died_at = time.monotonic()
 
     # Takeover within the (election) lease TTL plus the standby's poll.
-    ledger = ElectionLedger(campaign_dir, ttl=1.0)
+    ledger = ElectionLedger(CampaignJournal(campaign_dir), ttl=1.0)
     deadline = died_at + 1.0 + 2.0
     while time.monotonic() < deadline:
         record = ledger.leader()

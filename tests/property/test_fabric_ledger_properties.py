@@ -59,14 +59,14 @@ class Model:
         return self.now[0]
 
     # -- the crash hook ------------------------------------------------
-    def append(self, log, records):
+    def append(self, log, records, fence=None):
         records = list(records)
         if self.crash_at is not None:
             self.crash_at -= 1
             if self.crash_at == 0:
                 self.crash_at = None
                 raise SimulatedCrash()
-        APPEND(log, records, sync=False)  # a simulated crash needs no fsync
+        APPEND(log, records, sync=False, fence=fence)  # a simulated crash needs no fsync
         self.appends += len(records)
 
     # -- coordinator lifecycle -----------------------------------------
@@ -194,7 +194,9 @@ def test_exactly_once_commits_and_prefix_replay(ops, crash_at, tmp_path_factory)
     model = Model(root)
     journal = CampaignJournal(root)
     with mock.patch.object(
-        DurableLog, "append", lambda log, records, sync=True: model.append(log, records)
+        DurableLog,
+        "append",
+        lambda log, records, sync=True, fence=None: model.append(log, records, fence),
     ), mock.patch(
         "repro.campaign.merge.shard_has_run", lambda _path, run_id: run_id in model.shard
     ):

@@ -1,4 +1,5 @@
-"""Unit tests for the coordinator's completion wait: a wake-up, not a poll."""
+"""Unit tests for the coordinator: its completion wait is a wake-up, not a
+poll, and a deposed leader cannot write one journal entry."""
 
 import json
 import threading
@@ -6,9 +7,10 @@ import time
 
 import pytest
 
+from repro.campaign.journal import CampaignJournal
 from repro.fabric import coordinator as coordinator_module
 from repro.fabric.coordinator import FabricCoordinator
-from repro.fabric.election import LeadershipLost
+from repro.fabric.election import ElectionLedger, LeadershipLost
 from repro.sd.processlib import build_two_party_description
 
 #: Without a wake-up the waiter would sit this long: far beyond every bound
@@ -109,3 +111,61 @@ def test_the_status_rpc_reports_the_fleet_over_the_wire(coordinator, capsys):
     assert election["leader_live"]
     assert election["epoch"] == coordinator.epoch
     assert election["leader_endpoint"] == coordinator.address
+
+
+class FakeClock:
+    def __init__(self, now=1000.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+
+@pytest.fixture
+def stale_leader(tmp_path):
+    """Coordinator A holds epoch 1 with one lease out; a rival then
+    force-claims epoch 2, and A has not noticed (its renewal has not run)."""
+    clock = FakeClock()
+    desc = build_two_party_description(name="stale", seed=7, replications=4, env_count=1)
+    with FabricCoordinator(desc, tmp_path, batch_size=2, lease_ttl=5.0, clock=clock) as coord:
+        coord._rpc_register("w0", 2)
+        lease = json.loads(coord._rpc_lease("w0", 2, coord.epoch))
+        assert [run["run_id"] for run in lease["runs"]] == [0, 1]
+        rival = ElectionLedger(CampaignJournal(tmp_path), clock=clock)
+        assert rival.campaign("rival", "127.0.0.1:1", force=True) == 2
+        assert coord.deposed is None and coord.epoch == 1
+        entries = CampaignJournal(tmp_path).entries()
+        assert entries[-1]["type"] == "leader_claim"
+        yield coord, lease["lease_id"], clock
+        assert CampaignJournal(tmp_path).entries() == entries
+        assert coord.deposed == "deposed"
+
+
+def test_a_stale_leaders_failed_ack_journals_nothing(stale_leader):
+    coord, lease_id, _clock = stale_leader
+    reply = coord._rpc_ack("w0", lease_id, 0, False, "", "boom", coord.epoch)
+    assert json.loads(reply) == {"status": "not_leader"}
+
+
+def test_a_stale_leaders_committing_ack_journals_nothing(stale_leader):
+    coord, lease_id, _clock = stale_leader
+    assert _ack(coord, lease_id, 0) == "not_leader"
+
+
+def test_a_stale_leader_grants_no_lease(stale_leader):
+    coord, _lease_id, _clock = stale_leader
+    reply = json.loads(coord._rpc_lease("w1", 2, coord.epoch))
+    assert reply["not_leader"] and reply["lease_id"] is None and reply["runs"] == []
+
+
+def test_a_stale_leaders_sweep_journals_no_expiry(stale_leader):
+    coord, _lease_id, clock = stale_leader
+    clock.now += 6.0  # past the lease TTL: the sweep would expire it
+    with pytest.raises(LeadershipLost, match="epoch 1 is superseded"):
+        coord.finished()
+
+
+def test_a_stale_leader_quarantines_nobody(stale_leader):
+    coord, _lease_id, _clock = stale_leader
+    reply = json.loads(coord._rpc_quarantine("w0", "operator"))
+    assert reply == {"requeued": [], "not_leader": True}

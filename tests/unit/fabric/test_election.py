@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.campaign.journal import CampaignJournal
 from repro.core.errors import CampaignError
 from repro.durable import DurableLog
 from repro.fabric.election import ElectionLedger, LeadershipLost
@@ -27,13 +28,12 @@ def clock():
 
 @pytest.fixture()
 def ledger(tmp_path, clock):
-    return ElectionLedger(tmp_path, ttl=10.0, clock=clock)
+    return ElectionLedger(CampaignJournal(tmp_path), ttl=10.0, clock=clock)
 
 
 def test_fresh_directory_is_claimable(ledger):
     assert ledger.current() is None
     assert ledger.leader() is None
-    assert ledger.epoch() == 0
     assert ledger.campaign("c1", "127.0.0.1:9001") == 1
     record = ledger.current()
     assert record.leader_id == "c1"
@@ -44,7 +44,7 @@ def test_fresh_directory_is_claimable(ledger):
 def test_live_lease_refuses_a_polite_claim(ledger):
     assert ledger.campaign("c1", "a:1") == 1
     assert ledger.campaign("c2", "b:2") is None  # polite: lease is live
-    assert ledger.epoch() == 1
+    assert ledger.current().epoch == 1
 
 
 def test_force_takeover_bumps_epoch_over_live_lease(ledger):
@@ -81,41 +81,49 @@ def test_release_makes_lease_immediately_claimable(ledger):
     assert ledger.campaign("c2", "b:2") == 2  # no TTL wait
 
 
-def test_fenced_runs_callable_only_at_current_epoch(ledger):
-    ledger.campaign("c1", "a:1")
-    ran = []
-    ledger.fenced(1, lambda: ran.append(1))
-    assert ran == [1]
-    ledger.campaign("c2", "b:2", force=True)
-    with pytest.raises(LeadershipLost):
-        ledger.fenced(1, lambda: ran.append(2))
-    assert ran == [1]  # the stale leader's write never happened
+def test_fenced_runs_callable_only_at_current_epoch(ledger, tmp_path, clock):
+    """A journal whose fence holds epoch 1 writes until a rival's claim of
+    epoch 2 is on file, then refuses before anything is written."""
+    assert ledger.campaign("c1", "a:1") == 1
+    journal = ledger.journal
+    journal.fence = ledger.fence(1)
+    journal.record_worker_registered("w0", 1)
+    rival = ElectionLedger(CampaignJournal(tmp_path), ttl=10.0, clock=clock)
+    assert rival.campaign("c2", "b:2", force=True) == 2
+    entries = journal.entries()
+    with pytest.raises(LeadershipLost, match="epoch 1 is superseded"):
+        journal.record_worker_registered("w1", 1)
+    assert journal.entries() == entries  # the stale leader's write never happened
+    assert [e["type"] for e in entries] == ["leader_claim", "worker_registered", "leader_claim"]
 
 
 def test_fenced_refuses_after_release(ledger):
     ledger.campaign("c1", "a:1")
     ledger.release(1, "complete")
-    with pytest.raises(LeadershipLost):
-        ledger.fenced(1, lambda: None)
+    ledger.journal.fence = ledger.fence(1)
+    with pytest.raises(LeadershipLost, match="released"):
+        ledger.journal.record_complete()
 
 
 def test_stale_writer_records_are_fenced_at_replay(ledger, tmp_path):
     """Appends from a deposed leader (same epoch, written after a rival's
-    claim) do not corrupt the replayed view — highest claim wins."""
+    claim) do not corrupt the folded view — the latest claim wins."""
     ledger.campaign("c1", "a:1")
     ledger.campaign("c2", "b:2", force=True)
     # Simulate the deposed c1 appending a renew for its old epoch by hand
-    # (it could only do this by bypassing the flock — a torn write).
-    DurableLog(ledger.path).append([{"op": "renew", "epoch": 1, "expires_at": 9e9}])
-    record = ledger.current()
-    assert (record.epoch, record.leader_id) == (2, "c2")
+    # (it could only do this by bypassing the fence).
+    stray = {"type": "leader_renew", "epoch": 1, "expires_at": 9e9}
+    DurableLog(ledger.journal.path).append([stray])
+    for view in (ledger, ElectionLedger(CampaignJournal(tmp_path))):
+        record = view.current()
+        assert (record.epoch, record.leader_id, record.renewals) == (2, "c2", 0)
 
 
 def test_concurrent_claims_yield_exactly_one_winner(tmp_path, clock):
     winners = []
 
     def claim(name):
-        lg = ElectionLedger(tmp_path, ttl=10.0, clock=clock)
+        lg = ElectionLedger(CampaignJournal(tmp_path), ttl=10.0, clock=clock)
         epoch = lg.campaign(name, f"{name}:1")
         if epoch is not None:
             winners.append((name, epoch))
@@ -175,4 +183,4 @@ def test_summary_reports_lapsed_leader_not_live(ledger, clock):
 
 def test_bad_ttl_rejected(tmp_path):
     with pytest.raises(CampaignError):
-        ElectionLedger(tmp_path, ttl=0.0)
+        ElectionLedger(CampaignJournal(tmp_path), ttl=0.0)

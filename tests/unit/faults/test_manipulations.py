@@ -104,6 +104,13 @@ def test_traffic_start_and_stop(env_setup):
                                                    "choice": 0, "random_seed": 1}, ctx))
     assert events[0][0] == "env_traffic_started"
     assert len(ctrl.last_pairs) == 2
+    # "Each pair bidirectionally communicates at a given data rate": one
+    # flow per direction of every selected pair, and no other flow.
+    flows = [flow for nm in managers.values() for flow in nm._flows]
+    assert sorted((f.src.name, f.dst.name) for f in flows) == sorted(
+        (src, dst) for a, b in ctrl.last_pairs for src, dst in ((a, b), (b, a))
+    )
+    assert {f.rate_kbps for f in flows} == {100.0}
     sim.run(until=sim.now + 1.0)
     total = sum(
         len(nm.node.capture.filter(flow="generated-load"))

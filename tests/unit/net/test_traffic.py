@@ -5,11 +5,11 @@ import random
 import pytest
 
 from repro.faults.manipulations import select_traffic_pairs
+from repro.net.interface import Direction
 from repro.net.traffic import (
     TRAFFIC_FLOW_LABEL,
     TRAFFIC_PORT,
     TrafficFlow,
-    TrafficGenerator,
 )
 
 
@@ -65,28 +65,28 @@ def test_invalid_rate_rejected(pair_net):
 
 
 def test_generator_bidirectional_flows(grid_net):
+    # "Each pair bidirectionally communicates at a given data rate": one
+    # flow per direction of every pair, and load arrives at both ends.
     sim, topo, medium, nodes = grid_net
-    gen = TrafficGenerator(sim)
     pairs = [(nodes["n0"], nodes["n8"]), (nodes["n2"], nodes["n6"])]
-    gen.configure(pairs, rate_kbps=50.0, rng=random.Random(2))
-    assert gen.stats()["flows"] == 4  # two per pair, one per direction
-    gen.start()
-    assert gen.running
+    flows = [
+        TrafficFlow(sim, src, dst, rate_kbps=50.0, rng=random.Random(2))
+        for a, b in pairs
+        for src, dst in ((a, b), (b, a))
+    ]
+    assert len(flows) == 4  # two per pair, one per direction
+    for flow in flows:
+        flow.start()
+    assert all(flow.running for flow in flows)
     sim.run(until=2.0)
-    gen.stop()
-    assert not gen.running
-    assert gen.stats()["sent_packets"] > 0
-    assert gen.stats()["pairs"] == 2
-
-
-def test_generator_reconfigure_stops_old_flows(grid_net):
-    sim, topo, medium, nodes = grid_net
-    gen = TrafficGenerator(sim)
-    gen.configure([(nodes["n0"], nodes["n1"])], 50.0, random.Random(1))
-    gen.start()
-    sim.run(until=1.0)
-    gen.configure([(nodes["n2"], nodes["n3"])], 50.0, random.Random(1))
-    assert not gen.running  # reconfigure stops, caller restarts
+    for flow in flows:
+        flow.stop()
+    assert not any(flow.running for flow in flows)
+    assert all(flow.sent_packets > 0 for flow in flows)
+    for a, b in pairs:
+        for node in (a, b):
+            rx = node.capture.filter(direction=Direction.RX, flow=TRAFFIC_FLOW_LABEL)
+            assert any(r["dport"] == TRAFFIC_PORT for r in rx)
 
 
 def test_choose_pairs_distinct_and_deterministic(grid_net):

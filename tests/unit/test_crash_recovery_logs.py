@@ -49,12 +49,14 @@ class _Campaign(_Case):
 
 
 class _Election(_Case):
+    """Leadership claims, journaled into the campaign journal."""
+
     def __init__(self, root):
         super().__init__(root)
-        self.path = root / "election.jsonl"
+        self.path = root / "campaign.jsonl"
 
     def _ledger(self):
-        return ElectionLedger(self.root, ttl=10.0, clock=lambda: 1000.0)
+        return ElectionLedger(CampaignJournal(self.root), ttl=10.0, clock=lambda: 1000.0)
 
     def write(self, i):
         assert self._ledger().campaign(f"c{i}", f"host:{i}", force=True) is not None

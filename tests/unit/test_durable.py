@@ -1,19 +1,19 @@
 """The durable-log primitive, tested once and hard: truncation at every
 offset and a bit flip in every byte against an independent oracle, the
-torn-tail repair, the counter, and the whole-file helpers."""
+torn-tail repair, the follow cursor and the append fence, the counter, and
+the whole-file helpers."""
 
 import json
 import os
 import sys
 import threading
-import time
 import zlib
 
 import pytest
 
 from repro import durable
 from repro.core.errors import StorageError
-from repro.durable import DurableLog, frame, locked, replace_file, sync_file
+from repro.durable import DurableLog, frame, replace_file, sync_file
 from repro.obs.metrics import MetricsRegistry, set_registry
 
 EXTRA = {"type": "extra", "n": -1}
@@ -209,23 +209,81 @@ def test_concurrent_appenders_lose_nothing(tmp_path):
         assert [rec["n"] for rec in records if rec["w"] == w] == list(range(40))
 
 
-def test_locked_scope_excludes_other_holders(tmp_path):
-    lock_path = tmp_path / "dir" / "election.lock"
-    inside, order = threading.Event(), []
+def test_follow_never_consumes_a_torn_tail_and_reads_what_replaces_it(tmp_path):
+    log, seen = DurableLog(tmp_path / "log.jsonl"), []
+    log.append([{"n": 0}, {"n": 1}])
+    log.follow(seen.extend)
+    assert seen == [{"n": 0}, {"n": 1}]
+    log.append([{"n": 2}])
+    log.path.write_bytes(log.path.read_bytes()[:-10])  # the crash tore record 2
+    log.follow(seen.extend)
+    log.follow(seen.extend)
+    assert seen == [{"n": 0}, {"n": 1}]
+    DurableLog(log.path).append([{"n": 3}])  # another writer cuts the fragment
+    log.follow(seen.extend)
+    assert seen == [{"n": 0}, {"n": 1}, {"n": 3}]
 
-    def rival():
-        inside.wait(timeout=10.0)
-        with locked(lock_path):
-            order.append("rival")
 
-    thread = threading.Thread(target=rival)
-    thread.start()
-    with locked(lock_path):
-        inside.set()
-        time.sleep(0.1)
-        order.append("holder")
-    thread.join(timeout=10.0)
-    assert not thread.is_alive() and order == ["holder", "rival"]
+def test_follow_reads_an_unterminated_intact_line_once(tmp_path):
+    log, seen = DurableLog(tmp_path / "log.jsonl"), []
+    log.append([{"n": 0}, {"n": 1}])
+    log.path.write_bytes(log.path.read_bytes()[:-1])  # the cut took only the newline
+    log.follow(seen.extend)
+    assert seen == [{"n": 0}, {"n": 1}]
+    log.append([{"n": 2}])
+    log.follow(seen.extend)
+    assert seen == [{"n": 0}, {"n": 1}, {"n": 2}]
+    assert log.path.read_bytes().count(b"\n") == 3
+
+
+def test_follow_refuses_damage_before_the_tail(tmp_path):
+    log, seen = DurableLog(tmp_path / "log.jsonl"), []
+    log.append([{"n": 0}])
+    log.follow(seen.extend)
+    log.append([{"n": 1}, {"n": 2}])
+    data = bytearray(log.path.read_bytes())
+    data[data.index(b'"n": 1') + 5] ^= 0x01
+    log.path.write_bytes(bytes(data))
+    with pytest.raises(StorageError, match="corrupt record .*line 1 after byte"):
+        log.follow(seen.extend)
+    with pytest.raises(StorageError, match="corrupt record .*line 2:"):
+        list(log.replay())
+    assert seen == [{"n": 0}]
+
+
+def test_a_fenced_append_decodes_only_the_records_past_its_cursor(tmp_path, monkeypatch):
+    path = tmp_path / "log.jsonl"
+    writer, reader, seen = DurableLog(path), DurableLog(path), []
+    writer.append([{"n": i} for i in range(100)])
+    reader.follow(seen.extend)
+    decoded = []
+    real_decode = durable.decode_record
+    monkeypatch.setattr(
+        durable, "decode_record", lambda body: decoded.append(body) or real_decode(body)
+    )
+    writer.append([{"n": 100}, {"n": 101}])
+    reader.append([{"n": 102}], fence=seen.extend)
+    assert len(decoded) == 2 and seen[100:] == [{"n": 100}, {"n": 101}]
+    # The reader's own record is read back once, by its next fenced append.
+    reader.append([{"n": 103}], fence=seen.extend)
+    assert len(decoded) == 3 and seen[102:] == [{"n": 102}]
+    assert len(seen) == 103 and [rec["n"] for rec in reader.replay()] == list(range(104))
+
+
+def test_a_fence_refuses_before_writing_and_may_complete_the_records(tmp_path):
+    log = DurableLog(tmp_path / "log.jsonl")
+    log.append([{"n": 0}])
+    before = log.path.read_bytes()
+
+    def refuse(entries):
+        raise LookupError(f"{len(entries)} entries say no")
+
+    with pytest.raises(LookupError, match="1 entries say no"):
+        log.append([{"n": 1}], fence=refuse)
+    assert log.path.read_bytes() == before
+    claim = {"type": "claim"}
+    log.append([claim], fence=lambda entries: claim.update(after=len(entries)))
+    assert list(log.replay()) == [{"n": 0}, {"type": "claim", "after": 0}]
 
 
 def test_replace_file_is_atomic_and_synced(tmp_path, monkeypatch):

@@ -154,9 +154,10 @@ def wait_first_commit(address, deadline):
 
 def wait_takeover(work, killed_at, budget, failures):
     """Wait for a claim at epoch 2; enforce the lease-TTL takeover bound."""
+    from repro.campaign.journal import CampaignJournal
     from repro.fabric.election import ElectionLedger
 
-    ledger = ElectionLedger(work / "fleet.campaign", ttl=ELECTION_TTL)
+    ledger = ElectionLedger(CampaignJournal(work / "fleet.campaign"), ttl=ELECTION_TTL)
     deadline = killed_at + budget
     while time.monotonic() < deadline:
         record = ledger.leader()
