@@ -17,7 +17,8 @@ one dataset per (description, seed) whichever of them ran it:
   and bit-identical regardless of worker count or completion order;
 * :mod:`repro.campaign.journal` — the write-ahead JSONL journal (Sec.
   VII's recovery), so a crashed campaign resumes exactly the
-  aborted/unstarted runs;
+  aborted/unstarted runs, read through its one fold
+  (:mod:`repro.campaign.state`);
 * :mod:`repro.campaign.merge` — per-worker level-3 SQLite shards merged
   deterministically (ordered by run id, never by completion time) into
   the single experiment database of Table I.

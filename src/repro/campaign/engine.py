@@ -182,7 +182,7 @@ class CampaignEngine:
                             custom_treatments=session.custom_treatments,
                             config=self.config,
                             realtime_factor=self.realtime_factor,
-                            control_faults=session.dispatch(ticket, label, None),
+                            control_faults=session.dispatch([ticket], label, None)[0],
                         )
                         if tracer.enabled:
                             dispatch_started[ticket.run_id] = tracer.clock()

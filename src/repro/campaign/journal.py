@@ -11,10 +11,10 @@ root, and each entry names the shard a run's rows live in:
     Appended once per execution session (a resume appends another).
 ``run_start``
     run id, worker label and the fleet ``lease_id`` the run was granted
-    under (``null`` on a local campaign).  A restarted coordinator folds
-    these into its open leases (:meth:`repro.fabric.leases.LeaseStore.restore`);
-    a local session's dangling entries mean nothing, their runs are
-    simply re-executed.
+    under (``null`` on a local campaign), one append per lease.  A
+    restarted coordinator seeds its open leases from their fold; a local
+    session's dangling entries mean nothing, their runs are simply
+    re-executed.
 ``run_complete``
     ``{run_id, worker, shard[, epoch]}``: the shard database relative to
     the campaign root, plus the committing coordinator's epoch on fleet
@@ -38,14 +38,18 @@ root, and each entry names the shard a run's rows live in:
 ``campaign_complete``
     all runs staged; only merging can remain.
 ``leader_claim`` / ``leader_renew`` / ``leader_release``
-    a fleet campaign's leadership lease, folded by
-    :class:`repro.fabric.election.ElectionLedger` (DESIGN.md §16).
+    a fleet campaign's leadership lease (DESIGN.md §16).
+
+One reducer interprets them, :class:`~repro.campaign.state.CampaignState`;
+every reader of a journal object shares its one instance, advanced from
+the byte cursor (:meth:`CampaignJournal.follow`).
 
 The file is a :class:`repro.durable.DurableLog` and every append is
 synced: a crash never loses an acknowledged run, it only re-executes work
 in flight — and because runs are deterministic, re-execution converges to
 byte-identical data.  A fleet coordinator sets a :attr:`~CampaignJournal.fence`
-that checks its leadership under the file's lock; a local campaign sets none.
+that checks its leadership against the state, brought up to date under
+the file's lock; a local campaign sets none.
 """
 
 from __future__ import annotations
@@ -53,36 +57,17 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.campaign.state import CampaignState
 from repro.core.errors import RecoveryError
 from repro.durable import DurableLog
 
-__all__ = ["CampaignJournal", "check_start_compatibility"]
+__all__ = ["CampaignJournal"]
 
 JOURNAL_NAME = "campaign.jsonl"
 
-#: A fold that may refuse the append it guards (:meth:`DurableLog.append`).
-Fence = Callable[[List[Dict[str, Any]]], Any]
-
-
-def check_start_compatibility(start: Dict[str, Any], description, total_runs: int) -> None:
-    """Refuse resuming against a changed experiment.
-
-    *start* is the journal's first ``campaign_start`` entry (fingerprint,
-    seed, total_runs); a resume that would silently mix two different
-    experiments is a :class:`RecoveryError`.
-    """
-    fingerprint = description.fingerprint()
-    if start["fingerprint"] != fingerprint:
-        raise RecoveryError(
-            "description changed since the aborted execution "
-            f"(journal {start['fingerprint'][:12]}..., now {fingerprint[:12]}...)"
-        )
-    if start["seed"] != description.seed:
-        raise RecoveryError(
-            f"seed changed since the aborted execution ({start['seed']} -> {description.seed})"
-        )
-    if start["total_runs"] != total_runs:
-        raise RecoveryError(f"plan size changed ({start['total_runs']} -> {total_runs})")
+#: A view of the folded state, run under the append's lock; it may refuse
+#: the append it guards by raising (:meth:`DurableLog.append`).
+Fence = Callable[[CampaignState], Any]
 
 
 class CampaignJournal:
@@ -92,14 +77,19 @@ class CampaignJournal:
         self.root = Path(campaign_dir)
         self.path = self.root / JOURNAL_NAME
         self._log = DurableLog(self.path)
+        self._state = CampaignState()
         #: The fence every append passes first (a fleet coordinator's).
         self.fence: Optional[Fence] = None
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def _append(self, record: Dict[str, Any], fence: Optional[Fence] = None) -> None:
-        self._log.append([record], fence=fence or self.fence)
+    def _append(self, *records: Dict[str, Any], fence: Optional[Fence] = None) -> None:
+        fence = fence or self.fence
+        if fence is None:
+            self._log.append(records)
+        else:
+            self._log.append(records, fence=lambda entries: fence(self._state.apply(entries)))
 
     def record_start(
         self,
@@ -109,7 +99,7 @@ class CampaignJournal:
         plan_fingerprint: str,
     ) -> int:
         """Append a session-start entry; returns this session's index."""
-        session = self.session_count()
+        session = len(self.state().starts)
         self._append(
             {
                 "type": "campaign_start",
@@ -122,10 +112,14 @@ class CampaignJournal:
         )
         return session
 
-    def record_run_start(self, run_id: int, worker: str, lease_id: Optional[str]) -> None:
-        """*lease_id* is ``None`` on a local campaign."""
+    def record_run_start(self, run_ids: List[int], worker: str, lease_id: Optional[str]) -> None:
+        """One entry per run of a batch, in one append (one fsync per
+        grant); *lease_id* is ``None`` on a local campaign."""
         self._append(
-            {"type": "run_start", "run_id": run_id, "worker": worker, "lease_id": lease_id},
+            *(
+                {"type": "run_start", "run_id": run_id, "worker": worker, "lease_id": lease_id}
+                for run_id in run_ids
+            ),
         )
 
     def record_run_complete(
@@ -206,68 +200,32 @@ class CampaignJournal:
     def record_leader_claim(self, leader_id: str, endpoint: str, fence: Fence) -> Dict[str, Any]:
         """*fence* returns the claim's epoch and times under the lock."""
         entry = {"type": "leader_claim", "leader_id": leader_id, "endpoint": endpoint}
-        self._append(entry, lambda entries: entry.update(fence(entries)))
+        self._append(entry, fence=lambda state: entry.update(fence(state)))
         return entry
 
     def record_leader_renew(self, epoch: int, expires_at: float, fence: Fence) -> None:
-        self._append({"type": "leader_renew", "epoch": epoch, "expires_at": expires_at}, fence)
+        self._append(
+            {"type": "leader_renew", "epoch": epoch, "expires_at": expires_at}, fence=fence
+        )
 
     def record_leader_release(self, epoch: int, reason: str, fence: Fence) -> None:
-        self._append({"type": "leader_release", "epoch": epoch, "reason": reason}, fence)
-
-    def follow(self, fold: Fence) -> None:
-        """:meth:`DurableLog.follow` over this journal's own cursor."""
-        self._log.follow(fold)
+        self._append({"type": "leader_release", "epoch": epoch, "reason": reason}, fence=fence)
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
+    def follow(self, view: Fence) -> Any:
+        """Apply what the file gained since the last follow to the state
+        and return *view* of it, both under the follow lock (the only
+        place the state changes)."""
+        return self._log.follow(lambda entries: view(self._state.apply(entries)))
+
+    def state(self) -> CampaignState:
+        """The journal folded up to its current end (DESIGN.md §18)."""
+        return self.follow(lambda state: state)
+
     def entries(self) -> List[Dict[str, Any]]:
         return list(self._log.replay())
-
-    def _latest(self, kind: str) -> Dict[int, Dict[str, Any]]:
-        return {e["run_id"]: e for e in self.entries() if e["type"] == kind}
-
-    def started(self) -> bool:
-        return any(e["type"] == "campaign_start" for e in self.entries())
-
-    def finished(self) -> bool:
-        return any(e["type"] == "campaign_complete" for e in self.entries())
-
-    def session_count(self) -> int:
-        return sum(1 for e in self.entries() if e["type"] == "campaign_start")
-
-    def start_entry(self) -> Optional[Dict[str, Any]]:
-        for e in self.entries():
-            if e["type"] == "campaign_start":
-                return e
-        return None
-
-    def completed(self) -> Dict[int, Dict[str, Any]]:
-        """``{run_id: latest run_complete entry}`` — the merge source map.
-
-        The *latest* entry wins: if a run was re-executed (journal lagged
-        a shard commit across a crash), its newest shard is authoritative
-        and older copies are ignored by the merge.
-        """
-        return self._latest("run_complete")
-
-    def failure_reasons(self) -> Dict[int, Dict[str, Any]]:
-        """``{run_id: latest run_failed entry}`` — abort-reason source.
-
-        Includes runs that later completed (their earlier attempt's
-        failure is exactly what ``AbortReason`` documents); callers
-        intersect with :meth:`completed` as needed.
-        """
-        return self._latest("run_failed")
-
-    def quarantined_nodes(self) -> List[str]:
-        return sorted(
-            {e["node_id"] for e in self.entries() if e["type"] == "node_quarantined"},
-        )
-
-    def quarantined_workers(self) -> List[str]:
-        return sorted({e["worker_id"] for e in self.entries() if e["type"] == "worker_quarantined"})
 
     # ------------------------------------------------------------------
     # Resume protocol
@@ -281,20 +239,36 @@ class CampaignJournal:
         """Validate compatibility; return the staged-run source map.
 
         Refuses a missing start, a completed campaign, a changed
-        description (:func:`check_start_compatibility`) and a changed plan
-        (a campaign may execute a programmatic ``custom_treatments`` plan
-        the description fingerprint does not cover).  An entry is trusted
-        iff its shard holds the run's rows; the others are dropped so the
-        scheduler re-executes those runs.
+        description, seed or plan size (a resume must not silently mix
+        two experiments) and a changed plan (a campaign may execute a
+        programmatic ``custom_treatments`` plan the description
+        fingerprint does not cover).  An entry is trusted iff its shard
+        holds the run's rows; the others are dropped so the scheduler
+        re-executes those runs.
         """
-        start = self.start_entry()
-        if start is None:
+        # Copied under the follow lock: a fenced append may advance the
+        # state meanwhile (DESIGN.md §18).
+        starts, complete, completed = self.follow(
+            lambda state: (state.starts[:1], state.complete, dict(state.completed))
+        )
+        if not starts:
             raise RecoveryError(
                 "campaign journal has no campaign_start entry; nothing to resume",
             )
-        if self.finished():
+        if complete:
             raise RecoveryError("campaign already completed; nothing to resume")
-        check_start_compatibility(start, description, total_runs)
+        start, fingerprint = starts[0], description.fingerprint()
+        if start["fingerprint"] != fingerprint:
+            raise RecoveryError(
+                "description changed since the aborted execution "
+                f"(journal {start['fingerprint'][:12]}..., now {fingerprint[:12]}...)"
+            )
+        if start["seed"] != description.seed:
+            raise RecoveryError(
+                f"seed changed since the aborted execution ({start['seed']} -> {description.seed})"
+            )
+        if start["total_runs"] != total_runs:
+            raise RecoveryError(f"plan size changed ({start['total_runs']} -> {total_runs})")
         if start.get("plan_fingerprint") != plan_fingerprint:
             raise RecoveryError(
                 "treatment plan changed since the aborted campaign "
@@ -304,6 +278,6 @@ class CampaignJournal:
 
         return {
             run_id: entry
-            for run_id, entry in self.completed().items()
+            for run_id, entry in completed.items()
             if shard_has_run(self.root / entry["shard"], run_id)
         }

@@ -149,8 +149,6 @@ class CampaignSession:
         #: Runs earlier sessions staged: ``{run_id: run_complete entry}``.
         self.staged: Dict[int, Dict[str, Any]] = {}
         self.timed_out: List[int] = []
-        #: ``campaign_complete`` is journaled (by this session's seal).
-        self.sealed = False
         self._opened_at = 0.0
         #: This session's per-run facts, folded in by the settles.
         self.run_durations: List[float] = []
@@ -184,7 +182,7 @@ class CampaignSession:
             self.staged = self.journal.prepare_resume(desc, len(self.plan), plan_fp)
             if not (self.campaign_dir / SCOPE_NAME).exists():
                 self.staged.pop(self.plan[0].run_id, None)
-        elif self.journal.started():
+        elif self.journal.state().starts:
             raise RecoveryError(
                 "campaign directory already holds a journal; pass "
                 "resume=True or use a fresh directory",
@@ -209,22 +207,25 @@ class CampaignSession:
 
     # ------------------------------------------------------------------
     def dispatch(
-        self, ticket: RunTicket, worker: str, lease_id: Optional[str]
-    ) -> List[Dict[str, Any]]:
-        """Journal one ticket's hand-over to *worker* (under the fleet
-        lease *lease_id*, ``None`` for a local worker).
+        self, tickets: List[RunTicket], worker: str, lease_id: Optional[str]
+    ) -> List[List[Dict[str, Any]]]:
+        """Journal the hand-over of *tickets* to *worker* (under the fleet
+        lease *lease_id*, ``None`` for a local worker) in one append.
 
-        Returns the chaos entries surviving the attempt/session filter: a
-        retry past an entry's ``max_attempt`` (or a resume past its
-        ``sessions``) runs clean.
+        Returns, per ticket, the chaos entries surviving the
+        attempt/session filter: a retry past an entry's ``max_attempt``
+        (or a resume past its ``sessions``) runs clean.
         """
-        self.journal.record_run_start(ticket.run_id, worker, lease_id)
-        self._clock_worker(worker, +1)
-        return select_control_faults(
-            self.control_faults,
-            attempt=ticket.attempts,
-            session=self.index,
-        )
+        self.journal.record_run_start([t.run_id for t in tickets], worker, lease_id)
+        self._clock_worker(worker, +len(tickets))
+        return [
+            select_control_faults(
+                self.control_faults,
+                attempt=ticket.attempts,
+                session=self.index,
+            )
+            for ticket in tickets
+        ]
 
     def settle_ok(
         self,
@@ -400,13 +401,12 @@ class CampaignSession:
                 f"{self.max_attempts} attempt(s): {failed}; fix the cause and "
                 "resume the campaign",
             )
-        if not self.sealed:
+        if not self.journal.state().complete:
             self.journal.record_complete()
-            self.sealed = True
         if db_path is not None:
             runs = len(self.staged) + len(self.scheduler.done)
             self.note(f"merging {runs} runs into the experiment database")
-            result.db_path = merge_campaign(self.campaign_dir, db_path)
+            result.db_path = merge_campaign(self.journal, db_path)
             result.duration = time.monotonic() - self._opened_at
         return result
 
@@ -430,32 +430,35 @@ class CampaignSession:
 # ----------------------------------------------------------------------
 # Merging a sealed campaign
 # ----------------------------------------------------------------------
-def merge_campaign(campaign_dir, db_path) -> Path:
-    """Merge an already fully staged campaign into *db_path*.
+def merge_campaign(campaign, db_path) -> Path:
+    """Merge an already fully staged campaign — its directory, or the
+    :class:`CampaignJournal` a session holds open — into *db_path*.
 
     Useful when the campaign itself completed (journal says
     ``campaign_complete``) but the merge never ran or its output was
     deleted — merging is repeatable at any time from the shards and
-    ``scope.json`` alone; no staging store is read.
+    ``scope.json`` alone; no staging store is read.  The journal's run
+    maps are copied under its follow lock (DESIGN.md §18).
     """
-    campaign_dir = Path(campaign_dir)
-    journal = CampaignJournal(campaign_dir)
-    if not journal.finished():
+    journal = campaign if isinstance(campaign, CampaignJournal) else CampaignJournal(campaign)
+    complete, sources, failures = journal.follow(
+        lambda state: (state.complete, dict(state.completed), dict(state.failures))
+    )
+    if not complete:
         raise CampaignError(
             "campaign is not complete; execute (or resume) it before merging",
         )
-    sources = journal.completed()
     if not sources:
         raise CampaignError("journal holds no completed runs")
-    run_sources = {run_id: campaign_dir / entry["shard"] for run_id, entry in sources.items()}
-    merged = merge_shards(db_path, load_scope_payload(campaign_dir / SCOPE_NAME), run_sources)
+    run_sources = {run_id: journal.root / entry["shard"] for run_id, entry in sources.items()}
+    merged = merge_shards(db_path, load_scope_payload(journal.root / SCOPE_NAME), run_sources)
     # Earlier attempts' failures go into the merged RunInfos rows.  Only
     # runs that *did* complete are annotated — a run present in the
     # database with a non-NULL ``AbortReason`` is a retry survivor, not a
     # missing run.
     reasons = {
         run_id: entry["error"]
-        for run_id, entry in journal.failure_reasons().items()
+        for run_id, entry in failures.items()
         if run_id in sources
     }
     apply_abort_reasons(merged, reasons)

@@ -179,19 +179,22 @@ class DurableLog:
         (dropped, counted), a bad frame before it raises."""
         return (record for _end, record in self._read(0))
 
-    def follow(self, fold: Callable[[List[Dict[str, Any]]], None]) -> None:
+    def follow(self, fold: Callable[[List[Dict[str, Any]]], Any]) -> Any:
         """Hand *fold* the intact records past this reader's byte cursor,
-        in file order, and move the cursor past them: never past a torn
-        final line, once past an intact one lacking its newline.
-        Corruption raises as in :meth:`replay`.  One reader's calls are
-        serialized with their folds: a fold sees every record once."""
+        in file order, move the cursor past them and return what *fold*
+        returns: never past a torn final line, once past an intact one
+        lacking its newline.  A file no longer than the cursor is not
+        opened.  Corruption raises as in :meth:`replay`.  One reader's
+        calls are serialized with their folds: a fold sees every record
+        once."""
         with self._follow_lock:
             records = []
             end = self._cursor
-            for end, record in self._read(end):
-                records.append(record)
+            if self.path.exists() and self.path.stat().st_size > end:
+                for end, record in self._read(end):
+                    records.append(record)
             self._cursor = end
-            fold(records)
+            return fold(records)
 
     def _read(self, start: int) -> Iterator[Tuple[int, Dict[str, Any]]]:
         """``(end offset, record)`` per intact frame from byte *start* on,

@@ -7,8 +7,9 @@ the fabric RPC surface to a fleet of pull-based workers:
 ``register``   worker announces itself; gets the campaign bundle
                (description XML, treatments, platform config, batch
                cadence) so workers need zero local configuration.
-``lease``      pull a batch of runs as a TTL lease (each run journaled
-               as a ``run_start`` carrying the lease id).
+``lease``      pull a batch of runs as a TTL lease (the batch journaled
+               in one append, a ``run_start`` per run carrying the
+               lease id).
 ``renew``      extend a lease mid-batch.
 ``ack``        deliver one run's result (shipped level-3 rows) or its
                failure; the durable commit happens here, under the
@@ -29,7 +30,7 @@ pool drives — so every run commit is shard transaction → the session's
 ``settle_ok`` (shipped scope, if any, as ``scope.json`` → journal entry
 → scheduler), and every journal entry it writes passes its election
 fence (:meth:`ElectionLedger.fence`).  After a coordinator restart the
-same journal restores in-flight lease ownership, and its resume
+same journal's fold restores in-flight lease ownership, and its resume
 protocol re-queues exactly the runs whose shards lack them.
 Because runs are pure functions of (description, run id), the merged
 database of a restarted, re-leased, partially re-executed fleet campaign
@@ -373,13 +374,11 @@ class FabricCoordinator:
                     lease, batch = self.dispatcher.grant(worker_id, want)
                 if lease is None:
                     return _no_lease(done=self.session.scheduler.finished)
+                # The reply exists only after the batch's one journal append.
+                faults = self.session.dispatch(batch, worker_id, lease.lease_id)
                 runs = [
-                    {
-                        "run_id": ticket.run_id,
-                        "attempt": ticket.attempts,
-                        "control_faults": self.session.dispatch(ticket, worker_id, lease.lease_id),
-                    }
-                    for ticket in batch
+                    {"run_id": ticket.run_id, "attempt": ticket.attempts, "control_faults": chaos}
+                    for ticket, chaos in zip(batch, faults)
                 ]
             except LeadershipLost:
                 self._mark_deposed("deposed")
@@ -590,6 +589,6 @@ class FabricCoordinator:
             # ``campaign_complete`` ends the need for a leader, whatever
             # becomes of the merge: release so watching standbys exit
             # instead of waiting out the TTL.
-            if self.session.sealed:
+            if self.session.journal.state().complete:
                 self._renew_stop.set()
                 self.election.release(self.epoch, "complete")

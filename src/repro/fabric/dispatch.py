@@ -4,8 +4,8 @@ Sits between the campaign session (whose scheduler is the persistent run
 queue) and the fleet: workers *pull* batches, the dispatcher grants each
 pull as a lease, and every state change funnels through one object so
 the coordinator can serialize it under a single lock.  The lease table
-lives in memory; its durable story is the session's journal, which a
-restarted coordinator folds back into open leases (:meth:`restore`).
+lives in memory; its durable story is the session's journal, whose fold
+a restarted coordinator seeds its open leases from (:meth:`restore`).
 What a settled run means for the campaign — journal, retry ladder,
 report — is the session's (:mod:`repro.campaign.session`); the
 dispatcher decides only *whether* an ack settles anything.  The fleet's
@@ -67,8 +67,6 @@ class LeaseDispatcher:
         self.leases = leases
         self.batch_size = max(1, int(batch_size))
         self.clock = clock
-        #: lease id → {run_id: ticket} for in-flight (unacked) runs.
-        self._tickets: Dict[str, Dict[int, RunTicket]] = {}
         #: worker id → capacity, for every worker this session has seen.
         self.workers: Dict[str, int] = {}
         #: Workers the operator quarantined: never granted again.
@@ -128,7 +126,6 @@ class LeaseDispatcher:
         if not batch:
             return None, []
         lease = self.leases.grant(worker_id, [t.run_id for t in batch])
-        self._tickets[lease.lease_id] = {t.run_id: t for t in batch}
         self.leases_granted += 1
         get_registry().counter(
             "repro_fabric_leases_granted_total",
@@ -174,7 +171,6 @@ class LeaseDispatcher:
         commit()
         assert run_id in self.scheduler.done, "commit must end in session.settle_ok"
         self.leases.ack(lease_id, run_id)
-        self._tickets.get(lease_id, {}).pop(run_id, None)
         return "committed"
 
     def ack_failed(self, worker_id: str, lease_id: str, run_id: int, error: str) -> str:
@@ -186,18 +182,17 @@ class LeaseDispatcher:
         if self._settled(run_id):
             self.leases.ack(lease_id, run_id)
             return "duplicate"
-        if run_id not in self.scheduler.in_flight:
-            # The lease expired and the run was already released; this
-            # late failure report must not charge the fresh attempt.
-            self.leases.ack(lease_id, run_id)
+        lease = self.leases.get(lease_id)
+        if run_id not in self.scheduler.in_flight or not (
+            lease is not None and lease.active and run_id in lease.pending
+        ):
+            # The lease expired and the run was released, perhaps leased
+            # again: this late report must not charge the fresh attempt,
+            # nor ack the lease that holds the run now (nothing is
+            # journaled, so the fold keeps it open too).
             return "duplicate"
-        ticket = self._tickets.get(lease_id, {}).pop(run_id, None)
-        requeued = self.session.settle_failed(
-            run_id,
-            worker_id,
-            error,
-            ticket.attempts if ticket is not None else 1,
-        )
+        attempt = self.scheduler.in_flight[run_id].attempts
+        requeued = self.session.settle_failed(run_id, worker_id, error, attempt)
         self.leases.ack(lease_id, run_id)
         return "requeued" if requeued else "failed"
 
@@ -222,9 +217,7 @@ class LeaseDispatcher:
         closed = self.leases.close(lease.lease_id, reason)
         if closed is None or closed.closed != reason:
             return []
-        requeued = [run_id for run_id in lease.pending if self.scheduler.release(run_id)]
-        self._tickets.pop(lease.lease_id, None)
-        return requeued
+        return [run_id for run_id in lease.pending if self.scheduler.release(run_id)]
 
     def sweep(self, now: Optional[float] = None) -> List[str]:
         """Periodic housekeeping: reclaim every lease past its TTL.
@@ -266,8 +259,9 @@ class LeaseDispatcher:
             return []
         self.quarantined_workers.add(worker_id)
         requeued: List[int] = []
-        for lease in self.leases.for_worker(worker_id):
-            requeued.extend(self._reclaim(lease, "revoked"))
+        for lease in self.leases.active():
+            if lease.worker_id == worker_id:
+                requeued.extend(self._reclaim(lease, "revoked"))
         self.journal.record_worker_quarantined(worker_id, reason)
         self.session.note(f"worker {worker_id} QUARANTINED: {reason}", progress=True)
         return requeued
@@ -278,23 +272,20 @@ class LeaseDispatcher:
     def restore(self) -> int:
         """Rebuild lease state after a coordinator restart.
 
-        Folds the campaign journal (:meth:`LeaseStore.restore`): open
-        leases re-claim their unsettled runs out of the scheduler queue
-        (the original workers may still ack them), and a quarantined
-        worker stays quarantined.  Returns the number of restored open
-        leases.
+        Seeds the lease table from the journal's fold: open leases
+        re-claim their unsettled runs out of the scheduler queue (the
+        original workers may still ack them), and a quarantined worker
+        stays quarantined.  Returns the number of restored open leases.
         """
-        restored = self.leases.restore(self.journal.entries())
-        self.quarantined_workers.update(self.journal.quarantined_workers())
+
+        def seed(state) -> int:
+            self.quarantined_workers.update(state.quarantined_workers)
+            return self.leases.seed(state)
+
+        restored = self.journal.follow(seed)
         for lease in self.leases.active():
-            kept: Dict[int, RunTicket] = {}
             for run_id in lease.pending:
-                if self._settled(run_id):
-                    continue
-                ticket = self.scheduler.claim(run_id)
-                if ticket is not None:
-                    kept[run_id] = ticket
-            self._tickets[lease.lease_id] = kept
+                self.scheduler.claim(run_id)  # None: settled, nothing to re-claim
             self.workers.setdefault(lease.worker_id, 1)
         return restored
 

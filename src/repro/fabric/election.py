@@ -17,10 +17,12 @@ The lease lives in the campaign journal, as three entry types:
                     (``handoff``, ``complete``) — standbys may claim
                     immediately instead of waiting out the TTL.
 
-:class:`ElectionLedger` folds them incrementally, from its own byte
-cursor (:meth:`repro.durable.DurableLog.follow`).  The arbiter is the
-``flock`` every journal append already holds: a claim computes its epoch
-under it, and a leader's every write — renewal, release and, through the
+The journal's one fold (:class:`repro.campaign.state.CampaignState`)
+keeps the current :class:`LeaderRecord`; :class:`ElectionLedger` reads it
+and folds nothing itself.  The arbiter is the ``flock`` every journal
+append already holds: the journal brings its state up to date under it
+and hands the state to the append's fence, so a claim computes its epoch
+there, and a leader's every write — renewal, release and, through the
 fence the coordinator sets on its journal (:meth:`ElectionLedger.fence`),
 each entry it journals — is refused there with :class:`LeadershipLost`,
 before anything is written, once a newer epoch or a release is on file.
@@ -41,11 +43,11 @@ from __future__ import annotations
 import json
 import time
 from contextlib import suppress
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.campaign.journal import CampaignJournal, Fence
+from repro.campaign.state import CampaignState, LeaderRecord
 from repro.core.errors import CampaignError
 from repro.durable import replace_file
 from repro.obs.metrics import count_suppressed_error
@@ -74,29 +76,13 @@ class LeadershipLost(CampaignError):
         self.reason = reason
 
 
-@dataclass
-class LeaderRecord:
-    """The journal's view of one leadership epoch."""
-
-    epoch: int
-    leader_id: str
-    endpoint: str
-    claimed_at: float
-    expires_at: float
-    renewals: int = 0
-    released: Optional[str] = None  # release reason, None while held
-
-    def live(self, now: float) -> bool:
-        return self.released is None and now < self.expires_at
-
-
 def _slug(name: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in name) or "x"
 
 
 class ElectionLedger:
-    """The leadership lease folded from *journal* (a coordinator's session
-    journal, so its fence and its views share one cursor)."""
+    """The leadership lease as *journal*'s state holds it (a coordinator's
+    session journal, so its fence and its views share one fold)."""
 
     def __init__(
         self,
@@ -110,42 +96,13 @@ class ElectionLedger:
         self.root = journal.root
         self.ttl = float(ttl)
         self.clock = clock
-        self._record: Optional[LeaderRecord] = None
-        #: ``campaign_complete`` is on file: no campaign needs a leader.
-        self.complete = False
-
-    def _fold(self, entries: List[Dict[str, Any]]) -> None:
-        """Apply journal *entries*, in file order; the latest claim wins
-        and a renewal or release counts only for the epoch it names."""
-        for rec in entries:
-            kind = rec["type"]
-            if kind == "leader_claim":
-                self._record = LeaderRecord(
-                    epoch=int(rec["epoch"]),
-                    leader_id=rec["leader_id"],
-                    endpoint=rec["endpoint"],
-                    claimed_at=rec["claimed_at"],
-                    expires_at=rec["expires_at"],
-                )
-            elif kind == "campaign_complete":
-                self.complete = True
-            elif kind not in ("leader_renew", "leader_release"):
-                continue
-            elif self._record is None or int(rec["epoch"]) != self._record.epoch:
-                continue  # a stale writer's renew/release: fenced out
-            elif kind == "leader_renew":
-                self._record.expires_at = rec["expires_at"]
-                self._record.renewals += 1
-            else:
-                self._record.released = rec["reason"]
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     def current(self) -> Optional[LeaderRecord]:
         """The latest claim, with what happened to it since."""
-        self.journal.follow(self._fold)
-        return self._record
+        return self.journal.state().leader
 
     def leader(self, now: Optional[float] = None) -> Optional[LeaderRecord]:
         """The live leader, or ``None`` when the lease is claimable."""
@@ -157,13 +114,13 @@ class ElectionLedger:
     # Lease lifecycle
     # ------------------------------------------------------------------
     def fence(self, epoch: int) -> Fence:
-        """The fold that admits a journal append only while *epoch* holds
-        the lease: it raises :class:`LeadershipLost` once a higher epoch
-        or a release is on file."""
+        """The check that admits a journal append only while *epoch* holds
+        the lease: handed the journal's state, brought up to date under
+        the append's lock, it raises :class:`LeadershipLost` once a
+        higher epoch or a release is on file."""
 
-        def check(entries: List[Dict[str, Any]]) -> None:
-            self._fold(entries)
-            record = self._record
+        def check(state: CampaignState) -> None:
+            record = state.leader
             if record is None or record.epoch != epoch or record.released:
                 held = "released" if record and record.released else "superseded"
                 raise LeadershipLost(
@@ -189,10 +146,9 @@ class ElectionLedger:
         runs ``--resume`` asserts the old leader is gone.
         """
 
-        def check(entries: List[Dict[str, Any]]) -> Dict[str, Any]:
-            self._fold(entries)
+        def check(state: CampaignState) -> Dict[str, Any]:
             now = self.clock()
-            record = self._record
+            record = state.leader
             if record is not None and record.live(now) and not force:
                 raise LeadershipLost(f"{record.leader_id} holds epoch {record.epoch}")
             epoch = (0 if record is None else record.epoch) + 1
@@ -356,12 +312,12 @@ class StandbyCoordinator:
                         "without a takeover or campaign completion",
                     )
                 self.ledger.beacon(self.standby_id, endpoint)
-                record = self.ledger.leader()
-                if self.ledger.complete:
+                state = self.ledger.journal.state()
+                if state.complete:
                     self._note("campaign complete under another leader; exiting")
                     return None
-                if record is None:
-                    previous = self.ledger.current()
+                previous = state.leader
+                if previous is None or not previous.live(self.clock()):
                     why = (
                         "released " + previous.released
                         if previous is not None and previous.released
@@ -387,7 +343,7 @@ class StandbyCoordinator:
             self.campaign_dir,
             host=self.host,
             port=self.port,
-            resume=self.ledger.journal.started(),
+            resume=bool(self.ledger.journal.state().starts),
             leader_id=self.standby_id,
             election_ttl=self.election_ttl,
             takeover=False,  # polite claim: only a lapsed/released lease

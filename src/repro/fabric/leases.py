@@ -6,17 +6,16 @@ so only dead or wedged workers expire; acks retire its runs one by one;
 it closes ``complete`` (all runs resolved), ``expired`` (TTL ran out) or
 ``revoked`` (operator quarantine).  Close is idempotent and the first
 reason wins, which is what makes re-leasing *exactly once* — revoking or
-expiring an already-closed lease is a no-op.
+expiring an already-closed lease is a no-op.  An ack of run *r* also
+acks the active lease holding *r* — the lease that last granted it, the
+journal fold's rule.
 
-The table keeps no log of its own: the campaign journal
-(:mod:`repro.campaign.journal`) already holds every fact it needs.  Each
-granted run is a ``run_start`` entry carrying its lease id, each settle
-a ``run_complete`` / ``run_failed``, each re-queuing expiry a
-``lease_expired``, each revoke a ``worker_quarantined``.
-:meth:`LeaseStore.restore` folds those entries, which is what makes
-coordinator failover safe: a restarted coordinator honors in-flight
-leases (their workers may still ack) instead of blindly re-dispatching,
-and each restored lease gets one fresh TTL.
+The table keeps no log of its own: the campaign journal's fold
+(:class:`repro.campaign.state.CampaignState`, home of :class:`Lease`)
+rebuilds every lease, and a restarted coordinator seeds this table from
+it (:meth:`LeaseStore.seed`).  That is what makes failover safe: it
+honors in-flight leases (their workers may still ack) instead of blindly
+re-dispatching, and each restored lease gets one fresh TTL.
 
 Wall-clock timestamps are used deliberately: leases coordinate real
 processes, not simulated ones, and never influence run data (a lease
@@ -27,39 +26,16 @@ of description and run id).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Set
 
+from repro.campaign.state import CampaignState, Lease
 from repro.core.errors import CampaignError
 
 __all__ = ["Lease", "LeaseStore"]
 
 # No file has this name any more; benchmarks/e2e (frozen, ROADMAP 1(d)) counts its lines.
 LEASES_NAME = "leases.jsonl"
-
-
-@dataclass
-class Lease:
-    """One granted batch: which worker owns which runs until when."""
-
-    lease_id: str
-    worker_id: str
-    run_ids: Tuple[int, ...]
-    expires_at: float
-    acked: Set[int] = field(default_factory=set)
-    closed: Optional[str] = None  # close reason, None while active
-
-    @property
-    def active(self) -> bool:
-        return self.closed is None
-
-    @property
-    def pending(self) -> List[int]:
-        """Run ids granted but not yet resolved, in grant order."""
-        return [r for r in self.run_ids if r not in self.acked]
-
-    def expired(self, now: float) -> bool:
-        return self.active and now >= self.expires_at
 
 
 class LeaseStore:
@@ -77,35 +53,21 @@ class LeaseStore:
     def fence(self) -> None:
         pass
 
-    def restore(self, entries: Iterable[Dict[str, Any]]) -> int:
-        """Fold campaign-journal *entries*, in file order, into the table
-        (coordinator restart); returns the number of open leases.
+    def seed(self, state: CampaignState) -> int:
+        """Replace the table with copies of the leases folded from the
+        campaign journal (coordinator restart); returns the number of
+        open leases.  Call it inside the journal's ``follow``, where the
+        fold cannot change under the copy.
 
         Every open lease gets a fresh TTL, so a live worker has time to
         re-establish its renewal cadence before the first sweep.
         """
-        self._leases.clear()
-        self._seq = 0
         expires_at = self.clock() + self.ttl
-        latest: Dict[int, Lease] = {}  # run id -> the last lease granting it
-        for entry in entries:
-            kind = entry["type"]
-            if kind == "run_start" and entry.get("lease_id"):
-                lease_id = entry["lease_id"]
-                lease = self._leases.get(lease_id)
-                if lease is None:
-                    lease = Lease(lease_id, entry["worker"], (), expires_at)
-                    self._leases[lease_id] = lease
-                    self._seq = max(self._seq, int(lease_id[1:]))
-                lease.run_ids += (entry["run_id"],)
-                latest[entry["run_id"]] = lease
-            elif kind in ("run_complete", "run_failed") and entry["run_id"] in latest:
-                self.ack(latest[entry["run_id"]].lease_id, entry["run_id"])
-            elif kind == "lease_expired":
-                self.close(entry["lease_id"], "expired")
-            elif kind == "worker_quarantined":
-                for lease in self.for_worker(entry["worker_id"]):
-                    self.close(lease.lease_id, "revoked")
+        self._leases = {
+            lease_id: replace(lease, acked=set(lease.acked), expires_at=expires_at)
+            for lease_id, lease in state.leases.items()
+        }
+        self._seq = state.lease_seq
         return len(self.active())
 
     # ------------------------------------------------------------------
@@ -133,24 +95,23 @@ class LeaseStore:
         return lease
 
     def ack(self, lease_id: str, run_id: int) -> Optional[Lease]:
-        """Mark one run of a lease resolved; closes the lease when it was
-        the last one.  Unknown lease → ``None`` (the caller already
-        deduplicated the run itself)."""
+        """Mark *run_id* resolved in *lease_id* and in the active lease
+        holding it (at most one: a run is granted again only once its last
+        lease closed or acked it); a lease closes with its last run.
+        Unknown lease → ``None`` (the caller already deduplicated the run
+        itself)."""
         lease = self._leases.get(lease_id)
-        if lease is None or run_id in lease.acked:
-            return lease
-        lease.acked.add(run_id)
-        if lease.active and not lease.pending:
-            self.close(lease_id, "complete")
+        for held in self._leases.values():
+            if held is lease or (held.active and run_id in held.run_ids):
+                held.ack(run_id)
         return lease
 
     def close(self, lease_id: str, reason: str) -> Optional[Lease]:
         """Close a lease; idempotent (a second close keeps the first
         reason — the exactly-once guard for re-leasing)."""
         lease = self._leases.get(lease_id)
-        if lease is None or not lease.active:
-            return lease
-        lease.closed = reason
+        if lease is not None:
+            lease.close(reason)
         return lease
 
     # ------------------------------------------------------------------
@@ -164,14 +125,7 @@ class LeaseStore:
 
     def expired(self, now: Optional[float] = None) -> List[Lease]:
         now = self.clock() if now is None else now
-        return [lease for lease in self._leases.values() if lease.expired(now)]
-
-    def for_worker(self, worker_id: str) -> List[Lease]:
-        return [
-            lease
-            for lease in self._leases.values()
-            if lease.active and lease.worker_id == worker_id
-        ]
+        return [lease for lease in self.active() if now >= lease.expires_at]
 
     def leased_runs(self) -> Set[int]:
         """Every run id currently owned by an active lease."""

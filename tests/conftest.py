@@ -91,5 +91,5 @@ def execute_plan(desc, root, config=None, **kwargs):
 
 def staging_store(campaign_dir, run_id):
     """The level-2 staging store of *run_id*'s committed attempt (helper)."""
-    worker = CampaignJournal(campaign_dir).completed()[run_id]["worker"]
+    worker = CampaignJournal(campaign_dir).state().completed[run_id]["worker"]
     return Level2Store(Path(campaign_dir) / "staging" / worker / f"run_{run_id:06d}")

@@ -84,7 +84,7 @@ def _abort_after_two(campaign_dir):
         run_campaign(
             _desc(replications=4), campaign_dir, jobs=2, pool="thread", abort_after_runs=2
         )
-    return CampaignJournal(campaign_dir).completed()
+    return CampaignJournal(campaign_dir).state().completed
 
 
 def _resume(campaign_dir, db_path):
@@ -116,9 +116,9 @@ def test_kill_and_resume_converges(serial_reference, tmp_path):
     with pytest.raises(CampaignError, match="abort"):
         run_campaign(desc, tmp_path / "campaign", jobs=4, pool="thread", abort_after_runs=7)
     journal = CampaignJournal(tmp_path / "campaign")
-    staged_before = set(journal.completed())
+    staged_before = set(journal.state().completed)
     assert 0 < len(staged_before) < len(journal.entries())
-    assert not journal.finished()
+    assert not journal.state().complete
     # Seal was never reached, yet the aborted session left its snapshot.
     assert (tmp_path / "campaign" / "metrics.json").exists()
 
@@ -220,7 +220,7 @@ def test_cli_campaign_subcommand(tmp_path, capsys):
     )
     assert rc == 0
     assert (tmp_path / "cli.db").exists()
-    assert CampaignJournal(tmp_path / "campaign").finished()
+    assert CampaignJournal(tmp_path / "campaign").state().complete
     # merge-only rebuilds the database from the shards and scope.json alone
     shutil.rmtree(tmp_path / "campaign" / "staging")
     rc = cli_main(

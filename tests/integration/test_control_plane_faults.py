@@ -55,6 +55,10 @@ def _desc(seed=77, replications=3, **kwargs):
     )
 
 
+def _quarantined_nodes(journal):
+    return sorted({e["node_id"] for e in journal.entries() if e["type"] == "node_quarantined"})
+
+
 def _run_local(desc, campaign_dir, db_path=None, workers=2, **kwargs):
     return run_campaign(desc, campaign_dir, db_path=db_path, jobs=workers, pool="thread", **kwargs)
 
@@ -132,8 +136,8 @@ def test_hung_node_aborts_into_journal_and_resume_replays(fault_free_reference, 
         )
 
     journal = CampaignJournal(tmp_path / "campaign")
-    assert set(journal.completed()) == {0, 2}
-    (failure,) = journal.failure_reasons().values()
+    assert set(journal.state().completed) == {0, 2}
+    (failure,) = journal.state().failures.values()
     assert failure["run_id"] == 1
     assert failure["error"].startswith("RpcTimeout") and f"[node={SU_NODE}]" in failure["error"]
 
@@ -165,7 +169,7 @@ def test_phase_deadline_watchdog_aborts_run(tmp_path):
     # The campaign journals the abort as the run's failure.
     with pytest.raises(CampaignError):
         run_campaign(desc, tmp_path / "campaign", jobs=1, pool="thread", max_attempts=1)
-    (failure,) = CampaignJournal(tmp_path / "campaign").failure_reasons().values()
+    (failure,) = CampaignJournal(tmp_path / "campaign").state().failures.values()
     assert failure["error"].startswith("RunAbortedError") and "deadline" in failure["error"]
 
 
@@ -197,8 +201,8 @@ def test_campaign_requeues_crashed_run_and_digest_matches(
         assert "RpcTimeout" in reasons[2] and SM_NODE in reasons[2]
 
     journal = CampaignJournal(tmp_path / "campaign")
-    assert {r: e["attempt"] for r, e in journal.failure_reasons().items()} == {2: 1}
-    assert journal.quarantined_nodes() == []
+    assert {r: e["attempt"] for r, e in journal.state().failures.items()} == {2: 1}
+    assert _quarantined_nodes(journal) == []
     # Masking the annotation, the surviving data is identical to the
     # fault-free campaign's.
     digest = database_digest(tmp_path / "chaos.db", ignore_columns=("AbortReason",))
@@ -242,11 +246,11 @@ def test_campaign_quarantines_repeatedly_failing_node(dispatcher, tmp_path):
             control_faults=[{"node": SM_NODE, "action": "hang"}],
         )
     journal = CampaignJournal(tmp_path / "campaign")
-    assert journal.quarantined_nodes() == [SM_NODE]
+    assert _quarantined_nodes(journal) == [SM_NODE]
     # Run 0 burns its whole budget quarantining the node; once quarantined,
     # later runs fail terminally on their first attempt: 5 run_failed
     # entries instead of 3 runs x 3 attempts.
-    reasons = journal.failure_reasons()
+    reasons = journal.state().failures
     assert {r: e["attempt"] for r, e in reasons.items()} == {0: 3, 1: 1, 2: 1}
     assert all("RpcTimeout" in e["error"] and SM_NODE in e["error"] for e in reasons.values())
     failed_entries = [e for e in journal.entries() if e["type"] == "run_failed"]
@@ -269,7 +273,7 @@ def test_campaign_crash_plus_session_faults_resume_to_reference(fault_free_refer
             abort_after_runs=2,
         )
     journal = CampaignJournal(tmp_path / "campaign")
-    assert 0 < len(journal.completed()) < 4
+    assert 0 < len(journal.state().completed) < 4
 
     result = CampaignEngine(
         desc,

@@ -62,7 +62,7 @@ def test_abort_and_resume_completes_all_runs(tmp_path):
     result = _execute(desc, tmp_path / "r", resume=True)
     assert sorted(result.skipped_runs) == [0]
     assert sorted(result.executed_runs) == [1, 2]
-    assert CampaignJournal(result.campaign_dir).finished()
+    assert CampaignJournal(result.campaign_dir).state().complete
 
 
 def test_resumed_runs_equivalent_to_uninterrupted(tmp_path):

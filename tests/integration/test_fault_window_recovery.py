@@ -106,8 +106,8 @@ def test_run_killed_in_a_fault_window_resumes_to_reference(
         _one_worker(desc, campaign, max_attempts=1, control_faults=[dict(KILL_MID_WINDOW)])
 
     journal = CampaignJournal(campaign)
-    assert set(journal.completed()) == {0, 2}
-    assert "RpcTimeout" in journal.failure_reasons()[1]["error"]
+    assert set(journal.state().completed) == {0, 2}
+    assert "RpcTimeout" in journal.state().failures[1]["error"]
 
     # Resume without the chaos: the replayed run builds a fresh world, so
     # the killed attempt's msg_loss filter is simply not there.
@@ -153,7 +153,7 @@ def test_resume_trusts_a_committed_run_over_torn_staging(
         run_campaign(
             desc, tmp_path / "campaign", jobs=2, pool="thread", abort_after_runs=2
         )
-    staged = CampaignJournal(tmp_path / "campaign").completed()
+    staged = CampaignJournal(tmp_path / "campaign").state().completed
     assert staged
     victim = min(staged)
     spec = build_run_spec(tmp_path / "campaign", "", victim, staged[victim]["worker"])

@@ -91,7 +91,7 @@ def test_three_worker_fleet_byte_identical(local_reference, tmp_path):
     journal = CampaignJournal(tmp_path / "campaign")
     registered = [e["worker_id"] for e in journal.entries() if e["type"] == "worker_registered"]
     assert sorted(registered) == ["w0", "w1", "w2"]
-    assert sorted(journal.completed()) == list(range(len(result.plan)))
+    assert sorted(journal.state().completed) == list(range(len(result.plan)))
     # The fleet's tallies: three joins, one per lease the journal names,
     # no expiry or quarantine.
     grants = {e["lease_id"] for e in journal.entries() if e["type"] == "run_start"}
@@ -177,13 +177,13 @@ def test_kill_worker_and_coordinator_restart_converges(local_reference, tmp_path
     journal = CampaignJournal(tmp_path / "campaign")
     # All runs accounted for, exactly one lease expiry reclaimed the dead
     # worker's batch (exactly-once re-lease), and both sessions journaled.
-    assert sorted(journal.completed()) == list(range(len(result.plan)))
+    assert sorted(journal.state().completed) == list(range(len(result.plan)))
     expiries = [e for e in journal.entries() if e["type"] == "lease_expired"]
     assert len(expiries) == 1
     assert expiries[0]["worker_id"] == "w-bad"
     assert result.telemetry["fleet"]["expired"] == 1
-    assert journal.session_count() == 2
-    assert journal.finished()
+    assert len(journal.state().starts) == 2
+    assert journal.state().complete
     assert not (tmp_path / "campaign" / "leases.jsonl").exists()
 
 
@@ -241,10 +241,10 @@ def test_quarantine_rpc_re_leases_in_flight_batch_exactly_once(tmp_path):
     wedge.set()
     assert result.failed_runs == {}
     journal = CampaignJournal(tmp_path / "campaign")
-    assert journal.quarantined_workers() == ["w-slow"]
+    assert sorted(journal.state().quarantined_workers) == ["w-slow"]
     assert result.telemetry["fleet"]["quarantined"] == 1
     # The re-executed batch committed through the healthy worker only.
-    completed = journal.completed()
+    completed = journal.state().completed
     assert {completed[r]["worker"] for r in (0, 1)} == {"w-ok"}
 
 

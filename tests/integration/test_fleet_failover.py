@@ -183,7 +183,7 @@ def test_standby_takes_over_after_leader_death(local_reference, tmp_path):
     )
     assert {e["epoch"] for e in completions} <= {1, 2}
     assert max(e["epoch"] for e in completions) == 2
-    assert journal.finished()
+    assert journal.state().complete
     # At least one worker walked its seed list to the new leader.
     assert sum(w.failovers for w, _ in workers) >= 1
 

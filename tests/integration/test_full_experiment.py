@@ -128,8 +128,8 @@ def test_journal_complete(executed):
 
     _desc, result, _db = executed
     journal = CampaignJournal(result.campaign_dir)
-    assert journal.finished()
-    assert set(journal.completed()) == set(range(6))
+    assert journal.state().complete
+    assert set(journal.state().completed) == set(range(6))
 
 
 def test_logs_collected(executed):

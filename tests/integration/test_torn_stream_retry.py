@@ -83,7 +83,7 @@ def test_a_torn_staging_stream_fails_its_attempt_and_the_retry_commits(
     assert isinstance(error, StorageError)
     assert "events.jsonl" in str(error) and "crc_mismatch" in str(error)
 
-    failed = CampaignJournal(tmp_path / "campaign").failure_reasons()
+    failed = CampaignJournal(tmp_path / "campaign").state().failures
     assert list(failed) == [VICTIM]
     assert failed[VICTIM]["attempt"] == 1
     assert failed[VICTIM]["error"] == f"StorageError: {error}"

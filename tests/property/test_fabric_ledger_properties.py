@@ -5,28 +5,33 @@ Hypothesis drives the real settle path — :class:`LeaseDispatcher` over a
 through grants, failures, TTL expiries, duplicate and stale acks, operator
 quarantine and coordinator restarts (a resumed session plus a fresh
 dispatcher that calls ``restore()``).  One drawn append crashes: a
-test-only patch of :meth:`DurableLog.append` raises :class:`SimulatedCrash`
-instead of writing it, and the coordinator restarts from what is on disk.
-Two invariants must hold for *every* interleaving:
+test-only patch of :meth:`DurableLog.append` tears it at a drawn point —
+before any byte landed, after some of its records, or half-way through
+one of them — and raises :class:`SimulatedCrash`; the coordinator
+restarts from what is on disk.  Two invariants must hold for *every*
+interleaving:
 
 1. **Exactly-once commit.**  No run is journaled ``run_complete`` twice
    during the chaos, and each is journaled exactly once after the queue
    drains.
 2. **The journal is the lease ledger.**  Folding any prefix of the
-   journal (:meth:`LeaseStore.restore`) yields the open leases, with the
-   same *unsettled* runs, that the live dispatcher held when that prefix
-   was the whole file — and the same next lease id.
+   journal (:class:`CampaignState`) yields the open leases, with the same
+   pending runs, that the live dispatcher held when that prefix was the
+   whole file — and the same next lease id; and no open lease of the
+   fold still holds a run the prefix committed.  Once the queue drained
+   and the campaign completed, the fold holds no open lease.
 """
 
 from collections import Counter
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.session import CampaignSession
-from repro.durable import DurableLog
+from repro.campaign.state import CampaignState
+from repro.durable import DurableLog, encode_record, frame
 from repro.fabric.dispatch import LeaseDispatcher
 from repro.fabric.leases import LeaseStore
 from repro.sd.processlib import build_two_party_description
@@ -51,6 +56,7 @@ class Model:
         self.now = [1000.0]
         self.shard = set()  # the fake shard: what resume trusts
         self.crash_at = None  # the append to crash at, counting from 1
+        self.cut = 0  # where that append tears, in half-records
         self.appends = 0  # journal records on disk
         self.snapshots = []
         (root / "scope.json").write_text("{}", encoding="utf-8")
@@ -65,9 +71,23 @@ class Model:
             self.crash_at -= 1
             if self.crash_at == 0:
                 self.crash_at = None
+                self.tear(log, records)
                 raise SimulatedCrash()
         APPEND(log, records, sync=False, fence=fence)  # a simulated crash needs no fsync
         self.appends += len(records)
+
+    def tear(self, log, records):
+        """What a crash inside one ``write()`` leaves: the first
+        ``cut // 2`` records whole, then for an odd ``cut`` half a line
+        of the next; ``cut`` 0 lands nothing (the model sets no fence)."""
+        cut = min(self.cut, 2 * len(records))
+        whole = records[: cut // 2]
+        APPEND(log, whole, sync=False)
+        self.appends += len(whole)
+        if cut % 2:
+            line = frame("", encode_record(records[len(whole)]))
+            with open(log.path, "ab") as fh:
+                fh.write(line[: len(line) // 2])
 
     # -- coordinator lifecycle -----------------------------------------
     def start(self, resume):
@@ -80,8 +100,8 @@ class Model:
         )
         if resume:
             self.dispatcher.restore()
-            journaled = CampaignJournal(self.root).quarantined_workers()
-            assert sorted(self.dispatcher.quarantined_workers) == journaled
+            journaled = CampaignJournal(self.root).state().quarantined_workers
+            assert self.dispatcher.quarantined_workers == journaled
 
     def step(self, op, arg):
         try:
@@ -91,16 +111,8 @@ class Model:
         self.snapshot()
 
     # -- canonical state -----------------------------------------------
-    def settled(self):
-        return self.dispatcher.scheduler.done | self.dispatcher.scheduler.skipped
-
     def snapshot(self):
-        settled = self.settled()
-        held = {}
-        for lease in self.dispatcher.leases.active():
-            unsettled = tuple(r for r in lease.pending if r not in settled)
-            if unsettled:
-                held[lease.lease_id] = (lease.worker_id, unsettled)
+        held = _open_leases(self.dispatcher.leases.active())
         self.snapshots.append((self.appends, held, self.dispatcher.leases._seq))
 
     # -- operations ----------------------------------------------------
@@ -119,8 +131,8 @@ class Model:
 
     def grant(self, worker):
         lease, batch = self.dispatcher.grant(worker, 2)
-        for ticket in batch:
-            self.dispatcher.session.dispatch(ticket, worker, lease.lease_id)
+        if lease is not None:
+            self.dispatcher.session.dispatch(batch, worker, lease.lease_id)
 
     def ack(self, run_id):
         lease = self.holder(run_id)
@@ -187,9 +199,21 @@ def _completions(entries):
     return Counter(e["run_id"] for e in entries if e["type"] == "run_complete")
 
 
-@given(ops=ops, crash_at=st.integers(1, 20))
+def _open_leases(leases):
+    """``{lease id: (worker, pending runs)}`` of the active *leases*."""
+    return {
+        lease.lease_id: (lease.worker_id, tuple(lease.pending))
+        for lease in leases
+        if lease.active
+    }
+
+
+@given(ops=ops, crash_at=st.integers(1, 20), cut=st.integers(0, 4))
+# A late ack through an expired lease commits runs re-leased since: the
+# lease that holds them now must release them too, live as in the fold.
+@example(ops=[("grant", "w1"), ("expire", None), ("grant", "w2"), ("stale", 0)], crash_at=20, cut=0)
 @settings(max_examples=80, deadline=None)
-def test_exactly_once_commits_and_prefix_replay(ops, crash_at, tmp_path_factory):
+def test_exactly_once_commits_and_prefix_replay(ops, crash_at, cut, tmp_path_factory):
     root = tmp_path_factory.mktemp("journal")
     model = Model(root)
     journal = CampaignJournal(root)
@@ -202,12 +226,14 @@ def test_exactly_once_commits_and_prefix_replay(ops, crash_at, tmp_path_factory)
     ):
         model.start(resume=False)
         model.snapshot()
-        model.crash_at = crash_at
+        model.crash_at, model.cut = crash_at, cut
         for name, arg in ops:
             model.step(getattr(model, name), arg)
             # Invariant 1, continuously: no run is ever committed twice.
             assert all(n == 1 for n in _completions(journal.entries()).values())
         model.drain()
+        model.crash_at = None
+        model.dispatcher.journal.record_complete()
 
     entries = journal.entries()
     # Invariant 1, terminally: every run committed exactly once.
@@ -218,12 +244,10 @@ def test_exactly_once_commits_and_prefix_replay(ops, crash_at, tmp_path_factory)
     for count, held, seq in model.snapshots:
         prefix = entries[:count]
         settled = {e["run_id"] for e in prefix if e["type"] == "run_complete"}
-        store = LeaseStore(ttl=TTL, clock=model.clock)
-        store.restore(prefix)
-        folded = {
-            lease.lease_id: (lease.worker_id, tuple(lease.pending))
-            for lease in store.active()
-        }
+        state = CampaignState().apply(prefix)
+        folded = _open_leases(state.leases.values())
         assert all(not set(runs) & settled for _worker, runs in folded.values())
         assert folded == held, f"prefix of {count} records diverged"
-        assert store._seq == seq
+        assert state.lease_seq == seq
+    assert journal.state().complete
+    assert _open_leases(journal.state().leases.values()) == {}

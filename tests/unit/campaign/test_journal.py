@@ -20,15 +20,15 @@ def _started(journal, desc, total=2, plan_fp="pfp"):
 def test_round_trip_and_session_index(tmp_path):
     journal = CampaignJournal(tmp_path)
     desc = _desc()
-    assert not journal.started()
+    assert not journal.state().starts
     assert _started(journal, desc) == 0
-    journal.record_run_start(0, "s0w00", None)
+    journal.record_run_start([0], "s0w00", None)
     journal.record_run_complete(0, "s0w00", "shards/s0w00.db")
-    assert journal.started() and not journal.finished()
+    assert journal.state().starts and not journal.state().complete
     assert _started(journal, desc) == 1  # second session
     journal.record_complete()
-    assert journal.finished()
-    assert journal.session_count() == 2
+    assert journal.state().complete
+    assert len(journal.state().starts) == 2
     assert [e["type"] for e in journal.entries()] == [
         "campaign_start",
         "run_start",
@@ -42,7 +42,7 @@ def test_completed_latest_entry_wins(tmp_path):
     journal = CampaignJournal(tmp_path)
     journal.record_run_complete(3, "s0w00", "shards/old.db")
     journal.record_run_complete(3, "s1w01", "shards/new.db")
-    assert journal.completed()[3] == {
+    assert journal.state().completed[3] == {
         "type": "run_complete",
         "run_id": 3,
         "worker": "s1w01",
@@ -92,7 +92,7 @@ def test_append_tolerates_blank_lines(tmp_path):
     with open(journal.path, "a", encoding="utf-8") as fh:
         fh.write("\n")  # e.g. a torn write that only got the newline out
     journal.record_complete()
-    assert journal.finished()
+    assert journal.state().complete
 
 
 def test_entries_are_plain_jsonl(tmp_path):

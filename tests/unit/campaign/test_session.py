@@ -39,7 +39,7 @@ def _types(tmp_path):
 
 def _run_for_real(session, ticket, worker="s0w00"):
     """Execute one ticket the way a pool worker would, then settle it."""
-    faults = session.dispatch(ticket, worker, None)
+    (faults,) = session.dispatch([ticket], worker, None)
     res = execute_spec_run(
         build_run_spec(
             session.campaign_dir,
@@ -119,11 +119,11 @@ def test_dispatch_journals_the_start_and_filters_chaos_per_attempt(tmp_path):
     fault = {"node": NODE, "action": "hang", "max_attempt": 1}
     session = _open(tmp_path, control_faults=[fault])
     ticket = session.scheduler.next_ticket()
-    assert session.dispatch(ticket, "w0", None) == [fault]
+    assert session.dispatch([ticket], "w0", None) == [[fault]]
     assert session.settle_failed(ticket.run_id, "w0", "boom", ticket.attempts)
     retry = session.scheduler.next_ticket()
     assert (retry.run_id, retry.attempts) == (ticket.run_id, 2)
-    assert session.dispatch(retry, "w1", None) == []  # past max_attempt: runs clean
+    assert session.dispatch([retry], "w1", None) == [[]]  # past max_attempt: runs clean
     starts = [e for e in CampaignJournal(tmp_path).entries() if e["type"] == "run_start"]
     assert [(e["run_id"], e["worker"]) for e in starts] == [(0, "w0"), (0, "w1")]
 
@@ -131,6 +131,10 @@ def test_dispatch_journals_the_start_and_filters_chaos_per_attempt(tmp_path):
 # ----------------------------------------------------------------------
 # settle_failed: the retry ladder
 # ----------------------------------------------------------------------
+def _quarantined_nodes(journal):
+    return sorted({e["node_id"] for e in journal.entries() if e["type"] == "node_quarantined"})
+
+
 def _fail_next(session, error):
     ticket = session.scheduler.next_ticket()
     return ticket, session.settle_failed(ticket.run_id, "w0", error, ticket.attempts)
@@ -143,7 +147,7 @@ def test_failure_requeues_until_the_budget_is_exhausted(tmp_path):
     again, requeued = _fail_next(session, "boom again")
     assert again.run_id == ticket.run_id and not requeued
     assert session.scheduler.failed == {ticket.run_id: "boom again"}
-    reasons = CampaignJournal(tmp_path).failure_reasons()
+    reasons = CampaignJournal(tmp_path).state().failures
     assert reasons[ticket.run_id]["attempt"] == 2
     assert session.summary()["retried"] == 1
     assert session.summary()["failed"] == 1
@@ -153,11 +157,11 @@ def test_quarantined_node_makes_later_failures_terminal(tmp_path):
     session = _open(tmp_path, max_attempts=3, quarantine_after=2)
     journal = CampaignJournal(tmp_path)
     _, requeued = _fail_next(session, NODE_ERROR)
-    assert requeued and journal.quarantined_nodes() == []
+    assert requeued and _quarantined_nodes(journal) == []
     # The second node-attributed failure crosses the threshold: this
     # attempt is still re-queued, the node is quarantined from now on.
     _, requeued = _fail_next(session, NODE_ERROR)
-    assert requeued and journal.quarantined_nodes() == [NODE]
+    assert requeued and _quarantined_nodes(journal) == [NODE]
     ticket, requeued = _fail_next(session, NODE_ERROR)
     assert ticket.run_id == 0 and not requeued
     # Another run failing on the quarantined node burns no retry budget ...
@@ -192,7 +196,7 @@ def test_seal_reports_failed_runs_and_leaves_the_journal_resumable(tmp_path):
 def test_seal_journals_completion_exactly_once(tmp_path):
     session = _open(tmp_path, replications=2)
     while (ticket := session.scheduler.next_ticket()) is not None:
-        session.dispatch(ticket, "w0", None)
+        session.dispatch([ticket], "w0", None)
         session.settle_ok(ticket.run_id, "w0", "shards/w0.db", timed_out=ticket.run_id == 1)
     result = session.seal(jobs=2, pool="fleet")
     again = session.seal(jobs=2, pool="fleet")
@@ -232,8 +236,7 @@ def test_a_multi_run_lease_keeps_its_worker_busy_until_the_last_settle(tmp_path,
     the worker was busy t2 - t0, and a run is in flight until it settles."""
     lines = []
     session = _open(tmp_path, progress=lines.append)
-    for ticket in session.scheduler.next_batch(2):
-        session.dispatch(ticket, "w0", None)
+    session.dispatch(session.scheduler.next_batch(2), "w0", None)
     gauge = registry.gauge("repro_campaign_worker_busy_seconds", labels=("worker",))
     clock.now += 1.0
     session.settle_ok(0, "w0", "shards/w0.db")
@@ -360,8 +363,7 @@ def test_fleet_campaign_report_is_pinned(tmp_path, clock, registry):
 
     def lease(worker):
         granted, batch = dispatcher.grant(worker, 2)
-        for ticket in batch:
-            session.dispatch(ticket, worker, granted.lease_id)
+        session.dispatch(batch, worker, granted.lease_id)
         return granted
 
     def ack(worker, granted, run_id):

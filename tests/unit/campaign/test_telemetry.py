@@ -7,7 +7,7 @@ from tests.unit.campaign.test_session import _open, _run_for_real
 
 def _start(session, worker):
     ticket = session.scheduler.next_ticket()
-    session.dispatch(ticket, worker, None)
+    session.dispatch([ticket], worker, None)
     return ticket
 
 

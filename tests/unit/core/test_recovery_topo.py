@@ -26,14 +26,14 @@ def journal(tmp_path):
 # Journal
 # ----------------------------------------------------------------------
 def test_journal_lifecycle(journal):
-    assert not journal.started() and not journal.finished()
+    assert not journal.state().starts and not journal.state().complete
     journal.record_start("fp", 1, 10, "pfp")
     journal.record_run_complete(0, "w", "shards/w.db")
     journal.record_run_complete(1, "w", "shards/w.db")
-    assert journal.started() and not journal.finished()
-    assert set(journal.completed()) == {0, 1}
+    assert journal.state().starts and not journal.state().complete
+    assert set(journal.state().completed) == {0, 1}
     journal.record_complete()
-    assert journal.finished()
+    assert journal.state().complete
 
 
 def test_prepare_resume_happy_path(journal, tmp_path):

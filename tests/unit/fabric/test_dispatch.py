@@ -1,7 +1,12 @@
 """Unit tests for the lease dispatcher: grants, dedup, reclaim, restore."""
 
+from unittest import mock
+
+import pytest
+
 from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.session import CampaignSession
+from repro.durable import DurableLog, encode_record, frame
 from repro.fabric.dispatch import LeaseDispatcher
 from repro.fabric.leases import LeaseStore
 from repro.sd.processlib import build_two_party_description
@@ -48,8 +53,7 @@ def _dispatcher(tmp_path, clock, replications=6, ttl=30.0, max_attempts=2, sessi
 def _grant(dispatcher, worker, want):
     """Grant and journal the batch, as the coordinator's ``lease`` does."""
     lease, batch = dispatcher.grant(worker, want)
-    for ticket in batch:
-        dispatcher.session.dispatch(ticket, worker, lease.lease_id)
+    dispatcher.session.dispatch(batch, worker, lease.lease_id)
     return lease, batch
 
 
@@ -139,6 +143,69 @@ def test_late_ack_of_expired_lease_wins_over_release(tmp_path):
         )
 
 
+def test_late_ack_through_an_expired_lease_releases_the_re_lease(tmp_path):
+    """w1's late acks through expired L1 commit the runs L2 re-leased to
+    w2: L2 is done too, live as in the journal's fold, so w2 is told to
+    abandon it and no later sweep expires it."""
+    clock = FakeClock()
+    dispatcher = _dispatcher(tmp_path, clock, ttl=10.0)
+    first, _ = _grant(dispatcher, "w1", 2)
+    clock.advance(11.0)
+    assert dispatcher.sweep() == [first.lease_id]
+    second, batch = _grant(dispatcher, "w2", 2)
+    assert [t.run_id for t in batch] == [0, 1]
+    for run_id in (0, 1):
+        status = dispatcher.ack_completed("w1", first.lease_id, run_id, _commit(dispatcher, run_id))
+        assert status == "committed"
+    assert dispatcher.leases.active() == []
+    assert dispatcher.renew("w2", second.lease_id) is False
+    clock.advance(11.0)
+    assert dispatcher.sweep() == []
+    expired = [e for e in dispatcher.journal.entries() if e["type"] == "lease_expired"]
+    assert [e["lease_id"] for e in expired] == [first.lease_id]
+
+
+class _Crash(BaseException):
+    pass
+
+
+def test_a_grant_torn_mid_batch_loses_only_runs_no_worker_received(tmp_path):
+    """A lease's run_start entries are one append, and the reply to the
+    worker is built after it: a crash tearing that append leaves a lease
+    whose worker never heard of it.  The restarted coordinator honors the
+    runs on file for one TTL, then re-leases them; the torn run was never
+    granted and is leased at once."""
+    clock = FakeClock()
+    dispatcher = _dispatcher(tmp_path, clock, ttl=10.0)
+    append = DurableLog.append
+
+    def tear(log, records, sync=True, fence=None):
+        records = list(records)
+        if records[0]["type"] != "run_start":
+            return append(log, records, sync, fence)
+        append(log, records[:1], sync, fence)
+        line = frame("", encode_record(records[1]))
+        with open(log.path, "ab") as fh:
+            fh.write(line[: len(line) // 2])
+        raise _Crash()
+
+    with mock.patch.object(DurableLog, "append", tear), pytest.raises(_Crash):
+        _grant(dispatcher, "w1", 2)
+
+    restored = _dispatcher(tmp_path, clock, ttl=10.0, session=_session(tmp_path, resume=True))
+    assert restored.restore() == 1
+    (lease,) = restored.leases.active()
+    assert (lease.worker_id, lease.pending) == ("w1", [0])
+    second, batch = _grant(restored, "w2", 2)
+    assert [t.run_id for t in batch] == [1, 2]
+    for run_id in (1, 2):
+        restored.ack_completed("w2", second.lease_id, run_id, _commit(restored, run_id))
+    clock.advance(11.0)
+    assert restored.sweep() == [lease.lease_id]
+    _, batch = _grant(restored, "w2", 2)
+    assert [t.run_id for t in batch] == [0, 3]
+
+
 def test_late_failure_after_release_charges_nothing(tmp_path):
     clock = FakeClock()
     dispatcher = _dispatcher(tmp_path, clock, ttl=10.0)
@@ -148,6 +215,22 @@ def test_late_failure_after_release_charges_nothing(tmp_path):
     assert dispatcher.ack_failed("w1", lease.lease_id, 0, "boom") == "duplicate"
     assert dispatcher.scheduler.failed == {}
     assert dispatcher.scheduler.pending == 6
+
+
+def test_late_failure_through_an_expired_lease_leaves_the_re_lease_running(tmp_path):
+    """A zombie's failure report through expired L1 of a run L2 re-leased
+    to w2 is a duplicate: no attempt charged, w2 still holds the run."""
+    clock = FakeClock()
+    dispatcher = _dispatcher(tmp_path, clock, ttl=10.0)
+    first, _ = _grant(dispatcher, "w1", 2)
+    clock.advance(11.0)
+    dispatcher.sweep()
+    second, _ = _grant(dispatcher, "w2", 2)
+    assert dispatcher.ack_failed("w1", first.lease_id, 0, "zombie boom") == "duplicate"
+    assert 0 in dispatcher.scheduler.in_flight
+    assert dispatcher.leases.get(second.lease_id).pending == [0, 1]
+    assert dispatcher.renew("w2", second.lease_id) is True
+    assert not [e for e in dispatcher.journal.entries() if e["type"] == "run_failed"]
 
 
 def test_failed_ack_requeues_until_budget_exhausted(tmp_path):
@@ -194,7 +277,7 @@ def test_renewing_worker_keeps_its_lease_however_long_its_runs_take(tmp_path):
     assert dispatcher.leases.get(lease.lease_id).closed is None
     assert dispatcher.scheduler.in_flight.keys() == {0, 1}
     assert dispatcher.quarantined == 0
-    assert dispatcher.journal.quarantined_workers() == []
+    assert sorted(dispatcher.journal.state().quarantined_workers) == []
 
 
 def test_restore_reclaims_pending_runs_and_grace_renews(tmp_path):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign.state import CampaignState
 from repro.core.errors import CampaignError
 from repro.fabric.leases import LeaseStore
 
@@ -103,7 +104,7 @@ def test_restore_folds_open_complete_expired_and_revoked_leases(clock):
     ]
     clock.advance(100.0)
     store = LeaseStore(ttl=10.0, clock=clock)
-    assert store.restore(entries) == 1
+    assert store.seed(CampaignState().apply(entries)) == 1
     lease = store.get("L000002")
     assert (lease.worker_id, lease.run_ids, lease.pending) == ("w2", (2, 3), [3])
     assert lease.expires_at == clock.now + 10.0  # a fresh TTL
@@ -117,5 +118,5 @@ def test_restore_folds_open_complete_expired_and_revoked_leases(clock):
 
 def test_restore_of_an_empty_journal_is_empty(store):
     store.grant("w1", [0])
-    assert store.restore([]) == 0
+    assert store.seed(CampaignState().apply([])) == 0
     assert store.grant("w1", [0]).lease_id == "L000001"

@@ -136,7 +136,7 @@ def test_run_realtime_flag(desc_xml, tmp_path, capsys):
     assert main([*argv, "--quiet"]) == 0
     from repro.campaign.journal import CampaignJournal
 
-    assert CampaignJournal(campaign).finished()
+    assert CampaignJournal(campaign).state().complete
 
 
 def test_paper_xml_command(capsys):

@@ -42,7 +42,7 @@ class _Campaign(_Case):
         # Nothing is staged on disk, so resume validation keeps no entry —
         # but it has to read the whole journal to say so.
         assert journal.prepare_resume(self.desc, 2, "pfp") == {}
-        return sorted(journal.completed())
+        return sorted(journal.state().completed)
 
     def expect(self, ids):
         return sorted(ids)

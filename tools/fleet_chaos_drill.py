@@ -94,14 +94,15 @@ def fleet_status(address):
         return None
 
 
-def holds_pending_lease(campaign_dir, worker_id):
-    """True while *worker_id* has an active lease with unacked runs."""
-    from repro.campaign.journal import CampaignJournal
-    from repro.fabric.leases import LeaseStore
-
-    store = LeaseStore()
-    store.restore(CampaignJournal(campaign_dir).entries())  # the journal fold
-    return any(lease.pending for lease in store.for_worker(worker_id))
+def holds_pending_lease(journal, worker_id):
+    """True while *worker_id* has an active lease with unacked runs, by
+    the journal's fold (each poll reads what the file gained)."""
+    return journal.follow(
+        lambda state: any(
+            lease.active and lease.worker_id == worker_id and lease.pending
+            for lease in state.leases.values()
+        )
+    )
 
 
 def write_description(path, replications, seed):
@@ -121,9 +122,10 @@ def journal_checks(work, replications, failures):
     journal = CampaignJournal(work / "fleet.campaign")
     completions = [e for e in journal.entries() if e["type"] == "run_complete"]
     run_ids = [e["run_id"] for e in completions]
+    state = journal.state()
     print(
-        f"[drill] journal: sessions={journal.session_count()} "
-        f"run_complete={len(completions)} finished={journal.finished()}"
+        f"[drill] journal: sessions={len(state.starts)} "
+        f"run_complete={len(completions)} finished={state.complete}"
     )
     if len(run_ids) != len(set(run_ids)):
         failures.append("a run has more than one run_complete entry "
@@ -131,7 +133,7 @@ def journal_checks(work, replications, failures):
     if len(set(run_ids)) != replications:
         failures.append(f"journal completed {len(set(run_ids))} distinct runs, "
                         f"expected {replications}")
-    if not journal.finished():
+    if not state.complete:
         failures.append("journal never recorded campaign_complete")
     return journal, completions
 
@@ -180,6 +182,8 @@ def wait_takeover(work, killed_at, budget, failures):
 # Scenarios
 # ----------------------------------------------------------------------
 def scenario_kill_worker(args, work, xml, ref, procs, deadline):
+    from repro.campaign.journal import CampaignJournal
+
     port = free_port()
     address = f"127.0.0.1:{port}"
     serve_args = [
@@ -205,8 +209,8 @@ def scenario_kill_worker(args, work, xml, ref, procs, deadline):
 
     # Kill w0 while the journal shows it mid-batch, so its open lease is
     # left behind for TTL expiry to reclaim.
-    campaign_dir = work / "fleet.campaign"
-    while not holds_pending_lease(campaign_dir, "w0"):
+    journal = CampaignJournal(work / "fleet.campaign")
+    while not holds_pending_lease(journal, "w0"):
         if time.monotonic() > deadline:
             raise RuntimeError("drill timed out waiting for w0 to hold a batch")
         time.sleep(0.02)
@@ -235,7 +239,7 @@ def scenario_kill_worker(args, work, xml, ref, procs, deadline):
 
     failures = []
     journal, _ = journal_checks(work, args.replications, failures)
-    if journal.session_count() < 2:
+    if len(journal.state().starts) < 2:
         failures.append("coordinator restart did not journal a second session")
     expiries = [e for e in journal.entries() if e["type"] == "lease_expired"]
     if not any(e["worker_id"] == "w0" for e in expiries):
@@ -300,14 +304,14 @@ def _settle_standby_fleet(standby, workers, deadline):
 
 
 def scenario_kill_leader(args, work, xml, ref, procs, deadline):
+    from repro.campaign.journal import CampaignJournal
+
     leader, standby, workers, leader_addr = _spawn_fleet_with_standby(
         args, work, xml, procs, deadline,
     )
     wait_first_commit(leader_addr, deadline)
-    campaign_dir = work / "fleet.campaign"
-    while not (
-        holds_pending_lease(campaign_dir, "w0") or holds_pending_lease(campaign_dir, "w1")
-    ):
+    journal = CampaignJournal(work / "fleet.campaign")
+    while not (holds_pending_lease(journal, "w0") or holds_pending_lease(journal, "w1")):
         if time.monotonic() > deadline:
             raise RuntimeError("drill timed out waiting for a mid-batch lease")
         time.sleep(0.02)
