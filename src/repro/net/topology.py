@@ -21,32 +21,39 @@ come straight from shortest path lengths of this graph.
 Route tables
 ------------
 Routing never builds nx path lists (DESIGN.md §14).  Node names are
-interned to dense int ids (graph node insertion order) and next hops come
-from lazily built per-source BFS rows: ``_route_row(src_id)[dst_id]`` is
-the int id of the neighbour *src* forwards to, ``-1`` if unreachable (or
-``dst == src``).  The FIFO BFS propagates the first hop over ``graph.adj``
-in insertion order, which is exactly the discovery order
+interned to dense int ids (graph node insertion order) and every next hop
+comes from one all-pairs ring table: ``_rings()[v][d]`` is a Python int
+bitset of the nodes exactly ``d`` hops from ``v``, built for all nodes at
+once, one sweep of big-int ORs over the interned adjacency per level.
+The hop a FIFO BFS from *s* assigns to *w* is the first neighbour ``a``
+of *s*, in ``graph.adj`` order, with ``dist(a, w) == dist(s, w) - 1``;
+:meth:`Topology.next_hop_id` applies that rule on demand.  FIFO BFS over
+``graph.adj`` in insertion order is the discovery order
 ``nx.all_pairs_shortest_path`` uses, so the chosen hop is the second node
-of the nx shortest path (pinned by ``tests/unit/net/test_topology.py`` and,
-against a medium that really asks nx, by
+of the nx shortest path (pinned against the sequential BFS oracle
+``tests/oracles/net_reference.py`` by ``tests/unit/net/test_topology.py``
+and, against a medium that really asks nx, by
 ``tests/property/test_sim_fastpath_equivalence.py``).
 
-One builder makes a row: scipy's C BFS over the interned adjacency.  The
-sequential pure-Python BFS it replaced is the test oracle the scipy rows
-are checked against (``tests/oracles/net_reference.py``).
+The random geometric graph is drawn by a cell grid that reproduces
+``nx.random_geometric_graph`` node for node and edge for edge
+(``tests/unit/net/test_geometric_pin.py``), so no builder and no route
+loads numpy or scipy.  networkx is imported inside the functions that
+build or freeze a graph, never at module load: a process that builds no
+topology (a query, a coordinator, conditioning) loads none of the numeric
+stack (DESIGN.md §3).
 
-networkx, scipy and numpy are imported inside the functions that build a
-graph or a row, never at module load: a process that builds no topology
-(a query, a coordinator, conditioning) loads none of them (DESIGN.md §3).
-
-Every cache (id interning, route/distance rows, sorted neighbours, edge
-parameters) invalidates together through
+Every cache (id interning, the ring table, route/distance rows, sorted
+neighbours, edge parameters) invalidates together through
 :meth:`Topology.invalidate_cache`, which also bumps :attr:`Topology.version`
 so medium-local caches keyed on the topology can notice mutations.
 """
 
 from __future__ import annotations
 
+import random
+from functools import reduce
+from operator import or_
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -90,7 +97,7 @@ class Topology:
         self._ids: Optional[Dict[str, int]] = None
         self._names: Optional[List[str]] = None
         self._adj_ids: Optional[List[List[int]]] = None
-        self._sp_graph = None
+        self._ring_table: Optional[List[List[int]]] = None
         self._route_rows: Dict[int, List[int]] = {}
         self._dist_rows: Dict[int, List[int]] = {}
         self._sorted_neighbors: Dict[str, List[str]] = {}
@@ -148,81 +155,99 @@ class Topology:
         self.intern_ids()
         return self._names[node_id]
 
-    def _scipy_graph(self):
-        """The interned adjacency as a scipy CSR matrix.
+    def _rings(self) -> List[List[int]]:
+        """``rings[v][d]``: bitset of the nodes exactly ``d`` hops from ``v``.
 
-        Rows stay in graph insertion order — scipy's BFS iterates rows as
-        stored, which is what keeps its predecessor tree identical to the
-        sequential BFS.
+        Built for every node at once, one level per sweep: the graph is
+        undirected, so ``F[d+1][v] = OR(F[d][u] for u in adj[v]) & ~seen[v]``.
+        A node's list ends at its last non-empty ring.  Published whole,
+        after the interned adjacency it indexes: a thread that sees the
+        table reads no half-built level.
         """
-        if self._sp_graph is None:
-            import numpy as np
-            from scipy.sparse import csr_matrix
-
+        rings = self._ring_table
+        if rings is None:
             self.intern_ids()
             adj = self._adj_ids
-            n = len(adj)
-            indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum([len(a) for a in adj], out=indptr[1:])
-            indices = np.fromiter(
-                (w for a in adj for w in a),
-                dtype=np.int32,
-                count=int(indptr[-1]),
-            )
-            data = np.ones(len(indices), dtype=np.float64)
-            self._sp_graph = csr_matrix((data, indices, indptr), shape=(n, n))
-        return self._sp_graph
+            frontier = [1 << v for v in range(len(adj))]
+            seen = list(frontier)
+            rings = [[bit] for bit in frontier]
+            active = range(len(adj))
+            while active:
+                level = [
+                    reduce(or_, map(frontier.__getitem__, adj[v]), 0) & ~seen[v]
+                    for v in active
+                ]
+                still = []
+                for v, ring in zip(active, level):
+                    frontier[v] = ring
+                    if ring:
+                        seen[v] |= ring
+                        rings[v].append(ring)
+                        still.append(v)
+                active = still
+            self._ring_table = rings
+        return rings
 
     def _route_row(self, src_id: int) -> List[int]:
         """Next-hop ids from ``src_id`` to every node (-1: none).
 
-        One FIFO BFS over the interned adjacency; first-discovery hop
-        assignment replicates ``nx.all_pairs_shortest_path`` exactly (see
-        module docstring).  Also materializes the distance row consumed by
-        :meth:`hop_rows`.  Built by :meth:`_route_row_scipy`; the
-        sequential BFS oracle pins its rows
-        (``tests/unit/net/test_topology.py``).
+        The first-hop rule of :meth:`next_hop_id`, applied a level at a
+        time: each neighbour, in adjacency order, claims the nodes of the
+        level it reaches one hop sooner.  Also stores the distance row.
+        Only the benchmark's set-up reads these rows; routing and
+        :meth:`hop_rows` read the ring table.
         """
         row = self._route_rows.get(src_id)
         if row is None:
-            row, dist = self._route_row_scipy(src_id)
+            rings = self._rings()
+            adj = self._adj_ids[src_id]
+            own = rings[src_id]
+            row = [-1] * len(rings)
+            dist = [-1] * len(rings)
+            dist[src_id] = 0
+            for hops in range(1, len(own)):
+                rest = own[hops]
+                for a in adj:
+                    ring_a = rings[a]
+                    via = ring_a[hops - 1] & rest if hops <= len(ring_a) else 0
+                    if via:
+                        rest ^= via
+                        for w in _bit_ids(via):
+                            row[w] = a
+                            dist[w] = hops
+                        if not rest:
+                            break
             # Distances first: readers test the route row, then read both.
             self._dist_rows[src_id] = dist
             self._route_rows[src_id] = row
         return row
 
-    def _route_row_scipy(self, src_id: int) -> Tuple[List[int], List[int]]:
-        """C BFS via ``scipy.sparse.csgraph``, first-discovery order intact.
-
-        scipy's ``breadth_first_order`` is the same FIFO BFS over the same
-        CSR rows, so its predecessor tree equals the sequential BFS's
-        parent assignment node for node (verified against the oracle in
-        ``tests/oracles/net_reference.py`` across every topology shape in
-        ``tests/unit/net/test_topology.py``).  The next-hop row follows by
-        walking the BFS order once: a node inherits its parent's first
-        hop, or is its own first hop when the parent is the source.
-        """
-        from scipy.sparse.csgraph import breadth_first_order
-
-        order, pred = breadth_first_order(
-            self._scipy_graph(), src_id, directed=True, return_predecessors=True
-        )
-        n = len(self._names)
-        row = [-1] * n
-        dist = [-1] * n
-        dist[src_id] = 0
-        preds = pred.tolist()
-        for v in order.tolist()[1:]:
-            p = preds[v]
-            dist[v] = dist[p] + 1
-            row[v] = v if p == src_id else row[p]
-        return row, dist
-
     def next_hop_id(self, src_id: int, dst_id: int) -> int:
-        """Int-id flavour of :meth:`next_hop` for the medium hot loop."""
+        """The neighbour id *src* forwards to on the way to *dst* (-1: none):
+        the first neighbour, in adjacency order, one hop nearer to *dst*.
+
+        Why that is FIFO BFS's choice: each BFS level is queued in
+        non-decreasing order of its first hop's index in ``adj[src]``
+        (level 1 is ``adj[src]`` itself; a node inherits its parent's first
+        hop and parents leave the queue in that order), so a node's parent
+        carries the smallest first-hop index among its shortest-path
+        predecessors.
+        """
         if src_id == dst_id:
             return -1
-        return self._route_row(src_id)[dst_id]
+        rings = self._rings()
+        bit = 1 << dst_id
+        for hops, ring in enumerate(rings[src_id]):
+            if ring & bit:
+                break
+        else:
+            return -1
+        if hops == 1:
+            return dst_id  # a neighbour is its own first hop
+        hops -= 1
+        return next(
+            a for a in self._adj_ids[src_id] if hops < len(rings[a]) and rings[a][hops] & bit
+        )
 
     def next_hop(self, src: str, dst: str) -> Optional[str]:
         """The neighbour *src* forwards to on the way to *dst*."""
@@ -233,33 +258,32 @@ class Topology:
         dst_id = ids.get(dst)
         if src_id is None or dst_id is None:
             return None
-        hop_id = self._route_row(src_id)[dst_id]
+        hop_id = self.next_hop_id(src_id, dst_id)
         return None if hop_id < 0 else self._names[hop_id]
 
     def hop_rows(self, names: List[str]) -> List[List[Optional[int]]]:
         """Hop counts as rows: ``rows[i][j]`` is the hop distance from
         ``names[i]`` to ``names[j]`` (``None``: unknown or unreachable),
-        read straight off the BFS distance rows."""
+        read off the ring table; nothing is stored."""
         ids = self.intern_ids()
+        rings = self._rings()
         cols = [ids.get(name, -1) for name in names]
         rows: List[List[Optional[int]]] = []
         for src_id in cols:
+            dist: List[Optional[int]] = [None] * len(rings)
             if src_id >= 0:
-                self._route_row(src_id)
-            dist = self._dist_rows.get(src_id)  # None for an unknown name
-            rows.append([
-                dist[dst_id] if dist and dst_id >= 0 and dist[dst_id] >= 0 else None
-                for dst_id in cols
-            ])
+                for hops, ring in enumerate(rings[src_id]):
+                    for w in _bit_ids(ring):
+                        dist[w] = hops
+            rows.append([dist[dst_id] if dst_id >= 0 else None for dst_id in cols])
         return rows
 
     def freeze(self) -> "Topology":
-        """Build every route/distance row, then refuse structural change and
+        """Build the ring table, then refuse structural change and
         :meth:`invalidate_cache`: runs and threads only read it (DESIGN.md §8)."""
         import networkx as nx
 
-        for src_id in self.intern_ids().values():
-            self._route_row(src_id)
+        self._rings()
         nx.freeze(self.graph)
         for name, value in list(vars(self.graph).items()):
             if value is nx.classes.function.frozen:
@@ -269,8 +293,8 @@ class Topology:
     def invalidate_cache(self) -> None:
         """Forget every derived structure after mutating the graph.
 
-        Interned ids, route/distance rows, sorted neighbour lists and
-        edge parameters are one coherent unit — they all derive from the
+        Interned ids, the ring table, route/distance rows, sorted neighbour
+        lists and edge parameters are one coherent unit — they all derive from the
         graph and must never go stale independently.
         ``version`` is bumped so medium-local caches rebuild too.
         """
@@ -281,7 +305,7 @@ class Topology:
         self._ids = None
         self._names = None
         self._adj_ids = None
-        self._sp_graph = None
+        self._ring_table = None
         self._route_rows.clear()
         self._dist_rows.clear()
         self._sorted_neighbors.clear()
@@ -293,6 +317,16 @@ class Topology:
             f"<Topology {self.graph.number_of_nodes()} nodes, "
             f"{self.graph.number_of_edges()} links>"
         )
+
+
+def _bit_ids(mask: int) -> List[int]:
+    """The positions of *mask*'s set bits, lowest first."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 def _refuse_mutation(*_args, **_kwargs):
@@ -395,7 +429,7 @@ def random_geometric_topology(
 
     rng_seed = seed
     for _ in range(max_attempts):
-        graph = nx.random_geometric_graph(n, radius, seed=rng_seed)
+        graph = _geometric_graph(n, radius, rng_seed)
         if nx.is_connected(graph):
             break
         rng_seed += 1
@@ -412,6 +446,44 @@ def random_geometric_topology(
         attrs["base_delay"] = base_delay
     graph = _named(graph, prefix)
     return Topology(graph)
+
+
+def _geometric_graph(n: int, radius: float, seed: int) -> nx.Graph:
+    """``nx.random_geometric_graph(n, radius, seed=seed)`` (networkx 3.6), node
+    for node and edge for edge, without the k-d tree that loads scipy.
+
+    Positions are two ``random.Random(seed).random()`` draws per node, in
+    node order; the edges are the pairs ``i < j`` with ``dx*dx + dy*dy <=
+    radius*radius``, found through ``radius``-sized cells (a pair that close
+    lies in the same or an adjacent cell) and added sorted, as networkx adds
+    the k-d tree's pairs.
+    """
+    import networkx as nx
+
+    rng = random.Random(seed)
+    pos = [[rng.random(), rng.random()] for _ in range(n)]
+    graph = nx.empty_graph(n)
+    nx.set_node_attributes(graph, dict(enumerate(pos)), "pos")
+    cells: Dict[Tuple[int, int], List[int]] = {}
+    for v, (x, y) in enumerate(pos):
+        cells.setdefault((int(x / radius), int(y / radius)), []).append(v)
+    r2 = radius * radius
+    edges = []
+    for (cx, cy), members in cells.items():
+        # Each unordered pair of cells once: this one and four neighbours.
+        near = [v for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))
+                for v in cells.get(key, ())]
+        for i, u in enumerate(members):
+            xu, yu = pos[u]
+            for v in members[i + 1:] + near:
+                xv, yv = pos[v]
+                dx = xu - xv
+                dy = yu - yv
+                if dx * dx + dy * dy <= r2:
+                    edges.append((u, v) if u < v else (v, u))
+    edges.sort()
+    graph.add_edges_from(edges)
+    return graph
 
 
 def from_edges(

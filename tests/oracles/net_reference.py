@@ -16,9 +16,9 @@ closure per delayed accept, and the copy-then-check TTL handling with a
 against the code as it shipped, not against a reference medium grafted
 onto the already-optimized node stack.
 
-:func:`reference_route_row` is the sequential FIFO BFS that built
-:class:`~repro.net.topology.Topology` route rows where scipy was missing;
-``tests/unit/net/test_topology.py`` checks the scipy rows against it.
+:func:`reference_route_row` is the sequential FIFO BFS that
+:class:`~repro.net.topology.Topology`'s ring table and first-hop rule must
+reproduce; ``tests/unit/net/test_topology.py`` checks every pair against it.
 
 Do not optimize this module — it is the oracle the fast path is measured
 against.  It shares :class:`CongestionModel` and :class:`MediumStats`

@@ -174,8 +174,8 @@ def _frame_hash(frame):
     content = (
         list(topo.graph.nodes),  # insertion order decides the interned ids
         sorted(edges),
+        topo._ring_table,
         sorted(topo._route_rows.items()),
-        sorted(topo._dist_rows.items()),
         frame.measurement_json,
         frame.version,
         topo.version,
@@ -197,7 +197,7 @@ def test_runs_with_faults_and_churn_leave_the_frame_unchanged(build, wanted, tmp
     _drop_frame()
     frame = SimulatedPlatform(desc, config).frame
     nodes = len(desc.platform.nodes)
-    assert len(frame.topology._route_rows) == len(frame.topology._dist_rows) == nodes
+    assert len(frame.topology._ring_table) == nodes
     before = _frame_hash(frame)
     for run_id in (1, 0):
         staged = _execute(tmp_path, xml, config, run_id)

@@ -1,5 +1,6 @@
 """Unit tests for mesh topology builders and queries."""
 
+import random
 import sys
 import threading
 
@@ -102,8 +103,22 @@ def test_empty_topology_rejected():
 
 
 # ----------------------------------------------------------------------
-# Route-row implementations
+# The ring table and the first-hop rule
 # ----------------------------------------------------------------------
+def _shuffled_geometric(n, radius, seed):
+    """A geometric mesh whose nodes and links were inserted in a random
+    order, so no adjacency list is sorted by id."""
+    graph = random_geometric_topology(n, radius, seed=seed).graph
+    rng = random.Random(seed)
+    nodes, edges = list(graph.nodes), list(graph.edges(data=True))
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    shuffled = nx.Graph()
+    shuffled.add_nodes_from(nodes)
+    shuffled.add_edges_from((b, a, d) if rng.random() < 0.5 else (a, b, d) for a, b, d in edges)
+    return Topology(shuffled)
+
+
 def _row_shapes():
     return {
         "line": line_topology(7),
@@ -111,25 +126,35 @@ def _row_shapes():
         "star": star_topology(6),
         "full": full_mesh_topology(5),
         "geo": random_geometric_topology(60, 0.25, seed=11),
+        "shuffled": _shuffled_geometric(60, 0.25, seed=12),
         "split": from_edges([("a", "b"), ("c", "d")]),  # disconnected
     }
 
 
 def test_route_row_backends_agree():
-    # The sequential BFS is the oracle; the scipy C BFS must reproduce its
-    # next-hop and distance rows exactly (not just equivalently).
+    # The sequential FIFO BFS is the oracle.  The on-demand first-hop rule,
+    # the level-by-level rows the benchmark reads and the hop_rows distances
+    # must all reproduce it exactly, for every ordered pair of every shape.
     for label, topo in _row_shapes().items():
-        for src_id in topo.intern_ids().values():
-            rows = topo._route_row_scipy(src_id)
-            assert rows == reference_route_row(topo, src_id), f"scipy diverged at {label}/{src_id}"
-
-
-def test_route_row_dispatcher_matches_oracle():
-    for topo in _row_shapes().values():
-        for src_id in topo.intern_ids().values():
+        names = topo.intern_ids()
+        hops = topo.hop_rows(list(names))
+        for src_id in names.values():
             row, dist = reference_route_row(topo, src_id)
-            assert topo._route_row(src_id) == row
-            assert topo._dist_rows[src_id] == dist
+            assert topo._route_row(src_id) == row, f"{label}/{src_id}"
+            assert topo._dist_rows[src_id] == dist, f"{label}/{src_id}"
+            assert [topo.next_hop_id(src_id, dst_id) for dst_id in range(len(row))] == row
+            assert hops[src_id] == [None if d < 0 else d for d in dist], f"{label}/{src_id}"
+
+
+def test_rings_partition_every_node_by_distance():
+    for label, topo in _row_shapes().items():
+        rings = topo._rings()
+        for src_id, own in enumerate(rings):
+            _row, dist = reference_route_row(topo, src_id)
+            assert all(own), label  # a list ends at its last non-empty ring
+            for hops, ring in enumerate(own):
+                members = {w for w in range(len(dist)) if ring >> w & 1}
+                assert members == {w for w, d in enumerate(dist) if d == hops}, label
 
 
 def test_next_hop_progresses_toward_destination():
@@ -160,25 +185,31 @@ def test_invalidate_cache_clears_route_rows():
     topo = line_topology(4)
     ids = topo.intern_ids()
     topo._route_row(ids["n0"])
-    assert topo._route_rows
+    assert topo._route_rows and topo._ring_table
     version = topo.version
     topo.invalidate_cache()
-    assert not topo._route_rows and not topo._dist_rows
+    assert not topo._route_rows and not topo._dist_rows and topo._ring_table is None
     assert topo.version == version + 1
 
 
 def test_cold_topology_shared_by_threads_reads_whole_rows():
     # A thread pool campaign hands one prebuilt Topology to every worker:
-    # the first queries race.  intern_ids() used to publish the ids before
-    # the adjacency they index (TypeError on _adj_ids None in most trials).
+    # the first queries race to build and publish the ring table.
+    # intern_ids() used to publish the ids before the adjacency they index
+    # (TypeError on _adj_ids None in most trials); a reader must never see
+    # a half-built ring table either.
     names = [f"n{i}" for i in range(120)]
-    expect = random_geometric_topology(120, 0.2, seed=3).hop_rows(names)
+    warm = random_geometric_topology(120, 0.2, seed=3)
+    expect = [[warm.next_hop(a, b) for b in names] for a in names]
     errors, results = [], []
 
-    def worker(topo, barrier):
+    def worker(topo, barrier, index):
         try:
             barrier.wait(timeout=10)
-            results.append(topo.hop_rows(names))
+            if index % 2:
+                results.append(topo.hop_rows(names) == warm.hop_rows(names))
+            else:
+                results.append([[topo.next_hop(a, b) for b in names] for a in names] == expect)
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(repr(exc))
 
@@ -188,7 +219,9 @@ def test_cold_topology_shared_by_threads_reads_whole_rows():
         for _trial in range(20):
             topo = random_geometric_topology(120, 0.2, seed=3)
             barrier = threading.Barrier(4)
-            threads = [threading.Thread(target=worker, args=(topo, barrier)) for _ in range(4)]
+            threads = [
+                threading.Thread(target=worker, args=(topo, barrier, i)) for i in range(4)
+            ]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -197,13 +230,18 @@ def test_cold_topology_shared_by_threads_reads_whole_rows():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
-    assert len(results) == 80 and all(rows == expect for rows in results)
+    assert results == [True] * 80
 
 
 def test_frozen_topology_is_warm_and_refuses_change():
     topo = grid_topology(3, 3)
     assert topo.freeze() is topo
-    assert sorted(topo._route_rows) == sorted(topo._dist_rows) == list(range(9))
+    assert len(topo._ring_table) == 9
+    table = topo._ring_table
+    assert topo.hop_rows(topo.node_names)[0] == [0, 1, 2, 1, 2, 3, 2, 3, 4]
+    assert topo.next_hop("n0", "n8") in topo.neighbors("n0")
+    # Reads store nothing: the ring table is the only route state.
+    assert topo._ring_table is table and not topo._route_rows and not topo._dist_rows
     for mutate in (
         lambda: topo.graph.add_edge("n0", "n8"),
         lambda: topo.graph.remove_node("n4"),

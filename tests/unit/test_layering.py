@@ -5,9 +5,10 @@ so neither writing a package nor opening the warehouse may load the
 layers that merely *use* it.  Checked in a fresh interpreter:
 ``sys.modules`` of the test process is already full.
 
-The simulator's numeric stack (numpy, scipy, networkx) loads where a
-topology or a statistic is built, so the CLI, the warehouse, the fleet
-coordinator and a level-3 write load none of it (DESIGN.md §3).
+The numeric stack loads where it is used: networkx where a topology is
+built, numpy and scipy where a statistic is.  So the CLI, the warehouse,
+the fleet coordinator and a level-3 write load none of it, and a simulated
+experiment loads networkx alone (DESIGN.md §3).
 
 And ``src/repro`` ships nothing that only a test would load: what exists
 to be compared against lives in ``tests/oracles`` (DESIGN.md §7).
@@ -79,15 +80,27 @@ def test_a_process_that_builds_no_topology_loads_no_numeric_stack(body, tmp_path
     assert _run_fresh(body, REPORT_NUMERIC_STACK, tmp_path) == "[]"
 
 
-def test_building_a_topology_loads_the_numeric_stack(tmp_path):
+def test_building_a_topology_loads_networkx_only(tmp_path):
+    # A simulated experiment draws its mesh, routes it and measures its hop
+    # counts on networkx and plain ints: numpy and scipy stay unloaded.
+    body = """
+        import repro
+        from repro.sd.processlib import build_two_party_description
+
+        repro.run_experiment(build_two_party_description(seed=3, replications=1), "c")
+    """
+    assert _run_fresh(body, REPORT_NUMERIC_STACK, tmp_path) == "['networkx']"
+
+
+def test_a_statistic_loads_scipy(tmp_path):
     # The positive control: the report above sees the stack when it loads.
     body = """
-        from repro.net.topology import random_geometric_topology
+        from repro.analysis.stats import mean_confidence_interval
 
-        random_geometric_topology(30, 0.3, seed=1).next_hop("n0", "n29")
+        mean_confidence_interval([1.0, 2.0, 4.0])
     """
     loaded = _run_fresh(body, REPORT_NUMERIC_STACK, tmp_path)
-    assert "'networkx'" in loaded and "'scipy'" in loaded
+    assert "'numpy'" in loaded and "'scipy'" in loaded
 
 
 def _module_name(path: Path) -> str:
