@@ -9,11 +9,14 @@ unrealized.  This package is that level at scale:
 * :mod:`repro.repo.shard` — shard storage: attach-copy ingestion (a
   slice is read back by the level-3 reader itself);
 * :mod:`repro.repo.journal` — the fsynced ingest journal making
-  write-behind ingestion crash-safe;
+  batched ingestion crash-safe;
 * :mod:`repro.repo.views` — materialized cross-experiment read models;
 * :mod:`repro.repo.cache` — the cache-aside layer over the read models;
 * :mod:`repro.repo.warehouse` — the façade tying them together;
-* :mod:`repro.repo.queue` — the asynchronous write-behind front door.
+* :mod:`repro.repo.queue` — the batching front door.
+
+Everything runs on the caller's thread: there is no background thread
+or pool, and a warehouse is used by the thread that opened it.
 """
 
 from repro.repo.cache import AggregateCache

@@ -14,7 +14,6 @@ Hits and misses feed the process metrics registry
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Dict, Tuple
 
 from repro.obs.metrics import get_registry
@@ -31,28 +30,24 @@ class AggregateCache:
         self.hits = 0
         self.misses = 0
         self._entries: Dict[Any, Tuple[int, Any]] = {}
-        self._lock = threading.Lock()
 
     def invalidate(self) -> None:
         """Called after every committed ingest: everything cached is
         stale now.  Entries are dropped lazily on next access."""
-        with self._lock:
-            self.generation += 1
+        self.generation += 1
 
     def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] == self.generation:
-                self.hits += 1
-                self._count("hit")
-                return entry[1]
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] == self.generation:
+            self.hits += 1
+            self._count("hit")
+            return entry[1]
         value = compute()
-        with self._lock:
-            self.misses += 1
-            self._count("miss")
-            if len(self._entries) >= self.max_entries:
-                self._entries.clear()  # generation churn keeps this rare
-            self._entries[key] = (self.generation, value)
+        self.misses += 1
+        self._count("miss")
+        if len(self._entries) >= self.max_entries:
+            self._entries.clear()  # generation churn keeps this rare
+        self._entries[key] = (self.generation, value)
         return value
 
     def _count(self, outcome: str) -> None:

@@ -16,9 +16,9 @@ One SQLite database (``<root>/catalog.db``) holds everything that is
 * the materialized read models (:mod:`repro.repo.views`) — real tables,
   refreshed incrementally per ingested ExpID.
 
-The connection is shared with the write-behind drain thread, so it is
-opened with ``check_same_thread=False``; the owning
-:class:`~repro.repo.warehouse.Warehouse` serializes access.
+The connection belongs to the thread that opened the owning
+:class:`~repro.repo.warehouse.Warehouse`; every ingest and query runs
+on that thread.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class Catalog:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / CATALOG_FILE
-        self.conn = sqlite3.connect(str(self.path), check_same_thread=False)
+        self.conn = sqlite3.connect(str(self.path))
         self.conn.row_factory = sqlite3.Row
         # WAL + NORMAL: catalogue commits are frequent and tiny (pending
         # inserts, done flips, MV rows), and in WAL mode NORMAL makes them

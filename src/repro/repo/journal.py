@@ -1,7 +1,7 @@
-"""Write-behind ingest journal: crash-safe warehouse ingestion.
+"""Ingest journal: crash-safe warehouse ingestion.
 
-The warehouse's ingest queue acknowledges packages *before* their rows
-hit a shard (write-behind).  The journal is what makes that safe: a
+One ingest batch writes to the catalogue and to several shards, which
+cannot commit together.  The journal is what makes that safe: a
 :class:`repro.durable.DurableLog` at ``<root>/journal/ingest.jsonl`` whose
 entries bracket every ingest attempt.
 
@@ -24,7 +24,7 @@ catalogue dedups by content digest, replay is idempotent — a killed
 ingest resumes with no duplicate and no missing ExpIDs.
 
 Appends are batched: one ``append_many`` call is one write + fsync
-regardless of batch size, which is where the write-behind queue's
+regardless of batch size, which is where batched ingestion's
 throughput over per-package commits comes from.
 """
 

@@ -85,7 +85,7 @@ def open_shard(path) -> sqlite3.Connection:
     """Open (and if needed create) a shard database."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    conn = sqlite3.connect(str(path), check_same_thread=False)
+    conn = sqlite3.connect(str(path))
     conn.row_factory = sqlite3.Row
     # Rollback journal on, per-commit fsyncs off.  The journal keeps
     # attach-group copies atomic across *process* crashes (a hot journal

@@ -4,10 +4,13 @@ Sec. IV-F leaves the fourth storage level — *"the integration of
 multiple experiments into a single repository to facilitate comparison
 and analysis covering multiple experiments"* — as future work.  This is
 that level at warehouse scale: a catalogue database routing thousands of
-level-3 packages into per-partition shards, with crash-safe write-behind
+level-3 packages into per-partition shards, with crash-safe batched
 ingestion and materialized cross-experiment read models (DESIGN.md §13).
+Everything runs on the caller's thread: a warehouse, its connections and
+its cache belong to the thread that opened it.
 
-Ingest protocol (per batch; every step idempotent under replay):
+Ingest protocol (per batch, once every package is fingerprinted; every
+step idempotent under replay):
 
 1. journal ``ingest_begin`` entries — one fsync for the batch;
 2. catalogue: dedup by content digest, allocate ``pending`` ExpIDs
@@ -28,7 +31,6 @@ duplicate and no missing ExpIDs.
 from __future__ import annotations
 
 import sqlite3
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,15 +77,13 @@ class Warehouse:
         self.journal = IngestJournal(self.root)
         self.cache = AggregateCache()
         self._shards: Dict[int, sqlite3.Connection] = {}
-        self._lock = threading.RLock()
         self.last_recovery: Dict[str, List[Any]] = self.recover()
 
     def close(self) -> None:
-        with self._lock:
-            for conn in self._shards.values():
-                conn.close()
-            self._shards.clear()
-            self.catalog.close()
+        for conn in self._shards.values():
+            conn.close()
+        self._shards.clear()
+        self.catalog.close()
 
     def __enter__(self) -> "Warehouse":
         return self
@@ -99,25 +99,13 @@ class Warehouse:
         return self.ingest_many([path], force=force)[0]
 
     def ingest_many(
-        self,
-        paths: Sequence[Any],
-        force: bool = False,
-        keys: Optional[Sequence[ExperimentKey]] = None,
+        self, paths: Sequence[Any], force: bool = False
     ) -> List[IngestResult]:
         """Ingest a batch of packages with batched journaling, catalogue
-        transactions and per-partition attach-copies.
-
-        *keys* lets a caller (the write-behind queue's preparation
-        stage) pass pre-computed fingerprints so the expensive hashing
-        runs outside the warehouse lock.
-        """
-        if keys is None:
-            keys = [fingerprint_package(p) for p in paths]
-        if len(keys) != len(paths):
-            raise StorageError("ingest_many: paths and keys length mismatch")
+        transactions and per-partition attach-copies."""
         started = time.perf_counter()
-        with self._lock:
-            results = self._ingest_batch_locked(list(paths), list(keys), force)
+        keys = [fingerprint_package(p) for p in paths]
+        results = self._ingest_batch(list(paths), keys, force)
         registry = get_registry()
         for result in results:
             registry.counter(
@@ -131,7 +119,7 @@ class Warehouse:
         ).observe(time.perf_counter() - started)
         return results
 
-    def _ingest_batch_locked(
+    def _ingest_batch(
         self, paths: List[Any], keys: List[ExperimentKey], force: bool
     ) -> List[IngestResult]:
         tickets = [self.journal.next_ticket() for _ in paths]
@@ -221,56 +209,55 @@ class Warehouse:
             "reingested": [],
             "confirmed": [],
         }
-        with self._lock:
-            touched = False
-            # Catalogue rows stuck in 'pending': redo or purge.
-            for row in self.catalog.pending():
-                touched = True
-                exp_id = row["ExpID"]
-                shard = self._shard(row["PartitionID"])
-                delete_experiment_rows(shard, exp_id)
-                source = Path(row["SourcePath"])
-                if source.exists():
-                    copy_batch_into_shard(shard, [(exp_id, source)])
-                    refresh_experiment_views(self.catalog.conn, shard, exp_id)
-                    self.catalog.mark_done(exp_id)
-                    self.catalog.conn.commit()
-                    report["completed"].append(exp_id)
-                else:
-                    self.catalog.purge_experiment(exp_id)
-                    self.catalog.conn.commit()
-                    report["purged"].append(exp_id)
+        touched = False
+        # Catalogue rows stuck in 'pending': redo or purge.
+        for row in self.catalog.pending():
+            touched = True
+            exp_id = row["ExpID"]
+            shard = self._shard(row["PartitionID"])
+            delete_experiment_rows(shard, exp_id)
+            source = Path(row["SourcePath"])
+            if source.exists():
+                copy_batch_into_shard(shard, [(exp_id, source)])
+                refresh_experiment_views(self.catalog.conn, shard, exp_id)
+                self.catalog.mark_done(exp_id)
+                self.catalog.conn.commit()
+                report["completed"].append(exp_id)
+            else:
+                self.catalog.purge_experiment(exp_id)
+                self.catalog.conn.commit()
+                report["purged"].append(exp_id)
 
-            # Journal tickets that never completed (may predate the
-            # catalogue insert entirely).
-            closing = []
-            for rec in self.journal.incomplete():
-                touched = True
-                ticket = rec.get("ticket", -1)
-                existing = self.catalog.find_by_digest(rec.get("digest", ""))
-                if existing is not None:
-                    closing.append(
-                        self.journal.done_record(ticket, existing["ExpID"])
-                    )
-                    report["confirmed"].append(existing["ExpID"])
-                    continue
-                source = Path(rec.get("source", ""))
-                if source.exists():
-                    result = self._ingest_batch_locked(
-                        [source], [fingerprint_package(source)], False
-                    )[0]
-                    closing.append(
-                        self.journal.done_record(ticket, result.exp_id)
-                    )
-                    report["reingested"].append(result.exp_id)
-                else:
-                    closing.append(
-                        self.journal.abandon_record(ticket, "source missing")
-                    )
-                    report["purged"].append(str(source))
-            self.journal.append_many(closing)
-            if touched:
-                self.cache.invalidate()
+        # Journal tickets that never completed (may predate the
+        # catalogue insert entirely).
+        closing = []
+        for rec in self.journal.incomplete():
+            touched = True
+            ticket = rec.get("ticket", -1)
+            existing = self.catalog.find_by_digest(rec.get("digest", ""))
+            if existing is not None:
+                closing.append(
+                    self.journal.done_record(ticket, existing["ExpID"])
+                )
+                report["confirmed"].append(existing["ExpID"])
+                continue
+            source = Path(rec.get("source", ""))
+            if source.exists():
+                result = self._ingest_batch(
+                    [source], [fingerprint_package(source)], False
+                )[0]
+                closing.append(
+                    self.journal.done_record(ticket, result.exp_id)
+                )
+                report["reingested"].append(result.exp_id)
+            else:
+                closing.append(
+                    self.journal.abandon_record(ticket, "source missing")
+                )
+                report["purged"].append(str(source))
+        self.journal.append_many(closing)
+        if touched:
+            self.cache.invalidate()
         return report
 
     # ------------------------------------------------------------------

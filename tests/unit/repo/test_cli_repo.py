@@ -26,6 +26,25 @@ def test_repo_ingest_and_list(make_level3, tmp_path, capsys):
     assert "3 experiment(s), 2 partition(s)" in out  # forced copy listed too
 
 
+def test_repo_ingest_isolates_a_corrupt_package(make_level3, tmp_path, capsys):
+    root = tmp_path / "wh"
+    good_a = make_level3("good_a")
+    good_b = make_level3("good_b", t0=40.0)
+    corrupt = tmp_path / "corrupt.db"
+    corrupt.write_bytes(b"this is not a database")
+    argv = ["repo", "ingest", str(root), str(good_a), str(corrupt), str(good_b)]
+    assert main(argv) == 2
+    assert "corrupt.db" in capsys.readouterr().err
+
+    assert main(["repo", "list", str(root)]) == 0
+    out = capsys.readouterr().out
+    assert "good_a" in out and "good_b" in out
+    assert "2 experiment(s)" in out
+
+    assert main(["repo", "ingest", str(root), str(good_a), str(good_b)]) == 0
+    assert capsys.readouterr().out.count("duplicate of experiment") == 2
+
+
 def test_repo_query_kinds(make_level3, tmp_path, capsys):
     root = tmp_path / "wh"
     db = make_level3("alpha", n_runs=4)

@@ -1,6 +1,7 @@
 """The warehouse façade: ingest, dedup, read models, recovery, queue."""
 
 import sqlite3
+import threading
 
 import pytest
 
@@ -442,6 +443,47 @@ def test_a_failed_batch_falls_back_one_by_one_and_is_counted(
     assert [r.source for r in results] == [str(db) for db in dbs]
     assert len(warehouse.experiments()) == 3
     assert suppressed.value(site="repo_batch_fallback") == 1
+
+
+def test_queue_writes_a_batch_when_its_buffer_fills(warehouse, make_level3):
+    dbs = [make_level3(f"exp-{i}", t0=1.0 + 20.0 * i) for i in range(3)]
+    queue = WriteBehindIngester(warehouse, batch_size=2)
+    held = []
+    for db in dbs:
+        queue.submit(db)
+        held.append(len(warehouse.experiments()))
+    assert held == [0, 2, 2]
+    queue.flush()
+    assert len(warehouse.experiments()) == 3
+
+
+def test_a_cached_aggregate_is_replaced_after_the_batch_that_changes_it(
+    warehouse, make_level3
+):
+    queue = WriteBehindIngester(warehouse, batch_size=2)
+    queue.submit(make_level3("alpha"))
+    assert warehouse.event_counts() == []
+    assert warehouse.event_counts() == []  # cached: nothing was written
+    assert (warehouse.cache.hits, warehouse.cache.misses) == (1, 1)
+
+    queue.submit(make_level3("beta", t0=40.0))  # fills the batch
+    counts = warehouse.event_counts()
+    assert warehouse.cache.misses == 2
+    assert {row["name"] for row in counts} == {"alpha", "beta"}
+    assert counts == warehouse.event_counts()
+    assert warehouse.cache.hits == 2
+
+
+def test_queue_starts_no_thread(warehouse, make_level3):
+    before = threading.active_count()
+    with WriteBehindIngester(warehouse, batch_size=2) as queue:
+        queue.submit(make_level3("alpha"))
+        assert threading.active_count() == before
+        queue.submit(make_level3("beta", t0=40.0))
+        assert threading.active_count() == before
+        queue.flush()
+    assert threading.active_count() == before
+    assert len(warehouse.experiments()) == 2
 
 
 def test_queue_rejects_submissions_after_close(warehouse, make_level3):
