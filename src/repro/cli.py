@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cond.add_argument("database", type=Path)
 
     p_repo = sub.add_parser(
-        "repo", help="the sharded L4 analytics warehouse"
+        "repo", help="the one-file L4 analytics warehouse"
     )
     repo_sub = p_repo.add_subparsers(dest="repo_command", required=True)
 
@@ -710,19 +710,23 @@ def _cmd_repo(args) -> int:
 
 
 def _repo_ingest(args) -> int:
-    from repro.repo import Warehouse, WriteBehindIngester
+    from repro.repo import IngestError, Warehouse, WriteBehindIngester
 
+    failure = None
     with Warehouse(args.root) as warehouse:
         recovery = warehouse.last_recovery
         recovered = sum(len(v) for v in recovery.values())
         if recovered:
             print(f"recovered {recovered} in-flight ingest(s) from a previous "
                   f"session: {recovery}", file=sys.stderr)
-        with WriteBehindIngester(warehouse) as queue:
-            for db in args.databases:
-                queue.submit(db, force=args.force)
-            results = queue.flush()
-        for result in results:
+        queue = WriteBehindIngester(warehouse)
+        for db in args.databases:
+            queue.submit(db, force=args.force)
+        try:
+            results = queue.close()
+        except IngestError as exc:
+            results, failure = exc.results, exc
+        for result in filter(None, results):
             if result.duplicate:
                 print(f"{result.source}: duplicate of experiment "
                       f"#{result.exp_id} (same Table-I digest), skipped")
@@ -731,6 +735,8 @@ def _repo_ingest(args) -> int:
                       f"#{result.exp_id}")
         print(f"warehouse holds {len(warehouse.experiments())} experiment(s) "
               f"in {len(warehouse.partitions())} partition(s)")
+    if failure is not None:
+        raise failure
     return 0
 
 
@@ -740,9 +746,9 @@ def _repo_list(args) -> int:
     with Warehouse(args.root) as warehouse:
         partitions = {p["PartitionID"]: p for p in warehouse.partitions()}
         for exp in warehouse.experiments():
-            part = partitions.get(exp["PartitionID"], {})
+            part = partitions[exp["PartitionID"]]
             print(f"#{exp['ExpID']}  {exp['Name']}  "
-                  f"partition={part.get('ShardFile', '?')}  "
+                  f"partition={part['Name']}:{part['FactorFingerprint'][:12]}  "
                   f"digest={exp['ContentDigest'][:12]}")
         print(f"{len(warehouse.experiments())} experiment(s), "
               f"{len(partitions)} partition(s)")

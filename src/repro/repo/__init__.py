@@ -4,10 +4,10 @@ ExCovery Sec. IV-F names a fourth storage level, "the integration of
 multiple experiments into a single repository", and leaves it
 unrealized.  This package is that level at scale:
 
-* :mod:`repro.repo.catalog` — the catalogue database routing
-  experiments to per-(name, factor-fingerprint) partition shards;
-* :mod:`repro.repo.shard` — shard storage: attach-copy ingestion (a
-  slice is read back by the level-3 reader itself);
+* :mod:`repro.repo.catalog` — the one warehouse file: catalogue,
+  (name, factor-fingerprint) partitions, Table-I rows and read models;
+* :mod:`repro.repo.shard` — attach-group ingestion, one transaction
+  per group (a slice is read back by the level-3 reader itself);
 * :mod:`repro.repo.journal` — the fsynced ingest journal making
   batched ingestion crash-safe;
 * :mod:`repro.repo.views` — materialized cross-experiment read models;
@@ -29,12 +29,13 @@ from repro.repo.fingerprint import (
 )
 from repro.repo.journal import IngestJournal
 from repro.repo.queue import WriteBehindIngester
-from repro.repo.warehouse import IngestResult, Warehouse
+from repro.repo.warehouse import IngestError, IngestResult, Warehouse
 
 __all__ = [
     "AggregateCache",
     "Catalog",
     "ExperimentKey",
+    "IngestError",
     "IngestJournal",
     "IngestResult",
     "Warehouse",

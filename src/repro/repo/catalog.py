@@ -1,20 +1,21 @@
-"""The warehouse catalogue: partition routing and the experiment index.
+"""The warehouse file: catalogue, Table-I rows and read models.
 
-One SQLite database (``<root>/catalog.db``) holds everything that is
-*about* experiments rather than *from* them:
+One SQLite database, ``<root>/catalog.db``, is the whole warehouse:
 
-* ``Partitions`` — the routing table.  A partition is one
-  ``(experiment name, factor fingerprint)`` bucket and owns one shard
-  database under ``<root>/shards/``; every package with that key lands
-  in that shard.
+* ``Partitions`` — one row per ``(experiment name, factor fingerprint)``
+  key; re-runs of one design share it, and ``repro repo list`` names
+  each experiment's.
 * ``Experiments`` — the global catalogue.  ExpIDs are allocated here
-  (warehouse-wide, monotonically), each row carrying the partition it
-  routes to, both fingerprints, and an ingest ``Status``
-  (``pending`` → ``done``).  A ``pending`` row is an ingest whose shard
-  copy or view refresh has not committed yet — recovery completes or
-  purges it.
-* the materialized read models (:mod:`repro.repo.views`) — real tables,
-  refreshed incrementally per ingested ExpID.
+  (warehouse-wide, monotonically), each row carrying its partition,
+  both fingerprints and its ingest sequence number.
+* the Table-I tables minus ``ExperimentInfo`` (which ``Experiments``
+  holds), each widened with an ``ExpID`` column and indexed by it;
+* the materialized read models (:mod:`repro.repo.views`), refreshed
+  per ingested ExpID.
+
+An experiment's catalogue row, Table-I rows and read-model rows commit
+in one transaction (:func:`repro.repo.shard.copy_batch_into_shard`), so
+every ``Experiments`` row is an experiment whose data is all there.
 
 The connection belongs to the thread that opened the owning
 :class:`~repro.repo.warehouse.Warehouse`; every ingest and query runs
@@ -29,17 +30,17 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import StorageError
 
-__all__ = ["Catalog", "CATALOG_FILE", "SHARD_DIR"]
+__all__ = ["Catalog", "CATALOG_FILE"]
 
 CATALOG_FILE = "catalog.db"
-SHARD_DIR = "shards"
+
+_PARTITION_COLUMNS = ["PartitionID", "Name", "FactorFingerprint"]
 
 _CATALOG_DDL = """
 CREATE TABLE IF NOT EXISTS Partitions (
     PartitionID       INTEGER PRIMARY KEY AUTOINCREMENT,
     Name              TEXT NOT NULL,
     FactorFingerprint TEXT NOT NULL,
-    ShardFile         TEXT NOT NULL,
     UNIQUE (Name, FactorFingerprint)
 );
 CREATE TABLE IF NOT EXISTS Experiments (
@@ -52,11 +53,39 @@ CREATE TABLE IF NOT EXISTS Experiments (
     ContentDigest     TEXT NOT NULL,
     FactorFingerprint TEXT NOT NULL,
     SourcePath        TEXT NOT NULL,
-    IngestSeq         INTEGER NOT NULL,
-    Status            TEXT NOT NULL DEFAULT 'pending'
+    IngestSeq         INTEGER NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_exp_digest ON Experiments (ContentDigest);
 CREATE INDEX IF NOT EXISTS idx_exp_name ON Experiments (Name);
+CREATE TABLE IF NOT EXISTS Logs (
+    ExpID INTEGER NOT NULL, NodeID TEXT NOT NULL, Log TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS EEFiles (
+    ExpID INTEGER NOT NULL, ID TEXT NOT NULL, File TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS ExperimentMeasurements (
+    ExpID INTEGER NOT NULL, NodeID TEXT NOT NULL, Name TEXT NOT NULL,
+    Content TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS RunInfos (
+    ExpID INTEGER NOT NULL, RunID INTEGER NOT NULL, NodeID TEXT NOT NULL,
+    StartTime REAL NOT NULL, TimeDiff REAL NOT NULL, AbortReason TEXT
+);
+CREATE TABLE IF NOT EXISTS ExtraRunMeasurements (
+    ExpID INTEGER NOT NULL, RunID INTEGER NOT NULL, NodeID TEXT NOT NULL,
+    Name TEXT NOT NULL, Content TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS Events (
+    ExpID INTEGER NOT NULL, RunID INTEGER, NodeID TEXT NOT NULL,
+    CommonTime REAL NOT NULL, EventType TEXT NOT NULL, Parameter TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS Packets (
+    ExpID INTEGER NOT NULL, RunID INTEGER, NodeID TEXT NOT NULL,
+    CommonTime REAL NOT NULL, SrcNodeID TEXT NOT NULL, Data TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_events ON Events (ExpID, EventType, RunID);
+CREATE INDEX IF NOT EXISTS idx_runinfos ON RunInfos (ExpID, RunID);
+CREATE INDEX IF NOT EXISTS idx_packets ON Packets (ExpID, RunID);
 CREATE TABLE IF NOT EXISTS MvExperimentStats (
     ExpID   INTEGER PRIMARY KEY,
     Runs    INTEGER NOT NULL,
@@ -93,20 +122,25 @@ CREATE TABLE IF NOT EXISTS MvResponsiveness (
 
 
 class Catalog:
-    """Typed access to one warehouse's catalogue database."""
+    """Typed access to one warehouse's database."""
 
     def __init__(self, root) -> None:
         self.root = Path(root)
+        if (self.root / "shards").is_dir():
+            raise _older_layout(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / CATALOG_FILE
         self.conn = sqlite3.connect(str(self.path))
         self.conn.row_factory = sqlite3.Row
-        # WAL + NORMAL: catalogue commits are frequent and tiny (pending
-        # inserts, done flips, MV rows), and in WAL mode NORMAL makes them
-        # fsync-free.  Crash safety is unaffected for process crashes (a
-        # committed WAL frame survives the process); after a power loss
-        # the catalogue can only lose *recent* commits, which recovery
-        # replays from the fsynced ingest journal.
+        columns = [row[1] for row in self.conn.execute("PRAGMA table_info(Partitions)")]
+        if columns and columns != _PARTITION_COLUMNS:
+            self.conn.close()
+            raise _older_layout(self.root)
+        # WAL + NORMAL: an ingest commits once per attach group, and in WAL
+        # mode NORMAL makes that commit fsync-free.  A committed WAL frame
+        # survives a process crash; after a power loss the file can only
+        # lose *recent* commits, which recovery replays from the fsynced
+        # ingest journal.
         self.conn.execute("PRAGMA journal_mode=WAL")
         self.conn.execute("PRAGMA synchronous=NORMAL")
         self.conn.executescript(_CATALOG_DDL)
@@ -116,54 +150,39 @@ class Catalog:
         self.conn.close()
 
     # ------------------------------------------------------------------
-    # Partition routing
+    # Partitions
     # ------------------------------------------------------------------
-    def get_or_create_partition(
-        self, name: str, factor_fingerprint: str
-    ) -> Tuple[int, Path]:
-        """Route a ``(name, factor fingerprint)`` key to its shard."""
+    def get_or_create_partition(self, name: str, factor_fingerprint: str) -> int:
+        """The PartitionID of a ``(name, factor fingerprint)`` key
+        (caller commits a new one)."""
         row = self.conn.execute(
-            "SELECT PartitionID, ShardFile FROM Partitions "
+            "SELECT PartitionID FROM Partitions "
             "WHERE Name = ? AND FactorFingerprint = ?",
             (name, factor_fingerprint),
         ).fetchone()
-        if row is None:
-            shard_file = f"{SHARD_DIR}/{_slug(name)}__{factor_fingerprint[:12]}.db"
-            cur = self.conn.execute(
-                "INSERT INTO Partitions (Name, FactorFingerprint, ShardFile) "
-                "VALUES (?, ?, ?)",
-                (name, factor_fingerprint, shard_file),
-            )
-            self.conn.commit()
-            return cur.lastrowid, self.root / shard_file
-        return row["PartitionID"], self.root / row["ShardFile"]
+        if row is not None:
+            return row[0]
+        return self.conn.execute(
+            "INSERT INTO Partitions (Name, FactorFingerprint) VALUES (?, ?)",
+            (name, factor_fingerprint),
+        ).lastrowid
 
     def partitions(self) -> List[Dict[str, Any]]:
         return [
             dict(row)
             for row in self.conn.execute(
-                "SELECT PartitionID, Name, FactorFingerprint, ShardFile "
+                "SELECT PartitionID, Name, FactorFingerprint "
                 "FROM Partitions ORDER BY PartitionID"
             )
         ]
-
-    def shard_path(self, partition_id: int) -> Path:
-        row = self.conn.execute(
-            "SELECT ShardFile FROM Partitions WHERE PartitionID = ?",
-            (partition_id,),
-        ).fetchone()
-        if row is None:
-            raise StorageError(f"no partition #{partition_id} in catalogue")
-        return self.root / row["ShardFile"]
 
     # ------------------------------------------------------------------
     # Experiment rows
     # ------------------------------------------------------------------
     def find_by_digest(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The oldest *completed* experiment with this content digest."""
+        """The oldest experiment with this content digest."""
         row = self.conn.execute(
-            "SELECT * FROM Experiments "
-            "WHERE ContentDigest = ? AND Status = 'done' ORDER BY ExpID",
+            "SELECT * FROM Experiments WHERE ContentDigest = ? ORDER BY ExpID",
             (digest,),
         ).fetchone()
         return dict(row) if row is not None else None
@@ -174,14 +193,14 @@ class Catalog:
         ).fetchone()
         return row[0] + 1
 
-    def insert_pending(
-        self, partition_id: int, key, source, ingest_seq: int
-    ) -> int:
-        """Allocate an ExpID for an ingest in flight (caller commits)."""
+    def insert_experiment(self, key, source, ingest_seq: int) -> Tuple[int, int]:
+        """Allocate an ExpID in the key's partition (caller commits);
+        returns ``(exp_id, partition_id)``."""
+        partition_id = self.get_or_create_partition(key.name, key.factor_fingerprint)
         cur = self.conn.execute(
             "INSERT INTO Experiments (PartitionID, Name, Comment, EEVersion, "
-            "ExpXML, ContentDigest, FactorFingerprint, SourcePath, IngestSeq, "
-            "Status) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, 'pending')",
+            "ExpXML, ContentDigest, FactorFingerprint, SourcePath, IngestSeq) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
                 partition_id,
                 key.name,
@@ -194,32 +213,7 @@ class Catalog:
                 ingest_seq,
             ),
         )
-        return cur.lastrowid
-
-    def mark_done(self, exp_id: int) -> None:
-        self.conn.execute(
-            "UPDATE Experiments SET Status = 'done' WHERE ExpID = ?", (exp_id,)
-        )
-
-    def purge_experiment(self, exp_id: int) -> None:
-        """Drop one experiment's catalogue row and view rows (shard rows
-        are the caller's job — they live in another database)."""
-        for table in (
-            "Experiments",
-            "MvExperimentStats",
-            "MvEventCounts",
-            "MvFaultBreakdown",
-            "MvResponsiveness",
-        ):
-            self.conn.execute(f"DELETE FROM {table} WHERE ExpID = ?", (exp_id,))
-
-    def pending(self) -> List[Dict[str, Any]]:
-        return [
-            dict(row)
-            for row in self.conn.execute(
-                "SELECT * FROM Experiments WHERE Status = 'pending' ORDER BY ExpID"
-            )
-        ]
+        return cur.lastrowid, partition_id
 
     def experiments(self) -> List[Dict[str, Any]]:
         return [
@@ -227,7 +221,7 @@ class Catalog:
             for row in self.conn.execute(
                 "SELECT ExpID, PartitionID, Name, Comment, EEVersion, "
                 "ContentDigest, FactorFingerprint, SourcePath, IngestSeq "
-                "FROM Experiments WHERE Status = 'done' ORDER BY ExpID"
+                "FROM Experiments ORDER BY ExpID"
             )
         ]
 
@@ -241,8 +235,7 @@ class Catalog:
 
     def experiment_id_by_name(self, name: str) -> int:
         row = self.conn.execute(
-            "SELECT ExpID FROM Experiments "
-            "WHERE Name = ? AND Status = 'done' ORDER BY ExpID DESC",
+            "SELECT ExpID FROM Experiments WHERE Name = ? ORDER BY ExpID DESC",
             (name,),
         ).fetchone()
         if row is None:
@@ -250,6 +243,8 @@ class Catalog:
         return row[0]
 
 
-def _slug(name: str) -> str:
-    """Filesystem-safe partition file stem."""
-    return "".join(c if (c.isalnum() or c in "-_.") else "_" for c in name)[:64]
+def _older_layout(root: Path) -> StorageError:
+    return StorageError(
+        f"{root} is a warehouse in the older one-file-per-partition layout; "
+        f"re-ingest its packages into a fresh root"
+    )

@@ -7,7 +7,7 @@ Two orthogonal fingerprints drive the repository (DESIGN.md §13):
   the experiment name it keys the partition an experiment lands in:
   replications and run order don't move an experiment, adding a factor
   or a level does.  Experiments that explore the same factor space share
-  a shard and are therefore directly comparable with one query.
+  a partition and are therefore directly comparable with one query.
 * the **content digest** — the Table-I digest
   (:func:`repro.storage.level3.database_digest`), the same hash every
   equivalence check in the code base pins.  It dedups re-ingests of the

@@ -1,27 +1,30 @@
 """Ingest journal: crash-safe warehouse ingestion.
 
-One ingest batch writes to the catalogue and to several shards, which
-cannot commit together.  The journal is what makes that safe: a
-:class:`repro.durable.DurableLog` at ``<root>/journal/ingest.jsonl`` whose
-entries bracket every ingest attempt.
+An ingest batch commits in attach groups, one transaction each, so a
+crash leaves whole groups or nothing in the warehouse file.  The
+journal says which packages a dead process had in flight: a
+:class:`repro.durable.DurableLog` at ``<root>/journal/ingest.jsonl``
+whose entries bracket every ingest attempt.
 
 ``ingest_begin``
     ticket (monotonic per journal), source path, content digest,
-    partition key.  Appended — and fsynced — *before* any catalogue or
-    shard write for the batch.
+    partition key.  Appended — and fsynced — *before* any warehouse
+    write for the batch.
 ``ingest_done``
-    ticket + the ExpID the package ended up under.  Appended after the
-    catalogue marked the experiment ``done``.
+    ticket + the ExpID the package committed under.
 ``ingest_skip``
     ticket + the existing ExpID a duplicate deduplicated onto.
+``ingest_abandoned``
+    ticket + the error that stopped it: a package whose group failed,
+    or one recovery could not re-ingest.
 
-A ``begin`` without a matching ``done``/``skip`` marks an ingest that
-was in flight when the process died.  Recovery
+A ``begin`` without a closing entry marks an ingest that was in flight
+when the process died.  Recovery
 (:meth:`repro.repo.warehouse.Warehouse.recover`) replays exactly those
-tickets: catalogue rows still ``pending`` are completed or purged, and
-sources that never reached the catalogue are re-ingested.  Because the
-catalogue dedups by content digest, replay is idempotent — a killed
-ingest resumes with no duplicate and no missing ExpIDs.
+tickets: it confirms a digest the catalogue already holds and
+re-ingests the rest.  Because the catalogue dedups by content digest,
+replay is idempotent — a killed ingest resumes with no duplicate and no
+missing ExpIDs.
 
 Appends are batched: one ``append_many`` call is one write + fsync
 regardless of batch size, which is where batched ingestion's
@@ -62,10 +65,10 @@ class IngestJournal:
     ) -> None:
         """Append a batch of entries with a single write (+ fsync).
 
-        ``fsync=False`` is for ticket-*closing* records (done/skip):
-        losing one to a power cut only means recovery re-examines a
-        ticket whose digest the catalogue already knows and closes it
-        again ("confirmed") — strictly idempotent.  ``begin`` records
+        ``fsync=False`` is for ticket-*closing* records: losing one to
+        a power cut only means recovery re-examines the ticket — it
+        confirms a digest the catalogue knows, and retries (and again
+        abandons) a package that failed.  ``begin`` records
         must stay fsynced: they are what recovery replays from.
         """
         self._log.append(records, sync=fsync)
@@ -87,7 +90,7 @@ class IngestJournal:
         return {"type": "ingest_skip", "ticket": ticket, "exp_id": exp_id}
 
     def abandon_record(self, ticket: int, reason: str) -> Dict[str, Any]:
-        """Recovery found the ticket unrecoverable (source gone)."""
+        """The ticket's package did not commit, for *reason*."""
         return {"type": "ingest_abandoned", "ticket": ticket, "reason": reason}
 
     # ------------------------------------------------------------------

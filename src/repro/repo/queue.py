@@ -7,8 +7,7 @@ thread.  The batching is where the throughput over sequential imports
 comes from:
 
 * one journal fsync per batch instead of per package;
-* one catalogue transaction per batch;
-* attach-copy groups sharing shard transactions.
+* one transaction per attach group of ≤ 6 packages.
 
 Durability is the journal's job, not the ingester's: once
 ``ingest_many`` returns, the batch is journaled and recoverable.  A
@@ -16,20 +15,20 @@ crash while packages sit in the buffer loses only those un-journaled
 submissions — the same window a caller of ``ingest_many`` has before
 calling it.
 
-If a whole batch fails, it is retried package by package so a single
-corrupt file poisons only itself; its error is recorded against its
-submission and re-raised by :meth:`WriteBehindIngester.flush`.
+If a batch fails, what it committed stands and the rest is retried
+package by package, so a single corrupt file poisons only itself; its
+error is recorded against its submission and re-raised by
+:meth:`WriteBehindIngester.flush`.
 """
 
 from __future__ import annotations
 
-import sqlite3
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import StorageError
 from repro.obs.metrics import count_suppressed_error, get_registry
 
-from repro.repo.warehouse import IngestResult, Warehouse
+from repro.repo.warehouse import INGEST_ERRORS, IngestError, IngestResult, Warehouse
 
 __all__ = ["WriteBehindIngester"]
 
@@ -67,15 +66,16 @@ class WriteBehindIngester:
     def flush(self) -> List[Optional[IngestResult]]:
         """Ingest everything submitted so far.
 
-        Returns results in submission order (``None`` for a submission
-        that failed) and raises :class:`StorageError` if any did.
+        Returns results in submission order, or raises
+        :class:`~repro.repo.warehouse.IngestError` — carrying those
+        results, ``None`` for each submission that failed — if any did.
         """
         self._write()
         if self._errors:
             detail = "; ".join(
                 f"#{i}: {msg}" for i, msg in sorted(self._errors.items())
             )
-            raise StorageError(f"ingest queue failures: {detail}")
+            raise IngestError(f"ingest queue failures: {detail}", list(self._results))
         return list(self._results)
 
     def close(self) -> List[Optional[IngestResult]]:
@@ -105,18 +105,20 @@ class WriteBehindIngester:
                 results = self.warehouse.ingest_many(
                     [path for _i, path, _f in sub], force=force
                 )
-            except (StorageError, sqlite3.Error, OSError):
-                # Batch-level failure: fall back to one-by-one so a
-                # single bad package poisons only itself.  The batch's
-                # own error is counted; each package reports its own.
+            except INGEST_ERRORS as exc:
+                # Batch-level failure: keep what committed, then retry the
+                # rest one by one so a single bad package poisons only
+                # itself.  The batch's own error is counted; each package
+                # reports its own.
                 count_suppressed_error("repo_batch_fallback")
-                for index, path, _f in sub:
-                    try:
-                        self._results[index] = self.warehouse.ingest_many(
-                            [path], force=force
-                        )[0]
-                    except (StorageError, sqlite3.Error, OSError) as exc:
-                        self._errors[index] = f"{path}: {exc}"
+                results = exc.results if isinstance(exc, IngestError) else [None] * len(sub)
+                for (index, path, _f), result in zip(sub, results):
+                    if result is None:
+                        try:
+                            result = self.warehouse.ingest(path, force=force)
+                        except INGEST_ERRORS as err:
+                            self._errors[index] = f"{path}: {err}"
+                    self._results[index] = result
             else:
                 for (index, _p, _f), result in zip(sub, results):
                     self._results[index] = result

@@ -1,14 +1,15 @@
-"""Per-partition shard databases: storage.
+"""Attach-group ingest: a package's Table-I rows into the warehouse file.
 
-A shard holds the Table-I data of every experiment in one partition,
-each table widened with an ``ExpID`` discriminator column.  Ingest is an
-``ATTACH`` + ``INSERT ... SELECT`` copy — the rows never surface into
-Python, so a 100k-event package ingests at C speed in O(1) Python
-memory.  Sources are attached in groups and copied inside a single
-shard transaction per group, which is the batched half of the
-write-behind ingest's throughput win.
+The warehouse database (:mod:`repro.repo.catalog`) holds the Table-I
+data of every experiment, each table widened with an ``ExpID``
+discriminator column.  Ingest is an ``ATTACH`` + ``INSERT ... SELECT``
+copy — the rows never surface into Python, so a 100k-event package
+ingests at C speed in O(1) Python memory.  Sources are attached in
+groups of at most :data:`ATTACH_GROUP`, and each group commits in one
+transaction: every package's ``Experiments`` row, Table-I rows and read
+models, or none of them.
 
-A shard slice is read back by the level-3 reader itself
+An experiment's slice is read back by the level-3 reader itself
 (:meth:`repro.storage.level3.ExperimentDatabase.over_shard`), so every
 warehouse query is the same query the source package answers; the copy's
 fidelity — rows, order, tie-breaks — is pinned by property test.
@@ -17,21 +18,17 @@ fidelity — rows, order, tie-breaks — is pinned by property test.
 from __future__ import annotations
 
 import sqlite3
-from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.obs.metrics import count_suppressed_error
 from repro.storage.level3 import TABLE_SCHEMAS
 
-__all__ = [
-    "SHARD_COPY_COLUMNS",
-    "copy_batch_into_shard",
-    "delete_experiment_rows",
-    "open_shard",
-]
+from repro.repo.views import refresh_experiment_views
 
-#: Shard table -> the source level-3 columns copied verbatim (ExpID is
-#: prepended on insert): Table I minus ``ExperimentInfo``, which the
+__all__ = ["ATTACH_GROUP", "SHARD_COPY_COLUMNS", "copy_batch_into_shard"]
+
+#: Warehouse table -> the source level-3 columns copied verbatim (ExpID
+#: is prepended on insert): Table I minus ``ExperimentInfo``, which the
 #: catalogue holds, and minus the surrogate ``ExperimentMeasurements.ID``.
 #: ``RunInfos.AbortReason`` rides along, so the warehouse keeps the retry
 #: annotations of campaign-merged packages.
@@ -41,65 +38,9 @@ SHARD_COPY_COLUMNS: Dict[str, List[str]] = {
     if table != "ExperimentInfo"
 }
 
-_SHARD_DDL = """
-BEGIN;
-CREATE TABLE IF NOT EXISTS Logs (
-    ExpID INTEGER NOT NULL, NodeID TEXT NOT NULL, Log TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS EEFiles (
-    ExpID INTEGER NOT NULL, ID TEXT NOT NULL, File TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS ExperimentMeasurements (
-    ExpID INTEGER NOT NULL, NodeID TEXT NOT NULL, Name TEXT NOT NULL,
-    Content TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS RunInfos (
-    ExpID INTEGER NOT NULL, RunID INTEGER NOT NULL, NodeID TEXT NOT NULL,
-    StartTime REAL NOT NULL, TimeDiff REAL NOT NULL, AbortReason TEXT
-);
-CREATE TABLE IF NOT EXISTS ExtraRunMeasurements (
-    ExpID INTEGER NOT NULL, RunID INTEGER NOT NULL, NodeID TEXT NOT NULL,
-    Name TEXT NOT NULL, Content TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS Events (
-    ExpID INTEGER NOT NULL, RunID INTEGER, NodeID TEXT NOT NULL,
-    CommonTime REAL NOT NULL, EventType TEXT NOT NULL, Parameter TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS Packets (
-    ExpID INTEGER NOT NULL, RunID INTEGER, NodeID TEXT NOT NULL,
-    CommonTime REAL NOT NULL, SrcNodeID TEXT NOT NULL, Data TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_shard_events
-    ON Events (ExpID, EventType, RunID);
-CREATE INDEX IF NOT EXISTS idx_shard_runinfos ON RunInfos (ExpID, RunID);
-CREATE INDEX IF NOT EXISTS idx_shard_packets ON Packets (ExpID, RunID);
-COMMIT;
-"""
-
 #: SQLite's default attached-database limit is 10; stay well below it so
-#: the main database plus temp storage never collide with a batch.
+#: the main database plus temp storage never collide with a group.
 ATTACH_GROUP = 6
-
-
-def open_shard(path) -> sqlite3.Connection:
-    """Open (and if needed create) a shard database."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    conn = sqlite3.connect(str(path))
-    conn.row_factory = sqlite3.Row
-    # Rollback journal on, per-commit fsyncs off.  The journal keeps
-    # attach-group copies atomic across *process* crashes (a hot journal
-    # replays on the next open), which together with the catalogue's
-    # pending-row protocol is what recovery needs.  fsyncs are skipped
-    # because shards are derived data: after the rare power loss that
-    # corrupts one, every row is still in the source packages and the
-    # partition can be re-ingested.  (WAL is deliberately not used here:
-    # bulk appends land on fresh pages, so the rollback journal stays
-    # nearly empty while WAL would double-write the entire copy.)
-    conn.execute("PRAGMA synchronous=OFF")
-    conn.executescript(_SHARD_DDL)
-    conn.commit()
-    return conn
 
 
 def _source_has_column(
@@ -110,40 +51,45 @@ def _source_has_column(
 
 
 def copy_batch_into_shard(
-    conn: sqlite3.Connection, batch: "List[tuple[int, Any]]"
-) -> None:
-    """Attach-copy a batch of ``(exp_id, source path)`` pairs.
+    catalog, group: Sequence[Tuple[Any, Any, int]]
+) -> List[Tuple[int, int]]:
+    """Ingest one attach group of ``(source path, key, ingest seq)``
+    triples in one transaction; returns ``(exp_id, partition_id)`` per
+    package.
 
-    Sources are attached in groups of :data:`ATTACH_GROUP`; each group's
-    copies run in one shard transaction (``ATTACH`` is illegal inside a
-    transaction, hence attach-all-then-begin).  On any failure the open
-    transaction is rolled back, leaving previously committed groups in
-    place — recovery deletes by ExpID, so partial batches are safe.
+    ``ATTACH`` is illegal inside a transaction, so every source is
+    attached first.  Then, per package, its ``Experiments`` row allocates
+    the ExpID, its Table-I rows are copied and its read models refreshed,
+    and the group commits.  On any failure — an error or an interrupt —
+    the transaction is rolled back and nothing of the group remains.
     """
-    for start in range(0, len(batch), ATTACH_GROUP):
-        group = batch[start : start + ATTACH_GROUP]
-        aliases = []
+    conn = catalog.conn
+    aliases, ids = [], []
+    try:
+        for i, (source, _key, _seq) in enumerate(group):
+            alias = f"src{i}"
+            conn.execute(f"ATTACH DATABASE ? AS {alias}", (str(source),))
+            aliases.append(alias)
+        conn.execute("BEGIN")
         try:
-            for i, (_exp_id, source) in enumerate(group):
-                alias = f"src{i}"
-                conn.execute(f"ATTACH DATABASE ? AS {alias}", (str(source),))
-                aliases.append(alias)
-            conn.execute("BEGIN")
+            for alias, (source, key, seq) in zip(aliases, group):
+                exp_id, partition_id = catalog.insert_experiment(key, source, seq)
+                _copy_one(conn, alias, exp_id)
+                refresh_experiment_views(conn, exp_id)
+                ids.append((exp_id, partition_id))
+            conn.execute("COMMIT")
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+    finally:
+        for alias in aliases:
             try:
-                for alias, (exp_id, _source) in zip(aliases, group):
-                    _copy_one(conn, alias, exp_id)
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
-        finally:
-            for alias in aliases:
-                try:
-                    conn.execute(f"DETACH DATABASE {alias}")
-                except sqlite3.Error:
-                    # The copy's outcome stands either way; a source left
-                    # attached fails the next group's ATTACH loudly.
-                    count_suppressed_error("shard_detach")
+                conn.execute(f"DETACH DATABASE {alias}")
+            except sqlite3.Error:
+                # The group's outcome stands either way; a source left
+                # attached fails the next group's ATTACH loudly.
+                count_suppressed_error("shard_detach")
+    return ids
 
 
 def _copy_one(conn: sqlite3.Connection, alias: str, exp_id: int) -> None:
@@ -152,26 +98,14 @@ def _copy_one(conn: sqlite3.Connection, alias: str, exp_id: int) -> None:
         if table == "RunInfos" and not _source_has_column(
             conn, alias, table, "AbortReason"
         ):
-            # Pre-AbortReason packages: the column is NULL in the shard.
+            # Pre-AbortReason packages: the column is NULL in the warehouse.
             select_cols[select_cols.index("AbortReason")] = "NULL"
-        # ORDER BY rowid: shard rowids then replay the package's insertion
-        # order, so view queries can tie-break equal sort keys exactly the
-        # way a direct ExperimentDatabase scan does.
+        # ORDER BY rowid: warehouse rowids then replay the package's
+        # insertion order, so view queries can tie-break equal sort keys
+        # exactly the way a direct ExperimentDatabase scan does.
         conn.execute(
             f"INSERT INTO {table} (ExpID, {', '.join(columns)}) "
             f"SELECT ?, {', '.join(select_cols)} FROM {alias}.{table} "
             f"ORDER BY rowid",
             (exp_id,),
         )
-
-
-def delete_experiment_rows(conn: sqlite3.Connection, exp_id: int) -> None:
-    """Remove every row of one ExpID (recovery of a partial ingest)."""
-    conn.execute("BEGIN")
-    try:
-        for table in SHARD_COPY_COLUMNS:
-            conn.execute(f"DELETE FROM {table} WHERE ExpID = ?", (exp_id,))
-        conn.execute("COMMIT")
-    except BaseException:
-        conn.execute("ROLLBACK")
-        raise

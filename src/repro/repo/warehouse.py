@@ -3,38 +3,35 @@
 Sec. IV-F leaves the fourth storage level — *"the integration of
 multiple experiments into a single repository to facilitate comparison
 and analysis covering multiple experiments"* — as future work.  This is
-that level at warehouse scale: a catalogue database routing thousands of
-level-3 packages into per-partition shards, with crash-safe batched
-ingestion and materialized cross-experiment read models (DESIGN.md §13).
-Everything runs on the caller's thread: a warehouse, its connections and
-its cache belong to the thread that opened it.
+that level at warehouse scale: one SQLite file holding the catalogue,
+the Table-I rows of thousands of level-3 packages and materialized
+cross-experiment read models, with crash-safe batched ingestion
+(DESIGN.md §13).  Everything runs on the caller's thread: a warehouse,
+its connection and its cache belong to the thread that opened it.
 
-Ingest protocol (per batch, once every package is fingerprinted; every
-step idempotent under replay):
+Ingest protocol (per batch, once every package is fingerprinted):
 
 1. journal ``ingest_begin`` entries — one fsync for the batch;
-2. catalogue: dedup by content digest, allocate ``pending`` ExpIDs
-   (one transaction);
-3. shards: attach-copy the batch, grouped per partition (one
-   transaction per attach group);
-4. catalogue: refresh the read models and flip rows to ``done``
-   (one transaction);
-5. journal ``ingest_done``/``ingest_skip`` — one fsync;
-6. invalidate the aggregate cache.
+2. dedup by content digest against the catalogue and the batch;
+3. per attach group of ≤ 6 fresh packages, one transaction: the
+   ``Experiments`` rows, the Table-I copies and the read models;
+4. journal ``ingest_done``/``ingest_skip`` for what committed and
+   ``ingest_abandoned`` (with the error) for what did not;
+5. invalidate the aggregate cache.
 
-A crash anywhere leaves either an incomplete journal ticket or a
-``pending`` catalogue row; :meth:`Warehouse.recover` (run on every open)
-replays both to completion, so a killed ingest resumes with no
-duplicate and no missing ExpIDs.
+A crash leaves whole groups or nothing, plus ``ingest_begin`` tickets
+with no closing entry; :meth:`Warehouse.recover` (run on every open)
+confirms or re-ingests exactly those, so a killed ingest resumes with
+no duplicate and no missing ExpIDs.
 """
 
 from __future__ import annotations
 
 import sqlite3
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.errors import StorageError
 from repro.obs.metrics import get_registry
@@ -44,17 +41,21 @@ from repro.repo.cache import AggregateCache
 from repro.repo.catalog import Catalog
 from repro.repo.fingerprint import ExperimentKey, fingerprint_package
 from repro.repo.journal import IngestJournal
-from repro.repo.shard import copy_batch_into_shard, delete_experiment_rows, open_shard
+from repro.repo.shard import ATTACH_GROUP, copy_batch_into_shard
 from repro.repo.views import (
     query_event_counts,
     query_fault_breakdown,
     query_responsiveness,
     query_trend,
-    refresh_experiment_views,
     responsiveness_surface_rows,
 )
 
-__all__ = ["IngestResult", "Warehouse"]
+__all__ = ["IngestError", "IngestResult", "Warehouse"]
+
+#: What a failed package raises.  Anything else — an interrupt, a crash
+#: stand-in — propagates past the journal and leaves its tickets to
+#: :meth:`Warehouse.recover`.
+INGEST_ERRORS = (StorageError, sqlite3.Error, OSError)
 
 
 @dataclass(frozen=True)
@@ -68,21 +69,27 @@ class IngestResult:
     content_digest: str
 
 
+class IngestError(StorageError):
+    """An ingest that failed part-way.  ``results`` holds one entry per
+    package, in order: its :class:`IngestResult` if it committed,
+    ``None`` if it did not."""
+
+    def __init__(self, message: str, results: List[Optional[IngestResult]]) -> None:
+        super().__init__(message)
+        self.results = results
+
+
 class Warehouse:
-    """One warehouse directory: ``catalog.db``, ``shards/``, ``journal/``."""
+    """One warehouse directory: ``catalog.db`` and ``journal/``."""
 
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.catalog = Catalog(self.root)
         self.journal = IngestJournal(self.root)
         self.cache = AggregateCache()
-        self._shards: Dict[int, sqlite3.Connection] = {}
         self.last_recovery: Dict[str, List[Any]] = self.recover()
 
     def close(self) -> None:
-        for conn in self._shards.values():
-            conn.close()
-        self._shards.clear()
         self.catalog.close()
 
     def __enter__(self) -> "Warehouse":
@@ -101,8 +108,9 @@ class Warehouse:
     def ingest_many(
         self, paths: Sequence[Any], force: bool = False
     ) -> List[IngestResult]:
-        """Ingest a batch of packages with batched journaling, catalogue
-        transactions and per-partition attach-copies."""
+        """Ingest a batch of packages with batched journaling and one
+        transaction per attach group.  Raises :class:`IngestError` when a
+        group fails after fingerprinting; the groups before it stay."""
         started = time.perf_counter()
         keys = [fingerprint_package(p) for p in paths]
         results = self._ingest_batch(list(paths), keys, force)
@@ -128,136 +136,96 @@ class Warehouse:
             for t, p, k in zip(tickets, paths, keys)
         )
 
-        # Catalogue pass: dedup + allocate pending ExpIDs.
+        # Dedup: a package whose digest the catalogue or an earlier
+        # package of this batch holds is a duplicate of that one.
         results: List[Optional[IngestResult]] = [None] * len(paths)
-        fresh: List[Tuple[int, Any, ExperimentKey, int]] = []
+        owner: Dict[int, int] = {}
+        first: Dict[str, int] = {}
+        fresh: List[int] = []
+        for i, key in enumerate(keys):
+            existing = None if force else self.catalog.find_by_digest(key.content_digest)
+            if existing is not None:
+                results[i] = IngestResult(
+                    source=str(paths[i]), exp_id=existing["ExpID"], duplicate=True,
+                    partition_id=existing["PartitionID"],
+                    content_digest=key.content_digest,
+                )
+            elif not force and key.content_digest in first:
+                owner[i] = first[key.content_digest]
+            else:
+                first.setdefault(key.content_digest, i)
+                fresh.append(i)
+
         seq = self.catalog.next_ingest_seq()
-        seen: Dict[str, IngestResult] = {}
-        for i, (path, key) in enumerate(zip(paths, keys)):
-            if not force:
-                existing = self.catalog.find_by_digest(key.content_digest)
-                prior = seen.get(key.content_digest)
-                if existing is not None or prior is not None:
-                    dup_id, dup_part = (
-                        (existing["ExpID"], existing["PartitionID"])
-                        if existing is not None
-                        else (prior.exp_id, prior.partition_id)
-                    )
-                    results[i] = IngestResult(
-                        source=str(path),
-                        exp_id=dup_id,
-                        duplicate=True,
-                        partition_id=dup_part,
-                        content_digest=key.content_digest,
-                    )
-                    continue
-            partition_id, _shard_path = self.catalog.get_or_create_partition(
-                key.name, key.factor_fingerprint
-            )
-            exp_id = self.catalog.insert_pending(partition_id, key, path, seq)
-            seq += 1
-            result = IngestResult(
-                source=str(path),
-                exp_id=exp_id,
-                duplicate=False,
-                partition_id=partition_id,
-                content_digest=key.content_digest,
-            )
-            seen[key.content_digest] = result
-            fresh.append((i, path, key, exp_id))
-            results[i] = result
-        self.catalog.conn.commit()
-
-        # Shard pass: attach-copy, grouped per partition.
-        by_partition: Dict[int, List[Tuple[int, Any]]] = {}
-        for i, path, _key, exp_id in fresh:
-            by_partition.setdefault(results[i].partition_id, []).append(
-                (exp_id, path)
-            )
-        for partition_id, batch in by_partition.items():
-            copy_batch_into_shard(self._shard(partition_id), batch)
-
-        # Read-model pass + completion, one catalogue transaction.
-        for i, _path, _key, exp_id in fresh:
-            refresh_experiment_views(
-                self.catalog.conn, self._shard(results[i].partition_id), exp_id
-            )
-            self.catalog.mark_done(exp_id)
-        self.catalog.conn.commit()
+        error: Optional[IngestError] = None
+        for start in range(0, len(fresh), ATTACH_GROUP):
+            group = fresh[start : start + ATTACH_GROUP]
+            try:
+                ids = copy_batch_into_shard(
+                    self.catalog,
+                    [(paths[i], keys[i], seq + start + k) for k, i in enumerate(group)],
+                )
+            except INGEST_ERRORS as exc:
+                names = ", ".join(str(paths[i]) for i in group)
+                error = IngestError(f"{names}: {exc}", results)
+                error.__cause__ = exc
+                break
+            self.cache.invalidate()
+            for i, (exp_id, partition_id) in zip(group, ids):
+                results[i] = IngestResult(
+                    source=str(paths[i]), exp_id=exp_id, duplicate=False,
+                    partition_id=partition_id, content_digest=keys[i].content_digest,
+                )
+        for i, j in owner.items():
+            if results[j] is not None:
+                results[i] = replace(results[j], source=str(paths[i]), duplicate=True)
 
         self.journal.append_many(
             (
-                self.journal.done_record(t, r.exp_id)
-                if not r.duplicate
-                else self.journal.skip_record(t, r.exp_id)
+                self.journal.abandon_record(t, str(error)) if r is None
+                else self.journal.skip_record(t, r.exp_id) if r.duplicate
+                else self.journal.done_record(t, r.exp_id)
                 for t, r in zip(tickets, results)
             ),
             fsync=False,
         )
-        self.cache.invalidate()
-        return [r for r in results if r is not None]
+        if error is not None:
+            raise error
+        return results
 
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
     def recover(self) -> Dict[str, List[Any]]:
-        """Complete or purge every ingest the last process left in
-        flight.  Idempotent; run automatically on open."""
+        """Close every ingest ticket a dead process left open: confirm
+        it when the catalogue holds its digest, re-ingest it when its
+        source is there, abandon it otherwise.  Idempotent; run
+        automatically on open."""
         report: Dict[str, List[Any]] = {
-            "completed": [],
-            "purged": [],
-            "reingested": [],
             "confirmed": [],
+            "reingested": [],
+            "abandoned": [],
         }
-        touched = False
-        # Catalogue rows stuck in 'pending': redo or purge.
-        for row in self.catalog.pending():
-            touched = True
-            exp_id = row["ExpID"]
-            shard = self._shard(row["PartitionID"])
-            delete_experiment_rows(shard, exp_id)
-            source = Path(row["SourcePath"])
-            if source.exists():
-                copy_batch_into_shard(shard, [(exp_id, source)])
-                refresh_experiment_views(self.catalog.conn, shard, exp_id)
-                self.catalog.mark_done(exp_id)
-                self.catalog.conn.commit()
-                report["completed"].append(exp_id)
-            else:
-                self.catalog.purge_experiment(exp_id)
-                self.catalog.conn.commit()
-                report["purged"].append(exp_id)
-
-        # Journal tickets that never completed (may predate the
-        # catalogue insert entirely).
         closing = []
         for rec in self.journal.incomplete():
-            touched = True
             ticket = rec.get("ticket", -1)
             existing = self.catalog.find_by_digest(rec.get("digest", ""))
             if existing is not None:
-                closing.append(
-                    self.journal.done_record(ticket, existing["ExpID"])
-                )
+                closing.append(self.journal.done_record(ticket, existing["ExpID"]))
                 report["confirmed"].append(existing["ExpID"])
                 continue
             source = Path(rec.get("source", ""))
-            if source.exists():
-                result = self._ingest_batch(
-                    [source], [fingerprint_package(source)], False
-                )[0]
-                closing.append(
-                    self.journal.done_record(ticket, result.exp_id)
-                )
-                report["reingested"].append(result.exp_id)
+            try:
+                if not source.exists():
+                    raise StorageError("source missing")
+                result = self.ingest(source)
+            except INGEST_ERRORS as exc:
+                closing.append(self.journal.abandon_record(ticket, str(exc)))
+                report["abandoned"].append(str(source))
             else:
-                closing.append(
-                    self.journal.abandon_record(ticket, "source missing")
-                )
-                report["purged"].append(str(source))
+                closing.append(self.journal.done_record(ticket, result.exp_id))
+                report["reingested"].append(result.exp_id)
         self.journal.append_many(closing)
-        if touched:
-            self.cache.invalidate()
         return report
 
     # ------------------------------------------------------------------
@@ -281,11 +249,9 @@ class Warehouse:
         return exp_id
 
     def view(self, ref) -> ExperimentDatabase:
-        """Row-level read access to one experiment's shard slice, through
-        the level-3 reader."""
-        exp_id = self.resolve(ref)
-        row = self.catalog.experiment(exp_id)
-        return ExperimentDatabase.over_shard(self._shard(row["PartitionID"]), exp_id)
+        """Row-level read access to one experiment's slice, through the
+        level-3 reader."""
+        return ExperimentDatabase.over_shard(self.catalog.conn, self.resolve(ref))
 
     def events(self, ref, **filters) -> List[Dict[str, Any]]:
         return self.view(ref).events(**filters)
@@ -486,13 +452,3 @@ class Warehouse:
                 }
             )
         return checks
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _shard(self, partition_id: int) -> sqlite3.Connection:
-        conn = self._shards.get(partition_id)
-        if conn is None:
-            conn = open_shard(self.catalog.shard_path(partition_id))
-            self._shards[partition_id] = conn
-        return conn

@@ -612,13 +612,13 @@ _CHUNK_ROWS = 4096
 
 class ExperimentDatabase:
     """Read access to a level-3 package — or, built with
-    :meth:`over_shard`, to one experiment's slice of a warehouse shard.
+    :meth:`over_shard`, to one experiment's slice of the warehouse file.
 
     This class alone maps Table-I rows to records and fixes the ``ORDER
-    BY`` tie-breaks; a shard slice differs only in the row scope
-    (``ExpID = ?``) that :meth:`_where` puts in front of every filter.
-    A shard has no ``ExperimentInfo`` (the catalogue keeps it) and no
-    side tables: those readers return nothing there.
+    BY`` tie-breaks; a slice differs only in the row scope (``ExpID = ?``)
+    that :meth:`_where` puts in front of every filter.  The warehouse has
+    no ``ExperimentInfo`` (its catalogue keeps that) and no side tables:
+    those readers return nothing there.
     """
 
     def __init__(self, db_path) -> None:
@@ -631,9 +631,10 @@ class ExperimentDatabase:
 
     @classmethod
     def over_shard(cls, conn: sqlite3.Connection, exp_id: int) -> "ExperimentDatabase":
-        """Reader over experiment *exp_id*'s rows of a warehouse shard.
-        *conn* (yielding :class:`sqlite3.Row`, as ``open_shard`` connections
-        do) is borrowed: :meth:`close` leaves it open for its owner."""
+        """Reader over experiment *exp_id*'s rows of the warehouse file.
+        *conn* (yielding :class:`sqlite3.Row`, as the warehouse's
+        connection does) is borrowed: :meth:`close` leaves it open for
+        its owner."""
         db = cls.__new__(cls)
         db.db_path = None
         db.conn = conn
@@ -698,12 +699,18 @@ class ExperimentDatabase:
         return out
 
     def row_counts(self) -> Dict[str, int]:
+        """Rows per table; over a warehouse slice, per Table-I table (the
+        catalogue's own tables share the file)."""
         where, args = self._where()
+        tables = (
+            self.schema() if self._exp_id is None
+            else [t for t in TABLE_SCHEMAS if t != "ExperimentInfo"]
+        )
         return {
             table: self.conn.execute(
                 f"SELECT COUNT(*) FROM {table}{where}", args
             ).fetchone()[0]
-            for table in self.schema()
+            for table in tables
         }
 
     # ------------------------------------------------------------------

@@ -5,9 +5,9 @@
   the canonical analysis over the source database.
 * ``repro repo diff`` and ``repro repo regression-check`` drive the
   drift-detection path end to end from the CLI.
-* An ingest killed mid-flight (``os._exit`` between the shard copy and
-  the catalogue commit) resumes on the next warehouse open with no
-  duplicate and no missing experiments.
+* An ingest killed mid-flight (``os._exit`` inside an attach group's
+  transaction, after a copy and before the commit) resumes on the next
+  warehouse open with no duplicate and no missing experiments.
 """
 
 import os
@@ -102,18 +102,18 @@ def test_warehouse_models_match_canonical_analysis(campaign_dbs, tmp_path):
 _KILL_SCRIPT = """
 import os, sys
 
-import repro.repo.catalog as catalog_mod
+import repro.repo.shard as shard_mod
 
 calls = []
-original = catalog_mod.Catalog.mark_done
+original = shard_mod.refresh_experiment_views
 
-def crashing_mark_done(self, exp_id):
+def crashing_refresh(conn, exp_id):
     calls.append(exp_id)
     if len(calls) >= 2:
         os._exit(9)
-    return original(self, exp_id)
+    return original(conn, exp_id)
 
-catalog_mod.Catalog.mark_done = crashing_mark_done
+shard_mod.refresh_experiment_views = crashing_refresh
 
 from repro.repo import Warehouse
 

@@ -1,7 +1,7 @@
 """Property: the warehouse is invisible in the data.
 
-A level-3 package routed through the L4 warehouse — partitioned shard
-copy, ATTACH-based batch ingest, materialized read models — must answer
+A level-3 package routed through the L4 warehouse — ATTACH-based copy
+into the one warehouse file, materialized read models — must answer
 every query byte-identically to the ``ExperimentDatabase`` reader over
 the original package.  Hypothesis drives adversarial package shapes
 (run counts, factor spaces, event mixes, clock origins) through the full
@@ -57,7 +57,7 @@ def test_warehouse_view_byte_equal_to_level3(tmp_path_factory, shape):
             assert view.run_ids() == level3.run_ids()
             assert view.node_ids() == level3.node_ids()
             assert view.plan() == level3.plan()
-            # The shard holds the Table-I subset; L3 additionally carries
+            # The warehouse holds the Table-I subset; L3 additionally carries
             # an operational table (RunTraces).
             direct_counts = level3.row_counts()
             for table, count in view.row_counts().items():

@@ -1,9 +1,12 @@
-"""Catalogue: partition routing, experiment lifecycle, status filters."""
+"""Catalogue: partition keys, experiment rows, the older layout refused."""
+
+import sqlite3
 
 import pytest
 
 from repro.core.errors import StorageError
-from repro.repo.catalog import Catalog
+from repro.repo import Warehouse
+from repro.repo.catalog import CATALOG_FILE, Catalog
 from repro.repo.fingerprint import ExperimentKey
 
 
@@ -21,91 +24,64 @@ def catalog(tmp_path):
 
 
 def test_partition_routing_is_stable(catalog):
-    pid1, path1 = catalog.get_or_create_partition("exp", "aa" * 8)
-    pid2, path2 = catalog.get_or_create_partition("exp", "aa" * 8)
-    assert (pid1, path1) == (pid2, path2)
-    pid3, path3 = catalog.get_or_create_partition("exp", "bb" * 8)
-    assert pid3 != pid1 and path3 != path1
-    pid4, _ = catalog.get_or_create_partition("other", "aa" * 8)
+    pid1 = catalog.get_or_create_partition("exp", "aa" * 8)
+    assert catalog.get_or_create_partition("exp", "aa" * 8) == pid1
+    pid3 = catalog.get_or_create_partition("exp", "bb" * 8)
+    assert pid3 != pid1
+    pid4 = catalog.get_or_create_partition("other", "aa" * 8)
     assert pid4 not in (pid1, pid3)
     assert len(catalog.partitions()) == 3
 
 
-def test_shard_paths_live_under_shards_dir(catalog):
-    pid, path = catalog.get_or_create_partition("weird name/<>", "cc" * 8)
-    assert path.parent.name == "shards"
-    assert path == catalog.shard_path(pid)
-    with pytest.raises(StorageError):
-        catalog.shard_path(999)
-
-
-def test_pending_rows_are_invisible_to_queries(catalog):
-    pid, _ = catalog.get_or_create_partition("exp", "aa" * 8)
-    exp_id = catalog.insert_pending(pid, _key(), "src.db",
-                                    catalog.next_ingest_seq())
-    catalog.conn.commit()
-    assert catalog.experiments() == []
-    assert catalog.find_by_digest("d1") is None
-    with pytest.raises(StorageError):
-        catalog.experiment_id_by_name("exp")
-    assert [r["ExpID"] for r in catalog.pending()] == [exp_id]
-
-    catalog.mark_done(exp_id)
-    catalog.conn.commit()
-    assert [r["ExpID"] for r in catalog.experiments()] == [exp_id]
-    assert catalog.find_by_digest("d1")["ExpID"] == exp_id
-    assert catalog.experiment_id_by_name("exp") == exp_id
-    assert catalog.pending() == []
-
-
 def test_find_by_digest_returns_oldest(catalog):
-    pid, _ = catalog.get_or_create_partition("exp", "aa" * 8)
-    first = catalog.insert_pending(pid, _key(), "a.db", 1)
-    second = catalog.insert_pending(pid, _key(), "b.db", 2)
-    catalog.mark_done(first)
-    catalog.mark_done(second)
+    first, pid = catalog.insert_experiment(_key(), "a.db", 1)
+    second, pid_again = catalog.insert_experiment(_key(), "b.db", 2)
     catalog.conn.commit()
+    assert pid == pid_again
     assert catalog.find_by_digest("d1")["ExpID"] == first
     # Newest wins for name resolution (latest ingest is the baseline).
     assert catalog.experiment_id_by_name("exp") == second
 
 
 def test_ingest_seq_monotonic(catalog):
-    pid, _ = catalog.get_or_create_partition("exp", "aa" * 8)
     assert catalog.next_ingest_seq() == 1
-    catalog.insert_pending(pid, _key(), "a.db", 7)
+    catalog.insert_experiment(_key(), "a.db", 7)
     catalog.conn.commit()
     assert catalog.next_ingest_seq() == 8
 
 
-def test_purge_removes_catalogue_and_view_rows(catalog):
-    pid, _ = catalog.get_or_create_partition("exp", "aa" * 8)
-    exp_id = catalog.insert_pending(pid, _key(), "a.db", 1)
-    catalog.conn.execute(
-        "INSERT INTO MvExperimentStats (ExpID, Runs, Events, Packets, Nodes) "
-        "VALUES (?, 1, 1, 1, 1)", (exp_id,))
-    catalog.conn.execute(
-        "INSERT INTO MvEventCounts (ExpID, EventType, N) VALUES (?, 'e', 1)",
-        (exp_id,))
-    catalog.purge_experiment(exp_id)
-    catalog.conn.commit()
-    with pytest.raises(StorageError):
-        catalog.experiment(exp_id)
-    for table in ("MvExperimentStats", "MvEventCounts"):
-        count = catalog.conn.execute(
-            f"SELECT COUNT(*) FROM {table} WHERE ExpID = ?", (exp_id,)
-        ).fetchone()[0]
-        assert count == 0
-
-
 def test_catalogue_persists_across_reopen(tmp_path):
     cat = Catalog(tmp_path / "wh")
-    pid, _ = cat.get_or_create_partition("exp", "aa" * 8)
-    exp_id = cat.insert_pending(pid, _key(), "a.db", 1)
-    cat.mark_done(exp_id)
+    exp_id, pid = cat.insert_experiment(_key(), "a.db", 1)
     cat.conn.commit()
     cat.close()
     again = Catalog(tmp_path / "wh")
     assert [r["ExpID"] for r in again.experiments()] == [exp_id]
-    assert again.get_or_create_partition("exp", "aa" * 8)[0] == pid
+    assert again.get_or_create_partition("exp", "f" * 16) == pid
     again.close()
+
+
+def test_a_warehouse_in_the_older_layout_is_refused(tmp_path):
+    """A root written with one database per partition is not opened: its
+    experiments' rows are not in the catalogue file, so every view would
+    read empty."""
+    with_dir = tmp_path / "with-dir"
+    (with_dir / "shards").mkdir(parents=True)
+    with_column = tmp_path / "with-column"
+    with_column.mkdir()
+    with sqlite3.connect(with_column / CATALOG_FILE) as conn:
+        conn.execute("CREATE TABLE Partitions (PartitionID INTEGER PRIMARY KEY, "
+                     "Name TEXT, FactorFingerprint TEXT, ShardFile TEXT)")
+    for root in (with_dir, with_column):
+        with pytest.raises(StorageError, match="re-ingest its packages into a fresh root"):
+            Catalog(root)
+        with pytest.raises(StorageError, match="older one-file-per-partition layout"):
+            Warehouse(root)
+
+
+def test_a_root_is_one_database_and_the_journal(tmp_path, make_level3):
+    root = tmp_path / "wh"
+    with Warehouse(root) as warehouse:
+        warehouse.ingest_many([make_level3("alpha"), make_level3("beta", t0=40.0)])
+        assert len(warehouse.partitions()) == 2
+    assert sorted(p.name for p in root.iterdir()) == [CATALOG_FILE, "journal"]

@@ -34,7 +34,11 @@ def test_repo_ingest_isolates_a_corrupt_package(make_level3, tmp_path, capsys):
     corrupt.write_bytes(b"this is not a database")
     argv = ["repo", "ingest", str(root), str(good_a), str(corrupt), str(good_b)]
     assert main(argv) == 2
-    assert "corrupt.db" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "corrupt.db" in captured.err
+    assert f"ingested {good_a} as experiment" in captured.out
+    assert f"ingested {good_b} as experiment" in captured.out
+    assert "warehouse holds 2 experiment(s)" in captured.out
 
     assert main(["repo", "list", str(root)]) == 0
     out = capsys.readouterr().out

@@ -12,6 +12,8 @@ from repro.repo import (
     WriteBehindIngester,
     fingerprint_package,
 )
+from repro.repo.catalog import CATALOG_FILE
+from repro.repo.shard import SHARD_COPY_COLUMNS
 from repro.storage.level3 import ExperimentDatabase
 
 
@@ -139,7 +141,7 @@ def test_closing_a_view_leaves_the_shard_connection_to_the_warehouse(
     exp_id = warehouse.ingest(db).exp_id
     with warehouse.view(exp_id) as view:
         assert view.run_ids() == [0, 1, 2]
-    # The reader borrowed the warehouse's shard connection: still open.
+    # The reader borrowed the warehouse's connection: still open.
     assert warehouse.run_ids(exp_id) == [0, 1, 2]
     assert len(warehouse.events(exp_id, event_type="sd_service_add")) == 3
     # A slice carries Table I only; the side-table readers say "nothing".
@@ -152,30 +154,34 @@ def test_failed_detach_is_counted_not_raised(warehouse, make_level3):
     from repro.repo.shard import copy_batch_into_shard
 
     db = make_level3("alpha")
-    key = fingerprint_package(db)
-    pid, _ = warehouse.catalog.get_or_create_partition(
-        key.name, key.factor_fingerprint)
-    shard = warehouse._shard(pid)
+    catalog = warehouse.catalog
+    conn = catalog.conn
 
     class DetachFails:
+        def __getattr__(self, name):
+            return getattr(conn, name)
+
         def execute(self, sql, *args):
             if sql.startswith("DETACH"):
                 raise sqlite3.OperationalError("database src0 is locked")
-            return shard.execute(sql, *args)
+            return conn.execute(sql, *args)
 
     registry = MetricsRegistry()
     set_registry(registry)
+    catalog.conn = DetachFails()
     try:
-        copy_batch_into_shard(DetachFails(), [(7, db)])
+        [(exp_id, _pid)] = copy_batch_into_shard(
+            catalog, [(db, fingerprint_package(db), 1)])
         suppressed = registry.counter(
             "repro_suppressed_errors_total", labels=("site",))
         assert suppressed.value(site="shard_detach") == 1
     finally:
+        catalog.conn = conn
         set_registry(None)
-        shard.execute("DETACH DATABASE src0")
+        conn.execute("DETACH DATABASE src0")
     with ExperimentDatabase(db) as level3:
-        copied = ExperimentDatabase.over_shard(shard, 7)
-        assert copied.events() == level3.events()  # the copy itself stood
+        # The group itself committed.
+        assert warehouse.view(exp_id).events() == level3.events()
 
 
 def test_resolve_by_id_and_name(warehouse, make_level3):
@@ -325,47 +331,92 @@ def test_recovery_reingests_journaled_but_uncatalogued(tmp_path, make_level3):
         assert len(warehouse.experiments()) == 1
 
 
-def test_recovery_completes_pending_with_partial_shard(tmp_path, make_level3):
+def test_recovery_abandons_a_ticket_whose_source_is_gone(tmp_path, make_level3):
     db = make_level3("alpha")
     root = tmp_path / "wh"
-    warehouse = Warehouse(root)
-    key = fingerprint_package(db)
-    pid, _ = warehouse.catalog.get_or_create_partition(
-        key.name, key.factor_fingerprint)
-    exp_id = warehouse.catalog.insert_pending(
-        pid, key, db, warehouse.catalog.next_ingest_seq())
-    warehouse.catalog.conn.commit()
-    shard = warehouse._shard(pid)
-    shard.execute(
-        "INSERT INTO Events (ExpID, RunID, NodeID, CommonTime, EventType, "
-        "Parameter) VALUES (?, 0, 'h1', 0.0, 'partial_garbage', '[]')",
-        (exp_id,))
-    shard.commit()
-    warehouse.close()
-
-    with Warehouse(root) as recovered:
-        assert recovered.last_recovery["completed"] == [exp_id]
-        events = recovered.view(exp_id).events()
-        assert all(e["name"] != "partial_garbage" for e in events)
-        with ExperimentDatabase(db) as level3:
-            assert events == level3.events()
+    journal = IngestJournal(root)
+    journal.append_many([journal.begin_record(journal.next_ticket(), db,
+                                              fingerprint_package(db))])
+    db.unlink()
+    with Warehouse(root) as warehouse:
+        assert warehouse.last_recovery["abandoned"] == [str(db)]
+        assert warehouse.experiments() == []
+        assert warehouse.journal.incomplete() == []
 
 
-def test_recovery_purges_pending_with_missing_source(tmp_path, make_level3):
-    db = make_level3("alpha")
+class _Crash(BaseException):
+    """Stands in for the process dying: not an error ingest handles."""
+
+
+def test_a_crash_before_a_group_commits_leaves_none_of_it(
+    tmp_path, make_level3, monkeypatch
+):
+    from repro.repo import shard
+
+    dbs = [make_level3(f"exp-{i}", t0=1.0 + 20.0 * i) for i in range(3)]
     root = tmp_path / "wh"
-    warehouse = Warehouse(root)
-    key = fingerprint_package(db)
-    pid, _ = warehouse.catalog.get_or_create_partition(
-        key.name, key.factor_fingerprint)
-    warehouse.catalog.insert_pending(
-        pid, key, tmp_path / "vanished.db", warehouse.catalog.next_ingest_seq())
-    warehouse.catalog.conn.commit()
-    warehouse.close()
+    refresh = shard.refresh_experiment_views
+    refreshed = []
 
-    with Warehouse(root) as recovered:
-        assert len(recovered.last_recovery["purged"]) == 1
-        assert recovered.experiments() == []
+    def crash_before_commit(conn, exp_id):
+        refresh(conn, exp_id)
+        refreshed.append(exp_id)
+        if len(refreshed) == len(dbs):  # the group's last copy is done
+            raise _Crash
+
+    monkeypatch.setattr(shard, "refresh_experiment_views", crash_before_commit)
+    warehouse = Warehouse(root)
+    with pytest.raises(_Crash):
+        warehouse.ingest_many(dbs)
+    warehouse.close()
+    monkeypatch.undo()
+
+    with sqlite3.connect(root / CATALOG_FILE) as conn:
+        for table in ("Experiments", "MvExperimentStats", "MvEventCounts",
+                      "MvFaultBreakdown", "MvResponsiveness", *SHARD_COPY_COLUMNS):
+            assert conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone() == (0,), table
+    with Warehouse(root) as reopened:
+        assert len(reopened.last_recovery["reingested"]) == len(dbs)
+        experiments = reopened.experiments()
+        assert [e["SourcePath"] for e in experiments] == [str(db) for db in dbs]
+        for exp, db in zip(experiments, dbs):
+            with ExperimentDatabase(db) as level3:
+                assert reopened.view(exp["ExpID"]).events() == level3.events()
+        assert reopened.journal.incomplete() == []
+
+
+@pytest.mark.parametrize("goods_before, goods_after", [(1, 1), (6, 1)])
+def test_a_package_that_fails_its_copy_fails_alone(
+    tmp_path, make_level3, goods_before, goods_after
+):
+    """good, bad, good — and eight packages with the bad one in the second
+    attach group: the bad package's ticket is abandoned, every good one
+    lands once and is reported as ingested, and a reopen recovers
+    nothing."""
+    goods = [make_level3(f"good{i}", t0=1.0 + 20.0 * i)
+             for i in range(goods_before + goods_after)]
+    bad = make_level3("bad", t0=900.0)
+    with sqlite3.connect(bad) as conn:
+        conn.execute("DROP TABLE Packets")  # still fingerprints; cannot copy
+    packages = goods[:goods_before] + [bad] + goods[goods_before:]
+    root = tmp_path / "wh"
+    with Warehouse(root) as warehouse:
+        queue = WriteBehindIngester(warehouse)
+        for package in packages:
+            queue.submit(package)
+        with pytest.raises(StorageError, match="bad.db") as failed:
+            queue.flush()
+        digests = [e["ContentDigest"] for e in warehouse.experiments()]
+        assert sorted(digests) == sorted(fingerprint_package(g).content_digest for g in goods)
+        assert warehouse.journal.incomplete() == []
+        results = failed.value.results
+        assert results[goods_before] is None
+        reported = [r for r in results if r is not None]
+        assert [r.source for r in reported] == [str(g) for g in goods]
+        assert not any(r.duplicate for r in reported)
+    with Warehouse(root) as reopened:
+        assert not any(reopened.last_recovery.values())
+        assert len(reopened.experiments()) == len(goods)
 
 
 def test_recovery_confirms_completed_but_unclosed_ticket(
