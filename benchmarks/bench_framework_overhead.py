@@ -45,7 +45,7 @@ def test_rpc_roundtrip_throughput(benchmark):
 def test_rpc_roundtrip_with_deadline_throughput(benchmark):
     """The path every simulated platform takes: a 30 s deadline and a
     retry policy.  The deadline adds one relay hop per call; its own
-    wheel entry is still pending when the call returns."""
+    kernel entry is still pending when the call returns."""
     sim = benchmark(_hundred_calls, call_timeout=30.0, retry=RetryPolicy(seed=0))
     assert sim.executed_callbacks == 1 + 5 * 100
     assert sim.pending == 100

@@ -32,7 +32,7 @@ the common path is allocation-free and every per-packet lookup is O(1):
 * address → node and name → node resolution are dict hits, maintained in
   ``attach``/``detach``;
 * next hops come from :meth:`Topology.next_hop_id` over interned int ids
-  (lazy BFS route rows, no nx path lists);
+  (read off the all-pairs hop-ring table, no nx path lists);
 * multicast floods iterate a precomputed per-sender array of
   ``(receiver, base_loss, base_delay)`` rows in sorted-neighbour order —
   rebuilt only when membership or :attr:`Topology.version` changes;

@@ -26,6 +26,11 @@ re-ingests the rest.  Because the catalogue dedups by content digest,
 replay is idempotent — a killed ingest resumes with no duplicate and no
 missing ExpIDs.
 
+One :class:`IngestJournal` reads the file from its first byte once: it
+folds the ticket high-water mark and the open ``ingest_begin`` set
+through :meth:`repro.durable.DurableLog.follow`, so every later read —
+of its own appends too — takes only the file's tail.
+
 Appends are batched: one ``append_many`` call is one write + fsync
 regardless of batch size, which is where batched ingestion's
 throughput over per-package commits comes from.
@@ -50,7 +55,9 @@ class IngestJournal:
         self.root = Path(root)
         self.path = self.root / JOURNAL_FILE
         self._log = DurableLog(self.path)
-        self._next_ticket = self._scan_next_ticket()
+        self._next_ticket = 0
+        self._open: Dict[int, Dict[str, Any]] = {}
+        self._log.follow(self._apply)
 
     # ------------------------------------------------------------------
     # Writing
@@ -102,15 +109,17 @@ class IngestJournal:
 
     def incomplete(self) -> List[Dict[str, Any]]:
         """``ingest_begin`` entries whose ticket never completed."""
-        begins: Dict[int, Dict[str, Any]] = {}
-        for rec in self.entries():
+        return self._log.follow(self._apply)
+
+    def _apply(self, records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Fold *records* into the ticket high-water mark and the open
+        set; return the open ``ingest_begin`` entries by ticket."""
+        for rec in records:
+            ticket = rec.get("ticket", -1)
+            self._next_ticket = max(self._next_ticket, ticket + 1)
             kind = rec.get("type")
             if kind == "ingest_begin":
-                begins[rec.get("ticket", -1)] = rec
+                self._open[ticket] = rec
             elif kind in ("ingest_done", "ingest_skip", "ingest_abandoned"):
-                begins.pop(rec.get("ticket", -1), None)
-        return [begins[t] for t in sorted(begins)]
-
-    def _scan_next_ticket(self) -> int:
-        tickets = [rec.get("ticket", -1) for rec in self.entries()]
-        return (max(tickets) + 1) if tickets else 0
+                self._open.pop(ticket, None)
+        return [self._open[t] for t in sorted(self._open)]

@@ -12,8 +12,8 @@ used within an experiment when initialized with the same seed"*).
 Public API
 ----------
 :class:`~repro.sim.kernel.Simulator`
-    The event loop.  Owns simulated time, the pending-event heap and the
-    process registry.
+    The event loop.  Owns simulated time and the pending events (one
+    ``heapq``-ordered list, run by one loop).
 :class:`~repro.sim.events.SimEvent`, :class:`~repro.sim.events.Timeout`,
 :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.AllOf`
     Waitable primitives that simulation processes yield.

@@ -7,12 +7,10 @@ kernel also supports *wall-clock synchronized* execution (a "real-time
 simulator" in the paper's taxonomy) via ``run(realtime_factor=...)``, used
 by the ``localhost`` platform.
 
-The pending set is a bucketed event wheel (:mod:`repro.sim.wheel`) rather
-than a single ``heapq``: near-future events live in O(1) time buckets, far
-ones in an overflow heap, and the wheel re-anchors and re-tunes itself as
-the schedule skews.  The original single-heap kernel is kept with the
-tests as the equivalence oracle (``tests/oracles/sim_reference.py``);
-property tests pin both kernels to identical execution orders.
+The pending set is one ``heapq``-ordered list.  The same single-heap
+design is frozen with the tests as the equivalence oracle
+(``tests/oracles/sim_reference.py``); property tests pin both kernels to
+identical execution orders.
 
 Determinism contract
 --------------------
@@ -20,8 +18,8 @@ The pending set orders entries by ``(time, sequence)`` where ``sequence``
 is a global monotonic counter.  Two simulations performing the same
 schedule calls in the same order therefore execute callbacks in the same
 order — no dict ordering, id(), or wall clock leaks into scheduling
-decisions.  The wheel preserves this order exactly (see
-:mod:`repro.sim.wheel` for the argument).
+decisions.  ``sequence`` is unique, so the heap never compares the
+callables behind it.
 
 Scheduling hot path
 -------------------
@@ -35,11 +33,11 @@ from __future__ import annotations
 
 import itertools
 import time as _wallclock
-from typing import Any, Callable, Generator, List, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.events import AllOf, AnyOf, SimEvent, Timeout
 from repro.sim.process import Process
-from repro.sim.wheel import EventWheel
 
 __all__ = ["Simulator", "SimulationError"]
 
@@ -58,9 +56,6 @@ class Simulator:
         experiment master typically leaves this at zero and uses per-node
         :class:`~repro.net.clock.LocalClock` offsets to model desynchronized
         node clocks.
-
-    The event wheel keeps its default geometry, which suits emulated-network
-    workloads; its bucket width self-tunes while the simulation runs.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -69,7 +64,7 @@ class Simulator:
         # tuple beside the callable avoids allocating a closure per
         # scheduled event on the two hottest paths (callback resumption
         # and event triggering).
-        self._wheel = EventWheel(start_time=self._now)
+        self._queue: List[Tuple[float, int, Callable[..., None], tuple]] = []
         self._sequence = itertools.count()
         self._crashed: List[Process] = []
         #: Counts every callback executed; handy for overhead benchmarks.
@@ -111,12 +106,13 @@ class Simulator:
     # ------------------------------------------------------------------
     def _schedule_callback(self, cb: Callable[[Any], None], arg: Any) -> None:
         """Run ``cb(arg)`` at the current simulated instant, asynchronously."""
-        self._wheel.push((self._now, next(self._sequence), cb, (arg,)))
+        heappush(self._queue, (self._now, next(self._sequence), cb, (arg,)))
 
     def _schedule_trigger(self, event: SimEvent, delay: float, value: Any) -> None:
         """Trigger *event* after *delay* simulated seconds."""
-        self._wheel.push(
-            (self._now + delay, next(self._sequence), event.trigger, (value,))
+        heappush(
+            self._queue,
+            (self._now + delay, next(self._sequence), event.trigger, (value,)),
         )
 
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
@@ -125,13 +121,13 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule in the past: {when} < now {self._now}"
             )
-        self._wheel.push((when, next(self._sequence), fn, args))
+        heappush(self._queue, (when, next(self._sequence), fn, args))
 
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        self._wheel.push((self._now + delay, next(self._sequence), fn, args))
+        heappush(self._queue, (self._now + delay, next(self._sequence), fn, args))
 
     def _report_crash(self, process: Process, exc: BaseException) -> None:
         self._crashed.append(process)
@@ -144,10 +140,9 @@ class Simulator:
 
         Returns ``False`` when the queue is empty.
         """
-        entry = self._wheel.pop()
-        if entry is None:
+        if not self._queue:
             return False
-        at, _seq, fn, args = entry
+        at, _seq, fn, args = heappop(self._queue)
         self._now = at
         self.executed_callbacks += 1
         fn(*args)
@@ -164,8 +159,8 @@ class Simulator:
         Parameters
         ----------
         until:
-            Stop once simulated time would exceed this value.  The clock is
-            advanced exactly to ``until``.
+            Stop once simulated time would exceed this value.  Unless
+            ``until_event`` fired, the clock is advanced exactly to ``until``.
         until_event:
             Stop as soon as this event has fired; its value is returned.
         realtime_factor:
@@ -182,64 +177,41 @@ class Simulator:
         """
         wall_anchor = _wallclock.monotonic() if realtime_factor else None
         sim_anchor = self._now
-        wheel = self._wheel
+        horizon = float("inf") if until is None else until
+        queue = self._queue
         # _report_crash appends to this exact list; _raise_crash (which
         # rebinds the attribute) always raises, so the alias cannot go
         # stale inside the loop.
         crashed = self._crashed
 
-        if until_event is None and wall_anchor is None:
-            # The common shape (plain run / run(until=...)): one fused
-            # wheel call per event, no per-iteration event or wall-clock
-            # checks.
-            pop_until = wheel.pop_until
-            while True:
-                head = pop_until(until)
-                if head is None:
-                    # Drained, or the head lies beyond the horizon; either
-                    # way the clock advances exactly to `until`.
-                    if until is not None and self._now < until:
-                        self._now = until
-                    break
-                self._now = head[0]
-                self.executed_callbacks += 1
-                head[2](*head[3])
-                if crashed:
-                    self._raise_crash()
-        else:
-            peek = wheel.peek
-            pop_ready = wheel.pop_ready
-            while True:
-                if until_event is not None and until_event.triggered:
-                    break
-                head = peek()
-                if head is None:
-                    # Queue drained; still honour an explicit horizon.
-                    if until is not None and self._now < until:
-                        self._now = until
-                    break
-                next_at = head[0]
-                if until is not None and next_at > until:
-                    self._now = until
-                    break
-                if wall_anchor is not None:
-                    lag = (next_at - sim_anchor) / realtime_factor - (
-                        _wallclock.monotonic() - wall_anchor
-                    )
-                    if lag > 0:
-                        _wallclock.sleep(lag)
-                # Fused step(): the head was just peeked, so it can be
-                # popped without re-scanning the wheel.
-                pop_ready()
-                self._now = next_at
-                self.executed_callbacks += 1
-                head[2](*head[3])
-                if crashed:
-                    self._raise_crash()
+        while queue:
+            if until_event is not None and until_event.triggered:
+                break
+            head = queue[0]
+            next_at = head[0]
+            if next_at > horizon:
+                break
+            if wall_anchor is not None:
+                lag = (next_at - sim_anchor) / realtime_factor - (
+                    _wallclock.monotonic() - wall_anchor
+                )
+                if lag > 0:
+                    _wallclock.sleep(lag)
+            heappop(queue)
+            self._now = next_at
+            self.executed_callbacks += 1
+            head[2](*head[3])
+            if crashed:
+                self._raise_crash()
 
+        fired = until_event is not None and until_event.triggered
+        if until is not None and self._now < until and not fired:
+            # Drained, or the head lies beyond the horizon; either way the
+            # clock advances exactly to `until`.
+            self._now = until
         if self._crashed:
             self._raise_crash()
-        if until_event is not None and until_event.triggered:
+        if fired:
             value = until_event.value
             if isinstance(value, BaseException):
                 raise value
@@ -257,4 +229,4 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of scheduled-but-unexecuted callbacks."""
-        return len(self._wheel)
+        return len(self._queue)

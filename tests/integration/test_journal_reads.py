@@ -4,11 +4,13 @@ A campaign reads ``campaign.jsonl`` from its first byte once per process:
 the session's journal folds it into its ``CampaignState`` and follows the
 file's tail from there, and the seal's merge reads that same state.  The
 count is taken by wrapping ``DurableLog._read`` and counting the reads
-that start at byte 0.
+that start at byte 0.  A warehouse reads its ingest journal once per
+open the same way: recovery asks the journal's fold, not the file.
 """
 
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,6 +19,8 @@ from repro.campaign import merge_campaign, run_campaign
 from repro.campaign.journal import JOURNAL_NAME
 from repro.durable import DurableLog
 from repro.fabric import FabricCoordinator, FabricWorker
+from repro.repo import Warehouse
+from repro.repo.journal import JOURNAL_FILE
 from repro.sd.processlib import build_two_party_description
 
 READ = DurableLog._read
@@ -29,13 +33,13 @@ def _desc(replications):
 
 
 @contextmanager
-def whole_reads():
-    """Yields the list of reads of the campaign journal that start at its
-    first byte, made while the block runs."""
+def whole_reads(name=JOURNAL_NAME):
+    """Yields the list of reads of the journal file *name* that start at
+    its first byte, made while the block runs."""
     reads = []
 
     def read(log, start):
-        if log.path.name == JOURNAL_NAME and start == 0:
+        if log.path.name == name and start == 0:
             reads.append(log.path)
         return READ(log, start)
 
@@ -76,4 +80,14 @@ def test_a_fleet_coordinator_reads_its_journal_once(tmp_path):
                 thread.join(timeout=30.0)
                 assert not thread.is_alive()
     assert result.failed_runs == {}
+    assert len(reads) == 1
+
+
+def test_a_warehouse_open_reads_its_ingest_journal_once(tmp_path):
+    run_campaign(_desc(1), tmp_path / "c", db_path=tmp_path / "c.db", jobs=1, pool="thread")
+    with Warehouse(tmp_path / "wh") as warehouse:
+        warehouse.ingest_many([tmp_path / "c.db"])
+    with whole_reads(Path(JOURNAL_FILE).name) as reads:
+        with Warehouse(tmp_path / "wh") as warehouse:
+            assert warehouse.journal.next_ticket() == 1
     assert len(reads) == 1

@@ -1,17 +1,18 @@
-"""Frozen pre-optimization simulation kernel (equivalence oracle).
+"""Frozen single-heap simulation kernel (equivalence oracle).
 
-:class:`ReferenceSimulator` is the single-``heapq`` kernel exactly as it
-shipped before the event-wheel fast path, kept so property tests can pin
-the wheel kernel to identical ``(time, sequence)`` execution orders and so
-the 100-node paper-scale digest test has a live pre-optimization baseline
-to run against (``tests/property/test_wheel_determinism.py`` and
+:class:`ReferenceSimulator` is a frozen copy of the kernel's own design —
+one global ``heapq`` of ``(time, sequence, fn, args)`` entries — kept so
+property tests can pin the production kernel to identical
+``(time, sequence)`` execution orders and so the 100-node paper-scale
+digest test has a live baseline to run against
+(``tests/property/test_kernel_determinism.py`` and
 ``tests/property/test_sim_fastpath_equivalence.py``).
 
 Do not optimize this module.  Its value is being boring: one global heap,
-``O(log n)`` everywhere, no buckets, no re-anchoring.  The only change
-from the historical kernel is that ``call_at``/``call_later`` accept
-``*args`` like the production kernel now does, so converted callers (the
-medium, RPC channel, fault timers) run unchanged on either kernel.
+``O(log n)`` everywhere.  The only change from the historical kernel is
+that ``call_at``/``call_later`` accept ``*args`` like the production
+kernel does, so converted callers (the medium, RPC channel, fault
+timers) run unchanged on either kernel.
 """
 
 from __future__ import annotations

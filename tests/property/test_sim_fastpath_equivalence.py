@@ -1,7 +1,7 @@
 """The simulator fast path is provably invisible in the science.
 
-The event-wheel kernel, the O(1) medium hot loop and the copy-avoiding
-data plane are performance work; the experiment data must not know they
+The O(1) medium hot loop and the copy-avoiding data plane are
+performance work; the experiment data must not know they
 exist.  These tests run the *same full 100-node experiment* twice — once
 on the production fast path and once on the frozen pre-optimization
 stack (``ReferenceSimulator`` + ``ReferenceMedium`` +

@@ -288,8 +288,8 @@ def test_clean_call_with_deadline_builds_no_timeout_or_any_of(sim, monkeypatch):
 
 
 def test_deadline_entry_keeps_no_reply_alive(sim):
-    """The deadline stays in the wheel after the call returns; the reply
-    must not stay alive with it."""
+    """The deadline stays pending in the kernel after the call returns;
+    the reply must not stay alive with it."""
     replies = []
     server = _node()
     handle = server.handle_request

@@ -145,3 +145,33 @@ def test_realtime_factor_speedup_is_faster():
     t0 = time.monotonic()
     sim.run(realtime_factor=10.0)
     assert time.monotonic() - t0 < 0.15
+
+
+@pytest.mark.parametrize(
+    "fire_at, last_at, expected_now, expected_value",
+    [
+        (2.0, 9.0, 2.0, "fired"),  # the event fires first: the clock stays
+        (8.0, 9.0, 5.0, None),  # the horizon comes first
+        (None, 3.0, 5.0, None),  # the queue drains first
+    ],
+    ids=["event-first", "horizon-first", "drain-first"],
+)
+def test_run_until_with_until_event_endings(
+    sim, fire_at, last_at, expected_now, expected_value
+):
+    ev = sim.event()
+    if fire_at is not None:
+        sim.call_later(fire_at, ev.trigger, "fired")
+    sim.call_later(last_at, lambda: None)
+    assert sim.run(until=5.0, until_event=ev) == expected_value
+    assert sim.now == expected_now
+
+
+@pytest.mark.parametrize("with_event", [False, True])
+def test_run_until_a_past_horizon_keeps_the_clock(sim, with_event):
+    sim.call_later(5.0, lambda: None)
+    sim.call_later(9.0, lambda: None)
+    sim.run(until=5.0)
+    sim.run(until=3.0, until_event=sim.event() if with_event else None)
+    assert sim.now == 5.0
+    assert sim.pending == 1
