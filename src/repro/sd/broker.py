@@ -15,8 +15,9 @@ Two pieces live here:
 
 :class:`BrokerRelay`
     The broker-side component: upstream subscription with retry, the
-    mirrored record cache with TTL expiry, and client-facing snapshot
-    plus re-publication of upstream changes.
+    mirrored record cache (expired by the agent's
+    :meth:`~repro.sd.agent.SDAgent.expiry_loop`), and client-facing
+    snapshot plus re-publication of upstream changes.
 
 Pushes are deliberately unacknowledged datagrams: a lost notification is
 repaired by the record's TTL (direct-mode polling has the same property
@@ -192,21 +193,8 @@ class BrokerRelay:
         self, instance: ServiceInstance, op: str, remaining: Optional[float]
     ) -> None:
         self.notifies_relayed += self.subscribers.notify(
-            self.agent.send_unicast, instance, op, remaining
+            self.agent.send, instance, op, remaining
         )
-
-    # ------------------------------------------------------------------
-    def expiry_loop(self):
-        """Generator: expire mirrored records once per simulated second,
-        announcing deletions."""
-        agent = self.agent
-        epoch = agent._epoch
-        while True:
-            yield agent.sim.timeout(1.0)
-            if epoch != agent._epoch:
-                return
-            for gone in self.mirror.purge_expired(agent.sim.now):
-                self.push(gone, "del", None)
 
     def clear(self) -> None:
         self.mirror.clear()

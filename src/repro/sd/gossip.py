@@ -105,10 +105,10 @@ class GossipReplicator:
     def push_to(self, peer_addr: str) -> None:
         """Send this replica's full state to one peer."""
         records = gossip_wire(self.agent.registrations, self.agent.sim.now)
-        self.agent.send_unicast(
+        self.agent.send(
             peer_addr,
             {"kind": "gossip", "records": records},
-            size=120 + 80 * len(records),
+            120 + 80 * len(records),
         )
         self.rounds_sent += 1
 

@@ -22,6 +22,7 @@ All messages share the SLP port; the two-party message kinds are
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict
 
 from repro.net.packet import Packet
@@ -41,53 +42,26 @@ class HybridAgent(SlpAgent):
     """
 
     protocol = "hybrid"
+    response_kind = "mc_response"
 
     # ------------------------------------------------------------------
     # Publishing: multicast announcements + directory registration
     # ------------------------------------------------------------------
     def on_start_publish(self, instance: ServiceInstance, params: Dict[str, Any]) -> None:
         super().on_start_publish(instance, params)  # SLP registrar
-        self.spawn(self._announcer(instance.service_type), f"announce:{instance.name}")
-
-    def _announcer(self, service_type: str):
-        count = int(self.config.get("announce_count", 3))
-        interval = float(self.config.get("announce_interval", 1.0))
-        yield self.sim.timeout(self.rng.uniform(0.0, 0.1))
-        for _ in range(count):
-            instance = self.published.get(service_type)
-            if instance is None:
-                return
-            self._send_mc(
-                {"kind": "mc_response", "qid": None, "records": [instance.as_wire()]},
-                size=120 + 80,
-            )
-            yield self.sim.timeout(interval)
-        while True:
-            instance = self.published.get(service_type)
-            if instance is None:
-                return
-            yield self.sim.timeout(0.8 * instance.ttl)
-            instance = self.published.get(service_type)
-            if instance is None:
-                return
-            self._send_mc(
-                {"kind": "mc_response", "qid": None, "records": [instance.as_wire()]},
-                size=120 + 80,
-            )
+        self.spawn(self.announcer(instance.service_type, True), f"announce:{instance.name}")
 
     def on_stop_publish(self, instance: ServiceInstance, params: Dict[str, Any]) -> None:
         super().on_stop_publish(instance, params)  # deregister at the SCM
-        wire = instance.as_wire()
-        wire["ttl"] = 0.0
-        self._send_mc({"kind": "mc_response", "qid": None, "records": [wire]})
+        goodbye = replace(instance, ttl=0.0).as_wire()
+        # Sized like the SLP multicasts, not like a two-party response.
+        self.send(self.group, {"kind": self.response_kind, "qid": None, "records": [goodbye]}, 100)
 
     # ------------------------------------------------------------------
     # Searching: multicast until an SCM is known, directed afterwards
     # ------------------------------------------------------------------
-    def on_start_search(self, service_type: str, params: Dict[str, Any]) -> None:
-        for entry in self.cache.entries_for_type(service_type):
-            self.discovered(entry.instance)
-        self.spawn(self._hybrid_searcher(service_type), f"search:{service_type}")
+    def on_start_search(self, service_type: str, params: Dict[str, Any]):
+        return self.spawn(self._hybrid_searcher(service_type), f"search:{service_type}")
 
     def _hybrid_searcher(self, service_type: str):
         base = float(self.config.get("query_backoff_base", 1.0))
@@ -98,67 +72,22 @@ class HybridAgent(SlpAgent):
         while service_type in self.searching:
             if self._da_addr is not None:
                 # Directed mode: reliable unicast transaction to the SCM.
-                reply = yield from self._transact(
-                    self._da_addr, {"kind": "srv_rqst", "type": service_type}
-                )
-                for wire in reply.get("records", []):
-                    instance = ServiceInstance.from_wire(wire)
-                    if instance.provider_node != self.node.name:
-                        self.discovered(instance)
+                yield from self._query_da(service_type)
                 yield self.sim.timeout(poll)
             else:
                 # Two-party mode: multicast query with back-off.
-                self._send_mc(
-                    {"kind": "mc_query", "qid": next(self._xid), "type": service_type},
-                    size=90,
-                )
+                query = {"kind": "mc_query", "qid": next(self._xid), "type": service_type}
+                self.send(self.group, query, 90)
                 yield self.sim.timeout(interval)
                 interval = min(interval * 2.0, cap)
 
     # ------------------------------------------------------------------
     # Receive path: SLP kinds + the two-party kinds
     # ------------------------------------------------------------------
-    def _on_datagram(self, payload: Any, packet: Packet, _node) -> None:
-        if isinstance(payload, dict):
-            kind = payload.get("kind")
-            if kind == "mc_query":
-                self._handle_mc_query(payload)
-                return
-            if kind == "mc_response":
-                self._handle_mc_response(payload)
-                return
-        super()._on_datagram(payload, packet, _node)
-
-    def _handle_mc_query(self, payload: Dict[str, Any]) -> None:
-        if self.role is None or not self.role.is_manager:
-            return
-        instance = self.published.get(str(payload.get("type", "")))
-        if instance is None:
-            return
-        delay = self.rng.uniform(
-            float(self.config.get("response_delay_min", 0.02)),
-            float(self.config.get("response_delay_max", 0.12)),
-        )
-        qid = payload.get("qid")
-        self.spawn(self._delayed_mc_response(instance.service_type, qid, delay), "respond")
-
-    def _delayed_mc_response(self, service_type: str, qid, delay: float):
-        yield self.sim.timeout(delay)
-        instance = self.published.get(service_type)
-        if instance is not None:
-            self._send_mc(
-                {"kind": "mc_response", "qid": qid, "records": [instance.as_wire()]},
-                size=120 + 80,
-            )
-
-    def _handle_mc_response(self, payload: Dict[str, Any]) -> None:
-        for wire in payload.get("records", []):
-            instance = ServiceInstance.from_wire(wire)
-            if instance.provider_node == self.node.name:
-                continue
-            if instance.ttl <= 0:
-                gone = self.cache.remove(instance.service_type, instance.name)
-                if gone is not None:
-                    self.lost(gone)
-            else:
-                self.discovered(instance)
+    def receive(self, kind: Any, payload: Dict[str, Any], packet: Packet) -> None:
+        if kind == "mc_query":
+            self._handle_query(payload)
+        elif kind == "mc_response":
+            self.take_records(payload.get("records", []))
+        else:
+            super().receive(kind, payload, packet)

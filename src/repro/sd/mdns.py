@@ -24,8 +24,8 @@ Discovery modes: ``active`` (default — query + listen), ``passive``
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Any, Dict, List, Tuple
 
 from repro.net.packet import MULTICAST_SD_GROUP, Packet
 from repro.sd.agent import SDAgent
@@ -61,11 +61,6 @@ class MdnsAgent(SDAgent):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._bound = False
-        self._qid = itertools.count(1)
-        #: Per-service-type searcher processes (so one can be stopped
-        #: without tearing the whole agent down).
-        self._searchers: Dict[str, Any] = {}
         #: Statistics for analyses: qid -> send time, plus rtt samples.
         self.query_sent_at: Dict[int, float] = {}
         self.response_rtts: List[Tuple[int, float]] = []
@@ -76,77 +71,35 @@ class MdnsAgent(SDAgent):
     def on_init(self, params: Dict[str, Any]) -> None:
         if self.role is not None and self.role.value == "scm":
             raise RuntimeError("two-party mDNS protocol has no SCM role")
-        self.node.join_group(self.group)
-        self.node.bind(self.port, self._on_datagram)
-        self._bound = True
+        self.listen()
         self.spawn(self.cache_housekeeping(), "cache")
 
     def on_exit(self) -> None:
-        if self._bound:
-            self.node.unbind(self.port)
-            self.node.leave_group(self.group)
-            self._bound = False
-        self._searchers.clear()
         self.query_sent_at.clear()
 
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
     def on_start_publish(self, instance: ServiceInstance, params: Dict[str, Any]) -> None:
-        self.spawn(self._announcer(instance.service_type), f"announce:{instance.name}")
+        announcer = self.announcer(instance.service_type, self.config.get("refresh", True))
+        self.spawn(announcer, f"announce:{instance.name}")
 
     def on_stop_publish(self, instance: ServiceInstance, params: Dict[str, Any]) -> None:
         # Goodbye: the record with TTL zero, repeated for loss resilience.
         for _ in range(int(self.config.get("goodbye_repeats", 2))):
-            wire = instance.as_wire()
-            wire["ttl"] = 0.0
-            self._send({"kind": "response", "qid": None, "records": [wire]})
-
-    def _announcer(self, service_type: str):
-        """Startup announcement burst, then periodic refresh."""
-        count = int(self.config.get("announce_count", 3))
-        interval = float(self.config.get("announce_interval", 1.0))
-        yield self.sim.timeout(self.rng.uniform(0.0, 0.1))
-        for i in range(count):
-            if not self._announce_once(service_type):
-                return
-            yield self.sim.timeout(interval)
-        if not self.config.get("refresh", True):
-            return
-        while True:
-            instance = self.published.get(service_type)
-            if instance is None:
-                return
-            # Refresh at 80% of TTL, like real mDNS responders.
-            yield self.sim.timeout(0.8 * instance.ttl)
-            if not self._announce_once(service_type):
-                return
-
-    def _announce_once(self, service_type: str) -> bool:
-        instance = self.published.get(service_type)
-        if instance is None:
-            return False
-        self._send({"kind": "response", "qid": None, "records": [instance.as_wire()]})
-        return True
+            self.send_response(None, [replace(instance, ttl=0.0).as_wire()])
 
     # ------------------------------------------------------------------
     # Searching
     # ------------------------------------------------------------------
-    def on_start_search(self, service_type: str, params: Dict[str, Any]) -> None:
-        # Fresh cached records count as discovered immediately ("passively
-        # listening to announcements", Sec. III-A).
-        for entry in self.cache.entries_for_type(service_type):
-            # Re-add through discovered() so the add event fires.
-            self.discovered(entry.instance)
+    def on_start_search(self, service_type: str, params: Dict[str, Any]):
         mode = str(params.get("mode", self.config.get("mode", "active")))
-        if mode == "active":
-            proc = self.spawn(self._querier(service_type), f"query:{service_type}")
-            self._searchers[service_type] = proc
+        if mode != "active":
+            return None
+        return self.spawn(self._querier(service_type), f"query:{service_type}")
 
     def on_stop_search(self, service_type: str, params: Dict[str, Any]) -> None:
-        proc = self._searchers.pop(service_type, None)
-        if proc is not None and proc.alive:
-            proc.interrupt("sd_stop_search")
+        self._stop_searcher(service_type, "sd_stop_search")
 
     def _querier(self, service_type: str):
         base = float(self.config.get("query_backoff_base", 1.0))
@@ -160,59 +113,42 @@ class MdnsAgent(SDAgent):
             interval = min(interval * 2.0, cap)
 
     def _send_query(self, service_type: str) -> int:
-        qid = next(self._qid)
+        qid = next(self._xid)
         known = [
             [entry.instance.name, entry.fresh_fraction(self.sim.now)]
             for entry in self.cache.entries_for_type(service_type)
         ]
         self.query_sent_at[qid] = self.sim.now
-        self._send(
+        self.send(
+            self.group,
             {"kind": "query", "qid": qid, "type": service_type, "known": known},
-            size=80 + 40 * len(known),
+            80 + 40 * len(known),
         )
         return qid
 
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def _on_datagram(self, payload: Any, packet: Packet, _node) -> None:
-        if not isinstance(payload, dict):
-            return
-        kind = payload.get("kind")
+    def receive(self, kind: Any, payload: Dict[str, Any], packet: Packet) -> None:
         if kind == "query":
             self._handle_query(payload)
         elif kind == "response":
             self._handle_response(payload)
 
-    def _handle_query(self, payload: Dict[str, Any]) -> None:
-        if self.role is None or not self.role.is_manager:
-            return
+    def answer(self, payload: Dict[str, Any]) -> None:
         qtype = str(payload.get("type", ""))
         if qtype == META_TYPE_ENUMERATION:
             self._handle_type_enumeration(payload)
             return
         instance = self.published.get(qtype)
-        if instance is None:
-            return
         # Known-answer suppression: the querier already holds our record
         # with more than half its lifetime left.  Toggleable for ablation
         # studies (benchmarks/bench_ablations.py).
-        if self.config.get("known_answer_suppression", True):
+        if instance is not None and self.config.get("known_answer_suppression", True):
             for name, fresh in payload.get("known", []):
                 if name == instance.name and float(fresh) > 0.5:
                     return
-        qid = payload.get("qid")
-        delay = self.rng.uniform(
-            float(self.config.get("response_delay_min", 0.02)),
-            float(self.config.get("response_delay_max", 0.12)),
-        )
-        self.spawn(self._delayed_response(instance.service_type, qid, delay), "respond")
-
-    def _delayed_response(self, service_type: str, qid, delay: float):
-        yield self.sim.timeout(delay)
-        instance = self.published.get(service_type)
-        if instance is not None:
-            self._send({"kind": "response", "qid": qid, "records": [instance.as_wire()]})
+        super().answer(payload)
 
     # ------------------------------------------------------------------
     # Service-type enumeration (DNS-SD meta-queries)
@@ -222,8 +158,6 @@ class MdnsAgent(SDAgent):
         published service type.  The pointer is itself a record under the
         meta type, named after the real type, so the generic cache /
         discovered() machinery applies unchanged."""
-        if not self.published:
-            return
         known = {name for name, _fresh in payload.get("known", [])}
         pointers = [
             ServiceInstance(
@@ -239,46 +173,10 @@ class MdnsAgent(SDAgent):
         if not pointers:
             return
         qid = payload.get("qid")
-        delay = self.rng.uniform(
-            float(self.config.get("response_delay_min", 0.02)),
-            float(self.config.get("response_delay_max", 0.12)),
-        )
-
-        def respond():
-            yield self.sim.timeout(delay)
-            if self.published:
-                self._send({"kind": "response", "qid": qid, "records": pointers})
-
-        self.spawn(respond(), "respond-types")
+        self.respond(lambda: self.send_response(qid, pointers) if self.published else None)
 
     def _handle_response(self, payload: Dict[str, Any]) -> None:
         qid = payload.get("qid")
         if qid is not None and qid in self.query_sent_at:
             self.response_rtts.append((qid, self.sim.now - self.query_sent_at[qid]))
-        for wire in payload.get("records", []):
-            instance = ServiceInstance.from_wire(wire)
-            if instance.provider_node == self.node.name:
-                continue  # our own flooded announcement
-            if instance.ttl <= 0:
-                gone = self.cache.remove(instance.service_type, instance.name)
-                if gone is not None:
-                    self.lost(gone)
-            else:
-                self.discovered(instance)
-
-    # ------------------------------------------------------------------
-    # Transmission
-    # ------------------------------------------------------------------
-    def _send(self, payload: Dict[str, Any], size: Optional[int] = None) -> None:
-        payload = dict(payload)
-        payload["from"] = self.node.name
-        if size is None:
-            size = 120 + 80 * len(payload.get("records", []))
-        self.node.send_datagram(
-            payload,
-            dst_addr=self.group,
-            dst_port=self.port,
-            src_port=self.port,
-            size=size,
-            flow="experiment",
-        )
+        self.take_records(payload.get("records", []))

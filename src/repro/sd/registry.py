@@ -34,7 +34,6 @@ sweeps 1..N without changing the platform spec.
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from typing import Any, Dict, List, Optional
 
@@ -44,7 +43,6 @@ from repro.sd.agent import SDAgent
 from repro.sd.broker import BrokerRelay, SubscriberTable
 from repro.sd.gossip import GossipReplicator
 from repro.sd.model import Role, ServiceInstance
-from repro.sd.records import ServiceCache
 
 __all__ = ["RegistryAgent", "REGISTRY_PORT"]
 
@@ -72,15 +70,10 @@ class RegistryAgent(SDAgent):
 
     protocol = "registry"
     port = REGISTRY_PORT
+    reply_kinds = ("reg_ack", "q_rply", "sub_ack")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._bound = False
-        self._xid = itertools.count(1)
-        #: Pending reliable-unicast transactions: xid -> SimEvent.
-        self._pending: Dict[int, Any] = {}
-        #: Registry-side registration store (SCM role).
-        self.registrations = ServiceCache()
         #: Registry-side push subscriptions (brokers, direct subscribers).
         self.subscribers = SubscriberTable()
         #: Broker-side relay state (BROKER role).
@@ -120,13 +113,14 @@ class RegistryAgent(SDAgent):
         if replicas <= 0 or replicas > len(addrs):
             replicas = len(addrs)
         self.active_addrs = addrs[:replicas]
-        self.node.bind(self.port, self._on_datagram)
-        self._bound = True
+        self.listen()
         self._server_known = False
 
         if self.role is Role.SCM:
             if self.node.address in self.active_addrs:
-                self.spawn(self._registration_reaper(), "reg_reaper")
+                interval = float(self.config.get("reaper_interval", 1.0))
+                reaper = self.expiry_loop(self.registrations, interval, self.registration_gone)
+                self.spawn(reaper, "reg_reaper")
                 peers = [a for a in self.active_addrs if a != self.node.address]
                 if peers:
                     self.gossip = GossipReplicator(
@@ -134,25 +128,22 @@ class RegistryAgent(SDAgent):
                     )
                     self.spawn(self.gossip.run(), "gossip")
         elif self.role is Role.BROKER:
-            self.relay = BrokerRelay(self)
+            relay = self.relay = BrokerRelay(self)
             self.spawn(
-                self.relay.upstream_loop(self._home_addr(self.active_addrs)),
+                relay.upstream_loop(self._home_addr(self.active_addrs)),
                 "broker_upstream",
             )
-            self.spawn(self.relay.expiry_loop(), "broker_expiry")
+            # An expired mirror record is a deletion for the clients.
+            expiry = self.expiry_loop(relay.mirror, 1.0, lambda gone: relay.push(gone, "del", None))
+            self.spawn(expiry, "broker_expiry")
         self.spawn(self.cache_housekeeping(), "cache")
 
     def on_exit(self) -> None:
-        if self._bound:
-            self.node.unbind(self.port)
-            self._bound = False
-        self.registrations.clear()
         self.subscribers.clear()
         if self.relay is not None:
             self.relay.clear()
             self.relay = None
         self.gossip = None
-        self._pending.clear()
         self.active_addrs = []
         self._server_known = False
 
@@ -163,16 +154,9 @@ class RegistryAgent(SDAgent):
     def is_active_replica(self) -> bool:
         return self.role is Role.SCM and self.node.address in self.active_addrs
 
-    def _registration_reaper(self):
-        interval = float(self.config.get("reaper_interval", 1.0))
-        epoch = self._epoch
-        while True:
-            yield self.sim.timeout(interval)
-            if epoch != self._epoch:
-                return
-            for gone in self.registrations.purge_expired(self.sim.now):
-                self.emit(M.EVENT_SCM_REGISTRATION_DEL, params=gone.event_params())
-                self.subscribers.notify(self.send_unicast, gone, "del", None)
+    def registration_gone(self, instance: ServiceInstance) -> None:
+        super().registration_gone(instance)
+        self.subscribers.notify(self.send, instance, "del", None)
 
     def announce_registration(self, instance: ServiceInstance, op: str) -> None:
         """Emit the SCM registration event for a state change and push it
@@ -183,7 +167,7 @@ class RegistryAgent(SDAgent):
         self.emit(event, params=instance.event_params())
         entry = self.registrations.get(instance.service_type, instance.name)
         remaining = entry.remaining(self.sim.now) if entry else instance.ttl
-        self.subscribers.notify(self.send_unicast, instance, op, remaining)
+        self.subscribers.notify(self.send, instance, op, remaining)
 
     def announce_gossip_sync(self, peer: str, changes: int, extended: int) -> None:
         self.emit(M.EVENT_SCM_GOSSIP_SYNC, params=(peer, changes, extended))
@@ -204,26 +188,19 @@ class RegistryAgent(SDAgent):
             entry = self.registrations.get(instance.service_type, instance.name)
             if entry is not None:
                 self.subscribers.notify(
-                    self.send_unicast, instance, "refresh",
+                    self.send, instance, "refresh",
                     entry.remaining(self.sim.now),
                 )
-        self._ack(packet, payload)
-
-    def _handle_deregister(self, payload: Dict[str, Any], packet: Packet) -> None:
-        gone = self.registrations.remove(payload["type"], payload["name"])
-        if gone is not None:
-            self.emit(M.EVENT_SCM_REGISTRATION_DEL, params=gone.event_params())
-            self.subscribers.notify(self.send_unicast, gone, "del", None)
         self._ack(packet, payload)
 
     def _handle_query(self, payload: Dict[str, Any], packet: Packet) -> None:
         now = self.sim.now
         entries = self.registrations.entries_for_type(str(payload.get("type", "")))
         records = [[e.instance.as_wire(), e.remaining(now)] for e in entries]
-        self.send_unicast(
+        self.send(
             packet.src_addr,
             {"kind": "q_rply", "xid": payload.get("xid"), "records": records},
-            size=100 + 80 * len(records),
+            100 + 80 * len(records),
         )
 
     def _handle_sub(self, payload: Dict[str, Any], packet: Packet) -> None:
@@ -236,15 +213,10 @@ class RegistryAgent(SDAgent):
             else self.registrations.entries_for_type(service_type)
         )
         records = [[e.instance.as_wire(), e.remaining(now)] for e in entries]
-        self.send_unicast(
+        self.send(
             packet.src_addr,
             {"kind": "sub_ack", "xid": payload.get("xid"), "records": records},
-            size=120 + 80 * len(records),
-        )
-
-    def _ack(self, packet: Packet, payload: Dict[str, Any]) -> None:
-        self.send_unicast(
-            packet.src_addr, {"kind": "reg_ack", "xid": payload.get("xid")}
+            120 + 80 * len(records),
         )
 
     # ------------------------------------------------------------------
@@ -261,14 +233,12 @@ class RegistryAgent(SDAgent):
             instance = self.published.get(service_type)
             if instance is None:
                 return
-            reg_ttl = float(self.config.get("registration_ttl", instance.ttl))
-            wire = instance.as_wire()
-            wire["ttl"] = reg_ttl
+            wire = self.registration_wire(instance)
             ack = yield from self.transact(home, {"kind": "reg", "record": wire}, size=160)
             if epoch != self._epoch:
                 return
             self._learn_server(ack)
-            yield self.sim.timeout(renew * reg_ttl)
+            yield self.sim.timeout(renew * wire["ttl"])
             if epoch != self._epoch:
                 return
 
@@ -285,9 +255,7 @@ class RegistryAgent(SDAgent):
         self.spawn(self._reregister_once(instance), f"reregister:{instance.name}")
 
     def _reregister_once(self, instance: ServiceInstance):
-        reg_ttl = float(self.config.get("registration_ttl", instance.ttl))
-        wire = instance.as_wire()
-        wire["ttl"] = reg_ttl
+        wire = self.registration_wire(instance)
         yield from self.transact(
             self._home_addr(self.active_addrs), {"kind": "reg", "record": wire}, size=160
         )
@@ -303,9 +271,7 @@ class RegistryAgent(SDAgent):
     # ------------------------------------------------------------------
     # Client side (SU role)
     # ------------------------------------------------------------------
-    def on_start_search(self, service_type: str, params: Dict[str, Any]) -> None:
-        for entry in self.cache.entries_for_type(service_type):
-            self.discovered(entry.instance)
+    def on_start_search(self, service_type: str, params: Dict[str, Any]):
         if self.dissemination == "broker":
             broker_addrs = list(self.config.get("broker_addrs") or [])
             if not broker_addrs:
@@ -313,12 +279,11 @@ class RegistryAgent(SDAgent):
                     f"{self.node.name}: dissemination 'broker' without "
                     "'broker_addrs' (set sd_broker_nodes in the description)"
                 )
-            self.spawn(
+            return self.spawn(
                 self._subscriber(service_type, self._home_addr(broker_addrs)),
                 f"subscribe:{service_type}",
             )
-        else:
-            self.spawn(self._poller(service_type), f"poll:{service_type}")
+        return self.spawn(self._poller(service_type), f"poll:{service_type}")
 
     def _poller(self, service_type: str):
         poll = float(self.config.get("poll_interval", 2.0))
@@ -374,33 +339,9 @@ class RegistryAgent(SDAgent):
         self.discovered_until(instance, self.sim.now + float(remaining))
 
     # ------------------------------------------------------------------
-    # Reliable unicast (transactions)
-    # ------------------------------------------------------------------
-    def transact(self, dst_addr: str, payload: Dict[str, Any], size: int = 120):
-        """Sub-generator: send, retry with back-off until the reply with
-        the same xid arrives; returns the reply payload."""
-        timeout = float(self.config.get("unicast_retry_timeout", 0.5))
-        cap = float(self.config.get("unicast_retry_cap", 8.0))
-        xid = next(self._xid)
-        payload = dict(payload)
-        payload["xid"] = xid
-        while True:
-            reply_ev = self.sim.event(name=f"rxid:{xid}")
-            self._pending[xid] = reply_ev
-            self.send_unicast(dst_addr, payload, size=size)
-            fired, value = yield self.sim.any_of(reply_ev, self.sim.timeout(timeout))
-            self._pending.pop(xid, None)
-            if fired is reply_ev:
-                return value
-            timeout = min(timeout * 2.0, cap)
-
-    # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def _on_datagram(self, payload: Any, packet: Packet, _node) -> None:
-        if not isinstance(payload, dict):
-            return
-        kind = payload.get("kind")
+    def receive(self, kind: Any, payload: Dict[str, Any], packet: Packet) -> None:
         if kind in ("reg", "unreg", "query"):
             if not self.is_active_replica:
                 return
@@ -413,9 +354,7 @@ class RegistryAgent(SDAgent):
         elif kind == "sub":
             if self.role is Role.BROKER and self.relay is not None:
                 reply = self.relay.handle_sub(payload, packet.src_addr)
-                self.send_unicast(
-                    packet.src_addr, reply, size=120 + 80 * len(reply["records"])
-                )
+                self.send(packet.src_addr, reply, 120 + 80 * len(reply["records"]))
             elif self.is_active_replica:
                 self._handle_sub(payload, packet)
         elif kind == "gossip":
@@ -423,22 +362,3 @@ class RegistryAgent(SDAgent):
                 self.gossip.handle(payload)
         elif kind == "notify":
             self._handle_notify(payload)
-        elif kind in ("reg_ack", "q_rply", "sub_ack"):
-            ev = self._pending.get(payload.get("xid"))
-            if ev is not None and not ev.triggered:
-                ev.trigger(payload)
-
-    # ------------------------------------------------------------------
-    # Transmission
-    # ------------------------------------------------------------------
-    def send_unicast(self, dst_addr: str, payload: Dict[str, Any], size: int = 120) -> None:
-        payload = dict(payload)
-        payload["from"] = self.node.name
-        self.node.send_datagram(
-            payload,
-            dst_addr=dst_addr,
-            dst_port=self.port,
-            src_port=self.port,
-            size=size,
-            flow="experiment",
-        )

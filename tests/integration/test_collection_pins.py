@@ -1,4 +1,5 @@
-"""Pinned level-2 bytes and level-3 digests of two small experiments.
+"""Pinned level-2 bytes and level-3 digests of small experiments, one or
+more per SD family.
 
 The literals were recorded on the commit *before* run measurements started
 crossing the control channel as node-encoded record blocks (PR 14, parent
@@ -22,6 +23,11 @@ literals were re-recorded once, when the fault-lease ledger was deleted:
 ``run_init`` no longer replies ``{"reconciled": []}``, so its response is
 the empty reply every other void procedure sends.  No other literal moved.
 
+The SLP, hybrid and direct-polling registry cases were recorded on commit
+bb8123a, before the four agent families started to share their sender,
+transaction, announcer, responder and record intake in ``SDAgent``: every
+family's wire bytes, RNG draws and events must survive that sharing.
+
 The experiments execute as one-worker campaigns, each run in its own
 kernel and level-2 staging store; the level-2 hashes run over the plan's
 stores in run order.  The one-run traffic case kept every literal when the
@@ -40,7 +46,8 @@ from repro.campaign import database_digest
 from repro.core.rpc import RpcServer
 from repro.core.wire import fallback_counter
 from repro.platforms.simulated import PlatformConfig
-from repro.sd.processlib import build_registry_description, build_two_party_description
+from repro.sd.processlib import (
+    build_registry_description, build_three_party_description, build_two_party_description)
 
 from tests.conftest import staging_store
 
@@ -61,6 +68,24 @@ def _registry():
         name="pin-registry", seed=2014, replications=2, env_count=1, broker_count=1,
         churn=True, churn_interval_levels=(1.5,), population=True,
         population_levels=(50,), hold_time=4.0)
+    return desc, PlatformConfig(protocol="registry", topology="full", base_loss=0.0)
+
+
+def _slp():
+    desc = build_three_party_description(
+        name="pin-slp", seed=2014, replications=2, env_count=2)
+    return desc, PlatformConfig(protocol="slp")
+
+
+def _hybrid():
+    desc = build_three_party_description(
+        name="pin-hybrid", seed=2014, replications=2, env_count=2)
+    return desc, PlatformConfig(protocol="hybrid")
+
+
+def _registry_direct():
+    desc = build_registry_description(
+        name="pin-registry-direct", seed=2014, replications=2, env_count=1, broker_count=0)
     return desc, PlatformConfig(protocol="registry", topology="full", base_loss=0.0)
 
 
@@ -97,7 +122,26 @@ def _codec_fallbacks():
      "89a0144137f144fc206cc2ab39df59a32404fae13665da0957bc5f60cb8d7c08",
      "3b7cde0641cc867097a119f88cd0e77f3795f048d6840d8714e5a1c4eab75bda",
      "67fd5b9d4c4b9e9e43acf99655ce9acba62dc95a8d8a56606cb6711e3fea689d"),
-], ids=["two-party-mdns", "two-party-mdns-31-traffic", "registry"])
+    (_slp,
+     "fe7ba671c915c478d74f4e0ae40a13b09d716f17a5505dae389eebc0327b62c2",
+     "a9921f65aec5b121124aae560045c92507fbcdee468dacd898ab0da6916e5ceb",
+     "a9a94f32f03e46b69c08dc95e08dbac5a184ce83fe74960887f647577ed6a76d",
+     "636252b8797435d1444f9b7ad7a8b600c3b7010e888eedf2cfa730a1650ffc58",
+     "00871b1417951733e7c4bba05ff31e200f2b4c959c4793e1ee3de73d02b6ec93"),
+    (_hybrid,
+     "3a89177b0f6c4f0b721e1e868f5b5a1771553329edeac8504e840d88764cdf7e",
+     "ced1e5109074da90ccb1a360c03de6d7caafeab580aef01e6b196cebab03dd5d",
+     "0403dcd2a617c3847eaf6cc3e1d649a53cef690be77eb0dcc1ba663bc3bef4fd",
+     "636252b8797435d1444f9b7ad7a8b600c3b7010e888eedf2cfa730a1650ffc58",
+     "7c703ad88df80fa1aea20d96031e4718bb8fb30b1bc69ab43d5f5a00d1845040"),
+    (_registry_direct,
+     "0a701f4d87c2227c379a407a7846d80e6ab1e4273a87ea75e7784982046ae420",
+     "6193b8842595e7be89a2dd9098511b017d28158f581a98756a80fc75591176d7",
+     "a87d96a0c3cc5a1afad6b66f79d6fa195eee8092c8035134c36c37a1bfb80e5e",
+     "1c1bd8d5b93448643def7afafbecc4edea22bb2276eb946124f56aba863db43c",
+     "e3037c00c3f14e57c7c6741472dd7be86e73ce2e2d54f152f5b28a1b2ad8f6d6"),
+], ids=["two-party-mdns", "two-party-mdns-31-traffic", "registry",
+        "three-party-slp", "three-party-hybrid", "registry-direct"])
 def test_level2_bytes_and_level3_digest_equal_the_parent_commit(
         tmp_path, monkeypatch, build, run_streams, node_files, l3_digest, topology_before, wire):
     handle_request, on_the_wire = RpcServer.handle_request, hashlib.sha256()

@@ -9,9 +9,11 @@ enforces two rules:
   failure modes are hardest to see in review, so its tests carry a
   contractual floor.
 * the registry discovery family (``src/repro/sd/registry.py``,
-  ``broker.py``, ``gossip.py``) must be at least ``--registry-min``
-  (default 85%) — same rationale: convergence and expiry bugs hide in
-  the branches tests skip.
+  ``broker.py``, ``gossip.py``) together with the SD mechanics it shares
+  with the other families (``agent.py``: sender, transaction, expiry
+  loop, registrar helpers) must be at least ``--registry-min`` (default
+  85%) — same rationale: convergence and expiry bugs hide in the
+  branches tests skip.
 * repo-wide line coverage must not regress more than
   ``--max-regression`` points (default 2.0) below the committed
   baseline (``coverage-baseline.json``).  A ``null`` baseline total
@@ -32,9 +34,11 @@ REGISTRY_PREFIX = (
     "src/repro/sd/registry.py",
     "src/repro/sd/broker.py",
     "src/repro/sd/gossip.py",
+    "src/repro/sd/agent.py",
     "src\\repro\\sd\\registry.py",
     "src\\repro\\sd\\broker.py",
     "src\\repro\\sd\\gossip.py",
+    "src\\repro\\sd\\agent.py",
 )
 
 
@@ -74,7 +78,7 @@ def main():
     print(f"src/repro/fabric/ coverage: {fabric:.2f}%")
     registry = tree_percent(report, REGISTRY_PREFIX)
     if registry is None:
-        print("registry family (sd/registry|broker|gossip) not present in the report",
+        print("registry family (sd/registry|broker|gossip|agent) not present in the report",
               file=sys.stderr)
         return 1
     print(f"sd registry-family coverage: {registry:.2f}%")
