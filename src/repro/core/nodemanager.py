@@ -21,12 +21,13 @@ Sub-components wired in here:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.events import ExEvent
 from repro.core.rpc import RpcServer
 from repro.faults.controller import FAULT_KINDS, FaultController
-from repro.faults.injectors import DropExperimentFilter
+from repro.faults.injectors import FaultFilter
 from repro.net.traffic import TRAFFIC_PORT, TrafficFlow
 from repro.storage.level2 import encode_block
 
@@ -95,8 +96,8 @@ class NodeManager:
 
         # Fault actions are ordinary action handlers.
         for kind in FAULT_KINDS:
-            self._handlers[f"{kind}_start"] = self._make_fault_start(kind)
-            self._handlers[f"{kind}_stop"] = self._make_fault_stop(kind)
+            self._handlers[f"{kind}_start"] = partial(self.faults.start, kind)
+            self._handlers[f"{kind}_stop"] = partial(self._fault_stop, kind)
         self._handlers["generic"] = self._generic_action
         self._handlers["event_flag"] = self._event_flag_action
 
@@ -211,9 +212,8 @@ class NodeManager:
     def set_tracer(self, tracer) -> None:
         """Adopt the master's span tracer (:mod:`repro.obs.trace`).
 
-        The fault controller records its fault windows and swallowed
-        revert errors there; a ``None`` tracer (standalone
-        NodeManager tests) simply records nothing.
+        The fault controller records its fault windows there; a ``None``
+        tracer (standalone NodeManager tests) simply records nothing.
         """
         self.faults.tracer = tracer
 
@@ -256,18 +256,8 @@ class NodeManager:
     # ------------------------------------------------------------------
     # Fault actions
     # ------------------------------------------------------------------
-    def _make_fault_start(self, kind: str) -> ActionHandler:
-        def start(params: Dict[str, Any]):
-            return self.faults.start(kind, params)
-
-        return start
-
-    def _make_fault_stop(self, kind: str) -> ActionHandler:
-        def stop(params: Dict[str, Any]):
-            target = params.get("fault_id", kind)
-            return self.faults.stop(target)
-
-        return stop
+    def _fault_stop(self, kind: str, params: Dict[str, Any]):
+        return self.faults.stop(params.get("fault_id", kind))
 
     # ------------------------------------------------------------------
     # Traffic generation (node-local flows)
@@ -315,7 +305,9 @@ class NodeManager:
     # ------------------------------------------------------------------
     def drop_all_start(self):
         if self._drop_all_rule is None:
-            flt = DropExperimentFilter()
+            # The node-local half of drop-all: every experiment-process
+            # packet, both directions (forwarded ones cross the TX chain).
+            flt = FaultFilter("drop_all", drops=True)
             self._drop_all_rule = self.node.interface.add_filter(flt)
             self.emit("drop_all_started")
         return 0

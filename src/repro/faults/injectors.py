@@ -1,14 +1,23 @@
-"""Communication fault injectors (Sec. IV-D1) as interface packet filters.
+"""Communication faults (Sec. IV-D1) as one interface packet rule.
 
 *"Whenever the term packet is used, it refers to packets belonging to the
-experiment process"* — so every injector here matches only packets with
-the experiment flow label, leaving generated background load untouched.
-*"It should be noted that all injected faults add up to already existing
-communication faults in the target platform"* — filters compose with the
-medium's own loss and delay, they never replace them.
+experiment process"* — so a fault matches only packets with the
+experiment flow label, leaving generated background load untouched; the
+interface fault alone matches every flow (a dead radio is dead for
+everyone).  *"It should be noted that all injected faults add up to
+already existing communication faults in the target platform"* — the
+rule composes with the medium's own loss and delay, it never replaces
+them.
 
-Each injector honours an activation :class:`~repro.faults.model.FaultWindow`:
-outside its window it passes everything, so a single installed filter
+The six fault kinds (interface fault, message loss, delay and reordering,
+path loss and delay) and the drop-all manipulation differ only in data —
+drop or delay, whether a random draw decides, and which packets are in
+scope — so they are all one :class:`FaultFilter`; the fault controller
+builds each kind from its kind table.  Reordering (Sec. IV-A2) is a
+probabilistic delay: held packets arrive after ones that slipped through.
+
+A rule honours an activation :class:`~repro.faults.model.FaultWindow`:
+outside its window it passes everything, so a single installed rule
 implements the duration/rate semantics without install/remove churn.
 """
 
@@ -21,16 +30,7 @@ from repro.faults.model import FaultWindow
 from repro.net.interface import DROP, PASS, Direction, FilterVerdict, PacketFilter
 from repro.net.packet import Packet
 
-__all__ = [
-    "EXPERIMENT_FLOW",
-    "FaultFilter",
-    "InterfaceFaultFilter",
-    "MessageLossFilter",
-    "MessageDelayFilter",
-    "PathLossFilter",
-    "PathDelayFilter",
-    "resolve_direction",
-]
+__all__ = ["EXPERIMENT_FLOW", "FaultFilter", "resolve_direction"]
 
 #: The flow label of packets belonging to the experiment process.
 EXPERIMENT_FLOW = "experiment"
@@ -60,202 +60,51 @@ def resolve_direction(text: str, rng: Optional[random.Random] = None) -> Directi
 
 
 class FaultFilter(PacketFilter):
-    """Base class: window gating + experiment-flow matching."""
+    """One communication fault: drop or delay the packets it affects.
+
+    A packet crossing in the rule's *direction* is affected when the
+    *window* is active, its flow is *flow* (``None``: every flow), it was
+    exchanged with *peer_addr* at either end (when given — path faults
+    match end-to-end addresses, so multi-hop forwarding cannot smuggle a
+    packet past the rule) and one draw from *rng* falls below
+    *probability* (when given; otherwise nothing is drawn).  An affected
+    packet is dropped (*drops*) or held back *delay* seconds, and counts
+    one :attr:`hits`.
+    """
 
     def __init__(
         self,
+        label: str,
+        drops: bool,
+        delay: float = 0.0,
+        probability: Optional[float] = None,
+        rng: Optional[random.Random] = None,
+        peer_addr: Optional[str] = None,
+        flow: Optional[str] = EXPERIMENT_FLOW,
         direction: Direction = Direction.BOTH,
         window: FaultWindow = ALWAYS,
-        label: str = "",
-        flow: Optional[str] = EXPERIMENT_FLOW,
     ) -> None:
+        if probability is not None and not 0.0 <= probability <= 1.0:
+            raise ValueError(f"{label} probability must be in [0, 1], got {probability}")
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
         super().__init__(direction=direction, label=label)
-        self.window = window
+        self.verdict = DROP if drops else FilterVerdict(extra_delay=float(delay))
+        self.probability = probability
+        self.rng = rng
+        self.peer_addr = peer_addr
         self.flow = flow
+        self.window = window
         self.hits = 0  # packets the fault actually affected
 
-    def applies(self, packet: Packet, now: float) -> bool:
-        if not self.window.is_active(now):
-            return False
-        if self.flow is not None and packet.flow != self.flow:
-            return False
-        return True
-
     def decide(self, packet: Packet, direction: Direction, now: float) -> FilterVerdict:
-        if not self.applies(packet, now):
+        if not self.window.is_active(now):
             return PASS
-        return self.affect(packet, direction, now)
-
-    def affect(self, packet: Packet, direction: Direction, now: float) -> FilterVerdict:
-        raise NotImplementedError
-
-
-class InterfaceFaultFilter(FaultFilter):
-    """**Interface fault**: *"No messages are transmitted or received on
-    the specified interface in the specified direction as long as this
-    fault is active."*
-
-    Matches *all* flows — a dead radio is dead for everyone.
-    """
-
-    def __init__(self, direction: Direction, window: FaultWindow = ALWAYS) -> None:
-        super().__init__(direction=direction, window=window, label="iface_fault", flow=None)
-
-    def affect(self, packet: Packet, direction: Direction, now: float) -> FilterVerdict:
-        self.hits += 1
-        return DROP
-
-
-class MessageLossFilter(FaultFilter):
-    """**Message loss**: drop each experiment packet with probability *p*."""
-
-    def __init__(
-        self,
-        probability: float,
-        rng: random.Random,
-        direction: Direction = Direction.BOTH,
-        window: FaultWindow = ALWAYS,
-    ) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"loss probability must be in [0, 1], got {probability}")
-        super().__init__(direction=direction, window=window, label="msg_loss")
-        self.probability = float(probability)
-        self.rng = rng
-
-    def affect(self, packet: Packet, direction: Direction, now: float) -> FilterVerdict:
-        if self.rng.random() < self.probability:
-            self.hits += 1
-            return DROP
-        return PASS
-
-
-class MessageDelayFilter(FaultFilter):
-    """**Message delay**: *"Applies a given constant delay to every
-    packet."*"""
-
-    def __init__(
-        self,
-        delay: float,
-        direction: Direction = Direction.BOTH,
-        window: FaultWindow = ALWAYS,
-    ) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        super().__init__(direction=direction, window=window, label="msg_delay")
-        self.delay = float(delay)
-
-    def affect(self, packet: Packet, direction: Direction, now: float) -> FilterVerdict:
-        self.hits += 1
-        return FilterVerdict(extra_delay=self.delay)
-
-
-class DropExperimentFilter(FaultFilter):
-    """The node-local half of the **drop-all** manipulation: silently
-    discard every experiment-process packet in both directions (receive,
-    send *and* forward — forwarded packets cross the TX chain too)."""
-
-    def __init__(self) -> None:
-        super().__init__(direction=Direction.BOTH, label="drop_all")
-
-    def affect(self, packet: Packet, direction: Direction, now: float) -> FilterVerdict:
-        self.hits += 1
-        return DROP
-
-
-class MessageReorderFilter(FaultFilter):
-    """**Message reordering**: randomly delay a fraction of packets.
-
-    Sec. IV-A2 requires platforms to support "dropping of packets,
-    delaying, *reordering*, and modifying their content".  Reordering is
-    realized as probabilistic extra delay: each matching packet is held
-    back for ``delay`` seconds with probability ``probability``, so held
-    packets overtake-resistant protocols must cope with out-of-order
-    arrival relative to the packets that slipped through immediately.
-    """
-
-    def __init__(
-        self,
-        probability: float,
-        delay: float,
-        rng: random.Random,
-        direction: Direction = Direction.BOTH,
-        window: FaultWindow = ALWAYS,
-    ) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"reorder probability must be in [0, 1], got {probability}")
-        if delay <= 0:
-            raise ValueError(f"reorder delay must be positive, got {delay}")
-        super().__init__(direction=direction, window=window, label="msg_reorder")
-        self.probability = float(probability)
-        self.delay = float(delay)
-        self.rng = rng
-
-    def affect(self, packet: Packet, direction: Direction, now: float) -> FilterVerdict:
-        if self.rng.random() < self.probability:
-            self.hits += 1
-            return FilterVerdict(extra_delay=self.delay)
-        return PASS
-
-
-class _PathMixin:
-    """Match only packets exchanged with one given peer address.
-
-    Path faults "selectively affect only the communication between the
-    target and a given second node" — matched on end-to-end addresses, so
-    multi-hop forwarding cannot smuggle the packet past the rule.
-    """
-
-    peer_addr: str
-
-    def involves_peer(self, packet: Packet) -> bool:
-        return self.peer_addr in (packet.src_addr, packet.dst_addr)
-
-
-class PathLossFilter(FaultFilter, _PathMixin):
-    """**Path loss**: message loss limited to one peer."""
-
-    def __init__(
-        self,
-        peer_addr: str,
-        probability: float,
-        rng: random.Random,
-        direction: Direction = Direction.BOTH,
-        window: FaultWindow = ALWAYS,
-    ) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"loss probability must be in [0, 1], got {probability}")
-        super().__init__(direction=direction, window=window, label="path_loss")
-        self.peer_addr = peer_addr
-        self.probability = float(probability)
-        self.rng = rng
-
-    def affect(self, packet: Packet, direction: Direction, now: float) -> FilterVerdict:
-        if not self.involves_peer(packet):
+        if self.flow is not None and packet.flow != self.flow:
             return PASS
-        if self.rng.random() < self.probability:
-            self.hits += 1
-            return DROP
-        return PASS
-
-
-class PathDelayFilter(FaultFilter, _PathMixin):
-    """**Path delay**: constant delay limited to one peer."""
-
-    def __init__(
-        self,
-        peer_addr: str,
-        delay: float,
-        direction: Direction = Direction.BOTH,
-        window: FaultWindow = ALWAYS,
-    ) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        super().__init__(direction=direction, window=window, label="path_delay")
-        self.peer_addr = peer_addr
-        self.delay = float(delay)
-
-    def affect(self, packet: Packet, direction: Direction, now: float) -> FilterVerdict:
-        if not self.involves_peer(packet):
+        if self.peer_addr is not None and self.peer_addr not in (packet.src_addr, packet.dst_addr):
+            return PASS
+        if self.probability is not None and self.rng.random() >= self.probability:
             return PASS
         self.hits += 1
-        return FilterVerdict(extra_delay=self.delay)
+        return self.verdict

@@ -8,10 +8,10 @@ modifying their content."*
 
 An :class:`Interface` therefore carries an ordered chain of
 :class:`PacketFilter` rules consulted on every packet, separately for the
-transmit and receive direction.  The fault injectors of
-:mod:`repro.faults.injectors` are implemented as such filters, and so is
-deactivation: an :class:`~repro.faults.injectors.InterfaceFaultFilter`
-drops everything in its direction while it is installed.
+transmit and receive direction.  The communication faults of
+:mod:`repro.faults.injectors` are one such filter,
+:class:`~repro.faults.injectors.FaultFilter`, and so is deactivation: the
+interface fault drops every packet in its direction while it is installed.
 
 Semantics: filters run *before* capture — a packet dropped by a rule
 emulates loss in the network, so the node never observes it.  A packet

@@ -28,6 +28,12 @@ bb8123a, before the four agent families started to share their sender,
 transaction, announcer, responder and record intake in ``SDAgent``: every
 family's wire bytes, RNG draws and events must survive that sharing.
 
+The ``node-faults`` case was recorded on commit 8063bc0, before the six
+communication fault kinds and drop-all became one data-parameterised
+``FaultFilter`` built from one kind table: every fault kind, a random
+direction, a rate-gated window, path scoping and drop-all run in it, so
+each kind's RNG draws, verdicts and events must survive that merge.
+
 The experiments execute as one-worker campaigns, each run in its own
 kernel and level-2 staging store; the level-2 hashes run over the plan's
 stores in run order.  The one-run traffic case kept every literal when the
@@ -43,6 +49,8 @@ import pytest
 
 from repro import run_experiment
 from repro.campaign import database_digest
+from repro.core.description import ManipulationProcess
+from repro.core.processes import DomainAction, WaitForTime
 from repro.core.rpc import RpcServer
 from repro.core.wire import fallback_counter
 from repro.platforms.simulated import PlatformConfig
@@ -87,6 +95,39 @@ def _registry_direct():
     desc = build_registry_description(
         name="pin-registry-direct", seed=2014, replications=2, env_count=1, broker_count=0)
     return desc, PlatformConfig(protocol="registry", topology="full", base_loss=0.0)
+
+
+def _node_faults():
+    desc = build_two_party_description(
+        name="pin-faults", seed=2014, replications=2, env_count=2)
+    peer = desc.platform.nodes[0].node_id
+    desc.manipulations += [
+        ManipulationProcess(actor_id="actor1", actions=[
+            DomainAction("msg_loss_start", {
+                "probability": 0.3, "duration": 4, "rate": 0.5, "randomseed": 3,
+                "direction": "random"}),
+            DomainAction("msg_delay_start", {"delay": 0.01, "direction": "tx"}),
+            DomainAction("msg_reorder_start", {"probability": 0.5, "delay": 0.02}),
+            DomainAction("path_loss_start", {"peer": peer, "probability": 0.2, "direction": "rx"}),
+            DomainAction("path_delay_start", {"peer": peer, "delay": 0.005}),
+            WaitForTime(0.5),
+            DomainAction("iface_fault_start", {"duration": 0.3}),
+            WaitForTime(1.0),
+            DomainAction("msg_delay_stop"),
+            DomainAction("path_delay_stop"),
+        ]),
+        ManipulationProcess(actor_id="actor0", actions=[
+            DomainAction("msg_reorder_start", {
+                "probability": 1.0, "delay": 0.03, "direction": "random"}),
+            WaitForTime(2.0),
+            DomainAction("msg_reorder_stop"),
+        ]),
+    ]
+    desc.environment_processes[0].actions += [
+        WaitForTime(0.2), DomainAction("env_drop_all_start"),
+        WaitForTime(0.1), DomainAction("env_drop_all_stop"),
+    ]
+    return desc, None
 
 
 def _sha(stores, pattern, keep=lambda path: True):
@@ -140,8 +181,14 @@ def _codec_fallbacks():
      "a87d96a0c3cc5a1afad6b66f79d6fa195eee8092c8035134c36c37a1bfb80e5e",
      "1c1bd8d5b93448643def7afafbecc4edea22bb2276eb946124f56aba863db43c",
      "e3037c00c3f14e57c7c6741472dd7be86e73ce2e2d54f152f5b28a1b2ad8f6d6"),
+    (_node_faults,
+     "35656085319e07f685362df62960779deba0345d2c45257481d07e9ac4e8a731",
+     "66b0c422350a720a39c39337eb34c9ea73df6337379b2c1caa28a272abf97add",
+     "cbd377ed4a86d752cd02bcab8fc6b52a8abe1f084aef7621b3ed0b7489985b98",
+     "fbddc3364de0e31fbf87ada6733cc63fd43e349041f6166a7bb558297be8ebcf",
+     "8d008931a0fdb70a3429781ba7eb7c593b28f4539cdf177ca0d1d1d46fc1407f"),
 ], ids=["two-party-mdns", "two-party-mdns-31-traffic", "registry",
-        "three-party-slp", "three-party-hybrid", "registry-direct"])
+        "three-party-slp", "three-party-hybrid", "registry-direct", "node-faults"])
 def test_level2_bytes_and_level3_digest_equal_the_parent_commit(
         tmp_path, monkeypatch, build, run_streams, node_files, l3_digest, topology_before, wire):
     handle_request, on_the_wire = RpcServer.handle_request, hashlib.sha256()

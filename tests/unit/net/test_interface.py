@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults.injectors import InterfaceFaultFilter
+from repro.faults.injectors import FaultFilter
 from repro.net.interface import (
     DROP,
     PASS,
@@ -23,6 +23,10 @@ class _Always(PacketFilter):
         return self.verdict
 
 
+def _iface_fault(direction):
+    return FaultFilter("iface_fault", drops=True, flow=None, direction=direction)
+
+
 def _send(a, b, payload="x"):
     return a.send_datagram(payload, b.address, 1000)
 
@@ -40,7 +44,7 @@ def test_tx_down_blocks_sending(pair_net):
     sim, medium, a, b = pair_net
     got = []
     b.bind(1000, lambda pl, pkt, n: got.append(pl))
-    a.interface.add_filter(InterfaceFaultFilter(Direction.TX))
+    a.interface.add_filter(_iface_fault(Direction.TX))
     _send(a, b)
     sim.run(until=1.0)
     assert got == []
@@ -51,7 +55,7 @@ def test_rx_down_blocks_delivery(pair_net):
     sim, medium, a, b = pair_net
     got = []
     b.bind(1000, lambda pl, pkt, n: got.append(pl))
-    b.interface.add_filter(InterfaceFaultFilter(Direction.RX))
+    b.interface.add_filter(_iface_fault(Direction.RX))
     _send(a, b)
     sim.run(until=1.0)
     assert got == []
@@ -63,7 +67,7 @@ def test_reactivation_restores_traffic(pair_net):
     sim, medium, a, b = pair_net
     got = []
     b.bind(1000, lambda pl, pkt, n: got.append(pl))
-    rule_id = b.interface.add_filter(InterfaceFaultFilter(Direction.BOTH))
+    rule_id = b.interface.add_filter(_iface_fault(Direction.BOTH))
     _send(a, b)
     sim.run(until=1.0)
     assert b.interface.remove_filter(rule_id)

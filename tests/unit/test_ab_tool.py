@@ -83,3 +83,32 @@ def test_unpaired_runs_are_refused():
     with pytest.raises(ValueError):
         ab.summarise([_result(1, 1, 1)], [], CONTRACT)
     assert ab.quartiles([2.0]) == (2.0, 2.0, 2.0)
+
+
+def test_both_trees_are_prepared_alike(tmp_path):
+    """The change side is a copy beside the base export, not the checkout:
+    neither keeps a ``__pycache__`` the other lacks, and both are compiled
+    before the first pair, so no side compiles the package in its runs."""
+    import subprocess
+
+    repo = tmp_path / "repo"
+    (repo / "pkg" / "__pycache__").mkdir(parents=True)
+    (repo / "pkg" / "__init__.py").write_text("X = 1\n")
+    (repo / "pkg" / "__pycache__" / "stale.cpython-311.pyc").write_bytes(b"stale")
+    (repo / ".gitignore").write_text("__pycache__/\nout/\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "result.json").write_text("{}")
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run(["git", "-C", str(repo), "add", "pkg/__init__.py", ".gitignore"], check=True)
+    (repo / "pkg" / "__init__.py").write_text("X = 2\n")  # an uncommitted edit
+    (repo / "pkg" / "new.py").write_text("Y = 3\n")  # an untracked module
+
+    change = tmp_path / "ab" / "change"
+    ab.copy_checkout(repo, change)
+    files = sorted(str(p.relative_to(change)) for p in change.rglob("*") if p.is_file())
+    assert files == [".gitignore", "pkg/__init__.py", "pkg/new.py"]
+    assert (change / "pkg" / "__init__.py").read_text() == "X = 2\n"
+
+    ab.compile_tree(change)
+    compiled = sorted(p.name.split(".")[0] for p in (change / "pkg" / "__pycache__").glob("*.pyc"))
+    assert compiled == ["__init__", "new"]

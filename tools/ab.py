@@ -4,8 +4,12 @@
     python tools/ab.py <rev> [--workload W] [--pairs N] [--seed S]
 
 ``<rev>`` (any git revision, usually the parent commit) is exported with
-``git archive`` into a temporary directory; the other tree is this checkout
-as it stands, uncommitted edits included.  Each pair runs
+``git archive`` into a temporary directory; the other tree is a copy of
+this checkout as it stands (every file git does not ignore, uncommitted
+edits included) beside it.  Both trees are byte-compiled before the first
+pair, so neither side's runs compile the package from source — where
+``PYTHONDONTWRITEBYTECODE`` is set, a fresh tree would otherwise compile it
+on every run while a checkout kept its old ``__pycache__``.  Each pair runs
 ``benchmarks/e2e/run.py --workload W --trace 0 --json`` once per tree, each
 in a fresh process, and alternates which tree goes first.  Then it prints
 one row per end-to-end metric of ``BENCHMARK.json``:
@@ -26,6 +30,7 @@ base's interquartile range.  The summary is appended as one JSON line to
 from __future__ import annotations
 
 import argparse
+import compileall
 import datetime
 import json
 import os
@@ -136,8 +141,26 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=REPO, check=True, capture_output=True,
+def copy_checkout(repo: Path, into: Path) -> None:
+    """Copy every file of *repo*'s working tree that git does not ignore
+    (tracked or not, as edited) into *into*: no ``__pycache__``, no outputs."""
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard", cwd=repo)
+    for name in filter(None, listed.split("\0")):
+        source = repo / name
+        if source.is_file():  # skips a tracked file deleted from the working tree
+            target = into / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
+def compile_tree(tree: Path) -> None:
+    """Byte-compile every module of *tree* once, as both sides must start."""
+    if not compileall.compile_dir(str(tree), quiet=1):
+        sys.exit(f"ab.py: {tree}: byte-compiling failed")
+
+
+def _git(*args: str, cwd: Path = REPO) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
@@ -164,11 +187,14 @@ def main(argv=None) -> int:
     contract = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
     scratch = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
-        base_tree = scratch / "base"
+        base_tree, change_tree = scratch / "base", scratch / "change"
         base_commit = export(args.rev, base_tree)
+        copy_checkout(REPO, change_tree)
+        for tree in (base_tree, change_tree):
+            compile_tree(tree)
         base, change = [], []
         for pair in range(args.pairs):
-            order = [(base_tree, base), (REPO, change)]
+            order = [(base_tree, base), (change_tree, change)]
             for tree, results in order if pair % 2 == 0 else order[::-1]:
                 results.append(run_once(tree, args.workload, args.seed, scratch / "out.json"))
             print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
