@@ -10,11 +10,12 @@ experiment database is then assembled by :func:`merge_shards`:
   the conditioned scope the plan's first run returned, which every
   campaign has and which is identical regardless of worker count or
   transport;
-* run tables (RunInfos, ExtraRunMeasurements, Events, Packets) are pulled
-  run by run **in ascending run id order** from whichever shard the
-  journal names for that run.  Completion order, worker count and shard
-  layout therefore never influence the merged database: byte-for-byte the
-  same file as a single-worker campaign.
+* run tables (RunInfos, ExtraRunMeasurements, Events, Packets) are copied
+  run by run **in ascending run id order** out of whichever shard the
+  journal names for that run, attached to the output database
+  (:func:`~repro.storage.level3.copy_run_rows`).  Completion order,
+  worker count and shard layout therefore never influence the merged
+  database: byte-for-byte the same file as a single-worker campaign.
 
 Within one run, rows keep their shard insertion order (``ORDER BY
 rowid``), which is the conditioned order (common time, node, seq) — the
@@ -34,20 +35,18 @@ from repro.obs.metrics import count_suppressed_error
 from repro.storage.conditioning import ConditionedExperiment, condition_run, decode_scope
 from repro.storage.level2 import Level2Store
 from repro.storage.level3 import (
-    EXTENSION_RUN_TABLES,
     RUN_TABLES,
     RunShard,
     _addr_to_node_map,
+    copy_run_rows,
     create_schema,
     database_digest,
     fresh_database,
     fsync_database,
     insert_experiment_scope,
-    insert_rows,
     insert_run,
     insert_run_traces,
     open_fast_connection,
-    read_run_rows,
     stamp_table1_digest,
 )
 
@@ -109,52 +108,49 @@ def merge_shards(
     scope: ConditionedExperiment,
     run_sources: Mapping[int, Path],
 ) -> Path:
-    """Assemble the single experiment database from campaign shards.
-
-    Parameters
-    ----------
-    db_path:
-        Output database (must not exist, and does not exist after a
-        failed merge — same contract as
-        :func:`~repro.storage.level3.store_level3`).
-    scope:
-        The conditioned experiment scope (:func:`load_scope_payload` of
-        the campaign's ``scope.json``); its run list is ignored.
-    run_sources:
-        ``{run_id: shard database path}`` — typically
-        ``CampaignJournal.completed()`` mapped to absolute paths.  Merged
-        in ascending run id order regardless of mapping order.
-    """
+    """Assemble the single experiment database *db_path* — which must not
+    exist, and does not after a failed merge, as for
+    :func:`~repro.storage.level3.store_level3` — from the conditioned
+    *scope* (:func:`load_scope_payload`; its run list is ignored) and
+    *run_sources*, ``{run_id: shard database path}``, merged in ascending
+    run id order whatever the mapping order."""
     with fresh_database(db_path) as db_path:
         # The merged database is freshly created and rebuildable from the
         # shards at any time, so it gets the full fast-write treatment: no
-        # journal, no per-statement syncs, one transaction, one final fsync.
+        # journal, no per-statement syncs, one final fsync.
         out = open_fast_connection(db_path, fresh=True)
-        shards: Dict[Path, sqlite3.Connection] = {}
+        # Shard -> schema, least recently used first.  SQLite caps attached
+        # databases (10) and refuses ATTACH in a transaction: a shard is
+        # attached between two commits, evicting the oldest at the cap.
+        attached: Dict[Path, str] = {}
+        limit = out.getlimit(sqlite3.SQLITE_LIMIT_ATTACHED)
         try:
             create_schema(out)
             out.execute("BEGIN")
             insert_experiment_scope(out, scope)
             for run_id in sorted(run_sources):
                 shard_path = Path(run_sources[run_id])
-                conn = shards.get(shard_path)
-                if conn is None:
+                schema = attached.pop(shard_path, None)
+                if schema is None:
                     if not shard_path.exists():
                         raise StorageError(f"shard database missing: {shard_path}")
-                    conn = shards[shard_path] = sqlite3.connect(str(shard_path))
-                if not insert_rows(out, read_run_rows(conn, run_id, RUN_TABLES)):
+                    out.execute("COMMIT")
+                    schema = f"shard{len(attached)}"
+                    if len(attached) == limit:
+                        schema = attached.pop(next(iter(attached)))
+                        out.execute(f"DETACH DATABASE {schema}")
+                    out.execute(f"ATTACH DATABASE ? AS {schema}", (str(shard_path),))
+                    out.execute("BEGIN")
+                attached[shard_path] = schema
+                copied = copy_run_rows(out, schema, run_id)
+                # Not the side tables: a run traced off has no spans.
+                if not any(copied[table] for table in RUN_TABLES):
                     raise StorageError(
                         f"run {run_id} has no rows in shard {shard_path}; "
                         "journal and shard diverged",
                     )
-                # Side tables: copied per run like the run tables, but
-                # excluded from the divergence check above — a run executed
-                # with tracing off legitimately has no spans.
-                insert_rows(out, read_run_rows(conn, run_id, EXTENSION_RUN_TABLES))
             out.execute("COMMIT")
         finally:
-            for conn in shards.values():
-                conn.close()
             out.close()
         stamp_table1_digest(db_path)
         fsync_database(db_path)

@@ -438,7 +438,7 @@ class FabricCoordinator:
         def commit() -> None:
             shard_rel = f"shards/fleet_{_worker_slug(worker_id)}.db"
             with CoordinatorShard(self.campaign_dir / shard_rel) as shard:
-                shard.ingest(run_id, payload["tables"])
+                shard.ingest(run_id, payload["image"])
             self.session.settle_ok(
                 run_id,
                 worker_id,

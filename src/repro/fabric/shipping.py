@@ -1,24 +1,15 @@
-"""JSON-safe shipping of level-3 rows and the experiment-scope payload.
+"""Shipping one run's level-3 rows, and the experiment-scope payload.
 
-Workers execute runs against their *local* staging stores and shard
-databases; what crosses the wire to the coordinator is the already
-conditioned, already ordered level-3 row data.  Two reasons not to ship
-native XML-RPC values:
-
-* XML-RPC's ``<int>`` is 32-bit — seeds and packet ids routinely exceed
-  it — while JSON carries Python's arbitrary-precision ints unharmed;
-* SQLite rows may hold BLOBs, which JSON cannot represent directly;
-  they travel tagged as ``{"__bytes__": "<base64>"}``.
-
-JSON float serialization uses ``repr``-exact round-tripping, so a float
-that leaves a worker's shard arrives at the coordinator bit-identical —
-a requirement, since the merged database must be byte-identical to a
-local campaign's.
-
-Row order *is* data: :func:`extract_run_rows` reads each table ``ORDER BY
-rowid`` (the conditioned order) and :class:`CoordinatorShard` re-inserts
-in shipped order, so rowid order inside the coordinator's shard equals
-the worker's — which is what the deterministic merge sorts by.
+A worker ships each run it executed as a SQLite image of that run
+(:func:`repro.storage.level3.serialize_run`), base64 text inside the
+JSON ``ack`` payload — JSON because XML-RPC's ``<int>`` is 32-bit, and
+seeds and packet ids routinely exceed it.  :class:`CoordinatorShard`
+checks the image and copies the run out of it with the same
+``INSERT … SELECT … ORDER BY rowid`` the worker copied it in with
+(:func:`repro.storage.level3.copy_run_rows`): cells never enter Python,
+so they arrive bit-identical, and rowid order inside the coordinator's
+shard equals the worker's — which is what the deterministic merge
+sorts by.
 """
 
 from __future__ import annotations
@@ -26,11 +17,11 @@ from __future__ import annotations
 import base64
 import json
 import sqlite3
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.core.errors import StorageError
 from repro.storage.conditioning import decode_scope, encode_scope
-from repro.storage.level3 import ALL_RUN_TABLES, RunShard, insert_rows, read_run_rows
+from repro.storage.level3 import ALL_RUN_TABLES, RunShard, copy_run_rows, serialize_run
 
 __all__ = [
     "encode_payload",
@@ -42,40 +33,19 @@ __all__ = [
 ]
 
 
-def _tag_bytes(value: Any) -> Any:
-    if isinstance(value, bytes):
-        return {"__bytes__": base64.b64encode(value).decode("ascii")}
-    raise TypeError(f"unshippable value of type {type(value).__name__}")
-
-
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict) and "__bytes__" in value:
-        return base64.b64decode(value["__bytes__"])
-    return value
-
-
 def encode_payload(payload: Dict[str, Any]) -> str:
-    """Serialize a shipping payload (tables / scope / result) to JSON,
-    tagging BLOB cells on the way."""
-    return json.dumps(payload, sort_keys=True, default=_tag_bytes)
+    """Serialize a shipping payload (image / scope / result) to JSON."""
+    return json.dumps(payload, sort_keys=True)
 
 
 def decode_payload(text: str) -> Dict[str, Any]:
     return json.loads(text)
 
 
-def extract_run_rows(shard_path, run_id: int) -> Dict[str, List[tuple]]:
-    """Read one run's rows from a worker shard, per table, in rowid order.
-
-    Returns ``{table: [row, ...]}`` with cells as SQLite holds them
-    (:func:`encode_payload` makes them JSON-safe); tables the run has no
-    rows in are omitted.
-    """
-    conn = sqlite3.connect(str(shard_path))
-    try:
-        return dict(read_run_rows(conn, run_id))
-    finally:
-        conn.close()
+def extract_run_rows(shard_path, run_id: int) -> str:
+    """One run of a worker shard as a SQLite image, base64 text — the
+    shipment :meth:`CoordinatorShard.ingest` takes."""
+    return base64.b64encode(serialize_run(shard_path, run_id)).decode("ascii")
 
 
 class CoordinatorShard(RunShard):
@@ -89,16 +59,31 @@ class CoordinatorShard(RunShard):
     :func:`repro.campaign.merge.shard_has_run` probes on resume.
     """
 
-    def ingest(self, run_id: int, tables: Dict[str, List[list]]) -> int:
-        """Commit one shipped run; returns the number of rows written."""
-        unknown = set(tables) - set(ALL_RUN_TABLES)
-        if unknown:
-            raise StorageError(f"shipment for run {run_id} names unknown tables {sorted(unknown)}")
-        if not tables.get("RunInfos"):
-            raise StorageError(f"shipment for run {run_id} carries no RunInfos rows")
-        decoded = {
-            table: [[_decode_value(cell) for cell in row] for row in rows]
-            for table, rows in tables.items()
-        }
-        with self.replacing_run(run_id) as conn:
-            return insert_rows(conn, decoded.items())
+    def ingest(self, run_id: int, image: str) -> int:
+        """Commit one shipped run image; returns the number of rows written.
+
+        Before the run's old rows are touched, an image that fails to
+        deserialize or ``PRAGMA quick_check``, holds other tables than
+        the run tables, or has no ``RunInfos`` row for *run_id* raises
+        :class:`StorageError`.  Only *run_id*'s rows are copied."""
+        what = f"shipment for run {run_id}"
+        self.conn.execute("ATTACH DATABASE ':memory:' AS shipped")
+        try:
+            try:
+                self.conn.deserialize(base64.b64decode(image, validate=True), name="shipped")
+                check = [row[0] for row in self.conn.execute("PRAGMA shipped.quick_check")]
+                names = "SELECT name FROM shipped.sqlite_master WHERE type = 'table'"
+                tables = {row[0] for row in self.conn.execute(names)}
+            except (ValueError, sqlite3.DatabaseError) as exc:
+                raise StorageError(f"{what} is no SQLite image: {exc}") from exc
+            if check != ["ok"]:
+                raise StorageError(f"{what} fails quick_check: {check[:3]}")
+            if tables != set(ALL_RUN_TABLES):
+                raise StorageError(f"{what} holds tables {sorted(tables)}")
+            runinfo = "SELECT 1 FROM shipped.RunInfos WHERE RunID = ?"
+            if self.conn.execute(runinfo, (run_id,)).fetchone() is None:
+                raise StorageError(f"{what} carries no RunInfos rows for it")
+            with self.replacing_run(run_id) as conn:
+                return sum(copy_run_rows(conn, "shipped", run_id).values())
+        finally:
+            self.conn.execute("DETACH DATABASE shipped")

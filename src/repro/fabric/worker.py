@@ -32,6 +32,7 @@ committed twice, no matter how many failovers interleave with it.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import OrderedDict
@@ -149,8 +150,6 @@ class FabricWorker:
 
     # ------------------------------------------------------------------
     def register(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        import json
-
         bundle = json.loads(
             self.channel.call(
                 "register", self.worker_id, self.capacity, timeout=timeout,
@@ -213,8 +212,6 @@ class FabricWorker:
     def _replay_unacked(self) -> None:
         """Re-send buffered results to the (new) leader; duplicates are
         deduplicated coordinator-side, so replay is idempotent."""
-        import json
-
         for run_id in list(self._unacked):
             lease_id, payload_json = self._unacked[run_id]
             try:
@@ -235,8 +232,6 @@ class FabricWorker:
 
     def run_forever(self) -> Dict[str, int]:
         """The worker loop; returns settlement counters on exit."""
-        import json
-
         self.workdir.mkdir(parents=True, exist_ok=True)
         try:
             bundle = self.register()
@@ -364,7 +359,7 @@ class FabricWorker:
                 self.abandoned += 1
             return
         payload: Dict[str, Any] = {
-            "tables": extract_run_rows(self.workdir / result["shard"], run_id),
+            "image": extract_run_rows(self.workdir / result["shard"], run_id),
             "duration": result["duration"],
             "timed_out": result["timed_out"],
             "phases": result.get("phases") or {},
@@ -388,8 +383,6 @@ class FabricWorker:
         payload_json: str,
         duration: float,
     ) -> None:
-        import json
-
         try:
             reply = json.loads(
                 self.channel.call(

@@ -160,6 +160,13 @@ class SimulatedPlatform(Platform):
         self.node_managers: Dict[str, NodeManager] = {}
         self.agents: Dict[str, Any] = {}
         addr_by_id = {n.node_id: n.address for n in description.platform.nodes}
+        addresses = set(addr_by_id.values())
+
+        def resolve_peer(peer: str) -> str:  # a path fault's peer: node id or address
+            if peer not in addr_by_id and peer not in addresses:
+                raise ValueError(f"path fault peer {peer!r} is no platform node id or address")
+            return addr_by_id.get(peer, peer)
+
         agent_cls = _AGENT_CLASSES[self.config.protocol]
         sd_config = dict(self.config.sd_config)
         sd_config.setdefault("service_type", params.get("service_type"))
@@ -188,7 +195,7 @@ class SimulatedPlatform(Platform):
                 net_node,
                 self.channel,
                 self.rngs,
-                resolve_addr=lambda nid, _a=addr_by_id: _a.get(nid, nid),
+                resolve_addr=resolve_peer,
             )
             agent = agent_cls(
                 self.sim, net_node, self.rngs, emit=manager.emit, config=sd_config

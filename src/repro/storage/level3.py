@@ -78,8 +78,8 @@ __all__ = [
     "insert_run",
     "insert_run_traces",
     "store_level3",
-    "read_run_rows",
-    "insert_rows",
+    "copy_run_rows",
+    "serialize_run",
     "RunShard",
     "ExperimentDatabase",
 ]
@@ -522,29 +522,39 @@ def _name_comment(description_xml: str) -> Tuple[str, str]:
 ALL_RUN_TABLES = RUN_TABLES + EXTENSION_RUN_TABLES
 
 
-def read_run_rows(
-    conn: sqlite3.Connection, run_id: int, tables: Iterable[str] = ALL_RUN_TABLES
-) -> Iterator[Tuple[str, List[tuple]]]:
-    """``(table, rows)`` for each of *tables* run *run_id* has rows in,
-    full-width and in rowid order — the conditioned (common time, node,
-    seq) order every writer inserts in, which is data: the merge and the
-    digest read it.  Lazy: one table's rows are held at a time."""
-    for table in tables:
-        rows = conn.execute(
-            f"SELECT {', '.join(_ALL_SCHEMAS[table])} FROM {table} "
-            "WHERE RunID = ? ORDER BY rowid",
+def copy_run_rows(conn: sqlite3.Connection, schema: str, run_id: int) -> Dict[str, int]:
+    """Copy *run_id*'s rows of every run table from the attached database
+    *schema* into ``main``, in rowid order — the conditioned (common time,
+    node, seq) order every writer inserts in, which is data: the merge
+    and the digest read it.  Returns the rows copied per table.  The one
+    way a run's rows move between two SQLite files; they never enter
+    Python."""
+    copied: Dict[str, int] = {}
+    for table in ALL_RUN_TABLES:
+        columns = ", ".join(_ALL_SCHEMAS[table])
+        copied[table] = conn.execute(
+            f"INSERT INTO main.{table} ({columns}) SELECT {columns} "
+            f"FROM {schema}.{table} WHERE RunID = ? ORDER BY rowid",
             (run_id,),
-        ).fetchall()
-        if rows:
-            yield table, rows
+        ).rowcount
+    return copied
 
 
-def insert_rows(
-    conn: sqlite3.Connection, tables: Iterable[Tuple[str, Sequence[Sequence[Any]]]]
-) -> int:
-    """Insert ``(table, rows)`` pairs — the :func:`read_run_rows` shape —
-    in the order given; returns the number of rows written."""
-    return sum(_insert(conn, table, rows) for table, rows in tables)
+def serialize_run(shard_path, run_id: int) -> bytes:
+    """*run_id* of a shard as a :meth:`~sqlite3.Connection.serialize` image:
+    the run tables — untyped, unindexed — holding that run's rows only."""
+    conn = sqlite3.connect(":memory:", isolation_level=None)
+    try:
+        # At 512-byte pages an empty image (six pages) is 3 KiB, not 24,
+        # and a run's rows pack no looser than at the default 4 KiB.
+        conn.execute("PRAGMA page_size = 512")
+        for table in ALL_RUN_TABLES:
+            conn.execute(f"CREATE TABLE {table} ({', '.join(_ALL_SCHEMAS[table])})")
+        conn.execute("ATTACH DATABASE ? AS shard", (str(shard_path),))
+        copy_run_rows(conn, "shard", run_id)
+        return conn.serialize()
+    finally:
+        conn.close()
 
 
 def _distinct_run_ids(conn: sqlite3.Connection, where: str = "", args=()) -> List[int]:

@@ -66,6 +66,20 @@ def test_platform_custom_topology_must_cover_nodes():
         SimulatedPlatform(desc, PlatformConfig(topology=topo))
 
 
+def test_path_fault_peer_must_name_a_platform_node():
+    platform = SimulatedPlatform(_small_desc())
+    platform.channel.set_master_handler(lambda record: None)
+    faults = platform.node_managers["t9-101"].faults
+    with pytest.raises(ValueError, match="'t9-199' is no platform node"):
+        faults.start("path_loss", {"peer": "t9-199", "probability": 1.0})
+    assert faults.node.interface.filters == []
+    sm_addr = platform.description.platform.by_id("t9-100").address
+    for peer in ("t9-100", sm_addr):  # a node id or its address
+        fault_id = faults.start("path_loss", {"peer": peer, "probability": 1.0})
+        assert faults.node.interface.filters[-1].peer_addr == sm_addr
+        faults.stop(fault_id)
+
+
 def test_check_nodes_detects_missing():
     platform = SimulatedPlatform(_small_desc())
     with pytest.raises(PlatformError, match="no nodes"):

@@ -34,7 +34,7 @@ from repro.platforms import frame as frame_module
 from repro.platforms.simulated import PlatformConfig, SimulatedPlatform
 from repro.sd.processlib import build_registry_description, build_two_party_description
 from repro.storage.level2 import encode_json
-from repro.storage.level3 import RUN_TABLES, read_run_rows
+from repro.storage.level3 import RUN_TABLES
 
 RUNS = 4
 
@@ -102,7 +102,12 @@ def _execute(root, xml, config, run_id, worker="w0"):
     assert len(staged) == 4, sorted(staged)
     conn = sqlite3.connect(str(root / res["shard"]))
     try:
-        staged["shard"] = dict(read_run_rows(conn, run_id, RUN_TABLES))
+        staged["shard"] = {
+            table: conn.execute(
+                f"SELECT * FROM {table} WHERE RunID = ? ORDER BY rowid", (run_id,)
+            ).fetchall()
+            for table in RUN_TABLES
+        }
     finally:
         conn.close()
     assert staged["shard"]["RunInfos"] and staged["shard"]["Events"]

@@ -11,7 +11,7 @@ from repro.core.errors import StorageError
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.sd.processlib import build_two_party_description
 from repro.storage.conditioning import condition_scope
-from repro.storage.level3 import RUN_TABLES
+from repro.storage.level3 import RUN_TABLES, ExperimentDatabase
 
 from tests.conftest import execute_plan
 
@@ -125,3 +125,25 @@ def test_probing_an_unreadable_shard_is_false_and_counted(executed_store, tmp_pa
         assert suppressed.value(site="shard_probe") == 1
     finally:
         set_registry(None)
+
+
+def test_merge_attaches_more_shards_than_sqlite_holds_at_once(tmp_path):
+    """One run from each of 12 shard files: more than SQLite attaches at
+    once, so the merge attaches between commits, and the result equals
+    the merge of the same runs from one shard."""
+    assert sqlite3.connect(":memory:").getlimit(sqlite3.SQLITE_LIMIT_ATTACHED) < 12
+    root = tmp_path / "store"
+    execute_plan(build_two_party_description(name="wide", seed=12, replications=12, env_count=0), root)
+    store = Level2Store(root)
+    one, sources = tmp_path / "one.db", {}
+    for run_id in range(12):
+        sources[run_id] = tmp_path / f"w{run_id:02d}.db"
+        for shard in (one, sources[run_id]):
+            with ShardWriter(shard) as writer:
+                writer.stage_run(store, run_id)
+    scope = condition_scope(store)
+    wide = merge_shards(tmp_path / "wide.db", scope, sources)
+    narrow = merge_shards(tmp_path / "narrow.db", scope, dict.fromkeys(sources, one))
+    with ExperimentDatabase(wide) as db:
+        assert db.run_ids() == list(range(12))
+    assert database_digest(wide) == database_digest(narrow)

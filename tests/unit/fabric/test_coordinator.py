@@ -11,7 +11,9 @@ from repro.campaign.journal import CampaignJournal
 from repro.fabric import coordinator as coordinator_module
 from repro.fabric.coordinator import FabricCoordinator
 from repro.fabric.election import ElectionLedger, LeadershipLost
+from repro.fabric.shipping import extract_run_rows
 from repro.sd.processlib import build_two_party_description
+from repro.storage.level3 import RunShard
 
 #: Without a wake-up the waiter would sit this long: far beyond every bound
 #: asserted below, so a poll cannot pass by landing on a lucky tick.
@@ -48,7 +50,10 @@ def _wait_in_background(coord):
 
 def _ack(coord, lease_id, run_id):
     """One fake worker's successful shipment of *run_id*."""
-    payload = {"tables": {"RunInfos": [[run_id, "t9-100", 0.0, 0.0, None]]}, "duration": 0.01}
+    worker_shard = coord.campaign_dir / "fake_worker.db"
+    with RunShard(worker_shard) as shard, shard.replacing_run(run_id) as conn:
+        conn.execute("INSERT INTO RunInfos VALUES (?, 't9-100', 0.0, 0.0, NULL)", (run_id,))
+    payload = {"image": extract_run_rows(worker_shard, run_id), "duration": 0.01}
     reply = coord._rpc_ack("w0", lease_id, run_id, True, json.dumps(payload), "", coord.epoch)
     return json.loads(reply)["status"]
 

@@ -1,5 +1,6 @@
-"""Unit tests for run shipping: worker shard -> JSON -> coordinator shard."""
+"""Unit tests for run shipping: worker shard -> SQLite image -> coordinator shard."""
 
+import base64
 import sqlite3
 
 import pytest
@@ -16,7 +17,7 @@ from repro.fabric.shipping import (
 )
 from repro.storage.conditioning import condition_scope
 from repro.storage.level2 import Level2Store
-from repro.storage.level3 import ALL_RUN_TABLES
+from repro.storage.level3 import ALL_RUN_TABLES, EXTENSION_TABLES, TABLE_SCHEMAS
 
 DESC_XML = """<experiment name="ship" seed="1">
   <platform><actornode id="h1" address="10.0.0.1" abstract="A" /></platform>
@@ -56,26 +57,41 @@ def staged(tmp_path):
 
 
 def _run_rows(path, run_id):
-    """Every cell of one run with its Python type, tables in rowid order."""
+    """Every cell of one run as ``(repr, typeof)``, tables in rowid order."""
     conn = sqlite3.connect(str(path))
     try:
-        return {
-            table: [
-                [repr(cell) for cell in row]
+        out = {}
+        for table in ALL_RUN_TABLES:
+            columns = {**TABLE_SCHEMAS, **EXTENSION_TABLES}[table]
+            typeofs = ", ".join(f"typeof({c})" for c in columns)
+            out[table] = [
+                [(repr(row[i]), row[len(columns) + i]) for i in range(len(columns))]
                 for row in conn.execute(
-                    f"SELECT * FROM {table} WHERE RunID = ? ORDER BY rowid",
+                    f"SELECT {', '.join(columns)}, {typeofs} FROM {table} "
+                    "WHERE RunID = ? ORDER BY rowid",
                     (run_id,),
                 )
             ]
-            for table in ALL_RUN_TABLES
-        }
+        return out
     finally:
         conn.close()
 
 
 def _ship(shard, run_id):
     """What the coordinator holds after the wire: encoded, then decoded."""
-    return decode_payload(encode_payload({"tables": extract_run_rows(shard, run_id)}))["tables"]
+    return decode_payload(encode_payload({"image": extract_run_rows(shard, run_id)}))["image"]
+
+
+def _edited(image, *statements):
+    """*image* with *statements* applied — a forged or trimmed shipment."""
+    conn = sqlite3.connect(":memory:", isolation_level=None)
+    try:
+        conn.deserialize(base64.b64decode(image))
+        for statement in statements:
+            conn.execute(statement)
+        return base64.b64encode(conn.serialize()).decode("ascii")
+    finally:
+        conn.close()
 
 
 def test_shipped_run_arrives_row_for_row_in_rowid_order(staged, tmp_path):
@@ -83,24 +99,43 @@ def test_shipped_run_arrives_row_for_row_in_rowid_order(staged, tmp_path):
     landed = tmp_path / "coordinator.db"
     with CoordinatorShard(landed) as coordinator:
         for run_id in (0, 1):
-            tables = _ship(shard, run_id)
-            assert coordinator.ingest(run_id, tables) == sum(len(r) for r in tables.values())
+            rows = sum(len(r) for r in _run_rows(shard, run_id).values())
+            assert coordinator.ingest(run_id, _ship(shard, run_id)) == rows
         assert coordinator.run_ids() == [0, 1]
     for run_id in (0, 1):
         assert _run_rows(landed, run_id) == _run_rows(shard, run_id)
     awkward = _run_rows(landed, 0)["RunTraces"][-1]
-    assert awkward == [repr(cell) for cell in AWKWARD_SPAN]
+    assert [r for r, _t in awkward] == [repr(cell) for cell in AWKWARD_SPAN]
+    assert [t for _r, t in awkward] == [
+        "integer", "text", "integer", "null", "text", "real", "real", "text", "blob",
+    ]
+
+
+def test_image_holds_only_the_run_tables_and_the_run(staged):
+    _store, shard = staged
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.deserialize(base64.b64decode(_ship(shard, 0)))
+        schema = conn.execute("SELECT type, name FROM sqlite_master ORDER BY name").fetchall()
+        assert schema == [("table", t) for t in sorted(ALL_RUN_TABLES)]  # no index
+        for table in ALL_RUN_TABLES:
+            assert conn.execute(f"SELECT COUNT(*) FROM {table} WHERE RunID != 0").fetchone() == (0,)
+    finally:
+        conn.close()
 
 
 def test_second_ingest_replaces_the_run(staged, tmp_path):
     _store, shard = staged
     landed = tmp_path / "coordinator.db"
-    tables = _ship(shard, 0)
+    image = _ship(shard, 0)
     with CoordinatorShard(landed) as coordinator:
-        coordinator.ingest(0, tables)
+        coordinator.ingest(0, image)
         coordinator.ingest(1, _ship(shard, 1))
-        fewer = dict(tables, Events=tables["Events"][:1])
-        fewer.pop("RunTraces")
+        fewer = _edited(
+            image,
+            "DELETE FROM Events WHERE rowid > (SELECT MIN(rowid) FROM Events)",
+            "DELETE FROM RunTraces",
+        )
         coordinator.ingest(0, fewer)  # a re-shipment wins whole, not row-merged
     rows = _run_rows(landed, 0)
     assert len(rows["Events"]) == 1 and rows["RunTraces"] == []
@@ -110,15 +145,32 @@ def test_second_ingest_replaces_the_run(staged, tmp_path):
 
 def test_ingest_refuses_malformed_shipments(staged, tmp_path):
     _store, shard = staged
-    tables = _ship(shard, 0)
+    image = _ship(shard, 0)
     with CoordinatorShard(tmp_path / "coordinator.db") as coordinator:
-        with pytest.raises(StorageError, match="unknown tables.*ExperimentInfo"):
-            coordinator.ingest(0, dict(tables, ExperimentInfo=[["x", "1", "n", ""]]))
+        with pytest.raises(StorageError, match="holds tables.*ExperimentInfo"):
+            coordinator.ingest(0, _edited(image, "CREATE TABLE ExperimentInfo (ExpXML)"))
+        with pytest.raises(StorageError, match="holds tables"):
+            coordinator.ingest(0, _edited(image, "DROP TABLE RunInfos"))
         with pytest.raises(StorageError, match="no RunInfos rows"):
-            coordinator.ingest(0, {k: v for k, v in tables.items() if k != "RunInfos"})
+            coordinator.ingest(0, _edited(image, "DELETE FROM RunInfos"))
         with pytest.raises(StorageError, match="no RunInfos rows"):
-            coordinator.ingest(0, dict(tables, RunInfos=[]))
+            coordinator.ingest(0, _ship(shard, 1))  # run 1's rows shipped as run 0
+        with pytest.raises(StorageError, match="no SQLite image"):
+            coordinator.ingest(0, "not base64 at all!")
         assert coordinator.run_ids() == []  # nothing committed
+
+
+def test_torn_image_is_refused_and_the_committed_run_stays(staged, tmp_path):
+    _store, shard = staged
+    landed = tmp_path / "coordinator.db"
+    image = base64.b64decode(_ship(shard, 0))
+    torn = base64.b64encode(image[: len(image) // 2]).decode("ascii")
+    with CoordinatorShard(landed) as coordinator:
+        coordinator.ingest(0, _ship(shard, 0))
+        with pytest.raises(StorageError, match=r"run 0 (is no SQLite image|fails quick_check)"):
+            coordinator.ingest(0, torn)
+        assert coordinator.run_ids() == [0]
+    assert _run_rows(landed, 0) == _run_rows(shard, 0)
 
 
 def test_scope_codec_roundtrips_and_scope_file_is_read_back(staged, tmp_path):
