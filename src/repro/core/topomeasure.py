@@ -32,18 +32,14 @@ def snapshot_topology(topology) -> Dict[str, Any]:
     """Full adjacency snapshot (the paper's anticipated advanced recording).
 
     Returns nodes, edges and per-edge quality attributes in a
-    serialization-friendly structure.
+    serialization-friendly structure.  An edge's ``a`` is its endpoint
+    earlier in node order (:meth:`~repro.net.topology.Topology.edges`);
+    the list is sorted by ``(a, b)``.
     """
-    edges = []
-    for a, b, attrs in sorted(topology.graph.edges(data=True)):
-        edges.append(
-            {
-                "a": a,
-                "b": b,
-                "base_loss": float(attrs.get("base_loss", 0.0)),
-                "base_delay": float(attrs.get("base_delay", 0.0)),
-            }
-        )
+    edges = [
+        {"a": a, "b": b, "base_loss": base_loss, "base_delay": base_delay}
+        for a, b, (base_loss, base_delay) in sorted(topology.edges())
+    ]
     return {"nodes": list(topology.node_names), "edges": edges}
 
 

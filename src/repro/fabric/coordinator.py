@@ -56,7 +56,7 @@ from repro.core.xmlio import description_to_xml
 from repro.fabric.dispatch import LeaseDispatcher
 from repro.fabric.election import ElectionLedger, LeadershipLost
 from repro.fabric.leases import LeaseStore
-from repro.fabric.shipping import CoordinatorShard
+from repro.fabric.shipping import CoordinatorShard, decode_payload
 from repro.fabric.wire import FleetServer
 
 __all__ = ["FabricCoordinator"]
@@ -432,7 +432,7 @@ class FabricCoordinator:
     def _commit(self, worker_id: str, lease_id: str, run_id: int, payload_json: str) -> str:
         """Shard transaction, then the fenced journal entry: a deposed leader
         may still write the (same, idempotent) shard rows, not the entry."""
-        payload = json.loads(payload_json)
+        payload = decode_payload(payload_json)
         stats = payload.get("stats") or {}
 
         def commit() -> None:

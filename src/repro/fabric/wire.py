@@ -24,6 +24,7 @@ worker.  That budget is what lets a fleet survive coordinator failover
 from __future__ import annotations
 
 import random as _random
+import selectors
 import socket
 import socketserver
 import struct
@@ -216,25 +217,35 @@ class FleetServer:
         return self._server.server_address[:2]
 
     def start(self) -> "FleetServer":
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="fleet-server",
-            daemon=True,
-        )
+        self._wake = socket.socketpair()
+        self._thread = threading.Thread(target=self._serve, name="fleet-server", daemon=True)
         self._thread.start()
         return self
 
+    def _serve(self) -> None:
+        """``serve_forever`` without its poll: the loop sleeps until a
+        connection arrives or :meth:`stop` writes to the wake socket."""
+        server, wake = self._server, self._wake[0]
+        with selectors.DefaultSelector() as selector:
+            selector.register(server, selectors.EVENT_READ)
+            selector.register(wake, selectors.EVENT_READ)
+            while True:
+                ready = [key.fileobj for key, _events in selector.select()]
+                if wake in ready:
+                    return
+                server._handle_request_noblock()
+
     def stop(self) -> None:
-        # shutdown() waits on serve_forever's exit handshake; skip it if
-        # the serving thread never started (e.g. a lost leadership claim
+        # Wake the serving loop and wait for it to end; skip that if the
+        # serving thread never started (e.g. a lost leadership claim
         # closing a bound-but-idle server).
         if self._thread is not None:
-            self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
+            self._wake[1].send(b"\0")
             self._thread.join(timeout=5.0)
             self._thread = None
+            for end in self._wake:
+                end.close()
+        self._server.server_close()
 
     def __enter__(self) -> "FleetServer":
         return self.start()

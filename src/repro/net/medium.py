@@ -35,7 +35,7 @@ the common path is allocation-free and every per-packet lookup is O(1):
   (read off the all-pairs hop-ring table, no nx path lists);
 * multicast floods iterate a precomputed per-sender array of
   ``(receiver, base_loss, base_delay)`` rows in sorted-neighbour order —
-  rebuilt only when membership or :attr:`Topology.version` changes;
+  rebuilt only when membership changes (a topology never does);
 * load accounting merges same-instant transmissions into one window slot,
   so eviction work is O(1) amortized per *instant*, not per packet, and
   utilization is computed once per transmit (it cannot change between the
@@ -175,9 +175,9 @@ class WirelessMedium:
         # effect immediately; the instances themselves are never mutated.
         self._cong_key: Optional[CongestionModel] = None
         self._cong_params: Tuple = ()
-        # Caches derived from (topology.version, membership); -1 forces a
-        # rebuild on the next transmit.
-        self._cache_version = -1
+        # Caches derived from the topology and the membership; attach and
+        # detach mark them stale, and the next transmit rebuilds them.
+        self._stale = True
         self._name_ids: Dict[str, int] = {}
         self._nodes_by_id: List[Optional["NetNode"]] = []
         self._flood_rows: Dict[str, List[Tuple]] = {}
@@ -188,7 +188,7 @@ class WirelessMedium:
     # ------------------------------------------------------------------
     def attach(self, node: "NetNode") -> None:
         """Register *node* on the medium; its name must exist in the topology."""
-        if node.name not in self.topology.graph:
+        if node.name not in self.topology.adj:
             raise KeyError(f"node {node.name!r} is not part of the topology")
         if node.name in self._nodes:
             raise ValueError(f"node {node.name!r} already attached")
@@ -200,7 +200,7 @@ class WirelessMedium:
         self._nodes[node.name] = node
         self._by_address[node.address] = node
         node.interface.medium = self
-        self._cache_version = -1
+        self._stale = True
 
     def detach(self, node: "NetNode") -> bool:
         """Unregister *node*; returns whether it was actually attached.
@@ -215,7 +215,7 @@ class WirelessMedium:
         else:
             logger.warning("detach of unattached node %r ignored", node.name)
         node.interface.medium = None
-        self._cache_version = -1
+        self._stale = True
         return was_attached
 
     def node_by_address(self, address: str) -> Optional["NetNode"]:
@@ -256,7 +256,7 @@ class WirelessMedium:
         self._nodes_by_id = by_id
         self._flood_rows = {}
         self._dst_rows = {}
-        self._cache_version = topology.version
+        self._stale = False
 
     def _flood_row(self, sender_name: str) -> List[Tuple]:
         """Per-sender flood sweep: ``(deliver, base_loss, base_delay)`` per
@@ -281,8 +281,8 @@ class WirelessMedium:
         """Resolve the unicast hop record for ``sender → dst_addr``:
         ``(deliver, base_loss, base_delay)`` of the next-hop receiver, or
         ``None`` when the address is unknown or unroutable.  Results are
-        memoized per sender in ``_dst_rows``; any membership or topology
-        change clears them via ``_rebuild_caches``."""
+        memoized per sender in ``_dst_rows``; any membership change clears
+        them via ``_rebuild_caches``."""
         dst_node = self._by_address.get(dst_addr)
         if dst_node is None:
             return None
@@ -336,7 +336,7 @@ class WirelessMedium:
         while window and window[0][0] < horizon:
             load -= window.popleft()[1]
         self._load_bytes = load
-        if self._cache_version != self.topology.version:
+        if self._stale:
             self._rebuild_caches()
 
         # Utilization is identical for every carry of one transmission
@@ -379,7 +379,7 @@ class WirelessMedium:
         # Per-sender destination rows collapse address lookup, id
         # interning and next-hop resolution into a single dict hit on the
         # steady path; a cached None is a resolved "no route" (also the
-        # daemon's answer every time until the topology changes).
+        # daemon's answer every time until the membership changes).
         sender_name = sender.name
         row = self._dst_rows.get(sender_name)
         if row is None:

@@ -1,7 +1,7 @@
 """Mesh topologies for the emulated testbed.
 
 The DES testbed is a multi-hop wireless mesh of ~100 indoor nodes.  We
-model connectivity as an undirected graph whose edges carry link-quality
+model connectivity as an undirected graph whose links carry link-quality
 attributes:
 
 ``base_loss``
@@ -18,17 +18,33 @@ Hop counts — the paper's "rudimentary description of the network topology
 ... measured as hop count between the participating nodes" (Sec. IV-B4) —
 come straight from shortest path lengths of this graph.
 
+The graph
+---------
+A :class:`Topology` owns one insertion-ordered adjacency,
+``adj[name][neighbour] = (base_loss, base_delay)``, the same tuple under
+both endpoints (DESIGN.md §14).  Node order sets the interned ids and
+neighbour order sets the routes, so every builder leaves the order its
+``nx.Graph`` predecessor left, which the pinned digests depend on: a
+link is appended to both endpoints' rows, as ``Graph.add_edges_from``
+appends it, and a graph drawn on integers and then named lists its links
+in :meth:`Topology.edges` order — the ``edges()`` stream from which
+``nx.relabel_nodes`` re-derives a copy.
+Each node's neighbours are therefore its earlier neighbours in node
+order, then its later ones in the order the generator added them
+(``tests/unit/net/test_topology_equivalence.py`` checks every builder
+against ``tests/oracles/topology_reference.py``).  Nothing changes a
+topology once built: a rewired mesh is a new :class:`Topology`.
+
 Route tables
 ------------
-Routing never builds nx path lists (DESIGN.md §14).  Node names are
-interned to dense int ids (graph node insertion order) and every next hop
-comes from one all-pairs ring table: ``_rings()[v][d]`` is a Python int
-bitset of the nodes exactly ``d`` hops from ``v``, built for all nodes at
-once, one sweep of big-int ORs over the interned adjacency per level.
-The hop a FIFO BFS from *s* assigns to *w* is the first neighbour ``a``
-of *s*, in ``graph.adj`` order, with ``dist(a, w) == dist(s, w) - 1``;
-:meth:`Topology.next_hop_id` applies that rule on demand.  FIFO BFS over
-``graph.adj`` in insertion order is the discovery order
+Node names are interned to dense int ids (node insertion order) and every
+next hop comes from one all-pairs ring table: ``_rings()[v][d]`` is a
+Python int bitset of the nodes exactly ``d`` hops from ``v``, built for
+all nodes at once, one sweep of big-int ORs over the interned adjacency
+per level.  The hop a FIFO BFS from *s* assigns to *w* is the first
+neighbour ``a`` of *s*, in adjacency order, with ``dist(a, w) == dist(s,
+w) - 1``; :meth:`Topology.next_hop_id` applies that rule on demand.  FIFO
+BFS over the adjacency in insertion order is the discovery order
 ``nx.all_pairs_shortest_path`` uses, so the chosen hop is the second node
 of the nx shortest path (pinned against the sequential BFS oracle
 ``tests/oracles/net_reference.py`` by ``tests/unit/net/test_topology.py``
@@ -38,26 +54,16 @@ and, against a medium that really asks nx, by
 The random geometric graph is drawn by a cell grid that reproduces
 ``nx.random_geometric_graph`` node for node and edge for edge
 (``tests/unit/net/test_geometric_pin.py``), so no builder and no route
-loads numpy or scipy.  networkx is imported inside the functions that
-build or freeze a graph, never at module load: a process that builds no
-topology (a query, a coordinator, conditioning) loads none of the numeric
-stack (DESIGN.md §3).
-
-Every cache (id interning, the ring table, route/distance rows, sorted
-neighbours, edge parameters) invalidates together through
-:meth:`Topology.invalidate_cache`, which also bumps :attr:`Topology.version`
-so medium-local caches keyed on the topology can notice mutations.
+loads a graph or numeric library (DESIGN.md §3).
 """
 
 from __future__ import annotations
 
 import random
 from functools import reduce
+from itertools import combinations
 from operator import or_
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Topology",
@@ -73,86 +79,95 @@ __all__ = [
 DEFAULT_BASE_LOSS = 0.02
 DEFAULT_BASE_DELAY = 0.002
 
-#: Per-hop defaults applied when an edge lacks explicit attributes; these
-#: mirror the historical ``attrs.get(...)`` fallbacks in the medium's
-#: carry path and must not drift from them.
-FALLBACK_BASE_LOSS = 0.0
-FALLBACK_BASE_DELAY = 0.001
+#: ``(base_loss, base_delay)`` of one link.
+Link = Tuple[float, float]
+#: ``adj[name][neighbour]``: the link, in insertion order.
+Adjacency = Dict[str, Dict[str, Link]]
 
 
 class Topology:
     """A connectivity graph plus convenience queries.
 
-    Node identifiers are the node *names* (strings); the emulator maps them
-    to :class:`~repro.net.node.NetNode` objects at attach time.
+    ``adj`` maps each node name to its neighbours and their links (an
+    isolated node maps to ``{}``); it is read, never changed.  Node
+    identifiers are the node *names* (strings); the emulator maps them to
+    :class:`~repro.net.node.NetNode` objects at attach time.
     """
 
-    def __init__(self, graph: nx.Graph) -> None:
-        if graph.number_of_nodes() == 0:
+    def __init__(self, adj: Adjacency) -> None:
+        if not adj:
             raise ValueError("topology must contain at least one node")
-        self.graph = graph
-        #: Bumped by :meth:`invalidate_cache`; consumers (the wireless
-        #: medium) key their own derived caches on this counter.
-        self.version = 0
-        self._ids: Optional[Dict[str, int]] = None
-        self._names: Optional[List[str]] = None
-        self._adj_ids: Optional[List[List[int]]] = None
+        self.adj = adj
+        names = list(adj)
+        ids = {name: i for i, name in enumerate(names)}
+        self._names = names
+        self._ids = ids
+        self._adj_ids = [[ids[w] for w in adj[v]] for v in names]
         self._ring_table: Optional[List[List[int]]] = None
         self._route_rows: Dict[int, List[int]] = {}
         self._dist_rows: Dict[int, List[int]] = {}
         self._sorted_neighbors: Dict[str, List[str]] = {}
-        self._edge_params: Dict[Tuple[str, str], Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def node_names(self) -> List[str]:
-        return sorted(self.graph.nodes)
+        return sorted(self.adj)
 
     def neighbors(self, name: str) -> List[str]:
         cached = self._sorted_neighbors.get(name)
         if cached is None:
-            cached = sorted(self.graph.neighbors(name))
+            cached = sorted(self.adj[name])
             self._sorted_neighbors[name] = cached
         return cached
 
-    def edge_params(self, a: str, b: str) -> Tuple[float, float]:
-        """``(base_loss, base_delay)`` of a link, with carry-path defaults.
+    def edge_params(self, a: str, b: str) -> Link:
+        """``(base_loss, base_delay)`` of the link between *a* and *b*."""
+        return self.adj[a][b]
 
-        Cached floats so the medium hot loop skips the nx attribute-dict
-        machinery per packet.
-        """
-        key = (a, b)
-        params = self._edge_params.get(key)
-        if params is None:
-            attrs = self.graph.edges[a, b]
-            params = (
-                float(attrs.get("base_loss", FALLBACK_BASE_LOSS)),
-                float(attrs.get("base_delay", FALLBACK_BASE_DELAY)),
-            )
-            self._edge_params[key] = params
-        return params
+    def edges(self) -> Iterator[Tuple[str, str, Link]]:
+        """Each link once, ``(a, b, link)`` with *a* the endpoint earlier
+        in node order: the order of ``nx.Graph.edges(data=True)``."""
+        seen = set()
+        for a, neighbours in self.adj.items():
+            for b, link in neighbours.items():
+                if b not in seen:
+                    yield a, b, link
+            seen.add(a)
+
+    def is_connected(self) -> bool:
+        """Whether every node reaches every other."""
+        adj = self.adj
+        start = next(iter(adj))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(adj)
+
+    def relabel(self, names: Dict[str, str]) -> "Topology":
+        """The part of this topology on the nodes *names* maps, renamed,
+        in the order ``nx.relabel_nodes`` gives the subgraph: nodes in
+        this topology's order, links in :meth:`edges` order."""
+        return Topology(_adjacency(
+            (names[v] for v in self.adj if v in names),
+            ((names[a], names[b], link) for a, b, link in self.edges()
+             if a in names and b in names),
+        ))
 
     # ------------------------------------------------------------------
     # Interned ids and route tables (the packet hot path)
     # ------------------------------------------------------------------
     def intern_ids(self) -> Dict[str, int]:
-        """Name → dense int id, in graph node insertion order."""
-        ids = self._ids
-        if ids is None:
-            names = list(self.graph.nodes)
-            ids = {name: i for i, name in enumerate(names)}
-            adj = self.graph.adj
-            self._names = names
-            self._adj_ids = [[ids[w] for w in adj[v]] for v in names]
-            # Published last: a thread that sees the ids sees the rest too.
-            self._ids = ids
-        return ids
+        """Name → dense int id, in node insertion order."""
+        return self._ids
 
     def node_name(self, node_id: int) -> str:
         """Inverse of :meth:`intern_ids`."""
-        self.intern_ids()
         return self._names[node_id]
 
     def _rings(self) -> List[List[int]]:
@@ -160,13 +175,11 @@ class Topology:
 
         Built for every node at once, one level per sweep: the graph is
         undirected, so ``F[d+1][v] = OR(F[d][u] for u in adj[v]) & ~seen[v]``.
-        A node's list ends at its last non-empty ring.  Published whole,
-        after the interned adjacency it indexes: a thread that sees the
-        table reads no half-built level.
+        A node's list ends at its last non-empty ring.  Published whole:
+        a thread that sees the table reads no half-built level.
         """
         rings = self._ring_table
         if rings is None:
-            self.intern_ids()
             adj = self._adj_ids
             frontier = [1 << v for v in range(len(adj))]
             seen = list(frontier)
@@ -278,45 +291,9 @@ class Topology:
             rows.append([dist[dst_id] if dst_id >= 0 else None for dst_id in cols])
         return rows
 
-    def freeze(self) -> "Topology":
-        """Build the ring table, then refuse structural change and
-        :meth:`invalidate_cache`: runs and threads only read it (DESIGN.md §8)."""
-        import networkx as nx
-
-        self._rings()
-        nx.freeze(self.graph)
-        for name, value in list(vars(self.graph).items()):
-            if value is nx.classes.function.frozen:
-                setattr(self.graph, name, _refuse_mutation)
-        return self
-
-    def invalidate_cache(self) -> None:
-        """Forget every derived structure after mutating the graph.
-
-        Interned ids, the ring table, route/distance rows, sorted neighbour
-        lists and edge parameters are one coherent unit — they all derive from the
-        graph and must never go stale independently.
-        ``version`` is bumped so medium-local caches rebuild too.
-        """
-        import networkx as nx
-
-        if nx.is_frozen(self.graph):
-            _refuse_mutation()
-        self._ids = None
-        self._names = None
-        self._adj_ids = None
-        self._ring_table = None
-        self._route_rows.clear()
-        self._dist_rows.clear()
-        self._sorted_neighbors.clear()
-        self._edge_params.clear()
-        self.version += 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Topology {self.graph.number_of_nodes()} nodes, "
-            f"{self.graph.number_of_edges()} links>"
-        )
+        links = sum(1 for _link in self.edges())
+        return f"<Topology {len(self.adj)} nodes, {links} links>"
 
 
 def _bit_ids(mask: int) -> List[int]:
@@ -329,25 +306,25 @@ def _bit_ids(mask: int) -> List[int]:
     return ids
 
 
-def _refuse_mutation(*_args, **_kwargs):
-    import networkx as nx
-
-    raise nx.NetworkXError("frozen, shared between runs: copy it first: Topology(t.graph.copy())")
 
 
-def _apply_defaults(graph: nx.Graph, base_loss: float, base_delay: float) -> nx.Graph:
-    for _a, _b, attrs in graph.edges(data=True):
-        attrs.setdefault("base_loss", base_loss)
-        attrs.setdefault("base_delay", base_delay)
-    return graph
+def _adjacency(nodes: Iterable[str], links: Iterable[Tuple[str, str, Link]]) -> Adjacency:
+    """*nodes*, then *links*, in the order ``Graph.add_nodes_from`` and
+    ``Graph.add_edges_from`` leave them: a new link is appended to both
+    endpoints' rows (an unknown endpoint to the nodes, first *a*, then
+    *b*); a repeated one keeps its place and takes the new tuple."""
+    adj: Adjacency = {v: {} for v in nodes}
+    for a, b, link in links:
+        adj.setdefault(a, {})[b] = link
+        adj.setdefault(b, {})[a] = link
+    return adj
 
 
-def _named(graph: nx.Graph, prefix: str) -> nx.Graph:
-    """Relabel integer node ids to stable string names."""
-    import networkx as nx
-
-    mapping = {n: f"{prefix}{i}" for i, n in enumerate(sorted(graph.nodes))}
-    return nx.relabel_nodes(graph, mapping)
+def _numbered(count: int, links: Iterable[Tuple[int, int]], link: Link, prefix: str) -> Topology:
+    """Nodes ``<prefix>0`` … ``<prefix><count-1>`` joined by the integer
+    *links*, each carrying *link*."""
+    names = [f"{prefix}{i}" for i in range(count)]
+    return Topology(_adjacency(names, ((names[u], names[v], link) for u, v in links)))
 
 
 def grid_topology(
@@ -357,15 +334,18 @@ def grid_topology(
     base_delay: float = DEFAULT_BASE_DELAY,
     prefix: str = "n",
 ) -> Topology:
-    """A ``rows x cols`` lattice — the canonical office-floor mesh."""
-    import networkx as nx
-
-    graph = nx.grid_2d_graph(rows, cols)
-    graph = nx.relabel_nodes(
-        graph, {rc: rc[0] * cols + rc[1] for rc in list(graph.nodes)}
-    )
-    graph = _named(graph, prefix)
-    return Topology(_apply_defaults(graph, base_loss, base_delay))
+    """A ``rows x cols`` lattice — the canonical office-floor mesh.  Node
+    ``r * cols + c`` sits in row *r*, column *c*; its later neighbours are
+    the one below, then the one to the right (``nx.grid_2d_graph`` adds
+    every column link before any row link)."""
+    count = rows * cols
+    links = []
+    for v in range(count):
+        if v + cols < count:
+            links.append((v, v + cols))
+        if (v + 1) % cols:
+            links.append((v, v + 1))
+    return _numbered(count, links, (float(base_loss), float(base_delay)), prefix)
 
 
 def line_topology(
@@ -375,10 +355,8 @@ def line_topology(
     prefix: str = "n",
 ) -> Topology:
     """A chain of *n* nodes, the worst case for multi-hop flooding."""
-    import networkx as nx
-
-    graph = _named(nx.path_graph(n), prefix)
-    return Topology(_apply_defaults(graph, base_loss, base_delay))
+    links = ((i, i + 1) for i in range(n - 1))
+    return _numbered(n, links, (float(base_loss), float(base_delay)), prefix)
 
 
 def star_topology(
@@ -388,10 +366,8 @@ def star_topology(
     prefix: str = "n",
 ) -> Topology:
     """One hub (``<prefix>0``) with *leaves* one-hop neighbours."""
-    import networkx as nx
-
-    graph = _named(nx.star_graph(leaves), prefix)
-    return Topology(_apply_defaults(graph, base_loss, base_delay))
+    links = ((0, leaf) for leaf in range(1, leaves + 1))
+    return _numbered(leaves + 1, links, (float(base_loss), float(base_delay)), prefix)
 
 
 def full_mesh_topology(
@@ -401,10 +377,7 @@ def full_mesh_topology(
     prefix: str = "n",
 ) -> Topology:
     """Everyone hears everyone — a single collision domain."""
-    import networkx as nx
-
-    graph = _named(nx.complete_graph(n), prefix)
-    return Topology(_apply_defaults(graph, base_loss, base_delay))
+    return _numbered(n, combinations(range(n), 2), (float(base_loss), float(base_delay)), prefix)
 
 
 def random_geometric_topology(
@@ -425,50 +398,45 @@ def random_geometric_topology(
     until it is connected, so experiments never start on a partitioned
     mesh.
     """
-    import networkx as nx
-
+    base_delay = float(base_delay)
+    names = [f"{prefix}{i}" for i in range(n)]
     rng_seed = seed
     for _ in range(max_attempts):
-        graph = _geometric_graph(n, radius, rng_seed)
-        if nx.is_connected(graph):
-            break
+        pos, pairs = _geometric_graph(n, radius, rng_seed)
+        links = []
+        for a, b in pairs:
+            (xa, ya), (xb, yb) = pos[a], pos[b]
+            dist = ((xa - xb) ** 2 + (ya - yb) ** 2) ** 0.5
+            quality = min(dist / radius, 1.0)  # 0 = adjacent, 1 = fringe link
+            loss = min(0.95, base_loss * (1.0 + 3.0 * quality**2))
+            links.append((names[a], names[b], (loss, base_delay)))
+        topology = Topology(_adjacency(names, links))
+        if topology.is_connected():
+            return topology
         rng_seed += 1
-    else:
-        raise ValueError(
-            f"could not draw a connected geometric graph (n={n}, radius={radius})"
-        )
-    pos = nx.get_node_attributes(graph, "pos")
-    for a, b, attrs in graph.edges(data=True):
-        (xa, ya), (xb, yb) = pos[a], pos[b]
-        dist = ((xa - xb) ** 2 + (ya - yb) ** 2) ** 0.5
-        quality = min(dist / radius, 1.0)  # 0 = adjacent, 1 = fringe link
-        attrs["base_loss"] = min(0.95, base_loss * (1.0 + 3.0 * quality**2))
-        attrs["base_delay"] = base_delay
-    graph = _named(graph, prefix)
-    return Topology(graph)
+    raise ValueError(f"could not draw a connected geometric graph (n={n}, radius={radius})")
 
 
-def _geometric_graph(n: int, radius: float, seed: int) -> nx.Graph:
-    """``nx.random_geometric_graph(n, radius, seed=seed)`` (networkx 3.6), node
-    for node and edge for edge, without the k-d tree that loads scipy.
+def _geometric_graph(
+    n: int, radius: float, seed: int
+) -> Tuple[List[List[float]], List[Tuple[int, int]]]:
+    """``(positions, pairs)`` of ``nx.random_geometric_graph(n, radius,
+    seed=seed)`` (nx 3.6), node for node and edge for edge, without
+    the k-d tree that loads scipy.
 
     Positions are two ``random.Random(seed).random()`` draws per node, in
-    node order; the edges are the pairs ``i < j`` with ``dx*dx + dy*dy <=
+    node order; the pairs are the ``i < j`` with ``dx*dx + dy*dy <=
     radius*radius``, found through ``radius``-sized cells (a pair that close
-    lies in the same or an adjacent cell) and added sorted, as networkx adds
-    the k-d tree's pairs.
+    lies in the same or an adjacent cell) and sorted, the order in which
+    nx adds the k-d tree's pairs.
     """
-    import networkx as nx
-
     rng = random.Random(seed)
     pos = [[rng.random(), rng.random()] for _ in range(n)]
-    graph = nx.empty_graph(n)
-    nx.set_node_attributes(graph, dict(enumerate(pos)), "pos")
     cells: Dict[Tuple[int, int], List[int]] = {}
     for v, (x, y) in enumerate(pos):
         cells.setdefault((int(x / radius), int(y / radius)), []).append(v)
     r2 = radius * radius
-    edges = []
+    pairs = []
     for (cx, cy), members in cells.items():
         # Each unordered pair of cells once: this one and four neighbours.
         near = [v for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))
@@ -480,10 +448,9 @@ def _geometric_graph(n: int, radius: float, seed: int) -> nx.Graph:
                 dx = xu - xv
                 dy = yu - yv
                 if dx * dx + dy * dy <= r2:
-                    edges.append((u, v) if u < v else (v, u))
-    edges.sort()
-    graph.add_edges_from(edges)
-    return graph
+                    pairs.append((u, v) if u < v else (v, u))
+    pairs.sort()
+    return pos, pairs
 
 
 def from_edges(
@@ -491,9 +458,6 @@ def from_edges(
     base_loss: float = DEFAULT_BASE_LOSS,
     base_delay: float = DEFAULT_BASE_DELAY,
 ) -> Topology:
-    """Build a topology from explicit named edges."""
-    import networkx as nx
-
-    graph = nx.Graph()
-    graph.add_edges_from(edges)
-    return Topology(_apply_defaults(graph, base_loss, base_delay))
+    """Build a topology from explicit named edges, in the order given."""
+    link = (float(base_loss), float(base_delay))
+    return Topology(_adjacency((), ((a, b, link) for a, b in edges)))

@@ -116,9 +116,10 @@ class Platform:
 
     def topology_measurement(self) -> str:
         """Level-2 text of the Sec. IV-B4 measurement between this platform's
-        nodes; taken anew only when ``topology.version`` moved since the last."""
+        nodes; taken anew only when ``topology`` is another object than the
+        one last measured."""
         frame = self.frame
-        if frame is None or frame.version != self.topology.version:
+        if frame is None or frame.topology is not self.topology:
             names = [self.topology_name(nid) for nid in self.node_managers]
             frame = self.frame = measure_frame(self.topology, names)
         return frame.measurement_json

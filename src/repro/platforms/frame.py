@@ -3,11 +3,11 @@
 The paper sets a testbed up once and runs a series over it, measuring the
 topology before and after (Sec. IV-B4); a campaign builds a platform per
 run.  What is a pure function of the description is built once per process
-and shared: ``topology`` (frozen — every route row is built before the
-frame is published and mutation raises, so runs and threads only read it),
-``measurement_json`` (the level-2 text of ``{"hop_counts", "snapshot"}``,
-encoded once) and the ``Topology.version`` it was measured at.  Kernel,
-RNG streams, channel, medium, nodes and agents stay per run (DESIGN.md §8).
+and shared: ``topology`` (nothing changes a topology once built, and its
+ring table is built before the frame is published, so runs and threads
+only read it) and ``measurement_json`` (the level-2 text of
+``{"hop_counts", "snapshot"}``, encoded once).  Kernel, RNG streams,
+channel, medium, nodes and agents stay per run (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ __all__ = ["TestbedFrame", "frame_for", "measure_frame"]
 class TestbedFrame(NamedTuple):
     topology: net_topology.Topology
     measurement_json: str
-    version: int
 
 
 def measure_frame(topology: net_topology.Topology, names: Sequence[str]) -> TestbedFrame:
-    """Measure *topology* between *names* as it is now (Sec. IV-B4)."""
+    """Measure *topology* between *names* (Sec. IV-B4).  The hop counts
+    build the whole ring table, so the frame is published warm."""
     hop_counts = measure_hop_counts(topology, names)
     measurement = {"hop_counts": hop_counts, "snapshot": snapshot_topology(topology)}
-    return TestbedFrame(topology, encode_json(measurement), topology.version)
+    return TestbedFrame(topology, encode_json(measurement))
 
 
 _lock = threading.Lock()
@@ -54,7 +54,7 @@ def frame_for(
     with _lock:
         reused = _memo is not None and _memo[0] == key
         if not reused:
-            _memo = (key, measure_frame(_build_topology(*key).freeze(), node_ids))
+            _memo = (key, measure_frame(_build_topology(*key), node_ids))
         frame = _memo[1]
     get_registry().counter(
         "repro_testbed_frames_total", "Platforms set up over a testbed frame", labels=("outcome",)
@@ -63,8 +63,6 @@ def frame_for(
 
 
 def _build_topology(node_ids, spec, mesh_radius, base_loss, seed) -> net_topology.Topology:
-    import networkx as nx
-
     n = len(node_ids)
     if spec == "grid":
         cols = max(1, math.ceil(math.sqrt(n)))
@@ -79,12 +77,12 @@ def _build_topology(node_ids, spec, mesh_radius, base_loss, seed) -> net_topolog
         )
     else:
         raise PlatformError(f"unknown topology spec {spec!r}")
-    # Sorted generated names map to sorted platform ids, deterministically.
-    generated = sorted(built.graph.nodes, key=lambda s: int(s.lstrip("n")))
-    built.graph.remove_nodes_from(generated[n:])
-    graph = nx.relabel_nodes(built.graph, dict(zip(generated, sorted(node_ids))))
-    if not nx.is_connected(graph):
+    # Sorted generated names map to sorted platform ids, deterministically;
+    # generated nodes past the platform's size go with their links.
+    generated = sorted(built.adj, key=lambda s: int(s.lstrip("n")))
+    topology = built.relabel(dict(zip(generated, sorted(node_ids))))
+    if not topology.is_connected():
         raise PlatformError(
             "topology became disconnected after sizing; pick another shape or radius"
         )
-    return net_topology.Topology(graph)
+    return topology

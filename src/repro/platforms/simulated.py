@@ -139,7 +139,7 @@ class SimulatedPlatform(Platform):
             raise PlatformError("description has an empty platform spec")
         spec = self.config.topology
         if isinstance(spec, Topology):  # the caller's object, used as given
-            missing = [nid for nid in node_ids if nid not in spec.graph]
+            missing = [nid for nid in node_ids if nid not in spec.adj]
             if missing:
                 raise PlatformError(f"custom topology misses platform nodes {missing}")
             self.topology = spec

@@ -19,6 +19,9 @@ onto the already-optimized node stack.
 :func:`reference_route_row` is the sequential FIFO BFS that
 :class:`~repro.net.topology.Topology`'s ring table and first-hop rule must
 reproduce; ``tests/unit/net/test_topology.py`` checks every pair against it.
+:func:`to_nx_graph` hands a :class:`~repro.net.topology.Topology` to
+networkx with its node and neighbour order, so the reference medium's
+routes stay networkx's own BFS.
 
 Do not optimize this module — it is the oracle the fast path is measured
 against.  It shares :class:`CongestionModel` and :class:`MediumStats`
@@ -46,7 +49,28 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from repro.sim.kernel import Simulator
 
-__all__ = ["ReferenceMedium", "ReferenceInterface", "ReferenceNetNode", "reference_route_row"]
+__all__ = [
+    "ReferenceMedium",
+    "ReferenceInterface",
+    "ReferenceNetNode",
+    "reference_route_row",
+    "to_nx_graph",
+]
+
+
+def to_nx_graph(topology: Topology) -> nx.Graph:
+    """*topology* as an ``nx.Graph``: the same node order, the same
+    neighbour order in every node's row (which ``add_edges_from`` alone
+    cannot give a graph whose rows are not in its edge order), and each
+    link's ``base_loss`` / ``base_delay`` as edge attributes."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topology.adj)
+    for a, neighbours in topology.adj.items():
+        graph._adj[a].update(
+            (b, {"base_loss": base_loss, "base_delay": base_delay})
+            for b, (base_loss, base_delay) in neighbours.items()
+        )
+    return graph
 
 
 class ReferenceMedium:
@@ -70,15 +94,15 @@ class ReferenceMedium:
         self._nodes: Dict[str, "NetNode"] = {}
         self._load_window: Deque[Tuple[float, int]] = deque()
         self._load_bytes = 0
+        self._graph = to_nx_graph(topology)
         self._paths: Dict[str, Dict[str, List[str]]] = {}
-        self._paths_version = topology.version
         self.stats = MediumStats()
 
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
     def attach(self, node: "NetNode") -> None:
-        if node.name not in self.topology.graph:
+        if node.name not in self._graph:
             raise KeyError(f"node {node.name!r} is not part of the topology")
         if node.name in self._nodes:
             raise ValueError(f"node {node.name!r} already attached")
@@ -156,13 +180,10 @@ class ReferenceMedium:
         # equivalence tests also pin the BFS route precompute against nx.
         if src == dst:
             return None
-        if self._paths_version != self.topology.version:
-            self._paths.clear()
-            self._paths_version = self.topology.version
         paths = self._paths.get(src)
         if paths is None:
             # One source of ``nx.all_pairs_shortest_path``, built on demand.
-            paths = nx.single_source_shortest_path(self.topology.graph, src)
+            paths = nx.single_source_shortest_path(self._graph, src)
             self._paths[src] = paths
         path = paths.get(dst)
         return None if path is None else path[1]
@@ -175,7 +196,7 @@ class ReferenceMedium:
         unicast: bool,
         extra_delay: float,
     ) -> None:
-        attrs = self.topology.graph.edges[sender.name, receiver.name]
+        attrs = self._graph.edges[sender.name, receiver.name]
         utilization = self.utilization()
         p_loss = min(
             0.99,

@@ -7,8 +7,8 @@ tests defend the claim instead of assuming it: whatever the order of runs
 and whichever of them find the frame memo warm, cold or holding another
 description's frame, every staged byte equals the all-miss execution;
 the frame itself hashes the same before and after runs that inject
-faults and churn; threads arriving cold build it once; and it cannot be
-changed in place.
+faults and churn; threads arriving cold build it once; and it offers no
+way to change it in place.
 """
 
 import hashlib
@@ -18,7 +18,6 @@ import sqlite3
 import sys
 import threading
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +27,7 @@ from repro.core.master import build_run_spec, execute_spec_run
 from repro.core.processes import DomainAction, NodeSelector
 from repro.core.topomeasure import measure_hop_counts, snapshot_topology
 from repro.core.xmlio import description_to_xml
-from repro.net.topology import grid_topology
+from repro.net.topology import from_edges
 from repro.obs.metrics import get_registry
 from repro.platforms import frame as frame_module
 from repro.platforms.simulated import PlatformConfig, SimulatedPlatform
@@ -174,16 +173,14 @@ def test_the_memo_holds_one_frame_and_counts_what_it_did(faulty, tmp_path):
 # ----------------------------------------------------------------------
 def _frame_hash(frame):
     topo = frame.topology
-    links = topo.graph.edges(data=True)
-    edges = [(min(a, b), max(a, b), sorted(attrs.items())) for a, b, attrs in links]
     content = (
-        list(topo.graph.nodes),  # insertion order decides the interned ids
-        sorted(edges),
+        # Node order decides the interned ids, neighbour order the routes.
+        [(v, list(row.items())) for v, row in topo.adj.items()],
+        topo.intern_ids(),
+        topo._adj_ids,
         topo._ring_table,
         sorted(topo._route_rows.items()),
         frame.measurement_json,
-        frame.version,
-        topo.version,
     )
     return hashlib.sha256(repr(content).encode()).hexdigest()
 
@@ -261,32 +258,31 @@ def test_a_frame_topology_refuses_mutation():
     _drop_frame()
     platform = SimulatedPlatform(desc, config)
     topo = platform.topology
-    assert topo is platform.frame.topology and nx.is_frozen(topo.graph)
-    a, b = sorted(topo.graph.nodes)[:2]
-    for mutate in (lambda: topo.graph.add_edge(a, b), topo.invalidate_cache):
-        with pytest.raises(nx.NetworkXError, match="copy it first"):
-            mutate()
+    assert topo is platform.frame.topology
+    assert len(topo._ring_table) == len(desc.platform.nodes)  # published warm
+    for mutator in ("graph", "freeze", "invalidate_cache", "add_edge", "remove_node"):
+        assert not hasattr(topo, mutator)
     assert platform.topology_measurement() is platform.frame.measurement_json
 
 
 def test_a_callers_topology_is_used_as_given_and_remeasured_when_it_moves():
     desc = build_two_party_description(name="own-mesh", seed=3, replications=1, env_count=2)
     names = sorted(n.node_id for n in desc.platform.nodes)
-    topo = grid_topology(2, 2)
-    nx.relabel_nodes(topo.graph, dict(zip(sorted(topo.graph.nodes), names)), copy=False)
+    square = [(names[0], names[1]), (names[0], names[2]), (names[1], names[3]), (names[2], names[3])]
+    topo = from_edges(square)  # grid_topology(2, 2), named after the platform
+    moved = from_edges(square[1:])  # the same square without its first link
     platform = SimulatedPlatform(desc, PlatformConfig(topology=topo))
-    assert platform.topology is topo and not nx.is_frozen(topo.graph)
+    assert platform.topology is topo and platform.frame is None
 
-    def fresh():
+    def fresh(mesh):
         return encode_json(
-            {"hop_counts": measure_hop_counts(topo, names), "snapshot": snapshot_topology(topo)}
+            {"hop_counts": measure_hop_counts(mesh, names), "snapshot": snapshot_topology(mesh)}
         )
 
     before = platform.topology_measurement()
-    assert before == fresh()
+    assert before == fresh(topo)
     assert platform.topology_measurement() is before  # unchanged mesh: not measured again
-    topo.graph.remove_edge(names[0], names[1])
-    topo.invalidate_cache()
+    platform.topology = moved
     after = platform.topology_measurement()
-    assert after != before and after == fresh()
+    assert after != before and after == fresh(moved)
     assert json.loads(after)["hop_counts"]["hops"][0][1] == 3

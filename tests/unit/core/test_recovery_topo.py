@@ -11,10 +11,11 @@ from repro.core.topomeasure import (
     measure_hop_counts,
     snapshot_topology,
 )
-from repro.net.topology import grid_topology
+from repro.net.topology import Topology, grid_topology
 from repro.sd.processlib import build_two_party_description
 
 from tests.conftest import execute_run
+from tests.oracles.net_reference import to_nx_graph
 
 
 @pytest.fixture
@@ -85,12 +86,11 @@ def test_measure_hop_counts_keys_and_values():
     out = measure_hop_counts(topo, ["n0", "n3"])
     assert out == {"names": ["n0", "n3"], "hops": [[0, 2], [2, 0]]}
     # Names come back sorted; unknown or unreachable nodes read None.
-    topo.graph.add_node("island")
-    topo.invalidate_cache()
+    topo = Topology({**topo.adj, "island": {}})
     out = measure_hop_counts(topo, ["n3", "island", "n0"])
     assert out["names"] == ["island", "n0", "n3"]
     assert out["hops"] == [[0, None, None], [None, 0, 2], [None, 2, 0]]
-    lengths = dict(nx.all_pairs_shortest_path_length(topo.graph))
+    lengths = dict(nx.all_pairs_shortest_path_length(to_nx_graph(topo)))
     for i, a in enumerate(out["names"]):
         for j, b in enumerate(out["names"]):
             assert out["hops"][i][j] == lengths[a].get(b)
@@ -107,8 +107,9 @@ def test_snapshot_and_compare_stable():
 def test_compare_detects_link_change():
     topo = grid_topology(2, 2)
     before = snapshot_topology(topo)
-    topo.graph.remove_edge("n0", "n1")
-    after = snapshot_topology(topo)
+    adj = {v: {w: link for w, link in row.items() if {v, w} != {"n0", "n1"}}
+           for v, row in topo.adj.items()}
+    after = snapshot_topology(Topology(adj))
     diff = compare_snapshots(before, after)
     assert not diff["stable"]
     assert ("n0", "n1") in diff["links_removed"]

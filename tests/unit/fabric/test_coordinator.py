@@ -11,6 +11,7 @@ from repro.campaign.journal import CampaignJournal
 from repro.fabric import coordinator as coordinator_module
 from repro.fabric.coordinator import FabricCoordinator
 from repro.fabric.election import ElectionLedger, LeadershipLost
+from repro.fabric import shipping
 from repro.fabric.shipping import extract_run_rows
 from repro.sd.processlib import build_two_party_description
 from repro.storage.level3 import RunShard
@@ -74,6 +75,22 @@ def test_run_until_complete_returns_with_the_last_ack(coordinator):
     assert not thread.is_alive()
     assert "error" not in outcome
     assert outcome["finalized_at"] - acked_at < 0.02
+
+
+def test_a_committed_ack_is_parsed_by_the_shipping_codec(coordinator, monkeypatch):
+    # The payload the worker encoded with encode_payload is read back with
+    # decode_payload, so the codec's cost lands where it is measured.
+    decoded = []
+
+    def spy(text):
+        decoded.append(text)
+        return shipping.decode_payload(text)
+
+    monkeypatch.setattr(coordinator_module, "decode_payload", spy)
+    coordinator._rpc_register("w0", 2)
+    lease = json.loads(coordinator._rpc_lease("w0", 2, coordinator.epoch))
+    assert _ack(coordinator, lease["lease_id"], 0) == "committed"
+    assert len(decoded) == 1 and json.loads(decoded[0])["duration"] == 0.01
 
 
 def test_a_coordinator_deposed_mid_wait_raises_without_waiting_out_the_period(coordinator):

@@ -2,7 +2,9 @@
 
 import base64
 import socket
+import socketserver
 import threading
+import time
 
 import pytest
 
@@ -58,6 +60,25 @@ def test_concurrent_clients_are_isolated():
             thread.join()
         for tag, replies in results.items():
             assert replies == [f"{tag}-{i}" for i in range(20)]
+
+
+def test_stop_does_not_wait_out_a_poll(monkeypatch):
+    # A stop wakes the serving loop: even a 5 s select poll, were the loop
+    # still socketserver's, would not hold it.
+    serve_forever = socketserver.BaseServer.serve_forever
+    monkeypatch.setattr(
+        socketserver.BaseServer,
+        "serve_forever",
+        lambda self, poll_interval=0.5: serve_forever(self, poll_interval=5.0),
+    )
+    server = _server({"echo": lambda x: x}).start()
+    with FleetChannel("%s:%d" % server.address) as channel:
+        assert channel.call("echo", "up") == "up"
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 1.0
+    with pytest.raises(OSError):
+        socket.create_connection(server.address, timeout=1.0)
 
 
 def test_timeout_raises_after_retry_budget():

@@ -16,6 +16,8 @@ import pytest
 
 from repro.net import topology as net_topology
 from repro.net.topology import random_geometric_topology
+from tests.oracles.net_reference import to_nx_graph
+from tests.oracles.topology_reference import random_geometric_graph
 
 #: (nodes, radius, seed stride): the mesh shapes the benchmark, the
 #: campaigns and the tests draw, plus the platform's ``mesh_radius``
@@ -41,34 +43,29 @@ def _layout(graph):
     )
 
 
+def _cell_grid_graph(n, radius, seed):
+    """The cell grid's positions and pairs as the graph networkx builds."""
+    pos, pairs = net_topology._geometric_graph(n, radius, seed)
+    graph = nx.Graph()
+    graph.add_nodes_from((v, {"pos": xy}) for v, xy in enumerate(pos))
+    graph.add_edges_from(pairs)
+    return graph
+
+
 @pytest.mark.parametrize("n, radius, stride", SWEEP, ids=lambda v: str(v))
 def test_cell_grid_draws_the_networkx_graph(n, radius, stride):
     for seed in range(0, 120, stride):
-        ours = net_topology._geometric_graph(n, radius, seed)
+        ours = _cell_grid_graph(n, radius, seed)
         theirs = nx.random_geometric_graph(n, radius, seed=seed)
         assert _layout(ours) == _layout(theirs), f"n={n} radius={radius} seed={seed}"
-
-
-def _networkx_topology(n, radius, seed, base_loss=net_topology.DEFAULT_BASE_LOSS):
-    """``random_geometric_topology`` as it was built on networkx's generator."""
-    rng_seed = seed
-    while True:
-        graph = nx.random_geometric_graph(n, radius, seed=rng_seed)
-        if nx.is_connected(graph):
-            break
-        rng_seed += 1
-    pos = nx.get_node_attributes(graph, "pos")
-    for a, b, attrs in graph.edges(data=True):
-        (xa, ya), (xb, yb) = pos[a], pos[b]
-        quality = min(((xa - xb) ** 2 + (ya - yb) ** 2) ** 0.5 / radius, 1.0)
-        attrs["base_loss"] = min(0.95, base_loss * (1.0 + 3.0 * quality**2))
-        attrs["base_delay"] = net_topology.DEFAULT_BASE_DELAY
-    return nx.relabel_nodes(graph, {v: f"n{v}" for v in sorted(graph.nodes)})
 
 
 @pytest.mark.parametrize(
     "n, radius, seed", [(31, 0.45, 2014), (303, 0.45, 2014), (31, 0.30, 7), (1000, 0.10, 1)]
 )
 def test_the_public_builder_keeps_the_networkx_mesh(n, radius, seed):
-    topo = random_geometric_topology(n, radius, seed=seed)
-    assert _layout(topo.graph) == _layout(_networkx_topology(n, radius, seed))
+    # A topology keeps links, not positions: nodes compare without data.
+    ours = to_nx_graph(random_geometric_topology(n, radius, seed=seed))
+    theirs = random_geometric_graph(n, radius, seed)
+    assert list(ours) == list(theirs)
+    assert _layout(ours)[1:] == _layout(theirs)[1:]

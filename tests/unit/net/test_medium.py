@@ -89,7 +89,7 @@ def test_multicast_has_no_mac_retries(sim):
 
 def test_retry_adds_backoff_delay(sim):
     cong = CongestionModel(jitter=0.0, queue_delay_at_capacity=0.0)
-    topo = from_edges([("m0", "m1")], base_loss=0.0, base_delay=0.001)
+    topo = from_edges([("m0", "m1")], base_loss=0.5, base_delay=0.001)
     medium = WirelessMedium(sim, topo, random.Random(1), congestion=cong)
     a = NetNode(sim, "m0", "10.2.0.1")
     b = NetNode(sim, "m1", "10.2.0.2")
@@ -108,7 +108,6 @@ def test_retry_adds_backoff_delay(sim):
             return 0.0 if self.calls <= 2 else 1.0
 
     medium.rng = Rigged()
-    topo.graph.edges["m0", "m1"]["base_loss"] = 0.5
     got = []
     b.bind(5, lambda pl, pkt, n: got.append(sim.now))
     a.send_datagram("x", b.address, 5)
@@ -176,11 +175,14 @@ def test_detach_returns_membership(sim, caplog):
 
 
 def test_rewire_mid_sim_changes_packet_route(sim):
-    # Satellite: route tables and the medium's per-sender destination
-    # rows must follow a topology rewire mid-simulation.  Start with the
-    # line a-b-c (a→c relays through b), then splice a direct a-c link
-    # while the simulation is running and send again.
+    # Route tables and the medium's per-sender destination rows must
+    # follow a topology rewire mid-simulation.  Start with the line a-b-c
+    # (a→c relays through b), then swap in the mesh with a direct a-c link
+    # while the simulation is running and send again.  A topology never
+    # changes, so a rewire is a new one, which the medium reads once a
+    # membership change drops its caches.
     topo = from_edges([("a", "b"), ("b", "c")], base_loss=0.0, base_delay=0.001)
+    spliced = from_edges([("a", "b"), ("b", "c"), ("a", "c")], base_loss=0.0, base_delay=0.001)
     medium = WirelessMedium(sim, topo, random.Random(3))
     a = NetNode(sim, "a", "10.3.0.1")
     b = NetNode(sim, "b", "10.3.0.2")
@@ -191,8 +193,9 @@ def test_rewire_mid_sim_changes_packet_route(sim):
     c.bind(9, lambda pl, pkt, n: got.append((pl, pkt.ttl, sim.now)))
 
     def rewire():
-        topo.graph.add_edge("a", "c", base_loss=0.0, base_delay=0.001)
-        topo.invalidate_cache()
+        medium.topology = spliced
+        medium.detach(c)
+        medium.attach(c)
 
     a.send_datagram("via-b", c.address, 9)  # takes the 2-hop path
     sim.call_later(0.5, rewire)

@@ -16,7 +16,7 @@ from repro.net.topology import (
     random_geometric_topology,
     star_topology,
 )
-from tests.oracles.net_reference import reference_route_row
+from tests.oracles.net_reference import reference_route_row, to_nx_graph
 
 
 def test_grid_shape():
@@ -59,23 +59,21 @@ def test_unreachable_pair():
 
 def test_edge_attr_defaults():
     topo = grid_topology(2, 2, base_loss=0.07, base_delay=0.003)
-    attrs = topo.graph.edges["n0", "n1"]
-    assert attrs["base_loss"] == 0.07
-    assert attrs["base_delay"] == 0.003
+    base_loss, base_delay = topo.adj["n0"]["n1"]
+    assert base_loss == 0.07
+    assert base_delay == 0.003
 
 
 def test_geometric_deterministic_and_connected():
     a = random_geometric_topology(12, radius=0.4, seed=5)
     b = random_geometric_topology(12, radius=0.4, seed=5)
-    assert sorted(a.graph.edges) == sorted(b.graph.edges)
-    import networkx as nx
-
-    assert nx.is_connected(a.graph)
+    assert sorted(a.edges()) == sorted(b.edges())
+    assert a.is_connected() and nx.is_connected(to_nx_graph(a))
 
 
 def test_geometric_fringe_links_are_worse():
     topo = random_geometric_topology(20, radius=0.4, seed=3, base_loss=0.02)
-    losses = [attrs["base_loss"] for _a, _b, attrs in topo.graph.edges(data=True)]
+    losses = [base_loss for _a, _b, (base_loss, _delay) in topo.edges()]
     assert min(losses) >= 0.02
     assert max(losses) > min(losses)  # distance-dependent quality
 
@@ -88,18 +86,20 @@ def test_hop_count_matrix_subset():
 
 
 def test_cache_invalidation():
+    # A rewired mesh is a new topology: it routes by its own links, and
+    # the old one's cached table stays the old one's.
     topo = line_topology(3)
     assert topo.hop_rows(["n0", "n2"])[0][1] == 2
-    topo.graph.add_edge("n0", "n2", base_loss=0.0, base_delay=0.001)
-    topo.invalidate_cache()
-    assert topo.hop_rows(["n0", "n2"])[0][1] == 1
+    link = (0.0, 0.001)
+    adj = topo.adj
+    rewired = Topology({**adj, "n0": {**adj["n0"], "n2": link}, "n2": {**adj["n2"], "n0": link}})
+    assert rewired.hop_rows(["n0", "n2"])[0][1] == 1
+    assert topo.hop_rows(["n0", "n2"])[0][1] == 2
 
 
 def test_empty_topology_rejected():
-    import networkx as nx
-
     with pytest.raises(ValueError):
-        Topology(nx.Graph())
+        Topology({})
 
 
 # ----------------------------------------------------------------------
@@ -108,15 +108,17 @@ def test_empty_topology_rejected():
 def _shuffled_geometric(n, radius, seed):
     """A geometric mesh whose nodes and links were inserted in a random
     order, so no adjacency list is sorted by id."""
-    graph = random_geometric_topology(n, radius, seed=seed).graph
+    topo = random_geometric_topology(n, radius, seed=seed)
     rng = random.Random(seed)
-    nodes, edges = list(graph.nodes), list(graph.edges(data=True))
+    nodes, edges = list(topo.adj), list(topo.edges())
     rng.shuffle(nodes)
     rng.shuffle(edges)
-    shuffled = nx.Graph()
-    shuffled.add_nodes_from(nodes)
-    shuffled.add_edges_from((b, a, d) if rng.random() < 0.5 else (a, b, d) for a, b, d in edges)
-    return Topology(shuffled)
+    adj = {v: {} for v in nodes}
+    for a, b, link in edges:
+        if rng.random() < 0.5:
+            a, b = b, a
+        adj[a][b] = adj[b][a] = link
+    return Topology(adj)
 
 
 def _row_shapes():
@@ -177,27 +179,14 @@ def test_next_hop_progresses_toward_destination():
 def test_edge_params_cached_and_defaulted():
     topo = from_edges([("a", "b")], base_loss=0.25, base_delay=0.004)
     assert topo.edge_params("a", "b") == (0.25, 0.004)
-    # Same tuple from the per-pair cache, both orientations.
-    assert topo.edge_params("b", "a") == (0.25, 0.004)
-
-
-def test_invalidate_cache_clears_route_rows():
-    topo = line_topology(4)
-    ids = topo.intern_ids()
-    topo._route_row(ids["n0"])
-    assert topo._route_rows and topo._ring_table
-    version = topo.version
-    topo.invalidate_cache()
-    assert not topo._route_rows and not topo._dist_rows and topo._ring_table is None
-    assert topo.version == version + 1
+    # One tuple under both endpoints, so either orientation reads it.
+    assert topo.edge_params("b", "a") is topo.edge_params("a", "b")
 
 
 def test_cold_topology_shared_by_threads_reads_whole_rows():
     # A thread pool campaign hands one prebuilt Topology to every worker:
-    # the first queries race to build and publish the ring table.
-    # intern_ids() used to publish the ids before the adjacency they index
-    # (TypeError on _adj_ids None in most trials); a reader must never see
-    # a half-built ring table either.
+    # the first queries race to build and publish the ring table, and a
+    # reader must never see a half-built one.
     names = [f"n{i}" for i in range(120)]
     warm = random_geometric_topology(120, 0.2, seed=3)
     expect = [[warm.next_hop(a, b) for b in names] for a in names]
@@ -234,25 +223,20 @@ def test_cold_topology_shared_by_threads_reads_whole_rows():
 
 
 def test_frozen_topology_is_warm_and_refuses_change():
+    # A testbed frame's topology is shared by every run of a process: its
+    # ring table answers every route and hop count, and it has no way to
+    # change.  A changed mesh is another Topology.
     topo = grid_topology(3, 3)
-    assert topo.freeze() is topo
-    assert len(topo._ring_table) == 9
-    table = topo._ring_table
+    table = topo._rings()
+    assert len(table) == 9
     assert topo.hop_rows(topo.node_names)[0] == [0, 1, 2, 1, 2, 3, 2, 3, 4]
     assert topo.next_hop("n0", "n8") in topo.neighbors("n0")
     # Reads store nothing: the ring table is the only route state.
     assert topo._ring_table is table and not topo._route_rows and not topo._dist_rows
-    for mutate in (
-        lambda: topo.graph.add_edge("n0", "n8"),
-        lambda: topo.graph.remove_node("n4"),
-        topo.invalidate_cache,
-    ):
-        with pytest.raises(nx.NetworkXError, match="copy it first"):
-            mutate()
-    assert topo.version == 0 and topo.hop_rows(["n0", "n8"])[0][1] == 4
-    # The copy the message asks for is free to change.
-    copy = Topology(topo.graph.copy())
-    copy.graph.add_edge("n0", "n8")
-    copy.invalidate_cache()
-    assert copy.hop_rows(["n0", "n8"])[0][1] == 1
+    for mutator in ("graph", "freeze", "invalidate_cache", "add_edge", "remove_node"):
+        assert not hasattr(topo, mutator)
+    link = (0.0, 0.001)
+    adj = topo.adj
+    changed = Topology({**adj, "n0": {**adj["n0"], "n8": link}, "n8": {**adj["n8"], "n0": link}})
+    assert changed.hop_rows(["n0", "n8"])[0][1] == 1
     assert topo.hop_rows(["n0", "n8"])[0][1] == 4

@@ -5,10 +5,10 @@ so neither writing a package nor opening the warehouse may load the
 layers that merely *use* it.  Checked in a fresh interpreter:
 ``sys.modules`` of the test process is already full.
 
-The numeric stack loads where it is used: networkx where a topology is
-built, numpy and scipy where a statistic is.  So the CLI, the warehouse,
-the fleet coordinator and a level-3 write load none of it, and a simulated
-experiment loads networkx alone (DESIGN.md §3).
+The numeric stack loads where it is used: numpy and scipy where a
+statistic is, and networkx nowhere (a topology keeps its own adjacency).
+So the CLI, the warehouse, the fleet coordinator, a level-3 write and a
+whole simulated experiment load none of it (DESIGN.md §3).
 
 And ``src/repro`` ships nothing that only a test would load: what exists
 to be compared against lives in ``tests/oracles`` (DESIGN.md §7).
@@ -80,16 +80,16 @@ def test_a_process_that_builds_no_topology_loads_no_numeric_stack(body, tmp_path
     assert _run_fresh(body, REPORT_NUMERIC_STACK, tmp_path) == "[]"
 
 
-def test_building_a_topology_loads_networkx_only(tmp_path):
+def test_a_simulated_experiment_loads_no_numeric_stack(tmp_path):
     # A simulated experiment draws its mesh, routes it and measures its hop
-    # counts on networkx and plain ints: numpy and scipy stay unloaded.
+    # counts on plain dicts and ints: numpy, scipy and networkx stay unloaded.
     body = """
         import repro
         from repro.sd.processlib import build_two_party_description
 
         repro.run_experiment(build_two_party_description(seed=3, replications=1), "c")
     """
-    assert _run_fresh(body, REPORT_NUMERIC_STACK, tmp_path) == "['networkx']"
+    assert _run_fresh(body, REPORT_NUMERIC_STACK, tmp_path) == "[]"
 
 
 def test_a_statistic_loads_scipy(tmp_path):
