@@ -149,10 +149,10 @@ def merge_shards(
                         f"run {run_id} has no rows in shard {shard_path}; "
                         "journal and shard diverged",
                     )
+            stamp_table1_digest(out)
             out.execute("COMMIT")
         finally:
             out.close()
-        stamp_table1_digest(db_path)
         fsync_database(db_path)
     return db_path
 
@@ -198,19 +198,19 @@ def apply_abort_reasons(db_path, reasons: Mapping[int, str]) -> int:
         return 0
     conn = sqlite3.connect(str(db_path))
     try:
-        updated = 0
         with conn:
-            for run_id in sorted(reasons):
-                cur = conn.execute(
+            updated = sum(
+                conn.execute(
                     "UPDATE RunInfos SET AbortReason = ? WHERE RunID = ?",
                     (str(reasons[run_id])[:500], run_id),
-                )
-                updated += cur.rowcount
+                ).rowcount
+                for run_id in sorted(reasons)
+            )
+            # AbortReason lives in RunInfos — a digested table — so the
+            # annotations and the restamped digest commit together.
+            if updated:
+                stamp_table1_digest(conn)
     finally:
         conn.close()
-    if updated:
-        # AbortReason lives in RunInfos — a digested table — so the
-        # stamped digest goes stale the moment an annotation lands.
-        stamp_table1_digest(db_path)
     fsync_database(db_path)
     return updated

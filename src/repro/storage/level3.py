@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import sqlite3
 import xml.etree.ElementTree as ET
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 from typing import (
     Any,
@@ -172,6 +172,9 @@ _ALL_SCHEMAS: Dict[str, List[str]] = {**TABLE_SCHEMAS, **EXTENSION_TABLES}
 #: merge never copies it (each finalized database stamps its own).
 CHECKSUM_TABLE = "PackageChecksums"
 
+#: Rows of one table the digest reads per query (a keyset page by rowid).
+_DIGEST_PAGE_ROWS = 256
+
 #: ``PackageChecksums.Name`` of the Table-I content digest
 #: (:func:`database_digest` with default arguments).
 TABLE1_DIGEST_KEY = "table1_sha256"
@@ -247,10 +250,7 @@ def open_fast_connection(path, fresh: bool = True) -> sqlite3.Connection:
     conn = sqlite3.connect(str(path), isolation_level=None)
     if fresh:
         conn.execute("PRAGMA journal_mode=OFF")
-        conn.execute("PRAGMA synchronous=OFF")
-    else:
-        conn.execute("PRAGMA synchronous=OFF")
-    conn.execute("PRAGMA cache_size=-16384")  # 16 MiB page cache
+    conn.execute("PRAGMA synchronous=OFF")
     return conn
 
 
@@ -273,6 +273,14 @@ def fresh_database(db_path) -> Iterator[Path]:
         raise
 
 
+def _open_read_only(db_path) -> sqlite3.Connection:
+    """A read-only connection to an existing package; never creates a file."""
+    try:
+        return sqlite3.connect(f"{Path(db_path).absolute().as_uri()}?mode=ro", uri=True)
+    except sqlite3.OperationalError:
+        raise StorageError(f"no database at {db_path}") from None
+
+
 def read_stamped_digest(db_path) -> Optional[str]:
     """The Table-I digest stamped at package finalization, or ``None``.
 
@@ -284,8 +292,7 @@ def read_stamped_digest(db_path) -> Optional[str]:
     (:func:`repro.repo.fingerprint.content_fingerprint` with
     ``trusted=False``).
     """
-    conn = sqlite3.connect(str(db_path))
-    try:
+    with closing(_open_read_only(db_path)) as conn:
         try:
             row = conn.execute(
                 f"SELECT Value FROM {CHECKSUM_TABLE} WHERE Name = ?",
@@ -293,8 +300,6 @@ def read_stamped_digest(db_path) -> Optional[str]:
             ).fetchone()
         except sqlite3.OperationalError:  # pre-stamp package: no table
             return None
-    finally:
-        conn.close()
     return row[0] if row else None
 
 
@@ -309,62 +314,59 @@ def database_digest(db_path, ignore_columns: Iterable[str] = ()) -> str:
     The table set is Table I only (:data:`TABLE_SCHEMAS`): the side
     tables record harness timings, which are execution-specific by
     nature, so they must not perturb equivalence checks between a
-    retried execution and a clean one.
-
-    Rows are serialized inside SQLite (``quote()`` per column, one string
-    per row) and hashed in large chunks, so the digest runs at C speed
-    and releases the GIL while hashing — hot on every import/ingest
-    dedup path.  Only digest *equality* is contractual; the literal hex
-    value may change between framework versions.
+    retried execution and a clean one.  The package is opened read-only;
+    a missing one raises :class:`StorageError`.  Only digest *equality*
+    is contractual; the literal hex value may change between framework
+    versions.
     """
+    with closing(_open_read_only(db_path)) as conn:
+        return _table1_digest(conn, ignore_columns)
+
+
+def _table1_digest(conn: sqlite3.Connection, ignore_columns: Iterable[str] = ()) -> str:
+    """:func:`database_digest` of *conn*'s ``main`` tables, its open
+    transaction's rows included.  Rows are serialized inside SQLite
+    (``quote()`` per column) and read in keyset pages by rowid — an
+    integer-primary-key search, no sorter — each page one ``bytes`` of
+    "row, newline" per row: the hashed stream does not depend on the page
+    size, and memory is bounded by one page, not by the package."""
     ignored = set(ignore_columns)
     digest = hashlib.sha256()
-    conn = sqlite3.connect(str(db_path))
-    try:
-        for table, columns in TABLE_SCHEMAS.items():
-            keep = [c for c in columns if c not in ignored]
-            digest.update(f"--{table}({','.join(keep)})--".encode())
-            if not keep:
-                continue
-            row_expr = " || '|' || ".join(f"quote({c})" for c in keep)
-            # Concatenate rows into ~4096-row chunks inside SQLite:
-            # Python touches one string per chunk, memory stays bounded.
-            cursor = conn.execute(
-                f"SELECT group_concat(s, char(10)) FROM "
-                f"(SELECT {row_expr} AS s, rowid AS rid FROM {table}) "
-                f"GROUP BY rid / 4096 ORDER BY rid / 4096",
-            )
-            for (chunk,) in cursor:
-                if chunk is not None:
-                    digest.update(chunk.encode())
-                    digest.update(b"\n")
-    finally:
-        conn.close()
+    for table, columns in TABLE_SCHEMAS.items():
+        keep = [c for c in columns if c not in ignored]
+        digest.update(f"--{table}({','.join(keep)})--".encode())
+        if not keep:
+            continue
+        row_expr = " || '|' || ".join(f"quote({c})" for c in keep)
+        page_query = (
+            f"SELECT CAST(group_concat(s, char(10)) || char(10) AS BLOB), max(rid) "
+            f"FROM (SELECT {row_expr} AS s, rowid AS rid FROM main.{table} "
+            f"WHERE rowid > ? ORDER BY rowid LIMIT {_DIGEST_PAGE_ROWS})"
+        )
+        page, last = b"", float("-inf")  # -inf: below every rowid
+        while last is not None:
+            digest.update(page)
+            page, last = conn.execute(page_query, (last,)).fetchone()
     return digest.hexdigest()
 
 
-def stamp_table1_digest(db_path) -> str:
-    """Compute the package's Table-I digest and stamp it into
-    :data:`CHECKSUM_TABLE`, returning the digest.
+def stamp_table1_digest(conn: sqlite3.Connection) -> str:
+    """Stamp the Table-I digest of *conn*'s ``main`` database into
+    :data:`CHECKSUM_TABLE` and return it.
 
-    Every framework writer calls this as its last content mutation
-    before the final fsync, so ingest and import paths can read the
-    digest back in O(1) instead of re-hashing megabytes per package.
-    The digest covers :data:`TABLE_SCHEMAS` only, never the checksum
-    table itself — stamping cannot perturb the value it records.
+    Every framework writer calls this inside its one write transaction,
+    after its last content mutation, so the stamp commits with the rows
+    it covers; ingest and import paths then read the digest back in O(1)
+    instead of re-hashing megabytes per package.  The digest covers
+    :data:`TABLE_SCHEMAS` only, never the checksum table itself —
+    stamping cannot perturb the value it records.
     """
-    value = database_digest(db_path)
-    conn = sqlite3.connect(str(db_path))
-    try:
-        conn.execute(_CHECKSUM_DDL)
-        conn.execute(
-            f"INSERT OR REPLACE INTO {CHECKSUM_TABLE} (Name, Value) "
-            "VALUES (?, ?)",
-            (TABLE1_DIGEST_KEY, value),
-        )
-        conn.commit()
-    finally:
-        conn.close()
+    value = _table1_digest(conn)
+    conn.execute(_CHECKSUM_DDL)
+    conn.execute(
+        f"INSERT OR REPLACE INTO {CHECKSUM_TABLE} (Name, Value) VALUES (?, ?)",
+        (TABLE1_DIGEST_KEY, value),
+    )
     return value
 
 
@@ -499,10 +501,10 @@ def store_level3(source, db_path) -> Path:
                     insert_run_traces(conn, traces[node_id])
             insert_experiment_scope(conn, condition_scope(source))
             insert_run_traces(conn, source.read_experiment_traces())
+            stamp_table1_digest(conn)
             conn.execute("COMMIT")
         finally:
             conn.close()
-        stamp_table1_digest(db_path)
         fsync_database(db_path)
     return db_path
 
@@ -633,9 +635,7 @@ class ExperimentDatabase:
 
     def __init__(self, db_path) -> None:
         self.db_path = Path(db_path)
-        if not self.db_path.exists():
-            raise StorageError(f"no database at {self.db_path}")
-        self.conn = sqlite3.connect(str(self.db_path))
+        self.conn = _open_read_only(self.db_path)
         self.conn.row_factory = sqlite3.Row
         self._exp_id: Optional[int] = None
 

@@ -140,16 +140,36 @@ def test_standby_takes_over_after_leader_death(local_reference, tmp_path):
     standby, standby_thread, outcome = _spawn_standby(
         campaign_dir, standby_port, tmp_path / "fleet.db",
     )
+    # Only the first run executes under the leader; the others wait for
+    # its death, so it dies mid-campaign however fast runs are (a
+    # successor with nothing left to run seals and releases at once).
+    leader_dead, started, started_lock = threading.Event(), [], threading.Lock()
+
+    def after_first_run_wait_for_leader_death(spec):
+        from repro.core.master import execute_spec_run
+
+        with started_lock:
+            started.append(spec["run_id"])
+            first = len(started) == 1
+        if not first:
+            leader_dead.wait(timeout=60.0)
+        return execute_spec_run(spec)
+
     try:
         assert leader.epoch == 1
         workers = [
-            _spawn_worker(seeds, tmp_path / f"w{i}", f"w{i}") for i in range(2)
+            _spawn_worker(
+                seeds, tmp_path / f"w{i}", f"w{i}",
+                execute=after_first_run_wait_for_leader_death,
+            )
+            for i in range(2)
         ]
         _wait_for_settled(leader, 1)
     finally:
         # Abrupt death: the server vanishes, renewals stop, and — unlike
         # a graceful exit — the leadership lease is NOT released.
         leader.stop()
+        leader_dead.set()
     died_at = time.monotonic()
 
     # Takeover within the (election) lease TTL plus the standby's poll.

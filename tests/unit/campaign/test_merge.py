@@ -6,12 +6,19 @@ import sqlite3
 import pytest
 
 from repro import Level2Store, store_level3
-from repro.campaign.merge import ShardWriter, database_digest, merge_shards, shard_has_run
+from repro.campaign import merge
+from repro.campaign.merge import (
+    ShardWriter,
+    apply_abort_reasons,
+    database_digest,
+    merge_shards,
+    shard_has_run,
+)
 from repro.core.errors import StorageError
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.sd.processlib import build_two_party_description
 from repro.storage.conditioning import condition_scope
-from repro.storage.level3 import RUN_TABLES, ExperimentDatabase
+from repro.storage.level3 import RUN_TABLES, ExperimentDatabase, read_stamped_digest
 
 from tests.conftest import execute_plan
 
@@ -147,3 +154,37 @@ def test_merge_attaches_more_shards_than_sqlite_holds_at_once(tmp_path):
     with ExperimentDatabase(wide) as db:
         assert db.run_ids() == list(range(12))
     assert database_digest(wide) == database_digest(narrow)
+
+
+def test_every_writer_stamps_the_digest_it_committed(executed_store, tmp_path):
+    """``store_level3``, ``merge_shards`` and ``apply_abort_reasons`` each
+    leave a stamp equal to a fresh read-only digest of the package."""
+    serial = store_level3(executed_store, tmp_path / "serial.db")
+    assert read_stamped_digest(serial) == database_digest(serial)
+    shard = tmp_path / "w0.db"
+    with ShardWriter(shard) as writer:
+        writer.stage_run(executed_store, 0)
+        writer.stage_run(executed_store, 1)
+    merged = merge_shards(
+        tmp_path / "merged.db", condition_scope(executed_store), {0: shard, 1: shard},
+    )
+    assert read_stamped_digest(merged) == database_digest(merged)
+    assert apply_abort_reasons(merged, {1: "node lost"}) > 0
+    assert read_stamped_digest(merged) == database_digest(merged)
+    assert read_stamped_digest(merged) != read_stamped_digest(serial)
+
+
+def test_abort_annotations_and_their_stamp_commit_together(
+    executed_store, tmp_path, monkeypatch,
+):
+    db = store_level3(executed_store, tmp_path / "a.db")
+
+    def failing_stamp(*_args):
+        raise sqlite3.OperationalError("disk I/O error")
+
+    monkeypatch.setattr(merge, "stamp_table1_digest", failing_stamp)
+    with pytest.raises(sqlite3.OperationalError):
+        apply_abort_reasons(db, {0: "node lost"})
+    with ExperimentDatabase(db) as reader:
+        assert reader.abort_reasons() == {}
+    assert read_stamped_digest(db) == database_digest(db)

@@ -256,3 +256,38 @@ def test_stamp_survives_and_tracks_abort_annotation(filled_store, tmp_path):
     after = read_stamped_digest(db_path)
     assert after != before
     assert after == database_digest(db_path)
+
+
+def test_digest_pages_by_rowid_without_a_sorter(filled_store, tmp_path):
+    """Every query the digest runs is an integer-primary-key search: no
+    ``TEMP B-TREE`` (GROUP BY / ORDER BY sorter) for any table."""
+    import sqlite3
+
+    db_path = store_level3(filled_store, tmp_path / "x.db")
+    conn = sqlite3.connect(db_path)
+    queries = []
+
+    class Recording:  # the digest's view of the connection
+        def execute(self, sql, params=()):
+            queries.append((sql, params))
+            return conn.execute(sql, params)
+
+    level3._table1_digest(Recording())
+    assert {t for t in TABLE_SCHEMAS if any(f"main.{t} " in q for q, _ in queries)} == set(
+        TABLE_SCHEMAS
+    )
+    for query, params in queries:
+        plan = " / ".join(row[3] for row in conn.execute("EXPLAIN QUERY PLAN " + query, params))
+        assert "TEMP B-TREE" not in plan, plan
+        assert "USING INTEGER PRIMARY KEY (rowid>?)" in plan, plan
+    conn.close()
+
+
+def test_digest_readers_never_create_a_file(tmp_path):
+    from repro.campaign.merge import database_digest
+
+    missing = tmp_path / "missing.db"
+    for reader in (database_digest, read_stamped_digest):
+        with pytest.raises(StorageError, match=f"no database at {missing}"):
+            reader(missing)
+    assert not missing.exists()

@@ -66,6 +66,15 @@ def test_describe_with_plan(desc_xml, capsys):
     assert "treatment plan" in out
 
 
+def test_inspect_digest_of_a_missing_database_creates_nothing(tmp_path, capsys):
+    missing = tmp_path / "missing.db"
+    assert main(["inspect", str(missing)]) == 2
+    plain = capsys.readouterr().err
+    assert main(["inspect", str(missing), "--digest"]) == 2
+    assert capsys.readouterr().err == plain == f"error: no database at {missing}\n"
+    assert not missing.exists()
+
+
 def test_run_inspect_timeline_condition_import(desc_xml, tmp_path, capsys):
     campaign = tmp_path / "c"
     db = tmp_path / "exp.db"
