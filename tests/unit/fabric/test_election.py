@@ -1,5 +1,8 @@
 """Unit tests for the epoch-fenced leadership lease (DESIGN.md §16)."""
 
+import fcntl
+import inspect
+import os
 import threading
 
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from repro.campaign.journal import CampaignJournal
 from repro.core.errors import CampaignError
 from repro.durable import DurableLog
-from repro.fabric.election import ElectionLedger, LeadershipLost
+from repro.fabric.election import ElectionLedger, LeadershipLost, StandbyCoordinator
 
 
 class FakeClock:
@@ -137,6 +140,36 @@ def test_concurrent_claims_yield_exactly_one_winner(tmp_path, clock):
         t.join()
     assert len(winners) == 1
     assert winners[0][1] == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 24: a leader paused holding the journal's flock "
+    "blocks every standby's claim for as long as the pause lasts",
+)
+def test_a_leader_paused_holding_the_journal_lock_cannot_stall_a_claim(tmp_path, clock):
+    ttl = 0.2
+    journal = CampaignJournal(tmp_path)
+    assert ElectionLedger(journal, ttl=ttl, clock=clock).campaign("c1", "a:1") == 1
+    # The paused leader: mid-append, it holds the journal's lock.
+    held = os.open(journal.path, os.O_RDWR)
+    fcntl.flock(held, fcntl.LOCK_EX)
+    clock.advance(ttl + 5.0)
+    claimed = []
+    standby = threading.Thread(
+        target=lambda: claimed.append(
+            ElectionLedger(CampaignJournal(tmp_path), ttl=ttl, clock=clock).campaign("c2", "b:2")
+        ),
+        daemon=True,
+    )
+    try:
+        standby.start()
+        # Within the TTL plus one standby poll, the lapsed lease is claimed.
+        standby.join(ttl + inspect.signature(StandbyCoordinator).parameters["poll"].default)
+        assert claimed == [2]
+    finally:
+        os.close(held)
+        standby.join(10.0)
 
 
 def test_standby_roster_and_summary(ledger, clock):

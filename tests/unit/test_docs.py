@@ -15,7 +15,13 @@ import pytest
 from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[2]
-DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "examples/README.md")
+DOCS = (
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "examples/README.md",
+    ".claude/skills/verify/SKILL.md",
+)
 TREES = ("src/", "tests/", "benchmarks/", "tools/", "examples/")
 
 #: Named on purpose as things that no longer exist (DESIGN.md §13).

@@ -21,8 +21,8 @@ Three more keys belong to the execution census (``tools/exec_census.py``,
 run by the ``exec-census`` CI job, not by this test), each entry with the
 reason it stays:
 
-* ``never_entered``: callables no call entered while tier-1, the legacy
-  benchmarks, the examples and the CI smoke commands ran;
+* ``never_entered``: callables no call entered while tier-1, the ``ci``
+  tests, the legacy benchmarks, the examples and the fleet drills ran;
 * ``keywords_only_tests_set``: ``module:Qual.name(param)`` for each
   defaulted parameter no caller outside ``tests/`` set;
 * ``cli_flags_unset``: ``repro`` flags no parse set.

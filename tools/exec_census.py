@@ -15,12 +15,12 @@ call events only, filtered to ``src/repro/**``):
 
 It runs, on a scratch copy of the working tree:
 
-* tier-1 and the legacy ``benchmarks/bench_*.py`` in one pytest session,
-  with this file as a plugin (not ``benchmarks/e2e``, whose entry points
-  the benchmark checks itself);
+* tier-1, the ``ci``-marked command-line checks of ``tests/cli/`` and the
+  legacy ``benchmarks/bench_*.py`` in one pytest session, with this file
+  as a plugin (not ``benchmarks/e2e``, whose entry points the benchmark
+  checks itself);
 * every script in ``examples/``;
-* every ``run: |`` step of ``.github/workflows/ci.yml`` (the CI smoke
-  commands), one per matrix value, except the jobs in ``SKIPPED_JOBS``.
+* every scenario of ``tools/fleet_chaos_drill.py``.
 
 Child processes are censused too: the copy's ``src/`` gets a
 ``sitecustomize.py`` that loads this file into any interpreter started
@@ -40,7 +40,7 @@ The lists may only shrink.  The census fails when a list has an entry
 that ``SURFACE.json`` lacks or lists without a reason; an entry that no
 longer appears is reported and may be dropped.
 
-Usage (from the repository root; ≈ 12 min on two CPUs)::
+Usage (from the repository root; ≈ 9 min on two CPUs)::
 
     python tools/exec_census.py                  # run and check
     python tools/exec_census.py --save raw.json  # keep the raw findings
@@ -61,10 +61,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ENV = "REPRO_EXEC_CENSUS"
 LISTS = ("never_entered", "keywords_only_tests_set", "cli_flags_unset")
-# coverage: needs the coverage package.  e2e-bench-smoke: the benchmark
-# checks its own entry points (benchmarks/e2e/layers.py) on every run.
-# exec-census: this census.
-SKIPPED_JOBS = ("coverage", "e2e-bench-smoke", "exec-census")
 GENERATOR_FLAGS = 0x20 | 0x80 | 0x200  # CO_GENERATOR | CO_COROUTINE | CO_ASYNC_GENERATOR
 SITECUSTOMIZE = """\
 # Written by tools/exec_census.py into its scratch copy of the tree.
@@ -353,45 +349,6 @@ def cli_flags(src: Path):
 # ----------------------------------------------------------------------
 # Driving the runs
 # ----------------------------------------------------------------------
-def ci_smoke_steps(workflow: Path):
-    """``(job, script)`` for every ``run: |`` step, once per matrix value."""
-    import itertools
-    import re
-
-    steps, job, matrix = [], None, {}
-    lines = workflow.read_text(encoding="utf-8").splitlines()
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        i += 1
-        head = re.match(r"^  ([\w-]+):\s*$", line)
-        if head:
-            job, matrix = head.group(1), {}
-            continue
-        axis = re.match(r"^\s+([\w-]+): \[(.*)\]\s*$", line)
-        if axis and job:
-            matrix[axis.group(1)] = [v.strip().strip("'\"") for v in axis.group(2).split(",")]
-            continue
-        if not re.match(r"^\s+(- )?run: \|\s*$", line) or job in SKIPPED_JOBS:
-            continue
-        indent = len(line) - len(line.lstrip()) + (2 if line.lstrip().startswith("- ") else 0)
-        block = []
-        while i < len(lines) and (
-            not lines[i].strip() or len(lines[i]) - len(lines[i].lstrip()) > indent
-        ):
-            block.append(lines[i])
-            i += 1
-        width = min(len(b) - len(b.lstrip()) for b in block if b.strip())
-        script = "\n".join(b[width:] for b in block) + "\n"
-        keys = sorted(k for k in matrix if "${{ matrix.%s }}" % k in script)
-        for values in itertools.product(*(matrix[k] for k in keys)):
-            text = script
-            for key, value in zip(keys, values):
-                text = text.replace("${{ matrix.%s }}" % key, value)
-            steps.append((job + "".join(f"[{v}]" for v in values), text))
-    return steps
-
-
 def _tracked_files():
     import subprocess
 
@@ -435,14 +392,17 @@ def run_census(work: Path) -> dict:
         "pytest tests benchmarks",
         [sys.executable, "-m", "pytest", "-q", "-p", "exec_census", "-p", "no:cacheprovider",
          "-W", "ignore::pytest.PytestAssertRewriteWarning", "--benchmark-disable",
-         "--ignore=benchmarks/e2e", "tests", "benchmarks"],
+         "-m", "ci or not ci", "--ignore=benchmarks/e2e", "tests", "benchmarks"],
     )
     for script in sorted((tree / "examples").glob("*.py")):
         scratch = work / "examples" / script.stem
         scratch.mkdir(parents=True)
         run(f"examples/{script.name}", [sys.executable, str(script)], cwd=scratch)
-    for label, script in ci_smoke_steps(tree / ".github" / "workflows" / "ci.yml"):
-        run(f"ci {label}", ["bash", "-e", "-c", script])
+    from fleet_chaos_drill import SCENARIOS  # tools/, beside this file
+
+    for scenario in sorted(SCENARIOS):
+        drill = ["tools/fleet_chaos_drill.py", "--scenario", scenario, "--workdir"]
+        run(f"drill {scenario}", [sys.executable, *drill, str(work / f"drill-{scenario}")])
 
     merged = {key: set() for key in ("entered", "set_by_tests", "set_elsewhere", "flags")}
     for path in out.glob("*.json"):

@@ -22,13 +22,17 @@ scenarios (``--scenario``):
     stale leader is fenced out (exits 3, deposed), and the digest
     matches with exactly-once commits.
 
-Prints ``DIGEST-MATCH`` and ``FAILOVER-OK`` markers for the CI job to
-grep; exits non-zero on any divergence.  Stdlib only.
+Every scenario then checks that the merged database holds every run
+(``repro inspect``) and that whoever sealed the campaign left a valid
+metrics snapshot (``repro metrics --format prometheus``).  Prints
+``DIGEST-MATCH`` and ``FAILOVER-OK`` on success; the exit code is the
+verdict: non-zero on any divergence.  Stdlib only.
 """
 
 import argparse
 import json
 import os
+import re
 import shutil
 import signal
 import socket
@@ -39,6 +43,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+
+from check_prom import check_prometheus_text  # noqa: E402  (tools/, beside this file)
 
 ELECTION_TTL = 3.0
 
@@ -413,6 +419,12 @@ def main():
     print(f"[drill] fleet digest:  {flt}")
     if flt != ref:
         failures.append("merged fleet digest diverged from the local campaign")
+    report = repro("inspect", work / "fleet.db").stdout
+    if not re.search(rf"^runs: {args.replications} ", report, re.MULTILINE):
+        failures.append(f"repro inspect does not report runs: {args.replications}")
+    # Whoever sealed the campaign left its metrics snapshot behind.
+    metrics = repro("metrics", work / "fleet.campaign", "--format", "prometheus").stdout
+    failures += [f"metrics: {problem}" for problem in check_prometheus_text(metrics)]
 
     if failures:
         for failure in failures:
