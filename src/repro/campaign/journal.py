@@ -3,8 +3,8 @@
 Sec. VII: *"ExCovery manages series of experiments and recovers from
 failures by resuming aborted runs."*  Every series is a campaign — one
 worker or many — and commits its runs to level-3 shards (one per
-worker), so the journal is an append-only JSONL file at the campaign
-root, and each entry names the shard a run's rows live in:
+worker), so the journal is append-only JSONL at the campaign root, and
+each entry names the shard a run's rows live in:
 
 ``campaign_start``
     fingerprint, seed, total_runs, plan fingerprint, session index.
@@ -40,34 +40,53 @@ root, and each entry names the shard a run's rows live in:
 ``leader_claim`` / ``leader_renew`` / ``leader_release``
     a fleet campaign's leadership lease (DESIGN.md §16).
 
-One reducer interprets them, :class:`~repro.campaign.state.CampaignState`;
-every reader of a journal object shares its one instance, advanced from
-the byte cursor (:meth:`CampaignJournal.follow`).
+The journal is segmented, one writer per file (DESIGN.md §16):
+``campaign.jsonl`` is segment 0, a local campaign's whole journal, and
+leadership epoch *k* appends only to ``campaign.<k>.jsonl``.  A claim
+creates its segment exclusively, folds every segment afresh and opens
+the segment with a ``leader_claim`` whose ``adopted`` lists the byte
+length it folded of each earlier one; an append that finds its next
+segment existing raises :class:`LeadershipLost`.  Readers fence: a
+segment counts up to the length the highest claim adopted of it, and a
+segment above that claim counts as nobody's.  One reducer
+interprets what counts, :class:`~repro.campaign.state.CampaignState`;
+every reader of a journal object shares its one instance, advanced
+from per-segment byte cursors (:meth:`CampaignJournal.follow`).
 
-The file is a :class:`repro.durable.DurableLog` and every append is
-synced: a crash never loses an acknowledged run, it only re-executes work
-in flight — and because runs are deterministic, re-execution converges to
-byte-identical data.  A fleet coordinator sets a :attr:`~CampaignJournal.fence`
-that checks its leadership against the state, brought up to date under
-the file's lock; a local campaign sets none.
+Every append is synced: a crash never loses an acknowledged run, it
+only re-executes work in flight — and because runs are deterministic,
+re-execution converges to byte-identical data.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.campaign.state import CampaignState
-from repro.core.errors import RecoveryError
-from repro.durable import DurableLog
+from repro.core.errors import CampaignError, RecoveryError
+from repro.durable import DurableLog, sync_file
 
-__all__ = ["CampaignJournal"]
+__all__ = ["CampaignJournal", "LeadershipLost"]
 
 JOURNAL_NAME = "campaign.jsonl"
 
-#: A view of the folded state, run under the append's lock; it may refuse
-#: the append it guards by raising (:meth:`DurableLog.append`).
-Fence = Callable[[CampaignState], Any]
+
+class LeadershipLost(CampaignError):
+    """This writer no longer holds the leadership lease.
+
+    ``reason`` distinguishes the voluntary paths (``"handoff"``,
+    ``"complete"``) from deposition (``"deposed"``, ``"lost-claim"``):
+    a handoff is a clean exit, a deposition is a newer epoch's segment
+    superseding a stale leader's writes.
+    """
+
+    def __init__(self, message: str, reason: str = "deposed") -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 class CampaignJournal:
@@ -75,21 +94,29 @@ class CampaignJournal:
 
     def __init__(self, campaign_dir) -> None:
         self.root = Path(campaign_dir)
-        self.path = self.root / JOURNAL_NAME
-        self._log = DurableLog(self.path)
+        #: The segment this journal appends to: its claimed epoch, else 0.
+        self.epoch = 0
+        self._applied = [0]  # per known segment: the bytes the state holds
+        self._claims: Dict[int, List[int]] = {}  # segment -> its claim's adopted
+        self._lock = threading.Lock()
         self._state = CampaignState()
-        #: The fence every append passes first (a fleet coordinator's).
-        self.fence: Optional[Fence] = None
+
+    @property
+    def path(self) -> Path:
+        """The segment this journal appends to."""
+        return self._segment(self.epoch)
+
+    def _segment(self, epoch: int) -> Path:
+        return self.root / (f"campaign.{epoch}.jsonl" if epoch else JOURNAL_NAME)
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def _append(self, *records: Dict[str, Any], fence: Optional[Fence] = None) -> None:
-        fence = fence or self.fence
-        if fence is None:
-            self._log.append(records)
-        else:
-            self._log.append(records, fence=lambda entries: fence(self._state.apply(entries)))
+    def _append(self, *records: Dict[str, Any]) -> None:
+        DurableLog(self.path).append(records)
+        if self._segment(self.epoch + 1).exists():
+            epoch = self.epoch
+            raise LeadershipLost(f"epoch {epoch} is superseded: segment {epoch + 1} exists")
 
     def record_start(
         self,
@@ -197,35 +224,98 @@ class CampaignJournal:
     def record_complete(self) -> None:
         self._append({"type": "campaign_complete"})
 
-    def record_leader_claim(self, leader_id: str, endpoint: str, fence: Fence) -> Dict[str, Any]:
-        """*fence* returns the claim's epoch and times under the lock."""
-        entry = {"type": "leader_claim", "leader_id": leader_id, "endpoint": endpoint}
-        self._append(entry, fence=lambda state: entry.update(fence(state)))
-        return entry
+    def record_leader_claim(
+        self, leader_id: str, endpoint: str, epoch: int, claimed_at: float, expires_at: float
+    ) -> int:
+        """Claim *epoch*: create its segment, fold every segment afresh,
+        then write the claim adopting what that fold read; raises
+        :class:`LeadershipLost` when a rival created the segment first or
+        a later one exists by the time the claim is on file."""
+        path = self._segment(epoch)
+        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644))
+        except FileExistsError:
+            raise LeadershipLost(f"a rival claimed epoch {epoch} first", "lost-claim") from None
+        sync_file(path)
+        with self._lock:
+            self._fold(afresh=True)
+            adopted = self._applied[:epoch]
+        self.epoch = epoch
+        claim = {"type": "leader_claim", "leader_id": leader_id, "endpoint": endpoint}
+        claim.update(epoch=epoch, claimed_at=claimed_at, expires_at=expires_at, adopted=adopted)
+        self._append(claim)
+        return epoch
 
-    def record_leader_renew(self, epoch: int, expires_at: float, fence: Fence) -> None:
-        self._append(
-            {"type": "leader_renew", "epoch": epoch, "expires_at": expires_at}, fence=fence
-        )
-
-    def record_leader_release(self, epoch: int, reason: str, fence: Fence) -> None:
-        self._append({"type": "leader_release", "epoch": epoch, "reason": reason}, fence=fence)
+    def record_leader(self, kind: str, epoch: int, **fields: Any) -> None:
+        """A ``leader_renew`` (``expires_at``) or ``leader_release``
+        (``reason``) of *epoch*."""
+        self._append({"type": kind, "epoch": epoch, **fields})
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def follow(self, view: Fence) -> Any:
-        """Apply what the file gained since the last follow to the state
-        and return *view* of it, both under the follow lock (the only
-        place the state changes)."""
-        return self._log.follow(lambda entries: view(self._state.apply(entries)))
+    def follow(self, view: Callable[[CampaignState], Any]) -> Any:
+        """Apply what the segments gained since the last follow to the
+        state and return *view* of it, both under the follow lock (the
+        only place the state changes)."""
+        with self._lock:
+            self._fold()
+            return view(self._state)
 
     def state(self) -> CampaignState:
         """The journal folded up to its current end (DESIGN.md §18)."""
         return self.follow(lambda state: state)
 
     def entries(self) -> List[Dict[str, Any]]:
-        return list(self._log.replay())
+        """Every counted record, in segment order."""
+        with self._lock:
+            caps = self._caps()
+            return [record for k, cap in enumerate(caps) for _end, record in self._read(k, 0, cap)]
+
+    def top(self) -> Tuple[int, Optional[float]]:
+        """The highest segment as of the last fold, and its creation time
+        while it holds no claim (a claimer died, or is mid-claim)."""
+        k = len(self._applied) - 1
+        return k, None if k == 0 or k in self._claims else self._segment(k).stat().st_mtime
+
+    def _fold(self, afresh: bool = False) -> None:
+        caps = self._caps()
+        if afresh or any(cap < done for cap, done in zip(caps, self._applied)):
+            # Only a deposed writer's late append, tailed before the claim
+            # that caps it was on file, leads here.
+            self._state, self._applied = CampaignState(), [0] * len(caps)
+        for k, cap in enumerate(caps):
+            start, path = self._applied[k], self._segment(k)
+            if start == cap or not afresh and not (path.exists() and path.stat().st_size > start):
+                continue
+            for end, record in self._read(k, start, cap):
+                self._state.apply([record])
+                self._applied[k] = end
+
+    def _caps(self) -> List[float]:
+        """Find new segments; return each one's cap: what the highest claim
+        adopted of every segment below it, none on its own, and 0 on each
+        one above it (they hold no claim, so they count as nobody's)."""
+        while self._segment(len(self._applied)).exists():
+            self._applied.append(0)
+        top = len(self._applied) - 1
+        for k in range(top, 0, -1):
+            if k not in self._claims:
+                for _end, record in DurableLog(self._segment(k))._read(0):
+                    if record["type"] == "leader_claim":
+                        self._claims[k] = record["adopted"]
+                    break
+            if k in self._claims:
+                return self._claims[k] + [math.inf] + [0] * (top - k)
+        return [math.inf] + [0] * top
+
+    def _read(self, k: int, start: int, cap: float):
+        """``(end, record)`` of segment *k* from byte *start* up to *cap*."""
+        for end, record in DurableLog(self._segment(k))._read(start):
+            if end > cap:
+                return
+            yield end, record
 
     # ------------------------------------------------------------------
     # Resume protocol
@@ -246,8 +336,8 @@ class CampaignJournal:
         holds the run's rows; the others are dropped so the scheduler
         re-executes those runs.
         """
-        # Copied under the follow lock: a fenced append may advance the
-        # state meanwhile (DESIGN.md §18).
+        # Copied under the follow lock: another thread's follow may
+        # advance the state meanwhile (DESIGN.md §18).
         starts, complete, completed = self.follow(
             lambda state: (state.starts[:1], state.complete, dict(state.completed))
         )

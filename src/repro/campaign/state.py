@@ -129,7 +129,7 @@ class CampaignState:
 
     def _lead(self, kind: str, entry: Dict[str, Any]) -> None:
         """The latest claim wins; a renewal or release counts only for
-        the epoch it names (a stale writer's is fenced out)."""
+        the epoch it names (a stale writer's counts for nothing)."""
         if kind == "leader_claim":
             self.leader = LeaderRecord(
                 epoch=int(entry["epoch"]),

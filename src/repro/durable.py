@@ -144,28 +144,18 @@ class DurableLog:
         self._cursor = 0  # where follow() reads on; it holds _follow_lock
         self._follow_lock = threading.Lock()
 
-    def append(
-        self,
-        records: Iterable[Dict[str, Any]],
-        sync: bool = True,
-        fence: Optional[Callable[[List[Dict[str, Any]]], None]] = None,
-    ) -> None:
+    def append(self, records: Iterable[Dict[str, Any]], sync: bool = True) -> None:
         """Append *records* with a single ``write()``; with *sync* they are
         on stable storage when this returns.  Appenders exclude each other
-        by an ``flock`` on the file, so cutting a torn tail cannot race a
-        rival's write.  Under that lock a *fence* is :meth:`follow`'s fold:
-        it may raise to refuse the append before anything is written, or
-        complete *records*, which are encoded after it ran."""
-        records = list(records)
-        if not records:
+        by an ``flock`` on the file, so cutting a torn tail cannot race
+        another thread's write; the lock arbitrates nothing else."""
+        data = b"".join(frame("", encode_record(rec)) + b"\n" for rec in records)
+        if not data:
             return
         fd = _open_rw(self.path, os.O_APPEND)
         try:
             if fcntl is not None:
                 fcntl.flock(fd, fcntl.LOCK_EX)
-            if fence is not None:
-                self.follow(fence)
-            data = b"".join(frame("", encode_record(rec)) + b"\n" for rec in records)
             data = self._repair_tail(fd) + data
             if os.write(fd, data) != len(data):
                 raise StorageError(f"short write to {self.path}; the record is not durable")

@@ -28,10 +28,11 @@ transport of a :class:`~repro.campaign.session.CampaignSession` — the
 same open / settle / seal policy and the same commit contract the local
 pool drives — so every run commit is shard transaction → the session's
 ``settle_ok`` (shipped scope, if any, as ``scope.json`` → journal entry
-→ scheduler), and every journal entry it writes passes its election
-fence (:meth:`ElectionLedger.fence`).  After a coordinator restart the
-same journal's fold restores in-flight lease ownership, and its resume
-protocol re-queues exactly the runs whose shards lack them.
+→ scheduler), into the coordinator's own journal segment: once a
+successor's segment exists, the append raises :class:`LeadershipLost`
+and no reader counts it (DESIGN.md §16).  After a coordinator restart
+the same journal's fold restores in-flight lease ownership, and its
+resume protocol re-queues exactly the runs whose shards lack them.
 Because runs are pure functions of (description, run id), the merged
 database of a restarted, re-leased, partially re-executed fleet campaign
 is byte-identical to a single ``--jobs`` local campaign — the invariant
@@ -236,7 +237,6 @@ class FabricCoordinator:
                 reason="lost-claim",
             )
         self.epoch = epoch
-        self.session.journal.fence = self.election.fence(epoch)
 
         session = self.session.open()
         # Old name of the session; benchmarks/e2e (frozen, ROADMAP 2) reads it.
@@ -285,8 +285,6 @@ class FabricCoordinator:
         return self._deposed_reason
 
     def _mark_deposed(self, reason: str) -> None:
-        # Takes the dispatch lock: a refused journal append calls this once
-        # it unwound, never from inside the fence (which holds the flock).
         self._deposed_reason = self._deposed_reason or reason
         self._renew_stop.set()
         with self._progress:
@@ -430,8 +428,9 @@ class FabricCoordinator:
             return json.dumps({"status": status})
 
     def _commit(self, worker_id: str, lease_id: str, run_id: int, payload_json: str) -> str:
-        """Shard transaction, then the fenced journal entry: a deposed leader
-        may still write the (same, idempotent) shard rows, not the entry."""
+        """Shard transaction, then the journal entry: a deposed leader may
+        still write the (same, idempotent) shard rows and the entry, which
+        no fold counts once a successor's claim capped its segment."""
         payload = decode_payload(payload_json)
         stats = payload.get("stats") or {}
 

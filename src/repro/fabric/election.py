@@ -11,7 +11,7 @@ The lease lives in the campaign journal, as three entry types:
 
 ``leader_claim``    a coordinator took leadership: monotonically
                     increasing **fencing epoch**, leader id, serving
-                    endpoint, expiry.
+                    endpoint, expiry, and the journal it adopted.
 ``leader_renew``    the leader's heartbeat: a new expiry for its epoch.
 ``leader_release``  the leader gave leadership up voluntarily
                     (``handoff``, ``complete``) — standbys may claim
@@ -19,19 +19,19 @@ The lease lives in the campaign journal, as three entry types:
 
 The journal's one fold (:class:`repro.campaign.state.CampaignState`)
 keeps the current :class:`LeaderRecord`; :class:`ElectionLedger` reads it
-and folds nothing itself.  The arbiter is the ``flock`` every journal
-append already holds: the journal brings its state up to date under it
-and hands the state to the append's fence, so a claim computes its epoch
-there, and a leader's every write — renewal, release and, through the
-fence the coordinator sets on its journal (:meth:`ElectionLedger.fence`),
-each entry it journals — is refused there with :class:`LeadershipLost`,
-before anything is written, once a newer epoch or a release is on file.
+and folds nothing itself.  No lock arbitrates: epoch *k* writes only its
+own journal segment, which a claim creates exclusively, so one of two
+rivals for an epoch wins and a paused leader holds nothing a claimer
+waits on.  A polite claim waits out one TTL of a segment still without
+a claim, then claims past it.  A deposed leader learns of its successor
+from its own next append, which raises :class:`LeadershipLost`.
 
-The fencing invariant: epochs only grow, at most one process can hold
-the lease at any epoch, and no journal entry carries a non-current
-epoch's writes.  Split brain can therefore delay work (two coordinators
-may *think* they lead) but never double-commit a run or leave a deposed
-leader's grant, failure, expiry or quarantine for a later resume to fold.
+The fencing invariant: epochs only grow, at most one process writes any
+epoch's segment, and no fold counts a write of a non-current epoch —
+each segment counts only up to the length the next claim adopted.
+Split brain can therefore delay work (two coordinators may *think* they
+lead) but never double-commit a run or leave a deposed leader's grant,
+failure, expiry or quarantine for a later resume to fold.
 
 Standbys additionally announce themselves through beacon files under
 ``standbys/`` so ``repro fabric status`` can report the roster without
@@ -46,8 +46,8 @@ from contextlib import suppress
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.campaign.journal import CampaignJournal, Fence
-from repro.campaign.state import CampaignState, LeaderRecord
+from repro.campaign.journal import CampaignJournal, LeadershipLost
+from repro.campaign.state import LeaderRecord
 from repro.core.errors import CampaignError
 from repro.durable import replace_file
 from repro.obs.metrics import count_suppressed_error
@@ -62,27 +62,13 @@ __all__ = [
 STANDBY_DIR = "standbys"
 
 
-class LeadershipLost(CampaignError):
-    """This coordinator no longer holds the leadership lease.
-
-    ``reason`` distinguishes the voluntary paths (``"handoff"``,
-    ``"complete"``) from deposition (``"deposed"``, ``"lost-claim"``):
-    a handoff is a clean exit, a deposition is the fencing mechanism
-    refusing a stale leader's writes.
-    """
-
-    def __init__(self, message: str, reason: str = "deposed") -> None:
-        super().__init__(message)
-        self.reason = reason
-
-
 def _slug(name: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in name) or "x"
 
 
 class ElectionLedger:
     """The leadership lease as *journal*'s state holds it (a coordinator's
-    session journal, so its fence and its views share one fold)."""
+    session journal, so its claim and its appends share one segment)."""
 
     def __init__(
         self,
@@ -113,24 +99,6 @@ class ElectionLedger:
     # ------------------------------------------------------------------
     # Lease lifecycle
     # ------------------------------------------------------------------
-    def fence(self, epoch: int) -> Fence:
-        """The check that admits a journal append only while *epoch* holds
-        the lease: handed the journal's state, brought up to date under
-        the append's lock, it raises :class:`LeadershipLost` once a
-        higher epoch or a release is on file."""
-
-        def check(state: CampaignState) -> None:
-            record = state.leader
-            if record is None or record.epoch != epoch or record.released:
-                held = "released" if record and record.released else "superseded"
-                raise LeadershipLost(
-                    f"epoch {epoch} is {held} "
-                    f"(journal at epoch {record.epoch if record else 0}); "
-                    "refusing the write",
-                )
-
-        return check
-
     def campaign(
         self,
         leader_id: str,
@@ -141,35 +109,40 @@ class ElectionLedger:
 
         A claim succeeds when no leader holds a live lease — the previous
         lease expired without renewal (leader died or was partitioned) or
-        was released (handoff, completion).  ``force=True`` bumps the
-        epoch over a live lease: the operator-restart path, where whoever
-        runs ``--resume`` asserts the old leader is gone.
+        was released (handoff, completion) — and no rival's claim is in
+        flight.  ``force=True`` bumps the epoch over a live lease: the
+        operator-restart path, where whoever runs ``--resume`` asserts
+        the old leader is gone.
         """
-
-        def check(state: CampaignState) -> Dict[str, Any]:
-            now = self.clock()
-            record = state.leader
-            if record is not None and record.live(now) and not force:
-                raise LeadershipLost(f"{record.leader_id} holds epoch {record.epoch}")
-            epoch = (0 if record is None else record.epoch) + 1
-            return {"epoch": epoch, "claimed_at": now, "expires_at": now + self.ttl}
-
+        now = self.clock()
+        record = self.current()
+        top, vacant_since = self.journal.top()
+        if not force and (
+            record is not None and record.live(now)
+            or vacant_since is not None and now < vacant_since + self.ttl
+        ):
+            return None
         with suppress(LeadershipLost):
-            return self.journal.record_leader_claim(leader_id, endpoint, check)["epoch"]
+            return self.journal.record_leader_claim(
+                leader_id, endpoint, top + 1, now, now + self.ttl
+            )
         return None
 
     def renew(self, epoch: int) -> bool:
         """Heartbeat the lease at *epoch*; ``False`` means deposed."""
-        with suppress(LeadershipLost):
-            self.journal.record_leader_renew(epoch, self.clock() + self.ttl, self.fence(epoch))
-            return True
-        return False
+        return self._write("leader_renew", epoch, expires_at=self.clock() + self.ttl)
 
     def release(self, epoch: int, reason: str) -> bool:
         """Voluntarily give leadership up (handoff, completion)."""
+        return self._write("leader_release", epoch, reason=reason)
+
+    def _write(self, kind: str, epoch: int, **fields: Any) -> bool:
+        """Journal a *kind* entry while *epoch* holds the lease."""
+        held = self.current()
         with suppress(LeadershipLost):
-            self.journal.record_leader_release(epoch, reason, self.fence(epoch))
-            return True
+            if held is not None and held.epoch == epoch and not held.released:
+                self.journal.record_leader(kind, epoch, **fields)
+                return True
         return False
 
     # ------------------------------------------------------------------
@@ -326,16 +299,19 @@ class StandbyCoordinator:
                         else "no leader yet"
                     )
                     self._note(f"leadership claimable ({why}); campaigning")
-                    result = self._promote()
-                    if result is not _LOST_RACE:
-                        return result
+                    try:
+                        return self._promote()
+                    except LeadershipLost as lost:
+                        if lost.reason != "lost-claim":
+                            raise
                     self._note("lost the claim race; resuming watch")
                 time.sleep(self.poll)
         finally:
             self.ledger.retire_beacon(self.standby_id)
 
     def _promote(self):
-        """Claim + serve; returns ``_LOST_RACE`` when a rival won."""
+        """Claim + serve; raises a ``lost-claim`` :class:`LeadershipLost`
+        when a rival won."""
         from repro.fabric.coordinator import FabricCoordinator
 
         coordinator = FabricCoordinator(
@@ -349,10 +325,7 @@ class StandbyCoordinator:
             takeover=False,  # polite claim: only a lapsed/released lease
             **self.coordinator_kwargs,
         )
-        try:
-            coordinator.start()
-        except LeadershipLost:
-            return _LOST_RACE
+        coordinator.start()
         self.promoted = True
         self.coordinator = coordinator
         self._note(
@@ -363,7 +336,3 @@ class StandbyCoordinator:
             return coordinator.run_until_complete(db_path=self.db_path)
         finally:
             coordinator.stop()
-
-
-#: Sentinel distinguishing "rival claimed first" from "campaign over".
-_LOST_RACE = object()

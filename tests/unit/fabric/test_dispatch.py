@@ -179,11 +179,11 @@ def test_a_grant_torn_mid_batch_loses_only_runs_no_worker_received(tmp_path):
     dispatcher = _dispatcher(tmp_path, clock, ttl=10.0)
     append = DurableLog.append
 
-    def tear(log, records, sync=True, fence=None):
+    def tear(log, records, sync=True):
         records = list(records)
         if records[0]["type"] != "run_start":
-            return append(log, records, sync, fence)
-        append(log, records[:1], sync, fence)
+            return append(log, records, sync)
+        append(log, records[:1], sync)
         line = frame("", encode_record(records[1]))
         with open(log.path, "ab") as fh:
             fh.write(line[: len(line) // 2])

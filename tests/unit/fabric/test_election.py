@@ -4,13 +4,19 @@ import fcntl
 import inspect
 import os
 import threading
+import time
+from unittest import mock
 
 import pytest
 
+from repro import durable
 from repro.campaign.journal import CampaignJournal
 from repro.core.errors import CampaignError
 from repro.durable import DurableLog
 from repro.fabric.election import ElectionLedger, LeadershipLost, StandbyCoordinator
+
+#: How long a standby sleeps between two looks at the lease.
+POLL = inspect.signature(StandbyCoordinator).parameters["poll"].default
 
 
 class FakeClock:
@@ -85,27 +91,34 @@ def test_release_makes_lease_immediately_claimable(ledger):
 
 
 def test_fenced_runs_callable_only_at_current_epoch(ledger, tmp_path, clock):
-    """A journal whose fence holds epoch 1 writes until a rival's claim of
-    epoch 2 is on file, then refuses before anything is written."""
+    """A journal that claimed epoch 1 writes until a rival's claim of
+    epoch 2 is on file; then its append raises, and the stale write never
+    counts."""
     assert ledger.campaign("c1", "a:1") == 1
     journal = ledger.journal
-    journal.fence = ledger.fence(1)
     journal.record_worker_registered("w0", 1)
     rival = ElectionLedger(CampaignJournal(tmp_path), ttl=10.0, clock=clock)
     assert rival.campaign("c2", "b:2", force=True) == 2
     entries = journal.entries()
     with pytest.raises(LeadershipLost, match="epoch 1 is superseded"):
         journal.record_worker_registered("w1", 1)
-    assert journal.entries() == entries  # the stale leader's write never happened
+    assert journal.entries() == entries  # the stale leader's write never counts
     assert [e["type"] for e in entries] == ["leader_claim", "worker_registered", "leader_claim"]
 
 
-def test_fenced_refuses_after_release(ledger):
+def test_fenced_refuses_after_release(ledger, tmp_path, clock):
+    """A released epoch renews nothing, and once a standby claimed the
+    next one, the old leader's late append raises and never counts."""
     ledger.campaign("c1", "a:1")
     ledger.release(1, "complete")
-    ledger.journal.fence = ledger.fence(1)
-    with pytest.raises(LeadershipLost, match="released"):
+    assert not ledger.renew(1)
+    standby = ElectionLedger(CampaignJournal(tmp_path), ttl=10.0, clock=clock)
+    assert standby.campaign("c2", "b:2") == 2
+    entries = standby.journal.entries()
+    with pytest.raises(LeadershipLost, match="epoch 1 is superseded"):
         ledger.journal.record_complete()
+    assert not standby.journal.state().complete
+    assert CampaignJournal(tmp_path).entries() == entries
 
 
 def test_stale_writer_records_are_fenced_at_replay(ledger, tmp_path):
@@ -142,11 +155,6 @@ def test_concurrent_claims_yield_exactly_one_winner(tmp_path, clock):
     assert winners[0][1] == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 24: a leader paused holding the journal's flock "
-    "blocks every standby's claim for as long as the pause lasts",
-)
 def test_a_leader_paused_holding_the_journal_lock_cannot_stall_a_claim(tmp_path, clock):
     ttl = 0.2
     journal = CampaignJournal(tmp_path)
@@ -170,6 +178,108 @@ def test_a_leader_paused_holding_the_journal_lock_cannot_stall_a_claim(tmp_path,
     finally:
         os.close(held)
         standby.join(10.0)
+
+
+class Pause:
+    """Holds the first ``os.<call>`` that ``repro.durable`` makes in the
+    thread named *thread* until :attr:`resume` is set; every other call
+    passes through."""
+
+    def __init__(self, call, thread):
+        self.call, self.thread = call, thread
+        self.reached, self.resume = threading.Event(), threading.Event()
+
+    def __enter__(self):
+        real = getattr(durable.os, self.call)
+
+        def held(*args):
+            if threading.current_thread().name == self.thread and not self.resume.is_set():
+                self.reached.set()
+                self.resume.wait(10.0)
+            return real(*args)
+
+        self._patch = mock.patch.object(durable.os, self.call, held)
+        self._patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.resume.set()
+        self._patch.stop()
+
+
+@pytest.mark.parametrize("pause_in, counts", [("write", False), ("fsync", True)])
+def test_a_leader_paused_inside_its_own_append_cannot_stall_a_claim(
+    tmp_path, clock, pause_in, counts
+):
+    """The leader pauses inside an append: before its write lands, or in
+    the fsync after it.  A standby still claims within TTL plus one poll;
+    the resumed append raises and the leader's renewal is refused.  What
+    the standby's fold read counts; a write landing after that fold counts
+    in no fold, not even for a reader that tailed it before the claim was
+    on file (the standby's claim is held until that reader looked)."""
+    ttl = 0.2
+    leader = ElectionLedger(CampaignJournal(tmp_path), ttl=ttl, clock=clock)
+    assert leader.campaign("c1", "a:1") == 1
+    tail = CampaignJournal(tmp_path)
+    tail.state()
+    raised, claimed = [], []
+
+    def append():
+        try:
+            leader.journal.record_worker_quarantined("late", "paused")
+        except LeadershipLost as lost:
+            raised.append(str(lost))
+
+    standby = ElectionLedger(CampaignJournal(tmp_path), ttl=ttl, clock=clock)
+    writer = threading.Thread(target=append, name="leader", daemon=True)
+    claimer = threading.Thread(
+        target=lambda: claimed.append(standby.campaign("c2", "b:2")), name="standby", daemon=True
+    )
+    with Pause(pause_in, "leader") as paused, Pause("write", "standby") as claiming:
+        writer.start()
+        assert paused.reached.wait(10.0)
+        clock.advance(ttl + 5.0)
+        began = time.monotonic()
+        claimer.start()
+        assert claiming.reached.wait(ttl + POLL)  # created and folded; the claim is next
+        paused.resume.set()
+        writer.join(10.0)
+        tailed = "late" in tail.state().quarantined_workers
+        claiming.resume.set()
+        claimer.join(ttl + POLL)
+        assert claimed == [2] and time.monotonic() - began <= ttl + POLL
+    assert tailed and raised == ["epoch 1 is superseded: segment 2 exists"]
+    assert not leader.renew(1)
+    for journal in (standby.journal, CampaignJournal(tmp_path), tail):
+        state = journal.state()
+        assert (state.leader.epoch, state.leader.leader_id) == (2, "c2")
+        assert ("late" in state.quarantined_workers) is counts
+    assert ("late" in str(CampaignJournal(tmp_path).entries())) is counts
+
+
+def test_a_claimer_that_died_before_its_claim_is_claimed_past(tmp_path):
+    """A claimer that died between creating its segment and writing its
+    claim leaves a segment that counts as nobody's: a polite claimer waits
+    out one TTL of it and claims past it, and a claim written there late
+    changes no fold."""
+    ttl = 0.2
+    ledger = ElectionLedger(CampaignJournal(tmp_path), ttl=ttl)
+    assert ledger.campaign("c1", "a:1") == 1
+    assert ledger.release(1, "handoff")
+    (tmp_path / "campaign.2.jsonl").touch()
+    began = time.monotonic()
+    standby = ElectionLedger(CampaignJournal(tmp_path), ttl=ttl)
+    while (epoch := standby.campaign("c3", "c:3")) is None and time.monotonic() - began < 10:
+        time.sleep(0.02)
+    assert epoch == 3 and time.monotonic() - began <= ttl + POLL
+    entries = standby.journal.entries()
+    assert entries[-1]["adopted"] == [0, len(ledger.journal.path.read_bytes()), 0]
+    ghost = {"type": "leader_claim", "leader_id": "ghost", "endpoint": "g:2", "epoch": 2}
+    ghost.update(claimed_at=0.0, expires_at=9e9, adopted=[0, 0])
+    DurableLog(tmp_path / "campaign.2.jsonl").append([ghost])
+    for journal in (standby.journal, CampaignJournal(tmp_path), ledger.journal):
+        assert journal.state().leader.leader_id == "c3"
+        assert journal.entries() == entries
 
 
 def test_standby_roster_and_summary(ledger, clock):

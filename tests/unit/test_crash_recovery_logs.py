@@ -49,24 +49,25 @@ class _Campaign(_Case):
 
 
 class _Election(_Case):
-    """Leadership claims, journaled into the campaign journal."""
+    """Leadership renewals, journaled into the leader's own segment."""
 
     def __init__(self, root):
         super().__init__(root)
-        self.path = root / "campaign.jsonl"
-
-    def _ledger(self):
-        return ElectionLedger(CampaignJournal(self.root), ttl=10.0, clock=lambda: 1000.0)
+        self.now = 1000.0
+        self.leader = ElectionLedger(CampaignJournal(root), ttl=10.0, clock=lambda: self.now)
+        assert self.leader.campaign("c", "host:1") == 1
+        self.path = self.leader.journal.path
 
     def write(self, i):
-        assert self._ledger().campaign(f"c{i}", f"host:{i}", force=True) is not None
+        self.now = 1000.0 + i
+        assert self.leader.renew(1)
 
     def view(self):
-        record = self._ledger().current()
-        return (record.epoch, record.leader_id)
+        record = ElectionLedger(CampaignJournal(self.root)).current()
+        return (record.renewals, record.expires_at)
 
     def expect(self, ids):
-        return (len(ids), f"c{ids[-1]}")
+        return (len(ids), 1010.0 + ids[-1])
 
 
 class _Ingest(_Case):

@@ -1,7 +1,7 @@
 """The durable-log primitive, tested once and hard: truncation at every
 offset and a bit flip in every byte against an independent oracle, the
-torn-tail repair, the follow cursor and the append fence, the counter, and
-the whole-file helpers."""
+torn-tail repair, the follow cursor, the counter, and the whole-file
+helpers."""
 
 import json
 import os
@@ -251,7 +251,7 @@ def test_follow_refuses_damage_before_the_tail(tmp_path):
     assert seen == [{"n": 0}]
 
 
-def test_a_fenced_append_decodes_only_the_records_past_its_cursor(tmp_path, monkeypatch):
+def test_follow_decodes_only_the_records_past_its_cursor(tmp_path, monkeypatch):
     path = tmp_path / "log.jsonl"
     writer, reader, seen = DurableLog(path), DurableLog(path), []
     writer.append([{"n": i} for i in range(100)])
@@ -262,28 +262,11 @@ def test_a_fenced_append_decodes_only_the_records_past_its_cursor(tmp_path, monk
         durable, "decode_record", lambda body: decoded.append(body) or real_decode(body)
     )
     writer.append([{"n": 100}, {"n": 101}])
-    reader.append([{"n": 102}], fence=seen.extend)
+    reader.follow(seen.extend)
     assert len(decoded) == 2 and seen[100:] == [{"n": 100}, {"n": 101}]
-    # The reader's own record is read back once, by its next fenced append.
-    reader.append([{"n": 103}], fence=seen.extend)
-    assert len(decoded) == 3 and seen[102:] == [{"n": 102}]
-    assert len(seen) == 103 and [rec["n"] for rec in reader.replay()] == list(range(104))
-
-
-def test_a_fence_refuses_before_writing_and_may_complete_the_records(tmp_path):
-    log = DurableLog(tmp_path / "log.jsonl")
-    log.append([{"n": 0}])
-    before = log.path.read_bytes()
-
-    def refuse(entries):
-        raise LookupError(f"{len(entries)} entries say no")
-
-    with pytest.raises(LookupError, match="1 entries say no"):
-        log.append([{"n": 1}], fence=refuse)
-    assert log.path.read_bytes() == before
-    claim = {"type": "claim"}
-    log.append([claim], fence=lambda entries: claim.update(after=len(entries)))
-    assert list(log.replay()) == [{"n": 0}, {"type": "claim", "after": 0}]
+    reader.follow(seen.extend)  # nothing new: nothing decoded
+    assert len(decoded) == 2 and len(seen) == 102
+    assert [rec["n"] for rec in reader.replay()] == list(range(102))
 
 
 def test_replace_file_is_atomic_and_synced(tmp_path, monkeypatch):
